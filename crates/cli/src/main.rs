@@ -95,8 +95,6 @@ struct Opts {
     batch: usize,
     /// Per-shard ingest queue depth override for `serve`.
     queue_depth: Option<usize>,
-    /// Overload policy override for `serve`: backpressure (default) or shed.
-    overload: Option<hawkeye_serve::OverloadPolicy>,
     /// Artificial per-snapshot shard-worker delay for `serve`
     /// (microseconds) — deliberately slows ingest to exercise the
     /// backpressure path.
@@ -163,7 +161,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<String>), String> {
         history: false,
         batch: 1,
         queue_depth: None,
-        overload: None,
         slow_shard_us: 0,
         durable: None,
         fsync: None,
@@ -267,14 +264,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<String>), String> {
                     Some(v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
                         format!("--queue-depth: '{v}' is not a positive integer")
                     })?);
-            }
-            "--overload" => {
-                let v = it.next().ok_or("--overload requires a policy")?;
-                o.overload = Some(match v.as_str() {
-                    "backpressure" => hawkeye_serve::OverloadPolicy::Backpressure,
-                    "shed" => hawkeye_serve::OverloadPolicy::Shed,
-                    _ => return Err(format!("--overload: '{v}' is not backpressure|shed")),
-                });
             }
             "--durable" => {
                 o.durable = Some(it.next().ok_or("--durable requires a directory")?.clone());
@@ -386,7 +375,7 @@ fn usage() -> ! {
          [kind] [--load F] [--seed N] [--jobs N] [--json] [--format jsonl|chrome] \
          [--rates R,R,..] [--trials N] [--out F] \
          [--socket PATH] [--tcp ADDR] [--replay KIND] [--epoch-budget N] [--history] \
-         [--batch N] [--queue-depth N] [--overload backpressure|shed] [--slow-shard-us N] \
+         [--batch N] [--queue-depth N] [--slow-shard-us N] \
          [--durable DIR] [--fsync never|interval|always] [--connect] [--stream-only] \
          [--query-only] [--client-retries N] \
          [--shard LO..HI] [--map-epoch N] [--map FILE] \
@@ -839,16 +828,12 @@ fn cmd_serve(o: &Opts) {
     let make_cfg = |store: StoreConfig| {
         let mut cfg = ServeConfig {
             analyzer: AnalyzerConfig::for_epoch_len(runcfg.epoch.epoch_len()),
-            gather_jobs: o.jobs,
             store,
             ingest_delay_ns: o.slow_shard_us * 1_000,
             ..Default::default()
         };
         if let Some(d) = o.queue_depth {
             cfg.queue_depth = d;
-        }
-        if let Some(p) = o.overload {
-            cfg.overload = p;
         }
         if let Some(mut range) = o.shard {
             range.epoch = o.map_epoch.unwrap_or(0);
@@ -1226,7 +1211,7 @@ fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
             ..RetryConfig::default()
         });
     }
-    hawkeye_cluster::install_front_signal_handlers();
+    hawkeye_serve::install_signal_handlers();
     match spawn_front(sc.topo, map, cfg, endpoint) {
         Ok(handle) => {
             if let Some(addr) = handle.local_addr {

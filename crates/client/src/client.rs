@@ -350,7 +350,7 @@ impl ServeClient {
         })?;
         match decode_response(op, &body)? {
             Response::Ack { granted, info, .. } => {
-                // A pre-credit daemon grants 0: degrade to a window of 1,
+                // A peer configured to grant 0 still gets a window of 1,
                 // which makes every batch effectively synchronous.
                 self.window = granted.max(1);
                 self.credits = self.window;
@@ -392,8 +392,8 @@ impl ServeClient {
         }
     }
 
-    /// Ingest one snapshot; `Ok(false)` means the daemon shed it under
-    /// the Shed overload policy.
+    /// Ingest one snapshot; `Ok(false)` means the peer did not take it (a
+    /// front-end whose owning backend is down).
     pub fn ingest(&mut self, snap: &TelemetrySnapshot) -> Result<bool, ProtoError> {
         match self.call(&Request::IngestEpoch(snap.clone()))? {
             Response::Ack { accepted, .. } => Ok(accepted),

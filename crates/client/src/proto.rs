@@ -24,9 +24,9 @@
 //! - `8` IngestBatch — body is a version-tagged multi-epoch batch frame
 //!   ([`hawkeye_telemetry::wire::encode_batch`]): several snapshots in one
 //!   frame, amortizing the per-request round trip.
-//! - `9` Hello — opens a credit window. The body is empty (legacy,
-//!   protocol 1) or 12 optional trailing bytes: the speaker's protocol
-//!   version (`u32`) and its shard-map epoch (`u64`, `u64::MAX` = none).
+//! - `9` Hello — opens a credit window. The body is exactly 12 bytes: the
+//!   speaker's protocol version (`u32`) and its shard-map epoch (`u64`,
+//!   `u64::MAX` = none).
 //!   The daemon answers `Ack {accepted: true, granted: W}` where `W` is
 //!   the session's credit budget: the client may have up to `W`
 //!   un-acknowledged snapshots in flight and replenishes from the
@@ -41,12 +41,12 @@
 //!   `assemble_graph` path the monolithic daemon uses.
 //!
 //! Response opcodes (daemon → client):
-//! - `129` Ack — body is `accepted: u8` (`1` accepted, `0` shed) followed
-//!   by `granted: u32`, the credits this response returns to the client's
-//!   window, optionally followed by the daemon's protocol version (`u32`)
-//!   and shard-map epoch (`u64`, `u64::MAX` = none) on a Hello ack. A
-//!   legacy one-byte body decodes with `granted = 0`; a five-byte body
-//!   decodes with no peer info.
+//! - `129` Ack — body is exactly 5 or 17 bytes: `accepted: u8` (`1`
+//!   accepted, `0` not taken — a front-end answers so for a switch whose
+//!   backend is down) followed by `granted: u32`, the credits this
+//!   response returns to the client's window; a Hello ack appends the
+//!   daemon's protocol version (`u32`) and shard-map epoch (`u64`,
+//!   `u64::MAX` = none). Any other length is a malformed body.
 //! - `130` Diagnosis — body is a JSON [`DiagnosisReport`].
 //! - `131` Stats — body is a JSON counter object.
 //! - `132` Bye — shutdown acknowledged.
@@ -82,8 +82,8 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: u32 = 16 << 20;
 
 /// The protocol revision this implementation speaks, announced in `Hello`.
-/// Version 1 (implicit, empty Hello body) predates shard maps and the
-/// `Fragments` op; version 2 adds both.
+/// Version 1 predates shard maps and the `Fragments` op; version 2 adds
+/// both.
 pub const PROTO_VERSION: u32 = 2;
 
 /// Message prefix that marks an opcode-255 error as a typed shard-
@@ -216,9 +216,8 @@ pub enum Request {
     /// pass per snapshot). Answered with [`Response::BatchAck`].
     IngestBatch(Vec<TelemetrySnapshot>),
     /// Open a credit window; answered with `Ack {granted: W}`. `version`
-    /// is the speaker's [`PROTO_VERSION`] (1 for legacy empty-body
-    /// hellos); `map_epoch` the shard-map generation the speaker routes
-    /// under, if it routes at all.
+    /// is the speaker's [`PROTO_VERSION`]; `map_epoch` the shard-map
+    /// generation the speaker routes under, if it routes at all.
     Hello {
         version: u32,
         map_epoch: Option<u64>,
@@ -244,7 +243,8 @@ pub struct DiagnoseParams {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Single-snapshot (or Hello) acknowledgement. `accepted`: `true` =
-    /// ingested, `false` = shed under the `Shed` overload policy.
+    /// ingested, `false` = not taken (a front-end's answer for a switch
+    /// whose backend is down; a daemon never sends it).
     /// `granted`: credits returned to the client's window (the session
     /// budget on Hello, the settled snapshot count otherwise). `info`:
     /// the daemon's version/shard-map disclosure, present on Hello acks
@@ -358,12 +358,6 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
         Request::Metrics => write_frame(w, OP_METRICS, &[]),
         Request::IngestBatch(snaps) => write_frame(w, OP_INGEST_BATCH, &encode_batch(snaps)),
         Request::Hello { version, map_epoch } => {
-            // A legacy hello (version 1, no map) stays the byte-identical
-            // empty body; anything newer appends the trailing disclosure,
-            // which pre-shard daemons ignore.
-            if *version <= 1 && map_epoch.is_none() {
-                return write_frame(w, OP_HELLO, &[]);
-            }
             let mut body = [0u8; 12];
             body[0..4].copy_from_slice(&version.to_le_bytes());
             body[4..12].copy_from_slice(&map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
@@ -477,16 +471,9 @@ fn parse_diagnose(body: &[u8]) -> Result<DiagnoseParams, ProtoError> {
 }
 
 fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
-    // Legacy hellos carry no body; version-2 hellos append 12 bytes.
-    if body.is_empty() {
-        return Ok(Request::Hello {
-            version: 1,
-            map_epoch: None,
-        });
-    }
-    if body.len() < 12 {
+    if body.len() != 12 {
         return Err(ProtoError::BadBody(format!(
-            "hello body {} bytes, want 0 or >= 12",
+            "hello body {} bytes, want 12",
             body.len()
         )));
     }
@@ -541,9 +528,7 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
             body[0] = u8::from(*accepted);
             body[1..5].copy_from_slice(&granted.to_le_bytes());
             let len = match info {
-                // The five-byte form stays byte-identical for every ack a
-                // legacy client might settle; peer info trails only on
-                // Hello acks, which new clients decode and old ones skip.
+                // Peer info trails only on Hello acks.
                 None => 5,
                 Some(pi) => {
                     body[5..9].copy_from_slice(&pi.version.to_le_bytes());
@@ -597,12 +582,14 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
 pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> {
     match opcode {
         OP_ACK => {
-            let accepted = body.first().copied().unwrap_or(0) == 1;
-            // Legacy one-byte acks (pre-credit daemons) grant nothing.
-            let granted = body
-                .get(1..5)
-                .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
-            // Pre-shard daemons stop at five bytes: no peer disclosure.
+            if body.len() != 5 && body.len() != 17 {
+                return Err(ProtoError::BadBody(format!(
+                    "ack body {} bytes, want 5 or 17",
+                    body.len()
+                )));
+            }
+            let accepted = body[0] == 1;
+            let granted = u32::from_le_bytes(body[1..5].try_into().expect("4 bytes"));
             let info = body.get(5..17).map(|b| {
                 let version = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
                 let raw = u64::from_le_bytes(b[4..12].try_into().expect("8 bytes"));
@@ -757,36 +744,13 @@ mod tests {
         }
     }
 
-    /// A legacy client's empty-body hello decodes as protocol 1, no map.
-    #[test]
-    fn legacy_empty_hello_decodes() {
-        assert_eq!(
-            decode_request(OP_HELLO, &[]).expect("legacy hello decodes"),
-            Request::Hello {
-                version: 1,
-                map_epoch: None,
-            }
-        );
-        // A version-1 hello still *encodes* as the byte-identical empty
-        // body, so version-2 clients stay legible to pre-shard daemons.
-        let mut buf = Vec::new();
-        write_request(
-            &mut buf,
-            &Request::Hello {
-                version: 1,
-                map_epoch: None,
-            },
-        )
-        .expect("write to Vec");
-        assert_eq!(buf, [2, 0, 0, 0, OP_HELLO], "empty-body legacy frame");
-    }
-
-    /// A truncated hello disclosure is a malformed body, not a silent
-    /// fallback to legacy semantics.
+    /// A hello body of any length but 12 — empty included — is malformed.
     #[test]
     fn truncated_hello_disclosure_rejected() {
+        assert!(decode_request(OP_HELLO, &[]).is_err());
         assert!(decode_request(OP_HELLO, &[2, 0, 0]).is_err());
         assert!(decode_request(OP_HELLO, &[2, 0, 0, 0, 1, 2]).is_err());
+        assert!(decode_request(OP_HELLO, &[0; 13]).is_err());
     }
 
     #[test]
@@ -873,28 +837,23 @@ mod tests {
         }
     }
 
-    /// A pre-credit daemon's one-byte ack still decodes (granted = 0).
+    /// An ack body is 5 or 17 bytes. Anything else — above all the empty
+    /// body, which used to read as `accepted: false` — is malformed, never
+    /// a silent "not taken".
     #[test]
-    fn legacy_one_byte_ack_decodes() {
-        assert_eq!(
-            decode_response(OP_ACK, &[1]).expect("legacy ack decodes"),
-            Response::Ack {
-                accepted: true,
-                granted: 0,
-                info: None,
-            }
-        );
-        assert_eq!(
-            decode_response(OP_ACK, &[0]).expect("legacy ack decodes"),
-            Response::Ack {
-                accepted: false,
-                granted: 0,
-                info: None,
-            }
-        );
+    fn malformed_ack_lengths_rejected() {
+        for len in [0, 1, 6, 16, 18] {
+            assert!(
+                matches!(
+                    decode_response(OP_ACK, &vec![1; len]),
+                    Err(ProtoError::BadBody(_))
+                ),
+                "{len}-byte ack decoded"
+            );
+        }
     }
 
-    /// A pre-shard daemon's five-byte ack decodes with no peer info.
+    /// A five-byte ack decodes with no peer info.
     #[test]
     fn five_byte_ack_decodes_without_info() {
         let mut body = [0u8; 5];

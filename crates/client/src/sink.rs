@@ -12,7 +12,8 @@ use std::io;
 pub struct SinkAck {
     /// Snapshots acknowledged as ingested.
     pub accepted: u64,
-    /// Snapshots acknowledged as shed (Shed overload policy only).
+    /// Snapshots acknowledged as not taken (a front-end whose owning
+    /// backend is down).
     pub shed: u64,
 }
 
@@ -24,8 +25,8 @@ impl SinkAck {
 }
 
 /// Where streamed snapshots go. `push` returns `Ok(false)` when the sink
-/// sheds the snapshot under backpressure (delivery failed but the stream
-/// should continue), `Err` when the sink is gone.
+/// did not take the snapshot (delivery failed but the stream should
+/// continue), `Err` when the sink is gone.
 pub trait EpochSink {
     fn push(&mut self, snap: &TelemetrySnapshot) -> io::Result<bool>;
 

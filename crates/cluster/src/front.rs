@@ -24,7 +24,6 @@
 //! caller rather than laundering it into a generic failure.
 
 use std::io;
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -43,7 +42,7 @@ use hawkeye_obs::names::{
     OP_INGEST_NS, OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot};
-use hawkeye_serve::Endpoint;
+use hawkeye_serve::{stop_signalled, Endpoint};
 use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::TelemetrySnapshot;
 
@@ -536,11 +535,6 @@ fn session(shared: Arc<FrontShared>, mut stream: AnyStream) {
     }
 }
 
-enum AnyListener {
-    Unix(std::os::unix::net::UnixListener),
-    Tcp(TcpListener),
-}
-
 /// A running front-end; dropping the handle does NOT stop it — call
 /// [`FrontHandle::shutdown`].
 pub struct FrontHandle {
@@ -578,31 +572,6 @@ impl FrontHandle {
     }
 }
 
-/// Set by the process signal handler, polled by the accept loop — the
-/// graceful-shutdown path for a foreground `hawkeye front`.
-static SIG_STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    SIG_STOP.store(true, Ordering::SeqCst);
-}
-
-/// Install SIGINT/SIGTERM handlers that request a graceful front-end stop
-/// (the same teardown a `Shutdown` frame runs; the unix socket is
-/// removed). Mirrors `hawkeye_serve::install_signal_handlers`, which
-/// guards its own private flag.
-pub fn install_front_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-}
-
 /// Start the front-end on `endpoint`, routing by `map` over `topo`.
 /// Returns once the listener is bound; serving continues on background
 /// threads until a `Shutdown` request arrives or
@@ -615,25 +584,8 @@ pub fn spawn_front(
     cfg: FrontConfig,
     endpoint: Endpoint,
 ) -> io::Result<FrontHandle> {
-    let listener = match &endpoint {
-        Endpoint::Unix(path) => {
-            if path.exists() {
-                std::fs::remove_file(path)?;
-            }
-            let l = std::os::unix::net::UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            AnyListener::Unix(l)
-        }
-        Endpoint::Tcp(addr) => {
-            let l = TcpListener::bind(addr.as_str())?;
-            l.set_nonblocking(true)?;
-            AnyListener::Tcp(l)
-        }
-    };
-    let local_addr = match &listener {
-        AnyListener::Tcp(l) => Some(l.local_addr()?),
-        AnyListener::Unix(_) => None,
-    };
+    let listener = endpoint.bind()?;
+    let local_addr = listener.local_addr();
     let backends = map
         .shards
         .iter()
@@ -656,27 +608,16 @@ pub fn spawn_front(
         stop: AtomicBool::new(false),
     });
     let accept_shared = Arc::clone(&shared);
-    let socket_path = match &endpoint {
-        Endpoint::Unix(p) => Some(p.clone()),
-        Endpoint::Tcp(_) => None,
-    };
     let accept_thread = thread::Builder::new()
         .name("hawkeye-front-accept".into())
         .spawn(move || {
             let mut sessions: Vec<JoinHandle<()>> = Vec::new();
             while !accept_shared.stop.load(Ordering::SeqCst) {
-                if SIG_STOP.load(Ordering::SeqCst) {
+                if stop_signalled() {
                     accept_shared.stop.store(true, Ordering::SeqCst);
                     break;
                 }
-                let accepted = match &listener {
-                    AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
-                    AnyListener::Tcp(l) => l.accept().map(|(s, _)| {
-                        let _ = s.set_nodelay(true);
-                        AnyStream::Tcp(s)
-                    }),
-                };
-                match accepted {
+                match listener.accept() {
                     Ok(stream) => {
                         let sh = Arc::clone(&accept_shared);
                         sessions.push(
@@ -695,9 +636,8 @@ pub fn spawn_front(
             for s in sessions {
                 let _ = s.join();
             }
-            if let Some(p) = socket_path {
-                let _ = std::fs::remove_file(p);
-            }
+            // Dropping the listener removes a unix socket file.
+            drop(listener);
         })
         .expect("spawn front accept loop");
     Ok(FrontHandle {

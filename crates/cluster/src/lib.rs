@@ -26,5 +26,5 @@
 pub mod front;
 pub mod shard_map;
 
-pub use front::{install_front_signal_handlers, spawn_front, FrontConfig, FrontHandle};
+pub use front::{spawn_front, FrontConfig, FrontHandle};
 pub use shard_map::{BackendEndpoint, ShardEntry, ShardMap};

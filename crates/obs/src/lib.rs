@@ -43,7 +43,8 @@ pub use tracer::Tracer;
 pub mod names {
     /// Telemetry epochs accepted into the serve daemon's store.
     pub const EPOCHS_INGESTED: &str = "epochs_ingested";
-    /// Snapshots shed by a full ingest queue (backpressure).
+    /// Snapshots a front-end passed on as not taken (`accepted: false`
+    /// from a backend). Daemons backpressure and never shed.
     pub const INGEST_SHED: &str = "ingest_shed";
     /// Snapshots that actually changed the incremental provenance state.
     pub const INCREMENTAL_UPDATES: &str = "incremental_updates";
@@ -134,8 +135,8 @@ pub mod names {
     pub const SLOW_OPS: &str = "slow_ops";
     /// Watermark-lag warnings recorded in the flight ring.
     pub const WATERMARK_LAG_WARNS: &str = "watermark_lag_warns";
-    /// Fold batches queued to the compactor thread but not yet absorbed
-    /// (gauge).
+    /// Applied snapshots queued to the serve daemon's core thread but not
+    /// yet processed (gauge).
     pub const COMPACTOR_QUEUE_DEPTH: &str = "compactor_queue_depth";
 
     // --- durable evidence log (the `--durable` serve daemon) -------------

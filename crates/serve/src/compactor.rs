@@ -12,9 +12,9 @@
 //!   pin this path.
 //! - **Deferred** (`deferred_fold = true`, the daemon's mode): `append`
 //!   only *stages* evicted epochs ([`TelemetryStore::take_pending_folds`])
-//!   and a dedicated compactor thread owns a `Compactor`, absorbing staged
-//!   folds via message passing — no new locks, and the single consumer
-//!   means no fold contention. The store's cheap bookkeeping (the `folded`
+//!   and the daemon's core thread owns a `Compactor`, absorbing staged
+//!   folds via message passing — no locks, and the single consumer means
+//!   no fold contention. The store's cheap bookkeeping (the `folded`
 //!   dedup map and the retention horizon) stays synchronous in `append`,
 //!   because admission decisions and horizon advancement cannot wait.
 //!
@@ -36,7 +36,7 @@ pub struct PendingFold {
 }
 
 /// Fold-side counters, disjoint from [`StoreStats`](crate::store::StoreStats)
-/// so the deferred mode can report them from the compactor thread.
+/// so the deferred mode can report them from the core thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactorStats {
     /// Evicted epochs folded into buckets.

@@ -7,11 +7,15 @@
 //! - [`store`] — epoch-indexed telemetry store with per-switch ring
 //!   retention and watermark tracking; the daemon's source of truth.
 //! - [`server`] — the multi-threaded daemon: per-connection sessions,
-//!   switch-sharded bounded ingest queues with explicit shedding, and the
-//!   shared [`IncrementalProvenance`](hawkeye_core::IncrementalProvenance)
-//!   engine maintained on the ingest path. With a
+//!   switch-sharded bounded ingest queues that backpressure, shard
+//!   workers that each own a store partition, and one core thread that
+//!   owns the [`IncrementalProvenance`](hawkeye_core::IncrementalProvenance)
+//!   engine (maintained on the ingest path), the folded tier, the
+//!   evidence log and the audit trail. With a
 //!   [`ShardRange`](hawkeye_client::ShardRange) the daemon serves one
 //!   shard of a fleet and enforces switch ownership on ingest.
+//! - [`listen`] — the listening socket and the process stop signal, shared
+//!   with the cluster front-end's accept loop.
 //! - [`stream`] — [`StreamingHook`], the simulator decorator that pushes
 //!   each collection epoch to a sink as it happens.
 //! - [`replay`] — end-to-end online diagnosis: stream a scenario into a
@@ -30,6 +34,7 @@
 
 pub mod audit;
 pub mod compactor;
+pub mod listen;
 pub mod recovery;
 pub mod replay;
 pub mod server;
@@ -49,12 +54,10 @@ pub use hawkeye_client::{
     PeerInfo, ProtoError, Request, Response, RetryConfig, ServeClient, ShardRange, SinkAck,
     VecSink, MAX_FRAME, PROTO_VERSION,
 };
+pub use listen::{install_signal_handlers, stop_signalled, Endpoint, Listener};
 pub use recovery::{recover_and_open, scan, RecoveryReport, Scan, ScannedRecord, WalEntry};
 pub use replay::{replay_streaming, replay_streaming_batched, ReplayOutcome};
-pub use server::{
-    install_signal_handlers, spawn, spawn_durable, DaemonHandle, Endpoint, OverloadPolicy,
-    ServeConfig,
-};
+pub use server::{spawn, spawn_durable, DaemonHandle, ServeConfig};
 pub use store::{StoreConfig, StoreStats, SwitchRestore, TelemetryStore};
 pub use stream::{StreamStats, StreamingHook};
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalStats};

@@ -1,52 +1,66 @@
-//! The `hawkeye serve` daemon: a multi-threaded diagnosis service.
+//! The `hawkeye serve` daemon: a multi-threaded diagnosis service whose
+//! state is coordinated by **ownership and messages**, nothing else.
 //!
-//! Threading model:
+//! ```text
+//!  accept loop ─Export──────────────┐
+//!                                   ▼
+//!  session ─Ingest / Snapshots /─▶ shard worker i ─Applied / Export─▶ core
+//!     │     FlowHistory / Stats    owns TelemetryStore i              owns engine,
+//!     │                                                               folded tier,
+//!     └────Verdict / Explain / FlowHistory / Stats──────────────────▶ WAL, audit
+//! ```
 //!
-//! - One **accept loop** (the daemon thread) polls a nonblocking unix or
-//!   TCP listener and spawns one **session thread** per connection.
-//! - Sessions decode request frames and route `IngestEpoch` /
+//! - One **accept loop** (the daemon thread) polls the listener, spawns
+//!   one **session thread** per connection, and — when the core raises
+//!   its flag — asks every worker to export for a checkpoint round.
+//! - **Sessions** decode request frames and route `IngestEpoch` /
 //!   `IngestBatch` by `switch id % shards` into bounded per-shard queues.
-//!   A full queue **backpressures** by default — the session blocks, the
-//!   client's credit window (granted on `Hello`, replenished by every
-//!   ack) empties, and the producer slows to the slowest shard's pace
-//!   with zero loss. The pre-credit *shed* behaviour (`Ack {accepted:
-//!   false}` plus the `ingest_shed` counter) survives as the explicit
-//!   [`OverloadPolicy::Shed`] escape hatch.
-//! - Each **shard worker** owns a [`TelemetryStore`] partition and feeds
-//!   the shared [`IncrementalProvenance`] engine, so graph maintenance
-//!   happens on the ingest path, not the query path. After every ingest
-//!   the worker publishes its store's retention horizon and retires the
-//!   engine behind the fleet-wide minimum — store and engine age out
-//!   telemetry in lockstep, so neither grows without bound (see
-//!   `tests/retention.rs`).
-//! - A single **compactor thread** owns the folded tier: shard stores run
-//!   in deferred-fold mode and only *stage* ring-evicted epochs, which the
-//!   workers hand over as `CompactMsg::Fold` batches after releasing the
-//!   store lock — the fold loop (≈46% of pre-PR-7 store+engine ingest
-//!   wall) leaves the hot path entirely, with no new locks. Queries that
-//!   read the folded tier (`FlowHistory`, `Stats`) barrier on the
-//!   compactor channel first.
-//! - `Diagnose` flushes every shard queue (barrier), gathers the shards'
-//!   canonical snapshots on the PR-2 work-stealing pool
-//!   ([`par_map`]), and runs the batch analyzer over them — the store's
-//!   canonical form makes this verdict-identical to the one-shot path on
-//!   the same telemetry (see `tests/serve_e2e.rs`). Diagnosis reads the
-//!   raw ring only, so it needs no compactor barrier.
+//!   A full queue **backpressures**: the session blocks, the client's
+//!   credit window (granted on `Hello`, replenished by every ack) empties,
+//!   and the producer slows to the slowest shard's pace with zero loss.
+//! - **Shard worker** *i* owns [`TelemetryStore`] partition *i* outright.
+//!   It appends each snapshot and forwards one `Applied` (the snapshot,
+//!   the ring evictions the append staged, the journal record that rode
+//!   in with it, the store's horizon and watermark) to the core. Reads of
+//!   the raw ring — `Diagnose`, `Fragments`, `FlowHistory`, `Stats` — are
+//!   request messages on the same queue, answered from the owned store.
+//! - The single **core thread** owns the [`IncrementalProvenance`] engine,
+//!   the folded tier ([`Compactor`]), the evidence log ([`Wal`]) and the
+//!   [`AuditTrail`]. Per `Applied` it applies the snapshot to the engine,
+//!   retires the engine behind the fleet-minimum store horizon (so store
+//!   and engine age out telemetry in lockstep, see `tests/retention.rs`),
+//!   absorbs the folds and appends the journal record.
 //!
-//! Counters (`epochs_ingested`, `ingest_shed`, `incremental_updates`,
-//! `serve_sessions`, …) live in a shared [`MetricsRegistry`] and are
-//! reported over the `Stats` request; the full observability surface —
-//! per-op latency histograms, pipeline-stage timings, health gauges and the
-//! flight-recorder ring — rides the `Metrics` request, and every `Diagnose`
-//! journals an [`ExplainRecord`] queryable over `Explain`. All of it is
-//! gated on [`ServeConfig::obs`] so the instrumented hot path stays within
-//! a few percent of the bare one (see `benches/serve_obs.rs`).
+//! **Messages travel one way only: session → shard worker → core.**
+//! Replies come back on a per-request rendezvous channel. No owner ever
+//! waits on a thread upstream of it — the core never sends to a worker, a
+//! worker never sends to a session except as a reply — so the wait-for
+//! relation between threads is acyclic and the plane cannot deadlock
+//! (`tests/lock_order.rs` hammers it anyway). Because every queue is FIFO
+//! the request *is* the barrier: a worker answers a query only after every
+//! ingest queued before it, and the core answers only after every
+//! `Applied` those appends forwarded. `Diagnose` therefore waits for the
+//! workers' appends but not for the engine applies behind them — it reads
+//! the raw ring only, and the store's canonical form makes the verdict
+//! identical to the one-shot path on the same telemetry (see
+//! `tests/serve_e2e.rs`).
+//!
+//! The [`MetricsRegistry`] and the flight ring are the only shared state:
+//! one leaf mutex each, written by sessions and the core, and nothing is
+//! ever acquired while one is held. Counters (`epochs_ingested`,
+//! `incremental_updates`, `serve_sessions`, …) are reported over `Stats`;
+//! per-op latency histograms, stage timings, health gauges and the flight
+//! ring ride the `Metrics` request, and every `Diagnose` journals an
+//! [`ExplainRecord`] queryable over `Explain`. All of it is gated on
+//! [`ServeConfig::obs`] so the instrumented hot path stays within a few
+//! percent of the bare one (see `benches/serve_obs.rs`).
 
 use crate::audit::{AuditTrail, ExplainRecord};
 use crate::compactor::{Compactor, PendingFold};
+use crate::listen::{stop_signalled, Endpoint};
 use crate::proto::{decode_request, read_frame, write_response, DiagnoseParams, Request, Response};
 use crate::recovery::{recover_and_open, RecoveryReport};
-use crate::store::{FlowObservation, StoreConfig, TelemetryStore};
+use crate::store::{FlowObservation, StoreConfig, SwitchRestore, TelemetryStore};
 use crate::wal::{
     encode_audit_checkpoint, encode_switch_checkpoint, AuditCheckpoint, SwitchCheckpoint, Wal,
     WalConfig, WalStats, REC_BATCH, REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH,
@@ -58,7 +72,6 @@ use hawkeye_core::{
     analyze_victim_window_obs, AnalyzerConfig, AnomalyType, Confidence, DiagnosisReport,
     IncrementalProvenance, ReplayConfig, RootCause, Window,
 };
-use hawkeye_eval::par_map;
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
     COMPACTOR_QUEUE_DEPTH, CREDITS_OUTSTANDING, INGEST_BATCHES, INGEST_WRONG_SHARD, OP_DIAGNOSE_NS,
@@ -67,39 +80,19 @@ use hawkeye_obs::names::{
     SHARD_WATERMARK_LAG_NS, SLOW_OPS, STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS,
     STAGE_RETIRE_NS, WAL_BYTES, WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED, WATERMARK_LAG_WARNS,
 };
-use hawkeye_obs::{
-    FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot, ObsConfig, Recorder, Stage,
-};
-use hawkeye_sim::{FlowKey, Nanos, Topology};
+use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, ObsConfig, Recorder, Stage};
+use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::{encode_batch, encode_snapshot, TelemetrySnapshot};
 use std::io;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 pub use hawkeye_obs::names::{
-    ENGINE_EPOCHS_RETIRED, EPOCHS_INGESTED, INCREMENTAL_UPDATES, INGEST_SHED, SERVE_SESSIONS,
+    ENGINE_EPOCHS_RETIRED, EPOCHS_INGESTED, INCREMENTAL_UPDATES, SERVE_SESSIONS,
 };
-
-/// What a session does when a shard's ingest queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Block the session until the shard drains (the default). Combined
-    /// with the credit window this propagates a slow shard back to the
-    /// client as reduced send rate — zero sheds, bounded memory.
-    #[default]
-    Backpressure,
-    /// Shed the snapshot (`Ack {accepted: false}` + the `ingest_shed`
-    /// counter) — the pre-credit behaviour, kept as an explicit escape
-    /// hatch for deployments that prefer fresh-data latency over
-    /// completeness under overload.
-    Shed,
-}
 
 /// Daemon tuning.
 #[derive(Debug, Clone, Copy)]
@@ -109,10 +102,9 @@ pub struct ServeConfig {
     pub analyzer: AnalyzerConfig,
     /// Ingest shards (worker threads + store partitions).
     pub shards: usize,
-    /// Bounded depth of each shard's ingest queue; overflow sheds.
+    /// Bounded depth of each shard's ingest queue; a full queue blocks the
+    /// session (backpressure).
     pub queue_depth: usize,
-    /// Threads for the diagnose-time gather on the work-stealing pool.
-    pub gather_jobs: usize,
     /// Master switch for serve-plane observability: per-op latency
     /// histograms, stage timings, health gauges, the flight ring and the
     /// verdict audit trail. Off = the bare hot path (benchmark baseline).
@@ -128,8 +120,6 @@ pub struct ServeConfig {
     /// watermark records a WARNING flight event. Generous by default so
     /// fault-free replays stay warning-free.
     pub lag_warn_ns: u64,
-    /// Full-queue behaviour on the ingest path.
-    pub overload: OverloadPolicy,
     /// Credit window granted per session on `Hello`: the maximum
     /// un-acknowledged snapshots a pipelining client may have in flight.
     pub session_credits: u32,
@@ -155,13 +145,11 @@ impl Default for ServeConfig {
             analyzer: AnalyzerConfig::for_epoch_len(Nanos::from_micros(100)),
             shards: 4,
             queue_depth: 256,
-            gather_jobs: 2,
             obs: true,
             slow_op_ns: 10_000_000,
             flight_capacity: 256,
             audit_capacity: 64,
             lag_warn_ns: 1_000_000_000,
-            overload: OverloadPolicy::Backpressure,
             session_credits: 64,
             ingest_delay_ns: 0,
             shard_range: None,
@@ -169,313 +157,152 @@ impl Default for ServeConfig {
     }
 }
 
-/// Where the daemon listens.
-#[derive(Debug, Clone)]
-pub enum Endpoint {
-    Unix(PathBuf),
-    /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
-    Tcp(String),
-}
-
-enum AnyListener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
 /// An evidence-log record riding the ingest path: kind + canonical
 /// payload bytes (the received frame body — never a re-encode).
 type JournalRecord = (u8, Vec<u8>);
 
+/// Messages to a shard worker, the owner of one store partition.
 enum ShardMsg {
     /// A routed snapshot, plus (on a `--durable` daemon) the journal
-    /// record it settles. The record rides the shard queue and the shard
-    /// worker's existing fold send instead of a dedicated compactor
-    /// message: on a busy box the extra cross-thread wake per frame costs
-    /// several times the append itself, and piggybacking makes durable
-    /// ingest wake exactly the threads durability-off ingest does. The
-    /// shard/compactor flush barrier still orders after it ("flushed"
-    /// still means "journaled").
+    /// record it settles. The record rides the shard queue and the
+    /// worker's `Applied` instead of a message of its own, so durable
+    /// ingest wakes exactly the threads durability-off ingest does.
     Ingest(TelemetrySnapshot, Option<JournalRecord>),
-    /// Barrier: reply once every prior message on this queue is applied.
-    Flush(SyncSender<()>),
-}
-
-/// Messages to the compactor thread, which owns the daemon's folded tier
-/// (the stores run with [`StoreConfig::deferred_fold`] and only *stage*
-/// ring-evicted epochs). One thread, one FIFO channel: per-switch fold
-/// order matches arrival order, so bucket boundaries are identical to the
-/// inline path's, and queries serialize after every fold already sent.
-enum CompactMsg {
-    /// A batch of ring-evicted epochs staged by one shard-worker append,
-    /// plus the journal record that rode the same shard message (if any).
-    Fold(Vec<PendingFold>, Option<JournalRecord>),
-    /// Barrier: reply once every prior fold on this channel is absorbed —
-    /// and, on a `--durable` daemon, every prior journal record is synced
-    /// per the fsync policy ("flushed" also means "journaled").
-    Flush(SyncSender<()>),
-    /// Append one record (kind + canonical payload bytes) to the evidence
-    /// log directly — the off-ingest-path journal writes (verdicts).
-    Journal(u8, Vec<u8>),
-    /// Step 1 of the checkpoint protocol: reply with the WAL's next seq —
-    /// the checkpoint barrier. Every record below it was journaled before
-    /// this message, hence routed to its shard before the accept loop's
-    /// subsequent shard flush, hence applied before step 3 runs.
-    CheckpointMark(SyncSender<u64>),
-    /// Step 3: write a durable checkpoint (per-switch ring images +
-    /// compacted buckets + the audit trail) at the marked barrier, then
-    /// retire raw segments the checkpoint covers — disk stays bounded in
-    /// lockstep with the compaction tiers.
-    Checkpoint { boundary: u64 },
-    /// Compacted-tier rows for one flow (unsorted; the caller merges).
+    /// The partition's canonical per-switch snapshots (`Diagnose`,
+    /// `Fragments`).
+    Snapshots(SyncSender<Vec<TelemetrySnapshot>>),
+    /// Raw-ring rows for one flow (unsorted; the session merges).
     FlowHistory(FlowKey, SyncSender<Vec<FlowObservation>>),
-    /// Tier occupancy: (raw epochs summed in buckets, bucket count).
-    Tier(SyncSender<(u64, usize)>),
-    /// Exit the thread (sent by the accept loop after the shard workers
-    /// have been joined, so no fold can arrive after it). Syncs the WAL
-    /// before exiting.
-    Shutdown,
+    /// The partition's share of the `Stats` totals.
+    Stats(SyncSender<StoreTotals>),
+    /// Checkpoint round: forward every switch's ring image to the core.
+    Export,
 }
 
-/// The shard workers' and sessions' handle to the compactor thread.
-#[derive(Clone)]
-struct CompactorHandle {
-    tx: SyncSender<CompactMsg>,
-    /// Fold batches sent but not yet absorbed (drives the
-    /// `compactor_queue_depth` gauge).
-    depth: Arc<AtomicU64>,
+/// One partition's contribution to `Stats`.
+struct StoreTotals {
+    snapshots_appended: u64,
+    epochs_held: usize,
+    switches: usize,
 }
 
-/// Depth of the compactor thread's channel. Bounded on purpose: if the
-/// compactor falls this far behind, shard workers block on the send and
-/// the slowdown propagates up the ingest path (and, under the credit
-/// window, back to the client) instead of growing an unbounded fold queue.
-const COMPACT_QUEUE_DEPTH: usize = 1024;
-
-/// The compactor thread: single owner of the folded tier — and, on a
-/// `--durable` daemon, of the evidence log (journal appends, fsync policy,
-/// checkpoints, segment retirement all happen here, off the ingest hot
-/// path). Takes only the metrics lock on the fold path (a leaf in the
-/// canonical store → engine → metrics → flight → audit order) and the
-/// store/audit locks while writing a checkpoint — legal because no lock is
-/// ever held by a thread blocking on this channel.
-fn compactor_thread(
-    shared: Arc<Shared>,
-    rx: Receiver<CompactMsg>,
-    depth: Arc<AtomicU64>,
-    mut comp: Compactor,
-    mut wal: Option<Wal>,
-) {
-    // Counter deltas published since the last look at `Wal::stats`.
-    // Publishing takes the metrics lock, and on the append path that lock
-    // handoff — not the append itself — is the dominant journaling cost
-    // (each one is a cross-thread wake on a busy box). So appends publish
-    // at a stride and barriers (flush, checkpoint, shutdown) force the
-    // counters exact: after a `stats` flush the numbers are precise.
-    const PUBLISH_STRIDE: u64 = 64;
-    let mut published = WalStats::default();
-    let mut publish = |wal: &Wal, force: bool| {
-        if !shared.cfg.obs {
-            return;
-        }
-        let now = *wal.stats();
-        if !force && now.records_appended - published.records_appended < PUBLISH_STRIDE {
-            return;
-        }
-        let mut m = shared.metrics.lock().expect("metrics lock");
-        m.add(
-            MetricKey::global(WAL_RECORDS_APPENDED),
-            now.records_appended - published.records_appended,
-        );
-        m.add(
-            MetricKey::global(WAL_BYTES),
-            now.bytes_appended - published.bytes_appended,
-        );
-        m.add(
-            MetricKey::global(WAL_SEGMENTS_RETIRED),
-            now.segments_retired - published.segments_retired,
-        );
-        drop(m);
-        published = now;
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            CompactMsg::Fold(batch, journal) => {
-                let queued = depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-                let ns = comp.absorb(batch);
-                if shared.cfg.obs {
-                    let mut m = shared.metrics.lock().expect("metrics lock");
-                    m.add(MetricKey::global(STAGE_FOLD_NS), ns);
-                    m.set(MetricKey::global(COMPACTOR_QUEUE_DEPTH), queued as f64);
-                }
-                if let (Some(w), Some((kind, payload))) = (wal.as_mut(), journal) {
-                    match w.append(kind, &payload) {
-                        Ok(_) => publish(w, false),
-                        Err(e) => shared.wal_fault("wal_append", &e),
-                    }
-                    if w.wants_checkpoint() {
-                        shared.ckpt_wanted.store(true, Ordering::SeqCst);
-                    }
-                }
-            }
-            CompactMsg::Journal(kind, payload) => {
-                if let Some(w) = wal.as_mut() {
-                    match w.append(kind, &payload) {
-                        Ok(_) => publish(w, false),
-                        Err(e) => shared.wal_fault("wal_append", &e),
-                    }
-                    if w.wants_checkpoint() {
-                        shared.ckpt_wanted.store(true, Ordering::SeqCst);
-                    }
-                }
-            }
-            CompactMsg::Flush(ack) => {
-                if let Some(w) = wal.as_mut() {
-                    if let Err(e) = w.sync() {
-                        shared.wal_fault("wal_sync", &e);
-                    }
-                    publish(w, true);
-                }
-                let _ = ack.send(());
-            }
-            CompactMsg::CheckpointMark(reply) => {
-                let _ = reply.send(wal.as_ref().map_or(0, Wal::next_seq));
-            }
-            CompactMsg::Checkpoint { boundary } => {
-                if let Some(w) = wal.as_mut() {
-                    match write_checkpoint(&shared, &comp, w, boundary) {
-                        Ok(()) => publish(w, true),
-                        Err(e) => shared.wal_fault("wal_checkpoint", &e),
-                    }
-                    if w.wants_checkpoint() {
-                        shared.ckpt_wanted.store(true, Ordering::SeqCst);
-                    }
-                }
-            }
-            CompactMsg::FlowHistory(key, reply) => {
-                let _ = reply.send(comp.flow_history(&key));
-            }
-            CompactMsg::Tier(reply) => {
-                let _ = reply.send((comp.epochs_held(), comp.buckets_held()));
-            }
-            CompactMsg::Shutdown => {
-                if let Some(w) = wal.as_mut() {
-                    if let Err(e) = w.sync() {
-                        shared.wal_fault("wal_sync", &e);
-                    }
-                    publish(w, true);
-                }
-                break;
-            }
-        }
-    }
+/// What one shard-worker append hands the core.
+struct Applied {
+    shard: usize,
+    snap: TelemetrySnapshot,
+    /// Ring evictions the append staged for the folded tier.
+    staged: Vec<PendingFold>,
+    journal: Option<JournalRecord>,
+    /// The partition's retention horizon and freshest-data watermark
+    /// after the append; `None` = no reporting switch yet.
+    horizon: Option<Nanos>,
+    watermark: Option<Nanos>,
+    /// The store's own wall-clock for this append: ring admission and the
+    /// eviction loop.
+    append_ns: u64,
+    evict_ns: u64,
+    /// Ingest-queue occupancy the worker saw when it dequeued this.
+    queue_depth: u64,
 }
 
-/// Write one complete checkpoint at `boundary` and retire the raw
-/// segments it covers. Caller (the compactor thread) guarantees every
-/// record below `boundary` has been applied: the accept loop flushed the
-/// shards between the mark and this message, and this channel is FIFO, so
-/// the folds those appends staged all precede it too.
-///
-/// Records at/above `boundary` may or may not be inside the images
-/// (sessions keep journaling while the checkpoint is marked); recovery
-/// re-applies them all, which the store's dedup rules make idempotent.
-fn write_checkpoint(
-    shared: &Shared,
-    comp: &Compactor,
-    wal: &mut Wal,
-    boundary: u64,
-) -> io::Result<()> {
-    wal.append(REC_CKPT_BEGIN, &boundary.to_le_bytes())?;
-    // Lock order: stores (one at a time) → audit; the WAL is owned by
-    // this thread, so appends under a store lock take no further lock.
-    for store in &shared.stores {
-        let mut images = Vec::new();
-        {
-            let store = store.lock().expect("store lock");
-            for sw in store.switches() {
-                if let Some(restore) = store.export_switch(sw) {
-                    images.push(encode_switch_checkpoint(&SwitchCheckpoint {
-                        restore,
-                        buckets: comp.buckets_of(sw).into_iter().cloned().collect(),
-                    }));
-                }
-            }
-        }
-        for payload in images {
-            wal.append(REC_CKPT_SWITCH, &payload)?;
-        }
-    }
-    let audit = {
-        let audit = shared.audit.lock().expect("audit lock");
-        AuditCheckpoint {
-            next_seq: audit.total(),
-            records: audit.records().cloned().collect(),
-        }
-    };
-    wal.append(REC_CKPT_AUDIT, &encode_audit_checkpoint(&audit))?;
-    wal.append(REC_CKPT_END, &[])?;
-    // The checkpoint must be durable *before* the raw segments it replaces
-    // are deleted — a torn checkpoint (no END on disk) must still find the
-    // previous one's segments intact.
-    wal.sync()?;
-    wal.retire_below(boundary)?;
-    Ok(())
+/// Messages to the core thread. Workers send `Applied` and `Export`;
+/// sessions send the rest.
+enum CoreMsg {
+    Applied(Applied),
+    /// One worker's share of a checkpoint round. It follows, on the same
+    /// FIFO, every `Applied` the worker sent before exporting, so the
+    /// buckets the core pairs with each image hold exactly the epochs that
+    /// image has evicted — no more, no fewer.
+    Export(Vec<SwitchRestore>),
+    /// A verdict to journal: the core fills in its engine's view and the
+    /// trail assigns the seq.
+    Verdict(Box<ExplainRecord>),
+    Explain(Option<u64>, SyncSender<Response>),
+    /// Compacted-tier rows for one flow (unsorted; the session merges).
+    FlowHistory(FlowKey, SyncSender<Vec<FlowObservation>>),
+    /// The core's `Stats` fields, in response order. Syncs the WAL first:
+    /// once `Stats` returns, every accepted epoch is applied *and*
+    /// journaled.
+    Stats(SyncSender<Vec<(String, serde::Value)>>),
 }
 
-/// State shared between sessions, shard workers and the daemon handle.
-///
-/// **Lock order invariant: store → engine → metrics → flight → audit.**
-/// Any thread that holds one of these mutexes may only acquire mutexes
-/// *later* in that order (stores count as one class; a thread never holds
-/// two shard stores at once — `gather_snapshots` takes them one at a time
-/// on the pool). The `Stats` handler used to acquire metrics → engine →
-/// stores, the exact inversion of the ingest path — every accessor here
-/// now takes each lock in canonical order and drops it before the next,
-/// and `tests/lock_order.rs` hammers `Stats` against concurrent ingest to
-/// keep it that way. The two observability rings sit at the end of the
-/// order because they are leaf state: nothing is ever acquired while one
-/// is held.
-struct Shared {
+/// Depth of the core thread's channel. Bounded on purpose: if the core
+/// falls this far behind, shard workers block on the send and the
+/// slowdown propagates up the ingest path (and, under the credit window,
+/// back to the client) instead of growing an unbounded queue.
+const CORE_QUEUE_DEPTH: usize = 1024;
+
+/// What every thread of one daemon can see: the configuration, the stop
+/// and checkpoint flags, two queue-occupancy statistics, and the two
+/// leaf-locked observability sinks. No telemetry, graph or log state
+/// lives here — that is owned by the workers and the core.
+struct Plane {
     topo: Topology,
     cfg: ServeConfig,
-    stores: Vec<Mutex<TelemetryStore>>,
-    engine: Mutex<IncrementalProvenance>,
+    /// True when the daemon journals to a durable evidence log. Gates
+    /// the journaling call sites so a durability-off daemon's behaviour
+    /// (and byte output) is identical to pre-WAL builds.
+    durable: bool,
     metrics: Mutex<MetricsRegistry>,
     flight: Mutex<FlightRecorder>,
-    audit: Mutex<AuditTrail>,
     stop: AtomicBool,
-    /// Per-shard retention horizons as published by the shard workers
-    /// after each ingest ([`TelemetryStore::retention_horizon`]);
-    /// `u64::MAX` = the shard has no reporting switches yet and places no
-    /// constraint on the fleet horizon.
-    horizons: Vec<AtomicU64>,
-    /// Per-shard freshest-data watermarks ([`TelemetryStore::min_watermark`],
-    /// sim-time ns), published like `horizons`; `u64::MAX` = none yet.
-    watermarks: Vec<AtomicU64>,
+    /// Raised by the core when enough segments have completed to warrant
+    /// a checkpoint; the accept loop polls it and starts the round.
+    ckpt_wanted: AtomicBool,
     /// Per-shard ingest-queue occupancy: incremented on enqueue
     /// (`route_ingest`), decremented when the shard worker dequeues.
     queue_depths: Vec<AtomicU64>,
-    /// Handle to the compactor thread; `None` in unit-test `Shared`s built
-    /// without daemon threads (their stores then fold inline).
-    compactor: Option<CompactorHandle>,
-    /// True when the daemon journals to a durable evidence log. Gates
-    /// every journaling call site so a durability-off daemon's behaviour
-    /// (and byte output) is identical to pre-WAL builds.
-    durable: bool,
-    /// Set by the compactor thread when enough segments have completed to
-    /// warrant a checkpoint; the accept loop polls it and runs the
-    /// mark → flush → checkpoint protocol.
-    ckpt_wanted: AtomicBool,
+    /// `Applied` messages sent but not yet processed by the core (the
+    /// `compactor_queue_depth` gauge).
+    core_depth: AtomicU64,
+}
+
+impl Plane {
+    fn new(topo: Topology, cfg: ServeConfig, durable: bool) -> Plane {
+        Plane {
+            topo,
+            cfg,
+            durable,
+            metrics: Mutex::new(seeded_registry(durable)),
+            flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
+            stop: AtomicBool::new(false),
+            ckpt_wanted: AtomicBool::new(false),
+            queue_depths: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
+            core_depth: AtomicU64::new(0),
+        }
+    }
+
+    /// A WAL write failed (disk full, dir deleted, …). The daemon keeps
+    /// serving — durability is degraded, not availability — and the fault
+    /// lands in the flight ring where operators look first.
+    fn wal_fault(&self, what: &'static str, e: &io::Error) {
+        if self.cfg.obs {
+            self.flight
+                .lock()
+                .expect("flight lock")
+                .note(flight_kind::ERROR, what, e.to_string());
+        }
+    }
+
+    /// The `Metrics` request: the full metrics snapshot plus the flight
+    /// ring, as one JSON object.
+    fn metrics_response(&self) -> Response {
+        let snap = self.metrics.lock().expect("metrics lock").snapshot();
+        let flight = self.flight.lock().expect("flight lock").to_value();
+        Response::Metrics(serde::Value::Object(vec![
+            ("metrics".into(), hawkeye_obs::emit::metrics_value(&snap)),
+            ("flight".into(), flight),
+        ]))
+    }
 }
 
 /// A registry pre-seeded with every well-known serve counter at zero, so
 /// `Stats` (which iterates registered names) reports them all even before
-/// the first event — a daemon that never shed still shows `ingest_shed: 0`.
+/// the first event.
 fn seeded_registry(durable: bool) -> MetricsRegistry {
     let mut m = MetricsRegistry::default();
     for name in [
         EPOCHS_INGESTED,
-        INGEST_SHED,
         INCREMENTAL_UPDATES,
         SERVE_SESSIONS,
         ENGINE_EPOCHS_RETIRED,
@@ -500,95 +327,528 @@ fn seeded_registry(durable: bool) -> MetricsRegistry {
     m
 }
 
-impl Shared {
-    fn shard_of(&self, snap: &TelemetrySnapshot) -> usize {
-        snap.switch.0 as usize % self.stores.len()
+fn elapsed_ns(t: Option<Instant>) -> u64 {
+    t.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+fn uint(name: &str, v: u64) -> (String, serde::Value) {
+    (name.into(), serde::Value::UInt(v))
+}
+
+/// A checkpoint round in flight: opened when the core asks for one,
+/// written when the last worker's images arrive.
+struct CheckpointRound {
+    /// WAL seq when the round opened. Every record below it had already
+    /// been applied by its worker, so every image covers it; records at or
+    /// above may or may not be inside the images, and recovery re-applies
+    /// them all, which the store's dedup rules make idempotent.
+    boundary: u64,
+    /// Encoded `REC_CKPT_SWITCH` payloads collected so far.
+    images: Vec<Vec<u8>>,
+    workers_reported: usize,
+}
+
+/// The core thread's state: single owner of the engine, the folded tier,
+/// the evidence log and the audit trail.
+struct Core {
+    plane: Arc<Plane>,
+    engine: IncrementalProvenance,
+    comp: Compactor,
+    wal: Option<Wal>,
+    audit: AuditTrail,
+    /// Per-shard store retention horizons and freshest-data watermarks as
+    /// last reported in an `Applied`; `None` places no constraint.
+    horizons: Vec<Option<Nanos>>,
+    watermarks: Vec<Option<Nanos>>,
+    /// Fleet horizon last pushed into the engine — most snapshots don't
+    /// move it, and comparing here skips the engine call entirely.
+    last_fleet: Nanos,
+    /// `Wal::stats` as of the last publish to the registry.
+    wal_published: WalStats,
+    round: Option<CheckpointRound>,
+}
+
+impl Core {
+    fn run(mut self, rx: Receiver<CoreMsg>) {
+        // Ends when every sender is gone: the accept loop drops the last
+        // one after joining the sessions and workers, so everything they
+        // sent is processed first.
+        while let Ok(msg) = rx.recv() {
+            self.handle(msg);
+        }
+        self.sync_wal();
     }
 
-    /// Hand one evidence record to the compactor thread for appending.
-    /// Callers gate on [`Shared::durable`]; a full channel blocks (the
-    /// same backpressure as a fold), and a gone compactor drops the
-    /// record — matching what a dead daemon would lose anyway.
-    fn journal(&self, kind: u8, payload: Vec<u8>) {
-        if let Some(h) = &self.compactor {
-            let _ = h.tx.send(CompactMsg::Journal(kind, payload));
+    fn handle(&mut self, msg: CoreMsg) {
+        match msg {
+            CoreMsg::Applied(a) => self.applied(a),
+            CoreMsg::Export(images) => self.export(images),
+            CoreMsg::Verdict(rec) => self.verdict(*rec),
+            CoreMsg::Explain(seq, reply) => {
+                let _ = reply.send(self.explain(seq));
+            }
+            CoreMsg::FlowHistory(key, reply) => {
+                let _ = reply.send(self.comp.flow_history(&key));
+            }
+            CoreMsg::Stats(reply) => {
+                let _ = reply.send(self.stats());
+            }
         }
     }
 
-    /// A WAL write failed (disk full, dir deleted, …). The daemon keeps
-    /// serving — durability is degraded, not availability — and the fault
-    /// lands in the flight ring where operators look first.
-    fn wal_fault(&self, what: &'static str, e: &io::Error) {
-        if self.cfg.obs {
-            self.flight
-                .lock()
-                .expect("flight lock")
-                .note(flight_kind::ERROR, what, e.to_string());
-        }
-    }
-
-    /// The fleet retention horizon: the minimum of every reporting
-    /// shard's published store horizon. [`Nanos::ZERO`] (retire nothing)
-    /// until at least one shard has reported one.
+    /// The minimum of every reporting shard's store horizon;
+    /// [`Nanos::ZERO`] (retire nothing) until one has reported.
     fn fleet_horizon(&self) -> Nanos {
-        let min = self
-            .horizons
+        self.horizons
             .iter()
-            .map(|h| h.load(Ordering::Relaxed))
+            .flatten()
             .min()
-            .unwrap_or(u64::MAX);
-        if min == u64::MAX {
-            Nanos::ZERO
+            .copied()
+            .unwrap_or(Nanos::ZERO)
+    }
+
+    fn applied(&mut self, a: Applied) {
+        let obs = self.plane.cfg.obs;
+        let queued = self
+            .plane
+            .core_depth
+            .fetch_sub(1, Ordering::Relaxed)
+            .saturating_sub(1);
+        let epochs = a.snap.epochs.len() as u64;
+        let t = obs.then(Instant::now);
+        let changed = self.engine.apply(&a.snap);
+        let apply_ns = elapsed_ns(t);
+        self.horizons[a.shard] = a.horizon;
+        self.watermarks[a.shard] = a.watermark;
+        let fleet = self.fleet_horizon();
+        let t = obs.then(Instant::now);
+        // Retire engine state the stores no longer back with raw epochs —
+        // what keeps a long-running daemon's wait-for graph bounded.
+        let retired = if fleet > self.last_fleet {
+            self.last_fleet = fleet;
+            self.engine.retire_before(fleet)
         } else {
-            Nanos(min)
+            0
+        };
+        let retire_ns = elapsed_ns(t);
+        let fold_ns = a.evict_ns + self.comp.absorb(a.staged);
+        if let Some((kind, payload)) = a.journal {
+            self.journal(kind, &payload);
+        }
+
+        let mut m = self.plane.metrics.lock().expect("metrics lock");
+        m.add(MetricKey::global(EPOCHS_INGESTED), epochs);
+        if changed {
+            m.inc(MetricKey::global(INCREMENTAL_UPDATES));
+        }
+        if retired > 0 {
+            m.add(MetricKey::global(ENGINE_EPOCHS_RETIRED), retired);
+        }
+        if !obs {
+            return;
+        }
+        // Stage split: where does the ingest path spend its wall-clock —
+        // ring admission, eviction + fold, engine apply, or retirement.
+        m.add(MetricKey::global(STAGE_APPEND_NS), a.append_ns);
+        m.add(MetricKey::global(STAGE_FOLD_NS), fold_ns);
+        m.add(MetricKey::global(STAGE_ENGINE_APPLY_NS), apply_ns);
+        m.add(MetricKey::global(STAGE_RETIRE_NS), retire_ns);
+        let shard = a.shard as u32;
+        let freshest = self.watermarks.iter().flatten().max().copied();
+        // How far this shard's data lags the freshest shard's, and the
+        // raw-history span the daemon holds (both sim-time ns).
+        let lag = match (a.watermark, freshest) {
+            (Some(own), Some(max)) => max.0.saturating_sub(own.0),
+            _ => 0,
+        };
+        let retention = freshest.map_or(0, |max| max.0.saturating_sub(fleet.0));
+        m.set(
+            MetricKey::at_switch(SHARD_QUEUE_DEPTH, shard),
+            a.queue_depth as f64,
+        );
+        m.set(
+            MetricKey::at_switch(SHARD_WATERMARK_LAG_NS, shard),
+            lag as f64,
+        );
+        m.set(MetricKey::global(RETENTION_LAG_NS), retention as f64);
+        m.set(MetricKey::global(COMPACTOR_QUEUE_DEPTH), queued as f64);
+        add_wal_counters(&self.wal, &mut self.wal_published, &mut m);
+        let warn = lag >= self.plane.cfg.lag_warn_ns;
+        if warn {
+            m.inc(MetricKey::global(WATERMARK_LAG_WARNS));
+        }
+        drop(m);
+        if warn {
+            self.plane.flight.lock().expect("flight lock").warn(
+                "watermark_lag",
+                format!("shard {shard} is {lag}ns behind the fleet watermark"),
+            );
         }
     }
 
-    /// The freshest published shard watermark (sim-time ns); `None` until
-    /// some shard has reported data.
-    fn fleet_max_watermark(&self) -> Option<u64> {
-        self.watermarks
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .filter(|&w| w != u64::MAX)
-            .max()
-    }
-
-    /// How far (sim-time ns) `shard`'s data lags behind the freshest
-    /// shard's. 0 until both ends have reported.
-    fn watermark_lag(&self, shard: usize) -> u64 {
-        let own = self.watermarks[shard].load(Ordering::Relaxed);
-        if own == u64::MAX {
-            return 0;
+    /// Append one record to the evidence log (no-op when durability is
+    /// off) and open a checkpoint round once enough segments completed.
+    fn journal(&mut self, kind: u8, payload: &[u8]) {
+        let Some(w) = self.wal.as_mut() else { return };
+        if let Err(e) = w.append(kind, payload) {
+            self.plane.wal_fault("wal_append", &e);
         }
-        self.fleet_max_watermark()
-            .map_or(0, |max| max.saturating_sub(own))
+        self.maybe_open_round();
     }
 
-    /// Raw-history span the daemon currently holds: fleet-max watermark
-    /// minus the fleet retention horizon (sim-time ns).
-    fn retention_lag(&self) -> u64 {
-        self.fleet_max_watermark()
-            .map_or(0, |max| max.saturating_sub(self.fleet_horizon().0))
+    /// Ask the accept loop for a checkpoint round when the log wants one
+    /// and none is in flight (the core never sends upstream, so the ask is
+    /// a flag the accept loop polls).
+    fn maybe_open_round(&mut self) {
+        let Some(w) = self.wal.as_ref() else { return };
+        if self.round.is_none() && w.wants_checkpoint() {
+            self.round = Some(CheckpointRound {
+                boundary: w.next_seq(),
+                images: Vec::new(),
+                workers_reported: 0,
+            });
+            self.plane.ckpt_wanted.store(true, Ordering::SeqCst);
+        }
     }
 
-    /// All shards' canonical snapshots, gathered on the work-stealing pool
-    /// and merged in switch-id order (each switch lives in exactly one
-    /// shard, so this is a disjoint union).
-    fn gather_snapshots(&self) -> Vec<TelemetrySnapshot> {
-        let idx: Vec<usize> = (0..self.stores.len()).collect();
-        let mut per_shard = par_map(self.cfg.gather_jobs, &idx, |&i| {
-            self.stores[i].lock().expect("store lock").snapshots()
-        });
-        let mut all: Vec<TelemetrySnapshot> = per_shard.drain(..).flatten().collect();
+    /// One worker's ring images for the open round. Paired right here with
+    /// the buckets of the same switches — see [`CoreMsg::Export`] for why
+    /// this instant is the consistent one — and, once every worker has
+    /// reported, written out as one checkpoint.
+    fn export(&mut self, images: Vec<SwitchRestore>) {
+        let Some(round) = self.round.as_mut() else {
+            return;
+        };
+        for restore in images {
+            let buckets = self
+                .comp
+                .buckets_of(restore.switch)
+                .into_iter()
+                .cloned()
+                .collect();
+            round
+                .images
+                .push(encode_switch_checkpoint(&SwitchCheckpoint {
+                    restore,
+                    buckets,
+                }));
+        }
+        round.workers_reported += 1;
+        if round.workers_reported < self.horizons.len() {
+            return;
+        }
+        let round = self.round.take().expect("round checked above");
+        if let Err(e) = self.write_checkpoint(round) {
+            self.plane.wal_fault("wal_checkpoint", &e);
+        }
+        self.maybe_open_round();
+    }
+
+    /// Write one complete checkpoint (per-switch ring images + compacted
+    /// buckets + the audit trail) and retire the raw segments it covers —
+    /// disk stays bounded in lockstep with the compaction tiers.
+    fn write_checkpoint(&mut self, round: CheckpointRound) -> io::Result<()> {
+        let Some(wal) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        wal.append(REC_CKPT_BEGIN, &round.boundary.to_le_bytes())?;
+        for payload in &round.images {
+            wal.append(REC_CKPT_SWITCH, payload)?;
+        }
+        let audit = AuditCheckpoint {
+            next_seq: self.audit.total(),
+            records: self.audit.records().cloned().collect(),
+        };
+        wal.append(REC_CKPT_AUDIT, &encode_audit_checkpoint(&audit))?;
+        wal.append(REC_CKPT_END, &[])?;
+        // The checkpoint must be durable *before* the raw segments it
+        // replaces are deleted — a torn checkpoint (no END on disk) must
+        // still find the previous one's segments intact.
+        wal.sync()?;
+        wal.retire_below(round.boundary)?;
+        Ok(())
+    }
+
+    /// Sync the log and bring the `wal_*` counters up to date (`Stats`,
+    /// shutdown).
+    fn sync_wal(&mut self) {
+        let Some(w) = self.wal.as_mut() else { return };
+        if let Err(e) = w.sync() {
+            self.plane.wal_fault("wal_sync", &e);
+        }
+        if self.plane.cfg.obs {
+            let mut m = self.plane.metrics.lock().expect("metrics lock");
+            add_wal_counters(&self.wal, &mut self.wal_published, &mut m);
+        }
+    }
+
+    /// Deposit a verdict's provenance in the audit trail: the session
+    /// filled in which evidence was consulted, which signature row matched
+    /// and where the wall-clock went; the engine's pending state is added
+    /// here. A durable daemon journals the record under the seq the trail
+    /// is about to assign, so recovery rebuilds the ring *and* its counter.
+    fn verdict(&mut self, mut rec: ExplainRecord) {
+        let st = self.engine.stats();
+        rec.frags_reused = st.frags_reused;
+        rec.frags_recomputed = st.frags_recomputed;
+        rec.dirty_switches = self.engine.dirty_switches().iter().map(|n| n.0).collect();
+        rec.seq = self.audit.total();
+        if self.wal.is_some() {
+            if let Ok(js) = serde_json::to_string(&rec) {
+                self.journal(REC_VERDICT, js.as_bytes());
+            }
+        }
+        self.audit.push(rec);
+    }
+
+    /// The `Explain` request: a journaled verdict by seq, or the latest.
+    fn explain(&self, seq: Option<u64>) -> Response {
+        let rec = match seq {
+            Some(s) => self.audit.get(s),
+            None => self.audit.latest(),
+        };
+        match rec {
+            Some(r) => Response::Explain(r.clone()),
+            None => Response::Error(match seq {
+                Some(s) => format!(
+                    "verdict {s} is not in the audit ring ({} journaled, capacity {})",
+                    self.audit.total(),
+                    self.audit.capacity()
+                ),
+                None => "no verdicts journaled yet".into(),
+            }),
+        }
+    }
+
+    fn stats(&mut self) -> Vec<(String, serde::Value)> {
+        self.sync_wal();
+        // Refresh so node/fragment counts reflect retirement, not the
+        // last diagnosis — Stats is the bounded-memory observability
+        // surface.
+        self.engine.refresh(&self.plane.topo);
+        let st = self.engine.stats();
+        vec![
+            uint("store_epochs_compacted_held", self.comp.epochs_held()),
+            uint("store_compacted_buckets", self.comp.buckets_held() as u64),
+            uint("store_retention_horizon", self.fleet_horizon().0),
+            uint("engine_snapshots_applied", st.snapshots_applied),
+            uint("engine_frags_recomputed", st.frags_recomputed),
+            uint("engine_frags_reused", st.frags_reused),
+            uint("engine_epochs_held", self.engine.epochs_held() as u64),
+            // Horizon-driven + ring-budget retirement combined; the
+            // `engine_epochs_retired` counter is horizon-driven only.
+            uint("engine_epochs_retired_total", st.epochs_retired),
+            uint("engine_horizon", self.engine.horizon().0),
+            uint("engine_fragments", self.engine.fragments_held() as u64),
+            uint("engine_nodes", self.engine.node_count() as u64),
+        ]
+    }
+}
+
+/// Add what the log has appended since the last publish to the `wal_*`
+/// counters.
+fn add_wal_counters(wal: &Option<Wal>, published: &mut WalStats, m: &mut MetricsRegistry) {
+    let Some(wal) = wal else { return };
+    let now = *wal.stats();
+    if now == *published {
+        return; // most snapshots of a batch frame carry no record
+    }
+    m.add(
+        MetricKey::global(WAL_RECORDS_APPENDED),
+        now.records_appended - published.records_appended,
+    );
+    m.add(
+        MetricKey::global(WAL_BYTES),
+        now.bytes_appended - published.bytes_appended,
+    );
+    m.add(
+        MetricKey::global(WAL_SEGMENTS_RETIRED),
+        now.segments_retired - published.segments_retired,
+    );
+    *published = now;
+}
+
+fn shard_worker(
+    plane: Arc<Plane>,
+    shard: usize,
+    mut store: TelemetryStore,
+    rx: Receiver<ShardMsg>,
+    core: SyncSender<CoreMsg>,
+) {
+    // A send to the core fails only when the core thread is gone; with
+    // nothing downstream left to feed, the worker exits and sessions see
+    // "shard worker gone".
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            ShardMsg::Ingest(snap, journal) => {
+                if plane.cfg.ingest_delay_ns > 0 {
+                    // The deliberately-slow-shard knob: backpressure tests
+                    // and the frames/sec bench throttle the consumer here.
+                    thread::sleep(Duration::from_nanos(plane.cfg.ingest_delay_ns));
+                }
+                let queue_depth = plane.queue_depths[shard]
+                    .fetch_sub(1, Ordering::Relaxed)
+                    .saturating_sub(1);
+                let before = *store.stats();
+                store.append(&snap);
+                let after = store.stats();
+                let applied = Applied {
+                    shard,
+                    append_ns: after.append_ns - before.append_ns,
+                    evict_ns: after.fold_ns - before.fold_ns,
+                    staged: store.take_pending_folds(),
+                    horizon: store.retention_horizon(),
+                    watermark: store.min_watermark(),
+                    queue_depth,
+                    snap,
+                    journal,
+                };
+                // A full core channel blocks here, which is the intended
+                // backpressure, not a failure.
+                plane.core_depth.fetch_add(1, Ordering::Relaxed);
+                if core.send(CoreMsg::Applied(applied)).is_err() {
+                    return;
+                }
+            }
+            ShardMsg::Snapshots(reply) => {
+                let _ = reply.send(store.snapshots());
+            }
+            ShardMsg::FlowHistory(key, reply) => {
+                let _ = reply.send(store.flow_history(&key));
+            }
+            ShardMsg::Stats(reply) => {
+                let _ = reply.send(StoreTotals {
+                    snapshots_appended: store.stats().snapshots_appended,
+                    epochs_held: store.epochs_held(),
+                    switches: store.switches().len(),
+                });
+            }
+            ShardMsg::Export => {
+                let images = store
+                    .switches()
+                    .into_iter()
+                    .filter_map(|sw| store.export_switch(sw))
+                    .collect();
+                if core.send(CoreMsg::Export(images)).is_err() {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// A session's (and the accept loop's) senders into the plane.
+#[derive(Clone)]
+struct Routes {
+    shards: Vec<SyncSender<ShardMsg>>,
+    core: SyncSender<CoreMsg>,
+}
+
+/// An owner thread that is gone (it panicked). A query or barrier that
+/// needs it fails with a request error — it never answers from part of
+/// the state.
+struct Gone(&'static str);
+
+impl From<Gone> for Response {
+    fn from(gone: Gone) -> Response {
+        Response::Error(format!("{} gone", gone.0))
+    }
+}
+
+impl Routes {
+    fn shard_of(&self, switch: NodeId) -> usize {
+        switch.0 as usize % self.shards.len()
+    }
+
+    /// Send the core one request built around a fresh reply channel and
+    /// wait for the answer.
+    fn ask_core<R>(&self, request: impl FnOnce(SyncSender<R>) -> CoreMsg) -> Result<R, Gone> {
+        let (reply_tx, reply_rx) = sync_channel(1);
+        self.core
+            .send(request(reply_tx))
+            .map_err(|_| Gone("core thread"))?;
+        reply_rx.recv().map_err(|_| Gone("core thread"))
+    }
+
+    /// Put the same request to every shard worker, then collect the
+    /// answers (in arrival order) — the workers serve it in parallel,
+    /// each after everything queued to it before.
+    fn ask_shards<R>(&self, request: impl Fn(SyncSender<R>) -> ShardMsg) -> Result<Vec<R>, Gone> {
+        let (reply_tx, reply_rx) = sync_channel(self.shards.len());
+        for tx in &self.shards {
+            // A dead worker drops the request and its reply sender.
+            let _ = tx.send(request(reply_tx.clone()));
+        }
+        drop(reply_tx);
+        let replies: Vec<R> = reply_rx.iter().collect();
+        if replies.len() == self.shards.len() {
+            Ok(replies)
+        } else {
+            Err(Gone("shard worker"))
+        }
+    }
+
+    /// All shards' canonical snapshots merged in switch-id order (each
+    /// switch lives in exactly one shard, so this is a disjoint union).
+    fn gather_snapshots(&self) -> Result<Vec<TelemetrySnapshot>, Gone> {
+        let mut all: Vec<TelemetrySnapshot> = self
+            .ask_shards(ShardMsg::Snapshots)?
+            .into_iter()
+            .flatten()
+            .collect();
         all.sort_unstable_by_key(|s| s.switch);
-        all
+        Ok(all)
     }
 
-    fn diagnose(&self, p: &DiagnoseParams) -> Response {
-        let snapshots = self.gather_snapshots();
+    /// Where was this flow seen, across every shard and both retention
+    /// tiers, in the store's canonical row order. Workers first, core
+    /// second: the core answers after every fold those workers staged.
+    fn flow_history(&self, key: FlowKey) -> Result<Response, Gone> {
+        let mut rows: Vec<FlowObservation> = self
+            .ask_shards(|reply| ShardMsg::FlowHistory(key, reply))?
+            .into_iter()
+            .flatten()
+            .collect();
+        rows.extend(self.ask_core(|reply| CoreMsg::FlowHistory(key, reply))?);
+        rows.sort_unstable_by_key(|o| (o.from, o.to, o.switch, o.fidelity, o.out_port));
+        Ok(Response::History(rows))
+    }
+
+    /// `Stats` is the full barrier: the workers answer after every ingest
+    /// queued before it, the core after every `Applied` they forwarded
+    /// (and a WAL sync), and only then are the counters read.
+    fn stats(&self, plane: &Plane) -> Result<Response, Gone> {
+        let mut snapshots = 0u64;
+        let mut epochs = 0usize;
+        let mut switches = 0usize;
+        for t in self.ask_shards(ShardMsg::Stats)? {
+            snapshots += t.snapshots_appended;
+            epochs += t.epochs_held;
+            switches += t.switches;
+        }
+        let core_fields = self.ask_core(CoreMsg::Stats)?;
+        let m = plane.metrics.lock().expect("metrics lock");
+        // Every registered counter, not a hand-maintained list: a counter
+        // added anywhere in the daemon shows up here without this function
+        // knowing about it (the well-known ones are pre-seeded at spawn so
+        // they appear even at zero).
+        let mut fields: Vec<(String, serde::Value)> = m
+            .counter_names()
+            .into_iter()
+            .map(|name| uint(name, m.counter_total(name)))
+            .collect();
+        drop(m);
+        fields.push(uint("store_snapshots_appended", snapshots));
+        fields.push(uint("store_epochs_held", epochs as u64));
+        fields.push(uint("store_switches", switches as u64));
+        fields.extend(core_fields);
+        Ok(Response::Stats(serde::Value::Object(fields)))
+    }
+
+    fn diagnose(&self, plane: &Plane, p: &DiagnoseParams) -> Result<Response, Gone> {
+        let snapshots = self.gather_snapshots()?;
         if snapshots.is_empty() {
-            return Response::Error("no telemetry ingested".into());
+            return Ok(Response::Error("no telemetry ingested".into()));
         }
         let window = Window {
             from: p.from,
@@ -597,7 +857,7 @@ impl Shared {
         // Stage timing rides the analyzer's own recorder hooks; capacity 0
         // keeps the tracer empty (we only want the wall-clock profile).
         let mut rec = Recorder::new(ObsConfig {
-            enabled: self.cfg.obs,
+            enabled: plane.cfg.obs,
             capacity: 0,
             mask: 0,
         });
@@ -605,281 +865,70 @@ impl Shared {
             &p.victim,
             window,
             &snapshots,
-            &self.topo,
-            &self.cfg.analyzer,
+            &plane.topo,
+            &plane.cfg.analyzer,
             &mut rec,
         );
         report.note_missing(&p.missing);
-        if self.cfg.obs {
-            self.journal_verdict(p, &snapshots, &report, &rec);
+        if plane.cfg.obs {
+            // Sent after the workers answered, so the core journals it
+            // behind every `Applied` this verdict's evidence produced.
+            let record = explain_record(p, &snapshots, &report, &rec);
+            let _ = self.core.send(CoreMsg::Verdict(Box::new(record)));
         }
-        Response::Diagnosis(report)
+        Ok(Response::Diagnosis(report))
     }
+}
 
-    /// Deposit the verdict's provenance in the audit trail — which evidence
-    /// was consulted, what engine state was pending, which signature row
-    /// matched and where the wall-clock went. Lock order: engine → audit
-    /// (gather already released the stores).
-    fn journal_verdict(
-        &self,
-        p: &DiagnoseParams,
-        snapshots: &[TelemetrySnapshot],
-        report: &DiagnosisReport,
-        rec: &Recorder,
-    ) {
-        let mut contributing_switches = Vec::new();
-        let mut contributing_epochs = 0u64;
-        for s in snapshots {
-            let overlapping = s
-                .epochs
-                .iter()
-                .filter(|e| e.start < p.to && e.end() > p.from)
-                .count() as u64;
-            if overlapping > 0 {
-                contributing_switches.push(s.switch.0);
-                contributing_epochs += overlapping;
-            }
-        }
-        let (dirty_switches, frags_reused, frags_recomputed) = {
-            let engine = self.engine.lock().expect("engine lock");
-            let st = engine.stats();
-            let dirty = engine
-                .dirty_switches()
-                .iter()
-                .map(|n| n.0)
-                .collect::<Vec<_>>();
-            (dirty, st.frags_reused, st.frags_recomputed)
-        };
-        let mut root_causes: Vec<u32> = report
-            .root_causes
+/// The session's half of a verdict's audit record: which evidence was
+/// consulted, which signature row matched and where the wall-clock went.
+/// The core adds its engine's pending state and the seq.
+fn explain_record(
+    p: &DiagnoseParams,
+    snapshots: &[TelemetrySnapshot],
+    report: &DiagnosisReport,
+    rec: &Recorder,
+) -> ExplainRecord {
+    let mut contributing_switches = Vec::new();
+    let mut contributing_epochs = 0u64;
+    for s in snapshots {
+        let overlapping = s
+            .epochs
             .iter()
-            .map(|rc| match rc {
-                RootCause::FlowContention { port, .. } => port.node.0,
-                RootCause::HostPfcInjection { port, .. } => port.node.0,
-            })
-            .collect();
-        root_causes.sort_unstable();
-        root_causes.dedup();
-        let mut record = ExplainRecord {
-            seq: 0, // assigned by the trail
-            victim: render_flow(&p.victim),
-            window_from_ns: p.from.0,
-            window_to_ns: p.to.0,
-            anomaly: format!("{:?}", report.anomaly),
-            signature_row: signature_row(report.anomaly).to_string(),
-            confidence: confidence_label(&report.confidence).to_string(),
-            root_causes,
-            contributing_switches,
-            contributing_epochs,
-            dirty_switches,
-            frags_reused,
-            frags_recomputed,
-            stage_collect_ns: rec.profile.wall_total_ns(Stage::TelemetryCollection),
-            stage_graph_ns: rec.profile.wall_total_ns(Stage::GraphBuild),
-            stage_match_ns: rec.profile.wall_total_ns(Stage::SignatureMatch),
-        };
-        // A durable daemon journals the verdict under its assigned seq so
-        // recovery can rebuild the audit trail (its ring *and* counter).
-        if self.durable {
-            let seq = self.audit.lock().expect("audit lock").push(record.clone());
-            record.seq = seq;
-            if let Ok(js) = serde_json::to_string(&record) {
-                self.journal(REC_VERDICT, js.into_bytes());
-            }
-        } else {
-            self.audit.lock().expect("audit lock").push(record);
+            .filter(|e| e.start < p.to && e.end() > p.from)
+            .count() as u64;
+        if overlapping > 0 {
+            contributing_switches.push(s.switch.0);
+            contributing_epochs += overlapping;
         }
     }
-
-    /// The `Metrics` request: the full metrics snapshot plus the flight
-    /// ring, as one JSON object.
-    fn metrics_response(&self) -> Response {
-        let snap = self.metrics.lock().expect("metrics lock").snapshot();
-        let flight = self.flight.lock().expect("flight lock").to_value();
-        Response::Metrics(serde::Value::Object(vec![
-            ("metrics".into(), hawkeye_obs::emit::metrics_value(&snap)),
-            ("flight".into(), flight),
-        ]))
-    }
-
-    /// The `Explain` request: a journaled verdict by seq, or the latest.
-    fn explain(&self, seq: Option<u64>) -> Response {
-        let audit = self.audit.lock().expect("audit lock");
-        let rec = match seq {
-            Some(s) => audit.get(s),
-            None => audit.latest(),
-        };
-        match rec {
-            Some(r) => Response::Explain(r.clone()),
-            None => Response::Error(match seq {
-                Some(s) => format!(
-                    "verdict {s} is not in the audit ring ({} journaled, capacity {})",
-                    audit.total(),
-                    audit.capacity()
-                ),
-                None => "no verdicts journaled yet".into(),
-            }),
-        }
-    }
-
-    /// Barrier on the compactor thread: returns once every fold staged
-    /// before this call is absorbed. No-op without a compactor thread.
-    fn flush_compactor(&self) {
-        if let Some(h) = &self.compactor {
-            let (ack_tx, ack_rx) = sync_channel(1);
-            if h.tx.send(CompactMsg::Flush(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
-    }
-
-    /// Where was this flow seen, across every shard and both retention
-    /// tiers, in the store's canonical row order. Callers that need the
-    /// folded tier up to date run `flush_compactor` first (the session
-    /// does, after the shard barrier).
-    fn flow_history(&self, key: &FlowKey) -> Response {
-        let mut rows: Vec<FlowObservation> = Vec::new();
-        for s in &self.stores {
-            rows.extend(s.lock().expect("store lock").flow_history(key));
-        }
-        // Deferred mode: the stores' embedded tiers are empty and the
-        // compactor thread owns the buckets.
-        if let Some(h) = &self.compactor {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            if h.tx.send(CompactMsg::FlowHistory(*key, reply_tx)).is_ok() {
-                if let Ok(compacted) = reply_rx.recv() {
-                    rows.extend(compacted);
-                }
-            }
-        }
-        rows.sort_unstable_by_key(|o| (o.from, o.to, o.switch, o.fidelity, o.out_port));
-        Response::History(rows)
-    }
-
-    /// Compacted-tier occupancy: (epochs summed in buckets, bucket count),
-    /// from the compactor thread in deferred mode, from the stores' own
-    /// tiers otherwise.
-    fn compacted_tier(&self) -> (u64, usize) {
-        if let Some(h) = &self.compactor {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            if h.tx.send(CompactMsg::Tier(reply_tx)).is_ok() {
-                if let Ok(t) = reply_rx.recv() {
-                    return t;
-                }
-            }
-            return (0, 0);
-        }
-        let mut epochs = 0u64;
-        let mut buckets = 0usize;
-        for s in &self.stores {
-            let s = s.lock().expect("store lock");
-            epochs += s.compacted_epochs_held();
-            buckets += s.compacted_buckets_held();
-        }
-        (epochs, buckets)
-    }
-
-    fn stats(&self) -> Response {
-        // Lock order: store → engine → metrics (see the `Shared` docs);
-        // each lock is released before the next class is taken.
-        let mut store_snapshots = 0u64;
-        let mut store_epochs = 0usize;
-        let mut store_switches = 0usize;
-        for s in &self.stores {
-            let s = s.lock().expect("store lock");
-            store_snapshots += s.stats().snapshots_appended;
-            store_epochs += s.epochs_held();
-            store_switches += s.switches().len();
-        }
-        // Settle the folded tier before reading it, so Stats reflects
-        // every fold staged by appends that happened before this request.
-        self.flush_compactor();
-        let (store_compacted_epochs, store_compacted_buckets) = self.compacted_tier();
-        let (estats, engine_epochs, engine_horizon, engine_fragments, engine_nodes) = {
-            let mut engine = self.engine.lock().expect("engine lock");
-            // Refresh so node/fragment counts reflect retirement, not the
-            // last diagnosis — Stats is the bounded-memory observability
-            // surface.
-            engine.refresh(&self.topo);
-            (
-                *engine.stats(),
-                engine.epochs_held(),
-                engine.horizon(),
-                engine.fragments_held(),
-                engine.node_count(),
-            )
-        };
-        let m = self.metrics.lock().expect("metrics lock");
-        // Every registered counter, not a hand-maintained list: a counter
-        // added anywhere in the daemon shows up here without this function
-        // knowing about it (the well-known ones are pre-seeded at spawn so
-        // they appear even at zero).
-        let counters = m
-            .counter_names()
-            .into_iter()
-            .map(|name| (name.to_string(), serde::Value::UInt(m.counter_total(name))))
-            .collect::<Vec<_>>();
-        drop(m);
-        let mut fields = counters;
-        fields.push((
-            "store_snapshots_appended".into(),
-            serde::Value::UInt(store_snapshots),
-        ));
-        fields.push((
-            "store_epochs_held".into(),
-            serde::Value::UInt(store_epochs as u64),
-        ));
-        fields.push((
-            "store_switches".into(),
-            serde::Value::UInt(store_switches as u64),
-        ));
-        fields.push((
-            "store_epochs_compacted_held".into(),
-            serde::Value::UInt(store_compacted_epochs),
-        ));
-        fields.push((
-            "store_compacted_buckets".into(),
-            serde::Value::UInt(store_compacted_buckets as u64),
-        ));
-        fields.push((
-            "store_retention_horizon".into(),
-            serde::Value::UInt(self.fleet_horizon().0),
-        ));
-        fields.push((
-            "engine_snapshots_applied".into(),
-            serde::Value::UInt(estats.snapshots_applied),
-        ));
-        fields.push((
-            "engine_frags_recomputed".into(),
-            serde::Value::UInt(estats.frags_recomputed),
-        ));
-        fields.push((
-            "engine_frags_reused".into(),
-            serde::Value::UInt(estats.frags_reused),
-        ));
-        fields.push((
-            "engine_epochs_held".into(),
-            serde::Value::UInt(engine_epochs as u64),
-        ));
-        fields.push((
-            // Horizon-driven + ring-budget retirement combined; the
-            // `engine_epochs_retired` counter above is horizon-driven only.
-            "engine_epochs_retired_total".into(),
-            serde::Value::UInt(estats.epochs_retired),
-        ));
-        fields.push((
-            "engine_horizon".into(),
-            serde::Value::UInt(engine_horizon.0),
-        ));
-        fields.push((
-            "engine_fragments".into(),
-            serde::Value::UInt(engine_fragments as u64),
-        ));
-        fields.push((
-            "engine_nodes".into(),
-            serde::Value::UInt(engine_nodes as u64),
-        ));
-        Response::Stats(serde::Value::Object(fields))
+    let mut root_causes: Vec<u32> = report
+        .root_causes
+        .iter()
+        .map(|rc| match rc {
+            RootCause::FlowContention { port, .. } => port.node.0,
+            RootCause::HostPfcInjection { port, .. } => port.node.0,
+        })
+        .collect();
+    root_causes.sort_unstable();
+    root_causes.dedup();
+    ExplainRecord {
+        seq: 0,
+        victim: render_flow(&p.victim),
+        window_from_ns: p.from.0,
+        window_to_ns: p.to.0,
+        anomaly: format!("{:?}", report.anomaly),
+        signature_row: signature_row(report.anomaly).to_string(),
+        confidence: confidence_label(&report.confidence).to_string(),
+        root_causes,
+        contributing_switches,
+        contributing_epochs,
+        dirty_switches: Vec::new(),
+        frags_reused: 0,
+        frags_recomputed: 0,
+        stage_collect_ns: rec.profile.wall_total_ns(Stage::TelemetryCollection),
+        stage_graph_ns: rec.profile.wall_total_ns(Stage::GraphBuild),
+        stage_match_ns: rec.profile.wall_total_ns(Stage::SignatureMatch),
     }
 }
 
@@ -909,152 +958,14 @@ fn confidence_label(c: &Confidence) -> &'static str {
     }
 }
 
-fn shard_worker(shared: Arc<Shared>, shard: usize, rx: Receiver<ShardMsg>) {
-    // Fleet horizon this worker last pushed into the engine. The engine's
-    // `retire_before` early-exits on a stale horizon anyway, but comparing
-    // here keeps the no-op case out of the engine critical section — most
-    // snapshots don't move the fleet-min horizon at all.
-    let mut last_fleet = Nanos::ZERO;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Ingest(snap, journal) => {
-                // Lock order: store → engine → metrics → flight (see
-                // `Shared`), each dropped before the next is taken.
-                let obs = shared.cfg.obs;
-                if shared.cfg.ingest_delay_ns > 0 {
-                    // The deliberately-slow-shard knob: backpressure tests
-                    // and the frames/sec bench throttle the consumer here.
-                    thread::sleep(Duration::from_nanos(shared.cfg.ingest_delay_ns));
-                }
-                let depth = shared.queue_depths[shard]
-                    .fetch_sub(1, Ordering::Relaxed)
-                    .saturating_sub(1);
-                let epochs = snap.epochs.len() as u64;
-                let (horizon, watermark, d_append, d_fold, staged) = {
-                    let mut store = shared.stores[shard].lock().expect("store lock");
-                    let before = {
-                        let st = store.stats();
-                        (st.append_ns, st.fold_ns)
-                    };
-                    store.append(&snap);
-                    let st = store.stats();
-                    (
-                        store.retention_horizon(),
-                        store.min_watermark(),
-                        st.append_ns - before.0,
-                        st.fold_ns - before.1,
-                        store.take_pending_folds(),
-                    )
-                };
-                // Hand ring-evicted epochs — and the piggybacked journal
-                // record, if the snapshot carried one — to the compactor
-                // thread after the store lock is released: the fold and
-                // the append leave the ingest hot path entirely. A full
-                // compactor channel blocks here, which is the intended
-                // backpressure, not a failure.
-                if !staged.is_empty() || journal.is_some() {
-                    if let Some(h) = &shared.compactor {
-                        h.depth.fetch_add(1, Ordering::Relaxed);
-                        if h.tx.send(CompactMsg::Fold(staged, journal)).is_err() {
-                            h.depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                shared.horizons[shard].store(horizon.map_or(u64::MAX, |h| h.0), Ordering::Relaxed);
-                shared.watermarks[shard]
-                    .store(watermark.map_or(u64::MAX, |w| w.0), Ordering::Relaxed);
-                let fleet = shared.fleet_horizon();
-                let advance = fleet > last_fleet;
-                let (changed, retired, apply_ns, retire_ns) = {
-                    let mut engine = shared.engine.lock().expect("engine lock");
-                    let t = obs.then(Instant::now);
-                    let changed = engine.apply(&snap);
-                    let apply_ns = t.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    let t = obs.then(Instant::now);
-                    // Retire engine state the stores no longer back with
-                    // raw epochs — the fix that keeps a long-running
-                    // daemon's wait-for graph bounded. Skipped whenever
-                    // this worker already published `fleet` (another
-                    // worker may beat us to it; the engine's own horizon
-                    // check makes that race a cheap no-op).
-                    let retired = if advance {
-                        engine.retire_before(fleet)
-                    } else {
-                        0
-                    };
-                    let retire_ns = t.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (changed, retired, apply_ns, retire_ns)
-                };
-                if advance {
-                    last_fleet = fleet;
-                }
-                let lag = if obs { shared.watermark_lag(shard) } else { 0 };
-                let mut m = shared.metrics.lock().expect("metrics lock");
-                m.add(MetricKey::global(EPOCHS_INGESTED), epochs);
-                if changed {
-                    m.inc(MetricKey::global(INCREMENTAL_UPDATES));
-                }
-                if retired > 0 {
-                    m.add(MetricKey::global(ENGINE_EPOCHS_RETIRED), retired);
-                }
-                if obs {
-                    // Stage split: where does the ingest path spend its
-                    // wall-clock — ring admission, compaction fold, engine
-                    // apply, or horizon retirement.
-                    m.add(MetricKey::global(STAGE_APPEND_NS), d_append);
-                    m.add(MetricKey::global(STAGE_FOLD_NS), d_fold);
-                    m.add(MetricKey::global(STAGE_ENGINE_APPLY_NS), apply_ns);
-                    m.add(MetricKey::global(STAGE_RETIRE_NS), retire_ns);
-                    m.set(
-                        MetricKey::at_switch(SHARD_QUEUE_DEPTH, shard as u32),
-                        depth as f64,
-                    );
-                    m.set(
-                        MetricKey::at_switch(SHARD_WATERMARK_LAG_NS, shard as u32),
-                        lag as f64,
-                    );
-                    m.set(
-                        MetricKey::global(RETENTION_LAG_NS),
-                        shared.retention_lag() as f64,
-                    );
-                    let warn = lag >= shared.cfg.lag_warn_ns;
-                    if warn {
-                        m.inc(MetricKey::global(WATERMARK_LAG_WARNS));
-                    }
-                    drop(m);
-                    if warn {
-                        shared.flight.lock().expect("flight lock").warn(
-                            "watermark_lag",
-                            format!("shard {shard} is {lag}ns behind the fleet watermark"),
-                        );
-                    }
-                }
-            }
-            ShardMsg::Flush(ack) => {
-                // Queue order means everything before the barrier is done.
-                let _ = ack.send(());
-            }
-        }
-    }
-}
-
-/// Route one snapshot to its shard's bounded queue.
-///
-/// Under [`OverloadPolicy::Backpressure`] (the default) a full queue
-/// *blocks* until the shard drains — the session slows down, the client's
-/// credit window empties, and the slow shard's pace propagates all the way
-/// back to the producer with zero loss. Under [`OverloadPolicy::Shed`] a
-/// full queue sheds the snapshot — `Ack {accepted: false}` plus the
-/// `ingest_shed` counter, never unbounded buffering; the client's own
-/// collector still holds the telemetry, so a shed shows up as degraded
-/// confidence, not lost correctness.
-///
-/// Either way, a *disconnected* shard (worker thread gone) is a request
-/// error — a dead consumer is a fault, never accounted as backpressure
-/// shedding.
+/// Route one snapshot to its shard's bounded queue. A full queue *blocks*
+/// until the shard drains — the session slows down, the client's credit
+/// window empties, and the slow shard's pace propagates all the way back
+/// to the producer with zero loss. A *disconnected* shard (worker thread
+/// gone) is a request error.
 fn route_ingest(
-    shared: &Shared,
-    txs: &[SyncSender<ShardMsg>],
+    plane: &Plane,
+    routes: &Routes,
     snap: TelemetrySnapshot,
     journal: Option<JournalRecord>,
 ) -> Response {
@@ -1063,15 +974,15 @@ fn route_ingest(
     // with the typed `wrong_shard:` error. The early return means the
     // journal record is dropped with the snapshot — a sharded durable
     // daemon's evidence log never holds epochs it refused.
-    if let Some(range) = shared.cfg.shard_range {
+    if let Some(range) = plane.cfg.shard_range {
         if !range.contains(snap.switch) {
-            shared
+            plane
                 .metrics
                 .lock()
                 .expect("metrics lock")
                 .inc(MetricKey::global(INGEST_WRONG_SHARD));
-            if shared.cfg.obs {
-                shared.flight.lock().expect("flight lock").warn(
+            if plane.cfg.obs {
+                plane.flight.lock().expect("flight lock").warn(
                     "ingest_wrong_shard",
                     format!("switch {} outside owned range {range}", snap.switch.0),
                 );
@@ -1082,12 +993,9 @@ fn route_ingest(
             ));
         }
     }
-    let shard = shared.shard_of(&snap);
+    let shard = routes.shard_of(snap.switch);
     // A durable daemon journals canonical byte forms — the received frame
-    // body, handed in by the session so the hot path never re-encodes —
-    // and only for evidence it actually accepted onto a shard queue: the
-    // record rides the shard message, so a shed drops it with the
-    // snapshot and the log never holds evidence the daemon shed. The
+    // body, handed in by the session so the hot path never re-encodes. The
     // codec is deterministic, so the frame bytes ARE the canonical form
     // (checked in debug builds for the single-snapshot kind).
     debug_assert!(
@@ -1096,133 +1004,67 @@ fn route_ingest(
             .is_none_or(|(kind, w)| *kind != REC_SNAPSHOT || *w == encode_snapshot(&snap)),
         "journaled wire bytes diverge from the canonical encoding"
     );
-    if shared.cfg.overload == OverloadPolicy::Backpressure {
-        return match txs[shard].send(ShardMsg::Ingest(snap, journal)) {
-            Ok(()) => {
-                shared.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
-                Response::Ack {
-                    accepted: true,
-                    granted: 1,
-                    info: None,
-                }
-            }
-            Err(_) => Response::Error("shard worker gone".into()),
-        };
-    }
-    match txs[shard].try_send(ShardMsg::Ingest(snap, journal)) {
+    match routes.shards[shard].send(ShardMsg::Ingest(snap, journal)) {
         Ok(()) => {
-            shared.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
+            plane.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
             Response::Ack {
                 accepted: true,
                 granted: 1,
                 info: None,
             }
         }
-        Err(TrySendError::Full(_)) => {
-            shared
-                .metrics
-                .lock()
-                .expect("metrics lock")
-                .inc(MetricKey::global(INGEST_SHED));
-            if shared.cfg.obs {
-                shared
-                    .flight
-                    .lock()
-                    .expect("flight lock")
-                    .warn("ingest_shed", format!("shard {shard} queue full"));
-            }
-            Response::Ack {
-                accepted: false,
-                granted: 1,
-                info: None,
-            }
-        }
-        Err(TrySendError::Disconnected(_)) => Response::Error("shard worker gone".into()),
+        Err(_) => Gone("shard worker").into(),
     }
 }
 
 /// Route a multi-epoch batch frame: every snapshot goes through
 /// [`route_ingest`] individually (per-switch sharding still applies), and
 /// one `BatchAck` settles the whole frame, returning its credits. A dead
-/// shard fails the batch with an error — partial delivery is reported
-/// only for sheds, which the client can count, not for faults.
+/// shard or an out-of-range switch fails the batch with an error.
 fn route_batch(
-    shared: &Shared,
-    txs: &[SyncSender<ShardMsg>],
+    plane: &Plane,
+    routes: &Routes,
     snaps: Vec<TelemetrySnapshot>,
     wire: Option<Vec<u8>>,
 ) -> Response {
     let n = snaps.len() as u32;
-    let mut accepted = 0u32;
-    let mut shed = 0u32;
-    // Journal records ride the routed shard messages (see [`ShardMsg`]).
-    // Under Backpressure nothing sheds, so the whole frame journals as one
-    // batch record — the received frame body, byte-equal to the canonical
-    // encoding (checked in debug builds) — attached to the frame's last
-    // snapshot. Under Shed each snapshot carries its own record, so a shed
-    // drops the record with the snapshot and the log holds exactly what
-    // the daemon kept, no more.
+    // The whole frame journals as one batch record — the received frame
+    // body, byte-equal to the canonical encoding (checked in debug
+    // builds) — riding the frame's last snapshot.
     debug_assert!(
         wire.as_ref().is_none_or(|w| *w == encode_batch(&snaps)),
         "journaled wire bytes diverge from the canonical batch encoding"
     );
-    let per_snapshot = shared.cfg.overload == OverloadPolicy::Shed;
-    let mut batch_payload = wire;
+    let mut batch_record = wire.map(|w| (REC_BATCH, w));
     let last = snaps.len().saturating_sub(1);
     for (i, snap) in snaps.into_iter().enumerate() {
-        let journal = if per_snapshot {
-            batch_payload
-                .is_some()
-                .then(|| (REC_SNAPSHOT, encode_snapshot(&snap)))
-        } else if i == last {
-            batch_payload.take().map(|w| (REC_BATCH, w))
-        } else {
-            None
-        };
-        match route_ingest(shared, txs, snap, journal) {
-            Response::Ack { accepted: true, .. } => accepted += 1,
-            Response::Ack {
-                accepted: false, ..
-            } => shed += 1,
+        let journal = if i == last { batch_record.take() } else { None };
+        match route_ingest(plane, routes, snap, journal) {
+            Response::Ack { .. } => {}
             err => return err,
         }
     }
-    if shared.cfg.obs {
-        let mut m = shared.metrics.lock().expect("metrics lock");
+    if plane.cfg.obs {
+        let mut m = plane.metrics.lock().expect("metrics lock");
         m.inc(MetricKey::global(INGEST_BATCHES));
         m.set(MetricKey::global(CREDITS_OUTSTANDING), f64::from(n));
     }
     Response::BatchAck {
-        accepted,
-        shed,
+        accepted: n,
+        shed: 0,
         granted: n,
     }
 }
 
-/// Barrier: drain every shard queue so the caller's next read sees all
-/// telemetry acknowledged before this point.
-fn flush_shards(txs: &[SyncSender<ShardMsg>]) {
-    let (ack_tx, ack_rx) = sync_channel(txs.len());
-    let mut pending = 0;
-    for tx in txs {
-        if tx.send(ShardMsg::Flush(ack_tx.clone())).is_ok() {
-            pending += 1;
-        }
-    }
-    for _ in 0..pending {
-        let _ = ack_rx.recv();
-    }
-}
-
-fn session(shared: Arc<Shared>, txs: Vec<SyncSender<ShardMsg>>, mut stream: AnyStream) {
+fn session(plane: Arc<Plane>, routes: Routes, mut stream: AnyStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    shared
+    plane
         .metrics
         .lock()
         .expect("metrics lock")
         .inc(MetricKey::global(SERVE_SESSIONS));
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        if plane.stop.load(Ordering::SeqCst) {
             return;
         }
         let mut frame = match read_frame(&mut stream) {
@@ -1238,29 +1080,32 @@ fn session(shared: Arc<Shared>, txs: Vec<SyncSender<ShardMsg>>, mut stream: AnyS
                 return;
             }
         };
-        let t0 = shared.cfg.obs.then(Instant::now);
+        let t0 = plane.cfg.obs.then(Instant::now);
         let (op, resp) = match decode_request(frame.0, &frame.1) {
             Ok(Request::IngestEpoch(snap)) => {
                 // A durable daemon journals the frame body verbatim; take
                 // it now that decoding is done with the borrow.
-                let wire = shared
+                let wire = plane
                     .durable
                     .then(|| (REC_SNAPSHOT, std::mem::take(&mut frame.1)));
-                (Some(OP_INGEST_NS), route_ingest(&shared, &txs, snap, wire))
+                (
+                    Some(OP_INGEST_NS),
+                    Ok(route_ingest(&plane, &routes, snap, wire)),
+                )
             }
             Ok(Request::IngestBatch(snaps)) => {
-                let wire = shared.durable.then(|| std::mem::take(&mut frame.1));
+                let wire = plane.durable.then(|| std::mem::take(&mut frame.1));
                 (
                     Some(OP_INGEST_BATCH_NS),
-                    route_batch(&shared, &txs, snaps, wire),
+                    Ok(route_batch(&plane, &routes, snaps, wire)),
                 )
             }
             Ok(Request::Hello { map_epoch, .. }) => {
                 // A peer routing under a different shard-map generation is
                 // refused up front: accepting its session would mean every
-                // ingest it routes is suspect. Legacy hellos announce no
-                // epoch and are never refused (nothing to be stale about).
-                let own_epoch = shared.cfg.shard_range.map(|r| r.epoch);
+                // ingest it routes is suspect. A hello that announces no
+                // epoch is never refused (nothing to be stale about).
+                let own_epoch = plane.cfg.shard_range.map(|r| r.epoch);
                 let resp = match (map_epoch, own_epoch) {
                     (Some(theirs), Some(ours)) if theirs != ours => Response::Error(format!(
                         "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match \
@@ -1268,60 +1113,49 @@ fn session(shared: Arc<Shared>, txs: Vec<SyncSender<ShardMsg>>, mut stream: AnyS
                     )),
                     _ => Response::Ack {
                         accepted: true,
-                        granted: shared.cfg.session_credits,
+                        granted: plane.cfg.session_credits,
                         info: Some(PeerInfo {
                             version: PROTO_VERSION,
                             map_epoch: own_epoch,
                         }),
                     },
                 };
-                (None, resp)
+                (None, Ok(resp))
             }
-            Ok(Request::Fragments) => {
-                // The cross-shard gather primitive: flush so the fragment
-                // set covers everything acknowledged before this point,
-                // then ship the canonical per-switch snapshots — the same
-                // store state a local Diagnose would analyze.
-                flush_shards(&txs);
-                (
-                    Some(OP_FRAGMENTS_NS),
-                    Response::Fragments(shared.gather_snapshots()),
-                )
-            }
-            Ok(Request::Diagnose(p)) => {
-                flush_shards(&txs);
-                (Some(OP_DIAGNOSE_NS), shared.diagnose(&p))
-            }
-            Ok(Request::FlowHistory(key)) => {
-                // Two barriers: shards first (their appends stage the
-                // folds), then the compactor (absorb what they staged) —
-                // the query then sees a consistent dual-tier view.
-                flush_shards(&txs);
-                shared.flush_compactor();
-                (Some(OP_FLOW_HISTORY_NS), shared.flow_history(&key))
-            }
-            Ok(Request::Stats) => (Some(OP_STATS_NS), shared.stats()),
-            Ok(Request::Metrics) => (Some(OP_METRICS_NS), shared.metrics_response()),
-            Ok(Request::Explain(seq)) => (Some(OP_EXPLAIN_NS), shared.explain(seq)),
+            // The cross-shard gather primitive: the canonical per-switch
+            // snapshots — the same store state a local Diagnose would
+            // analyze — covering everything acknowledged before this.
+            Ok(Request::Fragments) => (
+                Some(OP_FRAGMENTS_NS),
+                routes.gather_snapshots().map(Response::Fragments),
+            ),
+            Ok(Request::Diagnose(p)) => (Some(OP_DIAGNOSE_NS), routes.diagnose(&plane, &p)),
+            Ok(Request::FlowHistory(key)) => (Some(OP_FLOW_HISTORY_NS), routes.flow_history(key)),
+            Ok(Request::Stats) => (Some(OP_STATS_NS), routes.stats(&plane)),
+            Ok(Request::Metrics) => (Some(OP_METRICS_NS), Ok(plane.metrics_response())),
+            Ok(Request::Explain(seq)) => (
+                Some(OP_EXPLAIN_NS),
+                routes.ask_core(|reply| CoreMsg::Explain(seq, reply)),
+            ),
             Ok(Request::Shutdown) => {
-                shared.stop.store(true, Ordering::SeqCst);
+                plane.stop.store(true, Ordering::SeqCst);
                 let _ = write_response(&mut stream, &Response::Bye);
                 return;
             }
-            Err(e) => (None, Response::Error(e.to_string())),
+            Err(e) => (None, Ok(Response::Error(e.to_string()))),
         };
+        let resp = resp.unwrap_or_else(Response::from);
         if let (Some(t0), Some(op)) = (t0, op) {
-            // Lock order: metrics → flight.
             let ns = t0.elapsed().as_nanos() as u64;
-            let slow = ns >= shared.cfg.slow_op_ns;
-            let mut m = shared.metrics.lock().expect("metrics lock");
+            let slow = ns >= plane.cfg.slow_op_ns;
+            let mut m = plane.metrics.lock().expect("metrics lock");
             m.observe(MetricKey::global(op), ns);
             if slow {
                 m.inc(MetricKey::global(SLOW_OPS));
             }
             drop(m);
             if slow {
-                shared.flight.lock().expect("flight lock").note(
+                plane.flight.lock().expect("flight lock").note(
                     flight_kind::SLOW,
                     op,
                     format!("{ns} ns"),
@@ -1331,9 +1165,9 @@ fn session(shared: Arc<Shared>, txs: Vec<SyncSender<ShardMsg>>, mut stream: AnyS
         // An Explain miss is an expected query outcome (clients poll for
         // the latest verdict opportunistically); logging it would bury
         // real errors in the ring.
-        if shared.cfg.obs && op != Some(OP_EXPLAIN_NS) {
+        if plane.cfg.obs && op != Some(OP_EXPLAIN_NS) {
             if let Response::Error(msg) = &resp {
-                shared.flight.lock().expect("flight lock").note(
+                plane.flight.lock().expect("flight lock").note(
                     flight_kind::ERROR,
                     "request_error",
                     msg.clone(),
@@ -1349,7 +1183,7 @@ fn session(shared: Arc<Shared>, txs: Vec<SyncSender<ShardMsg>>, mut stream: AnyS
 /// A running daemon; dropping the handle does NOT stop it — call
 /// [`DaemonHandle::shutdown`].
 pub struct DaemonHandle {
-    shared: Arc<Shared>,
+    plane: Arc<Plane>,
     accept_thread: Option<JoinHandle<()>>,
     /// Bound TCP address when listening on TCP (for port-0 binds).
     pub local_addr: Option<std::net::SocketAddr>,
@@ -1360,11 +1194,9 @@ pub struct DaemonHandle {
 
 impl DaemonHandle {
     /// Signal stop and join every daemon thread.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        self.plane.stop.store(true, Ordering::SeqCst);
+        self.wait();
     }
 
     /// Block until a `Shutdown` request stops the daemon, then join every
@@ -1377,58 +1209,7 @@ impl DaemonHandle {
 
     /// True once a `Shutdown` request (or `shutdown()`) stopped the daemon.
     pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    /// Point-in-time copy of the daemon's metrics registry.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.lock().expect("metrics lock").snapshot()
-    }
-
-    /// Point-in-time dump of the flight-recorder ring (the `Metrics`
-    /// request's `flight` field).
-    pub fn flight(&self) -> serde::Value {
-        self.shared.flight.lock().expect("flight lock").to_value()
-    }
-
-    /// The most recent verdict's audit-trail record, if any.
-    pub fn latest_explain(&self) -> Option<ExplainRecord> {
-        self.shared
-            .audit
-            .lock()
-            .expect("audit lock")
-            .latest()
-            .cloned()
-    }
-}
-
-/// Set by the process signal handler, polled by every accept loop — the
-/// graceful-shutdown path for a foreground `hawkeye serve` daemon.
-static SIG_STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    // Async-signal-safe: one atomic store, nothing else.
-    SIG_STOP.store(true, Ordering::SeqCst);
-}
-
-/// Install SIGINT/SIGTERM handlers that request a graceful stop of every
-/// daemon in this process: the accept loop notices the flag within its
-/// poll interval, stops accepting, joins the sessions and workers, lets
-/// the compactor flush (and sync the WAL on a durable daemon), and
-/// removes the unix socket — the same teardown a `Shutdown` request runs,
-/// so `kill -TERM` never leaves a stale socket behind. `std` already
-/// links libc, so `signal(2)` is declared directly instead of pulling in
-/// a binding crate.
-pub fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
+        self.plane.stop.load(Ordering::SeqCst)
     }
 }
 
@@ -1445,23 +1226,23 @@ pub fn spawn(topo: Topology, cfg: ServeConfig, endpoint: Endpoint) -> io::Result
 /// restore the last complete checkpoint, replay the tail — and only then
 /// binds the listener, so a client that can connect always sees the
 /// recovered state. Every accepted epoch and emitted verdict is journaled
-/// from the compactor thread; the ingest hot path is untouched.
+/// by the core thread; the shard workers never touch the log.
 pub fn spawn_durable(
     topo: Topology,
     cfg: ServeConfig,
     endpoint: Endpoint,
     wal_cfg: Option<WalConfig>,
 ) -> io::Result<DaemonHandle> {
-    let shards = cfg.shards.max(1);
-    // The daemon always folds off-thread: shard stores stage ring-evicted
-    // epochs and the compactor thread owns the folded tier. Inline mode
-    // remains the standalone-store default only.
     let mut cfg = cfg;
+    cfg.shards = cfg.shards.max(1);
+    // The daemon always folds off-thread: shard stores stage ring-evicted
+    // epochs and the core owns the folded tier. Inline mode remains the
+    // standalone-store default only.
     cfg.store.deferred_fold = true;
 
     // Recover before binding: replay the evidence log into the shard
     // stores, the folded tier and the audit trail.
-    let mut stores: Vec<TelemetryStore> = (0..shards)
+    let mut stores: Vec<TelemetryStore> = (0..cfg.shards)
         .map(|_| TelemetryStore::new(cfg.store))
         .collect();
     let mut comp = Compactor::new(cfg.store);
@@ -1473,7 +1254,6 @@ pub fn spawn_durable(
         }
         None => (None, None),
     };
-    let durable = wal.is_some();
 
     // The engine's own ring budget is a per-switch safety backstop at
     // 2x the store's; primary retention is the store-driven horizon
@@ -1481,6 +1261,8 @@ pub fn spawn_durable(
     // actually be the thing that fires.
     let mut engine =
         IncrementalProvenance::new(cfg.replay, cfg.store.epoch_budget.saturating_mul(2));
+    let horizons: Vec<Option<Nanos>> = stores.iter().map(|s| s.retention_horizon()).collect();
+    let mut last_fleet = Nanos::ZERO;
     if recovery.is_some() {
         // Rebuild the wait-for graph from the recovered canonical rings —
         // the engine is derived state, so it is never checkpointed — and
@@ -1491,139 +1273,89 @@ pub fn spawn_durable(
                 engine.apply(&snap);
             }
         }
-        if let Some(fleet) = stores.iter().filter_map(|s| s.retention_horizon()).min() {
-            engine.retire_before(fleet);
+        if let Some(fleet) = horizons.iter().flatten().min() {
+            engine.retire_before(*fleet);
+            last_fleet = *fleet;
         }
     }
-    let mut metrics = seeded_registry(durable);
+    let plane = Arc::new(Plane::new(topo, cfg, wal.is_some()));
     if let Some(rep) = &recovery {
-        metrics.add(MetricKey::global(RECOVERY_TRUNCATED), rep.truncated_records);
+        plane
+            .metrics
+            .lock()
+            .expect("metrics lock")
+            .add(MetricKey::global(RECOVERY_TRUNCATED), rep.truncated_records);
     }
-    let horizons_init: Vec<u64> = stores
-        .iter()
-        .map(|s| s.retention_horizon().map_or(u64::MAX, |h| h.0))
-        .collect();
-    let watermarks_init: Vec<u64> = stores
-        .iter()
-        .map(|s| s.min_watermark().map_or(u64::MAX, |w| w.0))
-        .collect();
 
-    let listener = match &endpoint {
-        Endpoint::Unix(path) => {
-            // A previous unclean exit (kill -9) leaves the socket file
-            // behind; a graceful stop removes it, but bind defensively.
-            if path.exists() {
-                std::fs::remove_file(path)?;
-            }
-            let l = UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            AnyListener::Unix(l)
-        }
-        Endpoint::Tcp(addr) => {
-            let l = TcpListener::bind(addr.as_str())?;
-            l.set_nonblocking(true)?;
-            AnyListener::Tcp(l)
-        }
+    let listener = endpoint.bind()?;
+    let local_addr = listener.local_addr();
+
+    let (core_tx, core_rx) = sync_channel(CORE_QUEUE_DEPTH);
+    let core = Core {
+        plane: Arc::clone(&plane),
+        engine,
+        comp,
+        wal,
+        audit,
+        watermarks: stores.iter().map(|s| s.min_watermark()).collect(),
+        horizons,
+        last_fleet,
+        wal_published: WalStats::default(),
+        round: None,
     };
-    let local_addr = match &listener {
-        AnyListener::Tcp(l) => Some(l.local_addr()?),
-        AnyListener::Unix(_) => None,
-    };
+    let core_join = thread::Builder::new()
+        .name("hawkeye-core".into())
+        .spawn(move || core.run(core_rx))
+        .expect("spawn core thread");
 
-    let (compact_tx, compact_rx) = sync_channel(COMPACT_QUEUE_DEPTH);
-    let compact_depth = Arc::new(AtomicU64::new(0));
-    let shared = Arc::new(Shared {
-        topo,
-        cfg,
-        stores: stores.into_iter().map(Mutex::new).collect(),
-        engine: Mutex::new(engine),
-        metrics: Mutex::new(metrics),
-        flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
-        audit: Mutex::new(audit),
-        stop: AtomicBool::new(false),
-        horizons: horizons_init.into_iter().map(AtomicU64::new).collect(),
-        watermarks: watermarks_init.into_iter().map(AtomicU64::new).collect(),
-        queue_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-        compactor: Some(CompactorHandle {
-            tx: compact_tx,
-            depth: Arc::clone(&compact_depth),
-        }),
-        durable,
-        ckpt_wanted: AtomicBool::new(false),
-    });
-
-    let compactor_join = {
-        let sh = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("hawkeye-compactor".into())
-            .spawn(move || compactor_thread(sh, compact_rx, compact_depth, comp, wal))
-            .expect("spawn compactor thread")
-    };
-
-    let mut txs = Vec::with_capacity(shards);
-    let mut workers = Vec::with_capacity(shards);
-    for shard in 0..shards {
+    let mut shard_txs = Vec::with_capacity(cfg.shards);
+    let mut workers = Vec::with_capacity(cfg.shards);
+    for (shard, store) in stores.into_iter().enumerate() {
         let (tx, rx) = sync_channel(cfg.queue_depth.max(1));
-        txs.push(tx);
-        let sh = Arc::clone(&shared);
+        shard_txs.push(tx);
+        let plane = Arc::clone(&plane);
+        let core_tx = core_tx.clone();
         workers.push(
             thread::Builder::new()
                 .name(format!("hawkeye-shard-{shard}"))
-                .spawn(move || shard_worker(sh, shard, rx))
+                .spawn(move || shard_worker(plane, shard, store, rx, core_tx))
                 .expect("spawn shard worker"),
         );
     }
-
-    let accept_shared = Arc::clone(&shared);
-    let socket_path = match &endpoint {
-        Endpoint::Unix(p) => Some(p.clone()),
-        Endpoint::Tcp(_) => None,
+    let routes = Routes {
+        shards: shard_txs,
+        core: core_tx,
     };
+
+    let handle_plane = Arc::clone(&plane);
     let accept_thread = thread::Builder::new()
         .name("hawkeye-accept".into())
         .spawn(move || {
             let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_shared.stop.load(Ordering::SeqCst) {
+            while !plane.stop.load(Ordering::SeqCst) {
                 // SIGINT/SIGTERM request the same orderly teardown as a
                 // Shutdown frame (when install_signal_handlers is on).
-                if SIG_STOP.load(Ordering::SeqCst) {
-                    accept_shared.stop.store(true, Ordering::SeqCst);
+                if stop_signalled() {
+                    plane.stop.store(true, Ordering::SeqCst);
                     break;
                 }
-                // Durable checkpoint protocol, driven from here because
-                // only this thread may run the shard-flush barrier while
-                // the compactor is busy: (1) mark — the compactor replies
-                // with its next seq; (2) flush the shards, so everything
-                // journaled below the mark is applied; (3) tell the
-                // compactor to write the checkpoint and retire segments.
-                if accept_shared.ckpt_wanted.swap(false, Ordering::SeqCst) {
-                    if let Some(h) = &accept_shared.compactor {
-                        let (mark_tx, mark_rx) = sync_channel(1);
-                        if h.tx.send(CompactMsg::CheckpointMark(mark_tx)).is_ok() {
-                            if let Ok(boundary) = mark_rx.recv() {
-                                flush_shards(&txs);
-                                let _ = h.tx.send(CompactMsg::Checkpoint { boundary });
-                            }
-                        }
+                // A checkpoint round, started from here because this
+                // thread is upstream of every worker: each forwards its
+                // ring images to the core, which writes the checkpoint
+                // when the last one lands.
+                if plane.ckpt_wanted.swap(false, Ordering::SeqCst) {
+                    for tx in &routes.shards {
+                        let _ = tx.send(ShardMsg::Export);
                     }
                 }
-                let accepted = match &listener {
-                    AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
-                    AnyListener::Tcp(l) => l.accept().map(|(s, _)| {
-                        // Acks are 5–12 byte frames; leaving Nagle on lets
-                        // delayed-ACK stall the client's credit window.
-                        let _ = s.set_nodelay(true);
-                        AnyStream::Tcp(s)
-                    }),
-                };
-                match accepted {
+                match listener.accept() {
                     Ok(stream) => {
-                        let sh = Arc::clone(&accept_shared);
-                        let txs = txs.clone();
+                        let plane = Arc::clone(&plane);
+                        let routes = routes.clone();
                         sessions.push(
                             thread::Builder::new()
                                 .name("hawkeye-session".into())
-                                .spawn(move || session(sh, txs, stream))
+                                .spawn(move || session(plane, routes, stream))
                                 .expect("spawn session"),
                         );
                     }
@@ -1636,27 +1368,22 @@ pub fn spawn_durable(
             for s in sessions {
                 let _ = s.join();
             }
-            // Dropping the senders lets every shard worker's recv() fail
-            // and the workers exit.
-            drop(txs);
+            // Dropping the last senders ends the workers' loops, and —
+            // once they are joined and their core senders with them — the
+            // core's: FIFO order means each drains everything sent to it
+            // first, and the core syncs the WAL on the way out.
+            drop(routes);
             for w in workers {
                 let _ = w.join();
             }
-            // Only after every worker is gone (no fold can still be sent)
-            // is the compactor told to exit; FIFO ordering means it
-            // absorbs everything staged before the shutdown message.
-            if let Some(h) = &accept_shared.compactor {
-                let _ = h.tx.send(CompactMsg::Shutdown);
-            }
-            let _ = compactor_join.join();
-            if let Some(p) = socket_path {
-                let _ = std::fs::remove_file(p);
-            }
+            let _ = core_join.join();
+            // Dropped last: a unix socket file outlives every thread.
+            drop(listener);
         })
         .expect("spawn accept loop");
 
     Ok(DaemonHandle {
-        shared,
+        plane: handle_plane,
         accept_thread: Some(accept_thread),
         local_addr,
         recovery,
@@ -1666,42 +1393,31 @@ pub fn spawn_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hawkeye_sim::{chain, NodeId, EVAL_BANDWIDTH, EVAL_DELAY};
+    use crate::client::ServeClient;
+    use hawkeye_sim::{chain, EVAL_BANDWIDTH, EVAL_DELAY};
 
-    fn test_shared(shards: usize) -> Shared {
-        // The shed tests exercise the try_send path, so the unit-test
-        // Shared opts into the explicit Shed escape hatch (the daemon
-        // default is Backpressure, which never sheds — it blocks).
-        test_shared_with(shards, OverloadPolicy::Shed)
+    /// A thread-less plane plus routes into hand-held receivers: what a
+    /// session sees, with the tests standing in for the owner threads.
+    struct Rig {
+        plane: Plane,
+        routes: Routes,
+        shard_rxs: Vec<Receiver<ShardMsg>>,
+        _core_rx: Receiver<CoreMsg>,
     }
 
-    fn test_shared_with(shards: usize, overload: OverloadPolicy) -> Shared {
-        let topo = chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY);
+    fn rig(shards: usize, depth: usize, shard_range: Option<ShardRange>) -> Rig {
         let cfg = ServeConfig {
             shards,
-            overload,
+            shard_range,
             ..ServeConfig::default()
         };
-        Shared {
-            topo,
-            cfg,
-            stores: (0..shards)
-                .map(|_| Mutex::new(TelemetryStore::new(cfg.store)))
-                .collect(),
-            engine: Mutex::new(IncrementalProvenance::new(
-                cfg.replay,
-                cfg.store.epoch_budget.saturating_mul(2),
-            )),
-            metrics: Mutex::new(seeded_registry(false)),
-            flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
-            audit: Mutex::new(AuditTrail::new(cfg.audit_capacity)),
-            stop: AtomicBool::new(false),
-            horizons: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            watermarks: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            queue_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            compactor: None,
-            durable: false,
-            ckpt_wanted: AtomicBool::new(false),
+        let (txs, shard_rxs) = (0..shards).map(|_| sync_channel(depth)).unzip();
+        let (core, _core_rx) = sync_channel(depth);
+        Rig {
+            plane: Plane::new(chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY), cfg, false),
+            routes: Routes { shards: txs, core },
+            shard_rxs,
+            _core_rx,
         }
     }
 
@@ -1716,172 +1432,161 @@ mod tests {
         }
     }
 
-    /// Under the Shed policy a full shard queue sheds the ingest
-    /// (Ack {accepted: false} + counter) instead of blocking or buffering
-    /// unboundedly.
-    #[test]
-    fn full_queue_sheds_with_counter() {
-        let shared = test_shared(1);
-        // Capacity-1 queue with no worker draining it: the second ingest
-        // routed to the shard must shed deterministically.
-        let (tx, _rx) = sync_channel(1);
-        let txs = vec![tx];
-
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
-            Response::Ack { accepted: true, .. }
-        ));
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
-            Response::Ack {
-                accepted: false,
-                ..
-            }
-        ));
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(2), None),
-            Response::Ack {
-                accepted: false,
-                ..
-            }
-        ));
-        let shed = shared.metrics.lock().unwrap().counter_total(INGEST_SHED);
-        assert_eq!(shed, 2);
+    fn wrong_shard_count(plane: &Plane) -> u64 {
+        plane
+            .metrics
+            .lock()
+            .unwrap()
+            .counter_total(INGEST_WRONG_SHARD)
     }
 
-    /// Every ack — accepted or shed — returns exactly the one credit the
-    /// snapshot consumed, so the client's window never leaks.
+    /// Every ack returns exactly the credits its frame consumed — one per
+    /// snapshot, the batch's size per batch — so the client's window never
+    /// leaks.
     #[test]
     fn acks_return_credits_either_way() {
-        let shared = test_shared(1);
-        let (tx, _rx) = sync_channel(1);
-        let txs = vec![tx];
-        let Response::Ack { granted, .. } = route_ingest(&shared, &txs, snap(0), None) else {
+        let r = rig(1, 4, None);
+        let Response::Ack {
+            accepted, granted, ..
+        } = route_ingest(&r.plane, &r.routes, snap(0), None)
+        else {
             panic!("expected ack");
         };
+        assert!(accepted);
         assert_eq!(granted, 1);
-        let Response::Ack { granted, .. } = route_ingest(&shared, &txs, snap(0), None) else {
-            panic!("expected shed ack");
-        };
-        assert_eq!(granted, 1, "shed ack must still return the credit");
-    }
-
-    /// A disconnected shard (worker gone) reports an error, not a panic —
-    /// and never counts as an `ingest_shed`: a dead consumer is a fault,
-    /// not backpressure.
-    #[test]
-    fn disconnected_shard_reports_error() {
-        for overload in [OverloadPolicy::Shed, OverloadPolicy::Backpressure] {
-            let shared = test_shared_with(1, overload);
-            let (tx, rx) = sync_channel(1);
-            drop(rx);
-            assert!(
-                matches!(
-                    route_ingest(&shared, &[tx], snap(0), None),
-                    Response::Error(_)
-                ),
-                "{overload:?}: dead shard must be a request error"
-            );
-            assert_eq!(
-                shared.metrics.lock().unwrap().counter_total(INGEST_SHED),
-                0,
-                "{overload:?}: dead shard counted as ingest_shed"
-            );
-        }
-    }
-
-    /// A dead shard fails a whole batch with an error (never a BatchAck
-    /// that silently lost snapshots), and still sheds nothing.
-    #[test]
-    fn disconnected_shard_fails_batch() {
-        let shared = test_shared(1);
-        let (tx, rx) = sync_channel(4);
-        drop(rx);
-        let resp = route_batch(&shared, &[tx], vec![snap(0), snap(0)], None);
-        assert!(matches!(resp, Response::Error(_)));
-        assert_eq!(shared.metrics.lock().unwrap().counter_total(INGEST_SHED), 0);
-    }
-
-    /// A batch through a live queue reports per-snapshot outcomes and
-    /// returns the batch's credits.
-    #[test]
-    fn batch_reports_accepted_and_shed() {
-        let shared = test_shared(1);
-        // Room for 2 of the 3 snapshots; no worker drains.
-        let (tx, _rx) = sync_channel(2);
-        let resp = route_batch(&shared, &[tx], vec![snap(0), snap(0), snap(0)], None);
+        let resp = route_batch(&r.plane, &r.routes, vec![snap(0), snap(0), snap(0)], None);
         assert_eq!(
             resp,
             Response::BatchAck {
-                accepted: 2,
-                shed: 1,
+                accepted: 3,
+                shed: 0,
                 granted: 3
             }
         );
     }
 
-    /// Regression for the hardcoded counter list `Stats` used to carry:
-    /// every counter registered in the metrics registry — well-known or
-    /// not — must appear in the Stats response.
+    /// A disconnected shard (worker gone) reports an error, not a panic
+    /// and not an ack — and a query fails too, rather than answering from
+    /// the partitions that are left.
     #[test]
-    fn stats_reports_every_registered_counter() {
-        let shared = test_shared(1);
-        shared
-            .metrics
-            .lock()
-            .unwrap()
-            .add(MetricKey::global("custom_counter"), 7);
-        let resp = shared.stats();
-        let Response::Stats(v) = resp else {
-            panic!("stats returned {resp:?}");
-        };
-        let names = shared.metrics.lock().unwrap().counter_names();
-        for name in names {
-            assert!(
-                v.get(name).is_some(),
-                "registered counter {name} missing from Stats"
-            );
-        }
-        // The seeded well-known set is present even though nothing fired.
-        assert_eq!(v.get(INGEST_SHED).unwrap().as_u64(), Some(0));
-        assert_eq!(v.get(SLOW_OPS).unwrap().as_u64(), Some(0));
-        assert_eq!(v.get("custom_counter").unwrap().as_u64(), Some(7));
+    fn disconnected_shard_reports_error() {
+        let mut r = rig(1, 1, None);
+        r.shard_rxs.clear();
+        assert!(matches!(
+            route_ingest(&r.plane, &r.routes, snap(0), None),
+            Response::Error(_)
+        ));
+        assert!(matches!(
+            r.routes.gather_snapshots(),
+            Err(Gone("shard worker"))
+        ));
+        assert!(matches!(
+            r.routes.stats(&r.plane),
+            Err(Gone("shard worker"))
+        ));
     }
 
-    /// A shed ingest leaves a WARNING in the flight ring (and nothing else
-    /// does on the fault-free path).
+    /// A dead shard fails a whole batch with an error (never a BatchAck
+    /// that silently lost snapshots).
     #[test]
-    fn shed_records_flight_warning() {
-        let shared = test_shared(1);
-        let (tx, _rx) = sync_channel(1);
-        let txs = vec![tx];
+    fn disconnected_shard_fails_batch() {
+        let mut r = rig(1, 4, None);
+        r.shard_rxs.clear();
+        let resp = route_batch(&r.plane, &r.routes, vec![snap(0), snap(0)], None);
+        assert!(matches!(resp, Response::Error(_)));
+    }
+
+    /// An out-of-range switch is refused with the typed `wrong_shard:`
+    /// error before anything is queued (or journaled), while in-range
+    /// ingest is untouched.
+    #[test]
+    fn out_of_range_ingest_is_typed_rejection() {
+        let range = ShardRange {
+            lo: 0,
+            hi: 2,
+            epoch: 1,
+        };
+        let r = rig(1, 4, Some(range));
         assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
+            route_ingest(&r.plane, &r.routes, snap(1), None),
             Response::Ack { accepted: true, .. }
         ));
-        assert!(shared.flight.lock().unwrap().is_empty());
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
-            Response::Ack {
-                accepted: false,
-                ..
-            }
-        ));
-        let flight = shared.flight.lock().unwrap();
-        assert_eq!(flight.warnings(), 1);
-        let ev = flight.events().next().unwrap();
-        assert_eq!(ev.what, "ingest_shed");
+        let resp = route_ingest(&r.plane, &r.routes, snap(2), None);
+        let Response::Error(msg) = resp else {
+            panic!("out-of-range ingest answered {resp:?}");
+        };
+        assert!(
+            msg.starts_with(WRONG_SHARD_PREFIX),
+            "rejection '{msg}' not typed wrong_shard"
+        );
+        assert_eq!(wrong_shard_count(&r.plane), 1);
+        assert_eq!(r.shard_rxs[0].try_iter().count(), 1, "refused but queued");
     }
 
-    /// Explain on an empty audit trail is an error, not a panic; a pushed
-    /// record is served both as latest and by seq.
+    /// A batch containing one out-of-range snapshot fails with the typed
+    /// error (no silent partial store of the rest after the fault).
+    #[test]
+    fn out_of_range_snapshot_fails_batch_typed() {
+        let range = ShardRange {
+            lo: 0,
+            hi: 1,
+            epoch: 0,
+        };
+        let r = rig(1, 8, Some(range));
+        let resp = route_batch(&r.plane, &r.routes, vec![snap(0), snap(5)], None);
+        let Response::Error(msg) = resp else {
+            panic!("batch with out-of-range snapshot answered {resp:?}");
+        };
+        assert!(msg.starts_with(WRONG_SHARD_PREFIX));
+    }
+
+    /// Sharding is stable per switch and spreads across the store set.
+    #[test]
+    fn shard_of_is_switch_stable() {
+        let r = rig(4, 1, None);
+        for sw in 0..16u32 {
+            let a = r.routes.shard_of(NodeId(sw));
+            assert_eq!(a, r.routes.shard_of(NodeId(sw)));
+            assert!(a < 4);
+        }
+        assert_ne!(r.routes.shard_of(NodeId(0)), r.routes.shard_of(NodeId(1)));
+    }
+
+    fn thread_less_core() -> Core {
+        let cfg = ServeConfig::default();
+        Core {
+            plane: Arc::new(Plane::new(
+                chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY),
+                cfg,
+                false,
+            )),
+            engine: IncrementalProvenance::new(cfg.replay, 2 * cfg.store.epoch_budget),
+            comp: Compactor::new(cfg.store),
+            wal: None,
+            audit: AuditTrail::new(cfg.audit_capacity),
+            horizons: vec![None],
+            watermarks: vec![None],
+            last_fleet: Nanos::ZERO,
+            wal_published: WalStats::default(),
+            round: None,
+        }
+    }
+
+    /// Explain on an empty audit trail is an error, not a panic; a verdict
+    /// message is journaled under the next seq with the engine's view
+    /// filled in, and served both as latest and by seq.
     #[test]
     fn explain_empty_then_by_seq() {
-        let shared = test_shared(1);
-        assert!(matches!(shared.explain(None), Response::Error(_)));
-        assert!(matches!(shared.explain(Some(0)), Response::Error(_)));
-        let rec = ExplainRecord {
-            seq: 0,
+        let mut core = thread_less_core();
+        let explain = |core: &mut Core, seq| {
+            let (tx, rx) = sync_channel(1);
+            core.handle(CoreMsg::Explain(seq, tx));
+            rx.recv().expect("core answers explain")
+        };
+        assert!(matches!(explain(&mut core, None), Response::Error(_)));
+        assert!(matches!(explain(&mut core, Some(0)), Response::Error(_)));
+        let mut rec = ExplainRecord {
+            seq: 99, // the trail assigns the real one
             victim: "0:7->5".into(),
             window_from_ns: 0,
             window_to_ns: 100,
@@ -1898,75 +1603,57 @@ mod tests {
             stage_graph_ns: 0,
             stage_match_ns: 0,
         };
-        shared.audit.lock().unwrap().push(rec.clone());
-        let Response::Explain(latest) = shared.explain(None) else {
-            panic!("explain(None) failed after push");
-        };
-        assert_eq!(latest, rec);
-        assert!(matches!(shared.explain(Some(0)), Response::Explain(_)));
-        assert!(matches!(shared.explain(Some(1)), Response::Error(_)));
-    }
-
-    /// An out-of-range switch is refused with the typed `wrong_shard:`
-    /// error before anything is queued (or journaled) — never stored,
-    /// never counted as a shed — while in-range ingest is untouched.
-    #[test]
-    fn out_of_range_ingest_is_typed_rejection() {
-        for overload in [OverloadPolicy::Shed, OverloadPolicy::Backpressure] {
-            let mut shared = test_shared_with(1, overload);
-            shared.cfg.shard_range = Some(ShardRange {
-                lo: 0,
-                hi: 2,
-                epoch: 1,
-            });
-            let (tx, _rx) = sync_channel(4);
-            let txs = vec![tx];
-            assert!(matches!(
-                route_ingest(&shared, &txs, snap(1), None),
-                Response::Ack { accepted: true, .. }
-            ));
-            let resp = route_ingest(&shared, &txs, snap(2), None);
-            let Response::Error(msg) = resp else {
-                panic!("{overload:?}: out-of-range ingest answered {resp:?}");
-            };
-            assert!(
-                msg.starts_with(WRONG_SHARD_PREFIX),
-                "{overload:?}: rejection '{msg}' not typed wrong_shard"
-            );
-            let m = shared.metrics.lock().unwrap();
-            assert_eq!(m.counter_total(INGEST_WRONG_SHARD), 1);
-            assert_eq!(m.counter_total(INGEST_SHED), 0, "rejection is not a shed");
-        }
-    }
-
-    /// A batch containing one out-of-range snapshot fails with the typed
-    /// error (no silent partial store of the rest after the fault).
-    #[test]
-    fn out_of_range_snapshot_fails_batch_typed() {
-        let mut shared = test_shared_with(1, OverloadPolicy::Backpressure);
-        shared.cfg.shard_range = Some(ShardRange {
-            lo: 0,
-            hi: 1,
-            epoch: 0,
+        let mut evidence = snap(3);
+        evidence.epochs.push(hawkeye_telemetry::EpochSnapshot {
+            slot: 0,
+            id: 0,
+            start: Nanos(0),
+            len: Nanos(100),
+            flows: vec![],
+            ports: vec![],
+            meter: vec![],
         });
-        let (tx, _rx) = sync_channel(8);
-        let resp = route_batch(&shared, &[tx], vec![snap(0), snap(5)], None);
-        let Response::Error(msg) = resp else {
-            panic!("batch with out-of-range snapshot answered {resp:?}");
-        };
-        assert!(msg.starts_with(WRONG_SHARD_PREFIX));
+        assert!(core.engine.apply(&evidence), "an epoch is new evidence");
+        core.handle(CoreMsg::Verdict(Box::new(rec.clone())));
+        rec.seq = 0;
+        rec.dirty_switches = vec![3];
+        assert_eq!(explain(&mut core, None), Response::Explain(rec.clone()));
+        assert_eq!(explain(&mut core, Some(0)), Response::Explain(rec));
+        assert!(matches!(explain(&mut core, Some(1)), Response::Error(_)));
     }
 
-    /// Sharding is stable per switch and spreads across the store set.
+    /// Regression for the hardcoded counter list `Stats` used to carry:
+    /// every counter registered in the metrics registry — well-known or
+    /// not — must appear in the Stats response.
     #[test]
-    fn shard_of_is_switch_stable() {
-        let shared = test_shared(4);
-        for sw in 0..16u32 {
-            let a = shared.shard_of(&snap(sw));
-            let b = shared.shard_of(&snap(sw));
-            assert_eq!(a, b);
-            assert!(a < 4);
+    fn stats_reports_every_registered_counter() {
+        let topo = chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY);
+        let handle = spawn(
+            topo,
+            ServeConfig::default(),
+            Endpoint::Tcp("127.0.0.1:0".into()),
+        )
+        .expect("bind daemon");
+        handle
+            .plane
+            .metrics
+            .lock()
+            .unwrap()
+            .add(MetricKey::global("custom_counter"), 7);
+        let addr = handle.local_addr.expect("tcp address").to_string();
+        let mut client = ServeClient::connect_tcp(&addr).expect("connect");
+        let v = client.stats().expect("stats");
+        for name in handle.plane.metrics.lock().unwrap().counter_names() {
+            assert!(
+                v.get(name).is_some(),
+                "registered counter {name} missing from Stats"
+            );
         }
-        assert_ne!(shared.shard_of(&snap(0)), shared.shard_of(&snap(1)));
+        // The seeded well-known set is present even though nothing fired.
+        assert_eq!(v.get(EPOCHS_INGESTED).unwrap().as_u64(), Some(0));
+        assert_eq!(v.get(SLOW_OPS).unwrap().as_u64(), Some(0));
+        assert_eq!(v.get("custom_counter").unwrap().as_u64(), Some(7));
+        drop(client);
+        handle.shutdown();
     }
 }

@@ -110,7 +110,7 @@ pub struct StoreConfig {
     /// folding inline: `append` leaves them in a pending outbox
     /// ([`TelemetryStore::take_pending_folds`]) and this store's own
     /// compacted tier stays empty. The serve daemon runs in this mode,
-    /// handing staged folds to its compactor thread; standalone stores
+    /// handing staged folds to its core thread; standalone stores
     /// keep the inline default.
     pub deferred_fold: bool,
 }
@@ -231,7 +231,7 @@ pub struct TelemetryStore {
     stats: StoreStats,
     /// The folded tier's owner in inline mode; stays empty under
     /// [`StoreConfig::deferred_fold`], where an external compactor (the
-    /// daemon's compactor thread) holds the buckets instead.
+    /// daemon's core thread) holds the buckets instead.
     compactor: Compactor,
     /// Evicted epochs staged for an external compactor
     /// ([`StoreConfig::deferred_fold`]); drained by
@@ -370,8 +370,8 @@ impl TelemetryStore {
 
     /// Drain the epochs staged for an external compactor. Always empty in
     /// inline mode; in deferred mode the caller owns handing these to its
-    /// [`Compactor`] (the daemon sends them to the compactor thread while
-    /// still holding no lock but the store's).
+    /// [`Compactor`] (the daemon's shard worker forwards them to the core
+    /// thread with the snapshot that evicted them).
     pub fn take_pending_folds(&mut self) -> Vec<PendingFold> {
         std::mem::take(&mut self.pending)
     }

@@ -21,7 +21,8 @@ use hawkeye_telemetry::TelemetrySnapshot;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     pub pushed: u64,
-    /// Sink accepted the write but shed the snapshot (daemon backpressure).
+    /// Sink accepted the write but did not take the snapshot (a front-end
+    /// whose owning backend is down).
     pub shed: u64,
     /// Sink I/O failures (daemon unreachable); streaming degrades to a
     /// local-only run rather than aborting the simulation.

@@ -195,7 +195,7 @@ pub fn record_crc(payload_len: u32, kind: u8, seq: u64, payload: &[u8]) -> u32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Never fsync on append; the OS page cache decides. Barriers
-    /// ([`Wal::sync`], reached through the daemon's `Flush`) still sync.
+    /// ([`Wal::sync`], reached through the daemon's `Stats`) still sync.
     Never,
     /// fsync at most once per interval of appends (the durable default:
     /// bounded data loss at near-`Never` throughput).
@@ -293,7 +293,7 @@ pub struct Wal {
     /// Appended records not yet handed to the OS: one `write(2)` per
     /// record would dominate the journaling cost, so records accumulate
     /// here until [`FLUSH_BUF_BYTES`], a rotation, or a [`Wal::sync`]
-    /// (the daemon's Flush barrier) pushes them out. A crash loses at
+    /// (the daemon's `Stats` barrier) pushes them out. A crash loses at
     /// most this buffer — exactly the torn tail recovery truncates.
     buf: Vec<u8>,
     stats: WalStats,
@@ -433,8 +433,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Force everything appended so far onto disk. The daemon's `Flush`
-    /// barrier lands here: flushed means journaled *and* synced.
+    /// Force everything appended so far onto disk. The daemon's `Stats`
+    /// barrier lands here: once it answers, everything acknowledged is
+    /// journaled *and* synced.
     pub fn sync(&mut self) -> io::Result<()> {
         self.flush_buf()?;
         if self.dirty {
@@ -497,7 +498,7 @@ impl Wal {
     }
 
     /// Seq the next appended record will receive — the checkpoint barrier
-    /// the daemon marks before flushing shards.
+    /// the daemon's core marks when it opens a checkpoint round.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
@@ -536,7 +537,7 @@ impl Drop for Wal {
 /// The durable image of one switch's tiered state: the canonical snapshot
 /// (raw ring), the per-epoch acceptance stamps and retention bookkeeping
 /// the canonical form does not carry, and the compacted buckets the
-/// compactor thread holds for the switch. Buckets reuse the canonical
+/// daemon's core thread holds for the switch. Buckets reuse the canonical
 /// `encode_compacted` byte form (wire kind `0xC0`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchCheckpoint {

@@ -116,7 +116,7 @@ fn slow_consumer_backpressure_sheds_nothing() {
             session_credits: 4,
             ingest_delay_ns: 100_000, // 100µs per snapshot
             store: StoreConfig {
-                epoch_budget: 2, // force eviction → compactor-thread folds
+                epoch_budget: 2, // force eviction → core-thread folds
                 ..StoreConfig::default()
             },
             ..ServeConfig::default()
@@ -166,10 +166,54 @@ fn slow_consumer_backpressure_sheds_nothing() {
     );
     assert!(
         get("store_epochs_compacted_held") > 0,
-        "tiny ring must have forced compactor-thread folds: {stats:?}"
+        "tiny ring must have forced core-thread folds: {stats:?}"
     );
 
     client.shutdown().expect("shutdown handshake");
+    handle.wait();
+}
+
+/// `Stats` is a barrier: once it answers, every snapshot acknowledged
+/// before it has been appended (and, on a durable daemon, journaled) — the
+/// CLI's `--stream-only` and the crash-recovery smoke rely on it. Queues
+/// deep enough to hold the whole stream mean every ack comes back while
+/// the slowed workers are still far behind, so a `Stats` that does not
+/// wait for the shard queues reports a short count.
+#[test]
+fn stats_waits_for_every_acknowledged_snapshot() {
+    let sc = incast();
+    let cfg = optimal_run_config(2);
+    let (_, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, hawkeye_serve::VecSink::default());
+    let snaps = &sink.snaps;
+    assert!(snaps.len() >= 32, "stream too short to outrun the workers");
+    let handle = spawn(
+        sc.topo.clone(),
+        ServeConfig {
+            queue_depth: snaps.len(),
+            ingest_delay_ns: 100_000, // 100µs per snapshot
+            ..ServeConfig::default()
+        },
+        Endpoint::Tcp("127.0.0.1:0".into()),
+    )
+    .expect("bind daemon");
+    let addr = handle.local_addr.expect("tcp daemon has an address");
+    let mut client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
+
+    for batch in snaps.chunks(16) {
+        client.ingest_batch(batch).expect("ingest batch");
+    }
+    let ack = client.finish_ingest().expect("settle acks");
+    assert_eq!(ack.shed, 0);
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats
+            .get("store_snapshots_appended")
+            .and_then(|v| v.as_u64()),
+        Some(snaps.len() as u64),
+        "Stats answered before every acknowledged snapshot was applied: {stats:?}"
+    );
+
+    client.shutdown().expect("shutdown");
     handle.wait();
 }
 

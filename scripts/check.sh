@@ -14,8 +14,10 @@ echo "==> cargo build --release --workspace"
 # would skip the hawkeye-cli binary every smoke below shells out to.
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace --no-fail-fast"
+# --workspace matters here too: a bare `cargo test` runs the root
+# package's suites only, a sixth of what the workspace has.
+cargo test --workspace --no-fail-fast
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -80,7 +82,6 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 counters = {c["key"]: c["value"] for c in doc["metrics"]["counters"]}
 assert counters["epochs_ingested"] > 0, "metrics op reported no ingested epochs"
-assert counters["ingest_shed"] == 0, "fault-free replay shed epochs"
 hists = {h["key"]: h for h in doc["metrics"]["histograms"]}
 assert hists["op_ingest_ns"]["count"] == doc["epochs_streamed"], \
     "one ingest latency sample per streamed snapshot"
@@ -133,9 +134,9 @@ rm -f "$retention_out"
 echo "==> backpressure smoke (batch frames, slow shard, tight queue)"
 # Ingest-path overload behavior through the release CLI: batched frames
 # into a daemon whose shard workers are artificially slowed behind a
-# 4-deep queue. Under the default backpressure policy the slow shard must
-# stall the sender's credit window instead of shedding — zero sheds, full
-# parity with the one-shot diagnosis, and the batch path actually taken.
+# 4-deep queue. The slow shard must stall the sender's credit window —
+# nothing is ever shed — with full parity with the one-shot diagnosis, and
+# the batch path actually taken.
 bp_out=$(mktemp)
 timeout 120 ./target/release/hawkeye serve --replay incast \
   --batch 8 --slow-shard-us 200 --queue-depth 4 --json > "$bp_out"
@@ -146,8 +147,7 @@ counters = {c["key"]: c["value"] for c in doc["metrics"]["counters"]}
 assert doc["verdict"] == "Correct", f"verdict {doc['verdict']!r} under backpressure"
 assert doc["parity"] is True, "backpressure changed the served diagnosis"
 assert doc["epochs_streamed"] > 0, "no epochs streamed to the daemon"
-assert doc["epochs_shed"] == 0, "backpressure policy shed epochs"
-assert counters["ingest_shed"] == 0, "daemon shed under backpressure policy"
+assert doc["epochs_shed"] == 0, "backpressure shed epochs"
 assert counters["ingest_batches"] > 0, "batch frames never taken"
 print("backpressure smoke ok:", doc["epochs_streamed"], "epochs,",
       counters["ingest_batches"], "batch frames, 0 shed")
@@ -304,6 +304,12 @@ echo "==> cluster bench smoke (1 sample, tiny budget)"
 HAWKEYE_BENCH_SAMPLES=1 HAWKEYE_BENCH_BUDGET_MS=5 \
   cargo bench -p hawkeye-bench --bench cluster
 git checkout -- BENCH_9.json 2>/dev/null || true
+
+echo "==> benchmark smoke (every workload at 2 s, one traced pass)"
+# benchmark/ is its own package building against this checkout's crates:
+# an API change that breaks the surface it uses must fail here, not in
+# the pipeline that runs BENCHMARK.json.
+benchmark/smoke.sh
 
 echo "==> corpus smoke (ft4 + leaf-spine slice vs committed golden)"
 # A cheap slice of the scenario corpus checked against the committed
