@@ -1,23 +1,18 @@
 //! # hawkeye-bench
 //!
-//! Benchmark harness for the Hawkeye reproduction. `cargo bench` runs:
-//!
-//! - `micro` — micro-benchmarks of the hot paths (event queue, packet
-//!   simulation, telemetry updates, provenance construction, diagnosis,
-//!   observability-hook overhead), driven by the dependency-free harness
-//!   in [`timing`].
-//! - `fig07_param_sweep`, `fig08_09_11_methods`, `fig10_granularity`,
-//!   `fig12_case_study`, `fig13_resources`, `fig14_cpu_poller` — custom
-//!   (non-criterion) harnesses that regenerate the corresponding tables
-//!   and figures of the paper, printing the same rows/series the paper
-//!   reports.
+//! The paper's evaluation, regenerated: `cargo bench -p hawkeye-bench` runs
+//! `fig07_param_sweep`, `fig08_09_11_methods`, `fig10_granularity`,
+//! `fig12_case_study`, `fig13_resources`, `fig14_cpu_poller`, `ablations`,
+//! `ext_partial_deployment` and `ext_load_sweep` — plain `main` harnesses
+//! that print the rows/series of the corresponding tables and figures
+//! (reference output: `bench_results_reference.txt`). They report accuracy
+//! and overhead, not speed; speed numbers come from `benchmark/` and
+//! `BENCHMARK.json` only.
 //!
 //! Knobs: `HAWKEYE_TRIALS` (traces per configuration; default 3),
-//! `HAWKEYE_LOAD` (background load fraction; default 0.1), `HAWKEYE_JOBS`
-//! (worker threads for the sweep harnesses; default
-//! `available_parallelism`), and `HAWKEYE_BENCH_SAMPLES` /
-//! `HAWKEYE_BENCH_BUDGET_MS` (micro-harness sample count and per-bench
-//! measurement budget; defaults 10 / 200 — drop both for a smoke run).
+//! `HAWKEYE_LOAD` (background load fraction; default 0.1) and
+//! `HAWKEYE_JOBS` (worker threads for the sweep harnesses; default
+//! `available_parallelism`).
 
 /// Shared banner so every figure harness states its provenance.
 pub fn banner(fig: &str, paper_claim: &str) {
@@ -25,95 +20,4 @@ pub fn banner(fig: &str, paper_claim: &str) {
     println!("# {fig}");
     println!("# Paper: {paper_claim}");
     println!("################################################################");
-}
-
-/// Dependency-free micro-benchmark harness (offline stand-in for criterion).
-///
-/// Calibrates an iteration count targeting a fixed measurement budget, then
-/// reports mean and best-case per-iteration time. Best-case (`min`) is the
-/// robust statistic for comparing two variants on a noisy machine.
-pub mod timing {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// One benchmark's measurements, in nanoseconds per iteration.
-    #[derive(Debug, Clone)]
-    pub struct Measurement {
-        pub name: String,
-        pub iters: u64,
-        pub samples: usize,
-        pub mean_ns: f64,
-        pub min_ns: f64,
-    }
-
-    impl Measurement {
-        pub fn report(&self) -> String {
-            format!(
-                "{:44} {:>12.1} ns/iter (min {:>12.1}, {} x {} iters)",
-                self.name, self.mean_ns, self.min_ns, self.samples, self.iters
-            )
-        }
-    }
-
-    /// Run `f` under the harness: warm up, calibrate the per-sample
-    /// iteration count to roughly `budget_ms` of total measurement, then
-    /// take `samples` timed samples.
-    pub fn bench_with<R>(
-        name: &str,
-        samples: usize,
-        budget_ms: u64,
-        mut f: impl FnMut() -> R,
-    ) -> Measurement {
-        // Warm-up and calibration in one: time a single call.
-        let t0 = Instant::now();
-        black_box(f());
-        let once_ns = t0.elapsed().as_nanos().max(1) as u64;
-        let budget_ns = budget_ms * 1_000_000;
-        let iters = (budget_ns / once_ns / samples.max(1) as u64).clamp(1, 100_000);
-        let mut mins = f64::INFINITY;
-        let mut total = 0.0f64;
-        for _ in 0..samples {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            let per_iter = t.elapsed().as_nanos() as f64 / iters as f64;
-            mins = mins.min(per_iter);
-            total += per_iter;
-        }
-        Measurement {
-            name: name.to_string(),
-            iters,
-            samples,
-            mean_ns: total / samples as f64,
-            min_ns: mins,
-        }
-    }
-
-    fn env_u64(key: &str, default: u64) -> u64 {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(default)
-    }
-
-    /// Samples per benchmark: `HAWKEYE_BENCH_SAMPLES`, default 10.
-    pub fn default_samples() -> usize {
-        env_u64("HAWKEYE_BENCH_SAMPLES", 10) as usize
-    }
-
-    /// Measurement budget per benchmark in milliseconds:
-    /// `HAWKEYE_BENCH_BUDGET_MS`, default 200.
-    pub fn default_budget_ms() -> u64 {
-        env_u64("HAWKEYE_BENCH_BUDGET_MS", 200)
-    }
-
-    /// [`bench_with`] at the default (env-tunable) samples/budget, printing
-    /// the report line.
-    pub fn bench<R>(name: &str, f: impl FnMut() -> R) -> Measurement {
-        let m = bench_with(name, default_samples(), default_budget_ms(), f);
-        println!("{}", m.report());
-        m
-    }
 }

@@ -118,7 +118,7 @@ struct Opts {
     client_retries: Option<u32>,
     /// Owned switch-id range for `serve` (`--shard LO..HI`): refuse
     /// ingest outside it with a typed `wrong_shard` error.
-    shard: Option<hawkeye_serve::ShardRange>,
+    shard: Option<hawkeye_client::ShardRange>,
     /// Shard-map generation this daemon was cut from (`serve
     /// --map-epoch`); sessions announcing a different epoch are refused.
     map_epoch: Option<u64>,
@@ -284,7 +284,7 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<String>), String> {
             }
             "--shard" => {
                 let v = it.next().ok_or("--shard requires LO..HI")?;
-                o.shard = Some(hawkeye_serve::ShardRange::parse(v)?);
+                o.shard = Some(hawkeye_client::ShardRange::parse(v)?);
             }
             "--map-epoch" => {
                 let v = it.next().ok_or("--map-epoch requires a value")?;
@@ -812,10 +812,10 @@ fn cmd_fuzz(o: &Opts) {
 /// Exit codes: 0 success (replay: parity verified), 1 served/one-shot
 /// mismatch, 3 no diagnosis produced.
 fn cmd_serve(o: &Opts) {
+    use hawkeye_client::{RetryConfig, ServeClient, VecSink};
     use hawkeye_core::AnalyzerConfig;
     use hawkeye_serve::{
-        replay_streaming, replay_streaming_batched, Endpoint, RetryConfig, ServeClient,
-        ServeConfig, StoreConfig, VecSink, WalConfig,
+        replay_streaming, replay_streaming_batched, Endpoint, ServeConfig, StoreConfig, WalConfig,
     };
 
     let runcfg = optimal_run_config(o.seed);
@@ -1094,7 +1094,7 @@ fn cmd_serve(o: &Opts) {
                 "history".to_string(),
                 serde::Value::Array(
                     rows.iter()
-                        .map(hawkeye_serve::observation_to_value)
+                        .map(hawkeye_client::observation_to_value)
                         .collect(),
                 ),
             ));
@@ -1149,7 +1149,7 @@ fn cmd_serve(o: &Opts) {
         if let Some(rows) = &history {
             let raw = rows
                 .iter()
-                .filter(|r| r.fidelity == hawkeye_serve::Fidelity::Raw)
+                .filter(|r| r.fidelity == hawkeye_client::Fidelity::Raw)
                 .count();
             let pkts: u64 = rows.iter().map(|r| r.pkt_count).sum();
             println!(
@@ -1177,8 +1177,9 @@ fn cmd_serve(o: &Opts) {
 /// foreground mode). Runs in the foreground until a `Shutdown` frame or
 /// SIGINT/SIGTERM; shard daemons are never stopped by the front.
 fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
+    use hawkeye_client::RetryConfig;
     use hawkeye_cluster::{spawn_front, FrontConfig, ShardMap};
-    use hawkeye_serve::{Endpoint, RetryConfig};
+    use hawkeye_serve::Endpoint;
 
     let Some(map_path) = &o.map else {
         eprintln!("hawkeye: front requires --map FILE");
@@ -1231,7 +1232,7 @@ fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
 /// tail and the latest verdict's audit record, over the `Metrics` and
 /// `Explain` wire ops. Point it at the daemon's `--socket`/`--tcp`.
 fn cmd_serve_stats(o: &Opts) {
-    use hawkeye_serve::ServeClient;
+    use hawkeye_client::ServeClient;
 
     let client = match (&o.socket, &o.tcp) {
         (Some(path), _) => ServeClient::connect_unix(std::path::Path::new(path)),

@@ -64,8 +64,9 @@
 //!   a shard-ownership violation (out-of-range switch id or a stale shard
 //!   map), which routing must treat differently from a transient fault.
 //!
-//! Frames above [`MAX_FRAME`] are rejected before allocation; a malformed
-//! frame poisons only its own connection, never the daemon.
+//! Frames above [`MAX_FRAME`] are rejected before allocation on read and
+//! refused before the first byte on write; a malformed frame poisons only
+//! its own connection, never the daemon.
 
 use crate::types::{ExplainRecord, Fidelity, FlowObservation};
 use hawkeye_core::DiagnosisReport;
@@ -295,10 +296,21 @@ const OP_BATCH_ACK: u8 = 136;
 const OP_FRAGMENTS_RESP: u8 = 137;
 const OP_ERROR: u8 = 255;
 
-/// Write one frame: length prefix, opcode, body.
+/// Write one frame: length prefix, opcode, body. A payload over
+/// [`MAX_FRAME`] — which every peer's [`read_frame`] would reject — is
+/// refused with `InvalidInput` before the first byte goes out, so the
+/// stream stays at a frame boundary.
 pub fn write_frame(w: &mut impl Write, opcode: u8, body: &[u8]) -> io::Result<()> {
+    if body.len() >= MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "outbound frame of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+                body.len() + 1
+            ),
+        ));
+    }
     let len = (body.len() + 1) as u32;
-    debug_assert!(len <= MAX_FRAME, "oversized outbound frame");
     w.write_all(&len.to_le_bytes())?;
     w.write_all(&[opcode])?;
     w.write_all(body)?;
@@ -948,6 +960,19 @@ mod tests {
             read_frame(&mut bytes.as_slice()),
             Err(ProtoError::BadFrame(_))
         ));
+    }
+
+    #[test]
+    fn oversized_outbound_frame_is_refused_unwritten() {
+        let body = vec![0u8; MAX_FRAME as usize];
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, OP_FRAGMENTS_RESP, &body).expect_err("over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(&MAX_FRAME.to_string()));
+        assert!(out.is_empty(), "a refused frame must not reach the stream");
+        // The largest legal payload (opcode + body == MAX_FRAME) goes out.
+        write_frame(&mut out, OP_FRAGMENTS_RESP, &body[1..]).expect("at the cap");
+        assert_eq!(out.len(), 4 + MAX_FRAME as usize);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Data rows that cross the wire as JSON: what a switch saw of a flow
 //! (`FlowHistory`) and why the daemon said what it said (`Explain`).
 //! These live in the client crate — not the daemon — because both ends of
-//! the protocol decode them; the daemon's store and audit trail re-export
-//! them.
+//! the protocol decode them; the daemon's store and audit trail fill them
+//! in.
 
 use hawkeye_sim::{Nanos, NodeId};
 use serde::{Deserialize, Serialize};

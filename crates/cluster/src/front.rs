@@ -27,12 +27,11 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hawkeye_client::proto::WRONG_SHARD_PREFIX;
 use hawkeye_client::{
-    decode_request, read_frame, write_response, AnyStream, DiagnoseParams, PeerInfo, ProtoError,
-    Request, Response, RetryConfig, ServeClient, PROTO_VERSION,
+    AnyStream, DiagnoseParams, ProtoError, Request, Response, RetryConfig, ServeClient,
 };
 use hawkeye_core::{analyze_victim_window, merge_fragment_sets, AnalyzerConfig, Window};
 use hawkeye_obs::flight as flight_kind;
@@ -42,6 +41,7 @@ use hawkeye_obs::names::{
     OP_INGEST_NS, OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot};
+use hawkeye_serve::listen::{serve_session, FLIGHT_CAPACITY};
 use hawkeye_serve::{stop_signalled, Endpoint};
 use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::TelemetrySnapshot;
@@ -57,12 +57,6 @@ pub struct FrontConfig {
     pub session_credits: u32,
     /// Reconnect schedule for the backend clients. `None` = one attempt.
     pub retry: Option<RetryConfig>,
-    /// Per-op latency histograms, flight ring, health gauges.
-    pub obs: bool,
-    /// Requests slower than this (wall ns) count as `slow_ops`.
-    pub slow_op_ns: u64,
-    /// Flight-recorder ring capacity (events).
-    pub flight_capacity: usize,
 }
 
 impl Default for FrontConfig {
@@ -71,9 +65,6 @@ impl Default for FrontConfig {
             analyzer: AnalyzerConfig::for_epoch_len(Nanos::from_micros(100)),
             session_credits: 64,
             retry: Some(RetryConfig::default()),
-            obs: true,
-            slow_op_ns: 10_000_000,
-            flight_capacity: 256,
         }
     }
 }
@@ -179,7 +170,7 @@ impl FrontShared {
         let down = slot.down;
         let range = slot.range;
         drop(slot);
-        if down && self.cfg.obs {
+        if down {
             if let Err(e) = &result {
                 self.flight.lock().expect("flight lock").note(
                     flight_kind::ERROR,
@@ -441,98 +432,40 @@ impl FrontShared {
     }
 }
 
-fn session(shared: Arc<FrontShared>, mut stream: AnyStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    shared.inc(SERVE_SESSIONS);
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return, // clean disconnect
-            Err(ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => {
-                let _ = write_response(&mut stream, &Response::Error(e.to_string()));
-                return;
-            }
-        };
-        let t0 = shared.cfg.obs.then(Instant::now);
-        let (op, resp) = match decode_request(frame.0, &frame.1) {
-            Ok(Request::IngestEpoch(snap)) => (Some(OP_INGEST_NS), shared.route_snapshot(snap)),
-            Ok(Request::IngestBatch(snaps)) => {
-                (Some(OP_INGEST_BATCH_NS), shared.route_batch(snaps))
-            }
-            Ok(Request::Hello { map_epoch, .. }) => {
-                // Same staleness rule as a daemon: refuse only when both
-                // sides announce an epoch and they differ.
-                let resp = match map_epoch {
-                    Some(theirs) if theirs != shared.map.epoch => Response::Error(format!(
-                        "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match this \
-                         front-end's epoch {}",
-                        shared.map.epoch
-                    )),
-                    _ => Response::Ack {
-                        accepted: true,
-                        granted: shared.cfg.session_credits,
-                        info: Some(PeerInfo {
-                            version: PROTO_VERSION,
-                            map_epoch: Some(shared.map.epoch),
-                        }),
-                    },
-                };
-                (None, resp)
-            }
-            Ok(Request::Diagnose(p)) => (Some(OP_DIAGNOSE_NS), shared.diagnose(&p)),
-            Ok(Request::Fragments) => (Some(OP_FRAGMENTS_NS), shared.fragments()),
-            Ok(Request::FlowHistory(key)) => (Some(OP_FLOW_HISTORY_NS), shared.flow_history(key)),
-            Ok(Request::Stats) => (Some(OP_STATS_NS), shared.stats()),
-            Ok(Request::Metrics) => (Some(OP_METRICS_NS), shared.metrics_response()),
+/// One client connection. `Shutdown` raises the *front's* stop flag only:
+/// the shard daemons are owned by whoever spawned them and keep serving.
+fn session(shared: Arc<FrontShared>, stream: AnyStream) {
+    serve_session(
+        stream,
+        &shared.stop,
+        &shared.metrics,
+        Some(&shared.flight),
+        shared.cfg.session_credits,
+        Some(shared.map.epoch),
+        |req, _body| match req {
+            Request::IngestEpoch(snap) => (Some(OP_INGEST_NS), shared.route_snapshot(snap)),
+            Request::IngestBatch(snaps) => (Some(OP_INGEST_BATCH_NS), shared.route_batch(snaps)),
+            Request::Diagnose(p) => (Some(OP_DIAGNOSE_NS), shared.diagnose(&p)),
+            Request::Fragments => (Some(OP_FRAGMENTS_NS), shared.fragments()),
+            Request::FlowHistory(key) => (Some(OP_FLOW_HISTORY_NS), shared.flow_history(key)),
+            Request::Stats => (Some(OP_STATS_NS), shared.stats()),
+            Request::Metrics => (Some(OP_METRICS_NS), shared.metrics_response()),
             // The audit trail lives where verdicts are journaled — on the
             // shard daemons. A front-end verdict is assembled from
             // fragments and journaled nowhere (the front is stateless),
             // so Explain is honestly a miss, not a proxy call: which
             // shard's trail would it even mean?
-            Ok(Request::Explain(_)) => (
+            Request::Explain(_) => (
                 None,
                 Response::Error(
                     "no verdicts journaled: the front-end is stateless; ask a shard daemon".into(),
                 ),
             ),
-            Ok(Request::Shutdown) => {
-                // Stops the *front only*: the shard daemons are owned by
-                // whoever spawned them and keep serving.
-                shared.stop.store(true, Ordering::SeqCst);
-                let _ = write_response(&mut stream, &Response::Bye);
-                return;
+            Request::Hello { .. } | Request::Shutdown => {
+                unreachable!("answered by serve_session")
             }
-            Err(e) => (None, Response::Error(e.to_string())),
-        };
-        if let (Some(t0), Some(op)) = (t0, op) {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let slow = ns >= shared.cfg.slow_op_ns;
-            let mut m = shared.metrics.lock().expect("metrics lock");
-            m.observe(MetricKey::global(op), ns);
-            if slow {
-                m.inc(MetricKey::global(SLOW_OPS));
-            }
-            drop(m);
-            if slow {
-                shared.flight.lock().expect("flight lock").note(
-                    flight_kind::SLOW,
-                    op,
-                    format!("{ns} ns"),
-                );
-            }
-        }
-        if write_response(&mut stream, &resp).is_err() {
-            return;
-        }
-    }
+        },
+    );
 }
 
 /// A running front-end; dropping the handle does NOT stop it — call
@@ -604,7 +537,7 @@ pub fn spawn_front(
         cfg,
         backends,
         metrics: Mutex::new(seeded_front_registry()),
-        flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
+        flight: Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)),
         stop: AtomicBool::new(false),
     });
     let accept_shared = Arc::clone(&shared);

@@ -5,13 +5,11 @@
 //! dies mid-replay, and a typed `wrong_shard` refusal when the front
 //! routes under a stale shard-map generation.
 
+use hawkeye_client::{EpochSink, ProtoError, ServeClient, ShardRange, VecSink};
 use hawkeye_cluster::{spawn_front, BackendEndpoint, FrontConfig, ShardEntry, ShardMap};
 use hawkeye_core::{analyze_victim_window, AnalyzerConfig};
 use hawkeye_eval::optimal_run_config;
-use hawkeye_serve::{
-    replay_streaming, spawn, DaemonHandle, Endpoint, EpochSink, ProtoError, ServeClient,
-    ServeConfig, ShardRange, VecSink,
-};
+use hawkeye_serve::{replay_streaming, spawn, DaemonHandle, Endpoint, ServeConfig};
 use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> Scenario {
@@ -147,6 +145,26 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
     assert_eq!(get("ingest_wrong_shard"), 0, "stats: {stats:?}");
     assert_eq!(get("front_shed_down"), 0, "stats: {stats:?}");
     assert_eq!(get("front_shards"), 3, "stats: {stats:?}");
+
+    // A malformed request is answered with an error and lands in the
+    // front's flight ring, the same as on a daemon.
+    let mut raw = std::net::TcpStream::connect(front.local_addr.expect("addr")).expect("connect");
+    hawkeye_client::proto::write_frame(&mut raw, 2, b"not a diagnose body").expect("write");
+    let (op, body) = hawkeye_client::proto::read_frame(&mut raw)
+        .expect("front answers")
+        .expect("frame");
+    assert!(matches!(
+        hawkeye_client::proto::decode_response(op, &body),
+        Ok(hawkeye_client::Response::Error(_))
+    ));
+    let (_, flight) = front_client.metrics().expect("front metrics");
+    let events = flight.as_array().expect("flight dump is an array");
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("what").and_then(|w| w.as_str()) == Some("request_error")),
+        "malformed request missing from the front's flight ring: {events:?}"
+    );
 
     front_client.shutdown().expect("front shutdown");
     front.wait();

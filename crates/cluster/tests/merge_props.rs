@@ -11,11 +11,12 @@
 
 use std::sync::OnceLock;
 
+use hawkeye_client::VecSink;
 use hawkeye_core::{
     assemble_from_fragments, build_graph, AggTelemetry, ProvenanceGraph, ReplayConfig, Window,
 };
 use hawkeye_eval::optimal_run_config;
-use hawkeye_serve::{replay_streaming, StoreConfig, TelemetryStore, VecSink};
+use hawkeye_serve::{replay_streaming, StoreConfig, TelemetryStore};
 use hawkeye_telemetry::TelemetrySnapshot;
 use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 use proptest::prelude::*;

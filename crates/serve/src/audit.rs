@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 // The record itself crosses the wire (`OP_EXPLAIN`), so it lives with the
 // protocol in the client crate; the trail that rings it is daemon-side.
-pub use hawkeye_client::ExplainRecord;
+use hawkeye_client::ExplainRecord;
 
 /// Bounded ring of [`ExplainRecord`]s, newest last. Lookup is by `seq`.
 #[derive(Debug, Default)]

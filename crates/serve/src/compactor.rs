@@ -1,9 +1,9 @@
 //! The folded tier's owner: bucket management for ring-evicted epochs.
 //!
-//! PR 6's stage timing showed the inline eviction/fold loop eating ~46% of
-//! the store+engine ingest wall (`stage_fold_ns` in BENCH_6.json), so the
-//! fold work is factored out of [`TelemetryStore::append`] into this type,
-//! which can run in either of two places:
+//! The eviction/fold loop is the largest stage of the store+engine ingest
+//! wall (`stage_fold_ns`), so the fold work is factored out of
+//! [`TelemetryStore::append`] into this type, which can run in either of
+//! two places:
 //!
 //! - **Inline** (`StoreConfig::deferred_fold = false`, the standalone
 //!   default): the store embeds a `Compactor` and folds synchronously
@@ -22,7 +22,8 @@
 //! per-switch arrival order is preserved (one channel, FIFO), so bucket
 //! boundaries match the inline path's too.
 
-use crate::store::{Fidelity, FlowObservation, StoreConfig};
+use crate::store::StoreConfig;
+use hawkeye_client::{Fidelity, FlowObservation};
 use hawkeye_sim::{FlowKey, NodeId};
 use hawkeye_telemetry::{CompactedEpoch, EpochSnapshot};
 use std::collections::{BTreeMap, VecDeque};
@@ -163,15 +164,6 @@ impl Compactor {
         } else {
             self.switches.insert(sw, buckets.into());
         }
-    }
-
-    /// Approximate resident bytes of the compacted tier.
-    pub fn approx_bytes(&self) -> usize {
-        self.switches
-            .values()
-            .flat_map(|b| b.iter())
-            .map(|b| b.approx_bytes())
-            .sum()
     }
 
     pub fn stats(&self) -> &CompactorStats {

@@ -26,11 +26,8 @@
 //!
 //! The frame protocol and its synchronous client live in the standalone
 //! [`hawkeye_client`] crate (every frame speaker — CLI, daemon, cluster
-//! front-end, external collectors — shares that one implementation); this
-//! crate re-exports the protocol surface under its historical paths
-//! ([`proto`], [`client`], plus `Fidelity`/`FlowObservation`/
-//! `ExplainRecord`/the sink traits) so daemon-side code keeps importing
-//! from `hawkeye_serve`.
+//! front-end, external collectors — shares that one implementation) and
+//! are imported from there, not from this crate.
 
 pub mod audit;
 pub mod compactor;
@@ -42,18 +39,10 @@ pub mod store;
 pub mod stream;
 pub mod wal;
 
-/// The synchronous protocol client (re-export of [`hawkeye_client::client`]).
-pub use hawkeye_client::client;
-/// The wire protocol (re-export of [`hawkeye_client::proto`]).
-pub use hawkeye_client::proto;
-
 pub use audit::AuditTrail;
 pub use compactor::{Compactor, CompactorStats, PendingFold};
-pub use hawkeye_client::{
-    observation_to_value, DiagnoseParams, EpochSink, ExplainRecord, Fidelity, FlowObservation,
-    PeerInfo, ProtoError, Request, Response, RetryConfig, ServeClient, ShardRange, SinkAck,
-    VecSink, MAX_FRAME, PROTO_VERSION,
-};
+// The one `hawkeye_client` name exported here: `benchmark/src/tracegen.rs` imports it.
+pub use hawkeye_client::VecSink;
 pub use listen::{install_signal_handlers, stop_signalled, Endpoint, Listener};
 pub use recovery::{recover_and_open, scan, RecoveryReport, Scan, ScannedRecord, WalEntry};
 pub use replay::{replay_streaming, replay_streaming_batched, ReplayOutcome};

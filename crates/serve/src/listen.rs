@@ -1,12 +1,29 @@
-//! The listening socket and the process stop signal — shared by every
-//! accept loop in the workspace (the daemon here, the cluster front-end).
+//! The listening socket, the process stop signal and the frame-serving
+//! session loop — shared by every frame speaker's accept side in the
+//! workspace (the daemon here, the cluster front-end).
 
+use hawkeye_client::proto::{
+    decode_request, read_frame, write_response, PeerInfo, ProtoError, Request, Response,
+    PROTO_VERSION, WRONG_SHARD_PREFIX,
+};
 use hawkeye_client::AnyStream;
+use hawkeye_obs::flight as flight_kind;
+use hawkeye_obs::names::{SERVE_SESSIONS, SLOW_OPS};
+use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+/// Requests slower than this (wall-clock ns) count as `slow_ops` and land
+/// in the flight ring.
+pub const SLOW_OP_NS: u64 = 10_000_000;
+
+/// Flight-recorder ring capacity (events).
+pub const FLIGHT_CAPACITY: usize = 256;
 
 /// Where a daemon listens.
 #[derive(Debug, Clone)]
@@ -76,6 +93,125 @@ impl Drop for Listener {
     }
 }
 
+/// Serve one connection: read request frames until the peer hangs up,
+/// `stop` is raised (polled every 100 ms while idle) or a `Shutdown`
+/// request raises it. `Hello` is answered here — a peer announcing a
+/// shard-map epoch other than `map_epoch` is refused with the typed
+/// `wrong_shard:` error, any other gets `session_credits` — and every
+/// other request goes to `handle` with the frame body it was decoded from
+/// (which a journaling handler may take), returning the latency histogram
+/// to time it under (if any) and the response.
+///
+/// `flight` is the observability gate: with `Some`, ops are timed into
+/// `metrics`, slow ones and request errors land in the ring; with `None`
+/// only the session counter is kept.
+pub fn serve_session(
+    mut stream: AnyStream,
+    stop: &AtomicBool,
+    metrics: &Mutex<MetricsRegistry>,
+    flight: Option<&Mutex<FlightRecorder>>,
+    session_credits: u32,
+    map_epoch: Option<u64>,
+    mut handle: impl FnMut(Request, &mut Vec<u8>) -> (Option<&'static str>, Response),
+) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    metrics
+        .lock()
+        .expect("metrics lock")
+        .inc(MetricKey::global(SERVE_SESSIONS));
+    let note = |kind: &'static str, what: &'static str, detail: String| {
+        if let Some(f) = flight {
+            f.lock().expect("flight lock").note(kind, what, detail);
+        }
+    };
+    loop {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let (opcode, mut body) = match read_frame(&mut stream) {
+            Ok(Some(f)) => f,
+            Ok(None) => return, // clean disconnect
+            Err(ProtoError::Io(e))
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                continue; // idle poll; re-check the stop flag
+            }
+            Err(e) => {
+                let _ = write_response(&mut stream, &Response::Error(e.to_string()));
+                return;
+            }
+        };
+        let t0 = flight.map(|_| Instant::now());
+        // An Explain miss is an expected query outcome (clients poll for
+        // the latest verdict opportunistically); logging it would bury
+        // real errors in the ring.
+        let mut log_error = true;
+        let (op, resp) = match decode_request(opcode, &body) {
+            Ok(Request::Hello {
+                map_epoch: theirs, ..
+            }) => {
+                // A peer routing under a different shard-map generation is
+                // refused up front: accepting its session would mean every
+                // ingest it routes is suspect. Refused only when both sides
+                // announce an epoch and they differ.
+                let resp = match (theirs, map_epoch) {
+                    (Some(theirs), Some(ours)) if theirs != ours => Response::Error(format!(
+                        "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match \
+                         this endpoint's epoch {ours}"
+                    )),
+                    _ => Response::Ack {
+                        accepted: true,
+                        granted: session_credits,
+                        info: Some(PeerInfo {
+                            version: PROTO_VERSION,
+                            map_epoch,
+                        }),
+                    },
+                };
+                (None, resp)
+            }
+            Ok(Request::Shutdown) => {
+                stop.store(true, Ordering::SeqCst);
+                let _ = write_response(&mut stream, &Response::Bye);
+                return;
+            }
+            Ok(req) => {
+                log_error = !matches!(req, Request::Explain(_));
+                handle(req, &mut body)
+            }
+            Err(e) => (None, Response::Error(e.to_string())),
+        };
+        if let (Some(t0), Some(op)) = (t0, op) {
+            let ns = t0.elapsed().as_nanos() as u64;
+            let slow = ns >= SLOW_OP_NS;
+            let mut m = metrics.lock().expect("metrics lock");
+            m.observe(MetricKey::global(op), ns);
+            if slow {
+                m.inc(MetricKey::global(SLOW_OPS));
+            }
+            drop(m);
+            if slow {
+                note(flight_kind::SLOW, op, format!("{ns} ns"));
+            }
+        }
+        if let (true, Response::Error(msg)) = (log_error, &resp) {
+            note(flight_kind::ERROR, "request_error", msg.clone());
+        }
+        let mut sent = write_response(&mut stream, &resp);
+        if let Err(e) = &sent {
+            // Refused before a byte went out, so the stream is still at a
+            // frame boundary: say why instead of hanging up.
+            if e.kind() == io::ErrorKind::InvalidInput {
+                note(flight_kind::ERROR, "request_error", e.to_string());
+                sent = write_response(&mut stream, &Response::Error(e.to_string()));
+            }
+        }
+        if sent.is_err() {
+            return;
+        }
+    }
+}
+
 /// Set by the process signal handler, polled by every accept loop.
 static SIG_STOP: AtomicBool = AtomicBool::new(false);
 
@@ -109,4 +245,57 @@ pub fn install_signal_handlers() {
 /// True once SIGINT/SIGTERM arrived (after [`install_signal_handlers`]).
 pub fn stop_signalled() -> bool {
     SIG_STOP.load(Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hawkeye_client::proto::{decode_response, write_request, MAX_FRAME};
+    use std::os::unix::net::UnixStream;
+
+    /// A response too large to frame is answered with an error naming the
+    /// cap, and the session stays usable — never a half-written frame.
+    #[test]
+    fn oversized_response_is_an_error_not_a_hangup() {
+        let (mut peer, ours) = UnixStream::pair().expect("socket pair");
+        let stop = AtomicBool::new(false);
+        let metrics = Mutex::new(MetricsRegistry::default());
+        let flight = Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                serve_session(
+                    AnyStream::Unix(ours),
+                    &stop,
+                    &metrics,
+                    Some(&flight),
+                    1,
+                    None,
+                    |req, _| match req {
+                        Request::Stats => {
+                            let huge = "x".repeat(MAX_FRAME as usize);
+                            (None, Response::Stats(serde::Value::Str(huge)))
+                        }
+                        _ => (None, Response::Stats(serde::Value::Null)),
+                    },
+                )
+            });
+            let mut ask = |req| {
+                write_request(&mut peer, &req).expect("write");
+                let (op, body) = read_frame(&mut peer).expect("read").expect("frame");
+                decode_response(op, &body).expect("decode")
+            };
+            let Response::Error(msg) = ask(Request::Stats) else {
+                panic!("oversized response must come back as an error");
+            };
+            assert!(msg.contains(&MAX_FRAME.to_string()), "cap not named: {msg}");
+            assert_eq!(ask(Request::Metrics), Response::Stats(serde::Value::Null));
+            assert_eq!(ask(Request::Shutdown), Response::Bye);
+        });
+        assert!(stop.load(Ordering::SeqCst));
+        assert_eq!(
+            flight.lock().unwrap().len(),
+            1,
+            "the refusal reaches the ring"
+        );
+    }
 }

@@ -29,7 +29,7 @@
 //! The daemon runs this *before* binding its listener, then resumes the
 //! WAL ([`Wal::resume`]) so new appends continue the seq chain.
 
-use crate::audit::{AuditTrail, ExplainRecord};
+use crate::audit::AuditTrail;
 use crate::compactor::Compactor;
 use crate::store::TelemetryStore;
 use crate::wal::{
@@ -38,6 +38,7 @@ use crate::wal::{
     REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH, REC_HEADER_LEN, REC_SNAPSHOT,
     REC_VERDICT, SEG_HEADER_LEN, SEG_MAGIC,
 };
+use hawkeye_client::ExplainRecord;
 use hawkeye_telemetry::{decode_batch, decode_snapshot, TelemetrySnapshot};
 use std::io;
 use std::path::{Path, PathBuf};

@@ -11,7 +11,8 @@
 //! reconstructs the exact canonical telemetry the batch aggregator
 //! derives from the raw snapshot slice.
 
-use crate::stream::{EpochSink, StreamStats, StreamingHook};
+use crate::stream::{StreamStats, StreamingHook};
+use hawkeye_client::EpochSink;
 use hawkeye_core::{
     analyze_victim_window, AnalyzerConfig, DiagnosisReport, HawkeyeConfig, HawkeyeHook, Window,
 };

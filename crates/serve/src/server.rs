@@ -53,21 +53,20 @@
 //! ring ride the `Metrics` request, and every `Diagnose` journals an
 //! [`ExplainRecord`] queryable over `Explain`. All of it is gated on
 //! [`ServeConfig::obs`] so the instrumented hot path stays within a few
-//! percent of the bare one (see `benches/serve_obs.rs`).
+//! percent of the bare one (`tests/obs_e2e.rs` pins off == byte-identical).
 
-use crate::audit::{AuditTrail, ExplainRecord};
+use crate::audit::AuditTrail;
 use crate::compactor::{Compactor, PendingFold};
-use crate::listen::{stop_signalled, Endpoint};
-use crate::proto::{decode_request, read_frame, write_response, DiagnoseParams, Request, Response};
+use crate::listen::{serve_session, stop_signalled, Endpoint, FLIGHT_CAPACITY};
 use crate::recovery::{recover_and_open, RecoveryReport};
-use crate::store::{FlowObservation, StoreConfig, SwitchRestore, TelemetryStore};
+use crate::store::{StoreConfig, SwitchRestore, TelemetryStore};
 use crate::wal::{
     encode_audit_checkpoint, encode_switch_checkpoint, AuditCheckpoint, SwitchCheckpoint, Wal,
     WalConfig, WalStats, REC_BATCH, REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH,
     REC_SNAPSHOT, REC_VERDICT,
 };
-use hawkeye_client::proto::WRONG_SHARD_PREFIX;
-use hawkeye_client::{AnyStream, PeerInfo, ShardRange, PROTO_VERSION};
+use hawkeye_client::proto::{DiagnoseParams, Request, Response, WRONG_SHARD_PREFIX};
+use hawkeye_client::{AnyStream, ExplainRecord, FlowObservation, ShardRange};
 use hawkeye_core::{
     analyze_victim_window_obs, AnalyzerConfig, AnomalyType, Confidence, DiagnosisReport,
     IncrementalProvenance, ReplayConfig, RootCause, Window,
@@ -107,25 +106,14 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Master switch for serve-plane observability: per-op latency
     /// histograms, stage timings, health gauges, the flight ring and the
-    /// verdict audit trail. Off = the bare hot path (benchmark baseline).
+    /// verdict audit trail. Off = the bare hot path.
     pub obs: bool,
-    /// Requests slower than this (wall-clock ns) count as `slow_ops` and
-    /// land in the flight ring.
-    pub slow_op_ns: u64,
-    /// Flight-recorder ring capacity (events).
-    pub flight_capacity: usize,
-    /// Audit-trail ring capacity (explain records).
-    pub audit_capacity: usize,
-    /// A shard lagging more than this (sim-time ns) behind the fleet-max
-    /// watermark records a WARNING flight event. Generous by default so
-    /// fault-free replays stay warning-free.
-    pub lag_warn_ns: u64,
     /// Credit window granted per session on `Hello`: the maximum
     /// un-acknowledged snapshots a pipelining client may have in flight.
     pub session_credits: u32,
     /// Artificial per-snapshot delay (wall ns) in every shard worker — the
-    /// "deliberately slow shard" knob for backpressure tests and benches;
-    /// 0 in production.
+    /// "deliberately slow shard" knob for backpressure tests (and the CLI's
+    /// `--slow-shard-us`); 0 in production.
     pub ingest_delay_ns: u64,
     /// The contiguous switch-id range this daemon owns when it serves one
     /// shard of a fleet (`hawkeye serve --shard LO..HI`). Ingest for a
@@ -146,16 +134,20 @@ impl Default for ServeConfig {
             shards: 4,
             queue_depth: 256,
             obs: true,
-            slow_op_ns: 10_000_000,
-            flight_capacity: 256,
-            audit_capacity: 64,
-            lag_warn_ns: 1_000_000_000,
             session_credits: 64,
             ingest_delay_ns: 0,
             shard_range: None,
         }
     }
 }
+
+/// Audit-trail ring capacity (explain records).
+const AUDIT_CAPACITY: usize = 64;
+
+/// A shard lagging more than this (sim-time ns) behind the fleet-max
+/// watermark records a WARNING flight event. Generous, so fault-free
+/// replays stay warning-free.
+const LAG_WARN_NS: u64 = 1_000_000_000;
 
 /// An evidence-log record riding the ingest path: kind + canonical
 /// payload bytes (the received frame body — never a re-encode).
@@ -264,7 +256,7 @@ impl Plane {
             cfg,
             durable,
             metrics: Mutex::new(seeded_registry(durable)),
-            flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
+            flight: Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             stop: AtomicBool::new(false),
             ckpt_wanted: AtomicBool::new(false),
             queue_depths: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
@@ -473,7 +465,7 @@ impl Core {
         m.set(MetricKey::global(RETENTION_LAG_NS), retention as f64);
         m.set(MetricKey::global(COMPACTOR_QUEUE_DEPTH), queued as f64);
         add_wal_counters(&self.wal, &mut self.wal_published, &mut m);
-        let warn = lag >= self.plane.cfg.lag_warn_ns;
+        let warn = lag >= LAG_WARN_NS;
         if warn {
             m.inc(MetricKey::global(WATERMARK_LAG_WARNS));
         }
@@ -683,7 +675,7 @@ fn shard_worker(
             ShardMsg::Ingest(snap, journal) => {
                 if plane.cfg.ingest_delay_ns > 0 {
                     // The deliberately-slow-shard knob: backpressure tests
-                    // and the frames/sec bench throttle the consumer here.
+                    // throttle the consumer here.
                     thread::sleep(Duration::from_nanos(plane.cfg.ingest_delay_ns));
                 }
                 let queue_depth = plane.queue_depths[shard]
@@ -1056,128 +1048,51 @@ fn route_batch(
     }
 }
 
-fn session(plane: Arc<Plane>, routes: Routes, mut stream: AnyStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    plane
-        .metrics
-        .lock()
-        .expect("metrics lock")
-        .inc(MetricKey::global(SERVE_SESSIONS));
-    loop {
-        if plane.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return, // clean disconnect
-            Err(crate::proto::ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // idle poll; re-check the stop flag
-            }
-            Err(e) => {
-                let _ = write_response(&mut stream, &Response::Error(e.to_string()));
-                return;
-            }
-        };
-        let t0 = plane.cfg.obs.then(Instant::now);
-        let (op, resp) = match decode_request(frame.0, &frame.1) {
-            Ok(Request::IngestEpoch(snap)) => {
-                // A durable daemon journals the frame body verbatim; take
-                // it now that decoding is done with the borrow.
-                let wire = plane
-                    .durable
-                    .then(|| (REC_SNAPSHOT, std::mem::take(&mut frame.1)));
-                (
-                    Some(OP_INGEST_NS),
-                    Ok(route_ingest(&plane, &routes, snap, wire)),
-                )
-            }
-            Ok(Request::IngestBatch(snaps)) => {
-                let wire = plane.durable.then(|| std::mem::take(&mut frame.1));
-                (
-                    Some(OP_INGEST_BATCH_NS),
-                    Ok(route_batch(&plane, &routes, snaps, wire)),
-                )
-            }
-            Ok(Request::Hello { map_epoch, .. }) => {
-                // A peer routing under a different shard-map generation is
-                // refused up front: accepting its session would mean every
-                // ingest it routes is suspect. A hello that announces no
-                // epoch is never refused (nothing to be stale about).
-                let own_epoch = plane.cfg.shard_range.map(|r| r.epoch);
-                let resp = match (map_epoch, own_epoch) {
-                    (Some(theirs), Some(ours)) if theirs != ours => Response::Error(format!(
-                        "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match \
-                         this daemon's epoch {ours}"
-                    )),
-                    _ => Response::Ack {
-                        accepted: true,
-                        granted: plane.cfg.session_credits,
-                        info: Some(PeerInfo {
-                            version: PROTO_VERSION,
-                            map_epoch: own_epoch,
-                        }),
-                    },
-                };
-                (None, Ok(resp))
-            }
-            // The cross-shard gather primitive: the canonical per-switch
-            // snapshots — the same store state a local Diagnose would
-            // analyze — covering everything acknowledged before this.
-            Ok(Request::Fragments) => (
-                Some(OP_FRAGMENTS_NS),
-                routes.gather_snapshots().map(Response::Fragments),
-            ),
-            Ok(Request::Diagnose(p)) => (Some(OP_DIAGNOSE_NS), routes.diagnose(&plane, &p)),
-            Ok(Request::FlowHistory(key)) => (Some(OP_FLOW_HISTORY_NS), routes.flow_history(key)),
-            Ok(Request::Stats) => (Some(OP_STATS_NS), routes.stats(&plane)),
-            Ok(Request::Metrics) => (Some(OP_METRICS_NS), Ok(plane.metrics_response())),
-            Ok(Request::Explain(seq)) => (
-                Some(OP_EXPLAIN_NS),
-                routes.ask_core(|reply| CoreMsg::Explain(seq, reply)),
-            ),
-            Ok(Request::Shutdown) => {
-                plane.stop.store(true, Ordering::SeqCst);
-                let _ = write_response(&mut stream, &Response::Bye);
-                return;
-            }
-            Err(e) => (None, Ok(Response::Error(e.to_string()))),
-        };
-        let resp = resp.unwrap_or_else(Response::from);
-        if let (Some(t0), Some(op)) = (t0, op) {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let slow = ns >= plane.cfg.slow_op_ns;
-            let mut m = plane.metrics.lock().expect("metrics lock");
-            m.observe(MetricKey::global(op), ns);
-            if slow {
-                m.inc(MetricKey::global(SLOW_OPS));
-            }
-            drop(m);
-            if slow {
-                plane.flight.lock().expect("flight lock").note(
-                    flight_kind::SLOW,
-                    op,
-                    format!("{ns} ns"),
-                );
-            }
-        }
-        // An Explain miss is an expected query outcome (clients poll for
-        // the latest verdict opportunistically); logging it would bury
-        // real errors in the ring.
-        if plane.cfg.obs && op != Some(OP_EXPLAIN_NS) {
-            if let Response::Error(msg) = &resp {
-                plane.flight.lock().expect("flight lock").note(
-                    flight_kind::ERROR,
-                    "request_error",
-                    msg.clone(),
-                );
-            }
-        }
-        if write_response(&mut stream, &resp).is_err() {
-            return;
-        }
-    }
+fn session(plane: Arc<Plane>, routes: Routes, stream: AnyStream) {
+    serve_session(
+        stream,
+        &plane.stop,
+        &plane.metrics,
+        plane.cfg.obs.then_some(&plane.flight),
+        plane.cfg.session_credits,
+        plane.cfg.shard_range.map(|r| r.epoch),
+        |req, body| {
+            let (op, resp) = match req {
+                Request::IngestEpoch(snap) => {
+                    // A durable daemon journals the frame body verbatim;
+                    // decoding is done with it.
+                    let wire = plane.durable.then(|| (REC_SNAPSHOT, std::mem::take(body)));
+                    (OP_INGEST_NS, Ok(route_ingest(&plane, &routes, snap, wire)))
+                }
+                Request::IngestBatch(snaps) => {
+                    let wire = plane.durable.then(|| std::mem::take(body));
+                    (
+                        OP_INGEST_BATCH_NS,
+                        Ok(route_batch(&plane, &routes, snaps, wire)),
+                    )
+                }
+                // The cross-shard gather primitive: the canonical per-switch
+                // snapshots — the same store state a local Diagnose would
+                // analyze — covering everything acknowledged before this.
+                Request::Fragments => (
+                    OP_FRAGMENTS_NS,
+                    routes.gather_snapshots().map(Response::Fragments),
+                ),
+                Request::Diagnose(p) => (OP_DIAGNOSE_NS, routes.diagnose(&plane, &p)),
+                Request::FlowHistory(key) => (OP_FLOW_HISTORY_NS, routes.flow_history(key)),
+                Request::Stats => (OP_STATS_NS, routes.stats(&plane)),
+                Request::Metrics => (OP_METRICS_NS, Ok(plane.metrics_response())),
+                Request::Explain(seq) => (
+                    OP_EXPLAIN_NS,
+                    routes.ask_core(|reply| CoreMsg::Explain(seq, reply)),
+                ),
+                Request::Hello { .. } | Request::Shutdown => {
+                    unreachable!("answered by serve_session")
+                }
+            };
+            (Some(op), resp.unwrap_or_else(Response::from))
+        },
+    );
 }
 
 /// A running daemon; dropping the handle does NOT stop it — call
@@ -1246,7 +1161,7 @@ pub fn spawn_durable(
         .map(|_| TelemetryStore::new(cfg.store))
         .collect();
     let mut comp = Compactor::new(cfg.store);
-    let mut audit = AuditTrail::new(cfg.audit_capacity);
+    let mut audit = AuditTrail::new(AUDIT_CAPACITY);
     let (wal, recovery) = match &wal_cfg {
         Some(wcfg) => {
             let (wal, report) = recover_and_open(wcfg, &mut stores, &mut comp, &mut audit)?;
@@ -1393,7 +1308,7 @@ pub fn spawn_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ServeClient;
+    use hawkeye_client::ServeClient;
     use hawkeye_sim::{chain, EVAL_BANDWIDTH, EVAL_DELAY};
 
     /// A thread-less plane plus routes into hand-held receivers: what a
@@ -1563,7 +1478,7 @@ mod tests {
             engine: IncrementalProvenance::new(cfg.replay, 2 * cfg.store.epoch_budget),
             comp: Compactor::new(cfg.store),
             wal: None,
-            audit: AuditTrail::new(cfg.audit_capacity),
+            audit: AuditTrail::new(AUDIT_CAPACITY),
             horizons: vec![None],
             watermarks: vec![None],
             last_fleet: Nanos::ZERO,

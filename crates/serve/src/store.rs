@@ -104,7 +104,7 @@ pub struct StoreConfig {
     /// Record wall-clock time spent in [`TelemetryStore::append`], split
     /// into raw-ring admission ([`StoreStats::append_ns`]) vs the
     /// eviction/fold loop ([`StoreStats::fold_ns`]). Two `Instant` reads
-    /// per append; the observability bench gates the overhead.
+    /// per append.
     pub timed: bool,
     /// Stage ring-evicted epochs for an external [`Compactor`] instead of
     /// folding inline: `append` leaves them in a pending outbox
@@ -169,7 +169,7 @@ pub struct StoreStats {
 // The flow-history row and its fidelity tag cross the wire (`OP_HISTORY`
 // answers are built from them), so they live with the protocol in the
 // client crate; this store fills them in.
-pub use hawkeye_client::{Fidelity, FlowObservation};
+use hawkeye_client::{Fidelity, FlowObservation};
 
 /// Everything needed to rebuild one switch's ring state from a durable
 /// checkpoint: the canonical snapshot plus the per-epoch acceptance
@@ -525,17 +525,6 @@ impl TelemetryStore {
     /// One switch's compacted buckets, oldest first (inline mode).
     pub fn compacted_of(&self, sw: NodeId) -> Vec<&CompactedEpoch> {
         self.compactor.buckets_of(sw)
-    }
-
-    /// Approximate resident bytes of retained telemetry: raw epochs at
-    /// wire size plus compacted buckets at their entry-count estimate.
-    /// The retention bench's memory axis.
-    pub fn approx_retained_bytes(&self) -> usize {
-        self.switches
-            .values()
-            .map(|l| l.epochs.values().map(|(_, e)| e.wire_size()).sum::<usize>())
-            .sum::<usize>()
-            + self.compactor.approx_bytes()
     }
 
     /// One switch's full ring state for a durable checkpoint (see

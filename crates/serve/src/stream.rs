@@ -10,7 +10,7 @@
 //! simulation trajectory of the one-shot path, which is what makes
 //! served-vs-one-shot verdict parity a meaningful check.
 
-pub use hawkeye_client::{EpochSink, SinkAck, VecSink};
+use hawkeye_client::{EpochSink, SinkAck};
 use hawkeye_core::HawkeyeHook;
 use hawkeye_sim::{
     EnqueueRecord, Nanos, NodeId, PfcEvent, Probe, ProbeDecision, SwitchHook, SwitchView,

@@ -33,8 +33,8 @@
 //! serializes folds — the ingest hot path never touches the file. See
 //! [`crate::recovery`] for the read side.
 
-use crate::audit::ExplainRecord;
 use crate::store::SwitchRestore;
+use hawkeye_client::ExplainRecord;
 use hawkeye_sim::{Nanos, NodeId};
 use hawkeye_telemetry::{
     decode_compacted, decode_snapshot, encode_compacted, encode_snapshot, CompactedEpoch,

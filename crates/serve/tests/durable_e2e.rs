@@ -3,10 +3,11 @@
 //! with the same flow history, verdict and audit trail as before — and as
 //! a durability-off daemon fed the identical stream.
 
+use hawkeye_client::{FlowObservation, ServeClient};
 use hawkeye_eval::{optimal_run_config, Verdict};
 use hawkeye_serve::{
-    replay_streaming, spawn, spawn_durable, DaemonHandle, Endpoint, FlowObservation, FsyncPolicy,
-    ReplayOutcome, ServeClient, ServeConfig, StoreConfig, WalConfig,
+    replay_streaming, spawn, spawn_durable, DaemonHandle, Endpoint, FsyncPolicy, ReplayOutcome,
+    ServeConfig, StoreConfig, WalConfig,
 };
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 use std::path::{Path, PathBuf};

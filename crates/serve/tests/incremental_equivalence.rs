@@ -7,11 +7,12 @@
 //! identical — node for node, edge for edge — to a from-scratch
 //! `AggTelemetry::build` + `build_graph` over the same snapshot prefix.
 
+use hawkeye_client::VecSink;
 use hawkeye_core::{
     build_graph, AggTelemetry, IncrementalProvenance, ProvenanceGraph, ReplayConfig,
 };
 use hawkeye_eval::optimal_run_config;
-use hawkeye_serve::{replay_streaming, VecSink};
+use hawkeye_serve::replay_streaming;
 use hawkeye_telemetry::TelemetrySnapshot;
 use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 

@@ -19,9 +19,8 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use hawkeye_serve::{
-    spawn_durable, Endpoint, FsyncPolicy, ServeClient, ServeConfig, StoreConfig, WalConfig,
-};
+use hawkeye_client::ServeClient;
+use hawkeye_serve::{spawn_durable, Endpoint, FsyncPolicy, ServeConfig, StoreConfig, WalConfig};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};

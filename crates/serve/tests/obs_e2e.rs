@@ -4,9 +4,10 @@
 //! op round-trips the Diagnose verdict's audit record — the "explain the
 //! answer after the fact" acceptance path.
 
+use hawkeye_client::ServeClient;
 use hawkeye_eval::{optimal_run_config, Verdict};
 use hawkeye_obs::names;
-use hawkeye_serve::{spawn, Endpoint, ServeClient, ServeConfig};
+use hawkeye_serve::{spawn, Endpoint, ServeConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> hawkeye_workloads::Scenario {

@@ -9,10 +9,9 @@
 //! the ring budget through both paths and assert every retention counter
 //! stays bounded.
 
+use hawkeye_client::{Fidelity, ServeClient};
 use hawkeye_core::{IncrementalProvenance, ReplayConfig};
-use hawkeye_serve::{
-    spawn, Endpoint, Fidelity, ServeClient, ServeConfig, StoreConfig, TelemetryStore,
-};
+use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig, TelemetryStore};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};

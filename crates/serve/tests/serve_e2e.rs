@@ -3,8 +3,9 @@
 //! wire, with the served `Diagnose` verdict required to be identical —
 //! anomaly label, culprits, confidence — to the local one-shot reference.
 
+use hawkeye_client::{EpochSink, ServeClient, VecSink};
 use hawkeye_eval::{optimal_run_config, Verdict};
-use hawkeye_serve::{spawn, Endpoint, EpochSink, ServeClient, ServeConfig, StoreConfig};
+use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> hawkeye_workloads::Scenario {
@@ -86,7 +87,7 @@ fn unix_socket_session_roundtrip() {
 
     // Hand-feed a couple of snapshots through the sink interface.
     let cfg = optimal_run_config(2);
-    let (_, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, hawkeye_serve::VecSink::default());
+    let (_, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, VecSink::default());
     assert!(!sink.snaps.is_empty());
     for snap in sink.snaps.iter().take(4) {
         assert!(client.push(snap).expect("ingest"), "unexpected shed");
@@ -183,7 +184,7 @@ fn slow_consumer_backpressure_sheds_nothing() {
 fn stats_waits_for_every_acknowledged_snapshot() {
     let sc = incast();
     let cfg = optimal_run_config(2);
-    let (_, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, hawkeye_serve::VecSink::default());
+    let (_, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, VecSink::default());
     let snaps = &sink.snaps;
     assert!(snaps.len() >= 32, "stream too short to outrun the workers");
     let handle = spawn(

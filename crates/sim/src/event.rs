@@ -1,9 +1,8 @@
 //! Deterministic discrete-event queue.
 //!
 //! The queue is a **hierarchical timer wheel** (calendar queue) specialized
-//! for the simulator's timestamp distribution, replacing the original
-//! `BinaryHeap` (kept as [`HeapQueue`] for benchmarking and equivalence
-//! tests):
+//! for the simulator's timestamp distribution (a plain `BinaryHeap` queue
+//! is the ordering oracle in this module's tests):
 //!
 //! - **Near-future events** — serialization and propagation delays, pacing
 //!   gaps — land in fixed-width buckets of `2^BUCKET_SHIFT` ns. The wheel
@@ -516,66 +515,48 @@ impl EventQueue {
     }
 }
 
-/// The original `BinaryHeap`-backed queue, kept as the benchmark baseline
-/// and as an ordering oracle for equivalence tests: [`EventQueue`] must pop
-/// the exact same `(time, seq)` sequence.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    now: Nanos,
-    popped: u64,
-}
-
-impl HeapQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    pub fn processed(&self) -> u64 {
-        self.popped
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn schedule(&mut self, at: Nanos, kind: EventKind) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < {}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq, kind });
-    }
-
-    pub fn pop(&mut self) -> Option<(Nanos, EventKind)> {
-        let s = self.heap.pop()?;
-        self.now = s.at;
-        self.popped += 1;
-        Some((s.at, s.kind))
-    }
-
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|s| s.at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Ordering oracle: a plain `BinaryHeap` over the same `(time, seq)`
+    /// key. [`EventQueue`] must pop the exact same sequence.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Scheduled>,
+        seq: u64,
+        now: Nanos,
+        popped: u64,
+    }
+
+    impl HeapQueue {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn now(&self) -> Nanos {
+            self.now
+        }
+
+        fn processed(&self) -> u64 {
+            self.popped
+        }
+
+        fn schedule(&mut self, at: Nanos, kind: EventKind) {
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Scheduled { at, seq, kind });
+        }
+
+        fn pop(&mut self) -> Option<(Nanos, EventKind)> {
+            let s = self.heap.pop()?;
+            self.now = s.at;
+            self.popped += 1;
+            Some((s.at, s.kind))
+        }
+    }
 
     fn kick(n: u32) -> EventKind {
         EventKind::PortKick {

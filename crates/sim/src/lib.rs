@@ -41,7 +41,7 @@ pub mod time;
 pub mod topology;
 pub mod units;
 
-pub use event::{EventKind, EventQueue, HeapQueue, PacketRef};
+pub use event::{EventKind, EventQueue, PacketRef};
 pub use faults::{
     CpuPathFault, FaultInjector, FaultPlan, FaultRng, FaultStats, ProbeFate, STREAM_PROBE,
     STREAM_UPLOAD,

@@ -176,18 +176,6 @@ impl CompactedEpoch {
         }
         acc
     }
-
-    /// Approximate resident bytes of this bucket (entry-count arithmetic,
-    /// the same style as [`EpochSnapshot::wire_size`]) — the memory
-    /// accounting the retention bench reports.
-    pub fn approx_bytes(&self) -> usize {
-        // from + to + epochs header.
-        8 + 8
-            + 4
-            + self.flows.len() * (FlowKey::WIRE_SIZE + 1 + 8 + 8 + 8 + 4)
-            + self.ports.len() * (1 + 8 + 8 + 8)
-            + self.meter.len() * (1 + 1 + 8)
-    }
 }
 
 #[cfg(test)]
@@ -275,14 +263,5 @@ mod tests {
         c.fold(&epoch(1 << 20, &[(1, 20, 3)]));
         assert_eq!(c.flows.len(), 2, "keyed by (flow, out_port)");
         assert_eq!(c.flow_total(&key(1)).unwrap().pkt_count, 30);
-    }
-
-    #[test]
-    fn approx_bytes_scales_with_entries() {
-        let mut small = CompactedEpoch::default();
-        small.fold(&epoch(0, &[(1, 10, 0)]));
-        let mut large = small.clone();
-        large.fold(&epoch(1 << 20, &[(2, 1, 0), (3, 1, 0), (4, 1, 0)]));
-        assert!(large.approx_bytes() > small.approx_bytes());
     }
 }

@@ -57,6 +57,19 @@ impl std::error::Error for CodecError {}
 /// hostile frame, rejected before allocation.
 const MAX_COUNT: u32 = 1 << 20;
 
+/// Encoded bytes per element of each repeated section (for the nested
+/// ones — epochs, snapshot bodies — the fixed part, i.e. the least one
+/// element can occupy). [`Reader::section`] reserves from these.
+const FLOW_RECORD_LEN: usize = 4 + 4 + 8 + 1;
+const FLOW_LEN: usize = FlowKey::WIRE_SIZE + FLOW_RECORD_LEN;
+const PORT_LEN: usize = 1 + 4 + 4 + 8;
+const METER_LEN: usize = 1 + 1 + 8;
+const EVICTED_LEN: usize = FLOW_LEN + 1 + 4;
+const EPOCH_MIN_LEN: usize = 4 + 1 + 8 + 8 + 3 * 4;
+const SNAPSHOT_MIN_LEN: usize = 4 + 8 + 4 + 4 + 2 * 4;
+const COMPACTED_FLOW_LEN: usize = FlowKey::WIRE_SIZE + 1 + 8 + 8 + 8 + 4;
+const COMPACTED_PORT_LEN: usize = 1 + 8 + 8 + 8;
+
 struct Writer {
     buf: Vec<u8>,
 }
@@ -122,12 +135,27 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
-    fn count(&mut self, section: &'static str) -> Result<usize, CodecError> {
-        let n = self.u32()?;
-        if n > MAX_COUNT {
-            return Err(CodecError::Oversized { section, count: n });
+    /// One repeated section: a `u32` element count, then that many
+    /// elements. The Vec is reserved from the bytes remaining (each
+    /// element occupies at least `min_len` of them), not from the claimed
+    /// count, so a hostile count cannot force an allocation larger than
+    /// the frame that carries it before the truncation check trips.
+    fn section<T>(
+        &mut self,
+        section: &'static str,
+        min_len: usize,
+        mut element: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let count = self.u32()?;
+        if count > MAX_COUNT {
+            return Err(CodecError::Oversized { section, count });
         }
-        Ok(n as usize)
+        let n = count as usize;
+        let mut out = Vec::with_capacity(n.min((self.buf.len() - self.pos) / min_len));
+        for _ in 0..n {
+            out.push(element(self)?);
+        }
+        Ok(out)
     }
     fn flow_key(&mut self) -> Result<FlowKey, CodecError> {
         Ok(FlowKey {
@@ -225,60 +253,33 @@ fn read_snapshot_body(r: &mut Reader) -> Result<TelemetrySnapshot, CodecError> {
     let taken_at = Nanos(r.u64()?);
     let nports = r.u32()? as usize;
     let max_flows = r.u32()? as usize;
-    let nepochs = r.count("epochs")?;
-    let mut epochs = Vec::with_capacity(nepochs);
-    for _ in 0..nepochs {
-        let slot = r.u32()? as usize;
-        let id = r.u8()?;
-        let start = Nanos(r.u64()?);
-        let len = Nanos(r.u64()?);
-        let nflows = r.count("flows")?;
-        let mut flows = Vec::with_capacity(nflows);
-        for _ in 0..nflows {
-            let k = r.flow_key()?;
-            let rec = r.flow_record()?;
-            flows.push((k, rec));
-        }
-        let nport = r.count("ports")?;
-        let mut ports = Vec::with_capacity(nport);
-        for _ in 0..nport {
-            let p = r.u8()?;
-            let rec = PortRecord {
-                pkt_count: r.u32()?,
-                paused_count: r.u32()?,
-                qdepth_sum: r.u64()?,
-            };
-            ports.push((p, rec));
-        }
-        let nmeter = r.count("meter")?;
-        let mut meter = Vec::with_capacity(nmeter);
-        for _ in 0..nmeter {
-            meter.push((r.u8()?, r.u8()?, r.u64()?));
-        }
-        epochs.push(EpochSnapshot {
-            slot,
-            id,
-            start,
-            len,
-            flows,
-            ports,
-            meter,
-        });
-    }
-    let nev = r.count("evicted")?;
-    let mut evicted = Vec::with_capacity(nev);
-    for _ in 0..nev {
-        let key = r.flow_key()?;
-        let record = r.flow_record()?;
-        let epoch_id = r.u8()?;
-        let slot = r.u32()? as usize;
-        evicted.push(EvictedFlow {
-            key,
-            record,
-            epoch_id,
-            slot,
-        });
-    }
+    let epochs = r.section("epochs", EPOCH_MIN_LEN, |r| {
+        Ok(EpochSnapshot {
+            slot: r.u32()? as usize,
+            id: r.u8()?,
+            start: Nanos(r.u64()?),
+            len: Nanos(r.u64()?),
+            flows: r.section("flows", FLOW_LEN, |r| Ok((r.flow_key()?, r.flow_record()?)))?,
+            ports: r.section("ports", PORT_LEN, |r| {
+                let p = r.u8()?;
+                let rec = PortRecord {
+                    pkt_count: r.u32()?,
+                    paused_count: r.u32()?,
+                    qdepth_sum: r.u64()?,
+                };
+                Ok((p, rec))
+            })?,
+            meter: r.section("meter", METER_LEN, |r| Ok((r.u8()?, r.u8()?, r.u64()?)))?,
+        })
+    })?;
+    let evicted = r.section("evicted", EVICTED_LEN, |r| {
+        Ok(EvictedFlow {
+            key: r.flow_key()?,
+            record: r.flow_record()?,
+            epoch_id: r.u8()?,
+            slot: r.u32()? as usize,
+        })
+    })?;
     Ok(TelemetrySnapshot {
         switch,
         taken_at,
@@ -325,14 +326,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<TelemetrySnapshot>, CodecError> 
     if kind != KIND_BATCH {
         return Err(CodecError::Version(kind));
     }
-    let n = r.count("batch")?;
-    // Every snapshot body is at least its fixed header; size the Vec from
-    // the buffer, not the claimed count, so a hostile count cannot force
-    // a huge allocation before the truncation check trips.
-    let mut out = Vec::with_capacity(n.min(bytes.len() / 8 + 1));
-    for _ in 0..n {
-        out.push(read_snapshot_body(&mut r)?);
-    }
+    let out = r.section("batch", SNAPSHOT_MIN_LEN, read_snapshot_body)?;
     if r.pos != bytes.len() {
         return Err(CodecError::Truncated {
             need: r.pos,
@@ -401,40 +395,29 @@ pub fn decode_compacted(bytes: &[u8]) -> Result<CompactedEpoch, CodecError> {
     let from = Nanos(r.u64()?);
     let to = Nanos(r.u64()?);
     let epochs = r.u32()?;
-    let nflows = r.count("compacted flows")?;
-    let mut flows = Vec::with_capacity(nflows);
-    for _ in 0..nflows {
+    let flows = r.section("compacted flows", COMPACTED_FLOW_LEN, |r| {
         let key = r.flow_key()?;
         let out_port = r.u8()?;
-        flows.push((
-            key,
-            out_port,
-            FlowTotals {
-                pkt_count: r.u64()?,
-                paused_count: r.u64()?,
-                qdepth_sum: r.u64()?,
-                epochs_active: r.u32()?,
-            },
-        ));
-    }
-    let nports = r.count("compacted ports")?;
-    let mut ports = Vec::with_capacity(nports);
-    for _ in 0..nports {
+        let totals = FlowTotals {
+            pkt_count: r.u64()?,
+            paused_count: r.u64()?,
+            qdepth_sum: r.u64()?,
+            epochs_active: r.u32()?,
+        };
+        Ok((key, out_port, totals))
+    })?;
+    let ports = r.section("compacted ports", COMPACTED_PORT_LEN, |r| {
         let p = r.u8()?;
-        ports.push((
-            p,
-            PortTotals {
-                pkt_count: r.u64()?,
-                paused_count: r.u64()?,
-                qdepth_sum: r.u64()?,
-            },
-        ));
-    }
-    let nmeter = r.count("compacted meter")?;
-    let mut meter = Vec::with_capacity(nmeter);
-    for _ in 0..nmeter {
-        meter.push((r.u8()?, r.u8()?, r.u64()?));
-    }
+        let totals = PortTotals {
+            pkt_count: r.u64()?,
+            paused_count: r.u64()?,
+            qdepth_sum: r.u64()?,
+        };
+        Ok((p, totals))
+    })?;
+    let meter = r.section("compacted meter", METER_LEN, |r| {
+        Ok((r.u8()?, r.u8()?, r.u64()?))
+    })?;
     if r.pos != bytes.len() {
         return Err(CodecError::Truncated {
             need: r.pos,

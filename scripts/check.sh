@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 # open hangs any caller that waits for EOF).
 trap 'jobs -p | xargs -r kill -9 2>/dev/null || true' EXIT
 
+# The gate must leave the working tree exactly as it found it: compared
+# against this at the end.
+status_before=$(git status --porcelain)
+
 echo "==> cargo build --release --workspace"
 # --workspace matters: the root manifest is a package, so a bare build
 # would skip the hawkeye-cli binary every smoke below shells out to.
@@ -154,25 +158,6 @@ print("backpressure smoke ok:", doc["epochs_streamed"], "epochs,",
 EOF
 rm -f "$bp_out"
 
-echo "==> bench smoke (1 sample, tiny budget, jobs=2)"
-# Exercises the micro-bench harness end to end — queue speedup numbers,
-# overhead check, sweep wall-clock, BENCH_2.json write — at a budget small
-# enough for CI; the recorded numbers are meaningless at this budget, so
-# restore BENCH_2.json afterwards.
-HAWKEYE_BENCH_SAMPLES=1 HAWKEYE_BENCH_BUDGET_MS=5 HAWKEYE_TRIALS=1 \
-  HAWKEYE_LOAD=0.05 HAWKEYE_JOBS=2 \
-  cargo bench -p hawkeye-bench --bench micro
-git checkout -- BENCH_2.json 2>/dev/null || true
-
-echo "==> ingest bench smoke (1 sample, tiny budget)"
-# Exercises the ingest hot-path bench end to end — deferred-vs-inline
-# append, the deferred==inline fold equivalence check, the daemon batch
-# sweep, BENCH_7.json write — at a CI-sized budget; the recorded numbers
-# are meaningless at this budget, so restore BENCH_7.json afterwards.
-HAWKEYE_BENCH_SAMPLES=1 HAWKEYE_BENCH_BUDGET_MS=5 \
-  cargo bench -p hawkeye-bench --bench ingest
-git checkout -- BENCH_7.json 2>/dev/null || true
-
 echo "==> crash-recovery smoke (durable daemon survives kill -9)"
 # The durability pitch, end to end through the release CLI: stream a replay
 # into a foreground durable daemon, SIGKILL it mid-life, restart it on the
@@ -227,15 +212,6 @@ kill -TERM "$cr_pid"
 wait "$cr_pid" || { echo "recovered daemon exited nonzero on SIGTERM"; exit 1; }
 test ! -e "$cr_sock" || { echo "stale socket file left behind"; exit 1; }
 rm -rf "$wal_dir"; rm -f "$ref_out" "$s1_out" "$s2_out" "$d2_err"
-
-echo "==> wal bench smoke (1 sample, tiny budget)"
-# Exercises the durability bench end to end — paired daemon passes with and
-# without the evidence log, the recovery replay measurement, BENCH_8.json
-# write — at a CI-sized budget; the recorded numbers are meaningless at
-# this budget, so restore BENCH_8.json afterwards.
-HAWKEYE_BENCH_SAMPLES=1 HAWKEYE_BENCH_BUDGET_MS=5 \
-  cargo bench -p hawkeye-bench --bench wal
-git checkout -- BENCH_8.json 2>/dev/null || true
 
 echo "==> fleet smoke (3 sharded daemons behind a front-end, verdict parity)"
 # Multi-daemon serving through the release CLI: three `serve --shard`
@@ -296,15 +272,6 @@ for pid in "${fleet_pids[@]}"; do
 done
 rm -rf "$fleet_dir"; rm -f "$fleet_ref" "$fleet_out"
 
-echo "==> cluster bench smoke (1 sample, tiny budget)"
-# Exercises the fleet bench end to end — shard-count sweep {1,2,3} through
-# a live front-end, the cross-fleet verdict-parity check, BENCH_9.json
-# write — at a CI-sized budget; the recorded numbers are meaningless at
-# this budget, so restore BENCH_9.json afterwards.
-HAWKEYE_BENCH_SAMPLES=1 HAWKEYE_BENCH_BUDGET_MS=5 \
-  cargo bench -p hawkeye-bench --bench cluster
-git checkout -- BENCH_9.json 2>/dev/null || true
-
 echo "==> benchmark smoke (every workload at 2 s, one traced pass)"
 # benchmark/ is its own package building against this checkout's crates:
 # an API change that breaks the surface it uses must fail here, not in
@@ -355,5 +322,13 @@ print("fuzz smoke ok:", doc["runs"], "runs,", doc["rejected"], "rejected,",
 EOF
 rm -f "$fuzz_out" "$fuzz_bank"
 cargo test -q -p hawkeye-eval --release --test corpus_bank_reverify
+
+echo "==> working tree unchanged"
+status_after=$(git status --porcelain)
+if [ "$status_before" != "$status_after" ]; then
+  echo "the gate changed the working tree:"
+  diff <(echo "$status_before") <(echo "$status_after") || true
+  exit 1
+fi
 
 echo "==> all checks passed"
