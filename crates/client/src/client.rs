@@ -28,7 +28,7 @@ use crate::proto::{
 };
 use crate::sink::{EpochSink, SinkAck};
 use crate::types::{ExplainRecord, FlowObservation};
-use hawkeye_core::DiagnosisReport;
+use hawkeye_core::{DiagnosisReport, Window};
 use hawkeye_obs::MetricsSnapshot;
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::TelemetrySnapshot;
@@ -473,8 +473,7 @@ impl ServeClient {
     ) -> Result<DiagnosisReport, ProtoError> {
         let req = Request::Diagnose(DiagnoseParams {
             victim,
-            from,
-            to,
+            window: Window { from, to },
             missing,
         });
         match self.call(&req)? {
@@ -485,17 +484,29 @@ impl ServeClient {
         }
     }
 
-    /// Fetch the daemon's per-switch evidence fragment set: the canonical
-    /// snapshot of every switch it owns, flushed and in switch-id order.
-    /// The cluster front-end merges these across shards and assembles the
-    /// fleet-wide provenance graph centrally.
-    pub fn fragments(&mut self) -> Result<Vec<TelemetrySnapshot>, ProtoError> {
-        match self.call(&Request::Fragments)? {
+    /// Fetch the daemon's per-switch evidence fragment set for `[from, to)`:
+    /// the canonical snapshot of every switch it owns, holding the epochs
+    /// that overlap the window, flushed and in switch-id order. The cluster
+    /// front-end merges these across shards and assembles the fleet-wide
+    /// provenance graph centrally.
+    pub fn fragments_in(
+        &mut self,
+        from: Nanos,
+        to: Nanos,
+    ) -> Result<Vec<TelemetrySnapshot>, ProtoError> {
+        match self.call(&Request::Fragments(Window { from, to }))? {
             Response::Fragments(snaps) => Ok(snaps),
             other => Err(ProtoError::BadBody(format!(
                 "unexpected response {other:?}"
             ))),
         }
+    }
+
+    /// [`ServeClient::fragments_in`] over the all-covering window: every
+    /// epoch still in the daemon's raw rings.
+    pub fn fragments(&mut self) -> Result<Vec<TelemetrySnapshot>, ProtoError> {
+        let all = Window::default();
+        self.fragments_in(all.from, all.to)
     }
 
     /// Where has this flow been seen — one row per raw epoch still in the

@@ -34,31 +34,35 @@
 //!   (RDMA-style credit flow control). A sharded daemon whose shard-map
 //!   epoch differs from an announced one refuses the session with a typed
 //!   `wrong_shard:` error instead of mis-routing accepts.
-//! - `10` Fragments — empty body; a cross-shard gather primitive. The
-//!   daemon flushes its ingest queues and returns its per-switch evidence
-//!   fragment set (the canonical snapshots of every switch it owns) so a
-//!   front-end can merge fleet-wide provenance through the same
-//!   `assemble_graph` path the monolithic daemon uses.
+//! - `10` Fragments — body is exactly 16 bytes, the window `from: u64`,
+//!   `to: u64`; a cross-shard gather primitive. The daemon flushes its
+//!   ingest queues and returns its per-switch evidence fragment set (the
+//!   canonical snapshot of every switch it owns, holding the epochs that
+//!   overlap `[from, to)`) so a front-end can merge fleet-wide provenance
+//!   through the same `assemble_graph` path the monolithic daemon uses.
+//!
+//! A body documented as empty must be empty, and a fixed-length body must
+//! have exactly that length; anything else is [`ProtoError::BadBody`].
 //!
 //! Response opcodes (daemon → client):
 //! - `129` Ack — body is exactly 5 or 17 bytes: `accepted: u8` (`1`
 //!   accepted, `0` not taken — a front-end answers so for a switch whose
-//!   backend is down) followed by `granted: u32`, the credits this
+//!   backend is down; any other value is malformed) followed by
+//!   `granted: u32`, the credits this
 //!   response returns to the client's window; a Hello ack appends the
 //!   daemon's protocol version (`u32`) and shard-map epoch (`u64`,
 //!   `u64::MAX` = none). Any other length is a malformed body.
 //! - `130` Diagnosis — body is a JSON [`DiagnosisReport`].
 //! - `131` Stats — body is a JSON counter object.
-//! - `132` Bye — shutdown acknowledged.
-//! - `133` History — body is a JSON array of
-//!   [`FlowObservation`](crate::types::FlowObservation) rows.
+//! - `132` Bye — empty body; shutdown acknowledged.
+//! - `133` History — body is a JSON array of [`FlowObservation`] rows.
 //! - `134` Metrics — body is JSON `{metrics, flight}`.
 //! - `135` Explain — body is a JSON [`ExplainRecord`].
 //! - `136` BatchAck — body is `accepted: u32, shed: u32, granted: u32`:
 //!   per-batch delivery outcome plus the returned credits.
 //! - `137` Fragments — body is a multi-epoch batch frame
 //!   ([`hawkeye_telemetry::wire::encode_batch`]) holding the shard's
-//!   per-switch canonical snapshots.
+//!   per-switch canonical snapshots of the requested window.
 //! - `255` Error — body is a UTF-8 message. Messages starting with
 //!   `wrong_shard:` decode to the typed [`ProtoError::WrongShard`]:
 //!   a shard-ownership violation (out-of-range switch id or a stale shard
@@ -69,7 +73,7 @@
 //! its own connection, never the daemon.
 
 use crate::types::{ExplainRecord, Fidelity, FlowObservation};
-use hawkeye_core::DiagnosisReport;
+use hawkeye_core::{DiagnosisReport, Window};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{
     decode_batch, decode_snapshot, encode_batch, encode_snapshot, TelemetrySnapshot,
@@ -84,8 +88,8 @@ pub const MAX_FRAME: u32 = 16 << 20;
 
 /// The protocol revision this implementation speaks, announced in `Hello`.
 /// Version 1 predates shard maps and the `Fragments` op; version 2 adds
-/// both.
-pub const PROTO_VERSION: u32 = 2;
+/// both; version 3 puts the window in the `Fragments` request.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Message prefix that marks an opcode-255 error as a typed shard-
 /// ownership violation (see [`ProtoError::WrongShard`]).
@@ -223,10 +227,10 @@ pub enum Request {
         version: u32,
         map_epoch: Option<u64>,
     },
-    /// Return this shard's per-switch evidence fragment set (canonical
-    /// snapshots of every owned switch). Answered with
-    /// [`Response::Fragments`].
-    Fragments,
+    /// Return this shard's per-switch evidence fragment set: the canonical
+    /// snapshot of every owned switch, holding the epochs that overlap the
+    /// window. Answered with [`Response::Fragments`].
+    Fragments(Window),
 }
 
 /// Parameters of a `Diagnose` request: the victim flow, the window, and
@@ -235,8 +239,7 @@ pub enum Request {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiagnoseParams {
     pub victim: FlowKey,
-    pub from: Nanos,
-    pub to: Nanos,
+    pub window: Window,
     pub missing: Vec<NodeId>,
 }
 
@@ -269,8 +272,8 @@ pub enum Response {
         shed: u32,
         granted: u32,
     },
-    /// The shard's per-switch canonical snapshots, one per owned switch
-    /// that has evidence, in switch-id order.
+    /// The shard's per-switch canonical snapshots of the requested window,
+    /// one per owned switch that has reported, in switch-id order.
     Fragments(Vec<TelemetrySnapshot>),
     Error(String),
 }
@@ -342,8 +345,8 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
         Request::Diagnose(p) => {
             let body = serde_json::to_string(&serde::Value::Object(vec![
                 ("victim".into(), p.victim.to_value()),
-                ("from".into(), serde::Value::UInt(p.from.0)),
-                ("to".into(), serde::Value::UInt(p.to.0)),
+                ("from".into(), serde::Value::UInt(p.window.from.0)),
+                ("to".into(), serde::Value::UInt(p.window.to.0)),
                 (
                     "missing".into(),
                     serde::Value::Array(
@@ -375,7 +378,12 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
             body[4..12].copy_from_slice(&map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
             write_frame(w, OP_HELLO, &body)
         }
-        Request::Fragments => write_frame(w, OP_FRAGMENTS, &[]),
+        Request::Fragments(window) => {
+            let mut body = [0u8; 16];
+            body[0..8].copy_from_slice(&window.from.0.to_le_bytes());
+            body[8..16].copy_from_slice(&window.to.0.to_le_bytes());
+            write_frame(w, OP_FRAGMENTS, &body)
+        }
         Request::Explain(seq) => {
             let fields = match seq {
                 Some(n) => vec![("seq".to_string(), serde::Value::UInt(*n))],
@@ -470,25 +478,36 @@ fn parse_diagnose(body: &[u8]) -> Result<DiagnoseParams, ProtoError> {
         .iter()
         .map(|n| {
             n.as_u64()
-                .map(|id| NodeId(id as u32))
-                .ok_or_else(|| ProtoError::BadBody("missing entry not u64".into()))
+                .and_then(|id| u32::try_from(id).ok())
+                .map(NodeId)
+                .ok_or_else(|| ProtoError::BadBody("missing entry not a u32 switch id".into()))
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(DiagnoseParams {
         victim,
-        from: Nanos(from),
-        to: Nanos(to),
+        window: Window {
+            from: Nanos(from),
+            to: Nanos(to),
+        },
         missing,
     })
 }
 
-fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
-    if body.len() != 12 {
-        return Err(ProtoError::BadBody(format!(
-            "hello body {} bytes, want 12",
+/// The length rule for fixed-size bodies: exactly `want` bytes (0 for the
+/// ops documented as empty) or the frame is malformed.
+fn expect_len(what: &str, body: &[u8], want: usize) -> Result<(), ProtoError> {
+    if body.len() == want {
+        Ok(())
+    } else {
+        Err(ProtoError::BadBody(format!(
+            "{what} body {} bytes, want {want}",
             body.len()
-        )));
+        )))
     }
+}
+
+fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
+    expect_len("hello", body, 12)?;
     let version = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
     let raw = u64::from_le_bytes(body[4..12].try_into().expect("8 bytes"));
     Ok(Request::Hello {
@@ -504,15 +523,22 @@ pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, ProtoError> {
             decode_snapshot(body).map_err(|e| ProtoError::BadBody(e.to_string()))?,
         )),
         OP_DIAGNOSE => Ok(Request::Diagnose(parse_diagnose(body)?)),
-        OP_STATS => Ok(Request::Stats),
-        OP_SHUTDOWN => Ok(Request::Shutdown),
+        OP_STATS => expect_len("stats", body, 0).map(|()| Request::Stats),
+        OP_SHUTDOWN => expect_len("shutdown", body, 0).map(|()| Request::Shutdown),
         OP_FLOW_HISTORY => Ok(Request::FlowHistory(parse_flow_history(body)?)),
-        OP_METRICS => Ok(Request::Metrics),
+        OP_METRICS => expect_len("metrics", body, 0).map(|()| Request::Metrics),
         OP_INGEST_BATCH => Ok(Request::IngestBatch(
             decode_batch(body).map_err(|e| ProtoError::BadBody(e.to_string()))?,
         )),
         OP_HELLO => parse_hello(body),
-        OP_FRAGMENTS => Ok(Request::Fragments),
+        OP_FRAGMENTS => {
+            expect_len("fragments", body, 16)?;
+            let word = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().expect("8 bytes"));
+            Ok(Request::Fragments(Window {
+                from: Nanos(word(0)),
+                to: Nanos(word(8)),
+            }))
+        }
         OP_EXPLAIN => {
             let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
             let v = serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?;
@@ -600,7 +626,11 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> 
                     body.len()
                 )));
             }
-            let accepted = body[0] == 1;
+            let accepted = match body[0] {
+                0 => false,
+                1 => true,
+                b => return Err(ProtoError::BadBody(format!("ack accepted byte {b}"))),
+            };
             let granted = u32::from_le_bytes(body[1..5].try_into().expect("4 bytes"));
             let info = body.get(5..17).map(|b| {
                 let version = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
@@ -628,7 +658,7 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> 
                 serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?,
             ))
         }
-        OP_BYE => Ok(Response::Bye),
+        OP_BYE => expect_len("bye", body, 0).map(|()| Response::Bye),
         OP_HISTORY => {
             let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
             let v = serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?;
@@ -653,12 +683,7 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> 
             Ok(Response::Explain(rec))
         }
         OP_BATCH_ACK => {
-            if body.len() != 12 {
-                return Err(ProtoError::BadBody(format!(
-                    "batch ack body {} bytes, want 12",
-                    body.len()
-                )));
-            }
+            expect_len("batch ack", body, 12)?;
             let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
             Ok(Response::BatchAck {
                 accepted: word(0),
@@ -713,8 +738,10 @@ mod tests {
         assert_eq!(roundtrip_request(ingest.clone()), ingest);
         let diag = Request::Diagnose(DiagnoseParams {
             victim: FlowKey::roce(NodeId(1), NodeId(2), 33),
-            from: Nanos(100),
-            to: Nanos(900),
+            window: Window {
+                from: Nanos(100),
+                to: Nanos(900),
+            },
             missing: vec![NodeId(4), NodeId(9)],
         });
         assert_eq!(roundtrip_request(diag.clone()), diag);
@@ -723,7 +750,16 @@ mod tests {
         let hist = Request::FlowHistory(FlowKey::roce(NodeId(7), NodeId(8), 11));
         assert_eq!(roundtrip_request(hist.clone()), hist);
         assert_eq!(roundtrip_request(Request::Metrics), Request::Metrics);
-        assert_eq!(roundtrip_request(Request::Fragments), Request::Fragments);
+        for window in [
+            Window::default(),
+            Window {
+                from: Nanos(100),
+                to: Nanos(900),
+            },
+        ] {
+            let frags = Request::Fragments(window);
+            assert_eq!(roundtrip_request(frags.clone()), frags);
+        }
         assert_eq!(
             roundtrip_request(Request::Explain(None)),
             Request::Explain(None)
@@ -754,6 +790,48 @@ mod tests {
         ] {
             assert_eq!(roundtrip_request(hello.clone()), hello);
         }
+    }
+
+    /// Fixed-length bodies are exact: a `Fragments` body is the 16-byte
+    /// window (above all not the empty body version 2 sent), the ops
+    /// documented as empty take no body, and `accepted` is 0 or 1.
+    #[test]
+    fn fixed_length_bodies_are_exact() {
+        let requests = [(OP_FRAGMENTS, 0), (OP_FRAGMENTS, 15), (OP_FRAGMENTS, 17)]
+            .into_iter()
+            .chain([OP_STATS, OP_SHUTDOWN, OP_METRICS].map(|op| (op, 1)));
+        for (op, len) in requests {
+            let got = decode_request(op, &vec![0; len]);
+            assert!(matches!(got, Err(ProtoError::BadBody(_))), "{op}: {got:?}");
+        }
+        let mut ack = [0u8; 17];
+        ack[0] = 2;
+        for (op, body) in [(OP_BYE, &ack[..1]), (OP_ACK, &ack[..5]), (OP_ACK, &ack)] {
+            let got = decode_response(op, body);
+            assert!(matches!(got, Err(ProtoError::BadBody(_))), "{op}: {got:?}");
+        }
+    }
+
+    /// A `missing` id that does not fit a switch id is malformed, never
+    /// truncated onto some other switch.
+    #[test]
+    fn oversized_missing_id_rejected() {
+        let body = |id: u64| {
+            format!(
+                r#"{{"victim":{},"from":0,"to":9,"missing":[{id}]}}"#,
+                serde_json::to_string(&FlowKey::roce(NodeId(1), NodeId(2), 33).to_value())
+                    .expect("value serialization is infallible")
+            )
+        };
+        let ok = decode_request(OP_DIAGNOSE, body(u64::from(u32::MAX)).as_bytes());
+        assert!(
+            matches!(ok, Ok(Request::Diagnose(p)) if p.missing == [NodeId(u32::MAX)]),
+            "largest switch id must decode"
+        );
+        assert!(matches!(
+            decode_request(OP_DIAGNOSE, body(4_294_967_301).as_bytes()),
+            Err(ProtoError::BadBody(_))
+        ));
     }
 
     /// A hello body of any length but 12 — empty included — is malformed.

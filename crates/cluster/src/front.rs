@@ -9,9 +9,10 @@
 //!   pipelined [`ServeClient`] per backend — each backend's credit window
 //!   applies independently, so one slow shard backpressures only its own
 //!   traffic.
-//! * **Diagnose** fans a `Fragments` gather out to every shard, merges the
-//!   per-switch snapshot sets with [`merge_fragment_sets`] (positionally
-//!   identical to a monolithic daemon's gather), and runs the same
+//! * **Diagnose** fans a `Fragments` gather of its window out to every
+//!   shard, merges the per-switch snapshot sets with
+//!   [`merge_fragment_sets`] (positionally identical to a monolithic
+//!   daemon's gather of the same window), and runs the same
 //!   analyzer the daemon runs — the merged graph, and therefore the
 //!   verdict, is byte-for-byte what one big daemon would have produced.
 //! * **A dead shard degrades, never fails**: its owned switches are
@@ -279,19 +280,23 @@ impl FrontShared {
 
     /// Fan the cross-shard gather out to every backend in parallel:
     /// settle each backend's in-flight window (the flush barrier), then
-    /// fetch its fragment set. Returns the live shards' fragments and the
-    /// indices of shards that could not be reached. A *typed* backend
+    /// fetch its fragment set for `window`. Returns the live shards'
+    /// fragments and the indices of shards that could not be reached. A
+    /// *typed* backend
     /// refusal (e.g. stale shard map) is a routing fault, not an outage,
     /// and propagates as the error it is.
     #[allow(clippy::type_complexity)]
-    fn gather_fragments(&self) -> Result<(Vec<Vec<TelemetrySnapshot>>, Vec<usize>), ProtoError> {
+    fn gather_fragments(
+        &self,
+        window: Window,
+    ) -> Result<(Vec<Vec<TelemetrySnapshot>>, Vec<usize>), ProtoError> {
         let results: Vec<Result<Vec<TelemetrySnapshot>, ProtoError>> = thread::scope(|s| {
             let handles: Vec<_> = (0..self.backends.len())
                 .map(|i| {
                     s.spawn(move || {
                         self.with_backend(i, |c| {
                             c.finish_ingest()?;
-                            c.fragments()
+                            c.fragments_in(window.from, window.to)
                         })
                     })
                 })
@@ -321,7 +326,7 @@ impl FrontShared {
     /// appended to the missing set, downgrading confidence instead of
     /// failing the query.
     fn diagnose(&self, p: &DiagnoseParams) -> Response {
-        let (shards, dead) = match self.gather_fragments() {
+        let (shards, dead) = match self.gather_fragments(p.window) {
             Ok(v) => v,
             Err(e) => return error_response(&e),
         };
@@ -329,12 +334,8 @@ impl FrontShared {
         if merged.is_empty() {
             return Response::Error("no telemetry ingested".into());
         }
-        let window = Window {
-            from: p.from,
-            to: p.to,
-        };
         let (mut report, _graph, _agg) =
-            analyze_victim_window(&p.victim, window, &merged, &self.topo, &self.cfg.analyzer);
+            analyze_victim_window(&p.victim, p.window, &merged, &self.topo, &self.cfg.analyzer);
         report.note_missing(&p.missing);
         if !dead.is_empty() {
             let mut lost: Vec<NodeId> = Vec::new();
@@ -352,8 +353,8 @@ impl FrontShared {
     /// The merged cross-shard gather itself, as a wire op: a front-end
     /// can sit behind another front-end (or any `Fragments` caller) and
     /// look like one big daemon.
-    fn fragments(&self) -> Response {
-        match self.gather_fragments() {
+    fn fragments(&self, window: Window) -> Response {
+        match self.gather_fragments(window) {
             Ok((shards, _dead)) => Response::Fragments(merge_fragment_sets(shards)),
             Err(e) => error_response(&e),
         }
@@ -446,7 +447,7 @@ fn session(shared: Arc<FrontShared>, stream: AnyStream) {
             Request::IngestEpoch(snap) => (Some(OP_INGEST_NS), shared.route_snapshot(snap)),
             Request::IngestBatch(snaps) => (Some(OP_INGEST_BATCH_NS), shared.route_batch(snaps)),
             Request::Diagnose(p) => (Some(OP_DIAGNOSE_NS), shared.diagnose(&p)),
-            Request::Fragments => (Some(OP_FRAGMENTS_NS), shared.fragments()),
+            Request::Fragments(window) => (Some(OP_FRAGMENTS_NS), shared.fragments(window)),
             Request::FlowHistory(key) => (Some(OP_FLOW_HISTORY_NS), shared.flow_history(key)),
             Request::Stats => (Some(OP_STATS_NS), shared.stats()),
             Request::Metrics => (Some(OP_METRICS_NS), shared.metrics_response()),

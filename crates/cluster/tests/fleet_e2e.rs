@@ -91,6 +91,10 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
     let mono_report = mono_client
         .diagnose(sc.truth.victim, w.from, w.to, mono_out.missing.clone())
         .expect("monolith diagnosis");
+    let mono_frags = mono_client
+        .fragments_in(w.from, w.to)
+        .expect("monolith fragments");
+    let mono_rings = mono_client.fragments().expect("monolith rings");
     mono_client.shutdown().expect("monolith shutdown");
     mono.wait();
 
@@ -130,6 +134,26 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
     assert_eq!(
         fleet_json, mono_json,
         "fleet verdict diverged from the monolith's"
+    );
+
+    // The gather under that verdict, as a wire op: the front forwards the
+    // caller's window to every shard, and the merge is the monolith's
+    // windowed read snapshot for snapshot — narrower than the rings.
+    let fleet_frags = front_client
+        .fragments_in(w.from, w.to)
+        .expect("fleet fragments");
+    assert_eq!(fleet_frags, mono_frags, "front Fragments(w) != monolith's");
+    assert_eq!(
+        front_client.fragments().expect("fleet rings"),
+        mono_rings,
+        "front Fragments(all) != monolith's"
+    );
+    let held = |set: &[hawkeye_telemetry::TelemetrySnapshot]| {
+        set.iter().map(|s| s.epochs.len()).sum::<usize>()
+    };
+    assert!(
+        held(&fleet_frags) < held(&mono_rings),
+        "the window shipped the whole rings"
     );
 
     // The front's own stats surface: everything forwarded, nothing lost.

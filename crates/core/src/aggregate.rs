@@ -292,18 +292,6 @@ impl AggTelemetry {
             self.ports.get(&port).map_or(0.0, |a| a.avg_qdepth())
         }
     }
-
-    /// Flows observed at `port`, sorted for determinism.
-    pub fn flows_at(&self, port: PortId) -> Vec<(FlowKey, FlowAgg)> {
-        let mut v: Vec<(FlowKey, FlowAgg)> = self
-            .flows
-            .iter()
-            .filter(|((_, p), _)| *p == port)
-            .map(|((k, _), a)| (*k, *a))
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
 }
 
 #[cfg(test)]

@@ -258,21 +258,6 @@ impl Collector {
         v
     }
 
-    /// Snapshots from the collections a specific victim's polling packets
-    /// triggered within a time window.
-    pub fn snapshots_for(
-        &self,
-        victim: &FlowKey,
-        from: Nanos,
-        to: Nanos,
-    ) -> Vec<TelemetrySnapshot> {
-        self.events
-            .iter()
-            .filter(|e| e.victim == *victim && e.at >= from && e.at <= to)
-            .map(|e| e.snapshot.clone())
-            .collect()
-    }
-
     /// Switches whose telemetry a victim's polling packets requested within
     /// a window (whether freshly collected or dedup-served).
     pub fn attributed_switches(&self, victim: &FlowKey, from: Nanos, to: Nanos) -> Vec<NodeId> {

@@ -110,10 +110,6 @@ impl HawkeyeHook {
     pub fn telemetry(&self, sw: NodeId) -> Option<&SwitchTelemetry> {
         self.switches.get(&sw)
     }
-
-    pub fn instrumented_switches(&self) -> usize {
-        self.switches.len()
-    }
 }
 
 impl SwitchHook for HawkeyeHook {

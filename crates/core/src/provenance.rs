@@ -130,15 +130,6 @@ impl ProvenanceGraph {
         &self.flow_port_edges[flow]
     }
 
-    /// The maximum port-to-flow weight at a port, if any flows contend
-    /// (Algorithm 2 `AnalyzeFlowContention` line 3).
-    pub fn max_contention_weight(&self, port: usize) -> Option<f64> {
-        self.port_flow_edges[port]
-            .iter()
-            .map(|&(_, w)| w)
-            .fold(None, |m, w| Some(m.map_or(w, |m: f64| m.max(w))))
-    }
-
     /// Total number of edges (all three families).
     pub fn edge_count(&self) -> usize {
         self.port_edges.iter().map(Vec::len).sum::<usize>()
@@ -619,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn max_contention_weight_none_without_flows() {
+    fn default_graph_is_empty() {
         let g = ProvenanceGraph::default();
         assert!(g.ports.is_empty());
         assert_eq!(g.edge_count(), 0);

@@ -4,7 +4,7 @@
 //! `hawkeye-bench` crate prints them from `cargo bench`.
 
 use crate::methods::{run_method, MethodOutcome};
-use crate::metrics::{PrecisionRecall, ScoreConfig, Verdict};
+use crate::metrics::{PrecisionRecall, ScoreConfig};
 use crate::parallel::{default_jobs, par_map};
 use crate::runner::RunConfig;
 use hawkeye_baselines::Method;
@@ -421,21 +421,6 @@ pub fn fig11_switch_coverage(
             .to_vec(),
         rows,
     }
-}
-
-/// Outcome summary per anomaly for Verdict breakdowns (used in tests and
-/// EXPERIMENTS.md notes).
-pub fn verdict_breakdown(outcomes: &[MethodOutcome]) -> Vec<(String, usize)> {
-    let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-    for o in outcomes {
-        let k = match &o.verdict {
-            Some(Verdict::Correct) => "correct".to_string(),
-            Some(v) => format!("{v:?}"),
-            None => "undetected".to_string(),
-        };
-        *counts.entry(k).or_default() += 1;
-    }
-    counts.into_iter().collect()
 }
 
 /// **Figure 12**: the case-study provenance graphs of the four PFC

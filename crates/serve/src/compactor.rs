@@ -2,8 +2,8 @@
 //!
 //! The eviction/fold loop is the largest stage of the store+engine ingest
 //! wall (`stage_fold_ns`), so the fold work is factored out of
-//! [`TelemetryStore::append`] into this type, which can run in either of
-//! two places:
+//! [`TelemetryStore::append`](crate::TelemetryStore::append) into this
+//! type, which can run in either of two places:
 //!
 //! - **Inline** (`StoreConfig::deferred_fold = false`, the standalone
 //!   default): the store embeds a `Compactor` and folds synchronously
@@ -11,7 +11,8 @@
 //!   test and the `compaction_preserves_totals_and_watermarks` proptest
 //!   pin this path.
 //! - **Deferred** (`deferred_fold = true`, the daemon's mode): `append`
-//!   only *stages* evicted epochs ([`TelemetryStore::take_pending_folds`])
+//!   only *stages* evicted epochs
+//!   ([`take_pending_folds`](crate::TelemetryStore::take_pending_folds))
 //!   and the daemon's core thread owns a `Compactor`, absorbing staged
 //!   folds via message passing — no locks, and the single consumer means
 //!   no fold contention. The store's cheap bookkeeping (the `folded`

@@ -597,10 +597,14 @@ mod tests {
         }
         let barrier = wal.next_seq();
         wal.append(REC_CKPT_BEGIN, &barrier.to_le_bytes()).unwrap();
-        for sw in mid_store.switches() {
+        for restore in mid_store.export() {
             let ckpt = SwitchCheckpoint {
-                restore: mid_store.export_switch(sw).unwrap(),
-                buckets: mid_comp.buckets_of(sw).into_iter().cloned().collect(),
+                buckets: mid_comp
+                    .buckets_of(restore.switch)
+                    .into_iter()
+                    .cloned()
+                    .collect(),
+                restore,
             };
             wal.append(REC_CKPT_SWITCH, &encode_switch_checkpoint(&ckpt))
                 .unwrap();

@@ -7,8 +7,8 @@
 //! window is analyzed twice: locally from the run's own collector (the
 //! one-shot reference) and remotely via `Diagnose` over the socket. On a
 //! fault-free run the two verdicts must be identical in label, culprits
-//! and confidence ([`ReplayOutcome::parity`]), because the daemon's store
-//! reconstructs the exact canonical telemetry the batch aggregator
+//! and confidence ([`ReplayOutcome::parity_with`]), because the daemon's
+//! store reconstructs the exact canonical telemetry the batch aggregator
 //! derives from the raw snapshot slice.
 
 use crate::stream::{StreamStats, StreamingHook};
@@ -52,8 +52,8 @@ impl ReplayOutcome {
 
 /// Run `scenario` with telemetry streamed into `sink`, then produce the
 /// local one-shot reference diagnosis. Returns the outcome plus the sink,
-/// so a [`ServeClient`](crate::ServeClient) sink can subsequently issue
-/// the served `Diagnose` for the same window.
+/// so a [`ServeClient`](hawkeye_client::ServeClient) sink can subsequently
+/// issue the served `Diagnose` for the same window.
 pub fn replay_streaming<S: EpochSink>(
     scenario: &Scenario,
     cfg: &RunConfig,

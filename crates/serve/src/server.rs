@@ -4,7 +4,7 @@
 //! ```text
 //!  accept loop ─Export──────────────┐
 //!                                   ▼
-//!  session ─Ingest / Snapshots /─▶ shard worker i ─Applied / Export─▶ core
+//!  session ─Ingest / Snapshots(w)/▶ shard worker i ─Applied / Export─▶ core
 //!     │     FlowHistory / Stats    owns TelemetryStore i              owns engine,
 //!     │                                                               folded tier,
 //!     └────Verdict / Explain / FlowHistory / Stats──────────────────▶ WAL, audit
@@ -23,7 +23,9 @@
 //!   the ring evictions the append staged, the journal record that rode
 //!   in with it, the store's horizon and watermark) to the core. Reads of
 //!   the raw ring — `Diagnose`, `Fragments`, `FlowHistory`, `Stats` — are
-//!   request messages on the same queue, answered from the owned store.
+//!   request messages on the same queue, answered from the owned store;
+//!   `Diagnose` and `Fragments` carry their window, so a worker clones
+//!   only the epochs the window overlaps, never its whole ring.
 //! - The single **core thread** owns the [`IncrementalProvenance`] engine,
 //!   the folded tier ([`Compactor`]), the evidence log ([`Wal`]) and the
 //!   [`AuditTrail`]. Per `Applied` it applies the snapshot to the engine,
@@ -41,8 +43,8 @@
 //! ingest queued before it, and the core answers only after every
 //! `Applied` those appends forwarded. `Diagnose` therefore waits for the
 //! workers' appends but not for the engine applies behind them — it reads
-//! the raw ring only, and the store's canonical form makes the verdict
-//! identical to the one-shot path on the same telemetry (see
+//! its window of the raw ring only, and the store's canonical form makes
+//! the verdict identical to the one-shot path on the same telemetry (see
 //! `tests/serve_e2e.rs`).
 //!
 //! The [`MetricsRegistry`] and the flight ring are the only shared state:
@@ -160,9 +162,9 @@ enum ShardMsg {
     /// worker's `Applied` instead of a message of its own, so durable
     /// ingest wakes exactly the threads durability-off ingest does.
     Ingest(TelemetrySnapshot, Option<JournalRecord>),
-    /// The partition's canonical per-switch snapshots (`Diagnose`,
-    /// `Fragments`).
-    Snapshots(SyncSender<Vec<TelemetrySnapshot>>),
+    /// The partition's canonical per-switch snapshots, restricted to the
+    /// epochs overlapping the window (`Diagnose`, `Fragments`).
+    Snapshots(Window, SyncSender<Vec<TelemetrySnapshot>>),
     /// Raw-ring rows for one flow (unsorted; the session merges).
     FlowHistory(FlowKey, SyncSender<Vec<FlowObservation>>),
     /// The partition's share of the `Stats` totals.
@@ -702,8 +704,8 @@ fn shard_worker(
                     return;
                 }
             }
-            ShardMsg::Snapshots(reply) => {
-                let _ = reply.send(store.snapshots());
+            ShardMsg::Snapshots(window, reply) => {
+                let _ = reply.send(store.snapshots_in(window));
             }
             ShardMsg::FlowHistory(key, reply) => {
                 let _ = reply.send(store.flow_history(&key));
@@ -716,12 +718,7 @@ fn shard_worker(
                 });
             }
             ShardMsg::Export => {
-                let images = store
-                    .switches()
-                    .into_iter()
-                    .filter_map(|sw| store.export_switch(sw))
-                    .collect();
-                if core.send(CoreMsg::Export(images)).is_err() {
+                if core.send(CoreMsg::Export(store.export())).is_err() {
                     return;
                 }
             }
@@ -780,11 +777,12 @@ impl Routes {
         }
     }
 
-    /// All shards' canonical snapshots merged in switch-id order (each
-    /// switch lives in exactly one shard, so this is a disjoint union).
-    fn gather_snapshots(&self) -> Result<Vec<TelemetrySnapshot>, Gone> {
+    /// All shards' canonical snapshots of `window`, merged in switch-id
+    /// order (each switch lives in exactly one shard, so this is a
+    /// disjoint union).
+    fn gather_snapshots(&self, window: Window) -> Result<Vec<TelemetrySnapshot>, Gone> {
         let mut all: Vec<TelemetrySnapshot> = self
-            .ask_shards(ShardMsg::Snapshots)?
+            .ask_shards(|reply| ShardMsg::Snapshots(window, reply))?
             .into_iter()
             .flatten()
             .collect();
@@ -838,14 +836,10 @@ impl Routes {
     }
 
     fn diagnose(&self, plane: &Plane, p: &DiagnoseParams) -> Result<Response, Gone> {
-        let snapshots = self.gather_snapshots()?;
+        let snapshots = self.gather_snapshots(p.window)?;
         if snapshots.is_empty() {
             return Ok(Response::Error("no telemetry ingested".into()));
         }
-        let window = Window {
-            from: p.from,
-            to: p.to,
-        };
         // Stage timing rides the analyzer's own recorder hooks; capacity 0
         // keeps the tracer empty (we only want the wall-clock profile).
         let mut rec = Recorder::new(ObsConfig {
@@ -855,7 +849,7 @@ impl Routes {
         });
         let (mut report, _graph, _agg) = analyze_victim_window_obs(
             &p.victim,
-            window,
+            p.window,
             &snapshots,
             &plane.topo,
             &plane.cfg.analyzer,
@@ -881,19 +875,13 @@ fn explain_record(
     report: &DiagnosisReport,
     rec: &Recorder,
 ) -> ExplainRecord {
-    let mut contributing_switches = Vec::new();
-    let mut contributing_epochs = 0u64;
-    for s in snapshots {
-        let overlapping = s
-            .epochs
-            .iter()
-            .filter(|e| e.start < p.to && e.end() > p.from)
-            .count() as u64;
-        if overlapping > 0 {
-            contributing_switches.push(s.switch.0);
-            contributing_epochs += overlapping;
-        }
-    }
+    // The gather was windowed, so every epoch here contributed.
+    let contributing_switches = snapshots
+        .iter()
+        .filter(|s| !s.epochs.is_empty())
+        .map(|s| s.switch.0)
+        .collect();
+    let contributing_epochs = snapshots.iter().map(|s| s.epochs.len() as u64).sum();
     let mut root_causes: Vec<u32> = report
         .root_causes
         .iter()
@@ -907,8 +895,8 @@ fn explain_record(
     ExplainRecord {
         seq: 0,
         victim: render_flow(&p.victim),
-        window_from_ns: p.from.0,
-        window_to_ns: p.to.0,
+        window_from_ns: p.window.from.0,
+        window_to_ns: p.window.to.0,
         anomaly: format!("{:?}", report.anomaly),
         signature_row: signature_row(report.anomaly).to_string(),
         confidence: confidence_label(&report.confidence).to_string(),
@@ -1072,11 +1060,12 @@ fn session(plane: Arc<Plane>, routes: Routes, stream: AnyStream) {
                     )
                 }
                 // The cross-shard gather primitive: the canonical per-switch
-                // snapshots — the same store state a local Diagnose would
-                // analyze — covering everything acknowledged before this.
-                Request::Fragments => (
+                // snapshots of the window — the same store state a local
+                // Diagnose of it would analyze — covering everything
+                // acknowledged before this.
+                Request::Fragments(window) => (
                     OP_FRAGMENTS_NS,
-                    routes.gather_snapshots().map(Response::Fragments),
+                    routes.gather_snapshots(window).map(Response::Fragments),
                 ),
                 Request::Diagnose(p) => (OP_DIAGNOSE_NS, routes.diagnose(&plane, &p)),
                 Request::FlowHistory(key) => (OP_FLOW_HISTORY_NS, routes.flow_history(key)),
@@ -1392,7 +1381,7 @@ mod tests {
             Response::Error(_)
         ));
         assert!(matches!(
-            r.routes.gather_snapshots(),
+            r.routes.gather_snapshots(Window::default()),
             Err(Gone("shard worker"))
         ));
         assert!(matches!(

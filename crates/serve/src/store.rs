@@ -8,9 +8,8 @@
 //!   [`AggTelemetry::build`](hawkeye_core::AggTelemetry) applies to a raw
 //!   snapshot slice — bounded by a configurable per-switch epoch budget
 //!   (mirroring the paper's switch-side ring buffers at the controller).
-//!   Full-fidelity queries ([`TelemetryStore::snapshots_in`],
-//!   [`TelemetryStore::epoch_detail_at`]) serve this tier only, so
-//!   diagnosis verdicts never depend on compacted data.
+//!   The full-fidelity query ([`TelemetryStore::snapshots_in`]) serves
+//!   this tier only, so diagnosis verdicts never depend on compacted data.
 //! - **Compacted tier** — epochs aged past the ring budget are folded into
 //!   [`CompactedEpoch`] aggregate buckets instead of vanishing, bounded by
 //!   a second `compact_budget`. Coarse queries
@@ -35,12 +34,12 @@
 //! froze the stale version and cannot subtract it.
 
 use crate::compactor::{Compactor, PendingFold};
+use hawkeye_core::Window;
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{CompactedEpoch, EpochSnapshot, EvictedFlow, TelemetrySnapshot};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deterministic multiply-mix hasher for the per-switch ring-key maps.
 /// Keys are (slot, id) pairs drawn from the switch's bounded ring
@@ -180,7 +179,7 @@ use hawkeye_client::{Fidelity, FlowObservation};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchRestore {
     pub switch: NodeId,
-    /// Canonical snapshot ([`TelemetryStore::snapshot_of`] form: epochs
+    /// Canonical snapshot ([`TelemetryStore::snapshots`] form: epochs
     /// sorted by (start, slot, id)).
     pub snapshot: TelemetrySnapshot,
     /// Acceptance stamp of each ring epoch, parallel to
@@ -237,9 +236,6 @@ pub struct TelemetryStore {
     /// ([`StoreConfig::deferred_fold`]); drained by
     /// [`TelemetryStore::take_pending_folds`].
     pending: Vec<PendingFold>,
-    /// Epochs cloned while answering windowed queries — observability for
-    /// the "window queries must not clone the whole ring" guarantee.
-    window_epochs_cloned: AtomicU64,
 }
 
 impl TelemetryStore {
@@ -250,7 +246,6 @@ impl TelemetryStore {
             stats: StoreStats::default(),
             compactor: Compactor::new(cfg),
             pending: Vec::new(),
-            window_epochs_cloned: AtomicU64::new(0),
         }
     }
 
@@ -376,51 +371,32 @@ impl TelemetryStore {
         std::mem::take(&mut self.pending)
     }
 
-    /// The canonical snapshot of one switch: deduplicated epochs sorted by
-    /// (start, slot, id), snapshot-level fields from the latest-taken
-    /// snapshot. `None` if the switch never reported.
-    pub fn snapshot_of(&self, sw: NodeId) -> Option<TelemetrySnapshot> {
-        let log = self.switches.get(&sw)?;
-        let mut epochs: Vec<EpochSnapshot> = log.epochs.values().map(|(_, e)| e.clone()).collect();
-        epochs.sort_unstable_by_key(|e| (e.start, e.slot, e.id));
-        Some(TelemetrySnapshot {
-            switch: sw,
-            taken_at: log.taken_at,
-            nports: log.nports,
-            max_flows: log.max_flows,
-            epochs,
-            evicted: log.evicted.clone(),
-        })
-    }
-
-    /// Canonical snapshots of every reporting switch, ordered by switch id.
+    /// Canonical snapshots of every reporting switch, ordered by switch
+    /// id, holding every ring epoch that covers at least one instant: the
+    /// all-covering [`TelemetryStore::snapshots_in`].
     pub fn snapshots(&self) -> Vec<TelemetrySnapshot> {
-        self.switches
-            .keys()
-            .map(|&sw| self.snapshot_of(sw).expect("key exists"))
-            .collect()
+        self.snapshots_in(Window::default())
     }
 
-    /// Canonical snapshots restricted to epochs overlapping `[from, to)`;
-    /// switches with no overlapping epoch still appear (with their
-    /// eviction list) — a delivered-but-quiet snapshot is evidence of
-    /// quiet, not a blind spot. Raw ring only: compacted buckets cannot
-    /// participate in a diagnosis window.
+    /// The canonical snapshot of every reporting switch, ordered by switch
+    /// id, restricted to the epochs overlapping `window`: deduplicated
+    /// epochs sorted by (start, slot, id), snapshot-level fields from the
+    /// latest-taken snapshot. Switches with no overlapping epoch still
+    /// appear (with their eviction list) — a delivered-but-quiet snapshot
+    /// is evidence of quiet, not a blind spot. Raw ring only: compacted
+    /// buckets cannot participate in a diagnosis window.
     ///
-    /// Built per switch directly from the log, cloning only the epochs
-    /// that overlap the window (not the whole ring).
-    pub fn snapshots_in(&self, from: Nanos, to: Nanos) -> Vec<TelemetrySnapshot> {
+    /// The one place raw-ring epochs are cloned, and only those the window
+    /// overlaps (not the whole ring).
+    pub fn snapshots_in(&self, window: Window) -> Vec<TelemetrySnapshot> {
         self.switches
             .iter()
             .map(|(&sw, log)| {
                 let mut epochs: Vec<EpochSnapshot> = log
                     .epochs
                     .values()
-                    .filter(|(_, e)| e.start < to && e.end() > from)
-                    .map(|(_, e)| {
-                        self.window_epochs_cloned.fetch_add(1, Ordering::Relaxed);
-                        e.clone()
-                    })
+                    .filter(|(_, e)| window.overlaps(e.start, e.end()))
+                    .map(|(_, e)| e.clone())
                     .collect();
                 epochs.sort_unstable_by_key(|e| (e.start, e.slot, e.id));
                 TelemetrySnapshot {
@@ -433,18 +409,6 @@ impl TelemetryStore {
                 }
             })
             .collect()
-    }
-
-    /// The raw epoch covering instant `t` on one switch, if it is still in
-    /// the ring. Full fidelity only — a compacted bucket covering `t`
-    /// yields `None`, by design.
-    pub fn epoch_detail_at(&self, sw: NodeId, t: Nanos) -> Option<EpochSnapshot> {
-        let log = self.switches.get(&sw)?;
-        log.epochs
-            .values()
-            .filter(|(_, e)| e.start <= t && t < e.end())
-            .min_by_key(|(_, e)| (e.start, e.slot, e.id))
-            .map(|(_, e)| e.clone())
     }
 
     /// Every observation of `key`, as one row per raw epoch record plus
@@ -527,30 +491,35 @@ impl TelemetryStore {
         self.compactor.buckets_of(sw)
     }
 
-    /// One switch's full ring state for a durable checkpoint (see
-    /// [`SwitchRestore`]). `None` if the switch never reported.
-    pub fn export_switch(&self, sw: NodeId) -> Option<SwitchRestore> {
-        let log = self.switches.get(&sw)?;
-        let snapshot = self.snapshot_of(sw)?;
-        let taken_at = snapshot
-            .epochs
-            .iter()
-            .map(|e| log.epochs[&(e.slot, e.id)].0)
-            .collect();
-        let mut folded: Vec<(usize, u8, Nanos, Nanos)> = log
-            .folded
-            .iter()
-            .map(|(&(slot, id), &(taken, start))| (slot, id, taken, start))
-            .collect();
-        folded.sort_unstable();
-        Some(SwitchRestore {
-            switch: sw,
-            snapshot,
-            taken_at,
-            watermark: log.watermark,
-            fold_horizon: log.fold_horizon,
-            folded,
-        })
+    /// Every switch's full ring state for a durable checkpoint (see
+    /// [`SwitchRestore`]), in switch-id order.
+    pub fn export(&self) -> Vec<SwitchRestore> {
+        // `snapshots` and the log map walk the same keys in the same order.
+        self.snapshots()
+            .into_iter()
+            .zip(self.switches.values())
+            .map(|(snapshot, log)| {
+                let taken_at = snapshot
+                    .epochs
+                    .iter()
+                    .map(|e| log.epochs[&(e.slot, e.id)].0)
+                    .collect();
+                let mut folded: Vec<(usize, u8, Nanos, Nanos)> = log
+                    .folded
+                    .iter()
+                    .map(|(&(slot, id), &(taken, start))| (slot, id, taken, start))
+                    .collect();
+                folded.sort_unstable();
+                SwitchRestore {
+                    switch: snapshot.switch,
+                    snapshot,
+                    taken_at,
+                    watermark: log.watermark,
+                    fold_horizon: log.fold_horizon,
+                    folded,
+                }
+            })
+            .collect()
     }
 
     /// Install one switch's checkpointed ring state, replacing whatever
@@ -585,11 +554,6 @@ impl TelemetryStore {
                 fold_horizon: r.fold_horizon,
             },
         );
-    }
-
-    /// Epochs cloned by windowed queries since construction.
-    pub fn window_epochs_cloned(&self) -> u64 {
-        self.window_epochs_cloned.load(Ordering::Relaxed)
     }
 
     pub fn stats(&self) -> &StoreStats {
@@ -650,6 +614,21 @@ mod tests {
         }
     }
 
+    /// Switch 3's canonical snapshot.
+    fn ring3(st: &TelemetryStore) -> TelemetrySnapshot {
+        let mut all = st.snapshots();
+        assert_eq!(all.len(), 1, "tests here report from switch 3 only");
+        assert_eq!(all[0].switch, NodeId(3));
+        all.remove(0)
+    }
+
+    fn window(from: u64, to: u64) -> Window {
+        Window {
+            from: Nanos(from),
+            to: Nanos(to),
+        }
+    }
+
     /// Sum of packet counts over a flow's whole history, any fidelity.
     fn total_pkts(st: &TelemetryStore, k: &FlowKey) -> u64 {
         st.flow_history(k).iter().map(|o| o.pkt_count).sum()
@@ -659,7 +638,7 @@ mod tests {
     fn append_and_query_roundtrip() {
         let mut st = TelemetryStore::default();
         st.append(&snap(3, 500, vec![epoch(0, 1, 0), epoch(1, 2, 1 << 20)]));
-        let s = st.snapshot_of(NodeId(3)).expect("switch 3 reported");
+        let s = ring3(&st);
         assert_eq!(s.epochs.len(), 2);
         assert_eq!(s.epochs[0].id, 1, "sorted by start");
         assert_eq!(st.watermark(NodeId(3)), Some(Nanos(2 << 20)));
@@ -675,7 +654,7 @@ mod tests {
         better.flows[0].1.pkt_count = 99;
         st.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
         st.append(&snap(3, 900, vec![better]));
-        let s = st.snapshot_of(NodeId(3)).unwrap();
+        let s = ring3(&st);
         assert_eq!(s.epochs.len(), 1);
         assert_eq!(s.epochs[0].flows[0].1.pkt_count, 99);
         assert_eq!(st.stats().epochs_superseded, 1);
@@ -688,12 +667,7 @@ mod tests {
         worse.flows[0].1.pkt_count = 1;
         st.append(&snap(3, 900, vec![epoch(0, 1, 0)]));
         st.append(&snap(3, 500, vec![worse]));
-        assert_eq!(
-            st.snapshot_of(NodeId(3)).unwrap().epochs[0].flows[0]
-                .1
-                .pkt_count,
-            10
-        );
+        assert_eq!(ring3(&st).epochs[0].flows[0].1.pkt_count, 10);
         assert_eq!(st.stats().epochs_stale_rejected, 1);
     }
 
@@ -724,7 +698,7 @@ mod tests {
         st.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
         st.append(&snap(3, 600, vec![epoch(1, 2, 1 << 20)]));
         st.append(&snap(3, 700, vec![epoch(0, 3, 2 << 20)]));
-        let s = st.snapshot_of(NodeId(3)).unwrap();
+        let s = ring3(&st);
         assert_eq!(s.epochs.len(), 2);
         assert_eq!(s.epochs[0].id, 2, "epoch starting at 0 evicted");
         assert_eq!(st.stats().epochs_evicted, 1);
@@ -755,8 +729,9 @@ mod tests {
         // The horizon is the max end among evicted epochs: 0,1,2 evicted.
         assert_eq!(st.retention_horizon(), Some(Nanos(3 << 20)));
         // Flow 3's epoch was folded: raw detail is gone, history remains.
-        assert!(st.epoch_detail_at(NodeId(3), Nanos(2 << 20)).is_none());
-        assert!(st.epoch_detail_at(NodeId(3), Nanos(4 << 20)).is_some());
+        let raw = |from: u64| st.snapshots_in(window(from << 20, (from + 1) << 20));
+        assert!(raw(2)[0].epochs.is_empty());
+        assert_eq!(raw(4)[0].epochs.len(), 1);
         let hist = st.flow_history(&key(3));
         assert_eq!(hist.len(), 1);
         assert_eq!(hist[0].fidelity, Fidelity::Compacted);
@@ -848,33 +823,10 @@ mod tests {
         let mut st = TelemetryStore::default();
         st.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
         st.append(&snap(4, 500, vec![epoch(0, 1, 5 << 20)]));
-        let got = st.snapshots_in(Nanos(4 << 20), Nanos(8 << 20));
+        let got = st.snapshots_in(window(4 << 20, 8 << 20));
         assert_eq!(got.len(), 2, "quiet switch still present");
         assert!(got[0].epochs.is_empty());
         assert_eq!(got[1].epochs.len(), 1);
-    }
-
-    #[test]
-    fn window_query_clones_only_the_window() {
-        let mut st = TelemetryStore::default();
-        let epochs: Vec<EpochSnapshot> = (0..64u64)
-            .map(|i| epoch(i as usize, i as u8 + 1, i << 20))
-            .collect();
-        st.append(&snap(3, 500, epochs));
-        let got = st.snapshots_in(Nanos(10 << 20), Nanos(12 << 20));
-        assert_eq!(got[0].epochs.len(), 2);
-        assert_eq!(
-            st.window_epochs_cloned(),
-            2,
-            "windowed query cloned epochs outside the window"
-        );
-        // And the output matches the reference full-clone-then-retain.
-        let mut reference = st.snapshots();
-        for s in &mut reference {
-            s.epochs
-                .retain(|e| e.start < Nanos(12 << 20) && e.end() > Nanos(10 << 20));
-        }
-        assert_eq!(got, reference);
     }
 
     #[test]
@@ -952,16 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_detail_at_finds_covering_epoch() {
-        let mut st = TelemetryStore::default();
-        st.append(&snap(3, 500, vec![epoch(0, 1, 0), epoch(1, 2, 1 << 20)]));
-        let e = st.epoch_detail_at(NodeId(3), Nanos((1 << 20) + 7)).unwrap();
-        assert_eq!(e.id, 2);
-        assert!(st.epoch_detail_at(NodeId(3), Nanos(9 << 20)).is_none());
-        assert!(st.epoch_detail_at(NodeId(9), Nanos(0)).is_none());
-    }
-
-    #[test]
     fn export_restore_round_trips_ring_and_retention_state() {
         let cfg = StoreConfig {
             epoch_budget: 2,
@@ -977,15 +919,16 @@ mod tests {
                 vec![epoch(i as usize, i as u8 + 1, i << 20)],
             ));
         }
-        let exported = st.export_switch(NodeId(3)).expect("switch reported");
-        assert!(st.export_switch(NodeId(9)).is_none());
+        let exported = st.export();
+        assert_eq!(exported.len(), 1);
+        assert!(TelemetryStore::new(cfg).export().is_empty());
 
         let mut back = TelemetryStore::new(cfg);
-        back.restore_switch(&exported);
-        assert_eq!(back.snapshot_of(NodeId(3)), st.snapshot_of(NodeId(3)));
+        back.restore_switch(&exported[0]);
+        assert_eq!(back.snapshots(), st.snapshots());
         assert_eq!(back.watermark(NodeId(3)), st.watermark(NodeId(3)));
         assert_eq!(back.retention_horizon(), st.retention_horizon());
-        assert_eq!(back.export_switch(NodeId(3)).unwrap(), exported);
+        assert_eq!(back.export(), exported);
 
         // The restored ring keeps making the same admission decisions:
         // a duplicate of a *folded* epoch is still rejected, a new epoch
@@ -993,7 +936,7 @@ mod tests {
         back.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
         assert_eq!(back.stats().epochs_stale_rejected, 1);
         back.append(&snap(3, 700, vec![epoch(1, 7, 9 << 20)]));
-        let s = back.snapshot_of(NodeId(3)).unwrap();
+        let s = ring3(&back);
         assert_eq!(s.epochs.len(), 2);
         assert_eq!(s.epochs[1].id, 7);
         // A stale re-collection of a restored ring epoch is rejected too:

@@ -67,10 +67,6 @@ impl<S: EpochSink> StreamingHook<S> {
         &self.inner
     }
 
-    pub fn inner_mut(&mut self) -> &mut HawkeyeHook {
-        &mut self.inner
-    }
-
     pub fn sink(&self) -> &S {
         &self.sink
     }

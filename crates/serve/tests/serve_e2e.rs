@@ -3,9 +3,12 @@
 //! wire, with the served `Diagnose` verdict required to be identical —
 //! anomaly label, culprits, confidence — to the local one-shot reference.
 
-use hawkeye_client::{EpochSink, ServeClient, VecSink};
+use hawkeye_client::proto::{decode_response, read_frame, write_frame};
+use hawkeye_client::{EpochSink, Response, ServeClient, VecSink};
 use hawkeye_eval::{optimal_run_config, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
+use hawkeye_sim::Nanos;
+use hawkeye_telemetry::{EpochSnapshot, TelemetrySnapshot};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> hawkeye_workloads::Scenario {
@@ -66,6 +69,129 @@ fn served_diagnosis_matches_oneshot_over_tcp() {
         "fault-free replay must not shed: {stats:?}"
     );
     assert!(get("store_epochs_held") > 0, "stats: {stats:?}");
+
+    client.shutdown().expect("shutdown handshake");
+    handle.wait();
+}
+
+/// A ring ten times deeper than the window: the replay, then enough later
+/// epochs on every reporting switch that the diagnosis window is a tenth
+/// (or less) of what each ring holds. The verdict must not move — the
+/// daemon gathers the window, and the window is all the analyzer ever
+/// used — `fragments_in(w)` must ship exactly the overlapping epochs of
+/// every reporting switch, and `fragments()` the whole rings.
+#[test]
+fn deep_rings_serve_the_window_only() {
+    let sc = incast();
+    let cfg = optimal_run_config(1);
+    let handle = spawn(
+        sc.topo.clone(),
+        ServeConfig::default(),
+        Endpoint::Tcp("127.0.0.1:0".into()),
+    )
+    .expect("bind daemon");
+    let addr = handle.local_addr.expect("tcp daemon has an address");
+    let client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
+    let (outcome, mut client) = hawkeye_serve::replay_streaming(&sc, &cfg, client);
+    let w = outcome.window.expect("victim was detected");
+
+    let replayed = client.fragments().expect("whole rings");
+    let in_window = |s: &TelemetrySnapshot| {
+        s.epochs
+            .iter()
+            .filter(|e| w.overlaps(e.start, e.end()))
+            .count()
+    };
+    let widest = replayed.iter().map(in_window).max().expect("switches");
+    assert!(widest > 0, "the window holds no evidence at all");
+    let deepest = replayed
+        .iter()
+        .map(|s| s.epochs.len())
+        .max()
+        .expect("switches");
+    let later = 10 * widest;
+    assert!(
+        deepest + later <= StoreConfig::default().epoch_budget,
+        "the later epochs would evict the window's"
+    );
+    let epoch_len = cfg.epoch.epoch_len();
+    let later_snaps: Vec<TelemetrySnapshot> = replayed
+        .iter()
+        .map(|s| TelemetrySnapshot {
+            // Snapshot-level fields follow the latest-taken snapshot, so
+            // carry the switch's own forward.
+            taken_at: s.taken_at + Nanos(1),
+            epochs: (0..later)
+                .map(|i| EpochSnapshot {
+                    // Ring keys no replayed epoch uses: nothing superseded.
+                    slot: 1000 + i,
+                    id: 0,
+                    start: w.to + Nanos(epoch_len.0 * (1 + i as u64)),
+                    len: epoch_len,
+                    flows: vec![],
+                    ports: vec![],
+                    meter: vec![],
+                })
+                .collect(),
+            ..s.clone()
+        })
+        .collect();
+    client.ingest_batch(&later_snaps).expect("later epochs");
+    assert_eq!(client.finish_ingest().expect("settle").shed, 0);
+
+    let served = client
+        .diagnose(sc.truth.victim, w.from, w.to, outcome.missing.clone())
+        .expect("served diagnosis");
+    assert!(
+        outcome.parity_with(&served),
+        "a deeper ring changed the verdict:\n  one-shot: {:?}\n  served:   {:?}",
+        outcome.oneshot,
+        served
+    );
+
+    let all = client.fragments().expect("whole rings");
+    let windowed = client.fragments_in(w.from, w.to).expect("the window");
+    let mut expected = all.clone();
+    for s in &mut expected {
+        s.epochs.retain(|e| w.overlaps(e.start, e.end()));
+    }
+    assert_eq!(
+        windowed, expected,
+        "fragments_in is every reporting switch with its overlapping epochs"
+    );
+    for ((full, part), before) in all.iter().zip(&windowed).zip(&replayed) {
+        assert_eq!(full.epochs.len(), before.epochs.len() + later);
+        assert!(
+            full.epochs.len() >= 10 * part.epochs.len(),
+            "ring too shallow"
+        );
+    }
+    assert_eq!(
+        client
+            .explain(None)
+            .expect("latest verdict")
+            .contributing_epochs,
+        windowed.iter().map(|s| s.epochs.len() as u64).sum::<u64>(),
+        "the audit record counts the gathered epochs"
+    );
+
+    // A `Fragments` request without its 16-byte window (what a version-2
+    // peer sends) is a typed error, and the session survives it.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let mut ask_raw = |op: u8, body: &[u8]| {
+        write_frame(&mut raw, op, body).expect("write");
+        let (op, body) = read_frame(&mut raw).expect("read").expect("frame");
+        decode_response(op, &body).expect("decode")
+    };
+    for body in [&[][..], &[0; 15], &[0; 17]] {
+        let resp = ask_raw(10, body);
+        assert!(
+            matches!(&resp, Response::Error(m) if m.contains("want 16")),
+            "{}-byte fragments body answered {resp:?}",
+            body.len()
+        );
+    }
+    assert!(matches!(ask_raw(3, &[]), Response::Stats(_)));
 
     client.shutdown().expect("shutdown handshake");
     handle.wait();

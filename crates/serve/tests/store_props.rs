@@ -2,19 +2,27 @@
 //! matter. Feeding the same observation set out of order and with
 //! duplicated redeliveries must reconcile to canonical per-switch
 //! snapshots that are **byte-for-byte identical** (via the wire codec) to
-//! in-order ingestion, and every query endpoint must agree.
+//! in-order ingestion, and every query endpoint must agree. And the
+//! windowed read every `Diagnose` and `Fragments` goes through must be the
+//! whole-ring read minus the epochs the window does not overlap — to the
+//! analyzer, the same evidence.
 //!
 //! The one delivery shape excluded by construction is two *different*
 //! collections of one switch carrying the same `taken_at` — a switch CPU
 //! timestamps each upload from a monotone clock, so re-collections always
 //! differ in `taken_at`; here every observation gets a unique one.
 
-use hawkeye_serve::{StoreConfig, TelemetryStore};
+use hawkeye_client::VecSink;
+use hawkeye_core::{analyze_victim_window, AnalyzerConfig, Window};
+use hawkeye_eval::optimal_run_config;
+use hawkeye_serve::{replay_streaming, StoreConfig, TelemetryStore};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{
     encode_snapshot, EpochSnapshot, EvictedFlow, FlowRecord, PortRecord, TelemetrySnapshot,
 };
+use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 const EPOCH_LEN: u64 = 1 << 20;
 
@@ -101,6 +109,36 @@ fn canonical_bytes(store: &TelemetryStore) -> Vec<Vec<u8>> {
     store.snapshots().iter().map(encode_snapshot).collect()
 }
 
+/// The reference windowed read: clone the whole ring, then drop what the
+/// window does not overlap.
+fn full_read_retained(store: &TelemetryStore, w: Window) -> Vec<TelemetrySnapshot> {
+    let mut all = store.snapshots();
+    for s in &mut all {
+        s.epochs.retain(|e| w.overlaps(e.start, e.end()));
+    }
+    all
+}
+
+/// Real collected streams, replayed once and shared by every case: the
+/// analyzer half of the windowed-read property needs a topology and a
+/// victim that the synthetic observations above do not have.
+const KINDS: [ScenarioKind; 2] = [ScenarioKind::MicroBurstIncast, ScenarioKind::PfcStorm];
+
+fn replays() -> &'static Vec<(Scenario, Vec<TelemetrySnapshot>)> {
+    static REPLAYS: OnceLock<Vec<(Scenario, Vec<TelemetrySnapshot>)>> = OnceLock::new();
+    REPLAYS.get_or_init(|| {
+        KINDS
+            .iter()
+            .map(|&kind| {
+                let sc = build_scenario(kind, ScenarioParams::default());
+                let (_, sink) = replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+                assert!(!sink.snaps.is_empty(), "{kind:?} streamed no telemetry");
+                (sc, sink.snaps)
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -140,13 +178,14 @@ proptest! {
         }
         // Query endpoints see the same reconciled telemetry.
         prop_assert_eq!(inorder.flow_history(&flow(0)), shuffled.flow_history(&flow(0)));
-        let (from, to) = (Nanos(EPOCH_LEN), Nanos(4 * EPOCH_LEN));
-        let a = inorder.snapshots_in(from, to);
-        let b = shuffled.snapshots_in(from, to);
+        let w = Window { from: Nanos(EPOCH_LEN), to: Nanos(4 * EPOCH_LEN) };
+        let a = inorder.snapshots_in(w);
+        let b = shuffled.snapshots_in(w);
         prop_assert_eq!(
             a.iter().map(encode_snapshot).collect::<Vec<_>>(),
             b.iter().map(encode_snapshot).collect::<Vec<_>>()
         );
+        prop_assert_eq!(a, full_read_retained(&inorder, w));
     }
 
     /// The ring budget retains the newest epochs regardless of delivery
@@ -181,10 +220,7 @@ proptest! {
         }
 
         prop_assert_eq!(canonical_bytes(&inorder), canonical_bytes(&shuffled));
-        prop_assert!(inorder
-            .switches()
-            .iter()
-            .all(|&sw| inorder.snapshot_of(sw).is_some_and(|s| s.epochs.len() <= budget)));
+        prop_assert!(inorder.snapshots().iter().all(|s| s.epochs.len() <= budget));
     }
 
     /// A store that compacts aged epochs answers `flow_history` *totals*
@@ -340,6 +376,73 @@ proptest! {
             });
             prop_assert_eq!(flow_totals(&inline, f), totals);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The windowed read is the whole-ring read with the non-overlapping
+    /// epochs dropped, and the analyzer cannot tell the two apart: over
+    /// any append sequence of a real stream (any subset, any order,
+    /// duplicates, tight and roomy rings) and any window — bounds exactly
+    /// on an epoch's start or end, one off them, empty, inverted,
+    /// all-covering — the report over `snapshots_in(w)` is byte-identical
+    /// to the report over `snapshots()`. This is what lets `Diagnose` and
+    /// `Fragments` gather the window instead of the ring.
+    #[test]
+    fn windowed_read_is_the_full_read_to_the_analyzer(
+        case in 0..KINDS.len(),
+        picks in proptest::collection::vec(0..usize::MAX, 1..96),
+        budget in 2..12usize, // 8 and up: the default, roomy ring
+        shape in 0..4u8,
+        edges_at in (0..usize::MAX, 0..usize::MAX),
+        nudges in (0..3u64, 0..3u64),
+    ) {
+        let (sc, snaps) = &replays()[case];
+        let ((edge_a, edge_b), (nudge_a, nudge_b)) = (edges_at, nudges);
+        let mut store = TelemetryStore::new(StoreConfig {
+            epoch_budget: if budget < 8 { budget } else { 256 },
+            ..StoreConfig::default()
+        });
+        for p in &picks {
+            store.append(&snaps[p % snaps.len()]);
+        }
+        let full = store.snapshots();
+
+        // Every instant at which some held epoch starts or ends (and 0,
+        // so a store of epoch-less snapshots still has one).
+        let mut edges: Vec<u64> = full
+            .iter()
+            .flat_map(|s| &s.epochs)
+            .flat_map(|e| [e.start.0, e.end().0])
+            .chain([0])
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let edge = |i: usize, nudge: u64| Nanos((edges[i % edges.len()] + nudge).saturating_sub(1));
+        let w = match shape {
+            0 => Window::default(),
+            // Empty: from == to, on an edge.
+            1 => Window { from: edge(edge_a, 1), to: edge(edge_a, 1) },
+            // Exactly on two edges, in either order (inverted = empty).
+            2 => Window { from: edge(edge_a, 1), to: edge(edge_b, 1) },
+            // One before, on, or one past them.
+            _ => {
+                let (a, b) = (edge(edge_a, nudge_a), edge(edge_b, nudge_b));
+                Window { from: a.min(b), to: a.max(b) }
+            }
+        };
+
+        let windowed = store.snapshots_in(w);
+        prop_assert_eq!(&windowed, &full_read_retained(&store, w));
+
+        let cfg = AnalyzerConfig::for_epoch_len(optimal_run_config(1).epoch.epoch_len());
+        let report = |evidence: &[TelemetrySnapshot]| {
+            let (r, _, _) = analyze_victim_window(&sc.truth.victim, w, evidence, &sc.topo, &cfg);
+            serde_json::to_string(&r).expect("report serializes")
+        };
+        prop_assert_eq!(report(&windowed), report(&full));
     }
 }
 

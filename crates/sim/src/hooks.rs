@@ -79,11 +79,6 @@ impl<'a> SwitchView<'a> {
         self.switch
     }
 
-    /// Number of ports on this switch.
-    pub fn port_count(&self) -> u8 {
-        self.topo.ports(self.switch).len() as u8
-    }
-
     /// Next-hop egress port for a flow (the victim 5-tuple in the probe).
     pub fn route_port(&self, flow: &FlowKey) -> Option<u8> {
         self.topo.route_port(self.switch, flow)
@@ -92,11 +87,6 @@ impl<'a> SwitchView<'a> {
     /// Whether `port` attaches directly to a host.
     pub fn is_host_facing(&self, port: u8) -> bool {
         self.topo.is_host_facing(PortId::new(self.switch, port))
-    }
-
-    /// Whether the peer of `port` is the destination host of `flow`.
-    pub fn is_last_hop(&self, flow: &FlowKey, port: u8) -> bool {
-        self.topo.peer(PortId::new(self.switch, port)).node == flow.dst
     }
 }
 

@@ -162,9 +162,6 @@ impl HostFlow {
     pub fn is_done(&self) -> bool {
         self.state == FlowState::Done
     }
-    pub fn current_rate_gbps(&self) -> f64 {
-        self.dcqcn.rate().gbps()
-    }
 }
 
 #[derive(Debug, Default)]
@@ -289,10 +286,6 @@ impl HostState {
     /// Configure the PFC-injection fault (before the simulation runs).
     pub fn set_injector(&mut self, inj: Option<PfcInjectorConfig>) {
         self.cfg.pfc_injector = inj;
-    }
-
-    pub fn agent_config(&self) -> Option<AgentConfig> {
-        self.cfg.agent
     }
 
     pub fn flow_by_id(&self, id: FlowId) -> Option<&HostFlow> {

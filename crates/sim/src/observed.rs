@@ -45,15 +45,6 @@ impl<H: SwitchHook> ObservedHook<H> {
         &self.inner
     }
 
-    pub fn inner_mut(&mut self) -> &mut H {
-        &mut self.inner
-    }
-
-    /// Unwrap, discarding the recorder.
-    pub fn into_inner(self) -> H {
-        self.inner
-    }
-
     /// Unwrap into the inner hook and the recorder.
     pub fn into_parts(self) -> (H, Recorder) {
         (self.inner, self.obs)

@@ -110,13 +110,6 @@ impl<H: SwitchHook> Simulator<H> {
         &self.topo
     }
 
-    /// Mutable access to the topology (e.g. to install route overrides
-    /// before starting).
-    pub fn topo_mut(&mut self) -> &mut Topology {
-        assert!(!self.started, "topology is frozen once the simulation runs");
-        &mut self.topo
-    }
-
     pub fn now(&self) -> Nanos {
         self.queue.now()
     }

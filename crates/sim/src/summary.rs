@@ -3,7 +3,7 @@
 //! experiments report alongside diagnoses.
 //!
 //! Counter-valued fields are populated *through* a
-//! [`MetricsRegistry`](hawkeye_obs::MetricsRegistry): [`RunSummary::of_with`]
+//! [`MetricsRegistry`]: [`RunSummary::of_with`]
 //! first folds the simulator's hardware counters into the registry
 //! ([`crate::observed::record_sim_metrics`]) and then reads the summary
 //! numbers back out of it, so the registry snapshot and the summary can

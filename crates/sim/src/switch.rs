@@ -138,11 +138,6 @@ impl SwitchState {
         self.ports[port as usize].data.len()
     }
 
-    /// Current data-queue length of `port` in bytes.
-    pub fn queue_bytes(&self, port: u8) -> u64 {
-        self.ports[port as usize].data_bytes
-    }
-
     pub fn ingress_usage(&self, port: u8) -> u64 {
         self.ingress_usage[port as usize]
     }

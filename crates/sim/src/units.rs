@@ -29,10 +29,6 @@ impl Bandwidth {
         self.bits_per_sec
     }
 
-    pub fn gbps_f64(self) -> f64 {
-        self.bits_per_sec as f64 / 1e9
-    }
-
     /// Time to serialize `bytes` onto the wire at this bandwidth.
     ///
     /// Rounds up to the next nanosecond: a port stays busy for at least the

@@ -15,9 +15,8 @@
 //! What survives compaction: per-flow packet/pause/queue-depth sums and
 //! active-epoch counts, per-port sums, causality-meter byte totals, and
 //! the covered `[from, to)` range. What is lost: per-epoch alignment —
-//! a bucket cannot answer `epoch_detail_at` or participate in a diagnosis
-//! window, which is why the store serves those queries from the raw ring
-//! only.
+//! a bucket cannot participate in a diagnosis window, which is why the
+//! store serves windowed reads from the raw ring only.
 
 use crate::snapshot::EpochSnapshot;
 use hawkeye_sim::{FlowKey, Nanos};

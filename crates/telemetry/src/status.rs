@@ -25,10 +25,6 @@ impl PortStatusRegisters {
         }
     }
 
-    pub fn port_count(&self) -> usize {
-        self.pause_until.len()
-    }
-
     /// Update from a PFC frame the pipeline observed at `ev.port`.
     pub fn on_pfc(&mut self, ev: &PfcEvent) {
         let p = ev.port as usize;

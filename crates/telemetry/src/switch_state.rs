@@ -143,14 +143,6 @@ impl SwitchTelemetry {
             .sum()
     }
 
-    /// The egress port recorded for `key`, if any packets were seen.
-    pub fn flow_out_port(&self, key: &FlowKey, now: Nanos) -> Option<u8> {
-        self.recent_slots(now)
-            .filter_map(|s| s.flows.get(key))
-            .map(|r| r.out_port)
-            .next()
-    }
-
     /// Paused-packet count of an egress port over the recent epochs.
     pub fn port_paused_count(&self, port: u8, now: Nanos) -> u32 {
         self.recent_slots(now)

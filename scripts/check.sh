@@ -29,6 +29,12 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (library targets, -D warnings)"
+# A deletion that leaves a dangling [`X`] link fails here. Libraries only:
+# the `hawkeye` binary and the root library would both write
+# target/doc/hawkeye (cargo#6313).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --lib
+
 echo "==> chaos smoke (20% fault rate, 1 trial, jobs=2)"
 # A tiny fault-injection sweep through the release CLI: must finish without
 # a panic and must report at least one degraded/inconclusive verdict, or
