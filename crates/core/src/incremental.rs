@@ -65,6 +65,15 @@ struct SwitchState {
     /// `taken_at` with later arrivals winning ties — the exact dedup rule
     /// of [`AggTelemetry::build`].
     epochs: HashMap<(usize, u8), (Nanos, EpochSnapshot)>,
+    /// Eviction order: `(start, slot, id)` of exactly the epochs in
+    /// `epochs`, maintained on insert, on a superseding re-collection that
+    /// moves `start`, and on every removal — so the ring budget pops the
+    /// oldest instead of scanning the map. An exact ordered set rather
+    /// than the store's lazily-invalidated heap: horizon retirement
+    /// removes epochs from the middle of the order and, in the daemon,
+    /// fires far more often than the budget does, so a heap that is only
+    /// cleaned when popped would grow without bound.
+    evict_order: BTreeSet<(Nanos, usize, u8)>,
     /// The cumulative eviction list from the switch's latest snapshot.
     evicted_taken: Nanos,
     evicted: Vec<EvictedFlow>,
@@ -114,15 +123,22 @@ impl IncrementalProvenance {
         }
     }
 
+    /// [`apply_owned`](Self::apply_owned) for a caller that keeps its
+    /// snapshot.
+    pub fn apply(&mut self, snap: &TelemetrySnapshot) -> bool {
+        self.apply_owned(snap.clone())
+    }
+
     /// Ingest one snapshot: dedup its epochs into the switch's ring
     /// (keep-latest), adopt its eviction list if newer, enforce the ring
-    /// budget. Returns whether any evidence actually changed.
-    pub fn apply(&mut self, snap: &TelemetrySnapshot) -> bool {
+    /// budget. Epochs and the eviction list are moved into the ring, never
+    /// cloned. Returns whether any evidence actually changed.
+    pub fn apply_owned(&mut self, snap: TelemetrySnapshot) -> bool {
         self.stats.snapshots_applied += 1;
         self.agg.collected.insert(snap.switch);
         let st = self.switches.entry(snap.switch).or_default();
         let mut changed = false;
-        for ep in &snap.epochs {
+        for ep in snap.epochs {
             if ep.end() <= self.horizon {
                 self.stats.epochs_skipped += 1;
                 continue;
@@ -130,18 +146,24 @@ impl IncrementalProvenance {
             if self.agg.epoch_len != Nanos::ZERO && ep.len != self.agg.epoch_len {
                 self.len_changed = true;
             }
-            match st.epochs.get_mut(&(ep.slot, ep.id)) {
+            let key = (ep.slot, ep.id);
+            match st.epochs.get_mut(&key) {
                 Some(cur) if snap.taken_at < cur.0 => {} // stale re-delivery
                 Some(cur) => {
                     self.stats.epochs_superseded += 1;
-                    if cur.1 != *ep {
+                    if cur.1 != ep {
                         changed = true;
                     }
-                    *cur = (snap.taken_at, ep.clone());
+                    if cur.1.start != ep.start {
+                        // Ring-key reuse: the epoch moves in the order.
+                        st.evict_order.remove(&(cur.1.start, key.0, key.1));
+                        st.evict_order.insert((ep.start, key.0, key.1));
+                    }
+                    *cur = (snap.taken_at, ep);
                 }
                 None => {
-                    st.epochs
-                        .insert((ep.slot, ep.id), (snap.taken_at, ep.clone()));
+                    st.evict_order.insert((ep.start, key.0, key.1));
+                    st.epochs.insert(key, (snap.taken_at, ep));
                     self.stats.epochs_applied += 1;
                     changed = true;
                 }
@@ -149,21 +171,18 @@ impl IncrementalProvenance {
         }
         // Ring budget: oldest-starting epochs age out first.
         while st.epochs.len() > self.ring_budget {
-            let oldest = st
-                .epochs
-                .iter()
-                .map(|(&k, v)| (v.1.start, k.0, k.1))
-                .min()
-                .map(|(_, slot, id)| (slot, id))
-                .expect("non-empty ring has an oldest epoch");
-            st.epochs.remove(&oldest);
+            let (_, slot, id) = st
+                .evict_order
+                .pop_first()
+                .expect("every ring epoch has an eviction-order entry");
+            st.epochs.remove(&(slot, id));
             self.stats.epochs_retired += 1;
             changed = true;
         }
         if snap.taken_at >= st.evicted_taken {
             st.evicted_taken = snap.taken_at;
             if st.evicted != snap.evicted {
-                st.evicted = snap.evicted.clone();
+                st.evicted = snap.evicted;
                 changed = true;
             }
         }
@@ -185,7 +204,14 @@ impl IncrementalProvenance {
         let mut retired = 0;
         for (&sw, st) in &mut self.switches {
             let before = st.epochs.len();
-            st.epochs.retain(|_, (_, ep)| ep.end() > horizon);
+            let order = &mut st.evict_order;
+            st.epochs.retain(|&(slot, id), (_, ep)| {
+                let keep = ep.end() > horizon;
+                if !keep {
+                    order.remove(&(ep.start, slot, id));
+                }
+                keep
+            });
             let gone = (before - st.epochs.len()) as u64;
             if gone > 0 {
                 retired += gone;
@@ -712,6 +738,202 @@ mod tests {
                 assemble_from_fragments(shards, window, &topo, ReplayConfig::default());
             assert_eq!(graph, expect, "{parts}-way partition diverged");
             assert_eq!(agg.ports.len(), whole.ports.len());
+        }
+    }
+}
+
+/// The ring-budget eviction index against the O(ring) scan it replaced.
+#[cfg(test)]
+mod eviction_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    const EPOCH_LEN: u64 = 1 << 10;
+
+    type Ring = HashMap<(usize, u8), (Nanos, EpochSnapshot)>;
+
+    /// The engine's ring bookkeeping as it was before the ordered index:
+    /// same dedup rule, same counters, eviction by a full `min()` scan
+    /// over the map. Kept as the reference the index is checked against.
+    #[derive(Default)]
+    struct ScanOracle {
+        budget: usize,
+        horizon: Nanos,
+        rings: HashMap<NodeId, Ring>,
+        evicted: HashMap<NodeId, (Nanos, Vec<EvictedFlow>)>,
+        stats: IncrStats,
+    }
+
+    impl ScanOracle {
+        fn apply(&mut self, snap: &TelemetrySnapshot) -> bool {
+            self.stats.snapshots_applied += 1;
+            let ring = self.rings.entry(snap.switch).or_default();
+            let mut changed = false;
+            for ep in &snap.epochs {
+                if ep.end() <= self.horizon {
+                    self.stats.epochs_skipped += 1;
+                    continue;
+                }
+                match ring.get_mut(&(ep.slot, ep.id)) {
+                    Some(cur) if snap.taken_at < cur.0 => {}
+                    Some(cur) => {
+                        self.stats.epochs_superseded += 1;
+                        changed |= cur.1 != *ep;
+                        *cur = (snap.taken_at, ep.clone());
+                    }
+                    None => {
+                        ring.insert((ep.slot, ep.id), (snap.taken_at, ep.clone()));
+                        self.stats.epochs_applied += 1;
+                        changed = true;
+                    }
+                }
+            }
+            while ring.len() > self.budget {
+                let oldest = ring
+                    .iter()
+                    .map(|(&k, v)| (v.1.start, k.0, k.1))
+                    .min()
+                    .map(|(_, slot, id)| (slot, id))
+                    .expect("non-empty ring has an oldest epoch");
+                ring.remove(&oldest);
+                self.stats.epochs_retired += 1;
+                changed = true;
+            }
+            let ev = self.evicted.entry(snap.switch).or_default();
+            if snap.taken_at >= ev.0 {
+                ev.0 = snap.taken_at;
+                if ev.1 != snap.evicted {
+                    ev.1 = snap.evicted.clone();
+                    changed = true;
+                }
+            }
+            changed
+        }
+
+        fn retire_before(&mut self, horizon: Nanos) -> u64 {
+            if horizon <= self.horizon {
+                return 0;
+            }
+            self.horizon = horizon;
+            let mut retired = 0;
+            for ring in self.rings.values_mut() {
+                let before = ring.len();
+                ring.retain(|_, (_, ep)| ep.end() > horizon);
+                retired += (before - ring.len()) as u64;
+            }
+            self.stats.epochs_retired += retired;
+            retired
+        }
+
+        fn held(&self) -> BTreeSet<(NodeId, usize, u8, Nanos)> {
+            self.rings
+                .iter()
+                .flat_map(|(&sw, ring)| ring.iter().map(move |(k, v)| (sw, k.0, k.1, v.1.start)))
+                .collect()
+        }
+    }
+
+    fn held(eng: &IncrementalProvenance) -> BTreeSet<(NodeId, usize, u8, Nanos)> {
+        eng.switches
+            .iter()
+            .flat_map(|(&sw, st)| {
+                // The index is exactly the ring, re-keyed.
+                let ring: BTreeSet<_> = st
+                    .epochs
+                    .iter()
+                    .map(|(k, v)| (v.1.start, k.0, k.1))
+                    .collect();
+                assert_eq!(st.evict_order, ring, "index drifted from the ring");
+                ring.into_iter()
+                    .map(move |(start, slot, id)| (sw, slot, id, start))
+            })
+            .collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Apply(TelemetrySnapshot),
+        Retire(Nanos),
+    }
+
+    /// Slot, id and start are drawn independently, so a ring key is
+    /// re-collected stale, fresher, and fresher *under a different start*.
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (
+            (0..9u8, 0..2u32, 0..3usize, 0..3u8),
+            (0..12u64, 0..16u64, 0..3u16, 0..2u8),
+        )
+            .prop_map(|((kind, sw, slot, id), (step, taken, nflows, nev))| {
+                if kind == 0 {
+                    return Op::Retire(Nanos(step * EPOCH_LEN));
+                }
+                let flow = |i: u16| FlowKey::roce(NodeId(100), NodeId(101), i);
+                let record = hawkeye_telemetry::FlowRecord {
+                    pkt_count: 10 + u32::from(nflows),
+                    paused_count: 1,
+                    qdepth_sum: 20,
+                    out_port: 1,
+                };
+                Op::Apply(TelemetrySnapshot {
+                    switch: NodeId(sw),
+                    taken_at: Nanos(taken),
+                    nports: 4,
+                    max_flows: 64,
+                    epochs: vec![EpochSnapshot {
+                        slot,
+                        id,
+                        start: Nanos(step * EPOCH_LEN),
+                        len: Nanos(EPOCH_LEN),
+                        flows: (0..nflows).map(|i| (flow(i), record)).collect(),
+                        ports: vec![],
+                        meter: vec![],
+                    }],
+                    evicted: (0..u16::from(nev))
+                        .map(|i| EvictedFlow {
+                            key: flow(40 + i),
+                            record,
+                            epoch_id: id,
+                            slot,
+                        })
+                        .collect(),
+                })
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// After every operation the engine holds exactly the epochs the
+        /// scan oracle holds, with equal counters, at budgets that evict
+        /// on nearly every apply (1, 2) and never (ring-sized) — and the
+        /// borrowing entry is the owning one.
+        #[test]
+        fn index_evicts_what_the_scan_evicted(
+            ops in proptest::collection::vec(op_strategy(), 1..64),
+            budget in (0..3usize).prop_map(|i| [1, 2, 9][i]),
+        ) {
+            let mut owned = IncrementalProvenance::new(ReplayConfig::default(), budget);
+            let mut borrowed = IncrementalProvenance::new(ReplayConfig::default(), budget);
+            let mut oracle = ScanOracle { budget, ..ScanOracle::default() };
+            for op in ops {
+                match op {
+                    Op::Apply(snap) => {
+                        let expect = oracle.apply(&snap);
+                        prop_assert_eq!(borrowed.apply(&snap), expect);
+                        prop_assert_eq!(owned.apply_owned(snap), expect);
+                    }
+                    Op::Retire(h) => {
+                        let expect = oracle.retire_before(h);
+                        prop_assert_eq!(borrowed.retire_before(h), expect);
+                        prop_assert_eq!(owned.retire_before(h), expect);
+                    }
+                }
+                prop_assert_eq!(&held(&owned), &oracle.held());
+                prop_assert_eq!(held(&borrowed), oracle.held());
+                prop_assert_eq!(owned.stats, oracle.stats);
+                prop_assert_eq!(borrowed.stats, oracle.stats);
+                prop_assert_eq!(&owned.dirty, &borrowed.dirty);
+            }
         }
     }
 }

@@ -10,17 +10,22 @@
 //!     └────Verdict / Explain / FlowHistory / Stats──────────────────▶ WAL, audit
 //! ```
 //!
+//! `Ingest` and `Applied` each carry a **frame slice** — the snapshots of
+//! one request frame that belong to one shard, in frame order: one message
+//! per shard per frame from socket to core, whatever the batch size.
+//!
 //! - One **accept loop** (the daemon thread) polls the listener, spawns
 //!   one **session thread** per connection, and — when the core raises
 //!   its flag — asks every worker to export for a checkpoint round.
 //! - **Sessions** decode request frames and route `IngestEpoch` /
-//!   `IngestBatch` by `switch id % shards` into bounded per-shard queues.
+//!   `IngestBatch` by `switch id % shards` into bounded per-shard queues
+//!   once the whole frame passed the shard-ownership gate.
 //!   A full queue **backpressures**: the session blocks, the client's
 //!   credit window (granted on `Hello`, replenished by every ack) empties,
 //!   and the producer slows to the slowest shard's pace with zero loss.
 //! - **Shard worker** *i* owns [`TelemetryStore`] partition *i* outright.
-//!   It appends each snapshot and forwards one `Applied` (the snapshot,
-//!   the ring evictions the append staged, the journal record that rode
+//!   It appends a slice in order and forwards one `Applied` (the slice,
+//!   the ring evictions the appends staged, the journal record that rode
 //!   in with it, the store's horizon and watermark) to the core. Reads of
 //!   the raw ring — `Diagnose`, `Fragments`, `FlowHistory`, `Stats` — are
 //!   request messages on the same queue, answered from the owned store;
@@ -28,10 +33,10 @@
 //!   only the epochs the window overlaps, never its whole ring.
 //! - The single **core thread** owns the [`IncrementalProvenance`] engine,
 //!   the folded tier ([`Compactor`]), the evidence log ([`Wal`]) and the
-//!   [`AuditTrail`]. Per `Applied` it applies the snapshot to the engine,
-//!   retires the engine behind the fleet-minimum store horizon (so store
-//!   and engine age out telemetry in lockstep, see `tests/retention.rs`),
-//!   absorbs the folds and appends the journal record.
+//!   [`AuditTrail`]. Per slice it applies every snapshot to the engine,
+//!   absorbs the folds, retires the engine behind the fleet-minimum store
+//!   horizon (so store and engine age out telemetry in lockstep, see
+//!   `tests/retention.rs`) and appends the journal record — each once.
 //!
 //! **Messages travel one way only: session → shard worker → core.**
 //! Replies come back on a per-request rendezvous channel. No owner ever
@@ -40,7 +45,7 @@
 //! relation between threads is acyclic and the plane cannot deadlock
 //! (`tests/lock_order.rs` hammers it anyway). Because every queue is FIFO
 //! the request *is* the barrier: a worker answers a query only after every
-//! ingest queued before it, and the core answers only after every
+//! slice queued before it, and the core answers only after every
 //! `Applied` those appends forwarded. `Diagnose` therefore waits for the
 //! workers' appends but not for the engine applies behind them — it reads
 //! its window of the raw ring only, and the store's canonical form makes
@@ -103,8 +108,9 @@ pub struct ServeConfig {
     pub analyzer: AnalyzerConfig,
     /// Ingest shards (worker threads + store partitions).
     pub shards: usize,
-    /// Bounded depth of each shard's ingest queue; a full queue blocks the
-    /// session (backpressure).
+    /// Bounded depth of each shard's ingest queue, in frame slices (one
+    /// frame's snapshots for that shard: at most the batch size); a full
+    /// queue blocks the session (backpressure).
     pub queue_depth: usize,
     /// Master switch for serve-plane observability: per-op latency
     /// histograms, stage timings, health gauges, the flight ring and the
@@ -157,11 +163,12 @@ type JournalRecord = (u8, Vec<u8>);
 
 /// Messages to a shard worker, the owner of one store partition.
 enum ShardMsg {
-    /// A routed snapshot, plus (on a `--durable` daemon) the journal
-    /// record it settles. The record rides the shard queue and the
+    /// One frame's snapshots for this shard, in frame order, plus (on a
+    /// `--durable` daemon, on one slice of the frame) the journal record
+    /// the frame settles. The record rides the shard queue and the
     /// worker's `Applied` instead of a message of its own, so durable
     /// ingest wakes exactly the threads durability-off ingest does.
-    Ingest(TelemetrySnapshot, Option<JournalRecord>),
+    Ingest(Vec<TelemetrySnapshot>, Option<JournalRecord>),
     /// The partition's canonical per-switch snapshots, restricted to the
     /// epochs overlapping the window (`Diagnose`, `Fragments`).
     Snapshots(Window, SyncSender<Vec<TelemetrySnapshot>>),
@@ -180,22 +187,24 @@ struct StoreTotals {
     switches: usize,
 }
 
-/// What one shard-worker append hands the core.
+/// What a shard worker hands the core for one appended slice.
 struct Applied {
     shard: usize,
-    snap: TelemetrySnapshot,
-    /// Ring evictions the append staged for the folded tier.
+    snaps: Vec<TelemetrySnapshot>,
+    /// Ring evictions the appends staged for the folded tier.
     staged: Vec<PendingFold>,
     journal: Option<JournalRecord>,
     /// The partition's retention horizon and freshest-data watermark
-    /// after the append; `None` = no reporting switch yet.
+    /// after the last append; `None` = no reporting switch yet. The
+    /// horizon only moves forward, so once per slice can delay an engine
+    /// retirement by a frame and never cause an early one.
     horizon: Option<Nanos>,
     watermark: Option<Nanos>,
-    /// The store's own wall-clock for this append: ring admission and the
+    /// The store's own wall-clock over the slice: ring admission and the
     /// eviction loop.
     append_ns: u64,
     evict_ns: u64,
-    /// Ingest-queue occupancy the worker saw when it dequeued this.
+    /// Ingest-queue occupancy (snapshots) behind this slice at dequeue.
     queue_depth: u64,
 }
 
@@ -220,11 +229,15 @@ enum CoreMsg {
     Stats(SyncSender<Vec<(String, serde::Value)>>),
 }
 
-/// Depth of the core thread's channel. Bounded on purpose: if the core
-/// falls this far behind, shard workers block on the send and the
-/// slowdown propagates up the ingest path (and, under the credit window,
-/// back to the client) instead of growing an unbounded queue.
-const CORE_QUEUE_DEPTH: usize = 1024;
+/// Depth of the core thread's channel, in messages (an `Applied` is a
+/// frame slice). Bounded on purpose: if the core falls this far behind,
+/// shard workers block on the send and the slowdown propagates up the
+/// ingest path (and, under the credit window, back to the client) instead
+/// of growing an unbounded queue. 128 slices park about the 1024
+/// snapshots the per-snapshot `Applied` did at 32-snapshot frames over
+/// four shards; left at 1024, a core stall parked eight times that and
+/// showed as +14 % peak RSS on `serve-ingest`.
+const CORE_QUEUE_DEPTH: usize = 128;
 
 /// What every thread of one daemon can see: the configuration, the stop
 /// and checkpoint flags, two queue-occupancy statistics, and the two
@@ -243,8 +256,9 @@ struct Plane {
     /// Raised by the core when enough segments have completed to warrant
     /// a checkpoint; the accept loop polls it and starts the round.
     ckpt_wanted: AtomicBool,
-    /// Per-shard ingest-queue occupancy: incremented on enqueue
-    /// (`route_ingest`), decremented when the shard worker dequeues.
+    /// Per-shard ingest-queue occupancy in snapshots: added *before* the
+    /// slice is sent, so the worker's subtraction on dequeue can never run
+    /// ahead of it and wrap; taken back if the send fails.
     queue_depths: Vec<AtomicU64>,
     /// `Applied` messages sent but not yet processed by the core (the
     /// `compactor_queue_depth` gauge).
@@ -408,10 +422,15 @@ impl Core {
             .core_depth
             .fetch_sub(1, Ordering::Relaxed)
             .saturating_sub(1);
-        let epochs = a.snap.epochs.len() as u64;
+        let mut epochs = 0;
+        let mut changed = 0;
         let t = obs.then(Instant::now);
-        let changed = self.engine.apply(&a.snap);
+        for snap in a.snaps {
+            epochs += snap.epochs.len() as u64;
+            changed += u64::from(self.engine.apply_owned(snap));
+        }
         let apply_ns = elapsed_ns(t);
+        let fold_ns = a.evict_ns + self.comp.absorb(a.staged);
         self.horizons[a.shard] = a.horizon;
         self.watermarks[a.shard] = a.watermark;
         let fleet = self.fleet_horizon();
@@ -425,15 +444,14 @@ impl Core {
             0
         };
         let retire_ns = elapsed_ns(t);
-        let fold_ns = a.evict_ns + self.comp.absorb(a.staged);
         if let Some((kind, payload)) = a.journal {
             self.journal(kind, &payload);
         }
 
         let mut m = self.plane.metrics.lock().expect("metrics lock");
         m.add(MetricKey::global(EPOCHS_INGESTED), epochs);
-        if changed {
-            m.inc(MetricKey::global(INCREMENTAL_UPDATES));
+        if changed > 0 {
+            m.add(MetricKey::global(INCREMENTAL_UPDATES), changed);
         }
         if retired > 0 {
             m.add(MetricKey::global(ENGINE_EPOCHS_RETIRED), retired);
@@ -442,7 +460,8 @@ impl Core {
             return;
         }
         // Stage split: where does the ingest path spend its wall-clock —
-        // ring admission, eviction + fold, engine apply, or retirement.
+        // ring admission, eviction + fold, engine apply, or retirement
+        // (sums over the slice).
         m.add(MetricKey::global(STAGE_APPEND_NS), a.append_ns);
         m.add(MetricKey::global(STAGE_FOLD_NS), fold_ns);
         m.add(MetricKey::global(STAGE_ENGINE_APPLY_NS), apply_ns);
@@ -645,7 +664,7 @@ fn add_wal_counters(wal: &Option<Wal>, published: &mut WalStats, m: &mut Metrics
     let Some(wal) = wal else { return };
     let now = *wal.stats();
     if now == *published {
-        return; // most snapshots of a batch frame carry no record
+        return; // only one slice of a batch frame carries the record
     }
     m.add(
         MetricKey::global(WAL_RECORDS_APPENDED),
@@ -674,17 +693,20 @@ fn shard_worker(
     // "shard worker gone".
     while let Ok(msg) = rx.recv() {
         match msg {
-            ShardMsg::Ingest(snap, journal) => {
-                if plane.cfg.ingest_delay_ns > 0 {
-                    // The deliberately-slow-shard knob: backpressure tests
-                    // throttle the consumer here.
-                    thread::sleep(Duration::from_nanos(plane.cfg.ingest_delay_ns));
-                }
+            ShardMsg::Ingest(snaps, journal) => {
+                let n = snaps.len() as u64;
                 let queue_depth = plane.queue_depths[shard]
-                    .fetch_sub(1, Ordering::Relaxed)
-                    .saturating_sub(1);
+                    .fetch_sub(n, Ordering::Relaxed)
+                    .saturating_sub(n);
                 let before = *store.stats();
-                store.append(&snap);
+                for snap in &snaps {
+                    if plane.cfg.ingest_delay_ns > 0 {
+                        // The deliberately-slow-shard knob: backpressure
+                        // tests throttle the consumer here.
+                        thread::sleep(Duration::from_nanos(plane.cfg.ingest_delay_ns));
+                    }
+                    store.append(snap);
+                }
                 let after = store.stats();
                 let applied = Applied {
                     shard,
@@ -694,7 +716,7 @@ fn shard_worker(
                     horizon: store.retention_horizon(),
                     watermark: store.min_watermark(),
                     queue_depth,
-                    snap,
+                    snaps,
                     journal,
                 };
                 // A full core channel blocks here, which is the intended
@@ -938,24 +960,30 @@ fn confidence_label(c: &Confidence) -> &'static str {
     }
 }
 
-/// Route one snapshot to its shard's bounded queue. A full queue *blocks*
-/// until the shard drains — the session slows down, the client's credit
-/// window empties, and the slow shard's pace propagates all the way back
-/// to the producer with zero loss. A *disconnected* shard (worker thread
-/// gone) is a request error.
-fn route_ingest(
+/// Route one request frame: gate it, split it by shard (frame order kept
+/// within a shard) and queue one slice per shard it touches. A full queue
+/// *blocks* until the shard drains — the session slows down, the client's
+/// credit window empties, and the slow shard's pace propagates all the
+/// way back to the producer with zero loss. A *disconnected* shard
+/// (worker thread gone) is a request error.
+///
+/// `journal` is the frame's evidence-log record on a durable daemon: the
+/// received frame body, never a re-encode. It rides the last slice sent,
+/// so it is appended once, and only if every slice was queued. Returns
+/// the refusal; `None` = the whole frame is queued.
+fn route_frame(
     plane: &Plane,
     routes: &Routes,
-    snap: TelemetrySnapshot,
-    journal: Option<JournalRecord>,
-) -> Response {
-    // Shard-ownership gate, ahead of everything: an out-of-range switch is
-    // a routing fault (stale or mis-cut shard map at the sender), answered
-    // with the typed `wrong_shard:` error. The early return means the
-    // journal record is dropped with the snapshot — a sharded durable
-    // daemon's evidence log never holds epochs it refused.
+    snaps: Vec<TelemetrySnapshot>,
+    mut journal: Option<JournalRecord>,
+) -> Option<Response> {
+    // Shard-ownership gate, ahead of everything and over the whole frame:
+    // an out-of-range switch is a routing fault (stale or mis-cut shard
+    // map at the sender), answered with the typed `wrong_shard:` error
+    // before anything is queued — a sharded durable daemon neither stores
+    // nor journals any part of a frame it refused.
     if let Some(range) = plane.cfg.shard_range {
-        if !range.contains(snap.switch) {
+        if let Some(stray) = snaps.iter().find(|s| !range.contains(s.switch)) {
             plane
                 .metrics
                 .lock()
@@ -964,43 +992,63 @@ fn route_ingest(
             if plane.cfg.obs {
                 plane.flight.lock().expect("flight lock").warn(
                     "ingest_wrong_shard",
-                    format!("switch {} outside owned range {range}", snap.switch.0),
+                    format!("switch {} outside owned range {range}", stray.switch.0),
                 );
             }
-            return Response::Error(format!(
+            return Some(Response::Error(format!(
                 "{WRONG_SHARD_PREFIX} switch {} outside owned range {range}",
-                snap.switch.0
-            ));
+                stray.switch.0
+            )));
         }
     }
-    let shard = routes.shard_of(snap.switch);
-    // A durable daemon journals canonical byte forms — the received frame
-    // body, handed in by the session so the hot path never re-encodes. The
-    // codec is deterministic, so the frame bytes ARE the canonical form
-    // (checked in debug builds for the single-snapshot kind).
-    debug_assert!(
-        journal
-            .as_ref()
-            .is_none_or(|(kind, w)| *kind != REC_SNAPSHOT || *w == encode_snapshot(&snap)),
-        "journaled wire bytes diverge from the canonical encoding"
-    );
-    match routes.shards[shard].send(ShardMsg::Ingest(snap, journal)) {
-        Ok(()) => {
-            plane.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
-            Response::Ack {
-                accepted: true,
-                granted: 1,
-                info: None,
-            }
-        }
-        Err(_) => Gone("shard worker").into(),
+    let mut slices: Vec<Vec<TelemetrySnapshot>> = vec![Vec::new(); routes.shards.len()];
+    for snap in snaps {
+        slices[routes.shard_of(snap.switch)].push(snap);
     }
+    let last = slices.iter().rposition(|s| !s.is_empty());
+    for (shard, slice) in slices.into_iter().enumerate() {
+        if slice.is_empty() {
+            continue;
+        }
+        let n = slice.len() as u64;
+        let record = journal.take_if(|_| Some(shard) == last);
+        plane.queue_depths[shard].fetch_add(n, Ordering::Relaxed);
+        if routes.shards[shard]
+            .send(ShardMsg::Ingest(slice, record))
+            .is_err()
+        {
+            plane.queue_depths[shard].fetch_sub(n, Ordering::Relaxed);
+            return Some(Gone("shard worker").into());
+        }
+    }
+    None
 }
 
-/// Route a multi-epoch batch frame: every snapshot goes through
-/// [`route_ingest`] individually (per-switch sharding still applies), and
-/// one `BatchAck` settles the whole frame, returning its credits. A dead
-/// shard or an out-of-range switch fails the batch with an error.
+/// Route an `IngestEpoch` frame — a slice of one. The codec is
+/// deterministic, so the frame bytes ARE the canonical form a durable
+/// daemon journals (checked in debug builds, here and for batches).
+fn route_ingest(
+    plane: &Plane,
+    routes: &Routes,
+    snap: TelemetrySnapshot,
+    wire: Option<Vec<u8>>,
+) -> Response {
+    debug_assert!(
+        wire.as_ref().is_none_or(|w| *w == encode_snapshot(&snap)),
+        "journaled wire bytes diverge from the canonical encoding"
+    );
+    let journal = wire.map(|w| (REC_SNAPSHOT, w));
+    route_frame(plane, routes, vec![snap], journal).unwrap_or(Response::Ack {
+        accepted: true,
+        granted: 1,
+        info: None,
+    })
+}
+
+/// Route a multi-epoch batch frame (per-switch sharding still applies);
+/// one `BatchAck` settles the whole frame, returning its credits, and the
+/// whole frame journals as one batch record. A dead shard or an
+/// out-of-range switch fails the batch with an error.
 fn route_batch(
     plane: &Plane,
     routes: &Routes,
@@ -1008,21 +1056,12 @@ fn route_batch(
     wire: Option<Vec<u8>>,
 ) -> Response {
     let n = snaps.len() as u32;
-    // The whole frame journals as one batch record — the received frame
-    // body, byte-equal to the canonical encoding (checked in debug
-    // builds) — riding the frame's last snapshot.
     debug_assert!(
         wire.as_ref().is_none_or(|w| *w == encode_batch(&snaps)),
         "journaled wire bytes diverge from the canonical batch encoding"
     );
-    let mut batch_record = wire.map(|w| (REC_BATCH, w));
-    let last = snaps.len().saturating_sub(1);
-    for (i, snap) in snaps.into_iter().enumerate() {
-        let journal = if i == last { batch_record.take() } else { None };
-        match route_ingest(plane, routes, snap, journal) {
-            Response::Ack { .. } => {}
-            err => return err,
-        }
+    if let Some(refusal) = route_frame(plane, routes, snaps, wire.map(|w| (REC_BATCH, w))) {
+        return refusal;
     }
     if plane.cfg.obs {
         let mut m = plane.metrics.lock().expect("metrics lock");
@@ -1049,7 +1088,7 @@ fn session(plane: Arc<Plane>, routes: Routes, stream: AnyStream) {
                 Request::IngestEpoch(snap) => {
                     // A durable daemon journals the frame body verbatim;
                     // decoding is done with it.
-                    let wire = plane.durable.then(|| (REC_SNAPSHOT, std::mem::take(body)));
+                    let wire = plane.durable.then(|| std::mem::take(body));
                     (OP_INGEST_NS, Ok(route_ingest(&plane, &routes, snap, wire)))
                 }
                 Request::IngestBatch(snaps) => {
@@ -1174,7 +1213,7 @@ pub fn spawn_durable(
         // ingest path would have.
         for store in &stores {
             for snap in store.snapshots() {
-                engine.apply(&snap);
+                engine.apply_owned(snap);
             }
         }
         if let Some(fleet) = horizons.iter().flatten().min() {
@@ -1303,10 +1342,10 @@ mod tests {
     /// A thread-less plane plus routes into hand-held receivers: what a
     /// session sees, with the tests standing in for the owner threads.
     struct Rig {
-        plane: Plane,
+        plane: Arc<Plane>,
         routes: Routes,
         shard_rxs: Vec<Receiver<ShardMsg>>,
-        _core_rx: Receiver<CoreMsg>,
+        core_rx: Receiver<CoreMsg>,
     }
 
     fn rig(shards: usize, depth: usize, shard_range: Option<ShardRange>) -> Rig {
@@ -1316,13 +1355,25 @@ mod tests {
             ..ServeConfig::default()
         };
         let (txs, shard_rxs) = (0..shards).map(|_| sync_channel(depth)).unzip();
-        let (core, _core_rx) = sync_channel(depth);
+        let (core, core_rx) = sync_channel(depth);
         Rig {
-            plane: Plane::new(chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY), cfg, false),
+            plane: Arc::new(Plane::new(
+                chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY),
+                cfg,
+                false,
+            )),
             routes: Routes { shards: txs, core },
             shard_rxs,
-            _core_rx,
+            core_rx,
         }
+    }
+
+    fn queued_snapshots(plane: &Plane) -> u64 {
+        plane
+            .queue_depths
+            .iter()
+            .map(|d| d.load(Ordering::Relaxed))
+            .sum()
     }
 
     fn snap(switch: u32) -> TelemetrySnapshot {
@@ -1333,6 +1384,18 @@ mod tests {
             max_flows: 8,
             epochs: Vec::new(),
             evicted: Vec::new(),
+        }
+    }
+
+    fn epoch(step: u64) -> hawkeye_telemetry::EpochSnapshot {
+        hawkeye_telemetry::EpochSnapshot {
+            slot: step as usize % 4,
+            id: step as u8,
+            start: Nanos(step * 100),
+            len: Nanos(100),
+            flows: vec![],
+            ports: vec![],
+            meter: vec![],
         }
     }
 
@@ -1428,20 +1491,136 @@ mod tests {
     }
 
     /// A batch containing one out-of-range snapshot fails with the typed
-    /// error (no silent partial store of the rest after the fault).
+    /// error and the frame is atomic against the gate: the snapshots ahead
+    /// of the fault are not queued either (no silent partial store, whose
+    /// epochs a durable daemon would serve without ever journaling them).
     #[test]
     fn out_of_range_snapshot_fails_batch_typed() {
         let range = ShardRange {
             lo: 0,
-            hi: 1,
+            hi: 2,
             epoch: 0,
         };
-        let r = rig(1, 8, Some(range));
-        let resp = route_batch(&r.plane, &r.routes, vec![snap(0), snap(5)], None);
+        let r = rig(2, 8, Some(range));
+        let frame = vec![snap(0), snap(1), snap(5)];
+        let resp = route_batch(&r.plane, &r.routes, frame, None);
         let Response::Error(msg) = resp else {
             panic!("batch with out-of-range snapshot answered {resp:?}");
         };
         assert!(msg.starts_with(WRONG_SHARD_PREFIX));
+        assert_eq!(wrong_shard_count(&r.plane), 1);
+        for (i, rx) in r.shard_rxs.iter().enumerate() {
+            assert_eq!(rx.try_iter().count(), 0, "refused frame queued to {i}");
+        }
+        assert_eq!(queued_snapshots(&r.plane), 0);
+    }
+
+    /// The occupancy gauge counts a slice before it is sent and takes it
+    /// back when the send fails. Counted after the send, a worker that
+    /// dequeues at once subtracts first, wraps the counter below zero and
+    /// publishes ~1.8e19 as `shard_queue_depth`: the rendezvous queue here
+    /// hands the slice over at exactly that instant.
+    #[test]
+    fn queue_depth_counts_before_the_send() {
+        let r = rig(2, 8, None);
+        let frame: Vec<_> = (0..5).map(snap).collect();
+        route_batch(&r.plane, &r.routes, frame, None);
+        assert_eq!(queued_snapshots(&r.plane), 5);
+        assert_eq!(r.plane.queue_depths[0].load(Ordering::Relaxed), 3);
+
+        let mut dead = rig(2, 8, None);
+        dead.shard_rxs.clear();
+        let resp = route_batch(&dead.plane, &dead.routes, vec![snap(0), snap(1)], None);
+        assert!(matches!(resp, Response::Error(_)));
+        assert_eq!(
+            queued_snapshots(&dead.plane),
+            0,
+            "failed send kept its count"
+        );
+
+        let mut eager = rig(1, 0, None);
+        let rx = eager.shard_rxs.remove(0);
+        let plane = Arc::clone(&eager.plane);
+        let worker = thread::spawn(move || {
+            let _slice = rx.recv().expect("a slice arrives");
+            plane.queue_depths[0].load(Ordering::Relaxed)
+        });
+        route_batch(&eager.plane, &eager.routes, vec![snap(0); 3], None);
+        assert_eq!(
+            worker.join().expect("worker"),
+            3,
+            "dequeued ahead of the count"
+        );
+    }
+
+    /// A frame crosses the plane as one slice per shard it touches: frame
+    /// order within the slice, the journal record on exactly one slice,
+    /// one `Applied` per slice out of the worker, and the core's counters
+    /// still in snapshots and epochs.
+    #[test]
+    fn frame_travels_as_one_slice_per_shard() {
+        let r = rig(3, 8, None);
+        let frame: Vec<TelemetrySnapshot> = [4, 0, 1, 3, 6, 0]
+            .iter()
+            .zip(1u64..)
+            .map(|(&sw, taken)| TelemetrySnapshot {
+                taken_at: Nanos(taken),
+                epochs: vec![epoch(taken)],
+                ..snap(sw)
+            })
+            .collect();
+        let wire = encode_batch(&frame);
+        let resp = route_batch(&r.plane, &r.routes, frame.clone(), Some(wire.clone()));
+        assert!(matches!(resp, Response::BatchAck { accepted: 6, .. }));
+
+        // Through the workers — run to completion on this thread, their
+        // queues being closed — and into a core.
+        let Rig {
+            plane,
+            routes: Routes { shards, core: tx },
+            shard_rxs,
+            core_rx,
+        } = r;
+        let nshards = shards.len();
+        drop(shards);
+        let shard_of = |s: &TelemetrySnapshot| s.switch.0 as usize % nshards;
+        for (shard, rx) in shard_rxs.into_iter().enumerate() {
+            let store = TelemetryStore::new(StoreConfig {
+                deferred_fold: true,
+                ..plane.cfg.store
+            });
+            shard_worker(Arc::clone(&plane), shard, store, rx, tx.clone());
+        }
+        assert_eq!(queued_snapshots(&plane), 0);
+
+        // Switches 0, 3, 6 -> shard 0; 1, 4 -> shard 1; nothing -> shard 2.
+        let mut core = thread_less_core();
+        core.plane = Arc::clone(&plane);
+        core.horizons = vec![None; 3];
+        core.watermarks = vec![None; 3];
+        let mut records = Vec::new();
+        let mut shards_heard = Vec::new();
+        for msg in core_rx.try_iter() {
+            let CoreMsg::Applied(a) = &msg else {
+                panic!("workers forwarded only Applied");
+            };
+            let share: Vec<_> = frame
+                .iter()
+                .filter(|s| shard_of(s) == a.shard)
+                .cloned()
+                .collect();
+            assert_eq!(a.snaps, share, "shard {} slice out of frame order", a.shard);
+            shards_heard.push(a.shard);
+            records.extend(a.journal.clone());
+            core.handle(msg);
+        }
+        assert_eq!(shards_heard, vec![0, 1], "one Applied per slice");
+        assert_eq!(records, vec![(REC_BATCH, wire)], "one record per frame");
+        let m = plane.metrics.lock().unwrap();
+        assert_eq!(m.counter_total(EPOCHS_INGESTED), 6);
+        assert_eq!(m.counter_total(INCREMENTAL_UPDATES), 6);
+        assert_eq!(core.engine.stats().snapshots_applied, 6);
+        assert_eq!(core.engine.epochs_held(), 6);
     }
 
     /// Sharding is stable per switch and spreads across the store set.
@@ -1508,15 +1687,7 @@ mod tests {
             stage_match_ns: 0,
         };
         let mut evidence = snap(3);
-        evidence.epochs.push(hawkeye_telemetry::EpochSnapshot {
-            slot: 0,
-            id: 0,
-            start: Nanos(0),
-            len: Nanos(100),
-            flows: vec![],
-            ports: vec![],
-            meter: vec![],
-        });
+        evidence.epochs.push(epoch(0));
         assert!(core.engine.apply(&evidence), "an epoch is new evidence");
         core.handle(CoreMsg::Verdict(Box::new(rec.clone())));
         rec.seq = 0;

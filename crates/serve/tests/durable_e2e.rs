@@ -3,7 +3,7 @@
 //! with the same flow history, verdict and audit trail as before — and as
 //! a durability-off daemon fed the identical stream.
 
-use hawkeye_client::{FlowObservation, ServeClient};
+use hawkeye_client::{FlowObservation, ProtoError, ServeClient, ShardRange, VecSink};
 use hawkeye_eval::{optimal_run_config, Verdict};
 use hawkeye_serve::{
     replay_streaming, spawn, spawn_durable, DaemonHandle, Endpoint, FsyncPolicy, ReplayOutcome,
@@ -191,6 +191,172 @@ fn recovered_state_matches_durability_off() {
     assert_eq!(
         history_rec, history_ref,
         "recovered state diverged from the uninterrupted reference"
+    );
+    shutdown_daemon(handle, &sock);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Batch frames that span shards: each frame is split into one slice per
+/// shard and journaled as *one* record riding one of them. Recovered must
+/// equal uncrashed must equal durability-off fed snapshot by snapshot.
+#[test]
+fn shard_spanning_batches_recover_to_the_unbatched_state() {
+    let sc = incast();
+    let (_, sink) = replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+    let frames: Vec<&[_]> = sink.snaps.chunks(8).collect();
+    assert!(
+        frames
+            .iter()
+            .any(|f| f.iter().any(|s| s.switch.0 % 2 == 0) && f.iter().any(|s| s.switch.0 % 2 == 1)),
+        "no frame spans both shards; the test would not test the split"
+    );
+
+    let sock_ref = tmp("span-off.sock");
+    let handle = spawn(
+        sc.topo.clone(),
+        tiered_cfg(),
+        Endpoint::Unix(sock_ref.clone()),
+    )
+    .expect("bind reference daemon");
+    let mut client = ServeClient::connect_unix(&sock_ref).expect("connect");
+    for snap in &sink.snaps {
+        assert!(client.ingest(snap).expect("ingest"));
+    }
+    client.stats().expect("stats barrier");
+    let history_ref = client.flow_history(sc.truth.victim).expect("history");
+    drop(client);
+    shutdown_daemon(handle, &sock_ref);
+
+    let dir = tmp("span");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sock = tmp("span.sock");
+    let wal = WalConfig {
+        fsync: FsyncPolicy::Never,
+        ..WalConfig::new(&dir)
+    };
+    let handle = spawn_durable(
+        sc.topo.clone(),
+        tiered_cfg(),
+        Endpoint::Unix(sock.clone()),
+        Some(wal.clone()),
+    )
+    .expect("bind durable daemon");
+    let mut client = ServeClient::connect_unix(&sock).expect("connect");
+    for frame in &frames {
+        client.ingest_batch(frame).expect("ingest batch");
+    }
+    assert_eq!(client.finish_ingest().expect("settle acks").shed, 0);
+    let stats = client.stats().expect("stats barrier");
+    assert_eq!(
+        stats.get("wal_records_appended").and_then(|v| v.as_u64()),
+        Some(frames.len() as u64),
+        "one batch record per frame, however many slices: {stats:?}"
+    );
+    let history_live = client.flow_history(sc.truth.victim).expect("history");
+    assert_eq!(
+        history_live, history_ref,
+        "batched durable != unbatched off"
+    );
+    drop(client);
+    shutdown_daemon(handle, &sock);
+
+    let handle = spawn_durable(
+        sc.topo.clone(),
+        tiered_cfg(),
+        Endpoint::Unix(sock.clone()),
+        Some(wal),
+    )
+    .expect("restart durable daemon");
+    assert_eq!(
+        query_history(&sc, &sock),
+        history_ref,
+        "recovered state diverged from the uninterrupted reference"
+    );
+    shutdown_daemon(handle, &sock);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame a shard daemon refuses (one switch outside its range) leaves
+/// no trace: nothing of it is stored, nothing journaled, and a restart
+/// recovers exactly what an uncrashed daemon holds. Routed snapshot by
+/// snapshot, the in-range part ahead of the fault was stored and served
+/// while the batch record was dropped — recovered != uncrashed.
+#[test]
+fn refused_frame_is_neither_stored_nor_journaled() {
+    let sc = incast();
+    let (_, sink) = replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+    // Own exactly the switches below the largest reporting id.
+    let stray_switch = sink.snaps.iter().map(|s| s.switch).max().expect("stream");
+    let cfg = ServeConfig {
+        shard_range: Some(ShardRange {
+            lo: 0,
+            hi: stray_switch.0,
+            epoch: 0,
+        }),
+        ..tiered_cfg()
+    };
+    let (owned, stray): (Vec<_>, Vec<_>) = sink
+        .snaps
+        .iter()
+        .cloned()
+        .partition(|s| s.switch != stray_switch);
+    let (accepted, held_back) = owned.split_at(owned.len() / 2);
+    // The refused frame: in-range snapshots carrying the victim (so the
+    // history would show them), then the stray one.
+    let mut refused: Vec<_> = held_back.to_vec();
+    refused.push(stray[0].clone());
+
+    let dir = tmp("refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sock = tmp("refused.sock");
+    let wal = WalConfig {
+        fsync: FsyncPolicy::Never,
+        ..WalConfig::new(&dir)
+    };
+    let handle = spawn_durable(
+        sc.topo.clone(),
+        cfg,
+        Endpoint::Unix(sock.clone()),
+        Some(wal.clone()),
+    )
+    .expect("bind durable shard daemon");
+    let mut client = ServeClient::connect_unix(&sock).expect("connect");
+    client.ingest_batch(accepted).expect("ingest batch");
+    client.finish_ingest().expect("settle acks");
+    let before = client.stats().expect("stats barrier");
+    let history_before = client.flow_history(sc.truth.victim).expect("history");
+
+    client.ingest_batch(&refused).expect("frame sent");
+    let err = client
+        .finish_ingest()
+        .expect_err("a frame with a stray switch is refused");
+    assert!(matches!(err, ProtoError::WrongShard(_)), "untyped: {err}");
+    drop(client);
+    let mut client = ServeClient::connect_unix(&sock).expect("reconnect");
+    let after = client.stats().expect("stats barrier");
+    for key in ["wal_records_appended", "store_snapshots_appended"] {
+        assert_eq!(after.get(key), before.get(key), "{key} moved on a refusal");
+    }
+    assert_eq!(
+        after.get("ingest_wrong_shard").and_then(|v| v.as_u64()),
+        Some(1)
+    );
+    let history_after = client.flow_history(sc.truth.victim).expect("history");
+    assert_eq!(history_after, history_before, "refused frame was stored");
+    drop(client);
+    shutdown_daemon(handle, &sock);
+
+    let handle = spawn_durable(
+        sc.topo.clone(),
+        cfg,
+        Endpoint::Unix(sock.clone()),
+        Some(wal),
+    )
+    .expect("restart durable shard daemon");
+    assert_eq!(
+        query_history(&sc, &sock),
+        history_before,
+        "recovered != uncrashed after a refused frame"
     );
     shutdown_daemon(handle, &sock);
     let _ = std::fs::remove_dir_all(&dir);

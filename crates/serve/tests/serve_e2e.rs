@@ -344,6 +344,83 @@ fn stats_waits_for_every_acknowledged_snapshot() {
     handle.wait();
 }
 
+/// The frame is a unit inside the daemon, and its size is invisible in
+/// what the daemon ends up holding: the same stream sent as 1-snapshot
+/// frames and as 32-snapshot frames (each split across four shards)
+/// leaves equal store and folded-tier counts, equal flow history and the
+/// same verdict, under a ring small enough that eviction and folds run.
+///
+/// What the *engine* holds is compared on one shard only. Across shards
+/// it depends on the order their `Applied`s reach the core, at any frame
+/// size: a shard that has not reported yet places no constraint on the
+/// fleet horizon, so whichever evicts first can retire the engine past
+/// epochs another shard's switches deliver later.
+#[test]
+fn frame_size_does_not_change_what_the_daemon_holds() {
+    let sc = incast();
+    let cfg = optimal_run_config(1);
+    let (outcome, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, VecSink::default());
+    let w = outcome.window.expect("victim was detected");
+    const HELD: [&str; 5] = [
+        "epochs_ingested",
+        "store_snapshots_appended",
+        "store_epochs_held",
+        "store_epochs_compacted_held",
+        "engine_epochs_held",
+    ];
+
+    let run = |shards: usize, frame: usize| {
+        let handle = spawn(
+            sc.topo.clone(),
+            ServeConfig {
+                store: StoreConfig {
+                    epoch_budget: 2,
+                    compact_budget: 8,
+                    compact_chunk: 4,
+                    ..StoreConfig::default()
+                },
+                shards,
+                ..ServeConfig::default()
+            },
+            Endpoint::Tcp("127.0.0.1:0".into()),
+        )
+        .expect("bind daemon");
+        let addr = handle.local_addr.expect("tcp daemon has an address");
+        let mut client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
+        for chunk in sink.snaps.chunks(frame) {
+            match chunk {
+                [one] => assert!(client.ingest(one).expect("ingest")),
+                many => drop(client.ingest_batch(many).expect("ingest batch")),
+            }
+        }
+        assert_eq!(client.finish_ingest().expect("settle acks").shed, 0);
+        let stats = client.stats().expect("stats");
+        let held = HELD.map(|k| stats.get(k).and_then(|v| v.as_u64()).expect(k));
+        let history = client.flow_history(sc.truth.victim).expect("history");
+        let served = client
+            .diagnose(sc.truth.victim, w.from, w.to, outcome.missing.clone())
+            .expect("served diagnosis");
+        client.shutdown().expect("shutdown");
+        handle.wait();
+        (held, history, served)
+    };
+
+    for (shards, compared) in [(4, &HELD[..4]), (1, &HELD[..])] {
+        let (held_1, history_1, served_1) = run(shards, 1);
+        let (held_32, history_32, served_32) = run(shards, 32);
+        assert!(held_1[3] > 0, "tiny ring must have folded: {held_1:?}");
+        assert!(held_1[4] < held_1[0], "engine budget must have evicted");
+        assert_eq!(
+            held_32[..compared.len()],
+            held_1[..compared.len()],
+            "{compared:?} differ by frame size on {shards} shard(s)"
+        );
+        assert_eq!(history_32, history_1, "flow history differs by frame size");
+        assert_eq!(served_32, served_1, "verdict differs by frame size");
+        assert!(outcome.parity_with(&served_32), "served != one-shot");
+    }
+}
+
 /// A snapshot for a switch outside the daemon's topology must not crash
 /// the daemon; diagnosis with no ingested telemetry is a remote error,
 /// not a hang or a panic.

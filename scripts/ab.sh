@@ -1,0 +1,100 @@
+#!/usr/bin/env bash
+# Alternated parent/change pairs of one benchmark workload, judged by the
+# rule in benchmark/README.md ("Bounds"): a gain is at least nine tenths of
+# the pairs won (ties count for neither side) with the medians apart by
+# more than the distance between the quartiles of the parent's runs.
+#
+# Usage: scripts/ab.sh <parent-ref> <workload> [pairs=10] [seconds=20]
+#
+# The parent is `git archive`d into a directory under `mktemp -d` (not
+# .bench_build/, which is the driver's; not a `git worktree`, which would
+# write under .git/), both benchmark/ packages are built --release
+# --offline and the two executables copied beside it, so a rebuild in this
+# checkout during the run changes nothing. Pair i runs with --seed i; odd
+# pairs run the parent first, even pairs the change. Nothing tracked is
+# touched and the directory is removed on exit. Every run made is printed.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 2 ]; then
+  sed -n '2,7p' "$0" | sed 's/^# \{0,1\}//'
+  exit 2
+fi
+parent_ref=$1
+workload=$2
+pairs=${3:-10}
+seconds=${4:-20}
+
+work=$(mktemp -d /tmp/hawkeye-ab-XXXXXX)
+trap 'rm -rf "$work"' EXIT
+
+parent_sha=$(git rev-parse --verify "$parent_ref^{commit}")
+echo "# parent $parent_sha, change = this checkout ($(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted')), $workload, $pairs pairs x ${seconds}s, $(nproc) cpus"
+
+mkdir "$work/parent"
+git archive "$parent_sha" | tar -x -C "$work/parent"
+echo "# building parent"
+cargo build --release --offline --quiet --manifest-path "$work/parent/benchmark/Cargo.toml"
+echo "# building change"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+cp "$work/parent/benchmark/target/release/hawkeye-benchmark" "$work/bench-parent"
+cp benchmark/target/release/hawkeye-benchmark "$work/bench-change"
+
+# The last line of stdout is the result JSON.
+run() { # side seed
+  "$work/bench-$1" --workload "$workload" --seed "$2" --seconds "$seconds" \
+    | tail -n 1 > "$work/$1-$2.json"
+  echo "# run $1 seed $2: $(cat "$work/$1-$2.json")"
+}
+
+for i in $(seq 1 "$pairs"); do
+  if [ $((i % 2)) -eq 1 ]; then
+    run parent "$i"; run change "$i"
+  else
+    run change "$i"; run parent "$i"
+  fi
+done
+
+python3 - "$work" "$pairs" BENCHMARK.json <<'EOF'
+import json, statistics, sys
+
+work, pairs, contract = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
+
+def load(side):
+    return [json.load(open(f"{work}/{side}-{i}.json")) for i in range(1, pairs + 1)]
+
+def quartile_distance(xs):
+    if len(xs) < 2:
+        return 0.0
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[2] - q[0]
+
+parent, change = load("parent"), load("change")
+for side, runs in (("parent", parent), ("change", change)):
+    bad = sum(1 for r in runs if not r["correct"] or r["failed"])
+    print(f"# {side}: {bad} of {pairs} runs incorrect or with failed operations")
+
+print(f"{'metric':16} {'parent med':>12} {'change med':>12} {'delta':>8} "
+      f"{'parent iqr':>11} {'change iqr':>11} {'wins':>6}  verdict")
+for m in contract["end_to_end"]:
+    name, higher = m["name"], m["better"] == "higher"
+    p = [r["metrics"][name]["value"] for r in parent]
+    c = [r["metrics"][name]["value"] for r in change]
+    pm, cm = statistics.median(p), statistics.median(c)
+    better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
+    wins = sum(1 for a, b in zip(c, p) if better(a, b))
+    losses = sum(1 for a, b in zip(c, p) if better(b, a))
+    gap = (cm - pm) if higher else (pm - cm)   # > 0: the change is better
+    spread = quartile_distance(p)
+    if wins * 10 >= pairs * 9 and gap > spread:
+        verdict = "gain"
+    elif losses * 10 >= pairs * 9 and -gap > spread:
+        verdict = "loss"
+    elif pm and -gap / abs(pm) > m["bound"]:
+        verdict = f"worse by more than the {m['bound']:.0%} bound"
+    else:
+        verdict = "no change shown"
+    delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+    print(f"{name:16} {pm:12.4f} {cm:12.4f} {delta:>8} {spread:11.4f} "
+          f"{quartile_distance(c):11.4f} {wins:>3}/{pairs:<2}  {verdict}")
+EOF

@@ -284,6 +284,11 @@ echo "==> benchmark smoke (every workload at 2 s, one traced pass)"
 # the pipeline that runs BENCHMARK.json.
 benchmark/smoke.sh
 
+echo "==> scripts/ab.sh parses"
+# The paired-run tool itself takes tens of minutes; the gate only checks
+# that it is still a shell script.
+bash -n scripts/ab.sh
+
 echo "==> corpus smoke (ft4 + leaf-spine slice vs committed golden)"
 # A cheap slice of the scenario corpus checked against the committed
 # golden pins through the release CLI: any verdict drift on these cells
