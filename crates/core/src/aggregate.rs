@@ -41,8 +41,10 @@ impl FlowAgg {
     /// Packets attributable to local flow contention — enqueues while the
     /// port was paused are excluded from contention analysis (§3.5.1,
     /// "the port-flow edge construction excludes the paused packets").
+    /// The wire does not tie the two counters together, so a record
+    /// claiming more paused enqueues than enqueues has none.
     pub fn contention_pkts(&self) -> u64 {
-        self.pkt_num - self.paused_num
+        self.pkt_num.saturating_sub(self.paused_num)
     }
 
     pub fn avg_qdepth(&self) -> f64 {
@@ -90,6 +92,16 @@ impl Window {
 /// records observed there.
 pub type PortEpoch = (PortAgg, Vec<(FlowKey, FlowAgg)>);
 
+/// Sort every per-epoch flow list of one port by flow key — the order the
+/// contention replay breaks same-time arrivals in. Whoever fills
+/// [`AggTelemetry::port_epochs`] calls this once the port's lists are
+/// complete; readers borrow the lists as they are.
+pub fn sort_epoch_flows(epochs: &mut BTreeMap<u64, PortEpoch>) {
+    for (_, flows) in epochs.values_mut() {
+        flows.sort_unstable_by_key(|(k, _)| *k);
+    }
+}
+
 /// All reported telemetry, flattened for graph construction.
 #[derive(Debug, Clone, Default)]
 pub struct AggTelemetry {
@@ -108,7 +120,8 @@ pub struct AggTelemetry {
     /// runs per epoch — Algorithm 1's `ReplayQueue` spreads a flow's
     /// packets over `T`, the *epoch* size — so bursts are not smeared
     /// across the whole window; the per-epoch port queue depths drive
-    /// congestion-onset location.
+    /// congestion-onset location. Each flow list is sorted by key
+    /// ([`sort_epoch_flows`]) where the aggregate is built.
     pub port_epochs: HashMap<PortId, BTreeMap<u64, PortEpoch>>,
 }
 
@@ -223,17 +236,8 @@ impl AggTelemetry {
                 f.epochs_active += 1;
             }
         }
+        agg.port_epochs.values_mut().for_each(sort_epoch_flows);
         agg
-    }
-
-    /// Total meter volume out of `sw`'s ingress `in_port` (Algorithm 1
-    /// line 5's `sum_meter`).
-    pub fn meter_ingress_total(&self, sw: NodeId, in_port: u8) -> u64 {
-        self.meters
-            .iter()
-            .filter(|((s, ip, _), _)| *s == sw && *ip == in_port)
-            .map(|(_, b)| *b)
-            .sum()
     }
 
     /// Egress ports of `sw` fed by ingress `in_port`, with byte volumes.
@@ -248,28 +252,14 @@ impl AggTelemetry {
         v
     }
 
-    /// Per-epoch flow lists at `port`, ordered by epoch start; each list is
-    /// sorted by flow key for determinism. The contention-replay input.
-    pub fn epoch_flows_at(&self, port: PortId) -> Vec<Vec<(FlowKey, FlowAgg)>> {
-        self.epoch_detail_at(port)
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect()
-    }
-
     /// Per-epoch (port counters, flow list) pairs at `port`, ordered by
-    /// epoch start; flow lists sorted by key for determinism.
-    pub fn epoch_detail_at(&self, port: PortId) -> Vec<PortEpoch> {
-        let Some(eps) = self.port_epochs.get(&port) else {
-            return Vec::new();
-        };
-        eps.values()
-            .map(|(pa, v)| {
-                let mut v = v.clone();
-                v.sort_unstable_by_key(|(k, _)| *k);
-                (*pa, v)
-            })
-            .collect()
+    /// epoch start, borrowed: the contention-replay and onset-attribution
+    /// input.
+    pub fn epoch_detail_at(&self, port: PortId) -> impl Iterator<Item = &PortEpoch> {
+        self.port_epochs
+            .get(&port)
+            .into_iter()
+            .flat_map(|eps| eps.values())
     }
 
     /// The port's peak per-epoch average queue depth (packets) — the
@@ -280,10 +270,7 @@ impl AggTelemetry {
     /// is absent.
     pub fn peak_qdepth(&self, port: PortId) -> f64 {
         let peak = self
-            .port_epochs
-            .get(&port)
-            .into_iter()
-            .flat_map(|eps| eps.values())
+            .epoch_detail_at(port)
             .map(|(pa, _)| pa.avg_qdepth())
             .fold(0.0f64, f64::max);
         if peak > 0.0 {
@@ -349,7 +336,6 @@ mod tests {
         assert_eq!(agg.ports[&port].avg_qdepth(), 5.0);
         let fa = agg.flows[&(key(1), port)];
         assert_eq!(fa.contention_pkts(), 6);
-        assert_eq!(agg.meter_ingress_total(NodeId(7), 0), 10480);
         assert_eq!(agg.meter_out_ports(NodeId(7), 0), vec![(2, 10480)]);
         assert!(agg.collected.contains(&NodeId(7)));
     }

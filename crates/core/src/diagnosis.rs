@@ -2,7 +2,7 @@
 //! from the victim's path, detect deadlock loops, locate initial congestion
 //! points, and attribute root causes to flows or host PFC injection.
 
-use crate::aggregate::AggTelemetry;
+use crate::aggregate::{AggTelemetry, PortEpoch};
 use crate::error::Confidence;
 use crate::provenance::{victim_extents, ProvenanceGraph, ReplayConfig};
 use crate::signature::{contributors, has_flow_contention, CONTENTION_EPS};
@@ -355,7 +355,7 @@ impl<'a> Walker<'a> {
     /// port never saw a queue-buildup onset in the window.
     fn onset_contributors(&self, p: usize) -> Option<Vec<(FlowKey, f64)>> {
         let port = self.g.ports[p];
-        let epochs = self.agg.epoch_detail_at(port);
+        let epochs: Vec<&PortEpoch> = self.agg.epoch_detail_at(port).collect();
         if epochs.is_empty() || self.agg.epoch_len.as_nanos() == 0 {
             return None;
         }

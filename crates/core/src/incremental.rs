@@ -2,12 +2,17 @@
 //! under a stream of telemetry snapshots.
 //!
 //! The batch pipeline rebuilds [`AggTelemetry`] and the whole graph for
-//! every diagnosis. An online service ingesting one snapshot per collection
-//! epoch cannot afford that: the expensive step — per-epoch FIFO contention
-//! replay ([`contribution`](crate::provenance::contribution)) — is
-//! O(packets × queue depth) per port, while a single snapshot only changes
-//! the evidence of *one* switch (and, through the causality meters, the
-//! port-level edges of its upstream neighbors).
+//! every diagnosis, while a single snapshot only changes the evidence of
+//! *one* switch (and, through the causality meters, the port-level edges of
+//! its upstream neighbors). The expensive step of that rebuild is the
+//! per-epoch FIFO contention replay
+//! ([`contribution`](crate::provenance::contribution)): one step per
+//! claimed packet in every epoch where two or more flows contend (an epoch
+//! with one flow is not replayed). How expensive is a measured question —
+//! in the daemon's `serve-diagnose` benchmark the replay is ≈0.7 ms of a
+//! windowed Diagnose's ≈1.5 ms mean (it was ≈2.1 of ≈3.0 ms before the
+//! lone-flow shortcut and the merge), so a cache of its results can save a
+//! verdict at most about half its time (DESIGN §9.2).
 //!
 //! [`IncrementalProvenance`] therefore keeps, per switch, the deduplicated
 //! epoch ring (keep-latest by `taken_at`, mirroring
@@ -26,7 +31,7 @@
 //! age past the retention horizon ([`IncrementalProvenance::retire_before`])
 //! or fall off the per-switch ring budget.
 
-use crate::aggregate::{AggTelemetry, FlowAgg, PortAgg, Window};
+use crate::aggregate::{sort_epoch_flows, AggTelemetry, FlowAgg, PortAgg, Window};
 use crate::provenance::{
     assemble_graph, port_causality_edges, port_contention, ProvenanceGraph, ReplayConfig,
 };
@@ -353,6 +358,11 @@ impl IncrementalProvenance {
             f.qdepth_sum += ev.record.qdepth_sum;
             f.epochs_active += 1;
             k_flows.insert((ev.key, port));
+        }
+        for p in &k_pes {
+            if let Some(epochs) = self.agg.port_epochs.get_mut(p) {
+                sort_epoch_flows(epochs);
+            }
         }
         st.k_ports = k_ports.into_iter().collect();
         st.k_flows = k_flows.into_iter().collect();

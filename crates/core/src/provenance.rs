@@ -13,11 +13,11 @@
 //!   (how much others wait for it minus how much it waits for others), so
 //!   contributors are positive and victims negative.
 
-use crate::aggregate::AggTelemetry;
+use crate::aggregate::{AggTelemetry, FlowAgg};
 #[cfg(test)]
 use hawkeye_sim::NodeId;
 use hawkeye_sim::{FlowKey, PortId, Topology};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Contribution replay tuning.
 #[derive(Debug, Clone, Copy)]
@@ -202,11 +202,13 @@ pub fn port_causality_edges(
     }
     let b = peer.node;
     let b_in = peer.port;
-    let sum_meter = agg.meter_ingress_total(b, b_in);
+    // Algorithm 1 line 5's `sum_meter`.
+    let out_ports = agg.meter_out_ports(b, b_in);
+    let sum_meter: u64 = out_ports.iter().map(|(_, bytes)| bytes).sum();
     if sum_meter == 0 {
         return edges;
     }
-    for (out, bytes) in agg.meter_out_ports(b, b_in) {
+    for (out, bytes) in out_ports {
         let pj = PortId::new(b, out);
         let qdepth = agg.peak_qdepth(pj);
         let pj_paused = agg.ports.get(&pj).map_or(0, |a| a.paused_num);
@@ -247,10 +249,11 @@ pub fn port_contention(
         .tx_time(hawkeye_sim::DATA_PKT_SIZE)
         .as_nanos() as f64;
     let mut total: HashMap<FlowKey, f64> = HashMap::new();
-    for epoch_flows in agg.epoch_flows_at(pi) {
-        for (key, w) in contribution(&epoch_flows, epoch_ns, pkt_tx_ns, replay) {
+    let mut buffers = ReplayBuffers::default();
+    for (_, epoch_flows) in agg.epoch_detail_at(pi) {
+        buffers.contribution(epoch_flows, epoch_ns, pkt_tx_ns, replay, |key, w| {
             *total.entry(key).or_default() += w;
-        }
+        });
     }
     let mut total: Vec<(FlowKey, f64)> = total.into_iter().collect();
     total.sort_unstable_by_key(|(k, _)| *k);
@@ -290,8 +293,7 @@ pub(crate) fn assemble_graph(
     }
 
     // --- Flow-port provenance (PFC impact on flows). ---
-    let mut flow_ports: Vec<(&(FlowKey, PortId), &crate::aggregate::FlowAgg)> =
-        agg.flows.iter().collect();
+    let mut flow_ports: Vec<(&(FlowKey, PortId), &FlowAgg)> = agg.flows.iter().collect();
     flow_ports.sort_unstable_by_key(|((k, p), _)| (*k, *p));
     for ((key, port), fa) in flow_ports {
         if fa.paused_num > 0 {
@@ -344,70 +346,152 @@ pub fn build_graph(agg: &AggTelemetry, topo: &Topology, replay: ReplayConfig) ->
 /// `epoch_ns` is the epoch length and `pkt_tx_ns` the serialization time of
 /// one full data MTU at the port's bandwidth (packets are replayed at MTU
 /// size; the telemetry does not retain per-packet sizes).
+///
+/// The replay does only the work that can change a weight, and every
+/// weight is bit-identical to materialising all arrivals, stable-sorting
+/// them by time and replaying that list (the `#[cfg(test)]`
+/// `contribution_oracle`, compared `to_bits` by `replay_props`):
+///
+/// - **One active flow is not replayed.** With n = 1 the matrix is the
+///   single self term `x = W[0][0] / pkts`, finite because `pkts > 0`, and
+///   the net weight is `x − x`, which is `+0.0` for every finite `x` under
+///   round-to-nearest. The `(key, +0.0)` entry is still emitted: it is what
+///   puts the flow's node under the port in the graph.
+/// - **n ≥ 2 flows are merged, not sorted.** Packet `j` of a flow arrives
+///   at `fl(fl(j·T) / pkts)`. `j ↦ j as f64`, multiplication by `T ≥ 0` and
+///   division by `pkts > 0` are each monotone and rounding preserves `≤`,
+///   so a flow's own arrivals are non-decreasing in `j`. A stable sort of
+///   the flows' concatenated streams therefore keeps each stream in `j`
+///   order and puts equal times in flow-index order, which is exactly what
+///   taking the earliest head with ties to the lower flow index yields. No
+///   arrival list exists, so memory is O(flows² + `max_lookback`) whatever
+///   packet counts the telemetry claims; time stays linear in them.
+///
+/// Arrival times are finite for every epoch length a `Nanos` can hold,
+/// which is what lets `+∞` mark a stream that has run out.
 pub fn contribution(
-    flows: &[(FlowKey, crate::aggregate::FlowAgg)],
+    flows: &[(FlowKey, FlowAgg)],
     epoch_ns: f64,
     pkt_tx_ns: f64,
     cfg: ReplayConfig,
 ) -> Vec<(FlowKey, f64)> {
-    let active: Vec<(FlowKey, u64)> = flows
-        .iter()
-        .filter(|(_, fa)| fa.contention_pkts() > 0)
-        .map(|(k, fa)| (*k, fa.contention_pkts()))
-        .collect();
-    if active.is_empty() {
-        return Vec::new();
-    }
-    let n = active.len();
+    let mut out = Vec::new();
+    ReplayBuffers::default().contribution(flows, epoch_ns, pkt_tx_ns, cfg, |key, w| {
+        out.push((key, w));
+    });
+    out
+}
 
-    // ReplayQueue: uniform interleave over the epoch.
-    let mut arrivals: Vec<(f64, usize)> = Vec::new();
-    for (fi, &(_, pkts)) in active.iter().enumerate() {
-        for j in 0..pkts {
-            arrivals.push((j as f64 * epoch_ns / pkts as f64, fi));
+/// The replay's working memory, kept across the epochs of one port so a
+/// graph build allocates it once per port rather than once per epoch.
+#[derive(Default)]
+struct ReplayBuffers {
+    /// Flows with contention packets, in the epoch list's order.
+    active: Vec<(FlowKey, u64)>,
+    /// Per active flow: its next packet's index and arrival time (`+∞`
+    /// once the flow has none left).
+    heads: Vec<(u64, f64)>,
+    /// `W`, row-major n × n.
+    w: Vec<u64>,
+    in_queue: Vec<u64>,
+    /// The replayed FIFO: (departure time, flow index).
+    queue: VecDeque<(f64, usize)>,
+}
+
+impl ReplayBuffers {
+    /// [`contribution`], handing each `(flow, net weight)` to `emit` in the
+    /// epoch list's order.
+    fn contribution(
+        &mut self,
+        flows: &[(FlowKey, FlowAgg)],
+        epoch_ns: f64,
+        pkt_tx_ns: f64,
+        cfg: ReplayConfig,
+        mut emit: impl FnMut(FlowKey, f64),
+    ) {
+        let ReplayBuffers {
+            active,
+            heads,
+            w,
+            in_queue,
+            queue,
+        } = self;
+        active.clear();
+        active.extend(
+            flows
+                .iter()
+                .map(|(k, fa)| (*k, fa.contention_pkts()))
+                .filter(|&(_, pkts)| pkts > 0),
+        );
+        let n = active.len();
+        match n {
+            0 => return,
+            1 => return emit(active[0].0, 0.0),
+            _ => {}
         }
-    }
-    // Stable sort keeps same-time arrivals in flow order: deterministic.
-    arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
-    // Replay a FIFO queue draining one MTU per pkt_tx_ns.
-    let mut w = vec![0u64; n * n];
-    let mut queue: std::collections::VecDeque<(f64, usize)> = std::collections::VecDeque::new();
-    let mut in_queue = vec![0u64; n];
-    let mut busy_until = 0.0f64;
-    for &(t, fi) in &arrivals {
-        while let Some(&(done, g)) = queue.front() {
-            if done <= t {
-                queue.pop_front();
-                in_queue[g] -= 1;
-            } else {
+        // ReplayQueue: uniform interleave over the epoch.
+        let arrival = |j: u64, pkts: u64| j as f64 * epoch_ns / pkts as f64;
+        heads.clear();
+        heads.extend(active.iter().map(|&(_, pkts)| (0, arrival(0, pkts))));
+        w.clear();
+        w.resize(n * n, 0);
+        in_queue.clear();
+        in_queue.resize(n, 0);
+        queue.clear();
+
+        // Replay a FIFO queue draining one MTU per pkt_tx_ns.
+        let mut busy_until = 0.0f64;
+        loop {
+            // Earliest head; same-time arrivals go in flow order.
+            let (mut fi, mut t) = (usize::MAX, f64::INFINITY);
+            for (i, &(_, head)) in heads.iter().enumerate() {
+                if head < t {
+                    (fi, t) = (i, head);
+                }
+            }
+            if fi == usize::MAX {
                 break;
             }
-        }
-        // The queue contents this packet waits behind.
-        for (g, &cnt) in in_queue.iter().enumerate() {
-            w[fi * n + g] += cnt;
-        }
-        busy_until = busy_until.max(t) + pkt_tx_ns;
-        if queue.len() < cfg.max_lookback {
-            queue.push_back((busy_until, fi));
-            in_queue[fi] += 1;
-        }
-    }
+            let (j, pkts) = (heads[fi].0 + 1, active[fi].1);
+            heads[fi] = (
+                j,
+                if j < pkts {
+                    arrival(j, pkts)
+                } else {
+                    f64::INFINITY
+                },
+            );
 
-    // Normalize per packet of the waiting flow, then net out:
-    // Contrb[f] = sum_j w(f_j, f) - sum_k w(f, f_k)  (others waiting for f
-    // minus f waiting for others); self terms cancel.
-    let norm = |i: usize, j: usize| w[i * n + j] as f64 / active[i].1 as f64;
-    active
-        .iter()
-        .enumerate()
-        .map(|(fi, &(key, _))| {
+            while let Some(&(done, g)) = queue.front() {
+                if done <= t {
+                    queue.pop_front();
+                    in_queue[g] -= 1;
+                } else {
+                    break;
+                }
+            }
+            // The queue contents this packet waits behind.
+            for (g, &cnt) in in_queue.iter().enumerate() {
+                w[fi * n + g] += cnt;
+            }
+            busy_until = busy_until.max(t) + pkt_tx_ns;
+            if queue.len() < cfg.max_lookback {
+                queue.push_back((busy_until, fi));
+                in_queue[fi] += 1;
+            }
+        }
+
+        // Normalize per packet of the waiting flow, then net out:
+        // Contrb[f] = sum_j w(f_j, f) - sum_k w(f, f_k)  (others waiting for f
+        // minus f waiting for others); self terms cancel.
+        let norm = |i: usize, j: usize| w[i * n + j] as f64 / active[i].1 as f64;
+        for (fi, &(key, _)) in active.iter().enumerate() {
             let waited_on: f64 = (0..n).map(|j| norm(j, fi)).sum();
             let waiting: f64 = (0..n).map(|j| norm(fi, j)).sum();
-            (key, waited_on - waiting)
-        })
-        .collect()
+            emit(key, waited_on - waiting);
+        }
+    }
 }
 
 /// Severity of PFC pausing on a specific flow at each hop: the flow-port
@@ -428,11 +512,11 @@ mod tests {
     use crate::aggregate::{FlowAgg, PortAgg, Window};
     use hawkeye_sim::Nanos;
 
-    fn key(i: u16) -> FlowKey {
+    pub(super) fn key(i: u16) -> FlowKey {
         FlowKey::roce(NodeId(0), NodeId(1), i)
     }
 
-    fn fa(pkts: u64, paused: u64, qdepth_each: u64) -> FlowAgg {
+    pub(super) fn fa(pkts: u64, paused: u64, qdepth_each: u64) -> FlowAgg {
         FlowAgg {
             pkt_num: pkts,
             paused_num: paused,
@@ -501,7 +585,7 @@ mod tests {
         assert!(contrib(&flows).is_empty());
     }
 
-    fn tiny_topo() -> (Topology, Vec<NodeId>, Vec<NodeId>) {
+    pub(super) fn tiny_topo() -> (Topology, Vec<NodeId>, Vec<NodeId>) {
         // h0 - sw0 - sw1 - h1 chain.
         let t = hawkeye_sim::chain(2, 1, hawkeye_sim::EVAL_BANDWIDTH, hawkeye_sim::EVAL_DELAY);
         let hosts: Vec<_> = t.hosts().collect();
@@ -614,5 +698,240 @@ mod tests {
         let g = ProvenanceGraph::default();
         assert!(g.ports.is_empty());
         assert_eq!(g.edge_count(), 0);
+    }
+}
+
+/// The replay kernel against the sort-everything body it replaced.
+#[cfg(test)]
+mod replay_props {
+    use super::tests::{key, tiny_topo};
+    use super::*;
+    use crate::aggregate::{sort_epoch_flows, PortAgg};
+    use hawkeye_sim::Nanos;
+    use proptest::prelude::*;
+
+    /// `contribution` as it was before the merge: every packet of every
+    /// active flow materialised, stable-sorted by arrival time, replayed —
+    /// lone flows included. Kept as the reference the kernel is checked
+    /// against bit for bit.
+    fn contribution_oracle(
+        flows: &[(FlowKey, FlowAgg)],
+        epoch_ns: f64,
+        pkt_tx_ns: f64,
+        cfg: ReplayConfig,
+    ) -> Vec<(FlowKey, f64)> {
+        let active: Vec<(FlowKey, u64)> = flows
+            .iter()
+            .filter(|(_, fa)| fa.contention_pkts() > 0)
+            .map(|(k, fa)| (*k, fa.contention_pkts()))
+            .collect();
+        if active.is_empty() {
+            return Vec::new();
+        }
+        let n = active.len();
+
+        // ReplayQueue: uniform interleave over the epoch.
+        let mut arrivals: Vec<(f64, usize)> = Vec::new();
+        for (fi, &(_, pkts)) in active.iter().enumerate() {
+            for j in 0..pkts {
+                arrivals.push((j as f64 * epoch_ns / pkts as f64, fi));
+            }
+        }
+        // Stable sort keeps same-time arrivals in flow order: deterministic.
+        arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+
+        // Replay a FIFO queue draining one MTU per pkt_tx_ns.
+        let mut w = vec![0u64; n * n];
+        let mut queue: VecDeque<(f64, usize)> = VecDeque::new();
+        let mut in_queue = vec![0u64; n];
+        let mut busy_until = 0.0f64;
+        for &(t, fi) in &arrivals {
+            while let Some(&(done, g)) = queue.front() {
+                if done <= t {
+                    queue.pop_front();
+                    in_queue[g] -= 1;
+                } else {
+                    break;
+                }
+            }
+            // The queue contents this packet waits behind.
+            for (g, &cnt) in in_queue.iter().enumerate() {
+                w[fi * n + g] += cnt;
+            }
+            busy_until = busy_until.max(t) + pkt_tx_ns;
+            if queue.len() < cfg.max_lookback {
+                queue.push_back((busy_until, fi));
+                in_queue[fi] += 1;
+            }
+        }
+
+        // Normalize per packet of the waiting flow, then net out:
+        // Contrb[f] = sum_j w(f_j, f) - sum_k w(f, f_k)  (others waiting for f
+        // minus f waiting for others); self terms cancel.
+        let norm = |i: usize, j: usize| w[i * n + j] as f64 / active[i].1 as f64;
+        active
+            .iter()
+            .enumerate()
+            .map(|(fi, &(key, _))| {
+                let waited_on: f64 = (0..n).map(|j| norm(j, fi)).sum();
+                let waiting: f64 = (0..n).map(|j| norm(fi, j)).sum();
+                (key, waited_on - waiting)
+            })
+            .collect()
+    }
+
+    fn fa(pkts: u64, paused: u64) -> FlowAgg {
+        super::tests::fa(pkts, paused, 0)
+    }
+
+    fn bits(c: Vec<(FlowKey, f64)>) -> Vec<(FlowKey, u64)> {
+        c.into_iter().map(|(k, w)| (k, w.to_bits())).collect()
+    }
+
+    /// One flow record: contention packets from every size class the
+    /// replay treats differently (none, a handful that all tie, a queue
+    /// that stays under the lookback cap, one that exceeds it), wrapped in
+    /// counters that are clean, partly paused, or claim more paused
+    /// enqueues than enqueues.
+    fn flow_strategy() -> impl Strategy<Value = FlowAgg> {
+        let contention = (0..5u8, 0u64..2000).prop_map(|(class, raw)| match class {
+            0 => 0,
+            1 => 1 + raw % 3,
+            2 => 1 + raw % 20,
+            3 => 1 + raw % 400,
+            _ => 1 + raw,
+        });
+        (contention, 0u64..50, 0..3u8).prop_map(|(c, extra, shape)| match shape {
+            0 => fa(c, 0),
+            1 => fa(c + extra, extra),
+            _ => fa(c, c + 1 + extra),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Key for key and bit for bit the oracle's answer: lone flows,
+        /// all-tie streams (`epoch_ns` 0, equal counts), drained and
+        /// saturated queues, lookback caps that bite on the first packets.
+        #[test]
+        fn kernel_equals_the_sorting_oracle(
+            flows in proptest::collection::vec(flow_strategy(), 1..13),
+            epoch_ns in (0..4usize).prop_map(|i| [0.0, 8e3, 1e5, (1u64 << 20) as f64][i]),
+            pkt_tx_ns in (0..3usize).prop_map(|i| [8.0, 80.0, 800.0][i]),
+            max_lookback in (0..2u8, 1usize..50).prop_map(|(c, small)| if c == 0 { small } else { 4096 }),
+        ) {
+            let flows: Vec<(FlowKey, FlowAgg)> = flows
+                .into_iter()
+                .enumerate()
+                .map(|(i, fa)| (key(i as u16), fa))
+                .collect();
+            let cfg = ReplayConfig { max_lookback, ..ReplayConfig::default() };
+            prop_assert_eq!(
+                bits(contribution(&flows, epoch_ns, pkt_tx_ns, cfg)),
+                bits(contribution_oracle(&flows, epoch_ns, pkt_tx_ns, cfg))
+            );
+        }
+    }
+
+    fn one_port_agg(epoch_len: u64) -> (Topology, PortId, AggTelemetry) {
+        let (topo, _hosts, sws) = tiny_topo();
+        let pi = PortId::new(sws[0], 1);
+        let mut agg = AggTelemetry {
+            epoch_len: Nanos(epoch_len),
+            ..Default::default()
+        };
+        agg.ports.insert(pi, PortAgg::default());
+        (topo, pi, agg)
+    }
+
+    /// `port_contention` replays the port's epochs in start order over the
+    /// key-sorted lists and sums per flow in that order — whatever order
+    /// the lists were filled in.
+    #[test]
+    fn port_contention_is_the_oracle_summed_in_epoch_order() {
+        const T: u64 = 1 << 13;
+        let (topo, pi, mut agg) = one_port_agg(T);
+        let epochs = agg.port_epochs.entry(pi).or_default();
+        let all_tie = vec![
+            (key(5), fa(60, 0)),
+            (key(2), fa(60, 0)),
+            (key(9), fa(60, 0)),
+        ];
+        epochs.insert(3 * T, (PortAgg::default(), all_tie.clone()));
+        epochs.insert(
+            T,
+            (
+                PortAgg::default(),
+                vec![(key(7), fa(120, 0)), (key(1), fa(5, 0))],
+            ),
+        );
+        epochs.insert(2 * T, (PortAgg::default(), vec![(key(4), fa(40, 0))]));
+        epochs.insert(
+            0,
+            (
+                PortAgg::default(),
+                vec![
+                    (key(5), fa(80, 0)),
+                    (key(2), fa(30, 30)),
+                    (key(1), fa(90, 10)),
+                ],
+            ),
+        );
+        let unsorted = agg.port_epochs[&pi].clone();
+        sort_epoch_flows(agg.port_epochs.get_mut(&pi).expect("just filled"));
+
+        let replay = ReplayConfig::default();
+        let epoch_ns = T as f64;
+        let pkt_tx_ns = topo
+            .port(pi)
+            .bandwidth
+            .tx_time(hawkeye_sim::DATA_PKT_SIZE)
+            .as_nanos() as f64;
+        let mut total: HashMap<FlowKey, f64> = HashMap::new();
+        for (_, flows) in unsorted.values() {
+            let mut flows = flows.clone();
+            flows.sort_by_key(|(k, _)| *k);
+            for (k, w) in contribution_oracle(&flows, epoch_ns, pkt_tx_ns, replay) {
+                *total.entry(k).or_default() += w;
+            }
+        }
+        let mut expected: Vec<(FlowKey, f64)> = total.into_iter().collect();
+        expected.sort_by_key(|(k, _)| *k);
+        assert_eq!(
+            bits(port_contention(&agg, &topo, replay, pi)),
+            bits(expected)
+        );
+        // The case has teeth: when every arrival ties, list order decides
+        // who queues behind whom.
+        let mut sorted = all_tie.clone();
+        sorted.sort_by_key(|(k, _)| *k);
+        let in_order = |flows: &[(FlowKey, FlowAgg)]| {
+            let mut c = contribution_oracle(flows, epoch_ns, pkt_tx_ns, replay);
+            c.sort_by_key(|(k, _)| *k);
+            bits(c)
+        };
+        assert_ne!(in_order(&all_tie), in_order(&sorted));
+    }
+
+    /// The shortcut skips the replay, not the entry: a flow alone at a
+    /// port in its epoch is still a node under that port, at weight +0.0.
+    #[test]
+    fn lone_flow_epoch_keeps_its_zero_entry() {
+        let lone = [(key(1), fa(610, 10)), (key(2), fa(7, 7))];
+        assert_eq!(
+            bits(contribution(&lone, 8000.0, 80.0, ReplayConfig::default())),
+            vec![(key(1), 0f64.to_bits())]
+        );
+        let (topo, pi, mut agg) = one_port_agg(1 << 13);
+        agg.port_epochs
+            .entry(pi)
+            .or_default()
+            .insert(0, (PortAgg::default(), lone.to_vec()));
+        let g = build_graph(&agg, &topo, ReplayConfig::default());
+        let p = g.port_index(pi).expect("port node");
+        let f = g.flow_index(&key(1)).expect("the lone flow is a node");
+        assert_eq!(g.contention_at(p), &[(f, 0.0)]);
+        assert!(g.flow_index(&key(2)).is_none(), "paused-only: no node");
     }
 }

@@ -8,7 +8,7 @@ use hawkeye_client::{EpochSink, Response, ServeClient, VecSink};
 use hawkeye_eval::{optimal_run_config, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
 use hawkeye_sim::Nanos;
-use hawkeye_telemetry::{EpochSnapshot, TelemetrySnapshot};
+use hawkeye_telemetry::{EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> hawkeye_workloads::Scenario {
@@ -419,6 +419,101 @@ fn frame_size_does_not_change_what_the_daemon_holds() {
         assert_eq!(served_32, served_1, "verdict differs by frame size");
         assert!(outcome.parity_with(&served_32), "served != one-shot");
     }
+}
+
+/// Flow counters are unchecked `u32`s on the wire. A record claiming more
+/// paused enqueues than enqueues, and two flows claiming five million
+/// packets each in one epoch, are well-formed ~500-byte snapshots: the
+/// daemon must diagnose the window that holds them (in the session and, for
+/// `Stats`, in the core's engine), keep the session, and still give the
+/// one-shot verdict on the clean window beside them.
+#[test]
+fn hostile_counts_do_not_kill_the_daemon() {
+    let sc = incast();
+    let cfg = optimal_run_config(1);
+    let handle = spawn(
+        sc.topo.clone(),
+        ServeConfig::default(),
+        Endpoint::Tcp("127.0.0.1:0".into()),
+    )
+    .expect("bind daemon");
+    let addr = handle.local_addr.expect("tcp daemon has an address");
+    let client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
+    let (outcome, mut client) = hawkeye_serve::replay_streaming(&sc, &cfg, client);
+    let w = outcome.window.expect("victim was detected");
+
+    // A switch and egress port the victim really crossed, and a second
+    // flow to contend with it there.
+    let replayed = client.fragments().expect("whole rings");
+    let (base, out_port, other) = replayed
+        .iter()
+        .find_map(|s| {
+            let flows = s.epochs.iter().flat_map(|e| &e.flows);
+            let (_, rec) = flows.clone().find(|(k, _)| *k == sc.truth.victim)?;
+            let (other, _) = flows.clone().find(|(k, _)| *k != sc.truth.victim)?;
+            Some((s, rec.out_port, *other))
+        })
+        .expect("a switch reporting the victim and another flow");
+    let epoch_len = cfg.epoch.epoch_len();
+    let hostile = |i: u64, victim: (u32, u32), other_pkts: u32| {
+        let record = |(pkt_count, paused_count)| FlowRecord {
+            pkt_count,
+            paused_count,
+            qdepth_sum: 0,
+            out_port,
+        };
+        TelemetrySnapshot {
+            taken_at: base.taken_at + Nanos(i),
+            epochs: vec![EpochSnapshot {
+                // Ring keys no replayed epoch uses: nothing superseded.
+                slot: 1000 + i as usize,
+                id: 0,
+                start: w.to + Nanos(epoch_len.0 * i),
+                len: epoch_len,
+                flows: vec![
+                    (sc.truth.victim, record(victim)),
+                    (other, record((other_pkts, 0))),
+                ],
+                ports: vec![(
+                    out_port,
+                    PortRecord {
+                        pkt_count: victim.0.saturating_add(other_pkts),
+                        paused_count: victim.1,
+                        qdepth_sum: 0,
+                    },
+                )],
+                meter: vec![],
+            }],
+            ..base.clone()
+        }
+    };
+    let snaps = [
+        hostile(1, (3, 9), 50),
+        hostile(2, (5_000_000, 0), 5_000_000),
+    ];
+    client.ingest_batch(&snaps).expect("hostile snapshots");
+    assert_eq!(client.finish_ingest().expect("settle").shed, 0);
+
+    let from = snaps[0].epochs[0].start;
+    let to = snaps[1].epochs[0].end();
+    client
+        .diagnose(sc.truth.victim, from, to, Vec::new())
+        .expect("the hostile window is diagnosed");
+    let stats = client.stats().expect("the engine refreshed over it");
+    assert!(stats.get("engine_epochs_held").and_then(|v| v.as_u64()) > Some(0));
+
+    let served = client
+        .diagnose(sc.truth.victim, w.from, w.to, outcome.missing.clone())
+        .expect("served diagnosis");
+    assert!(
+        outcome.parity_with(&served),
+        "hostile neighbours changed the clean verdict:\n  one-shot: {:?}\n  served:   {:?}",
+        outcome.oneshot,
+        served
+    );
+
+    client.shutdown().expect("shutdown handshake");
+    handle.wait();
 }
 
 /// A snapshot for a switch outside the daemon's topology must not crash

@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
-# Alternated parent/change pairs of one benchmark workload, judged by the
+# Alternated parent/change pairs of benchmark workloads, judged by the
 # rule in benchmark/README.md ("Bounds"): a gain is at least nine tenths of
 # the pairs won (ties count for neither side) with the medians apart by
 # more than the distance between the quartiles of the parent's runs.
 #
-# Usage: scripts/ab.sh <parent-ref> <workload> [pairs=10] [seconds=20]
+# Usage: scripts/ab.sh <parent-ref> <workload[,workload...]|all> [pairs=10] [seconds=20]
 #
-# The parent is `git archive`d into a directory under `mktemp -d` (not
-# .bench_build/, which is the driver's; not a `git worktree`, which would
-# write under .git/), both benchmark/ packages are built --release
-# --offline and the two executables copied beside it, so a rebuild in this
-# checkout during the run changes nothing. Pair i runs with --seed i; odd
-# pairs run the parent first, even pairs the change. Nothing tracked is
-# touched and the directory is removed on exit. Every run made is printed.
+# `all` is every workload BENCHMARK.json lists: the "no end-to-end metric
+# worse on any workload" half of the rule in one command. The parent is
+# `git archive`d into a directory under `mktemp -d` (not .bench_build/,
+# which is the driver's; not a `git worktree`, which would write under
+# .git/), both benchmark/ packages are built --release --offline ONCE and
+# the two executables copied beside it, so a rebuild in this checkout
+# during the run changes nothing. The listed workloads then run in turn,
+# one table per workload. Pair i runs with --seed i; odd pairs run the
+# parent first, even pairs the change. Nothing tracked is touched and the
+# directory is removed on exit. Every run made is printed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +24,11 @@ if [ $# -lt 2 ]; then
   exit 2
 fi
 parent_ref=$1
-workload=$2
+if [ "$2" = all ]; then
+  workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+else
+  workloads=${2//,/ }
+fi
 pairs=${3:-10}
 seconds=${4:-20}
 
@@ -29,7 +36,7 @@ work=$(mktemp -d /tmp/hawkeye-ab-XXXXXX)
 trap 'rm -rf "$work"' EXIT
 
 parent_sha=$(git rev-parse --verify "$parent_ref^{commit}")
-echo "# parent $parent_sha, change = this checkout ($(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted')), $workload, $pairs pairs x ${seconds}s, $(nproc) cpus"
+echo "# parent $parent_sha, change = this checkout ($(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted')), $pairs pairs x ${seconds}s, $(nproc) cpus: $workloads"
 
 mkdir "$work/parent"
 git archive "$parent_sha" | tar -x -C "$work/parent"
@@ -41,27 +48,30 @@ cp "$work/parent/benchmark/target/release/hawkeye-benchmark" "$work/bench-parent
 cp benchmark/target/release/hawkeye-benchmark "$work/bench-change"
 
 # The last line of stdout is the result JSON.
-run() { # side seed
-  "$work/bench-$1" --workload "$workload" --seed "$2" --seconds "$seconds" \
-    | tail -n 1 > "$work/$1-$2.json"
-  echo "# run $1 seed $2: $(cat "$work/$1-$2.json")"
+run() { # side workload seed
+  "$work/bench-$1" --workload "$2" --seed "$3" --seconds "$seconds" \
+    | tail -n 1 > "$work/$1-$2-$3.json"
+  echo "# run $1 $2 seed $3: $(cat "$work/$1-$2-$3.json")"
 }
 
-for i in $(seq 1 "$pairs"); do
-  if [ $((i % 2)) -eq 1 ]; then
-    run parent "$i"; run change "$i"
-  else
-    run change "$i"; run parent "$i"
-  fi
-done
+for workload in $workloads; do
+  echo "## $workload"
+  for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then
+      run parent "$workload" "$i"; run change "$workload" "$i"
+    else
+      run change "$workload" "$i"; run parent "$workload" "$i"
+    fi
+  done
 
-python3 - "$work" "$pairs" BENCHMARK.json <<'EOF'
+  python3 - "$work" "$workload" "$pairs" BENCHMARK.json <<'EOF'
 import json, statistics, sys
 
-work, pairs, contract = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
+work, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+contract = json.load(open(sys.argv[4]))
 
 def load(side):
-    return [json.load(open(f"{work}/{side}-{i}.json")) for i in range(1, pairs + 1)]
+    return [json.load(open(f"{work}/{side}-{workload}-{i}.json")) for i in range(1, pairs + 1)]
 
 def quartile_distance(xs):
     if len(xs) < 2:
@@ -98,3 +108,4 @@ for m in contract["end_to_end"]:
     print(f"{name:16} {pm:12.4f} {cm:12.4f} {delta:>8} {spread:11.4f} "
           f"{quartile_distance(c):11.4f} {wins:>3}/{pairs:<2}  {verdict}")
 EOF
+done
