@@ -89,9 +89,8 @@ struct Opts {
     /// `serve --replay`: also fetch the victim's flow history (raw +
     /// compacted tiers) from the daemon and report it.
     history: bool,
-    /// Snapshots per ingest frame for `serve --replay`. 1 = the legacy
-    /// per-snapshot path; >1 streams multi-epoch batch frames pipelined
-    /// under the daemon's credit window.
+    /// Snapshots per ingest frame for `serve --replay` (default 1), sent
+    /// pipelined under the daemon's credit window.
     batch: usize,
     /// Per-shard ingest queue depth override for `serve`.
     queue_depth: Option<usize>,
@@ -1284,23 +1283,18 @@ fn cmd_serve_stats(o: &Opts) {
     for g in &snap.gauges {
         println!("{:<28} {}", g.key, g.value);
     }
-    for name in [
-        hawkeye_obs::names::OP_INGEST_NS,
-        hawkeye_obs::names::OP_DIAGNOSE_NS,
-        hawkeye_obs::names::OP_FLOW_HISTORY_NS,
-        hawkeye_obs::names::OP_STATS_NS,
-        hawkeye_obs::names::OP_METRICS_NS,
-        hawkeye_obs::names::OP_EXPLAIN_NS,
-    ] {
-        if let Some(h) = snap.histogram(name) {
-            println!(
-                "{name:<28} {} calls, p50 {} ns, p99 {} ns, max {} ns",
-                h.count,
-                h.percentile(0.50).unwrap_or(0),
-                h.percentile(0.99).unwrap_or(0),
-                h.max
-            );
-        }
+    // Every per-op latency histogram the daemon recorded (the snapshot
+    // lists them in name order), not a list this command has to be told
+    // about.
+    for h in snap.histograms.iter().filter(|h| h.key.starts_with("op_")) {
+        println!(
+            "{:<28} {} calls, p50 {} ns, p99 {} ns, max {} ns",
+            h.key,
+            h.count,
+            h.percentile(0.50).unwrap_or(0),
+            h.percentile(0.99).unwrap_or(0),
+            h.max
+        );
     }
     if let Some(events) = flight.as_array() {
         println!("flight ring: {} events", events.len());

@@ -1,16 +1,12 @@
 //! Synchronous client for the serve protocol, plus the [`EpochSink`]
 //! adapter that lets a streaming collection hook feed a running daemon.
 //!
-//! Two ingest shapes:
-//!
-//! - [`ServeClient::ingest`] — one snapshot per round trip (send, await
-//!   ack), the legacy path.
-//! - [`ServeClient::ingest_batch`] — pipelined multi-epoch batch frames
-//!   under a credit window: `Hello` negotiates a budget of `W` snapshots
-//!   that may be in flight un-acknowledged; each `BatchAck` piggybacks the
-//!   credits it returns. The client blocks only when the window is empty,
-//!   which is exactly when the daemon's slowest shard is the bottleneck —
-//!   RDMA-style credit flow control over a byte stream.
+//! Ingest is [`ServeClient::ingest_batch`]: frames of N ≥ 1 snapshots,
+//! pipelined under a credit window. `Hello` negotiates a budget of `W`
+//! snapshots that may be in flight un-acknowledged; each `BatchAck`
+//! piggybacks the credits it returns. The client blocks only when the
+//! window is empty, which is exactly when the daemon's slowest shard is
+//! the bottleneck — RDMA-style credit flow control over a byte stream.
 //!
 //! Every synchronous request ([`ServeClient::diagnose`], `stats`, …)
 //! first settles all in-flight batch acks, so frames never interleave.
@@ -124,7 +120,7 @@ pub struct ServeClient {
     retries: u64,
     /// Shard-map epoch announced in `Hello` (routing front-ends only).
     map_epoch: Option<u64>,
-    /// What the daemon disclosed on the Hello ack, if anything.
+    /// What the daemon disclosed on the Hello ack; `None` until then.
     peer: Option<PeerInfo>,
 }
 
@@ -210,8 +206,7 @@ impl ServeClient {
     }
 
     /// What the daemon disclosed about itself on the Hello ack (protocol
-    /// version, enforced shard-map epoch); `None` before negotiation or
-    /// against a pre-shard daemon.
+    /// version, enforced shard-map epoch); `None` before negotiation.
     pub fn peer_info(&self) -> Option<PeerInfo> {
         self.peer
     }
@@ -312,17 +307,6 @@ impl ServeClient {
                 self.credits = (self.credits + granted).min(self.window);
                 Ok(())
             }
-            Response::Ack {
-                accepted, granted, ..
-            } => {
-                if accepted {
-                    self.settled.accepted += 1;
-                } else {
-                    self.settled.shed += 1;
-                }
-                self.credits = (self.credits + granted).min(self.window);
-                Ok(())
-            }
             Response::Error(msg) => Err(ProtoError::remote(msg)),
             other => Err(ProtoError::BadBody(format!(
                 "unexpected in-flight response {other:?}"
@@ -349,12 +333,12 @@ impl ServeClient {
             ))
         })?;
         match decode_response(op, &body)? {
-            Response::Ack { granted, info, .. } => {
+            Response::Ack { granted, info } => {
                 // A peer configured to grant 0 still gets a window of 1,
                 // which makes every batch effectively synchronous.
                 self.window = granted.max(1);
                 self.credits = self.window;
-                self.peer = info;
+                self.peer = Some(info);
                 Ok(())
             }
             Response::Error(msg) => Err(ProtoError::remote(msg)),
@@ -366,9 +350,9 @@ impl ServeClient {
 
     fn call(&mut self, req: &Request) -> Result<Response, ProtoError> {
         // Every session Hellos before its first request — the epoch
-        // handshake must fire even for sessions that never batch, or a
-        // stale routing front-end could slip single-snapshot ingest past
-        // a daemon cut from a newer shard map.
+        // handshake must fire even for sessions that never ingest, or a
+        // stale routing front-end would learn of a newer shard map only
+        // from its first write.
         self.with_retry(|c| c.negotiate())?;
         self.with_retry(|c| c.call_once(req))
     }
@@ -392,21 +376,10 @@ impl ServeClient {
         }
     }
 
-    /// Ingest one snapshot; `Ok(false)` means the peer did not take it (a
-    /// front-end whose owning backend is down).
-    pub fn ingest(&mut self, snap: &TelemetrySnapshot) -> Result<bool, ProtoError> {
-        match self.call(&Request::IngestEpoch(snap.clone()))? {
-            Response::Ack { accepted, .. } => Ok(accepted),
-            other => Err(ProtoError::BadBody(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
-    }
-
-    /// Send one multi-epoch batch frame, pipelined under the credit
-    /// window: blocks only while the window lacks room for the batch.
-    /// Returns the delivery counts *settled during this call* (possibly
-    /// for earlier batches, possibly empty — see [`SinkAck`]);
+    /// Send one ingest frame, pipelined under the credit window: blocks
+    /// only while the window lacks room for the frame. Returns the delivery
+    /// counts *settled during this call* (possibly for earlier frames,
+    /// possibly empty — see [`SinkAck`]);
     /// [`ServeClient::finish_ingest`] settles the rest.
     pub fn ingest_batch(&mut self, snaps: &[TelemetrySnapshot]) -> Result<SinkAck, ProtoError> {
         if snaps.is_empty() {
@@ -573,15 +546,9 @@ impl ServeClient {
 }
 
 impl EpochSink for ServeClient {
-    /// Streamed collection epochs become `IngestEpoch` requests; a shed
-    /// snapshot is reported (`Ok(false)`) but never fails the stream.
-    fn push(&mut self, snap: &TelemetrySnapshot) -> io::Result<bool> {
-        self.ingest(snap)
-            .map_err(|e| io::Error::other(e.to_string()))
-    }
-
     /// Batches become pipelined `IngestBatch` frames under the credit
-    /// window; acks may settle lazily (see [`SinkAck`]).
+    /// window; acks may settle lazily (see [`SinkAck`]), and a shed
+    /// snapshot is counted but never fails the stream.
     fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck> {
         self.ingest_batch(snaps)
             .map_err(|e| io::Error::other(e.to_string()))

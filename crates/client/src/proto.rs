@@ -9,9 +9,7 @@
 //! payload = opcode: u8, body: len-1 bytes
 //! ```
 //!
-//! Request opcodes (client → daemon):
-//! - `1` IngestEpoch — body is a binary-codec [`TelemetrySnapshot`]
-//!   ([`hawkeye_telemetry::wire`]); the hot path carries no JSON.
+//! Request opcodes (client → daemon; `1` is unassigned since version 4):
 //! - `2` Diagnose — body is JSON `{victim, from, to, missing}`.
 //! - `3` Stats — empty body.
 //! - `4` Shutdown — empty body.
@@ -21,16 +19,17 @@
 //!   snapshot + flight-recorder dump), heavier than Stats.
 //! - `7` Explain — body is JSON `{}` (latest verdict) or `{"seq": N}`;
 //!   queries the verdict audit trail.
-//! - `8` IngestBatch — body is a version-tagged multi-epoch batch frame
-//!   ([`hawkeye_telemetry::wire::encode_batch`]): several snapshots in one
-//!   frame, amortizing the per-request round trip.
+//! - `8` IngestBatch — the one ingest op. Body is a version-tagged batch
+//!   frame ([`hawkeye_telemetry::wire::encode_batch`], binary codec, no
+//!   JSON on the hot path) of N ≥ 1 snapshots; a single snapshot is a
+//!   frame of one.
 //! - `9` Hello — opens a credit window. The body is exactly 12 bytes: the
 //!   speaker's protocol version (`u32`) and its shard-map epoch (`u64`,
 //!   `u64::MAX` = none).
-//!   The daemon answers `Ack {accepted: true, granted: W}` where `W` is
+//!   The daemon answers `Ack {granted: W, info}` where `W` is
 //!   the session's credit budget: the client may have up to `W`
 //!   un-acknowledged snapshots in flight and replenishes from the
-//!   `granted` field piggybacked on every subsequent `Ack`/`BatchAck`
+//!   `granted` field piggybacked on every subsequent `BatchAck`
 //!   (RDMA-style credit flow control). A sharded daemon whose shard-map
 //!   epoch differs from an announced one refuses the session with a typed
 //!   `wrong_shard:` error instead of mis-routing accepts.
@@ -45,13 +44,9 @@
 //! have exactly that length; anything else is [`ProtoError::BadBody`].
 //!
 //! Response opcodes (daemon → client):
-//! - `129` Ack — body is exactly 5 or 17 bytes: `accepted: u8` (`1`
-//!   accepted, `0` not taken — a front-end answers so for a switch whose
-//!   backend is down; any other value is malformed) followed by
-//!   `granted: u32`, the credits this
-//!   response returns to the client's window; a Hello ack appends the
-//!   daemon's protocol version (`u32`) and shard-map epoch (`u64`,
-//!   `u64::MAX` = none). Any other length is a malformed body.
+//! - `129` Ack — the Hello answer. Body is exactly 16 bytes: `granted:
+//!   u32`, the session's credit budget, then the daemon's protocol
+//!   version (`u32`) and shard-map epoch (`u64`, `u64::MAX` = none).
 //! - `130` Diagnosis — body is a JSON [`DiagnosisReport`].
 //! - `131` Stats — body is a JSON counter object.
 //! - `132` Bye — empty body; shutdown acknowledged.
@@ -59,7 +54,8 @@
 //! - `134` Metrics — body is JSON `{metrics, flight}`.
 //! - `135` Explain — body is a JSON [`ExplainRecord`].
 //! - `136` BatchAck — body is `accepted: u32, shed: u32, granted: u32`:
-//!   per-batch delivery outcome plus the returned credits.
+//!   per-frame delivery outcome (`shed` = a front-end's count for
+//!   switches whose backend is down) plus the returned credits.
 //! - `137` Fragments — body is a multi-epoch batch frame
 //!   ([`hawkeye_telemetry::wire::encode_batch`]) holding the shard's
 //!   per-switch canonical snapshots of the requested window.
@@ -75,9 +71,7 @@
 use crate::types::{ExplainRecord, Fidelity, FlowObservation};
 use hawkeye_core::{DiagnosisReport, Window};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
-use hawkeye_telemetry::{
-    decode_batch, decode_snapshot, encode_batch, encode_snapshot, TelemetrySnapshot,
-};
+use hawkeye_telemetry::{decode_batch, encode_batch, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -88,8 +82,9 @@ pub const MAX_FRAME: u32 = 16 << 20;
 
 /// The protocol revision this implementation speaks, announced in `Hello`.
 /// Version 1 predates shard maps and the `Fragments` op; version 2 adds
-/// both; version 3 puts the window in the `Fragments` request.
-pub const PROTO_VERSION: u32 = 3;
+/// both; version 3 puts the window in the `Fragments` request; version 4
+/// drops the per-snapshot ingest op (opcode 1) and fixes the `Ack` body.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Message prefix that marks an opcode-255 error as a typed shard-
 /// ownership violation (see [`ProtoError::WrongShard`]).
@@ -206,7 +201,6 @@ impl From<io::Error> for ProtoError {
 /// Client → daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    IngestEpoch(TelemetrySnapshot),
     Diagnose(DiagnoseParams),
     Stats,
     Shutdown,
@@ -217,8 +211,8 @@ pub enum Request {
     /// An audit-trail record: `None` = the latest verdict, `Some(seq)` =
     /// that specific verdict.
     Explain(Option<u64>),
-    /// Several snapshots in one frame (one round trip, one queue routing
-    /// pass per snapshot). Answered with [`Response::BatchAck`].
+    /// One ingest frame of N ≥ 1 snapshots (one round trip, one message
+    /// per shard it touches). Answered with [`Response::BatchAck`].
     IngestBatch(Vec<TelemetrySnapshot>),
     /// Open a credit window; answered with `Ack {granted: W}`. `version`
     /// is the speaker's [`PROTO_VERSION`]; `map_epoch` the shard-map
@@ -246,17 +240,11 @@ pub struct DiagnoseParams {
 /// Daemon → client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Single-snapshot (or Hello) acknowledgement. `accepted`: `true` =
-    /// ingested, `false` = not taken (a front-end's answer for a switch
-    /// whose backend is down; a daemon never sends it).
-    /// `granted`: credits returned to the client's window (the session
-    /// budget on Hello, the settled snapshot count otherwise). `info`:
-    /// the daemon's version/shard-map disclosure, present on Hello acks
-    /// from version-2 daemons.
+    /// The Hello answer. `granted`: the session's credit budget. `info`:
+    /// the daemon's version/shard-map disclosure.
     Ack {
-        accepted: bool,
         granted: u32,
-        info: Option<PeerInfo>,
+        info: PeerInfo,
     },
     Diagnosis(DiagnosisReport),
     Stats(serde::Value),
@@ -265,8 +253,8 @@ pub enum Response {
     /// `{metrics: <MetricsSnapshot>, flight: [events]}`.
     Metrics(serde::Value),
     Explain(ExplainRecord),
-    /// Per-batch delivery outcome: `accepted + shed` equals the batch
-    /// size, `granted` returns the batch's credits to the window.
+    /// Per-frame delivery outcome: `accepted + shed` equals the frame
+    /// size, `granted` returns the frame's credits to the window.
     BatchAck {
         accepted: u32,
         shed: u32,
@@ -278,7 +266,6 @@ pub enum Response {
     Error(String),
 }
 
-const OP_INGEST: u8 = 1;
 const OP_DIAGNOSE: u8 = 2;
 const OP_STATS: u8 = 3;
 const OP_SHUTDOWN: u8 = 4;
@@ -341,7 +328,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ProtoError
 
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
-        Request::IngestEpoch(snap) => write_frame(w, OP_INGEST, &encode_snapshot(snap)),
         Request::Diagnose(p) => {
             let body = serde_json::to_string(&serde::Value::Object(vec![
                 ("victim".into(), p.victim.to_value()),
@@ -519,9 +505,6 @@ fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
 /// Decode a request frame (daemon side).
 pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, ProtoError> {
     match opcode {
-        OP_INGEST => Ok(Request::IngestEpoch(
-            decode_snapshot(body).map_err(|e| ProtoError::BadBody(e.to_string()))?,
-        )),
         OP_DIAGNOSE => Ok(Request::Diagnose(parse_diagnose(body)?)),
         OP_STATS => expect_len("stats", body, 0).map(|()| Request::Stats),
         OP_SHUTDOWN => expect_len("shutdown", body, 0).map(|()| Request::Shutdown),
@@ -557,24 +540,12 @@ pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, ProtoError> {
 
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     match resp {
-        Response::Ack {
-            accepted,
-            granted,
-            info,
-        } => {
-            let mut body = [0u8; 17];
-            body[0] = u8::from(*accepted);
-            body[1..5].copy_from_slice(&granted.to_le_bytes());
-            let len = match info {
-                // Peer info trails only on Hello acks.
-                None => 5,
-                Some(pi) => {
-                    body[5..9].copy_from_slice(&pi.version.to_le_bytes());
-                    body[9..17].copy_from_slice(&pi.map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
-                    17
-                }
-            };
-            write_frame(w, OP_ACK, &body[..len])
+        Response::Ack { granted, info } => {
+            let mut body = [0u8; 16];
+            body[0..4].copy_from_slice(&granted.to_le_bytes());
+            body[4..8].copy_from_slice(&info.version.to_le_bytes());
+            body[8..16].copy_from_slice(&info.map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
+            write_frame(w, OP_ACK, &body)
         }
         Response::Diagnosis(report) => {
             let body = serde_json::to_string(report).expect("report serialization is infallible");
@@ -620,30 +591,15 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
 pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> {
     match opcode {
         OP_ACK => {
-            if body.len() != 5 && body.len() != 17 {
-                return Err(ProtoError::BadBody(format!(
-                    "ack body {} bytes, want 5 or 17",
-                    body.len()
-                )));
-            }
-            let accepted = match body[0] {
-                0 => false,
-                1 => true,
-                b => return Err(ProtoError::BadBody(format!("ack accepted byte {b}"))),
-            };
-            let granted = u32::from_le_bytes(body[1..5].try_into().expect("4 bytes"));
-            let info = body.get(5..17).map(|b| {
-                let version = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
-                let raw = u64::from_le_bytes(b[4..12].try_into().expect("8 bytes"));
-                PeerInfo {
-                    version,
-                    map_epoch: (raw != NO_EPOCH).then_some(raw),
-                }
-            });
+            expect_len("ack", body, 16)?;
+            let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
+            let raw = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
             Ok(Response::Ack {
-                accepted,
-                granted,
-                info,
+                granted: word(0),
+                info: PeerInfo {
+                    version: word(4),
+                    map_epoch: (raw != NO_EPOCH).then_some(raw),
+                },
             })
         }
         OP_DIAGNOSIS => {
@@ -734,8 +690,6 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        let ingest = Request::IngestEpoch(sample_snap());
-        assert_eq!(roundtrip_request(ingest.clone()), ingest);
         let diag = Request::Diagnose(DiagnoseParams {
             victim: FlowKey::roce(NodeId(1), NodeId(2), 33),
             window: Window {
@@ -770,6 +724,7 @@ mod tests {
         );
         for batch in [
             Request::IngestBatch(vec![]),
+            Request::IngestBatch(vec![sample_snap()]),
             Request::IngestBatch(vec![sample_snap(), sample_snap()]),
         ] {
             assert_eq!(roundtrip_request(batch.clone()), batch);
@@ -792,9 +747,24 @@ mod tests {
         }
     }
 
+    /// Opcode 1 — the per-snapshot ingest of versions 1–3 — is unknown,
+    /// whatever body follows it.
+    #[test]
+    fn retired_ingest_opcode_is_unknown() {
+        for body in [
+            Vec::new(),
+            hawkeye_telemetry::encode_snapshot(&sample_snap()),
+        ] {
+            let got = decode_request(1, &body);
+            assert!(matches!(got, Err(ProtoError::BadOpcode(1))), "{got:?}");
+        }
+    }
+
     /// Fixed-length bodies are exact: a `Fragments` body is the 16-byte
     /// window (above all not the empty body version 2 sent), the ops
-    /// documented as empty take no body, and `accepted` is 0 or 1.
+    /// documented as empty take no body, and an `Ack` is the 16-byte Hello
+    /// answer — not the 5- and 17-byte bodies version 3 sent, and not the
+    /// empty body, which once read as "not taken".
     #[test]
     fn fixed_length_bodies_are_exact() {
         let requests = [(OP_FRAGMENTS, 0), (OP_FRAGMENTS, 15), (OP_FRAGMENTS, 17)]
@@ -804,11 +774,16 @@ mod tests {
             let got = decode_request(op, &vec![0; len]);
             assert!(matches!(got, Err(ProtoError::BadBody(_))), "{op}: {got:?}");
         }
-        let mut ack = [0u8; 17];
-        ack[0] = 2;
-        for (op, body) in [(OP_BYE, &ack[..1]), (OP_ACK, &ack[..5]), (OP_ACK, &ack)] {
-            let got = decode_response(op, body);
-            assert!(matches!(got, Err(ProtoError::BadBody(_))), "{op}: {got:?}");
+        let responses = [0, 1, 5, 15, 17, 18]
+            .map(|len| (OP_ACK, len))
+            .into_iter()
+            .chain([(OP_BYE, 1)]);
+        for (op, len) in responses {
+            let got = decode_response(op, &vec![1; len]);
+            assert!(
+                matches!(got, Err(ProtoError::BadBody(_))),
+                "{op}/{len}: {got:?}"
+            );
         }
     }
 
@@ -883,30 +858,18 @@ mod tests {
     fn responses_roundtrip() {
         for resp in [
             Response::Ack {
-                accepted: true,
                 granted: 64,
-                info: None,
-            },
-            Response::Ack {
-                accepted: false,
-                granted: 1,
-                info: None,
-            },
-            Response::Ack {
-                accepted: true,
-                granted: 64,
-                info: Some(PeerInfo {
+                info: PeerInfo {
                     version: PROTO_VERSION,
                     map_epoch: Some(3),
-                }),
+                },
             },
             Response::Ack {
-                accepted: true,
                 granted: 8,
-                info: Some(PeerInfo {
+                info: PeerInfo {
                     version: PROTO_VERSION,
                     map_epoch: None,
-                }),
+                },
             },
             Response::BatchAck {
                 accepted: 7,
@@ -925,38 +888,6 @@ mod tests {
                 .expect("frame present");
             assert_eq!(decode_response(op, &body).expect("decodes"), resp);
         }
-    }
-
-    /// An ack body is 5 or 17 bytes. Anything else — above all the empty
-    /// body, which used to read as `accepted: false` — is malformed, never
-    /// a silent "not taken".
-    #[test]
-    fn malformed_ack_lengths_rejected() {
-        for len in [0, 1, 6, 16, 18] {
-            assert!(
-                matches!(
-                    decode_response(OP_ACK, &vec![1; len]),
-                    Err(ProtoError::BadBody(_))
-                ),
-                "{len}-byte ack decoded"
-            );
-        }
-    }
-
-    /// A five-byte ack decodes with no peer info.
-    #[test]
-    fn five_byte_ack_decodes_without_info() {
-        let mut body = [0u8; 5];
-        body[0] = 1;
-        body[1..5].copy_from_slice(&64u32.to_le_bytes());
-        assert_eq!(
-            decode_response(OP_ACK, &body).expect("five-byte ack decodes"),
-            Response::Ack {
-                accepted: true,
-                granted: 64,
-                info: None,
-            }
-        );
     }
 
     #[test]

@@ -24,26 +24,13 @@ impl SinkAck {
     }
 }
 
-/// Where streamed snapshots go. `push` returns `Ok(false)` when the sink
-/// did not take the snapshot (delivery failed but the stream should
-/// continue), `Err` when the sink is gone.
+/// Where streamed snapshots go, one frame of N ≥ 1 at a time. A snapshot
+/// the sink did not take (delivery failed but the stream should continue)
+/// is counted in [`SinkAck::shed`]; `Err` means the sink is gone.
 pub trait EpochSink {
-    fn push(&mut self, snap: &TelemetrySnapshot) -> io::Result<bool>;
-
-    /// Push several snapshots at once. The default delegates to per-
-    /// snapshot `push`; batching sinks override it to send one multi-epoch
-    /// frame (and may pipeline, settling acks lazily — see [`SinkAck`]).
-    fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck> {
-        let mut ack = SinkAck::default();
-        for s in snaps {
-            if self.push(s)? {
-                ack.accepted += 1;
-            } else {
-                ack.shed += 1;
-            }
-        }
-        Ok(ack)
-    }
+    /// Push one frame. A sink may pipeline, settling acks lazily — see
+    /// [`SinkAck`].
+    fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck>;
 
     /// Settle everything still in flight (pipelined sends awaiting
     /// acknowledgement). The default is a no-op for synchronous sinks.
@@ -59,8 +46,11 @@ pub struct VecSink {
 }
 
 impl EpochSink for VecSink {
-    fn push(&mut self, snap: &TelemetrySnapshot) -> io::Result<bool> {
-        self.snaps.push(snap.clone());
-        Ok(true)
+    fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck> {
+        self.snaps.extend_from_slice(snaps);
+        Ok(SinkAck {
+            accepted: snaps.len() as u64,
+            shed: 0,
+        })
     }
 }

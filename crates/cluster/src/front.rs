@@ -4,8 +4,8 @@
 //! every existing client (the CLI's replay modes, `serve-stats`, the
 //! streaming sink) points at it unchanged. It holds no telemetry itself:
 //!
-//! * **Ingest** (`IngestEpoch` / `IngestBatch`) is routed by switch id
-//!   through the [`ShardMap`] to the owning daemon, over one long-lived
+//! * **Ingest** (`IngestBatch`) is split by switch id through the
+//!   [`ShardMap`] into one sub-frame per owning daemon, over one long-lived
 //!   pipelined [`ServeClient`] per backend — each backend's credit window
 //!   applies independently, so one slow shard backpressures only its own
 //!   traffic.
@@ -39,7 +39,7 @@ use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
     EPOCHS_INGESTED, FRONT_BACKENDS_DOWN, FRONT_SHED_DOWN, INGEST_BATCHES, INGEST_SHED,
     INGEST_WRONG_SHARD, OP_DIAGNOSE_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS,
-    OP_INGEST_NS, OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
+    OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot};
 use hawkeye_serve::listen::{serve_session, FLIGHT_CAPACITY};
@@ -196,46 +196,13 @@ impl FrontShared {
             .set(MetricKey::global(FRONT_BACKENDS_DOWN), down as f64);
     }
 
-    fn route_snapshot(&self, snap: TelemetrySnapshot) -> Response {
-        let Some(owner) = self.map.owner_of(snap.switch) else {
-            self.inc(INGEST_WRONG_SHARD);
-            return Response::Error(format!(
-                "{WRONG_SHARD_PREFIX} switch {} is not in the shard map (epoch {})",
-                snap.switch.0, self.map.epoch
-            ));
-        };
-        match self.with_backend(owner, |c| c.ingest(&snap)) {
-            Ok(accepted) => {
-                self.inc(if accepted {
-                    EPOCHS_INGESTED
-                } else {
-                    INGEST_SHED
-                });
-                Response::Ack {
-                    accepted,
-                    granted: 1,
-                    info: None,
-                }
-            }
-            // The owning daemon is unreachable: degrade, don't fail — the
-            // loss is counted and will surface as Degraded confidence.
-            Err(ProtoError::Io(_)) => {
-                self.inc(FRONT_SHED_DOWN);
-                Response::Ack {
-                    accepted: false,
-                    granted: 1,
-                    info: None,
-                }
-            }
-            Err(e) => error_response(&e),
-        }
-    }
-
-    /// Split one batch frame into per-backend sub-batches (routing every
+    /// Split one ingest frame into per-backend sub-frames (routing every
     /// snapshot by owner) and forward each, pipelined under that backend's
     /// own credit window. The ack is optimistic for forwarded snapshots —
     /// acceptance settles inside each backend client as its acks arrive,
-    /// and the keep-latest store dedup makes any replay idempotent.
+    /// and the keep-latest store dedup makes any replay idempotent. An
+    /// unreachable owner degrades, never fails: its snapshots are counted
+    /// as `shed` and will surface as Degraded confidence.
     fn route_batch(&self, snaps: Vec<TelemetrySnapshot>) -> Response {
         let total = snaps.len() as u32;
         let mut groups: Vec<Vec<TelemetrySnapshot>> = Vec::new();
@@ -444,7 +411,6 @@ fn session(shared: Arc<FrontShared>, stream: AnyStream) {
         shared.cfg.session_credits,
         Some(shared.map.epoch),
         |req, _body| match req {
-            Request::IngestEpoch(snap) => (Some(OP_INGEST_NS), shared.route_snapshot(snap)),
             Request::IngestBatch(snaps) => (Some(OP_INGEST_BATCH_NS), shared.route_batch(snaps)),
             Request::Diagnose(p) => (Some(OP_DIAGNOSE_NS), shared.diagnose(&p)),
             Request::Fragments(window) => (Some(OP_FRAGMENTS_NS), shared.fragments(window)),

@@ -5,7 +5,7 @@
 //! dies mid-replay, and a typed `wrong_shard` refusal when the front
 //! routes under a stale shard-map generation.
 
-use hawkeye_client::{EpochSink, ProtoError, ServeClient, ShardRange, VecSink};
+use hawkeye_client::{EpochSink, ProtoError, ServeClient, ShardRange, SinkAck, VecSink};
 use hawkeye_cluster::{spawn_front, BackendEndpoint, FrontConfig, ShardEntry, ShardMap};
 use hawkeye_core::{analyze_victim_window, AnalyzerConfig};
 use hawkeye_eval::optimal_run_config;
@@ -284,21 +284,35 @@ fn dead_shard_degrades_the_verdict_not_the_service() {
     // First half streams against a healthy fleet...
     let half = snaps.len() / 2;
     for snap in &snaps[..half] {
-        client.push(snap).expect("healthy-fleet ingest");
+        client
+            .push_batch(std::slice::from_ref(snap))
+            .expect("healthy-fleet ingest");
     }
-    // ...then one shard daemon dies mid-replay.
+    assert_eq!(client.finish().expect("healthy-fleet acks").shed, 0);
+    // ...then one shard daemon dies mid-replay. The front forwards frames
+    // optimistically, so it learns of the death from its next exchange
+    // with that backend that awaits an answer; `Stats` (the fleet-wide
+    // barrier) is one, and reports the unreachable shard as null.
     handles[kill_idx].take().expect("handle").shutdown();
-    let mut shed = 0u64;
+    let stats = client.stats().expect("front stats");
+    let backends = stats.get("backends").and_then(|b| b.as_array());
+    assert_eq!(
+        backends.expect("per-backend stats")[kill_idx],
+        serde::Value::Null,
+        "the dead shard must read as unreachable"
+    );
+    let mut ack = SinkAck::default();
     for snap in &snaps[half..] {
         // Sheds are expected for the dead shard's switches; hard errors
         // are not.
-        if !client
-            .push(snap)
-            .expect("degraded-fleet ingest must not error")
-        {
-            shed += 1;
-        }
+        ack.merge(
+            client
+                .push_batch(std::slice::from_ref(snap))
+                .expect("degraded-fleet ingest must not error"),
+        );
     }
+    ack.merge(client.finish().expect("degraded-fleet acks"));
+    let shed = ack.shed;
 
     let report = client
         .diagnose(sc.truth.victim, w.from, w.to, out.missing.clone())
@@ -366,7 +380,7 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
         .with_map_epoch(6);
     let (_out, sink) = replay_streaming(&sc, &optimal_run_config(seed), VecSink::default());
     let snap = &sink.snaps[0];
-    match stale.ingest(snap) {
+    match stale.ingest_batch(std::slice::from_ref(snap)) {
         Err(ProtoError::WrongShard(msg)) => {
             assert!(
                 msg.contains("epoch 6"),
@@ -402,7 +416,12 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
     .expect("bind front");
     let mut client =
         ServeClient::connect_tcp(&front.local_addr.expect("addr").to_string()).expect("connect");
-    match client.ingest(snap) {
+    // The front hits the refusal when it first dials the backend, i.e.
+    // while routing this frame, and answers the frame with it.
+    match client
+        .ingest_batch(std::slice::from_ref(snap))
+        .and_then(|_| client.finish_ingest())
+    {
         Err(ProtoError::WrongShard(msg)) => {
             assert!(
                 msg.contains("epoch"),

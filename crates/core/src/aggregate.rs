@@ -4,7 +4,7 @@
 //! Algorithm 1).
 
 use hawkeye_sim::{FlowKey, Nanos, NodeId, PortId};
-use hawkeye_telemetry::TelemetrySnapshot;
+use hawkeye_telemetry::{EpochSnapshot, EvictedFlow, FlowRecord, TelemetrySnapshot};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Aggregated egress-port statistics over the diagnosis window.
@@ -166,60 +166,13 @@ impl AggTelemetry {
         chosen.sort_unstable();
         for (si, ei) in chosen {
             let snap = &snapshots[si];
-            {
-                let ep = &snap.epochs[ei];
-                if !window.overlaps(ep.start, ep.end()) {
-                    continue;
-                }
-                agg.epoch_len = ep.len;
-                for (key, rec) in &ep.flows {
-                    let port = PortId::new(snap.switch, rec.out_port);
-                    let f = agg.flows.entry((*key, port)).or_default();
-                    f.pkt_num += rec.pkt_count as u64;
-                    f.paused_num += rec.paused_count as u64;
-                    f.qdepth_sum += rec.qdepth_sum;
-                    f.epochs_active += 1;
-                    let ef = FlowAgg {
-                        pkt_num: rec.pkt_count as u64,
-                        paused_num: rec.paused_count as u64,
-                        qdepth_sum: rec.qdepth_sum,
-                        epochs_active: 1,
-                    };
-                    agg.port_epochs
-                        .entry(port)
-                        .or_default()
-                        .entry(ep.start.as_nanos())
-                        .or_default()
-                        .1
-                        .push((*key, ef));
-                }
-                for (port, rec) in &ep.ports {
-                    let pid = PortId::new(snap.switch, *port);
-                    let p = agg.ports.entry(pid).or_default();
-                    p.pkt_num += rec.pkt_count as u64;
-                    p.paused_num += rec.paused_count as u64;
-                    p.qdepth_sum += rec.qdepth_sum;
-                    let pe = agg
-                        .port_epochs
-                        .entry(pid)
-                        .or_default()
-                        .entry(ep.start.as_nanos())
-                        .or_default();
-                    pe.0 = PortAgg {
-                        pkt_num: rec.pkt_count as u64,
-                        paused_num: rec.paused_count as u64,
-                        qdepth_sum: rec.qdepth_sum,
-                    };
-                }
-                for (ip, op, bytes) in &ep.meter {
-                    *agg.meters.entry((snap.switch, *ip, *op)).or_default() += bytes;
-                }
+            let ep = &snap.epochs[ei];
+            if window.overlaps(ep.start, ep.end()) {
+                agg.add_epoch(snap.switch, ep);
             }
         }
         // Evicted entries: per-switch cumulative, so use the latest
-        // snapshot's list only. Their out_port association is kept; the
-        // slot's reconstructed timing is gone, so treat them as in-window,
-        // which errs toward completeness.
+        // snapshot's list only.
         let mut latest: Vec<(NodeId, usize)> = latest_snap
             .into_iter()
             .map(|(sw, (_, si))| (sw, si))
@@ -227,17 +180,82 @@ impl AggTelemetry {
         latest.sort_unstable();
         for (_, si) in latest {
             let snap = &snapshots[si];
-            for ev in &snap.evicted {
-                let port = PortId::new(snap.switch, ev.record.out_port);
-                let f = agg.flows.entry((ev.key, port)).or_default();
-                f.pkt_num += ev.record.pkt_count as u64;
-                f.paused_num += ev.record.paused_count as u64;
-                f.qdepth_sum += ev.record.qdepth_sum;
-                f.epochs_active += 1;
-            }
+            agg.add_evicted(snap.switch, &snap.evicted);
         }
         agg.port_epochs.values_mut().for_each(sort_epoch_flows);
         agg
+    }
+
+    /// Fold one epoch of `switch` into the aggregates: per-flow and
+    /// per-port window totals, the per-epoch detail at each port, and the
+    /// causality meter. The one accumulation both builders run — [`build`]
+    /// over the deduplicated epochs of a snapshot set, the incremental
+    /// engine over one switch's ring — so the caller has already chosen
+    /// which epochs count, and sorts the per-epoch flow lists
+    /// ([`sort_epoch_flows`]) once it has added them all.
+    ///
+    /// [`build`]: AggTelemetry::build
+    pub fn add_epoch(&mut self, switch: NodeId, ep: &EpochSnapshot) {
+        self.epoch_len = ep.len;
+        for (key, rec) in &ep.flows {
+            let (port, ef) = self.add_flow(switch, *key, rec);
+            self.port_epochs
+                .entry(port)
+                .or_default()
+                .entry(ep.start.as_nanos())
+                .or_default()
+                .1
+                .push((*key, ef));
+        }
+        for (port, rec) in &ep.ports {
+            let pid = PortId::new(switch, *port);
+            let pe = PortAgg {
+                pkt_num: rec.pkt_count as u64,
+                paused_num: rec.paused_count as u64,
+                qdepth_sum: rec.qdepth_sum,
+            };
+            let p = self.ports.entry(pid).or_default();
+            p.pkt_num += pe.pkt_num;
+            p.paused_num += pe.paused_num;
+            p.qdepth_sum += pe.qdepth_sum;
+            self.port_epochs
+                .entry(pid)
+                .or_default()
+                .entry(ep.start.as_nanos())
+                .or_default()
+                .0 = pe;
+        }
+        for (ip, op, bytes) in &ep.meter {
+            *self.meters.entry((switch, *ip, *op)).or_default() += bytes;
+        }
+    }
+
+    /// Fold a switch's cumulative eviction list into the per-flow totals.
+    /// Their out_port association is kept; the slot's reconstructed timing
+    /// is gone, so treat them as in-window, which errs toward completeness.
+    pub fn add_evicted(&mut self, switch: NodeId, evicted: &[EvictedFlow]) {
+        for ev in evicted {
+            self.add_flow(switch, ev.key, &ev.record);
+        }
+    }
+
+    /// Count one flow record at the egress port it names into the flow's
+    /// window totals; returns that port and the record as a one-epoch
+    /// [`FlowAgg`].
+    fn add_flow(&mut self, switch: NodeId, key: FlowKey, rec: &FlowRecord) -> (PortId, FlowAgg) {
+        let port = PortId::new(switch, rec.out_port);
+        let one = FlowAgg {
+            pkt_num: rec.pkt_count as u64,
+            paused_num: rec.paused_count as u64,
+            qdepth_sum: rec.qdepth_sum,
+            epochs_active: 1,
+        };
+        let f = self.flows.entry((key, port)).or_default();
+        f.pkt_num += one.pkt_num;
+        f.paused_num += one.paused_num;
+        f.qdepth_sum += one.qdepth_sum;
+        f.epochs_active += 1;
+        (port, one)
     }
 
     /// Egress ports of `sw` fed by ingress `in_port`, with byte volumes.

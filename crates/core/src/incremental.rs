@@ -31,7 +31,7 @@
 //! age past the retention horizon ([`IncrementalProvenance::retire_before`])
 //! or fall off the per-switch ring budget.
 
-use crate::aggregate::{sort_epoch_flows, AggTelemetry, FlowAgg, PortAgg, Window};
+use crate::aggregate::{sort_epoch_flows, AggTelemetry, Window};
 use crate::provenance::{
     assemble_graph, port_causality_edges, port_contention, ProvenanceGraph, ReplayConfig,
 };
@@ -273,9 +273,10 @@ impl IncrementalProvenance {
     }
 
     /// Subtract one switch's previous contribution from the global
-    /// aggregates and re-add it from its current epoch ring — the same
-    /// arithmetic [`AggTelemetry::build`] performs for that switch's
-    /// deduplicated epochs, restricted to one switch.
+    /// aggregates and re-add it from its current epoch ring through
+    /// [`AggTelemetry::add_epoch`] / [`AggTelemetry::add_evicted`] — the
+    /// arithmetic [`AggTelemetry::build`] runs — recording the keys the
+    /// switch now contributes.
     fn reaggregate_switch(&mut self, sw: NodeId) {
         let Some(st) = self.switches.get_mut(&sw) else {
             return;
@@ -299,65 +300,24 @@ impl IncrementalProvenance {
         let mut k_meters: BTreeSet<(NodeId, u8, u8)> = BTreeSet::new();
         let mut k_pes: BTreeSet<PortId> = BTreeSet::new();
         for (_, ep) in eps {
-            self.agg.epoch_len = ep.len;
+            self.agg.add_epoch(sw, ep);
             for (key, rec) in &ep.flows {
                 let port = PortId::new(sw, rec.out_port);
-                let f = self.agg.flows.entry((*key, port)).or_default();
-                f.pkt_num += rec.pkt_count as u64;
-                f.paused_num += rec.paused_count as u64;
-                f.qdepth_sum += rec.qdepth_sum;
-                f.epochs_active += 1;
                 k_flows.insert((*key, port));
-                let ef = FlowAgg {
-                    pkt_num: rec.pkt_count as u64,
-                    paused_num: rec.paused_count as u64,
-                    qdepth_sum: rec.qdepth_sum,
-                    epochs_active: 1,
-                };
-                self.agg
-                    .port_epochs
-                    .entry(port)
-                    .or_default()
-                    .entry(ep.start.as_nanos())
-                    .or_default()
-                    .1
-                    .push((*key, ef));
                 k_pes.insert(port);
             }
-            for (port, rec) in &ep.ports {
+            for (port, _) in &ep.ports {
                 let pid = PortId::new(sw, *port);
-                let p = self.agg.ports.entry(pid).or_default();
-                p.pkt_num += rec.pkt_count as u64;
-                p.paused_num += rec.paused_count as u64;
-                p.qdepth_sum += rec.qdepth_sum;
                 k_ports.insert(pid);
-                let pe = self
-                    .agg
-                    .port_epochs
-                    .entry(pid)
-                    .or_default()
-                    .entry(ep.start.as_nanos())
-                    .or_default();
-                pe.0 = PortAgg {
-                    pkt_num: rec.pkt_count as u64,
-                    paused_num: rec.paused_count as u64,
-                    qdepth_sum: rec.qdepth_sum,
-                };
                 k_pes.insert(pid);
             }
-            for (ip, op, bytes) in &ep.meter {
-                *self.agg.meters.entry((sw, *ip, *op)).or_default() += bytes;
+            for (ip, op, _) in &ep.meter {
                 k_meters.insert((sw, *ip, *op));
             }
         }
+        self.agg.add_evicted(sw, &st.evicted);
         for ev in &st.evicted {
-            let port = PortId::new(sw, ev.record.out_port);
-            let f = self.agg.flows.entry((ev.key, port)).or_default();
-            f.pkt_num += ev.record.pkt_count as u64;
-            f.paused_num += ev.record.paused_count as u64;
-            f.qdepth_sum += ev.record.qdepth_sum;
-            f.epochs_active += 1;
-            k_flows.insert((ev.key, port));
+            k_flows.insert((ev.key, PortId::new(sw, ev.record.out_port)));
         }
         for p in &k_pes {
             if let Some(epochs) = self.agg.port_epochs.get_mut(p) {

@@ -43,8 +43,8 @@ pub use tracer::Tracer;
 pub mod names {
     /// Telemetry epochs accepted into the serve daemon's store.
     pub const EPOCHS_INGESTED: &str = "epochs_ingested";
-    /// Snapshots a front-end passed on as not taken (`accepted: false`
-    /// from a backend). Daemons backpressure and never shed.
+    /// Snapshots a front-end acknowledged as not taken (`BatchAck.shed`).
+    /// Daemons backpressure and never shed.
     pub const INGEST_SHED: &str = "ingest_shed";
     /// Snapshots that actually changed the incremental provenance state.
     pub const INCREMENTAL_UPDATES: &str = "incremental_updates";
@@ -55,8 +55,6 @@ pub mod names {
 
     // --- serve-plane request latency histograms (wall-clock ns) ---------
 
-    /// IngestEpoch request handling latency.
-    pub const OP_INGEST_NS: &str = "op_ingest_ns";
     /// Diagnose request handling latency (includes the flush barrier).
     pub const OP_DIAGNOSE_NS: &str = "op_diagnose_ns";
     /// FlowHistory request handling latency.
@@ -67,14 +65,14 @@ pub mod names {
     pub const OP_METRICS_NS: &str = "op_metrics_ns";
     /// Explain (audit-trail) request handling latency.
     pub const OP_EXPLAIN_NS: &str = "op_explain_ns";
-    /// IngestBatch request handling latency (whole multi-epoch frame).
+    /// IngestBatch request handling latency (the whole frame).
     pub const OP_INGEST_BATCH_NS: &str = "op_ingest_batch_ns";
     /// Fragments (cross-shard gather) request handling latency.
     pub const OP_FRAGMENTS_NS: &str = "op_fragments_ns";
 
     // --- batched ingest and credit flow control --------------------------
 
-    /// Multi-epoch batch frames accepted by the serve daemon.
+    /// Ingest frames accepted by the serve daemon.
     pub const INGEST_BATCHES: &str = "ingest_batches";
     /// Ingest requests refused on shard-ownership grounds (switch id
     /// outside the daemon's `--shard` range, or a stale shard-map epoch

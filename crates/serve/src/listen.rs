@@ -68,7 +68,7 @@ impl Listener {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                // Acks are 5–17 byte frames; leaving Nagle on lets
+                // Acks are 12–16 byte frames; leaving Nagle on lets
                 // delayed-ACK stall the client's credit window.
                 let _ = s.set_nodelay(true);
                 AnyStream::Tcp(s)
@@ -160,12 +160,11 @@ pub fn serve_session(
                          this endpoint's epoch {ours}"
                     )),
                     _ => Response::Ack {
-                        accepted: true,
                         granted: session_credits,
-                        info: Some(PeerInfo {
+                        info: PeerInfo {
                             version: PROTO_VERSION,
                             map_epoch,
-                        }),
+                        },
                     },
                 };
                 (None, resp)

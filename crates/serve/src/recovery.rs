@@ -6,7 +6,10 @@
 //! is the valid prefix, everything at or after it (including later
 //! segments) is condemned. Corruption is counted, never a panic: a
 //! half-written record from a `kill -9` mid-append is the expected case,
-//! not an error path.
+//! not an error path. The one content problem that *is* an error is a
+//! segment in the previous log format ([`OLD_SEG_MAGIC`]): its records are
+//! intact evidence this build cannot replay, so the scan fails with
+//! `InvalidData` and nothing is truncated or deleted.
 //!
 //! [`replay`] then rebuilds the daemon's tiered state from the valid
 //! prefix:
@@ -34,21 +37,21 @@ use crate::compactor::Compactor;
 use crate::store::TelemetryStore;
 use crate::wal::{
     decode_audit_checkpoint, decode_switch_checkpoint, parse_segment_name, record_crc,
-    AuditCheckpoint, ResumePlan, SwitchCheckpoint, Wal, WalConfig, MAX_RECORD, REC_BATCH,
-    REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH, REC_HEADER_LEN, REC_SNAPSHOT,
+    AuditCheckpoint, ResumePlan, SwitchCheckpoint, Wal, WalConfig, MAX_RECORD, OLD_SEG_MAGIC,
+    REC_BATCH, REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH, REC_HEADER_LEN,
     REC_VERDICT, SEG_HEADER_LEN, SEG_MAGIC,
 };
 use hawkeye_client::ExplainRecord;
-use hawkeye_telemetry::{decode_batch, decode_snapshot, TelemetrySnapshot};
+use hawkeye_telemetry::{decode_batch, TelemetrySnapshot};
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// One decoded, CRC-verified WAL record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
-    Snapshot(TelemetrySnapshot),
+    /// One accepted ingest frame, in frame order.
     Batch(Vec<TelemetrySnapshot>),
-    Verdict(ExplainRecord),
+    Verdict(Box<ExplainRecord>),
     /// Barrier seq: records below it are covered by this checkpoint.
     CkptBegin(u64),
     CkptSwitch(Box<SwitchCheckpoint>),
@@ -76,9 +79,6 @@ pub struct Scan {
 
 fn decode_entry(kind: u8, payload: &[u8]) -> Result<WalEntry, String> {
     match kind {
-        REC_SNAPSHOT => decode_snapshot(payload)
-            .map(WalEntry::Snapshot)
-            .map_err(|e| format!("snapshot payload: {e}")),
         REC_BATCH => decode_batch(payload)
             .map(WalEntry::Batch)
             .map_err(|e| format!("batch payload: {e}")),
@@ -86,7 +86,7 @@ fn decode_entry(kind: u8, payload: &[u8]) -> Result<WalEntry, String> {
             let js =
                 std::str::from_utf8(payload).map_err(|e| format!("verdict payload utf8: {e}"))?;
             serde_json::from_str::<ExplainRecord>(js)
-                .map(WalEntry::Verdict)
+                .map(|v| WalEntry::Verdict(Box::new(v)))
                 .map_err(|e| format!("verdict payload json: {e}"))
         }
         REC_CKPT_BEGIN => {
@@ -114,7 +114,8 @@ fn decode_entry(kind: u8, payload: &[u8]) -> Result<WalEntry, String> {
 
 /// Scan a durable directory read-only. A missing or empty directory is a
 /// valid empty log. I/O errors reading present files are returned;
-/// *content* problems are truncation, never errors.
+/// *content* problems are truncation, never errors — except a segment in
+/// the previous format, which is `InvalidData` (see the module docs).
 pub fn scan(dir: &Path) -> io::Result<Scan> {
     let mut segments: Vec<(u64, PathBuf)> = Vec::new();
     match std::fs::read_dir(dir) {
@@ -145,6 +146,18 @@ pub fn scan(dir: &Path) -> io::Result<Scan> {
             continue;
         }
         let bytes = std::fs::read(path)?;
+        if bytes.starts_with(OLD_SEG_MAGIC) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} is a {} evidence log; this build reads and writes {} only \
+                     (recover it with the build that wrote it, or point --durable elsewhere)",
+                    path.display(),
+                    String::from_utf8_lossy(OLD_SEG_MAGIC),
+                    String::from_utf8_lossy(SEG_MAGIC),
+                ),
+            ));
+        }
         let header_ok = bytes.len() >= SEG_HEADER_LEN
             && &bytes[..8] == SEG_MAGIC
             && u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) == *name_start
@@ -283,29 +296,24 @@ pub fn replay(
     };
 
     // Pass 3: re-apply everything at or past the barrier, in WAL order.
-    let mut apply =
-        |snap: &TelemetrySnapshot, stores: &mut [TelemetryStore], compactor: &mut Compactor| {
-            let shard = snap.switch.0 as usize % stores.len();
-            stores[shard].append(snap);
-            let staged = stores[shard].take_pending_folds();
-            if !staged.is_empty() {
-                compactor.absorb(staged);
-            }
-            counts.snapshots_applied += 1;
-        };
     for rec in records {
         if rec.seq < barrier {
             continue;
         }
         match &rec.entry {
-            WalEntry::Snapshot(s) => apply(s, stores, compactor),
-            WalEntry::Batch(batch) => {
-                for s in batch {
-                    apply(s, stores, compactor);
+            WalEntry::Batch(frame) => {
+                for snap in frame {
+                    let shard = snap.switch.0 as usize % stores.len();
+                    stores[shard].append(snap);
+                    let staged = stores[shard].take_pending_folds();
+                    if !staged.is_empty() {
+                        compactor.absorb(staged);
+                    }
+                    counts.snapshots_applied += 1;
                 }
             }
             WalEntry::Verdict(v) => {
-                audit.replay(v.clone());
+                audit.replay(ExplainRecord::clone(v));
                 counts.verdicts_applied += 1;
             }
             _ => {}
@@ -330,7 +338,8 @@ pub struct RecoveryReport {
 
 /// Startup path: scan the durable directory, replay the valid prefix
 /// into the given state, truncate away the invalid suffix, and reopen
-/// the log for appending.
+/// the log for appending. A previous-format log fails the scan, so it is
+/// refused before anything is replayed or any file touched.
 pub fn recover_and_open(
     cfg: &WalConfig,
     stores: &mut [TelemetryStore],
@@ -366,7 +375,7 @@ mod tests {
         encode_audit_checkpoint, encode_switch_checkpoint, FsyncPolicy, REC_CKPT_BEGIN,
     };
     use hawkeye_sim::{FlowKey, Nanos, NodeId};
-    use hawkeye_telemetry::{encode_snapshot, EpochSnapshot, FlowRecord};
+    use hawkeye_telemetry::{encode_batch, EpochSnapshot, FlowRecord};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -404,6 +413,12 @@ mod tests {
             }],
             evicted: vec![],
         }
+    }
+
+    /// Journal `s` the way the daemon does: as an ingest frame of one.
+    fn journal(wal: &mut Wal, s: &TelemetrySnapshot) -> u64 {
+        wal.append(REC_BATCH, &encode_batch(std::slice::from_ref(s)))
+            .unwrap()
     }
 
     fn tiered() -> StoreConfig {
@@ -472,7 +487,7 @@ mod tests {
         let snaps: Vec<_> = (0..8).map(|i| snap(3 + (i % 2) as u32, i)).collect();
         let mut wal = Wal::create(cfg.clone()).unwrap();
         for s in &snaps {
-            wal.append(REC_SNAPSHOT, &encode_snapshot(s)).unwrap();
+            journal(&mut wal, s);
         }
         wal.sync().unwrap();
         assert!(wal.completed_segments() > 0, "rotation never happened");
@@ -507,8 +522,7 @@ mod tests {
         };
         let mut wal = Wal::create(cfg.clone()).unwrap();
         for i in 0..3 {
-            wal.append(REC_SNAPSHOT, &encode_snapshot(&snap(3, i)))
-                .unwrap();
+            journal(&mut wal, &snap(3, i));
         }
         wal.sync().unwrap();
         drop(wal);
@@ -516,7 +530,7 @@ mod tests {
         let seg = dir.join("seg-0000000000000000.wal");
         let mut bytes = std::fs::read(&seg).unwrap();
         let clean_len = bytes.len();
-        bytes.extend_from_slice(&[7, 0, 0, 0, REC_SNAPSHOT, 3]);
+        bytes.extend_from_slice(&[7, 0, 0, 0, REC_BATCH, 3]);
         std::fs::write(&seg, &bytes).unwrap();
 
         let scanned = scan(&dir).unwrap();
@@ -529,11 +543,7 @@ mod tests {
 
         let mut wal = Wal::resume(cfg, scanned.plan).unwrap();
         assert_eq!(std::fs::metadata(&seg).unwrap().len() as usize, clean_len);
-        assert_eq!(
-            wal.append(REC_SNAPSHOT, &encode_snapshot(&snap(3, 9)))
-                .unwrap(),
-            3
-        );
+        assert_eq!(journal(&mut wal, &snap(3, 9)), 3);
         wal.sync().unwrap();
         let rescanned = scan(&dir).unwrap();
         assert_eq!(rescanned.records.len(), 4);
@@ -551,8 +561,7 @@ mod tests {
         };
         let mut wal = Wal::create(cfg.clone()).unwrap();
         for i in 0..8 {
-            wal.append(REC_SNAPSHOT, &encode_snapshot(&snap(3, i)))
-                .unwrap();
+            journal(&mut wal, &snap(3, i));
         }
         wal.sync().unwrap();
         let segs = wal.completed_segments();
@@ -580,6 +589,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A log in the previous format is refused with a typed error naming
+    /// both versions, and not one byte of it changes — its intact records
+    /// must not be condemned as corruption. Any other magic is garbage and
+    /// stays truncation.
+    #[test]
+    fn old_format_log_is_refused_untouched() {
+        let dir = tmp_dir("old-format");
+        let cfg = WalConfig::new(&dir);
+        let mut wal = Wal::create(cfg.clone()).unwrap();
+        for i in 0..3 {
+            journal(&mut wal, &snap(3, i));
+        }
+        wal.sync().unwrap();
+        drop(wal);
+        let seg = dir.join("seg-0000000000000000.wal");
+        let with_magic = |magic: &[u8; 8]| {
+            let mut bytes = std::fs::read(&seg).unwrap();
+            bytes[..8].copy_from_slice(magic);
+            std::fs::write(&seg, &bytes).unwrap();
+            bytes
+        };
+
+        let old = with_magic(OLD_SEG_MAGIC);
+        let mut stores = vec![TelemetryStore::new(tiered())];
+        let mut comp = Compactor::new(tiered());
+        let mut audit = AuditTrail::new(8);
+        let scan_err = scan(&dir).expect_err("old format must not scan");
+        let open_err = recover_and_open(&cfg, &mut stores, &mut comp, &mut audit)
+            .expect_err("old format must not open");
+        for err in [scan_err, open_err] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("HWKWAL01") && msg.contains("HWKWAL02"),
+                "{msg}"
+            );
+        }
+        assert!(stores[0].snapshots().is_empty(), "nothing was replayed");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [seg.file_name().unwrap()]);
+        assert_eq!(
+            std::fs::read(&seg).unwrap(),
+            old,
+            "refused log was modified"
+        );
+
+        with_magic(b"HWKWAL99");
+        let scanned = scan(&dir).unwrap();
+        assert!(scanned.records.is_empty());
+        assert_eq!(scanned.truncated_records, 1);
+        assert_eq!(scanned.plan.doomed, vec![seg]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn checkpoint_restores_then_tail_replays_idempotently() {
         let dir = tmp_dir("ckpt");
@@ -593,7 +659,7 @@ mod tests {
         let (mid_store, mid_comp) = reference(&snaps[..6]);
         let mut wal = Wal::create(cfg.clone()).unwrap();
         for s in &snaps[..6] {
-            wal.append(REC_SNAPSHOT, &encode_snapshot(s)).unwrap();
+            journal(&mut wal, s);
         }
         let barrier = wal.next_seq();
         wal.append(REC_CKPT_BEGIN, &barrier.to_le_bytes()).unwrap();
@@ -619,7 +685,7 @@ mod tests {
         .unwrap();
         wal.append(REC_CKPT_END, &[]).unwrap();
         for s in &snaps[6..] {
-            wal.append(REC_SNAPSHOT, &encode_snapshot(s)).unwrap();
+            journal(&mut wal, s);
         }
         wal.sync().unwrap();
         drop(wal);
@@ -649,7 +715,7 @@ mod tests {
         let snaps: Vec<_> = (0..4).map(|i| snap(3, i)).collect();
         let mut wal = Wal::create(cfg).unwrap();
         for s in &snaps {
-            wal.append(REC_SNAPSHOT, &encode_snapshot(s)).unwrap();
+            journal(&mut wal, s);
         }
         // A checkpoint that never reached its END: BEGIN only.
         wal.append(REC_CKPT_BEGIN, &wal.next_seq().to_le_bytes())

@@ -3,7 +3,7 @@
 //! The simulation runs under a [`StreamingHook`] wrapping the standard
 //! [`HawkeyeHook`] — identical trajectory to the one-shot pipeline in
 //! `hawkeye_eval::runner` — while every collection epoch is simultaneously
-//! pushed to the daemon as an `IngestEpoch`. Afterwards the same diagnosis
+//! pushed to the daemon in `IngestBatch` frames. Afterwards the same diagnosis
 //! window is analyzed twice: locally from the run's own collector (the
 //! one-shot reference) and remotely via `Diagnose` over the socket. On a
 //! fault-free run the two verdicts must be identical in label, culprits
@@ -50,10 +50,7 @@ impl ReplayOutcome {
     }
 }
 
-/// Run `scenario` with telemetry streamed into `sink`, then produce the
-/// local one-shot reference diagnosis. Returns the outcome plus the sink,
-/// so a [`ServeClient`](hawkeye_client::ServeClient) sink can subsequently
-/// issue the served `Diagnose` for the same window.
+/// [`replay_streaming_batched`] in frames of one snapshot.
 pub fn replay_streaming<S: EpochSink>(
     scenario: &Scenario,
     cfg: &RunConfig,
@@ -62,10 +59,13 @@ pub fn replay_streaming<S: EpochSink>(
     replay_streaming_batched(scenario, cfg, sink, 1)
 }
 
-/// [`replay_streaming`] with multi-epoch batch frames: the hook buffers
-/// `batch` snapshots per sink write (`batch <= 1` is the exact legacy
-/// per-snapshot path). Partial trailing batches and pipelined acks are
-/// settled before the outcome's stream counters are read.
+/// Run `scenario` with telemetry streamed into `sink`, `batch` snapshots
+/// per sink write (at least one), then produce the local one-shot
+/// reference diagnosis. Returns the outcome plus the sink, so a
+/// [`ServeClient`](hawkeye_client::ServeClient) sink can subsequently
+/// issue the served `Diagnose` for the same window. Partial trailing
+/// frames and pipelined acks are settled before the outcome's stream
+/// counters are read.
 pub fn replay_streaming_batched<S: EpochSink>(
     scenario: &Scenario,
     cfg: &RunConfig,

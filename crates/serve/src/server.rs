@@ -11,15 +11,16 @@
 //! ```
 //!
 //! `Ingest` and `Applied` each carry a **frame slice** — the snapshots of
-//! one request frame that belong to one shard, in frame order: one message
-//! per shard per frame from socket to core, whatever the batch size.
+//! one `IngestBatch` frame that belong to one shard, in frame order: one
+//! message per shard per frame from socket to core, whatever the frame
+//! size (a single snapshot is a frame of one).
 //!
 //! - One **accept loop** (the daemon thread) polls the listener, spawns
 //!   one **session thread** per connection, and — when the core raises
 //!   its flag — asks every worker to export for a checkpoint round.
-//! - **Sessions** decode request frames and route `IngestEpoch` /
-//!   `IngestBatch` by `switch id % shards` into bounded per-shard queues
-//!   once the whole frame passed the shard-ownership gate.
+//! - **Sessions** decode request frames and route `IngestBatch` by
+//!   `switch id % shards` into bounded per-shard queues once the whole
+//!   frame passed the shard-ownership gate.
 //!   A full queue **backpressures**: the session blocks, the client's
 //!   credit window (granted on `Hello`, replenished by every ack) empties,
 //!   and the producer slows to the slowest shard's pace with zero loss.
@@ -70,7 +71,7 @@ use crate::store::{StoreConfig, SwitchRestore, TelemetryStore};
 use crate::wal::{
     encode_audit_checkpoint, encode_switch_checkpoint, AuditCheckpoint, SwitchCheckpoint, Wal,
     WalConfig, WalStats, REC_BATCH, REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH,
-    REC_SNAPSHOT, REC_VERDICT,
+    REC_VERDICT,
 };
 use hawkeye_client::proto::{DiagnoseParams, Request, Response, WRONG_SHARD_PREFIX};
 use hawkeye_client::{AnyStream, ExplainRecord, FlowObservation, ShardRange};
@@ -81,14 +82,14 @@ use hawkeye_core::{
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
     COMPACTOR_QUEUE_DEPTH, CREDITS_OUTSTANDING, INGEST_BATCHES, INGEST_WRONG_SHARD, OP_DIAGNOSE_NS,
-    OP_EXPLAIN_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS, OP_INGEST_NS,
-    OP_METRICS_NS, OP_STATS_NS, RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH,
-    SHARD_WATERMARK_LAG_NS, SLOW_OPS, STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS,
-    STAGE_RETIRE_NS, WAL_BYTES, WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED, WATERMARK_LAG_WARNS,
+    OP_EXPLAIN_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS, OP_METRICS_NS,
+    OP_STATS_NS, RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH, SHARD_WATERMARK_LAG_NS,
+    SLOW_OPS, STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES,
+    WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED, WATERMARK_LAG_WARNS,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, ObsConfig, Recorder, Stage};
 use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
-use hawkeye_telemetry::{encode_batch, encode_snapshot, TelemetrySnapshot};
+use hawkeye_telemetry::{encode_batch, TelemetrySnapshot};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -157,9 +158,9 @@ const AUDIT_CAPACITY: usize = 64;
 /// replays stay warning-free.
 const LAG_WARN_NS: u64 = 1_000_000_000;
 
-/// An evidence-log record riding the ingest path: kind + canonical
-/// payload bytes (the received frame body — never a re-encode).
-type JournalRecord = (u8, Vec<u8>);
+/// A frame's evidence-log record (`REC_BATCH`) riding the ingest path:
+/// the received frame body — never a re-encode.
+type JournalRecord = Vec<u8>;
 
 /// Messages to a shard worker, the owner of one store partition.
 enum ShardMsg {
@@ -444,8 +445,8 @@ impl Core {
             0
         };
         let retire_ns = elapsed_ns(t);
-        if let Some((kind, payload)) = a.journal {
-            self.journal(kind, &payload);
+        if let Some(frame) = a.journal {
+            self.journal(REC_BATCH, &frame);
         }
 
         let mut m = self.plane.metrics.lock().expect("metrics lock");
@@ -1024,31 +1025,11 @@ fn route_frame(
     None
 }
 
-/// Route an `IngestEpoch` frame — a slice of one. The codec is
-/// deterministic, so the frame bytes ARE the canonical form a durable
-/// daemon journals (checked in debug builds, here and for batches).
-fn route_ingest(
-    plane: &Plane,
-    routes: &Routes,
-    snap: TelemetrySnapshot,
-    wire: Option<Vec<u8>>,
-) -> Response {
-    debug_assert!(
-        wire.as_ref().is_none_or(|w| *w == encode_snapshot(&snap)),
-        "journaled wire bytes diverge from the canonical encoding"
-    );
-    let journal = wire.map(|w| (REC_SNAPSHOT, w));
-    route_frame(plane, routes, vec![snap], journal).unwrap_or(Response::Ack {
-        accepted: true,
-        granted: 1,
-        info: None,
-    })
-}
-
-/// Route a multi-epoch batch frame (per-switch sharding still applies);
-/// one `BatchAck` settles the whole frame, returning its credits, and the
-/// whole frame journals as one batch record. A dead shard or an
-/// out-of-range switch fails the batch with an error.
+/// Route an `IngestBatch` frame; one `BatchAck` settles the whole frame,
+/// returning its credits, and the whole frame journals as one record. The
+/// codec is deterministic, so the frame bytes ARE the canonical form a
+/// durable daemon journals (checked in debug builds). A dead shard or an
+/// out-of-range switch fails the frame with an error.
 fn route_batch(
     plane: &Plane,
     routes: &Routes,
@@ -1060,7 +1041,7 @@ fn route_batch(
         wire.as_ref().is_none_or(|w| *w == encode_batch(&snaps)),
         "journaled wire bytes diverge from the canonical batch encoding"
     );
-    if let Some(refusal) = route_frame(plane, routes, snaps, wire.map(|w| (REC_BATCH, w))) {
+    if let Some(refusal) = route_frame(plane, routes, snaps, wire) {
         return refusal;
     }
     if plane.cfg.obs {
@@ -1085,13 +1066,9 @@ fn session(plane: Arc<Plane>, routes: Routes, stream: AnyStream) {
         plane.cfg.shard_range.map(|r| r.epoch),
         |req, body| {
             let (op, resp) = match req {
-                Request::IngestEpoch(snap) => {
+                Request::IngestBatch(snaps) => {
                     // A durable daemon journals the frame body verbatim;
                     // decoding is done with it.
-                    let wire = plane.durable.then(|| std::mem::take(body));
-                    (OP_INGEST_NS, Ok(route_ingest(&plane, &routes, snap, wire)))
-                }
-                Request::IngestBatch(snaps) => {
                     let wire = plane.durable.then(|| std::mem::take(body));
                     (
                         OP_INGEST_BATCH_NS,
@@ -1407,29 +1384,23 @@ mod tests {
             .counter_total(INGEST_WRONG_SHARD)
     }
 
-    /// Every ack returns exactly the credits its frame consumed — one per
-    /// snapshot, the batch's size per batch — so the client's window never
-    /// leaks.
+    /// Every ack returns exactly the credits its frame consumed — the
+    /// frame's size, a frame of one included — so the client's window
+    /// never leaks.
     #[test]
-    fn acks_return_credits_either_way() {
+    fn acks_return_the_frames_credits() {
         let r = rig(1, 4, None);
-        let Response::Ack {
-            accepted, granted, ..
-        } = route_ingest(&r.plane, &r.routes, snap(0), None)
-        else {
-            panic!("expected ack");
-        };
-        assert!(accepted);
-        assert_eq!(granted, 1);
-        let resp = route_batch(&r.plane, &r.routes, vec![snap(0), snap(0), snap(0)], None);
-        assert_eq!(
-            resp,
-            Response::BatchAck {
-                accepted: 3,
-                shed: 0,
-                granted: 3
-            }
-        );
+        for n in [1, 3] {
+            let resp = route_batch(&r.plane, &r.routes, vec![snap(0); n as usize], None);
+            assert_eq!(
+                resp,
+                Response::BatchAck {
+                    accepted: n,
+                    shed: 0,
+                    granted: n
+                }
+            );
+        }
     }
 
     /// A disconnected shard (worker gone) reports an error, not a panic
@@ -1440,7 +1411,7 @@ mod tests {
         let mut r = rig(1, 1, None);
         r.shard_rxs.clear();
         assert!(matches!(
-            route_ingest(&r.plane, &r.routes, snap(0), None),
+            route_batch(&r.plane, &r.routes, vec![snap(0)], None),
             Response::Error(_)
         ));
         assert!(matches!(
@@ -1475,10 +1446,10 @@ mod tests {
         };
         let r = rig(1, 4, Some(range));
         assert!(matches!(
-            route_ingest(&r.plane, &r.routes, snap(1), None),
-            Response::Ack { accepted: true, .. }
+            route_batch(&r.plane, &r.routes, vec![snap(1)], None),
+            Response::BatchAck { accepted: 1, .. }
         ));
-        let resp = route_ingest(&r.plane, &r.routes, snap(2), None);
+        let resp = route_batch(&r.plane, &r.routes, vec![snap(2)], None);
         let Response::Error(msg) = resp else {
             panic!("out-of-range ingest answered {resp:?}");
         };
@@ -1615,7 +1586,7 @@ mod tests {
             core.handle(msg);
         }
         assert_eq!(shards_heard, vec![0, 1], "one Applied per slice");
-        assert_eq!(records, vec![(REC_BATCH, wire)], "one record per frame");
+        assert_eq!(records, vec![wire], "one record per frame");
         let m = plane.metrics.lock().unwrap();
         assert_eq!(m.counter_total(EPOCHS_INGESTED), 6);
         assert_eq!(m.counter_total(INCREMENTAL_UPDATES), 6);

@@ -6,9 +6,11 @@
 //! registers and the local collector behave bit-for-bit as in a one-shot
 //! run — and after each `on_probe` any collection events the hook's
 //! collector just accepted are *additionally* pushed into an
-//! [`EpochSink`]. Replays through the daemon therefore produce the exact
-//! simulation trajectory of the one-shot path, which is what makes
-//! served-vs-one-shot verdict parity a meaningful check.
+//! [`EpochSink`], `batch` snapshots per frame (1 = a frame per snapshot;
+//! the sequence the sink receives does not depend on it). Replays through
+//! the daemon therefore produce the exact simulation trajectory of the
+//! one-shot path, which is what makes served-vs-one-shot verdict parity a
+//! meaningful check.
 
 use hawkeye_client::{EpochSink, SinkAck};
 use hawkeye_core::HawkeyeHook;
@@ -36,11 +38,9 @@ pub struct StreamingHook<S: EpochSink> {
     /// Collector events already forwarded (`inner.collector.events` is
     /// append-only).
     forwarded: usize,
-    /// Snapshots per sink write. 1 = the legacy per-snapshot `push` path
-    /// (byte-identical behaviour); N > 1 buffers and sends multi-epoch
-    /// batch frames via [`EpochSink::push_batch`].
+    /// Snapshots per sink write ([`EpochSink::push_batch`]), at least 1.
     batch: usize,
-    /// Buffered snapshots awaiting a full batch (batch > 1 only).
+    /// Buffered snapshots awaiting a full frame.
     buf: Vec<TelemetrySnapshot>,
     pub stats: StreamStats,
 }
@@ -81,17 +81,23 @@ impl<S: EpochSink> StreamingHook<S> {
 
     /// Flush the partial batch and settle everything in flight. Idempotent.
     pub fn finish(&mut self) {
-        if !self.buf.is_empty() {
-            let buf = std::mem::take(&mut self.buf);
-            match self.sink.push_batch(&buf) {
-                Ok(ack) => self.note(ack),
-                Err(_) => self.stats.errors += buf.len() as u64,
-            }
-        }
+        self.flush();
         match self.sink.finish() {
             Ok(ack) => self.note(ack),
             Err(_) => self.stats.errors += 1,
         }
+    }
+
+    /// Send whatever is buffered as one frame.
+    fn flush(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        match self.sink.push_batch(&self.buf) {
+            Ok(ack) => self.note(ack),
+            Err(_) => self.stats.errors += self.buf.len() as u64,
+        }
+        self.buf.clear();
     }
 
     fn note(&mut self, ack: SinkAck) {
@@ -104,21 +110,9 @@ impl<S: EpochSink> StreamingHook<S> {
         while self.forwarded < self.inner.collector.events.len() {
             let snap = self.inner.collector.events[self.forwarded].snapshot.clone();
             self.forwarded += 1;
-            if self.batch <= 1 {
-                match self.sink.push(&snap) {
-                    Ok(true) => self.stats.pushed += 1,
-                    Ok(false) => self.stats.shed += 1,
-                    Err(_) => self.stats.errors += 1,
-                }
-            } else {
-                self.buf.push(snap);
-                if self.buf.len() >= self.batch {
-                    let buf = std::mem::take(&mut self.buf);
-                    match self.sink.push_batch(&buf) {
-                        Ok(ack) => self.note(ack),
-                        Err(_) => self.stats.errors += buf.len() as u64,
-                    }
-                }
+            self.buf.push(snap);
+            if self.buf.len() >= self.batch {
+                self.flush();
             }
         }
     }
@@ -147,5 +141,30 @@ impl<S: EpochSink> SwitchHook for StreamingHook<S> {
         let decision = self.inner.on_probe(switch, in_port, probe, view, now);
         self.drain();
         decision
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::replay::replay_streaming_batched;
+    use hawkeye_client::VecSink;
+    use hawkeye_eval::optimal_run_config;
+    use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
+
+    /// The frame size is transport only: a capture in frames of one and in
+    /// frames of seven (with a partial trailing frame) is the same snapshot
+    /// sequence with the same delivery counters — what lets a trace be
+    /// captured once and re-framed by whoever replays it.
+    #[test]
+    fn frame_size_does_not_change_the_capture() {
+        let sc = build_scenario(ScenarioKind::MicroBurstIncast, ScenarioParams::default());
+        let cfg = optimal_run_config(1);
+        let (by_1, sink_1) = replay_streaming_batched(&sc, &cfg, VecSink::default(), 1);
+        let (by_7, sink_7) = replay_streaming_batched(&sc, &cfg, VecSink::default(), 7);
+        assert!(sink_1.snaps.len() % 7 != 0, "no partial trailing frame");
+        assert_eq!(sink_7.snaps, sink_1.snaps);
+        assert_eq!(by_7.stream, by_1.stream);
+        assert_eq!(by_1.stream.pushed, sink_1.snaps.len() as u64);
+        assert_eq!((by_1.stream.shed, by_1.stream.errors), (0, 0));
     }
 }

@@ -1,12 +1,11 @@
 //! Segmented write-ahead evidence log: the disk half of the daemon's
 //! tiered evidence store.
 //!
-//! Every accepted epoch and every emitted verdict is journaled as a
-//! length-prefixed record whose payload *is* the canonical byte form the
-//! wire codec already defines (`encode_snapshot` for single ingests,
-//! `encode_batch` — kind [`KIND_BATCH`] — for batch frames, and
-//! `encode_compacted` — kind `0xC0` — inside checkpoints), framed with a
-//! CRC32 and a monotone sequence number. Records accumulate in segment
+//! Every accepted ingest frame and every emitted verdict is journaled as
+//! a length-prefixed record whose payload *is* the canonical byte form
+//! the wire codec already defines (`encode_batch` — kind [`KIND_BATCH`] —
+//! for ingest frames, and `encode_compacted` — kind `0xC0` — inside
+//! checkpoints), framed with a CRC32 and a monotone sequence number. Records accumulate in segment
 //! files that rotate on size; a *checkpoint* — the durable image of the
 //! in-memory tiered state (raw rings + compacted buckets + audit trail) —
 //! retires every segment wholly below its barrier sequence, so disk usage
@@ -17,7 +16,7 @@
 //!
 //! ```text
 //! segment file seg-<%016 start_seq>.wal:
-//!   [8B magic "HWKWAL01"] [u64 start_seq]
+//!   [8B magic "HWKWAL02"] [u64 start_seq]
 //!   record*:
 //!     [u32 payload_len] [u8 kind] [u64 seq] [u32 crc32] [payload]
 //! ```
@@ -27,6 +26,10 @@
 //! burst errors up to 32 bits). Sequence numbers are global across
 //! segments and strictly increasing; a segment's name and header both
 //! carry the seq of its first record, so recovery can check continuity.
+//! The magic's trailing digits are the format version: `HWKWAL01` logs
+//! also journaled single snapshots under a record kind (`0x01`) this
+//! format does not have, so recovery refuses them ([`OLD_SEG_MAGIC`])
+//! instead of reading their records as corruption.
 //!
 //! The `Wal` itself is single-owner: the daemon hands it to the compactor
 //! thread, which serializes journal appends behind the same channel that
@@ -46,7 +49,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Leading bytes of every segment file.
-pub const SEG_MAGIC: &[u8; 8] = b"HWKWAL01";
+pub const SEG_MAGIC: &[u8; 8] = b"HWKWAL02";
+/// The previous format's magic: a log this build refuses, untouched.
+pub const OLD_SEG_MAGIC: &[u8; 8] = b"HWKWAL01";
 /// Segment header: magic plus the u64 seq of the first record.
 pub const SEG_HEADER_LEN: usize = 16;
 /// Record header: u32 payload len, u8 kind, u64 seq, u32 crc.
@@ -55,12 +60,9 @@ pub const REC_HEADER_LEN: usize = 17;
 /// frames, since telemetry records are journaled frame bodies verbatim.
 pub const MAX_RECORD: u32 = 16 << 20;
 
-/// Record kind: one `encode_snapshot` frame body (a single accepted
-/// ingest). Snapshot frames predate the wire kind byte, so the WAL
-/// assigns them `0x01`.
-pub const REC_SNAPSHOT: u8 = 0x01;
-/// Record kind: one `encode_batch` frame body, verbatim — the same
-/// `0xB1` kind byte the wire codec stamps inside the payload.
+/// Record kind: one accepted ingest frame — its `encode_batch` body,
+/// verbatim, under the same `0xB1` kind byte the wire codec stamps inside
+/// the payload.
 pub const REC_BATCH: u8 = KIND_BATCH;
 /// Record kind: one emitted verdict, as the JSON form of
 /// [`ExplainRecord`] (already the `OP_EXPLAIN` wire rendering).
@@ -82,13 +84,7 @@ pub const REC_CKPT_END: u8 = 0xF3;
 pub fn known_kind(kind: u8) -> bool {
     matches!(
         kind,
-        REC_SNAPSHOT
-            | REC_BATCH
-            | REC_VERDICT
-            | REC_CKPT_BEGIN
-            | REC_CKPT_SWITCH
-            | REC_CKPT_AUDIT
-            | REC_CKPT_END
+        REC_BATCH | REC_VERDICT | REC_CKPT_BEGIN | REC_CKPT_SWITCH | REC_CKPT_AUDIT | REC_CKPT_END
     )
 }
 
@@ -746,29 +742,29 @@ mod tests {
 
     #[test]
     fn crc_covers_every_header_field() {
-        let base = record_crc(3, REC_SNAPSHOT, 7, b"abc");
-        assert_ne!(base, record_crc(4, REC_SNAPSHOT, 7, b"abc"));
+        let base = record_crc(3, REC_BATCH, 7, b"abc");
+        assert_ne!(base, record_crc(4, REC_BATCH, 7, b"abc"));
         assert_ne!(base, record_crc(3, REC_VERDICT, 7, b"abc"));
-        assert_ne!(base, record_crc(3, REC_SNAPSHOT, 8, b"abc"));
-        assert_ne!(base, record_crc(3, REC_SNAPSHOT, 7, b"abd"));
+        assert_ne!(base, record_crc(3, REC_BATCH, 8, b"abc"));
+        assert_ne!(base, record_crc(3, REC_BATCH, 7, b"abd"));
     }
 
     #[test]
     fn append_assigns_monotone_seqs_and_frames_records() {
         let dir = tmp_dir("frame");
         let mut wal = Wal::create(WalConfig::new(&dir)).unwrap();
-        assert_eq!(wal.append(REC_SNAPSHOT, b"hello").unwrap(), 0);
+        assert_eq!(wal.append(REC_BATCH, b"hello").unwrap(), 0);
         assert_eq!(wal.append(REC_VERDICT, b"world!").unwrap(), 1);
         wal.sync().unwrap();
         let bytes = std::fs::read(segment_path(&dir, 0)).unwrap();
         assert_eq!(&bytes[..8], SEG_MAGIC);
         assert_eq!(u64::from_le_bytes(bytes[8..16].try_into().unwrap()), 0);
-        // First record: len 5, kind snapshot, seq 0, then "hello".
+        // First record: len 5, kind batch, seq 0, then "hello".
         assert_eq!(u32::from_le_bytes(bytes[16..20].try_into().unwrap()), 5);
-        assert_eq!(bytes[20], REC_SNAPSHOT);
+        assert_eq!(bytes[20], REC_BATCH);
         assert_eq!(u64::from_le_bytes(bytes[21..29].try_into().unwrap()), 0);
         let crc = u32::from_le_bytes(bytes[29..33].try_into().unwrap());
-        assert_eq!(crc, record_crc(5, REC_SNAPSHOT, 0, b"hello"));
+        assert_eq!(crc, record_crc(5, REC_BATCH, 0, b"hello"));
         assert_eq!(&bytes[33..38], b"hello");
         assert_eq!(bytes[38 + 4], REC_VERDICT);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -783,7 +779,7 @@ mod tests {
         };
         let mut wal = Wal::create(cfg).unwrap();
         for _ in 0..5 {
-            wal.append(REC_SNAPSHOT, &[0u8; 48]).unwrap();
+            wal.append(REC_BATCH, &[0u8; 48]).unwrap();
         }
         assert_eq!(wal.completed_segments(), 4);
         assert!(wal.wants_checkpoint());
@@ -795,7 +791,7 @@ mod tests {
         assert!(segment_path(&dir, 3).exists());
         assert!(segment_path(&dir, 4).exists());
         // Seqs keep climbing across rotation and retirement.
-        assert_eq!(wal.append(REC_SNAPSHOT, b"x").unwrap(), 5);
+        assert_eq!(wal.append(REC_BATCH, b"x").unwrap(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -220,8 +220,11 @@ fn shard_spanning_batches_recover_to_the_unbatched_state() {
     .expect("bind reference daemon");
     let mut client = ServeClient::connect_unix(&sock_ref).expect("connect");
     for snap in &sink.snaps {
-        assert!(client.ingest(snap).expect("ingest"));
+        client
+            .ingest_batch(std::slice::from_ref(snap))
+            .expect("ingest");
     }
+    assert_eq!(client.finish_ingest().expect("settle acks").shed, 0);
     client.stats().expect("stats barrier");
     let history_ref = client.flow_history(sc.truth.victim).expect("history");
     drop(client);

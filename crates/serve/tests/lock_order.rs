@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use hawkeye_client::ServeClient;
+use hawkeye_client::{ServeClient, SinkAck};
 use hawkeye_serve::{spawn_durable, Endpoint, FsyncPolicy, ServeConfig, StoreConfig, WalConfig};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot};
@@ -181,18 +181,17 @@ fn run_hammer(wal: Option<WalConfig>) {
     // switches so every shard worker stays busy the whole run.
     let mut client = ServeClient::connect_tcp(&addr).expect("connect ingest");
     let mut sent = 0u64;
+    let mut ack = SinkAck::default();
     for step in 0..STEPS {
         for &sw in &switches {
             let nports = sc.topo.ports(sw).len();
-            assert!(
-                client
-                    .ingest(&synth_snap(sw, nports, step))
-                    .expect("ingest"),
-                "a daemon never answers accepted: false"
-            );
+            let frame = [synth_snap(sw, nports, step)];
+            ack.merge(client.ingest_batch(&frame).expect("ingest"));
             sent += 1;
         }
     }
+    ack.merge(client.finish_ingest().expect("settle acks"));
+    assert_eq!((ack.accepted, ack.shed), (sent, 0), "a daemon never sheds");
     done.store(true, Ordering::Relaxed);
 
     let polls: u64 = hammers

@@ -38,11 +38,11 @@ fn metrics_and_explain_round_trip_after_replay() {
     // --- Metrics op: latency histograms populated by the replay itself.
     let (snap, flight) = client.metrics().expect("metrics op");
     let ingest = snap
-        .histogram(names::OP_INGEST_NS)
+        .histogram(names::OP_INGEST_BATCH_NS)
         .expect("ingest latency histogram registered");
     assert_eq!(
         ingest.count, outcome.stream.pushed,
-        "one ingest latency sample per streamed snapshot"
+        "one ingest latency sample per streamed frame of one"
     );
     let diag = snap
         .histogram(names::OP_DIAGNOSE_NS)

@@ -115,14 +115,13 @@ fn daemon_replay_rounds_stay_bounded() {
             let nports = sc.topo.ports(sw).len();
             for i in 0..per_round {
                 let step = round * per_round + i;
-                assert!(
-                    client
-                        .ingest(&synth_snap(sw, nports, step))
-                        .expect("ingest"),
-                    "snapshot shed at round {round}"
-                );
+                client
+                    .ingest_batch(&[synth_snap(sw, nports, step)])
+                    .expect("ingest");
             }
         }
+        let ack = client.finish_ingest().expect("settle acks");
+        assert_eq!(ack.shed, 0, "snapshot shed at round {round}");
         if round == 2 {
             mid = Some(barrier_stats(&mut client));
         }

@@ -191,6 +191,30 @@ fn deep_rings_serve_the_window_only() {
             body.len()
         );
     }
+    // So is the per-snapshot ingest a version-3 peer sends (opcode 1 and a
+    // well-formed snapshot body): refused by opcode, nothing stored, and
+    // the same snapshot is taken as an `IngestBatch` frame of one.
+    let one = &replayed[0];
+    let resp = ask_raw(1, &hawkeye_telemetry::encode_snapshot(one));
+    assert!(
+        matches!(&resp, Response::Error(m) if m.contains("unknown opcode 1")),
+        "opcode 1 answered {resp:?}"
+    );
+    let resp = ask_raw(
+        8,
+        &hawkeye_telemetry::encode_batch(std::slice::from_ref(one)),
+    );
+    assert!(
+        matches!(
+            resp,
+            Response::BatchAck {
+                accepted: 1,
+                shed: 0,
+                granted: 1
+            }
+        ),
+        "frame of one answered {resp:?}"
+    );
     assert!(matches!(ask_raw(3, &[]), Response::Stats(_)));
 
     client.shutdown().expect("shutdown handshake");
@@ -216,8 +240,11 @@ fn unix_socket_session_roundtrip() {
     let (_, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, VecSink::default());
     assert!(!sink.snaps.is_empty());
     for snap in sink.snaps.iter().take(4) {
-        assert!(client.push(snap).expect("ingest"), "unexpected shed");
+        let frame = std::slice::from_ref(snap);
+        client.push_batch(frame).expect("ingest");
     }
+    let ack = client.finish().expect("settle acks");
+    assert_eq!((ack.accepted, ack.shed), (4, 0), "unexpected shed");
     let stats = client.stats().expect("stats");
     assert!(stats.as_object().is_some());
 
@@ -388,10 +415,7 @@ fn frame_size_does_not_change_what_the_daemon_holds() {
         let addr = handle.local_addr.expect("tcp daemon has an address");
         let mut client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
         for chunk in sink.snaps.chunks(frame) {
-            match chunk {
-                [one] => assert!(client.ingest(one).expect("ingest")),
-                many => drop(client.ingest_batch(many).expect("ingest batch")),
-            }
+            client.ingest_batch(chunk).expect("ingest frame");
         }
         assert_eq!(client.finish_ingest().expect("settle acks").shed, 0);
         let stats = client.stats().expect("stats");

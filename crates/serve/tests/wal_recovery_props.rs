@@ -4,14 +4,10 @@
 //! longest valid record prefix, and replaying that prefix must rebuild
 //! the same store/compactor/audit state as feeding the prefix directly.
 
-use hawkeye_serve::wal::{
-    FsyncPolicy, Wal, WalConfig, REC_HEADER_LEN, REC_SNAPSHOT, SEG_HEADER_LEN,
-};
+use hawkeye_serve::wal::{FsyncPolicy, Wal, WalConfig, REC_BATCH, REC_HEADER_LEN, SEG_HEADER_LEN};
 use hawkeye_serve::{scan, AuditTrail, Compactor, StoreConfig, TelemetryStore, WalEntry};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
-use hawkeye_telemetry::{
-    encode_snapshot, EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot,
-};
+use hawkeye_telemetry::{encode_batch, EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +79,7 @@ fn seg_bytes_strategy() -> impl Strategy<Value = u64> {
     (0..3usize).prop_map(|i| [256u64, 700, 4096][i])
 }
 
-/// Write `snaps` as one snapshot record each and return the segment files
+/// Write `snaps` as one frame-of-one record each and return the segment files
 /// (sorted by start seq) plus, per file, the count of records it holds.
 fn build_log(dir: &Path, segment_bytes: u64, snaps: &[TelemetrySnapshot]) -> Vec<(PathBuf, u64)> {
     let cfg = WalConfig {
@@ -94,7 +90,7 @@ fn build_log(dir: &Path, segment_bytes: u64, snaps: &[TelemetrySnapshot]) -> Vec
     };
     let mut wal = Wal::create(cfg).expect("create wal");
     for s in snaps {
-        wal.append(REC_SNAPSHOT, &encode_snapshot(s))
+        wal.append(REC_BATCH, &encode_batch(std::slice::from_ref(s)))
             .expect("append");
     }
     drop(wal);
@@ -137,7 +133,7 @@ fn assert_prefix(scan: &hawkeye_serve::Scan, snaps: &[TelemetrySnapshot], n: u64
     for (i, rec) in scan.records.iter().enumerate() {
         assert_eq!(rec.seq, i as u64);
         match &rec.entry {
-            WalEntry::Snapshot(s) => assert_eq!(s, &snaps[i], "record {i} mutated"),
+            WalEntry::Batch(frame) => assert_eq!(frame[..], snaps[i..=i], "record {i} mutated"),
             other => panic!("record {i}: unexpected entry {other:?}"),
         }
     }

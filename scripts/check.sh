@@ -93,8 +93,12 @@ doc = json.load(open(sys.argv[1]))
 counters = {c["key"]: c["value"] for c in doc["metrics"]["counters"]}
 assert counters["epochs_ingested"] > 0, "metrics op reported no ingested epochs"
 hists = {h["key"]: h for h in doc["metrics"]["histograms"]}
-assert hists["op_ingest_ns"]["count"] == doc["epochs_streamed"], \
-    "one ingest latency sample per streamed snapshot"
+assert hists["op_ingest_batch_ns"]["count"] == counters["ingest_batches"], \
+    "one ingest latency sample per ingest frame"
+# `epochs_ingested` counts epochs (a snapshot holds several); the count
+# of streamed *snapshots* the daemon took is the store's.
+assert doc["daemon"]["store_snapshots_appended"] == doc["epochs_streamed"], \
+    "a streamed snapshot never reached the store"
 assert doc["diagnose_p99_ns"] > 0, "Diagnose p99 missing or zero"
 assert hists["op_diagnose_ns"]["count"] >= 1, "diagnose latency never recorded"
 warnings = [e for e in doc["flight"] if e.get("kind") == "warning"]
@@ -188,6 +192,11 @@ doc = json.load(open(sys.argv[1]))
 assert doc["epochs_streamed"] > 0, "nothing streamed before the crash"
 assert doc["epochs_shed"] == 0, "fault-free replay shed epochs"
 EOF
+# The operator's text view of the live daemon must show the ingest it
+# just took: every op_* histogram is printed, not a fixed list of them.
+stats_txt=$(./target/release/hawkeye serve-stats --socket "$cr_sock")
+grep -q '^op_ingest_batch_ns ' <<< "$stats_txt" \
+  || { echo "$stats_txt"; echo "serve-stats printed no op_ingest_batch_ns row"; exit 1; }
 kill -9 "$cr_pid"
 wait "$cr_pid" 2>/dev/null || true
 rm -f "$cr_sock"
