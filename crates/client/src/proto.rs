@@ -70,7 +70,7 @@
 
 use crate::types::{ExplainRecord, Fidelity, FlowObservation};
 use hawkeye_core::{DiagnosisReport, Window};
-use hawkeye_sim::{FlowKey, Nanos, NodeId};
+use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::{decode_batch, encode_batch, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -235,6 +235,22 @@ pub struct DiagnoseParams {
     pub victim: FlowKey,
     pub window: Window,
     pub missing: Vec<NodeId>,
+}
+
+impl DiagnoseParams {
+    /// The victim arrives off the wire: whoever serves the request checks
+    /// it against its fabric before any analysis walks the flow's path.
+    /// `Err` is the text of the `Response::Error` to answer with.
+    pub fn check_victim(&self, topo: &Topology) -> Result<(), String> {
+        let v = &self.victim;
+        if topo.is_host(v.src) && topo.is_host(v.dst) {
+            Ok(())
+        } else {
+            Err(format!(
+                "victim {v} is not a flow of this fabric: both ends must be hosts of it"
+            ))
+        }
+    }
 }
 
 /// Daemon → client.

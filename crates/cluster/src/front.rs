@@ -293,6 +293,9 @@ impl FrontShared {
     /// appended to the missing set, downgrading confidence instead of
     /// failing the query.
     fn diagnose(&self, p: &DiagnoseParams) -> Response {
+        if let Err(refusal) = p.check_victim(&self.topo) {
+            return Response::Error(refusal);
+        }
         let (shards, dead) = match self.gather_fragments(p.window) {
             Ok(v) => v,
             Err(e) => return error_response(&e),

@@ -10,6 +10,7 @@ use hawkeye_cluster::{spawn_front, BackendEndpoint, FrontConfig, ShardEntry, Sha
 use hawkeye_core::{analyze_victim_window, AnalyzerConfig};
 use hawkeye_eval::optimal_run_config;
 use hawkeye_serve::{replay_streaming, spawn, DaemonHandle, Endpoint, ServeConfig};
+use hawkeye_sim::{FlowKey, NodeId};
 use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> Scenario {
@@ -128,6 +129,16 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
     let fleet_report = front_client
         .diagnose(sc.truth.victim, w.from, w.to, fleet_out.missing.clone())
         .expect("fleet diagnosis");
+
+    // An out-of-fabric victim is refused by the front itself, by name, and
+    // the session lives on.
+    let stranger = FlowKey::roce(NodeId(1_000_000), sc.truth.victim.dst, 7);
+    match front_client.diagnose(stranger, w.from, w.to, Vec::new()) {
+        Err(ProtoError::Remote(msg)) => {
+            assert!(msg.contains(&stranger.to_string()), "{msg}")
+        }
+        other => panic!("out-of-fabric victim answered {other:?}"),
+    }
 
     let mono_json = serde_json::to_string(&mono_report).expect("serialize");
     let fleet_json = serde_json::to_string(&fleet_report).expect("serialize");

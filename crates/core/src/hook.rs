@@ -65,11 +65,19 @@ pub struct HookStats {
     pub cpu_mirrors: u64,
 }
 
+/// One switch's share of the hook state.
+struct SwitchSlot {
+    tele: SwitchTelemetry,
+    /// When this switch last forwarded a polling packet for each victim.
+    dedup: HashMap<FlowKey, Nanos>,
+}
+
 /// Network-wide Hawkeye instrumentation.
 pub struct HawkeyeHook {
     cfg: HawkeyeConfig,
-    switches: HashMap<NodeId, SwitchTelemetry>,
-    dedup: HashMap<(NodeId, FlowKey), Nanos>,
+    /// Indexed by `NodeId`; `None` at host ids. The per-packet callbacks
+    /// find their switch with one bounds-checked index.
+    switches: Vec<Option<SwitchSlot>>,
     /// Controller-side collection, performed at mirror time (the registers
     /// are read while the anomaly's epochs are still in the ring).
     pub collector: Collector,
@@ -84,19 +92,18 @@ impl HawkeyeHook {
 
     /// Instrument every switch with an explicit collector configuration.
     pub fn with_collector(topo: &Topology, cfg: HawkeyeConfig, coll: CollectorConfig) -> Self {
-        let switches = topo
-            .switches()
-            .map(|sw| {
-                (
-                    sw,
-                    SwitchTelemetry::new(sw, topo.ports(sw).len(), cfg.telemetry),
-                )
+        let switches = (0..topo.node_count() as u32)
+            .map(NodeId)
+            .map(|n| {
+                (!topo.is_host(n)).then(|| SwitchSlot {
+                    tele: SwitchTelemetry::new(n, topo.ports(n).len(), cfg.telemetry),
+                    dedup: HashMap::new(),
+                })
             })
             .collect();
         HawkeyeHook {
             cfg,
             switches,
-            dedup: HashMap::new(),
             collector: Collector::with_faults(coll, cfg.faults),
             stats: HookStats::default(),
         }
@@ -108,20 +115,26 @@ impl HawkeyeHook {
 
     /// The telemetry state of one switch (for controller collection).
     pub fn telemetry(&self, sw: NodeId) -> Option<&SwitchTelemetry> {
-        self.switches.get(&sw)
+        Some(&self.switches.get(sw.index())?.as_ref()?.tele)
     }
+}
+
+/// The slot of switch `sw` (a free function over the field, so callers keep
+/// the hook's other fields borrowable).
+fn slot_mut(switches: &mut [Option<SwitchSlot>], sw: NodeId) -> Option<&mut SwitchSlot> {
+    switches.get_mut(sw.index())?.as_mut()
 }
 
 impl SwitchHook for HawkeyeHook {
     fn on_data_enqueue(&mut self, rec: &EnqueueRecord) {
-        if let Some(t) = self.switches.get_mut(&rec.switch) {
-            t.on_enqueue(rec);
+        if let Some(s) = slot_mut(&mut self.switches, rec.switch) {
+            s.tele.on_enqueue(rec);
         }
     }
 
     fn on_pfc_frame(&mut self, ev: &PfcEvent) {
-        if let Some(t) = self.switches.get_mut(&ev.switch) {
-            t.on_pfc(ev);
+        if let Some(s) = slot_mut(&mut self.switches, ev.switch) {
+            s.tele.on_pfc(ev);
         }
     }
 
@@ -137,20 +150,19 @@ impl SwitchHook for HawkeyeHook {
         if probe.flags.is_useless() || probe.ttl == 0 {
             return ProbeDecision::default();
         }
+        let Some(slot) = slot_mut(&mut self.switches, switch) else {
+            return ProbeDecision::default();
+        };
         // Per-victim dedup: drop repeats within the interval (this is also
         // what stops probes circulating a deadlock loop forever).
-        let dkey = (switch, probe.victim);
-        if let Some(&last) = self.dedup.get(&dkey) {
+        if let Some(&last) = slot.dedup.get(&probe.victim) {
             if now.saturating_sub(last) < self.cfg.probe_dedup {
                 self.stats.probes_deduped += 1;
                 return ProbeDecision::default();
             }
         }
-        self.dedup.insert(dkey, now);
-
-        let Some(tele) = self.switches.get(&switch) else {
-            return ProbeDecision::default();
-        };
+        slot.dedup.insert(probe.victim, now);
+        let tele = &slot.tele;
 
         // Merge multiple reasons to emit on one port by OR-ing flags.
         let mut emits: BTreeMap<u8, PollingFlags> = BTreeMap::new();
@@ -210,15 +222,12 @@ impl SwitchHook for HawkeyeHook {
         self.stats.cpu_mirrors += 1;
         // Asynchronous controller collection, modeled at mirror time.
         if self.cfg.full_polling {
-            let mut all: Vec<NodeId> = self.switches.keys().copied().collect();
-            all.sort_unstable();
-            for sw in all {
+            for s in self.switches.iter().flatten() {
                 self.collector
-                    .offer(sw, now, probe.victim, &self.switches[&sw]);
+                    .offer(s.tele.switch(), now, probe.victim, &s.tele);
             }
         } else {
-            self.collector
-                .offer(switch, now, probe.victim, &self.switches[&switch]);
+            self.collector.offer(switch, now, probe.victim, tele);
         }
         ProbeDecision {
             emit,

@@ -157,7 +157,6 @@ pub fn run_hawkeye_obs(
 
     let snapshots = sim.hook.inner().collector.snapshots();
     let analyzer = AnalyzerConfig::for_epoch_len(cfg.epoch.epoch_len());
-    let topo = sim.topo().clone();
     // No detection → no window → no diagnosis: a typed error, not a panic.
     let window = victim_window(
         &dets,
@@ -188,7 +187,7 @@ pub fn run_hawkeye_obs(
             &scenario.truth.victim,
             w,
             &snapshots,
-            &topo,
+            &scenario.topo,
             &analyzer,
             &mut sim.hook.obs,
         )

@@ -859,6 +859,9 @@ impl Routes {
     }
 
     fn diagnose(&self, plane: &Plane, p: &DiagnoseParams) -> Result<Response, Gone> {
+        if let Err(refusal) = p.check_victim(&plane.topo) {
+            return Ok(Response::Error(refusal));
+        }
         let snapshots = self.gather_snapshots(p.window)?;
         if snapshots.is_empty() {
             return Ok(Response::Error("no telemetry ingested".into()));

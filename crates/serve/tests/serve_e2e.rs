@@ -4,10 +4,10 @@
 //! anomaly label, culprits, confidence — to the local one-shot reference.
 
 use hawkeye_client::proto::{decode_response, read_frame, write_frame};
-use hawkeye_client::{EpochSink, Response, ServeClient, VecSink};
+use hawkeye_client::{EpochSink, ProtoError, Response, ServeClient, VecSink};
 use hawkeye_eval::{optimal_run_config, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
-use hawkeye_sim::Nanos;
+use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
@@ -525,6 +525,26 @@ fn hostile_counts_do_not_kill_the_daemon() {
         .expect("the hostile window is diagnosed");
     let stats = client.stats().expect("the engine refreshed over it");
     assert!(stats.get("engine_epochs_held").and_then(|v| v.as_u64()) > Some(0));
+
+    // A victim that is no flow of this fabric — an id past the last node,
+    // or a switch where a host must be — is a typed error naming it, and
+    // the session carries on to the clean diagnosis below.
+    let a_switch = sc.topo.switches().next().expect("a switch");
+    for bad in [
+        FlowKey::roce(NodeId(1_000_000), sc.truth.victim.dst, 7),
+        FlowKey::roce(sc.truth.victim.src, NodeId(1_000_000), 7),
+        FlowKey::roce(a_switch, sc.truth.victim.dst, 7),
+    ] {
+        match client.diagnose(bad, w.from, w.to, Vec::new()) {
+            Err(ProtoError::Remote(msg)) => {
+                assert!(
+                    msg.contains(&bad.to_string()),
+                    "error names the victim: {msg}"
+                )
+            }
+            other => panic!("out-of-fabric victim {bad} answered {other:?}"),
+        }
+    }
 
     let served = client
         .diagnose(sc.truth.victim, w.from, w.to, outcome.missing.clone())

@@ -18,6 +18,15 @@
 //! reproducible regardless of the container internals. The earliest pending
 //! event is kept popped-out in a `next` slot so `peek_time` stays O(1).
 //!
+//! A sequence number may be **reserved** ahead of filing
+//! ([`EventQueue::reserve_seq`], [`EventQueue::schedule_reserved`]): a port
+//! that starts a frame takes its `PortTxDone`'s place in the order at once
+//! but files the event only if something turns up for it to do (see
+//! [`PortTx`]). An event filed late with its reserved number fires exactly
+//! where it would have had it been filed at reservation time, and every
+//! other event keeps the key it always had — which is what keeps a run that
+//! skips the no-op events bit-identical to one that fires them all.
+//!
 //! The queue also owns a **packet pool**: `Arrive` events carry a
 //! [`PacketRef`] (a `u32` slot index) instead of an inline [`Packet`], so
 //! the common `Arrive`/`PortTxDone` events stop copying packet payloads
@@ -254,8 +263,15 @@ pub struct EventQueue {
     len: usize,
     seq: u64,
     now: Nanos,
+    /// Sequence number of the last popped event — with `now`, the `(time,
+    /// seq)` position the run has reached.
+    cur_seq: u64,
     popped: u64,
     pool: PacketPool,
+    /// Test-only: how [`PortTx`] files `PortTxDone` (the eager oracle and
+    /// the fresh-seq mutant of the differential test).
+    #[cfg(test)]
+    pub(crate) tx_filing: TxFiling,
 }
 
 impl Default for EventQueue {
@@ -275,8 +291,11 @@ impl Default for EventQueue {
             len: 0,
             seq: 0,
             now: Nanos::ZERO,
+            cur_seq: 0,
             popped: 0,
             pool: PacketPool::default(),
+            #[cfg(test)]
+            tx_filing: TxFiling::Lazy,
         }
     }
 }
@@ -286,9 +305,26 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Current simulation time (the timestamp of the last popped event).
+    /// Current simulation time: the timestamp of the last popped event, or
+    /// where [`advance_to`](Self::advance_to) moved the clock since.
     pub fn now(&self) -> Nanos {
         self.now
+    }
+
+    /// Sequence number of the last popped event: together with
+    /// [`now`](Self::now), the `(time, seq)` position of the handler that
+    /// is running.
+    #[inline]
+    pub fn current_seq(&self) -> u64 {
+        self.cur_seq
+    }
+
+    /// Move the clock forward to `t` without popping anything (a run that
+    /// stops at a horizon ends *at* the horizon, whichever event happened
+    /// to fire last). `t` must not pass the next pending event.
+    pub fn advance_to(&mut self, t: Nanos) {
+        debug_assert!(self.peek_time().is_none_or(|next| t <= next));
+        self.now = self.now.max(t);
     }
 
     /// Total events processed so far.
@@ -310,18 +346,39 @@ impl EventQueue {
     /// rewinds time.
     #[inline]
     pub fn schedule(&mut self, at: Nanos, kind: EventKind) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, kind);
+    }
+
+    /// Take the next sequence number without filing an event: the holder's
+    /// place among same-instant events, as if it had scheduled right now.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// File `kind` at `at` under a sequence number taken earlier with
+    /// [`reserve_seq`](Self::reserve_seq). `(at, seq)` must still lie ahead
+    /// of the event being handled, and each reserved number is filed at
+    /// most once.
+    #[inline]
+    pub fn schedule_reserved(&mut self, at: Nanos, seq: u64, kind: EventKind) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
         let s = Scheduled { at, seq, kind };
         self.len += 1;
         match &self.next {
             None => self.next = Some(s),
-            Some(n) if s.at < n.at => {
+            // `s > n` under the inverted heap order = earlier (time, seq):
+            // a reserved number can precede a stashed event of the same
+            // instant, so time alone does not decide.
+            Some(n) if s > *n => {
                 // New earliest event: swap it into the stash and file the
                 // old one back into the wheel (same tick as the cursor or
                 // later, so the scan never misses it).
@@ -502,10 +559,24 @@ impl EventQueue {
         let s = self.next.take()?;
         debug_assert!(s.at >= self.now);
         self.now = s.at;
+        self.cur_seq = s.seq;
         self.popped += 1;
         self.len -= 1;
         self.next = self.find_next();
         Some((s.at, s.kind))
+    }
+
+    /// Whether [`PortTx::start`] files every `PortTxDone` (test oracle only).
+    #[inline]
+    fn files_every_tx_done(&self) -> bool {
+        #[cfg(test)]
+        {
+            self.tx_filing == TxFiling::Eager
+        }
+        #[cfg(not(test))]
+        {
+            false
+        }
     }
 
     /// Peek at the next event time without popping.
@@ -513,6 +584,81 @@ impl EventQueue {
     pub fn peek_time(&self) -> Option<Nanos> {
         self.next.as_ref().map(|s| s.at)
     }
+}
+
+/// Transmit state of one output port (a switch egress or a host uplink):
+/// when the frame on the wire ends, and the place its `PortTxDone` holds in
+/// the `(time, seq)` order.
+///
+/// `PortTxDone` is **lazy**. A port that starts a frame always reserves the
+/// event's sequence number, at the point in the handler where the event
+/// used to be scheduled, but files it only if something is queued behind
+/// the frame; a later enqueue that finds the port busy files it then, under
+/// the reserved number. "Busy" is a comparison against `(end, seq)`, so it
+/// flips at exactly the position the event holds whether or not it exists —
+/// an event is skipped only when its handler would have found nothing to
+/// send. The default value is an idle port.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PortTx {
+    end: Nanos,
+    seq: u64,
+    /// Whether the `PortTxDone` at `(end, seq)` has been filed.
+    filed: bool,
+}
+
+impl PortTx {
+    /// Is a frame still being serialized, as seen by the handler running at
+    /// `now`? True until the `PortTxDone`'s turn in the order, not merely
+    /// until its timestamp: a same-instant event ordered before it must
+    /// still see the port busy.
+    #[inline]
+    pub fn busy(&self, now: Nanos, q: &EventQueue) -> bool {
+        (now, q.current_seq()) < (self.end, self.seq)
+    }
+
+    /// A frame starts and will end at `end`: take `done`'s place in the
+    /// order, and file it if `backlog` says more is waiting to be sent.
+    #[inline]
+    pub fn start(&mut self, end: Nanos, backlog: bool, done: EventKind, q: &mut EventQueue) {
+        *self = PortTx {
+            end,
+            seq: q.reserve_seq(),
+            filed: false,
+        };
+        if backlog || q.files_every_tx_done() {
+            self.wake_at_end(done, q);
+        }
+    }
+
+    /// Something was queued behind the frame on the wire: make sure `done`
+    /// fires when it ends. Call only while [`busy`](Self::busy).
+    #[inline]
+    pub fn wake_at_end(&mut self, done: EventKind, q: &mut EventQueue) {
+        if self.filed {
+            return;
+        }
+        self.filed = true;
+        #[cfg(test)]
+        if q.tx_filing == TxFiling::LateFreshSeq {
+            q.schedule(self.end, done);
+            return;
+        }
+        q.schedule_reserved(self.end, self.seq, done);
+    }
+}
+
+/// Test-only filing policy of [`PortTx`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TxFiling {
+    /// The shipped behaviour.
+    Lazy,
+    /// Every `PortTxDone` is filed when its frame starts — the behaviour
+    /// before the event became lazy, kept as the differential oracle.
+    Eager,
+    /// A deliberately wrong variant: the late event takes a fresh sequence
+    /// number. The differential test must tell it from `Eager`.
+    LateFreshSeq,
 }
 
 #[cfg(test)]
@@ -529,6 +675,7 @@ mod tests {
         seq: u64,
         now: Nanos,
         popped: u64,
+        cur_seq: u64,
     }
 
     impl HeapQueue {
@@ -545,14 +692,23 @@ mod tests {
         }
 
         fn schedule(&mut self, at: Nanos, kind: EventKind) {
-            let seq = self.seq;
+            let seq = self.reserve_seq();
+            self.schedule_reserved(at, seq, kind);
+        }
+
+        fn reserve_seq(&mut self) -> u64 {
             self.seq += 1;
+            self.seq - 1
+        }
+
+        fn schedule_reserved(&mut self, at: Nanos, seq: u64, kind: EventKind) {
             self.heap.push(Scheduled { at, seq, kind });
         }
 
         fn pop(&mut self) -> Option<(Nanos, EventKind)> {
             let s = self.heap.pop()?;
             self.now = s.at;
+            self.cur_seq = s.seq;
             self.popped += 1;
             Some((s.at, s.kind))
         }
@@ -706,9 +862,61 @@ mod tests {
         assert!(matches!(q.take_packet(p2), Packet::Pfc(f) if !f.is_pause()));
     }
 
+    /// A reserved sequence number filed late fires where it would have had
+    /// it been filed at reservation time: ahead of same-instant events
+    /// scheduled since, whether those sit in the stash, in the drain heap at
+    /// the cursor's tick, or in a bucket.
+    #[test]
+    fn reserved_seq_fires_in_its_reserved_place() {
+        let ids = |q: &mut EventQueue| -> Vec<u32> {
+            std::iter::from_fn(|| q.pop())
+                .map(|(_, e)| match e {
+                    EventKind::PortKick { node, .. } => node.0,
+                    _ => unreachable!(),
+                })
+                .collect()
+        };
+        // Against the stash: event 1 is the stashed earliest when the
+        // reserved event arrives at its instant with the older number.
+        let mut q = EventQueue::new();
+        let r = q.reserve_seq();
+        q.schedule(Nanos(100), kick(1));
+        q.schedule(Nanos(100), kick(2));
+        q.schedule_reserved(Nanos(100), r, kick(0));
+        assert_eq!(q.len(), 3);
+        assert_eq!(ids(&mut q), vec![0, 1, 2]);
+
+        // At the running instant: filed from inside the handler of an
+        // earlier same-instant event, it still precedes the later ones.
+        let mut q = EventQueue::new();
+        q.schedule(Nanos(50), kick(1));
+        let r = q.reserve_seq();
+        q.schedule(Nanos(50), kick(3));
+        q.schedule(Nanos(50), kick(4));
+        assert_eq!(q.pop().unwrap().1, kick(1));
+        assert_eq!((q.now(), q.current_seq()), (Nanos(50), 0));
+        q.schedule(Nanos(50), kick(5));
+        q.schedule_reserved(Nanos(50), r, kick(2));
+        assert_eq!(ids(&mut q), vec![2, 3, 4, 5]);
+        assert_eq!(q.current_seq(), 4, "the last popped event's number");
+
+        // Behind the cursor: the stash holds a far event, so the cursor
+        // sits on its tick; a reserved event between now and there wins.
+        let mut q = EventQueue::new();
+        let far = (NUM_BUCKETS * 3) << BUCKET_SHIFT;
+        q.schedule(Nanos(10), kick(1));
+        let r = q.reserve_seq();
+        q.schedule(Nanos(far), kick(3));
+        assert_eq!(q.pop().unwrap().1, kick(1));
+        q.schedule_reserved(Nanos(700), r, kick(2));
+        assert_eq!(ids(&mut q), vec![2, 3]);
+    }
+
     /// The wheel must be indistinguishable from the heap baseline on a
     /// randomized interleaved schedule/pop workload mixing near and far
-    /// timestamps (the exact (time, seq-implied) pop sequence matches).
+    /// timestamps (the exact (time, seq-implied) pop sequence matches) —
+    /// including sequence numbers reserved at one point and filed later,
+    /// at whatever the cursor, the stash and the drain heap hold by then.
     #[test]
     fn wheel_matches_heap_oracle() {
         let mut rng = StdRng::seed_from_u64(42);
@@ -716,28 +924,58 @@ mod tests {
         let mut heap = HeapQueue::new();
         let mut pending = 0u32;
         let mut id = 0u32;
-        for _ in 0..5_000 {
-            let do_pop = pending > 0 && rng.gen_range(0..3usize) == 0;
-            if do_pop {
-                let a = wheel.pop().unwrap();
-                let b = heap.pop().unwrap();
-                assert_eq!(a, b, "pop divergence after {} events", id);
-                pending -= 1;
-            } else {
-                let base = wheel.now().0.max(heap.now().0);
-                let delta = match rng.gen_range(0..4usize) {
-                    0 => rng.gen_range(0..64u64),        // same/near bucket
-                    1 => rng.gen_range(0..5_000u64),     // near wheel
-                    2 => rng.gen_range(0..600_000u64),   // around horizon
-                    _ => rng.gen_range(0..5_000_000u64), // deep overflow
-                };
-                let ev = kick(id);
-                id += 1;
-                wheel.schedule(Nanos(base + delta), ev);
-                heap.schedule(Nanos(base + delta), ev);
-                pending += 1;
+        // Reserved, not yet filed: (at, seq, event).
+        let mut reserved: Vec<(Nanos, u64, EventKind)> = Vec::new();
+        let mut filed_late = 0u32;
+        for _ in 0..8_000 {
+            match rng.gen_range(0..8usize) {
+                0..=1 if pending > 0 => {
+                    let a = wheel.pop().unwrap();
+                    let b = heap.pop().unwrap();
+                    assert_eq!(a, b, "pop divergence after {} events", id);
+                    assert_eq!(wheel.current_seq(), heap.cur_seq);
+                    pending -= 1;
+                }
+                2 if !reserved.is_empty() => {
+                    // File a reservation made a while ago, if its place in
+                    // the order has not gone by (else it is dropped, as a
+                    // port that went idle drops its PortTxDone).
+                    let (at, seq, ev) = reserved.swap_remove(rng.gen_range(0..reserved.len()));
+                    if (at, seq) > (wheel.now(), wheel.current_seq()) {
+                        wheel.schedule_reserved(at, seq, ev);
+                        heap.schedule_reserved(at, seq, ev);
+                        pending += 1;
+                        filed_late += 1;
+                    }
+                }
+                kind => {
+                    let base = wheel.now().0.max(heap.now().0);
+                    let delta = match rng.gen_range(0..5usize) {
+                        0 => rng.gen_range(0..64u64),        // same/near bucket
+                        1 => rng.gen_range(0..5_000u64),     // near wheel
+                        2 => rng.gen_range(0..600_000u64),   // around horizon
+                        3 => rng.gen_range(0..5_000_000u64), // deep overflow
+                        // The stash's own instant: ties with the earliest.
+                        _ => wheel.peek_time().map_or(0, |t| t.0 - base),
+                    };
+                    let ev = kick(id);
+                    id += 1;
+                    if kind == 3 {
+                        let seq = wheel.reserve_seq();
+                        assert_eq!(seq, heap.reserve_seq());
+                        reserved.push((Nanos(base + delta), seq, ev));
+                    } else {
+                        wheel.schedule(Nanos(base + delta), ev);
+                        heap.schedule(Nanos(base + delta), ev);
+                        pending += 1;
+                    }
+                }
             }
         }
+        assert!(
+            filed_late > 200,
+            "only {filed_late} reservations filed late"
+        );
         loop {
             let (a, b) = (wheel.pop(), heap.pop());
             assert_eq!(a, b);

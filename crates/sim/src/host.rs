@@ -9,9 +9,14 @@
 //!
 //! Fault model: a host can be configured as a *PFC injector* (buggy NIC /
 //! slow receiver, §2.1), continuously sending PAUSE frames to its ToR.
+//!
+//! The uplink's transmit state is a [`PortTx`], as on a switch port: the
+//! `PortTxDone` of a frame is filed only when a control frame or a ready
+//! flow waits behind it, by whichever [`HostState::try_tx`] call finds the
+//! uplink busy.
 
 use crate::dcqcn::{Dcqcn, DcqcnConfig};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, PortTx};
 use crate::ids::{FlowId, FlowKey, NodeId};
 use crate::packet::{
     AckPacket, CnpPacket, DataPacket, Packet, PfcFrame, Probe, CLASS_DATA, DATA_PAYLOAD,
@@ -171,7 +176,7 @@ struct RecvState {
 }
 
 /// Aggregate per-host counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
     pub data_sent: u64,
     pub data_rcvd: u64,
@@ -196,7 +201,8 @@ pub struct HostState {
     recv: HashMap<FlowId, RecvState>,
     ready: VecDeque<u32>,
     ctrl: VecDeque<Packet>,
-    busy: bool,
+    /// The frame on the uplink, if any, and its lazy `PortTxDone`.
+    tx: PortTx,
     pause_until: Nanos,
     pub stats: HostStats,
     pub detections: Vec<Detection>,
@@ -212,7 +218,7 @@ impl HostState {
             recv: HashMap::new(),
             ready: VecDeque::new(),
             ctrl: VecDeque::new(),
-            busy: false,
+            tx: PortTx::default(),
             pause_until: Nanos::ZERO,
             stats: HostStats::default(),
             detections: Vec::new(),
@@ -347,9 +353,16 @@ impl HostState {
         self.try_tx(now, q, topo);
     }
 
-    /// Try to start transmitting on the host uplink.
+    /// Try to start transmitting on the host uplink. Every enqueue, resume,
+    /// kick and pacing timer comes through here, so a call that finds the
+    /// uplink busy makes sure its `PortTxDone` is filed.
     pub fn try_tx(&mut self, now: Nanos, q: &mut EventQueue, topo: &Topology) {
-        if self.busy {
+        let done = EventKind::PortTxDone {
+            node: self.id,
+            port: 0,
+        };
+        if self.tx.busy(now, q) {
+            self.tx.wake_at_end(done, q);
             return;
         }
         let info = *topo.port(crate::ids::PortId::new(self.id, 0));
@@ -407,21 +420,10 @@ impl HostState {
             return;
         };
 
-        self.busy = true;
         let tx = info.bandwidth.tx_time(pkt.size());
-        q.schedule(
-            now + tx,
-            EventKind::PortTxDone {
-                node: self.id,
-                port: 0,
-            },
-        );
+        let backlog = !self.ctrl.is_empty() || !self.ready.is_empty();
+        self.tx.start(now + tx, backlog, done, q);
         q.schedule_arrive(now + tx + info.delay, info.peer.node, info.peer.port, pkt);
-    }
-
-    pub fn handle_tx_done(&mut self, now: Nanos, q: &mut EventQueue, topo: &Topology) {
-        self.busy = false;
-        self.try_tx(now, q, topo);
     }
 
     /// A frame arrived on the host's uplink.
@@ -766,7 +768,7 @@ mod tests {
                 EventKind::FlowReady { flow_idx, .. } => {
                     host.handle_flow_ready(flow_idx, t, &mut q, &topo)
                 }
-                EventKind::PortTxDone { .. } => host.handle_tx_done(t, &mut q, &topo),
+                EventKind::PortTxDone { .. } => host.try_tx(t, &mut q, &topo),
                 EventKind::Arrive { packet, .. } if q.packet(packet).is_data() => sent += 1,
                 _ => {}
             }
@@ -803,7 +805,7 @@ mod tests {
                 EventKind::FlowReady { flow_idx, .. } => {
                     host.handle_flow_ready(flow_idx, t, &mut q, &topo)
                 }
-                EventKind::PortTxDone { .. } => host.handle_tx_done(t, &mut q, &topo),
+                EventKind::PortTxDone { .. } => host.try_tx(t, &mut q, &topo),
                 EventKind::PortKick { .. } => host.try_tx(t, &mut q, &topo),
                 EventKind::Arrive { packet, .. } if q.packet(packet).is_data() => {
                     data_arrivals += 1
@@ -934,7 +936,7 @@ mod tests {
         while let Some((t, ev)) = q.pop() {
             match ev {
                 EventKind::HostPfcInject { .. } => host.handle_pfc_inject(t, &mut q, &topo),
-                EventKind::PortTxDone { .. } => host.handle_tx_done(t, &mut q, &topo),
+                EventKind::PortTxDone { .. } => host.try_tx(t, &mut q, &topo),
                 EventKind::Arrive { packet, .. } => {
                     if matches!(q.packet(packet), Packet::Pfc(f) if f.is_pause()) {
                         pauses += 1;
@@ -969,7 +971,7 @@ mod tests {
                 EventKind::ProbeRetry {
                     flow_idx, attempt, ..
                 } => host.handle_probe_retry(flow_idx, attempt, t, q, topo),
-                EventKind::PortTxDone { .. } => host.handle_tx_done(t, q, topo),
+                EventKind::PortTxDone { .. } => host.try_tx(t, q, topo),
                 _ => {}
             }
         }

@@ -32,6 +32,8 @@ pub mod faults;
 pub mod hooks;
 pub mod host;
 pub mod ids;
+#[cfg(test)]
+mod lazy_tx_props;
 pub mod observed;
 pub mod packet;
 pub mod sim;

@@ -118,6 +118,12 @@ impl<H: SwitchHook> Simulator<H> {
         self.queue.processed()
     }
 
+    /// Test-only: choose how ports file `PortTxDone` (before running).
+    #[cfg(test)]
+    pub(crate) fn set_tx_filing(&mut self, filing: crate::event::TxFiling) {
+        self.queue.tx_filing = filing;
+    }
+
     /// Register a flow; must be called before the simulation starts.
     pub fn add_flow(&mut self, key: FlowKey, size_bytes: u64, start: Nanos) -> FlowId {
         self.add_flow_limited(key, size_bytes, start, None)
@@ -249,12 +255,15 @@ impl<H: SwitchHook> Simulator<H> {
     }
 
     /// Run until the event queue empties or simulated time exceeds `until`.
-    /// Returns the number of events processed by this call.
+    /// Returns the number of events processed by this call. A run stopped by
+    /// the horizon ends with the clock *at* `until`, whichever event fired
+    /// last before it; a drained queue leaves the clock at its last event.
     pub fn run_until(&mut self, until: Nanos) -> u64 {
         self.bootstrap();
         let before = self.queue.processed();
         while let Some(t) = self.queue.peek_time() {
             if t > until {
+                self.queue.advance_to(until);
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked");
@@ -311,14 +320,14 @@ impl<H: SwitchHook> Simulator<H> {
                     NodeState::Host(h) => h.handle_arrive(pkt, now, &mut self.queue, &self.topo),
                 }
             }
-            EventKind::PortTxDone { node, port } => match &mut self.nodes[node.index()] {
-                NodeState::Switch(sw) => sw.handle_tx_done(port, now, &mut self.queue, &self.topo),
-                NodeState::Host(h) => h.handle_tx_done(now, &mut self.queue, &self.topo),
-            },
-            EventKind::PortKick { node, port } => match &mut self.nodes[node.index()] {
-                NodeState::Switch(sw) => sw.try_tx(port, now, &mut self.queue, &self.topo),
-                NodeState::Host(h) => h.try_tx(now, &mut self.queue, &self.topo),
-            },
+            // A frame's end and a kick are the same question to the port:
+            // `now` is past the frame on the wire, is there something to send?
+            EventKind::PortTxDone { node, port } | EventKind::PortKick { node, port } => {
+                match &mut self.nodes[node.index()] {
+                    NodeState::Switch(sw) => sw.try_tx(port, now, &mut self.queue, &self.topo),
+                    NodeState::Host(h) => h.try_tx(now, &mut self.queue, &self.topo),
+                }
+            }
             EventKind::FlowStart { node, flow_idx } => {
                 if let NodeState::Host(h) = &mut self.nodes[node.index()] {
                     h.handle_flow_start(flow_idx, now, &mut self.queue, &self.topo);
@@ -534,6 +543,47 @@ mod tests {
             .find(|&p| sim.topo().peer(crate::ids::PortId::new(swr, p)).node == hosts[2])
             .unwrap();
         assert!(sim.switch(swr).egress_paused(port_to_injector, sim.now()));
+    }
+
+    /// The run's clock ends at the horizon, not at whichever event fired
+    /// last before it. Two runs that differ only in a trailing no-op event —
+    /// the eager filing pops the `PortTxDone` of a frame nothing queues
+    /// behind, 84 ns after the last event the lazy run pops — report the
+    /// same `now()` and so the same `goodput_bps`.
+    #[test]
+    fn horizon_stop_leaves_the_clock_at_the_horizon() {
+        use crate::event::TxFiling;
+        use crate::summary::RunSummary;
+        let run = |filing| {
+            let mut sim = two_host_sim();
+            sim.set_tx_filing(filing);
+            let hosts: Vec<_> = sim.topo().hosts().collect();
+            // One flow delivers; a one-packet flow then starts 1 µs before
+            // the horizon, so its frame is on the wire (ends at +84 ns,
+            // arrives at +2084 ns) when the run stops.
+            sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 200_000, Nanos::ZERO);
+            sim.add_flow(
+                FlowKey::roce(hosts[1], hosts[3], 2),
+                1_000,
+                Nanos::from_micros(100),
+            );
+            let events = sim.run_until(Nanos::from_micros(101));
+            (sim.now(), RunSummary::of(&sim), events)
+        };
+        let (eager_now, eager, eager_events) = run(TxFiling::Eager);
+        let (lazy_now, lazy, lazy_events) = run(TxFiling::Lazy);
+        assert!(lazy_events < eager_events);
+        assert_eq!(eager_now, Nanos::from_micros(101));
+        assert_eq!(lazy_now, Nanos::from_micros(101));
+        assert!(eager.goodput_bps > 0.0);
+        assert_eq!(eager, lazy);
+
+        // A drained queue keeps its last event's time.
+        let mut sim = two_host_sim();
+        let hosts: Vec<_> = sim.topo().hosts().collect();
+        sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 10_000, Nanos::ZERO);
+        sim.run_until(Nanos::from_millis(5));
+        assert!(sim.now() < Nanos::from_millis(1), "now {}", sim.now());
     }
 
     #[test]

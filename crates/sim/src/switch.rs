@@ -12,8 +12,15 @@
 //!
 //! This is the mechanism by which congestion cascades hop by hop (§2), and
 //! with a cyclic buffer dependency, deadlocks.
+//!
+//! An egress port has no `busy` flag: it remembers when the frame on the
+//! wire ends and the `(time, seq)` place of that frame's `PortTxDone`
+//! ([`PortTx`]), and the event itself is filed only once something is
+//! queued behind the frame. Everything that can give a port work —
+//! enqueue, RESUME, kick, refresh — goes through [`SwitchState::try_tx`],
+//! which is where a busy port's event gets filed.
 
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, PortTx};
 use crate::hooks::{CpuNotification, EnqueueRecord, PfcEvent, SwitchHook, SwitchView};
 use crate::ids::NodeId;
 use crate::packet::{DataPacket, Packet, PfcFrame, CLASS_DATA};
@@ -63,7 +70,7 @@ impl Default for SwitchConfig {
 }
 
 /// Aggregate per-switch counters (sanity checks and overhead accounting).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchStats {
     pub data_pkts: u64,
     pub data_bytes: u64,
@@ -82,7 +89,8 @@ struct EgressPort {
     ctrl: VecDeque<Packet>,
     data: VecDeque<(DataPacket, u8)>,
     data_bytes: u64,
-    busy: bool,
+    /// The frame on the wire, if any, and its lazy `PortTxDone`.
+    tx: PortTx,
     /// Data class transmission blocked until this instant (PFC pause).
     pause_until: Nanos,
 }
@@ -93,7 +101,7 @@ impl EgressPort {
             ctrl: VecDeque::new(),
             data: VecDeque::new(),
             data_bytes: 0,
-            busy: false,
+            tx: PortTx::default(),
             pause_until: Nanos::ZERO,
         }
     }
@@ -167,14 +175,14 @@ impl SwitchState {
 
     /// A frame arrived at `in_port`.
     #[allow(clippy::too_many_arguments)]
-    pub fn handle_arrive(
+    pub fn handle_arrive<H: SwitchHook + ?Sized>(
         &mut self,
         in_port: u8,
         pkt: Packet,
         now: Nanos,
         q: &mut EventQueue,
         topo: &Topology,
-        hook: &mut dyn SwitchHook,
+        hook: &mut H,
         cpu_log: &mut Vec<CpuNotification>,
     ) {
         match pkt {
@@ -218,14 +226,14 @@ impl SwitchState {
         }
     }
 
-    fn handle_data(
+    fn handle_data<H: SwitchHook + ?Sized>(
         &mut self,
         in_port: u8,
         mut d: DataPacket,
         now: Nanos,
         q: &mut EventQueue,
         topo: &Topology,
-        hook: &mut dyn SwitchHook,
+        hook: &mut H,
     ) {
         let Some(out) = topo.route_port(self.id, &d.key) else {
             self.stats.drops_no_route += 1;
@@ -355,14 +363,14 @@ impl SwitchState {
         }
     }
 
-    fn handle_pfc(
+    fn handle_pfc<H: SwitchHook + ?Sized>(
         &mut self,
         port: u8,
         f: PfcFrame,
         now: Nanos,
         q: &mut EventQueue,
         topo: &Topology,
-        hook: &mut dyn SwitchHook,
+        hook: &mut H,
     ) {
         let bw = topo.port(crate::ids::PortId::new(self.id, port)).bandwidth;
         let dur = quanta_to_pause_time(f.quanta, bw);
@@ -408,15 +416,24 @@ impl SwitchState {
     /// Try to start transmitting on `port`.
     ///
     /// Strict priority: control frames first; data only while the port's
-    /// pause timer is expired. The port is marked busy *before* any
+    /// pause timer is expired. The port's `tx` end is set *before* any
     /// side-effect that could re-enter `try_tx` (e.g. the RESUME a data
-    /// dequeue may trigger), so a port never double-transmits.
+    /// dequeue may trigger), so a port never double-transmits — and a
+    /// re-entrant call that queued something behind the new frame files the
+    /// `PortTxDone` this call decided it did not need.
     pub fn try_tx(&mut self, port: u8, now: Nanos, q: &mut EventQueue, topo: &Topology) {
         let pi = port as usize;
-        let info = *topo.port(crate::ids::PortId::new(self.id, port));
-        if self.ports[pi].busy {
+        let done = EventKind::PortTxDone {
+            node: self.id,
+            port,
+        };
+        if self.ports[pi].tx.busy(now, q) {
+            // Every enqueue, resume, kick and refresh lands here: whatever
+            // it queued is sent when the frame on the wire ends.
+            self.ports[pi].tx.wake_at_end(done, q);
             return;
         }
+        let info = *topo.port(crate::ids::PortId::new(self.id, port));
         let mut resume_ingress: Option<u8> = None;
         let pkt: Packet = if let Some(p) = self.ports[pi].ctrl.pop_front() {
             p
@@ -440,25 +457,14 @@ impl SwitchState {
             return;
         };
 
-        self.ports[pi].busy = true;
         let tx = info.bandwidth.tx_time(pkt.size());
-        q.schedule(
-            now + tx,
-            EventKind::PortTxDone {
-                node: self.id,
-                port,
-            },
-        );
+        let ep = &mut self.ports[pi];
+        let backlog = !ep.ctrl.is_empty() || !ep.data.is_empty();
+        ep.tx.start(now + tx, backlog, done, q);
         q.schedule_arrive(now + tx + info.delay, info.peer.node, info.peer.port, pkt);
         if let Some(ing) = resume_ingress {
             self.send_resume(ing, now, q, topo);
         }
-    }
-
-    /// The port finished serializing its current frame.
-    pub fn handle_tx_done(&mut self, port: u8, now: Nanos, q: &mut EventQueue, topo: &Topology) {
-        self.ports[port as usize].busy = false;
-        self.try_tx(port, now, q, topo);
     }
 }
 
@@ -536,10 +542,9 @@ mod tests {
         let mut resumed = false;
         while let Some((t, ev)) = q.pop() {
             match ev {
-                EventKind::PortTxDone { port, .. } => {
-                    sw.handle_tx_done(port, t, &mut q, &topo);
+                EventKind::PortTxDone { port, .. } | EventKind::PortKick { port, .. } => {
+                    sw.try_tx(port, t, &mut q, &topo)
                 }
-                EventKind::PortKick { port, .. } => sw.try_tx(port, t, &mut q, &topo),
                 EventKind::PfcRefresh { port, .. } => sw.handle_pfc_refresh(port, t, &mut q, &topo),
                 EventKind::Arrive { .. } => {} // delivered elsewhere
                 _ => {}

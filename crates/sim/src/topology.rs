@@ -6,11 +6,20 @@
 //! tests. Routing is shortest-path with ECMP; scenarios may install
 //! per-(switch, destination) route overrides to emulate the routing
 //! misconfigurations that create cyclic buffer dependencies (§2.1).
+//!
+//! The routing state is **dense**: every node knows its rank among the
+//! nodes of its kind, `(switch, destination host)` indexes one flat array
+//! of candidate-set ids, and the candidate sets themselves are interned (a
+//! Clos switch has a handful: one port per attached subtree plus its uplink
+//! group) in one flat port list. A per-packet lookup is two array reads, a
+//! fabric is built without a heap `Vec` per (switch, host) pair, and a
+//! clone is a few `memcpy`s. Lookups are total: an id that is not a node of
+//! this fabric, or not of the kind the question needs, has no route.
 
 use crate::ids::{FlowKey, NodeId, PortId};
 use crate::time::Nanos;
 use crate::units::Bandwidth;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Role of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +43,26 @@ pub struct Topology {
     kinds: Vec<NodeKind>,
     names: Vec<String>,
     ports: Vec<Vec<PortInfo>>,
-    /// For each switch index: dst host -> sorted candidate egress ports.
-    routes: HashMap<(NodeId, NodeId), Vec<u8>>,
-    /// Scenario-installed forced next hops: (switch, dst host) -> port.
-    overrides: HashMap<(NodeId, NodeId), u8>,
+    /// Rank of each node among the nodes of its kind (the row of a switch,
+    /// the column of a host, in the two tables below).
+    rank: Vec<u32>,
+    n_hosts: usize,
+    n_switches: usize,
+    /// `[switch rank][host rank]` → id of the sorted candidate egress set
+    /// in `sets`; [`NO_ROUTE`] where the host is unreachable. Empty until
+    /// `compute_routes`.
+    routes: Vec<u16>,
+    /// Interned candidate sets: set `id` is `set_ports[start..start + len]`.
+    sets: Vec<(u32, u8)>,
+    set_ports: Vec<u8>,
+    /// Scenario-installed forced next hops, same shape as `routes`: the
+    /// port, or [`NO_OVERRIDE`]. Empty (not allocated) while none is
+    /// installed, which is every fabric but the deadlock scenarios'.
+    overrides: Vec<u16>,
 }
+
+const NO_ROUTE: u16 = u16::MAX;
+const NO_OVERRIDE: u16 = u16::MAX;
 
 impl Topology {
     /// Create an empty topology; use `add_host`/`add_switch`/`connect`.
@@ -47,8 +71,13 @@ impl Topology {
             kinds: Vec::new(),
             names: Vec::new(),
             ports: Vec::new(),
-            routes: HashMap::new(),
-            overrides: HashMap::new(),
+            rank: Vec::new(),
+            n_hosts: 0,
+            n_switches: 0,
+            routes: Vec::new(),
+            sets: Vec::new(),
+            set_ports: Vec::new(),
+            overrides: Vec::new(),
         }
     }
 
@@ -61,7 +90,19 @@ impl Topology {
     }
 
     fn add_node(&mut self, kind: NodeKind, name: String) -> NodeId {
+        // Both tables are laid out by the node counts.
+        assert!(
+            self.overrides.is_empty(),
+            "add nodes before installing route overrides"
+        );
+        self.routes.clear();
         let id = NodeId(self.kinds.len() as u32);
+        let count = match kind {
+            NodeKind::Host => &mut self.n_hosts,
+            NodeKind::Switch => &mut self.n_switches,
+        };
+        self.rank.push(*count as u32);
+        *count += 1;
         self.kinds.push(kind);
         self.names.push(name);
         self.ports.push(Vec::new());
@@ -94,8 +135,10 @@ impl Topology {
         self.kinds[n.index()]
     }
 
+    /// Whether `n` is a host of this fabric (false for a switch, and for
+    /// an id that is no node of it).
     pub fn is_host(&self, n: NodeId) -> bool {
-        self.kind(n) == NodeKind::Host
+        self.kinds.get(n.index()) == Some(&NodeKind::Host)
     }
 
     pub fn name(&self, n: NodeId) -> &str {
@@ -136,27 +179,57 @@ impl Topology {
     /// Must be called after the graph is final and before `route_port`.
     pub fn compute_routes(&mut self) {
         self.routes.clear();
+        self.routes.resize(self.n_switches * self.n_hosts, NO_ROUTE);
+        self.sets.clear();
+        self.set_ports.clear();
+        let switches: Vec<NodeId> = self.switches().collect();
+        let mut cands: Vec<u8> = Vec::new();
         // BFS from each host over the switch graph gives, per switch, the
         // distance to that host; candidate next hops are all neighbors one
-        // step closer.
+        // step closer (in port order, so each set is sorted).
         for dst in self.hosts().collect::<Vec<_>>() {
             let dist = self.bfs_dist(dst);
-            for sw in self.switches().collect::<Vec<_>>() {
+            for &sw in &switches {
                 let d = dist[sw.index()];
                 if d == u32::MAX {
                     continue;
                 }
-                let mut cands: Vec<u8> = Vec::new();
+                cands.clear();
                 for (pi, info) in self.ports[sw.index()].iter().enumerate() {
-                    let peer = info.peer.node;
-                    if dist[peer.index()] < d {
+                    if dist[info.peer.node.index()] < d {
                         cands.push(pi as u8);
                     }
                 }
-                cands.sort_unstable();
-                self.routes.insert((sw, dst), cands);
+                let set = self.intern_set(&cands);
+                let cell = self.table_index(sw, dst).expect("a switch and a host");
+                self.routes[cell] = set;
             }
         }
+    }
+
+    /// The id of candidate set `cands`, adding it if it is new. A linear
+    /// search: a whole Clos fabric has a few dozen distinct sets.
+    fn intern_set(&mut self, cands: &[u8]) -> u16 {
+        let found = self.sets.iter().position(|&(start, len)| {
+            &self.set_ports[start as usize..start as usize + len as usize] == cands
+        });
+        let id = found.unwrap_or_else(|| {
+            let len = u8::try_from(cands.len()).expect("at most 255 ports per switch");
+            self.sets.push((self.set_ports.len() as u32, len));
+            self.set_ports.extend_from_slice(cands);
+            self.sets.len() - 1
+        });
+        assert!(id < NO_ROUTE as usize, "candidate-set ids fit in u16");
+        id as u16
+    }
+
+    /// Where `(sw, dst)` lives in `routes`/`overrides`; `None` unless `sw`
+    /// is a switch and `dst` a host of this fabric.
+    #[inline]
+    fn table_index(&self, sw: NodeId, dst: NodeId) -> Option<usize> {
+        (self.kinds.get(sw.index()) == Some(&NodeKind::Switch) && self.is_host(dst)).then(|| {
+            self.rank[sw.index()] as usize * self.n_hosts + self.rank[dst.index()] as usize
+        })
     }
 
     fn bfs_dist(&self, from: NodeId) -> Vec<u32> {
@@ -183,8 +256,14 @@ impl Topology {
     /// computed shortest path. Used by deadlock scenarios to emulate routing
     /// misconfiguration; intentionally allowed to create loops.
     pub fn add_route_override(&mut self, sw: NodeId, dst: NodeId, port: u8) {
-        assert!(!self.is_host(sw), "overrides apply to switches");
-        self.overrides.insert((sw, dst), port);
+        let cell = self
+            .table_index(sw, dst)
+            .expect("overrides apply at a switch, toward a host");
+        if self.overrides.is_empty() {
+            self.overrides
+                .resize(self.n_switches * self.n_hosts, NO_OVERRIDE);
+        }
+        self.overrides[cell] = port as u16;
     }
 
     pub fn clear_route_overrides(&mut self) {
@@ -192,25 +271,36 @@ impl Topology {
     }
 
     /// The egress port switch `sw` uses for `flow` (ECMP-hashed among
-    /// equal-cost candidates, unless overridden).
+    /// equal-cost candidates, unless overridden). `None` when `sw` is not a
+    /// switch of this fabric, `flow.dst` not a host of it, or no path
+    /// exists.
+    #[inline]
     pub fn route_port(&self, sw: NodeId, flow: &FlowKey) -> Option<u8> {
-        if let Some(&p) = self.overrides.get(&(sw, flow.dst)) {
-            return Some(p);
+        let cell = self.table_index(sw, flow.dst)?;
+        if let Some(&p) = self.overrides.get(cell) {
+            if p != NO_OVERRIDE {
+                return Some(p as u8);
+            }
         }
-        let cands = self.routes.get(&(sw, flow.dst))?;
-        if cands.is_empty() {
+        let &(start, len) = self.sets.get(*self.routes.get(cell)? as usize)?;
+        if len == 0 {
             return None;
         }
-        Some(cands[(flow.hash32() as usize) % cands.len()])
+        let pick = (flow.hash32() as usize) % len as usize;
+        Some(self.set_ports[start as usize + pick])
     }
 
     /// The full switch path a flow takes, as (switch, ingress port, egress
     /// port) triples from source ToR to destination ToR. Returns `None` if
-    /// routing fails or loops beyond `max_hops`.
+    /// `flow.src` is not an attached host of this fabric, routing fails, or
+    /// it loops beyond `max_hops`.
     pub fn flow_path(&self, flow: &FlowKey) -> Option<Vec<(NodeId, u8, u8)>> {
+        if !self.is_host(flow.src) {
+            return None;
+        }
         let mut path = Vec::new();
-        let src_port = PortId::new(flow.src, 0);
-        let mut at = self.peer(src_port); // ingress port on the first switch
+        // Ingress port on the first switch.
+        let mut at = self.ports[flow.src.index()].first()?.peer;
         let max_hops = 64;
         for _ in 0..max_hops {
             if self.is_host(at.node) {
@@ -218,12 +308,13 @@ impl Topology {
             }
             let out = self.route_port(at.node, flow)?;
             path.push((at.node, at.port, out));
-            at = self.peer(PortId::new(at.node, out));
+            at = self.ports[at.node.index()].get(out as usize)?.peer;
         }
         None // routing loop
     }
 
-    /// All (switch, egress port) pairs on the flow's path.
+    /// All (switch, egress port) pairs on the flow's path; empty when the
+    /// flow has none (see [`flow_path`](Self::flow_path)).
     pub fn flow_egress_ports(&self, flow: &FlowKey) -> Vec<PortId> {
         self.flow_path(flow)
             .map(|p| {
@@ -506,6 +597,7 @@ pub fn dumbbell(left: usize, right: usize, bw: Bandwidth, delay: Nanos) -> Topol
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn fat_tree_k4_matches_paper_scale() {
@@ -668,6 +760,181 @@ mod tests {
         }
         let f = FlowKey::roce(hosts[2], hosts[0], 5);
         assert!(t.flow_path(&f).is_none(), "loop must be detected");
+    }
+
+    /// Routing oracle: the `HashMap<(switch, dst), Vec<u8>>` tables this
+    /// module used before the dense ones, built by the same BFS.
+    struct HashRoutes {
+        routes: HashMap<(NodeId, NodeId), Vec<u8>>,
+        overrides: HashMap<(NodeId, NodeId), u8>,
+    }
+
+    impl HashRoutes {
+        fn build(t: &Topology) -> Self {
+            let mut routes = HashMap::new();
+            for dst in t.hosts() {
+                let dist = t.bfs_dist(dst);
+                for sw in t.switches() {
+                    let d = dist[sw.index()];
+                    if d == u32::MAX {
+                        continue;
+                    }
+                    let mut cands: Vec<u8> = Vec::new();
+                    for (pi, info) in t.ports(sw).iter().enumerate() {
+                        if dist[info.peer.node.index()] < d {
+                            cands.push(pi as u8);
+                        }
+                    }
+                    cands.sort_unstable();
+                    routes.insert((sw, dst), cands);
+                }
+            }
+            HashRoutes {
+                routes,
+                overrides: HashMap::new(),
+            }
+        }
+
+        fn route_port(&self, sw: NodeId, flow: &FlowKey) -> Option<u8> {
+            if let Some(&p) = self.overrides.get(&(sw, flow.dst)) {
+                return Some(p);
+            }
+            let cands = self.routes.get(&(sw, flow.dst))?;
+            if cands.is_empty() {
+                return None;
+            }
+            Some(cands[(flow.hash32() as usize) % cands.len()])
+        }
+    }
+
+    /// Every (switch, host, source port) lookup of `t` equals the oracle's,
+    /// two hosts asked as if they were switches included. 64 source ports
+    /// per pair, 4 on a fabric with over 100 000 pairs (ft16: 327 680).
+    fn assert_routes_match(t: &Topology, oracle: &HashRoutes, what: &str) {
+        let hosts: Vec<NodeId> = t.hosts().collect();
+        let sports = if t.n_switches * t.n_hosts > 100_000 {
+            4
+        } else {
+            64
+        };
+        for sw in t.switches().chain(hosts.iter().copied().take(2)) {
+            for &dst in &hosts {
+                for sp in 0..sports {
+                    let f = FlowKey::roce(hosts[0], dst, sp);
+                    assert_eq!(
+                        t.route_port(sw, &f),
+                        oracle.route_port(sw, &f),
+                        "{what}: node {} -> host {} sport {sp}",
+                        sw.0,
+                        dst.0
+                    );
+                }
+            }
+        }
+    }
+
+    /// The dense tables answer exactly what the hash-map build did, on the
+    /// six corpus fabrics (`TopologySpec::corpus()` in `hawkeye-workloads`,
+    /// rebuilt here from this crate's builders) plus a chain and a ring,
+    /// with overrides installed and cleared.
+    #[test]
+    fn dense_routes_match_hashmap_oracle() {
+        let ft = |k| ClosConfig::fat_tree(k, EVAL_BANDWIDTH, EVAL_DELAY);
+        let fabrics = [
+            ("ft4", clos(&ft(4))),
+            ("ft8", clos(&ft(8))),
+            ("ft16", clos(&ft(16))),
+            (
+                "ft8-degraded",
+                clos(&ClosConfig {
+                    failed_core_links: 4,
+                    ..ft(8)
+                }),
+            ),
+            ("ls8x2x4", leaf_spine(8, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY)),
+            (
+                "asym8",
+                clos(&ClosConfig {
+                    slow_pods: 2,
+                    slow_divisor: 4,
+                    ..ft(8)
+                }),
+            ),
+            ("chain", chain(4, 2, EVAL_BANDWIDTH, EVAL_DELAY)),
+            ("ring", ring(5, 2, EVAL_BANDWIDTH, EVAL_DELAY)),
+        ];
+        for (name, mut t) in fabrics {
+            let mut oracle = HashRoutes::build(&t);
+            assert_routes_match(&t, &oracle, name);
+
+            // Overrides: every third switch forces its last port for two
+            // destinations, one of them its own shortest-path choice or not.
+            let hosts: Vec<NodeId> = t.hosts().collect();
+            let sws: Vec<NodeId> = t.switches().collect();
+            for (i, &sw) in sws.iter().enumerate().step_by(3) {
+                let port = (t.ports(sw).len() - 1) as u8;
+                for dst in [hosts[i % hosts.len()], hosts[(i * 7 + 1) % hosts.len()]] {
+                    t.add_route_override(sw, dst, port);
+                    oracle.overrides.insert((sw, dst), port);
+                }
+            }
+            assert_routes_match(&t, &oracle, name);
+
+            t.clear_route_overrides();
+            oracle.overrides.clear();
+            assert_routes_match(&t, &oracle, name);
+
+            // A clone carries the tables, and the sets really are shared: a
+            // Clos switch has a handful, the whole fabric a few dozen.
+            assert_routes_match(&t.clone(), &oracle, name);
+            assert!(
+                t.sets.len() <= 64,
+                "{name}: {} candidate sets",
+                t.sets.len()
+            );
+        }
+    }
+
+    /// Lookups are total: an id that is no node of the fabric, or a node of
+    /// the wrong kind, has no route and no path — it does not panic and it
+    /// does not alias into another node's row.
+    #[test]
+    fn lookups_are_total_over_foreign_ids() {
+        let mut t = fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
+        let hosts: Vec<_> = t.hosts().collect();
+        let sws: Vec<_> = t.switches().collect();
+        let far = NodeId(1_000_000);
+        let good = FlowKey::roce(hosts[0], hosts[15], 7);
+        assert!(t.flow_path(&good).is_some());
+        assert!(!t.is_host(far));
+
+        // Source out of range, or a switch.
+        for src in [far, NodeId(t.node_count() as u32), sws[0]] {
+            let f = FlowKey::roce(src, hosts[1], 7);
+            assert_eq!(t.flow_path(&f), None, "src {}", src.0);
+            assert!(t.flow_egress_ports(&f).is_empty());
+        }
+        // Destination out of range, or a switch: no switch routes it.
+        for dst in [far, NodeId(t.node_count() as u32), sws[3]] {
+            let f = FlowKey::roce(hosts[0], dst, 7);
+            assert_eq!(t.flow_path(&f), None, "dst {}", dst.0);
+            assert!(t.flow_egress_ports(&f).is_empty());
+            for &sw in &sws {
+                assert_eq!(t.route_port(sw, &f), None);
+            }
+        }
+        // Asked of a node that is no switch: no route, even with the
+        // override table allocated.
+        t.add_route_override(sws[0], hosts[15], 0);
+        for sw in [far, NodeId(t.node_count() as u32), hosts[2]] {
+            assert_eq!(t.route_port(sw, &good), None, "sw {}", sw.0);
+        }
+        // A host with no link has no first hop.
+        let mut lone = Topology::new();
+        let a = lone.add_host("a");
+        let b = lone.add_host("b");
+        lone.compute_routes();
+        assert_eq!(lone.flow_path(&FlowKey::roce(a, b, 1)), None);
     }
 
     #[test]

@@ -47,9 +47,22 @@ pub struct EvictedFlow {
 /// against the stored one (result 0 = same flow, update; otherwise evict
 /// and install). Evictions go to `evicted`, emulating the controller-side
 /// store.
+///
+/// The table **costs what it holds**: the paper's collector ships only the
+/// non-zero slots (§3.4, Fig. 14), and this model of it keeps the indices
+/// of the occupied slots, so `reset`, `entries` and `occupancy` touch those
+/// and nothing else, and the slot array itself is not allocated until the
+/// first install. An epoch holds tens of flows in a 4096-slot table; a
+/// dense scan per snapshot and a dense `memset` per epoch roll-over were
+/// most of what the telemetry layer did.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
+    size: usize,
+    /// Empty until the first install, then `size` long.
     slots: Vec<Option<(FlowKey, FlowRecord)>>,
+    /// Indices of the `Some` slots, ascending — the order a scan of `slots`
+    /// would meet them, which is the order snapshots and the wire carry.
+    occupied: Vec<u32>,
 }
 
 impl FlowTable {
@@ -59,20 +72,25 @@ impl FlowTable {
             "flow table size must be a power of two"
         );
         FlowTable {
-            slots: vec![None; size],
+            size,
+            slots: Vec::new(),
+            occupied: Vec::new(),
         }
     }
 
     pub fn size(&self) -> usize {
-        self.slots.len()
+        self.size
     }
 
     pub fn reset(&mut self) {
-        self.slots.fill(None);
+        for &i in &self.occupied {
+            self.slots[i as usize] = None;
+        }
+        self.occupied.clear();
     }
 
     fn index(&self, key: &FlowKey) -> usize {
-        (key.hash32() as usize) & (self.slots.len() - 1)
+        (key.hash32() as usize) & (self.size - 1)
     }
 
     /// Record one enqueued packet for `key`; returns the evicted occupant
@@ -85,47 +103,52 @@ impl FlowTable {
         out_port: u8,
     ) -> Option<(FlowKey, FlowRecord)> {
         let i = self.index(key);
-        let mut evicted = None;
-        match &mut self.slots[i] {
-            Some((k, rec)) if k == key => {
+        if self.slots.is_empty() {
+            self.slots = vec![None; self.size];
+        }
+        if let Some((k, rec)) = &mut self.slots[i] {
+            if k == key {
                 rec.pkt_count += 1;
                 rec.paused_count += paused as u32;
                 rec.qdepth_sum += qdepth_pkts as u64;
                 return None;
             }
-            occ => {
-                if let Some(old) = occ.take() {
-                    evicted = Some(old);
-                }
-                *occ = Some((
-                    *key,
-                    FlowRecord {
-                        pkt_count: 1,
-                        paused_count: paused as u32,
-                        qdepth_sum: qdepth_pkts as u64,
-                        out_port,
-                    },
-                ));
-            }
+        }
+        let evicted = self.slots[i].replace((
+            *key,
+            FlowRecord {
+                pkt_count: 1,
+                paused_count: paused as u32,
+                qdepth_sum: qdepth_pkts as u64,
+                out_port,
+            },
+        ));
+        if evicted.is_none() {
+            let at = self.occupied.partition_point(|&o| (o as usize) < i);
+            self.occupied.insert(at, i as u32);
         }
         evicted
     }
 
     pub fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
-        let i = self.index(key);
-        match &self.slots[i] {
+        match self.slots.get(self.index(key))? {
             Some((k, rec)) if k == key => Some(rec),
             _ => None,
         }
     }
 
-    /// All occupied slots.
+    /// All occupied slots, in slot-index order.
     pub fn entries(&self) -> impl Iterator<Item = (&FlowKey, &FlowRecord)> {
-        self.slots.iter().flatten().map(|(k, r)| (k, r))
+        self.occupied.iter().map(|&i| {
+            let (k, r) = self.slots[i as usize]
+                .as_ref()
+                .expect("invariant: `occupied` lists exactly the Some slots");
+            (k, r)
+        })
     }
 
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.occupied.len()
     }
 }
 
@@ -240,6 +263,7 @@ impl CausalityMeter {
 mod tests {
     use super::*;
     use hawkeye_sim::NodeId;
+    use proptest::prelude::*;
 
     fn key(sp: u16) -> FlowKey {
         FlowKey::roce(NodeId(1), NodeId(2), sp)
@@ -277,6 +301,134 @@ mod tests {
         t.reset();
         assert_eq!(t.occupancy(), 0);
         assert!(t.get(&key(1)).is_none());
+    }
+
+    /// Oracle: the flow table as a dense array that `reset` fills and
+    /// `entries`/`occupancy` scan whole — the body [`FlowTable`] had before
+    /// it kept its occupied-slot list.
+    struct ScanTable {
+        slots: Vec<Option<(FlowKey, FlowRecord)>>,
+    }
+
+    impl ScanTable {
+        fn new(size: usize) -> Self {
+            ScanTable {
+                slots: vec![None; size],
+            }
+        }
+
+        fn reset(&mut self) {
+            self.slots.fill(None);
+        }
+
+        fn index(&self, key: &FlowKey) -> usize {
+            (key.hash32() as usize) & (self.slots.len() - 1)
+        }
+
+        fn update(
+            &mut self,
+            key: &FlowKey,
+            paused: bool,
+            qdepth_pkts: u32,
+            out_port: u8,
+        ) -> Option<(FlowKey, FlowRecord)> {
+            let i = self.index(key);
+            let mut evicted = None;
+            match &mut self.slots[i] {
+                Some((k, rec)) if k == key => {
+                    rec.pkt_count += 1;
+                    rec.paused_count += paused as u32;
+                    rec.qdepth_sum += qdepth_pkts as u64;
+                    return None;
+                }
+                occ => {
+                    if let Some(old) = occ.take() {
+                        evicted = Some(old);
+                    }
+                    *occ = Some((
+                        *key,
+                        FlowRecord {
+                            pkt_count: 1,
+                            paused_count: paused as u32,
+                            qdepth_sum: qdepth_pkts as u64,
+                            out_port,
+                        },
+                    ));
+                }
+            }
+            evicted
+        }
+
+        fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
+            let i = self.index(key);
+            match &self.slots[i] {
+                Some((k, rec)) if k == key => Some(rec),
+                _ => None,
+            }
+        }
+
+        fn entries(&self) -> impl Iterator<Item = (&FlowKey, &FlowRecord)> {
+            self.slots.iter().flatten().map(|(k, r)| (k, r))
+        }
+
+        fn occupancy(&self) -> usize {
+            self.slots.iter().flatten().count()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Under any sequence of updates (installs, in-place updates,
+        /// collision evictions), resets and reads, the occupied-list table
+        /// answers what the dense scan answers: the same evictions, the
+        /// same `get`, the same `occupancy`, and `entries()` in the same
+        /// (slot-index) order — which is the order snapshots and wire
+        /// bytes carry. Sizes 1 and 8 collide constantly; 4096 is the
+        /// shipped size.
+        #[test]
+        fn occupied_list_matches_dense_scan(
+            ops in proptest::collection::vec((0u8..16, 0u16..300, 0u32..50), 1..400),
+            size_pick in 0usize..3,
+        ) {
+            let size = [1usize, 8, 4096][size_pick];
+            let mut table = FlowTable::new(size);
+            let mut oracle = ScanTable::new(size);
+            prop_assert_eq!(table.size(), size);
+            for (op, sport, qdepth) in ops {
+                let k = key(sport);
+                match op {
+                    // A reset now and then: the epoch roll-over.
+                    0 => {
+                        table.reset();
+                        oracle.reset();
+                    }
+                    1..=3 => prop_assert_eq!(table.get(&k), oracle.get(&k)),
+                    _ => {
+                        let (paused, port) = (op % 2 == 0, op % 5);
+                        prop_assert_eq!(
+                            table.update(&k, paused, qdepth, port),
+                            oracle.update(&k, paused, qdepth, port)
+                        );
+                    }
+                }
+                prop_assert_eq!(table.occupancy(), oracle.occupancy());
+                prop_assert!(table.entries().eq(oracle.entries()));
+            }
+        }
+    }
+
+    /// A table costs nothing until something is installed in it: no slot
+    /// array, no index list, and reads and resets of the empty table work.
+    #[test]
+    fn flow_table_allocates_at_first_install() {
+        let mut t = FlowTable::new(4096);
+        t.reset();
+        assert!(t.get(&key(1)).is_none());
+        assert_eq!((t.occupancy(), t.entries().count()), (0, 0));
+        assert_eq!((t.slots.capacity(), t.occupied.capacity()), (0, 0));
+        t.update(&key(1), false, 0, 0);
+        assert_eq!(t.slots.len(), 4096);
     }
 
     #[test]
