@@ -185,8 +185,10 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<String>), String> {
             "--load" => {
                 let v = it.next().ok_or("--load requires a value")?;
                 o.load = v
-                    .parse()
-                    .map_err(|_| format!("--load: '{v}' is not a number"))?;
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|l| (0.0..=1.0).contains(l))
+                    .ok_or_else(|| format!("--load: '{v}' is not a fraction in [0, 1]"))?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed requires a value")?;

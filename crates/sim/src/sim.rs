@@ -196,38 +196,22 @@ impl<H: SwitchHook> Simulator<H> {
         }
     }
 
-    /// Host accessor; `None` when `id` names a switch.
-    pub fn try_host(&self, id: NodeId) -> Option<&HostState> {
-        match &self.nodes[id.index()] {
-            NodeState::Host(h) => Some(h),
-            NodeState::Switch(_) => None,
-        }
-    }
-
-    /// Switch accessor; `None` when `id` names a host.
-    pub fn try_switch(&self, id: NodeId) -> Option<&SwitchState> {
-        match &self.nodes[id.index()] {
-            NodeState::Switch(s) => Some(s),
-            NodeState::Host(_) => None,
-        }
-    }
-
     pub fn host(&self, id: NodeId) -> &HostState {
-        self.try_host(id).unwrap_or_else(|| {
-            unreachable!(
-                "invariant: callers resolve host ids via Topology::hosts(); \
-                 {id} is a switch — use try_host for mixed id sources"
-            )
-        })
+        match &self.nodes[id.index()] {
+            NodeState::Host(h) => h,
+            NodeState::Switch(_) => unreachable!(
+                "invariant: callers resolve host ids via Topology::hosts(); {id} is a switch"
+            ),
+        }
     }
 
     pub fn switch(&self, id: NodeId) -> &SwitchState {
-        self.try_switch(id).unwrap_or_else(|| {
-            unreachable!(
-                "invariant: callers resolve switch ids via Topology::switches(); \
-                 {id} is a host — use try_switch for mixed id sources"
-            )
-        })
+        match &self.nodes[id.index()] {
+            NodeState::Switch(s) => s,
+            NodeState::Host(_) => unreachable!(
+                "invariant: callers resolve switch ids via Topology::switches(); {id} is a host"
+            ),
+        }
     }
 
     /// All anomaly detections reported by host agents so far.

@@ -248,14 +248,8 @@ impl Scenario {
 
 /// Find a source port in `base..base+4096` whose ECMP path traverses every
 /// switch in `via`, so scenarios can pin flows onto specific paths without
-/// route overrides. Panics if none exists (would indicate a topology bug).
-pub fn pick_src_port(topo: &Topology, src: NodeId, dst: NodeId, via: &[NodeId], base: u16) -> u16 {
-    try_pick_src_port(topo, src, dst, via, base)
-        .unwrap_or_else(|| panic!("no src port pins {src}->{dst} via {via:?}"))
-}
-
-/// Fallible [`pick_src_port`]: `None` when no port in the window pins the
-/// path — possible on degraded or fuzzer-mutated topologies.
+/// route overrides. `None` when no port in the window pins the path —
+/// possible on degraded or fuzzer-mutated topologies.
 pub fn try_pick_src_port(
     topo: &Topology,
     src: NodeId,

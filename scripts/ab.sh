@@ -15,7 +15,9 @@
 # during the run changes nothing. The listed workloads then run in turn,
 # one table per workload. Pair i runs with --seed i; odd pairs run the
 # parent first, even pairs the change. Nothing tracked is touched and the
-# directory is removed on exit. Every run made is printed.
+# directory is removed on exit. Every run made is printed, an incorrect one
+# included, and the script exits 1 at the end if any run was incorrect,
+# had failed operations or printed no result line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,13 +49,19 @@ cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 cp "$work/parent/benchmark/target/release/hawkeye-benchmark" "$work/bench-parent"
 cp benchmark/target/release/hawkeye-benchmark "$work/bench-change"
 
-# The last line of stdout is the result JSON.
+# The last line of stdout is the result JSON. The benchmark prints it and
+# then exits 1 when the run is incorrect, so the exit status is kept beside
+# the line rather than ending the series; the table below judges both.
 run() { # side workload seed
+  local base="$work/$1-$2-$3" status=0
   "$work/bench-$1" --workload "$2" --seed "$3" --seconds "$seconds" \
-    | tail -n 1 > "$work/$1-$2-$3.json"
-  echo "# run $1 $2 seed $3: $(cat "$work/$1-$2-$3.json")"
+    > "$base.out" || status=$?
+  tail -n 1 "$base.out" > "$base.json"
+  echo "$status" > "$base.status"
+  echo "# run $1 $2 seed $3 (exit $status): $(cat "$base.json")"
 }
 
+incorrect=0
 for workload in $workloads; do
   echo "## $workload"
   for i in $(seq 1 "$pairs"); do
@@ -64,14 +72,27 @@ for workload in $workloads; do
     fi
   done
 
-  python3 - "$work" "$workload" "$pairs" BENCHMARK.json <<'EOF'
+  python3 - "$work" "$workload" "$pairs" BENCHMARK.json <<'EOF' || incorrect=1
 import json, statistics, sys
 
 work, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 contract = json.load(open(sys.argv[4]))
 
+def load_run(side, i):
+    """The run's result, or None when it printed no result line."""
+    base = f"{work}/{side}-{workload}-{i}"
+    try:
+        r = json.load(open(f"{base}.json"))
+    except ValueError:
+        return None
+    r["exit"] = int(open(f"{base}.status").read())
+    return r
+
 def load(side):
-    return [json.load(open(f"{work}/{side}-{workload}-{i}.json")) for i in range(1, pairs + 1)]
+    return [load_run(side, i) for i in range(1, pairs + 1)]
+
+def bad(r):
+    return r is None or not r["correct"] or r["failed"] or r["exit"] != 0
 
 def quartile_distance(xs):
     if len(xs) < 2:
@@ -80,20 +101,30 @@ def quartile_distance(xs):
     return q[2] - q[0]
 
 parent, change = load("parent"), load("change")
+n_bad = 0
 for side, runs in (("parent", parent), ("change", change)):
-    bad = sum(1 for r in runs if not r["correct"] or r["failed"])
-    print(f"# {side}: {bad} of {pairs} runs incorrect or with failed operations")
+    b = sum(1 for r in runs if bad(r))
+    n_bad += b
+    print(f"# {side}: {b} of {pairs} runs incorrect or with failed operations")
+
+def value(r, name):
+    return r["metrics"][name]["value"]
 
 print(f"{'metric':16} {'parent med':>12} {'change med':>12} {'delta':>8} "
       f"{'parent iqr':>11} {'change iqr':>11} {'wins':>6}  verdict")
 for m in contract["end_to_end"]:
     name, higher = m["name"], m["better"] == "higher"
-    p = [r["metrics"][name]["value"] for r in parent]
-    c = [r["metrics"][name]["value"] for r in change]
+    # A run with no result line drops out of the medians and its pair.
+    pairs_ok = [(value(a, name), value(b, name)) for a, b in zip(change, parent) if a and b]
+    p = [value(r, name) for r in parent if r]
+    c = [value(r, name) for r in change if r]
+    if not p or not c:
+        print(f"{name:16} no result on one side")
+        continue
     pm, cm = statistics.median(p), statistics.median(c)
     better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
-    wins = sum(1 for a, b in zip(c, p) if better(a, b))
-    losses = sum(1 for a, b in zip(c, p) if better(b, a))
+    wins = sum(1 for a, b in pairs_ok if better(a, b))
+    losses = sum(1 for a, b in pairs_ok if better(b, a))
     gap = (cm - pm) if higher else (pm - cm)   # > 0: the change is better
     spread = quartile_distance(p)
     if wins * 10 >= pairs * 9 and gap > spread:
@@ -107,5 +138,11 @@ for m in contract["end_to_end"]:
     delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
     print(f"{name:16} {pm:12.4f} {cm:12.4f} {delta:>8} {spread:11.4f} "
           f"{quartile_distance(c):11.4f} {wins:>3}/{pairs:<2}  {verdict}")
+sys.exit(1 if n_bad else 0)
 EOF
 done
+
+if [ "$incorrect" -ne 0 ]; then
+  echo "# some runs were incorrect, failed operations or printed no result: see the tables above"
+  exit 1
+fi

@@ -35,6 +35,7 @@ fn hcfg() -> HawkeyeConfig {
 struct Run {
     detections: Vec<Detection>,
     summary: RunSummary,
+    events_processed: u64,
     hook_stats: String,
     snapshots: Vec<TelemetrySnapshot>,
 }
@@ -46,6 +47,7 @@ fn run_bare(sc: &Scenario) -> Run {
     Run {
         detections: sim.detections(),
         summary: RunSummary::of(&sim),
+        events_processed: sim.events_processed(),
         hook_stats: format!("{:?}", sim.hook.stats),
         snapshots: sim.hook.collector.snapshots(),
     }
@@ -58,6 +60,7 @@ fn run_observed(sc: &Scenario, cfg: ObsConfig) -> Run {
     Run {
         detections: sim.detections(),
         summary: RunSummary::of(&sim),
+        events_processed: sim.events_processed(),
         hook_stats: format!("{:?}", sim.hook.inner().stats),
         snapshots: sim.hook.inner().collector.snapshots(),
     }
@@ -101,6 +104,7 @@ fn observed_hook_is_faithful_passthrough() {
         let obs = run_observed(&sc, cfg);
         assert_eq!(bare.detections, obs.detections);
         assert_eq!(bare.summary, obs.summary);
+        assert_eq!(bare.events_processed, obs.events_processed);
         assert_eq!(bare.hook_stats, obs.hook_stats);
         let (rb, ro) = (diagnose(&sc, &bare), diagnose(&sc, &obs));
         assert!(rb.is_some(), "victim must be detected in this scenario");
@@ -108,29 +112,108 @@ fn observed_hook_is_faithful_passthrough() {
     }
 }
 
+/// FNV-1a, 64-bit: a digest that is stable across builds and platforms.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Same seed, two full observed runs: the emitted JSONL (and the Chrome
 /// trace derived from the same records) must match byte for byte. Stage
 /// wall-clock timings live only in the `StageProfile`, never in the trace.
+///
+/// Two runs of one build cannot see a change that reorders same-instant
+/// events in both, so every scenario kind is also pinned *across commits*:
+/// the digests of its JSONL trace and `RunSummary` and its event count
+/// must equal constants recorded before the event queue was last replaced.
+/// A change that means to alter the simulation updates them on purpose.
 #[test]
 fn same_seed_traces_are_byte_identical() {
-    let sc = scenario();
     let cfg = ObsConfig {
         enabled: true,
         capacity: 1 << 20,
         mask: kind::DEFAULT,
     };
-    let run = |_: u32| {
-        let (_, obs) = run_hawkeye_obs(&sc, &optimal_run_config(1), &ScoreConfig::default(), cfg);
+    let trace = |sc: &Scenario| {
+        let (_, obs) = run_hawkeye_obs(sc, &optimal_run_config(1), &ScoreConfig::default(), cfg);
         let recs: Vec<_> = obs.tracer.records().cloned().collect();
         (emit::jsonl(&recs), emit::chrome_trace(&recs))
     };
-    let (j1, c1) = run(1);
-    let (j2, c2) = run(2);
+    let sc = scenario();
+    let (j1, c1) = trace(&sc);
+    let (j2, c2) = trace(&sc);
     assert!(!j1.is_empty());
     assert_eq!(j1, j2, "JSONL trace must be byte-identical across runs");
     assert_eq!(c1, c2, "Chrome trace must be byte-identical across runs");
     // PFC provenance signal must actually be in the trace.
     assert!(j1.contains("PfcPause") && j1.contains("ProbeHop"));
+
+    // (kind, JSONL digest, RunSummary digest, events processed)
+    let pinned: [(ScenarioKind, u64, u64, u64); 6] = [
+        (
+            ScenarioKind::MicroBurstIncast,
+            0xfcf84b424289f8c1,
+            0xcea565637b0fc533,
+            993189,
+        ),
+        (
+            ScenarioKind::PfcStorm,
+            0xd723d76e662ce42d,
+            0x21cc502898d5da96,
+            1037864,
+        ),
+        (
+            ScenarioKind::InLoopDeadlock,
+            0x5980ea91f784a791,
+            0xe78c9177098adc99,
+            676520,
+        ),
+        (
+            ScenarioKind::OutOfLoopDeadlockContention,
+            0x092fe3e2bafbb6d0,
+            0x1087cc8cc6743ce6,
+            660049,
+        ),
+        (
+            ScenarioKind::OutOfLoopDeadlockInjection,
+            0xdf9d974f8e373f1e,
+            0x59f702a6ad25f2eb,
+            569462,
+        ),
+        (
+            ScenarioKind::NormalContention,
+            0xece4ff0f575cd3a5,
+            0x109ac2e8c077987f,
+            950883,
+        ),
+    ];
+    let actual = pinned.map(|(k, ..)| {
+        let sc = build_scenario(
+            k,
+            ScenarioParams {
+                seed: 7,
+                load: 0.1,
+                ..Default::default()
+            },
+        );
+        let (jsonl, _) = trace(&sc);
+        let bare = run_bare(&sc);
+        (
+            k,
+            fnv1a(jsonl.as_bytes()),
+            fnv1a(format!("{:?}", bare.summary).as_bytes()),
+            bare.events_processed,
+        )
+    });
+    let rows: String = actual
+        .iter()
+        .map(|(k, t, s, e)| format!("\n    (ScenarioKind::{k:?}, {t:#018x}, {s:#018x}, {e}),"))
+        .collect();
+    assert_eq!(
+        actual, pinned,
+        "the simulation drifted from its pinned digests; actual:{rows}"
+    );
 }
 
 /// `RunOutcome`'s counters are read back from the metrics registry; the
