@@ -6,6 +6,16 @@
 //! pops in that exact order yields the same run, and the plain heap is the
 //! simplest one (DESIGN §7.1 has the numbers).
 //!
+//! [`EventQueue::pop`] leaves the event it returns at the heap's root, the
+//! **held root**: nearly every handler files an event, and its first filing
+//! overwrites the root and sifts it down once, where a pop and a push would
+//! each walk the heap. Whatever a handler files lies ahead of the event
+//! being handled, so the heap ends up holding the same events either way
+//! and, keys being unique, pops them in the same order. A handler that
+//! files nothing leaves the root to be removed by the next
+//! [`pop`](EventQueue::pop), [`peek_time`](EventQueue::peek_time) or
+//! [`advance_to`](EventQueue::advance_to).
+//!
 //! A sequence number may be **reserved** ahead of filing
 //! ([`EventQueue::reserve_seq`], [`EventQueue::schedule_reserved`]): a port
 //! that starts a frame takes its `PortTxDone`'s place in the order at once
@@ -136,6 +146,9 @@ impl PacketPool {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
+    /// The heap's root is the event last popped, still in place for the
+    /// handler's first filing to overwrite.
+    held: bool,
     seq: u64,
     now: Nanos,
     /// Sequence number of the last popped event — with `now`, the `(time,
@@ -172,7 +185,8 @@ impl EventQueue {
     /// stops at a horizon ends *at* the horizon, whichever event happened
     /// to fire last). `t` must not pass the next pending event.
     pub fn advance_to(&mut self, t: Nanos) {
-        debug_assert!(self.peek_time().is_none_or(|next| t <= next));
+        let next = self.peek_time();
+        debug_assert!(next.is_none_or(|next| t <= next));
         self.now = self.now.max(t);
     }
 
@@ -212,7 +226,14 @@ impl EventQueue {
             self.now
         );
         debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
-        self.heap.push(Scheduled { at, seq, kind });
+        let s = Scheduled { at, seq, kind };
+        if self.held {
+            debug_assert!((at, seq) > (self.now, self.cur_seq));
+            self.held = false;
+            *self.heap.peek_mut().expect("a held root") = s;
+        } else {
+            self.heap.push(s);
+        }
     }
 
     /// Schedule `kind` after a delay from now.
@@ -244,15 +265,28 @@ impl EventQueue {
         self.pool.take(r)
     }
 
-    /// Pop the earliest event, advancing the clock to it.
+    /// Pop the earliest event, advancing the clock to it. The event stays
+    /// at the heap's root until the handler files one or the queue is next
+    /// read (see the module doc).
     #[inline]
     pub fn pop(&mut self) -> Option<(Nanos, EventKind)> {
-        let s = self.heap.pop()?;
+        self.settle();
+        let s = *self.heap.peek()?;
         debug_assert!(s.at >= self.now);
+        self.held = true;
         self.now = s.at;
         self.cur_seq = s.seq;
         self.popped += 1;
         Some((s.at, s.kind))
+    }
+
+    /// Remove a held root that no filing overwrote.
+    #[inline]
+    fn settle(&mut self) {
+        if self.held {
+            self.held = false;
+            self.heap.pop();
+        }
     }
 
     /// Whether [`PortTx::start`] files every `PortTxDone` (test oracle only).
@@ -268,9 +302,11 @@ impl EventQueue {
         }
     }
 
-    /// Peek at the next event time without popping.
+    /// Peek at the next event time without popping (removing a held root
+    /// first, hence `&mut`).
     #[inline]
-    pub fn peek_time(&self) -> Option<Nanos> {
+    pub fn peek_time(&mut self) -> Option<Nanos> {
+        self.settle();
         self.heap.peek().map(|s| s.at)
     }
 }
@@ -493,82 +529,142 @@ mod tests {
         assert_eq!(ids(&mut q), vec![2, 3]);
     }
 
-    /// A randomized interleaving of schedule / reserve / file-late / pop
-    /// against a linear-scan oracle that shares none of the queue's code:
-    /// every pop must be the minimum `(at, seq)` among the pending events,
-    /// with the oracle numbering events itself. Reservations are filed a
-    /// while after they were taken, mixed with same-instant ties and with
-    /// near and far timestamps.
+    /// A randomized interleaving of schedule / reserve / file-late / pop /
+    /// advance against a linear-scan oracle that shares none of the queue's
+    /// code: every pop must be the minimum `(at, seq)` among the pending
+    /// events, with the oracle numbering events itself. Reservations are
+    /// filed a while after they were taken, mixed with same-instant ties and
+    /// with near and far timestamps. The queue is peeked on a quarter of the
+    /// steps only, and a "handler" step pops and then files 0–3 events
+    /// before anything reads the queue, so filings land on a held root as
+    /// well as on a settled heap.
     #[test]
     fn pops_match_linear_scan_oracle() {
-        /// Pop the queue and the oracle; false once both are empty.
-        fn pop(q: &mut EventQueue, pending: &mut Vec<(Nanos, u64, EventKind)>) -> bool {
-            let min = (0..pending.len()).min_by_key(|&i| (pending[i].0, pending[i].1));
-            let want = min.map(|i| pending.swap_remove(i));
-            assert_eq!(q.pop(), want.map(|(at, _, ev)| (at, ev)));
-            if let Some((at, seq, _)) = want {
-                assert_eq!((q.now(), q.current_seq()), (at, seq));
-            }
-            want.is_some()
+        /// The oracle: pending `(at, seq, event)` in no particular order,
+        /// reservations not yet filed, and the next number to draw.
+        #[derive(Default)]
+        struct Oracle {
+            pending: Vec<(Nanos, u64, EventKind)>,
+            reserved: Vec<(Nanos, u64, EventKind)>,
+            next_seq: u64,
+            filed: u64,
+            filed_late: u32,
+            /// Filings that overwrote a held root: (fresh, late).
+            on_hold: (u32, u32),
         }
+        impl Oracle {
+            fn earliest(&self) -> Option<Nanos> {
+                self.pending.iter().map(|p| p.0).min()
+            }
+
+            /// Pop the queue and the oracle; false once both are empty.
+            fn pop(&mut self, q: &mut EventQueue) -> bool {
+                let p = &self.pending;
+                let min = (0..p.len()).min_by_key(|&i| (p[i].0, p[i].1));
+                let want = min.map(|i| self.pending.swap_remove(i));
+                assert_eq!(q.pop(), want.map(|(at, _, ev)| (at, ev)));
+                if let Some((at, seq, _)) = want {
+                    assert_eq!((q.now(), q.current_seq()), (at, seq));
+                }
+                want.is_some()
+            }
+
+            /// Schedule a fresh event at a random time ahead of now, or
+            /// only reserve its number.
+            fn fresh(&mut self, q: &mut EventQueue, rng: &mut StdRng, reserve: bool) {
+                let base = q.now().0;
+                let delta = match rng.gen_range(0..5usize) {
+                    0 => rng.gen_range(0..64u64),
+                    1 => rng.gen_range(0..5_000u64),
+                    2 => rng.gen_range(0..600_000u64),
+                    3 => rng.gen_range(0..5_000_000u64),
+                    // Ties with the earliest pending event.
+                    _ => self.earliest().map_or(0, |t| t.0 - base),
+                };
+                let at = Nanos(base + delta);
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                let ev = kick(seq as u32);
+                if reserve {
+                    assert_eq!(q.reserve_seq(), seq);
+                    self.reserved.push((at, seq, ev));
+                } else {
+                    self.on_hold.0 += u32::from(q.held);
+                    q.schedule(at, ev);
+                    self.pending.push((at, seq, ev));
+                    self.filed += 1;
+                }
+            }
+
+            /// File a reservation made a while ago, if its place in the
+            /// order has not gone by (else it is dropped, as a port that
+            /// went idle drops its PortTxDone).
+            fn file_late(&mut self, q: &mut EventQueue, rng: &mut StdRng) {
+                if self.reserved.is_empty() {
+                    return;
+                }
+                let i = rng.gen_range(0..self.reserved.len());
+                let (at, seq, ev) = self.reserved.swap_remove(i);
+                if (at, seq) > (q.now(), q.current_seq()) {
+                    self.on_hold.1 += u32::from(q.held);
+                    q.schedule_reserved(at, seq, ev);
+                    self.pending.push((at, seq, ev));
+                    self.filed += 1;
+                    self.filed_late += 1;
+                }
+            }
+        }
+
         let mut rng = StdRng::seed_from_u64(42);
         let mut q = EventQueue::new();
-        // The oracle: pending (at, seq, event), and the next number to draw.
-        let mut pending: Vec<(Nanos, u64, EventKind)> = Vec::new();
-        let mut next_seq = 0u64;
-        // Reserved, not yet filed: (at, seq, event).
-        let mut reserved: Vec<(Nanos, u64, EventKind)> = Vec::new();
-        let mut filed = 0u64;
-        let mut filed_late = 0u32;
+        let mut o = Oracle::default();
+        let mut advanced = 0u32;
         for _ in 0..8_000 {
-            let earliest = pending.iter().map(|p| p.0).min();
-            assert_eq!(q.peek_time(), earliest);
-            match rng.gen_range(0..8usize) {
-                0..=1 if !pending.is_empty() => {
-                    pop(&mut q, &mut pending);
+            if rng.gen_bool(0.25) {
+                assert_eq!(q.peek_time(), o.earliest());
+            }
+            match rng.gen_range(0..10usize) {
+                0..=1 if !o.pending.is_empty() => {
+                    o.pop(&mut q);
                 }
-                2 if !reserved.is_empty() => {
-                    // File a reservation made a while ago, if its place in
-                    // the order has not gone by (else it is dropped, as a
-                    // port that went idle drops its PortTxDone).
-                    let (at, seq, ev) = reserved.swap_remove(rng.gen_range(0..reserved.len()));
-                    if (at, seq) > (q.now(), q.current_seq()) {
-                        q.schedule_reserved(at, seq, ev);
-                        pending.push((at, seq, ev));
-                        filed += 1;
-                        filed_late += 1;
+                // A handler: pop, then file 0-3 events, fresh and late.
+                2..=3 if !o.pending.is_empty() => {
+                    o.pop(&mut q);
+                    for _ in 0..rng.gen_range(0..4u32) {
+                        if rng.gen_bool(0.3) {
+                            o.file_late(&mut q, &mut rng);
+                        } else {
+                            o.fresh(&mut q, &mut rng, false);
+                        }
                     }
                 }
-                kind => {
-                    let base = q.now().0;
-                    let delta = match rng.gen_range(0..5usize) {
-                        0 => rng.gen_range(0..64u64),
-                        1 => rng.gen_range(0..5_000u64),
-                        2 => rng.gen_range(0..600_000u64),
-                        3 => rng.gen_range(0..5_000_000u64),
-                        // Ties with the earliest pending event.
-                        _ => earliest.map_or(0, |t| t.0 - base),
-                    };
-                    let at = Nanos(base + delta);
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let ev = kick(seq as u32);
-                    if kind == 3 {
-                        assert_eq!(q.reserve_seq(), seq);
-                        reserved.push((at, seq, ev));
-                    } else {
-                        q.schedule(at, ev);
-                        pending.push((at, seq, ev));
-                        filed += 1;
-                    }
+                // A run that stops at a horizon: pop, then move the clock
+                // to somewhere short of the next pending event.
+                4 if !o.pending.is_empty() => {
+                    o.pop(&mut q);
+                    let now = q.now();
+                    let t = o.earliest().map_or(now + Nanos(1_000), |next| {
+                        Nanos(rng.gen_range(now.0..next.0 + 1))
+                    });
+                    q.advance_to(t);
+                    assert_eq!(q.now(), t);
+                    advanced += 1;
                 }
+                5 => o.file_late(&mut q, &mut rng),
+                kind => o.fresh(&mut q, &mut rng, kind == 6),
             }
         }
         assert!(
-            filed_late > 200,
-            "only {filed_late} reservations filed late"
+            o.filed_late > 200,
+            "only {} reservations filed late",
+            o.filed_late
         );
-        while pop(&mut q, &mut pending) {}
-        assert_eq!(q.processed(), filed);
+        let (fresh, late) = o.on_hold;
+        assert!(
+            fresh > 1_000 && late > 100 && advanced > 500,
+            "held-root filings {fresh} fresh / {late} late, {advanced} advances"
+        );
+        while o.pop(&mut q) {}
+        assert_eq!(q.processed(), o.filed);
     }
 }

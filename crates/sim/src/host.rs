@@ -25,6 +25,32 @@ use crate::packet::{
 use crate::time::Nanos;
 use crate::topology::Topology;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hasher for a host's `FlowId` maps, looked up on every ACK,
+/// CNP and data arrival. The keys are dense ids the simulator hands out, so
+/// SipHash's collision resistance buys nothing, and nothing iterates the
+/// maps, whose order `RandomState` already made differ from run to run.
+#[derive(Default)]
+struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type FlowIdMap<V> = HashMap<FlowId, V, BuildHasherDefault<FlowIdHasher>>;
 
 /// Detection-agent configuration (per host).
 #[derive(Debug, Clone, Copy)]
@@ -197,8 +223,8 @@ pub struct HostState {
     pub id: NodeId,
     cfg: HostConfig,
     flows: Vec<HostFlow>,
-    by_flow_id: HashMap<FlowId, u32>,
-    recv: HashMap<FlowId, RecvState>,
+    by_flow_id: FlowIdMap<u32>,
+    recv: FlowIdMap<RecvState>,
     ready: VecDeque<u32>,
     ctrl: VecDeque<Packet>,
     /// The frame on the uplink, if any, and its lazy `PortTxDone`.
@@ -214,8 +240,8 @@ impl HostState {
             id,
             cfg,
             flows: Vec::new(),
-            by_flow_id: HashMap::new(),
-            recv: HashMap::new(),
+            by_flow_id: FlowIdMap::default(),
+            recv: FlowIdMap::default(),
             ready: VecDeque::new(),
             ctrl: VecDeque::new(),
             tx: PortTx::default(),

@@ -398,6 +398,10 @@ pub fn clos(cfg: &ClosConfig) -> Topology {
     assert!(cfg.pods >= 1 && cfg.edges_per_pod >= 1 && cfg.hosts_per_edge >= 1);
     assert!(cfg.aggs_per_pod >= 1 && cfg.cores_per_group >= 1);
     assert!(cfg.slow_divisor >= 1, "slow_divisor must be >= 1");
+    assert!(
+        cfg.bw.bits_per_sec() / cfg.slow_divisor > 0,
+        "slow_divisor must leave the slow uplinks a non-zero rate"
+    );
     assert!(cfg.slow_pods <= cfg.pods);
     let mut t = Topology::new();
     let (epp, app, hpe) = (cfg.edges_per_pod, cfg.aggs_per_pod, cfg.hosts_per_edge);
@@ -655,6 +659,15 @@ mod tests {
         );
         // Fast pods keep full-rate uplinks.
         assert_eq!(t.ports(agg0)[3].bandwidth, EVAL_BANDWIDTH);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero rate")]
+    fn clos_refuses_zero_rate_slow_uplinks() {
+        let mut cfg = ClosConfig::fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
+        cfg.slow_pods = 1;
+        cfg.slow_divisor = EVAL_BANDWIDTH.bits_per_sec() + 1;
+        clos(&cfg);
     }
 
     #[test]

@@ -193,7 +193,9 @@ impl TopologySpec {
             });
         }
         let total_core_links = k * (k / 2) * (k / 2);
-        if failed >= total_core_links || slow_pods > k || slow_divisor == 0 {
+        // A divisor past the base rate would build zero-bandwidth uplinks.
+        let divisor_ok = (1..=EVAL_BANDWIDTH.bits_per_sec()).contains(&slow_divisor);
+        if failed >= total_core_links || slow_pods > k || !divisor_ok {
             return Err(NavError::RoleOutOfRange {
                 role: "fat-tree-variant",
                 index: failed.max(slow_pods),
@@ -250,13 +252,22 @@ mod tests {
         }
         .build()
         .is_err());
+        for slow_divisor in [0, EVAL_BANDWIDTH.bits_per_sec() + 1, 200_000_000_000] {
+            let spec = TopologySpec::AsymClos {
+                k: 8,
+                slow_pods: 2,
+                slow_divisor,
+            };
+            assert!(spec.build().is_err(), "{spec}");
+        }
+        // The slowest uplink that still moves a bit per second builds.
         assert!(TopologySpec::AsymClos {
             k: 8,
             slow_pods: 2,
-            slow_divisor: 0
+            slow_divisor: EVAL_BANDWIDTH.bits_per_sec()
         }
         .build()
-        .is_err());
+        .is_ok());
     }
 
     #[test]

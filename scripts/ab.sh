@@ -17,7 +17,10 @@
 # parent first, even pairs the change. Nothing tracked is touched and the
 # directory is removed on exit. Every run made is printed, an incorrect one
 # included, and the script exits 1 at the end if any run was incorrect,
-# had failed operations or printed no result line.
+# had failed operations or printed no result line. Under a daemon
+# workload's table, info rows with no verdict give the medians of what its
+# `# host:` note read before normalising: the reference request's p50, the
+# raw rate and the raw p50.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +37,7 @@ fi
 pairs=${3:-10}
 seconds=${4:-20}
 
-work=$(mktemp -d /tmp/hawkeye-ab-XXXXXX)
+work=$(mktemp -d -t hawkeye-ab-XXXXXX)
 trap 'rm -rf "$work"' EXIT
 
 parent_sha=$(git rev-parse --verify "$parent_ref^{commit}")
@@ -73,7 +76,7 @@ for workload in $workloads; do
   done
 
   python3 - "$work" "$workload" "$pairs" BENCHMARK.json <<'EOF' || incorrect=1
-import json, statistics, sys
+import json, re, statistics, sys
 
 work, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 contract = json.load(open(sys.argv[4]))
@@ -138,6 +141,31 @@ for m in contract["end_to_end"]:
     delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
     print(f"{name:16} {pm:12.4f} {cm:12.4f} {delta:>8} {spread:11.4f} "
           f"{quartile_distance(c):11.4f} {wins:>3}/{pairs:<2}  {verdict}")
+
+# A daemon workload divides its timed metrics by the reference server's
+# slowdown, so anything that moves that server moves them. Its `# host:`
+# note says what the clock read before the division: the reference
+# request's p50, the raw rate R and the raw p50 P. Shown, not judged.
+HOST = re.compile(r"^# host: reference request p50 ([\d.]+) ms .*"
+                  r"as the clock read it: ([\d.]+) /s, p50 ([\d.]+) ms")
+
+def host_note(side, i):
+    """(reference p50 ms, R /s, P ms) from the run's last `# host:` note."""
+    try:
+        lines = open(f"{work}/{side}-{workload}-{i}.out").read().splitlines()
+    except OSError:
+        return None
+    found = [m for m in map(HOST.match, lines) if m]
+    return tuple(float(g) for g in found[-1].groups()) if found else None
+
+notes = {side: [n for n in (host_note(side, i) for i in range(1, pairs + 1)) if n]
+         for side in ("parent", "change")}
+if notes["parent"] and notes["change"]:
+    for j, name in enumerate(("ref_request_ms", "raw_work_per_s", "raw_p50_ms")):
+        pm = statistics.median(n[j] for n in notes["parent"])
+        cm = statistics.median(n[j] for n in notes["change"])
+        delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+        print(f"{name:16} {pm:12.4f} {cm:12.4f} {delta:>8}  (host note, info only)")
 sys.exit(1 if n_bad else 0)
 EOF
 done

@@ -5,9 +5,13 @@
 //! carry simulation time only.
 
 use hawkeye::core::{analyze_victim_window, AnalyzerConfig, HawkeyeConfig, HawkeyeHook, Window};
-use hawkeye::eval::{optimal_run_config, run_hawkeye, run_hawkeye_obs, ScoreConfig};
+use hawkeye::eval::{
+    optimal_run_config, plan_for_rate, run_hawkeye, run_hawkeye_obs, RunConfig, ScoreConfig,
+};
 use hawkeye::obs::{emit, kind, ObsConfig};
-use hawkeye::sim::{Detection, Nanos, ObservedHook, RunSummary};
+use hawkeye::sim::{
+    Detection, FaultPlan, FaultStats, Nanos, ObservedHook, ProbeRetryConfig, RunSummary,
+};
 use hawkeye::telemetry::{EpochConfig, TelemetryConfig, TelemetrySnapshot};
 use hawkeye::workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
@@ -41,16 +45,35 @@ struct Run {
 }
 
 fn run_bare(sc: &Scenario) -> Run {
-    let hook = HawkeyeHook::new(&sc.topo, hcfg());
-    let mut sim = sc.instantiate_seeded(1, Scenario::agent(2.0), hook);
+    run_bare_faulted(sc, FaultPlan::none(), None).0
+}
+
+/// [`run_bare`] under a fault plan and an agent re-poll ladder, with the
+/// probe faults injected and the re-polls sent; with `FaultPlan::none()` and
+/// no ladder it is [`run_bare`] exactly.
+fn run_bare_faulted(
+    sc: &Scenario,
+    faults: FaultPlan,
+    retry: Option<ProbeRetryConfig>,
+) -> (Run, FaultStats, u64) {
+    let hook = HawkeyeHook::new(&sc.topo, HawkeyeConfig { faults, ..hcfg() });
+    let mut agent = Scenario::agent(2.0);
+    agent.retry = retry;
+    let mut sim = sc.instantiate_faulted(1, agent, hook, faults);
     sim.run_until(sc.params.duration);
-    Run {
+    let retried = sim
+        .topo()
+        .hosts()
+        .map(|h| sim.host(h).stats.probes_retried)
+        .sum();
+    let run = Run {
         detections: sim.detections(),
         summary: RunSummary::of(&sim),
         events_processed: sim.events_processed(),
         hook_stats: format!("{:?}", sim.hook.stats),
         snapshots: sim.hook.collector.snapshots(),
-    }
+    };
+    (run, sim.fault_stats(), retried)
 }
 
 fn run_observed(sc: &Scenario, cfg: ObsConfig) -> Run {
@@ -127,7 +150,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// events in both, so every scenario kind is also pinned *across commits*:
 /// the digests of its JSONL trace and `RunSummary` and its event count
 /// must equal constants recorded before the event queue was last replaced.
-/// A change that means to alter the simulation updates them on purpose.
+/// One more row runs incast under a 20 % fault plan with the agent's re-poll
+/// ladder, so the handlers that file from inside an `Arrive` (a delayed or
+/// duplicated probe) and `ProbeRetry` are pinned too. A change that means to
+/// alter the simulation updates them on purpose.
 #[test]
 fn same_seed_traces_are_byte_identical() {
     let cfg = ObsConfig {
@@ -135,14 +161,14 @@ fn same_seed_traces_are_byte_identical() {
         capacity: 1 << 20,
         mask: kind::DEFAULT,
     };
-    let trace = |sc: &Scenario| {
-        let (_, obs) = run_hawkeye_obs(sc, &optimal_run_config(1), &ScoreConfig::default(), cfg);
+    let trace = |sc: &Scenario, run: &RunConfig| {
+        let (_, obs) = run_hawkeye_obs(sc, run, &ScoreConfig::default(), cfg);
         let recs: Vec<_> = obs.tracer.records().cloned().collect();
         (emit::jsonl(&recs), emit::chrome_trace(&recs))
     };
     let sc = scenario();
-    let (j1, c1) = trace(&sc);
-    let (j2, c2) = trace(&sc);
+    let (j1, c1) = trace(&sc, &optimal_run_config(1));
+    let (j2, c2) = trace(&sc, &optimal_run_config(1));
     assert!(!j1.is_empty());
     assert_eq!(j1, j2, "JSONL trace must be byte-identical across runs");
     assert_eq!(c1, c2, "Chrome trace must be byte-identical across runs");
@@ -188,16 +214,19 @@ fn same_seed_traces_are_byte_identical() {
             950883,
         ),
     ];
-    let actual = pinned.map(|(k, ..)| {
-        let sc = build_scenario(
+    let build = |k| {
+        build_scenario(
             k,
             ScenarioParams {
                 seed: 7,
                 load: 0.1,
                 ..Default::default()
             },
-        );
-        let (jsonl, _) = trace(&sc);
+        )
+    };
+    let actual = pinned.map(|(k, ..)| {
+        let sc = build(k);
+        let (jsonl, _) = trace(&sc, &optimal_run_config(1));
         let bare = run_bare(&sc);
         (
             k,
@@ -213,6 +242,32 @@ fn same_seed_traces_are_byte_identical() {
     assert_eq!(
         actual, pinned,
         "the simulation drifted from its pinned digests; actual:{rows}"
+    );
+
+    // (JSONL digest, RunSummary digest, events processed) of the faulted row.
+    let pinned_faulted: (u64, u64, u64) = (0xa6bf231f26e02591, 0x7c307ea99d8a79d6, 985215);
+    let run = RunConfig {
+        faults: plan_for_rate(0.2, 7),
+        agent_retry: Some(ProbeRetryConfig::default()),
+        ..optimal_run_config(1)
+    };
+    let sc = build(ScenarioKind::MicroBurstIncast);
+    let (jsonl, _) = trace(&sc, &run);
+    let (bare, faults, retried) = run_bare_faulted(&sc, run.faults, run.agent_retry);
+    assert!(
+        faults.probes_delayed > 0 && faults.probes_duplicated > 0,
+        "the faulted row must delay and duplicate probes: {faults:?}"
+    );
+    assert!(retried > 0, "the faulted row must re-poll");
+    let actual = (
+        fnv1a(jsonl.as_bytes()),
+        fnv1a(format!("{:?}", bare.summary).as_bytes()),
+        bare.events_processed,
+    );
+    let (t, s, e) = actual;
+    assert_eq!(
+        actual, pinned_faulted,
+        "the faulted simulation drifted from its pinned digests; actual: ({t:#018x}, {s:#018x}, {e})"
     );
 }
 
