@@ -295,7 +295,7 @@ impl ServeClient {
                 "daemon closed with batches in flight",
             ))
         })?;
-        self.outstanding.pop_front();
+        let sent = self.outstanding.pop_front().map_or(0, |(n, _)| n);
         match decode_response(op, &body)? {
             Response::BatchAck {
                 accepted,
@@ -307,7 +307,12 @@ impl ServeClient {
                 self.credits = (self.credits + granted).min(self.window);
                 Ok(())
             }
-            Response::Error(msg) => Err(ProtoError::remote(msg)),
+            Response::Error(msg) => {
+                // A refused frame holds nothing at the daemon: its credits
+                // come back with the refusal.
+                self.credits = (self.credits + sent).min(self.window);
+                Err(ProtoError::remote(msg))
+            }
             other => Err(ProtoError::BadBody(format!(
                 "unexpected in-flight response {other:?}"
             ))),

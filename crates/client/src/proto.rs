@@ -63,6 +63,10 @@
 //!   `wrong_shard:` decode to the typed [`ProtoError::WrongShard`]:
 //!   a shard-ownership violation (out-of-range switch id or a stale shard
 //!   map), which routing must treat differently from a transient fault.
+//!   Messages starting with `foreign_evidence:` decode to the typed
+//!   [`ProtoError::ForeignEvidence`]: an ingest frame refused whole because
+//!   a snapshot in it names a switch or port the fabric lacks
+//!   ([`check_evidence`]).
 //!
 //! Frames above [`MAX_FRAME`] are rejected before allocation on read and
 //! refused before the first byte on write; a malformed frame poisons only
@@ -70,7 +74,7 @@
 
 use crate::types::{ExplainRecord, Fidelity, FlowObservation};
 use hawkeye_core::{DiagnosisReport, Window};
-use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
+use hawkeye_sim::{FlowKey, Nanos, NodeId, PortId, Topology};
 use hawkeye_telemetry::{decode_batch, encode_batch, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -89,6 +93,11 @@ pub const PROTO_VERSION: u32 = 4;
 /// Message prefix that marks an opcode-255 error as a typed shard-
 /// ownership violation (see [`ProtoError::WrongShard`]).
 pub const WRONG_SHARD_PREFIX: &str = "wrong_shard:";
+
+/// Message prefix that marks an opcode-255 error as a typed refusal of
+/// evidence about no switch or port of the fabric (see
+/// [`ProtoError::ForeignEvidence`]).
+pub const FOREIGN_EVIDENCE_PREFIX: &str = "foreign_evidence:";
 
 /// Body sentinel for "no shard-map epoch announced".
 const NO_EPOCH: u64 = u64::MAX;
@@ -164,15 +173,24 @@ pub enum ProtoError {
     /// match the daemon's. The caller holds a stale or mis-cut shard map
     /// and must refresh it — retrying the same route cannot succeed.
     WrongShard(String),
+    /// The daemon refused an ingest frame whole, storing and journaling
+    /// none of it: a snapshot in it names a node that is no switch of the
+    /// daemon's fabric, or a port that switch lacks. Resending the same
+    /// frame cannot succeed; the session stays usable.
+    ForeignEvidence(String),
 }
 
 impl ProtoError {
-    /// Classify an opcode-255 message: `wrong_shard:`-prefixed bodies are
-    /// the typed ownership refusal, everything else a generic remote error.
+    /// Classify an opcode-255 message: `wrong_shard:`- and
+    /// `foreign_evidence:`-prefixed bodies are the typed refusals,
+    /// everything else a generic remote error.
     pub fn remote(msg: String) -> ProtoError {
-        match msg.strip_prefix(WRONG_SHARD_PREFIX) {
-            Some(detail) => ProtoError::WrongShard(detail.trim_start().to_string()),
-            None => ProtoError::Remote(msg),
+        if let Some(detail) = msg.strip_prefix(WRONG_SHARD_PREFIX) {
+            ProtoError::WrongShard(detail.trim_start().to_string())
+        } else if let Some(detail) = msg.strip_prefix(FOREIGN_EVIDENCE_PREFIX) {
+            ProtoError::ForeignEvidence(detail.trim_start().to_string())
+        } else {
+            ProtoError::Remote(msg)
         }
     }
 }
@@ -186,6 +204,7 @@ impl fmt::Display for ProtoError {
             ProtoError::BadBody(m) => write!(f, "malformed body: {m}"),
             ProtoError::Remote(m) => write!(f, "daemon error: {m}"),
             ProtoError::WrongShard(m) => write!(f, "wrong shard: {m}"),
+            ProtoError::ForeignEvidence(m) => write!(f, "foreign evidence: {m}"),
         }
     }
 }
@@ -251,6 +270,51 @@ impl DiagnoseParams {
             ))
         }
     }
+}
+
+/// Ingest frames arrive off the wire too: whoever accepts one checks that
+/// every snapshot describes a switch of `topo` through ports that switch
+/// has — the switch itself, each flow record's `out_port`, each port
+/// record, each meter's in and out port, each evicted record's `out_port`.
+/// Analysis indexes the fabric by all of them. `Err` is the text of the
+/// `Response::Error` refusing the whole frame, [`FOREIGN_EVIDENCE_PREFIX`]
+/// first.
+pub fn check_evidence(snaps: &[TelemetrySnapshot], topo: &Topology) -> Result<(), String> {
+    for snap in snaps {
+        let sw = snap.switch;
+        if !topo.is_switch(sw) {
+            return Err(format!(
+                "{FOREIGN_EVIDENCE_PREFIX} node {} is not a switch of this fabric",
+                sw.0
+            ));
+        }
+        let lacks = |port: u8| topo.try_port(PortId::new(sw, port)).is_none();
+        let refuse = |what: &str, port: u8| {
+            Err(format!(
+                "{FOREIGN_EVIDENCE_PREFIX} a {what} of switch {} names port {port}, \
+                 which it lacks ({} ports)",
+                sw.0,
+                topo.ports(sw).len()
+            ))
+        };
+        for ep in &snap.epochs {
+            if let Some((_, r)) = ep.flows.iter().find(|(_, r)| lacks(r.out_port)) {
+                return refuse("flow record", r.out_port);
+            }
+            if let Some(&(port, _)) = ep.ports.iter().find(|&&(p, _)| lacks(p)) {
+                return refuse("port record", port);
+            }
+            for &(i, o, _) in &ep.meter {
+                if let Some(port) = [i, o].into_iter().find(|&p| lacks(p)) {
+                    return refuse("meter", port);
+                }
+            }
+        }
+        if let Some(ev) = snap.evicted.iter().find(|ev| lacks(ev.record.out_port)) {
+            return refuse("evicted record", ev.record.out_port);
+        }
+    }
+    Ok(())
 }
 
 /// Daemon → client.

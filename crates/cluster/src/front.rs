@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use hawkeye_client::proto::WRONG_SHARD_PREFIX;
+use hawkeye_client::proto::{check_evidence, FOREIGN_EVIDENCE_PREFIX, WRONG_SHARD_PREFIX};
 use hawkeye_client::{
     AnyStream, DiagnoseParams, ProtoError, Request, Response, RetryConfig, ServeClient,
 };
@@ -127,10 +127,12 @@ fn seeded_front_registry() -> MetricsRegistry {
 }
 
 /// Re-emit a backend failure to the front's own caller without losing the
-/// type: a `wrong_shard` stays a `wrong_shard` across the hop.
+/// type: a `wrong_shard` stays a `wrong_shard` across the hop, and a
+/// `foreign_evidence` a `foreign_evidence`.
 fn error_response(e: &ProtoError) -> Response {
     match e {
         ProtoError::WrongShard(m) => Response::Error(format!("{WRONG_SHARD_PREFIX} {m}")),
+        ProtoError::ForeignEvidence(m) => Response::Error(format!("{FOREIGN_EVIDENCE_PREFIX} {m}")),
         other => Response::Error(other.to_string()),
     }
 }
@@ -204,6 +206,10 @@ impl FrontShared {
     /// unreachable owner degrades, never fails: its snapshots are counted
     /// as `shed` and will surface as Degraded confidence.
     fn route_batch(&self, snaps: Vec<TelemetrySnapshot>) -> Response {
+        // Refused whole here, before any backend holds part of it.
+        if let Err(refusal) = check_evidence(&snaps, &self.topo) {
+            return Response::Error(refusal);
+        }
         let total = snaps.len() as u32;
         let mut groups: Vec<Vec<TelemetrySnapshot>> = Vec::new();
         groups.resize_with(self.backends.len(), Vec::new);

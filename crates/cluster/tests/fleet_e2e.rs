@@ -3,7 +3,8 @@
 //! daemon — identical verdicts on the fault-free path, an explicit
 //! `Degraded` verdict (never a panic or a failure) when a shard daemon
 //! dies mid-replay, and a typed `wrong_shard` refusal when the front
-//! routes under a stale shard-map generation.
+//! routes under a stale shard-map generation. A frame naming a port its
+//! switch lacks gets the typed `foreign_evidence` refusal from the front.
 
 use hawkeye_client::{EpochSink, ProtoError, ServeClient, ShardRange, SinkAck, VecSink};
 use hawkeye_cluster::{spawn_front, BackendEndpoint, FrontConfig, ShardEntry, ShardMap};
@@ -138,6 +139,31 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
             assert!(msg.contains(&stranger.to_string()), "{msg}")
         }
         other => panic!("out-of-fabric victim answered {other:?}"),
+    }
+
+    // A frame naming a port its switch lacks is refused whole by the front,
+    // typed: its well-formed half reaches no shard (the rings compared
+    // below would differ), and the session lives on.
+    let mut kept = mono_rings[0].clone();
+    kept.taken_at += hawkeye_sim::Nanos(1);
+    kept.epochs.truncate(1);
+    kept.epochs[0].slot = 1000;
+    let mut foreign = kept.clone();
+    foreign.epochs[0].flows = vec![(
+        sc.truth.victim,
+        hawkeye_telemetry::FlowRecord {
+            pkt_count: 10,
+            paused_count: 0,
+            qdepth_sum: 0,
+            out_port: 250,
+        },
+    )];
+    match front_client
+        .ingest_batch(&[kept, foreign])
+        .and_then(|_| front_client.finish_ingest())
+    {
+        Err(ProtoError::ForeignEvidence(msg)) => assert!(msg.contains("port 250"), "{msg}"),
+        other => panic!("foreign port through the front answered {other:?}"),
     }
 
     let mono_json = serde_json::to_string(&mono_report).expect("serialize");

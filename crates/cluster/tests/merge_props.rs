@@ -48,7 +48,8 @@ fn assert_graphs_equal(ctx: &str, g: &ProvenanceGraph, b: &ProvenanceGraph) {
         "flow→port edges diverged: {ctx}"
     );
     assert_eq!(
-        g.port_flow_edges, b.port_flow_edges,
+        g.port_flow_edges(),
+        b.port_flow_edges(),
         "port→flow edges diverged: {ctx}"
     );
 }

@@ -100,6 +100,11 @@ pub fn detection_window(det: &Detection, cfg: &AnalyzerConfig) -> Window {
 /// that froze early (e.g. the escape port of a deadlock) and evidence that
 /// froze late (the closing ring port) are both covered. Epoch-level
 /// keep-latest deduplication makes the wide window safe.
+///
+/// `snapshots` must be of `topo`'s own switches, naming only ports those
+/// switches have: the analysis indexes `topo` by every switch and port
+/// they name, and panics on one it lacks. Evidence off the wire is checked
+/// first (the serve daemon and front refuse such a frame whole).
 pub fn analyze_victim_window(
     victim: &hawkeye_sim::FlowKey,
     window: Window,
@@ -148,6 +153,8 @@ pub fn analyze_victim_window_obs(
 
 /// Full offline analysis of one detection: aggregate → Algorithm 1 →
 /// Algorithm 2. Returns the report plus the graph (for rendering / tests).
+/// `snapshots` must be of `topo`'s own switches, as for
+/// [`analyze_victim_window`].
 pub fn analyze_detection(
     det: &Detection,
     snapshots: &[TelemetrySnapshot],
@@ -206,7 +213,121 @@ pub fn analyze_detection_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provenance::{assemble_graph, port_causality_edges, port_contention};
     use crate::test_graphs::{fkey, topo4};
+    use hawkeye_sim::{FlowKey, PortId};
+    use hawkeye_telemetry::{EpochSnapshot, FlowRecord, PortRecord};
+    use std::collections::HashMap;
+
+    /// A port the verdict never reads is never replayed, whatever its
+    /// records claim. On `chain(2, 1)` the victim h0 → h1 is paused at
+    /// sw0.P1, which waits for sw1.P0: a paused terminal with no onset, so
+    /// Algorithm 2 reads its weights. sw0.P0, on no PFC path, carries two
+    /// flows claiming `u32::MAX` contention packets each — ≈8.6e9 replay
+    /// steps if anything replayed it.
+    #[test]
+    fn an_unread_port_costs_no_replay() {
+        let topo = hawkeye_sim::chain(2, 1, hawkeye_sim::EVAL_BANDWIDTH, hawkeye_sim::EVAL_DELAY);
+        let hosts: Vec<NodeId> = topo.hosts().collect();
+        let sws: Vec<NodeId> = topo.switches().collect();
+        let victim = FlowKey::roce(hosts[0], hosts[1], 1);
+        let other = FlowKey::roce(hosts[0], hosts[1], 2);
+        let hostile = [
+            FlowKey::roce(hosts[1], hosts[0], 3),
+            FlowKey::roce(hosts[1], hosts[0], 4),
+        ];
+        let epoch_len = Nanos(1 << 20);
+        let record = |pkt_count, paused_count, out_port| FlowRecord {
+            pkt_count,
+            paused_count,
+            qdepth_sum: 0,
+            out_port,
+        };
+        let port = |pkt_count, paused_count, qdepth_sum| PortRecord {
+            pkt_count,
+            paused_count,
+            qdepth_sum,
+        };
+        let snap = |switch, flows, ports, meter| TelemetrySnapshot {
+            switch,
+            taken_at: Nanos(2 << 20),
+            nports: 2,
+            max_flows: 64,
+            epochs: vec![EpochSnapshot {
+                slot: 0,
+                id: 0,
+                start: Nanos::ZERO,
+                len: epoch_len,
+                flows,
+                ports,
+                meter,
+            }],
+            evicted: vec![],
+        };
+        let snaps = [
+            snap(
+                sws[0],
+                vec![
+                    (victim, record(100, 40, 1)),
+                    (hostile[0], record(u32::MAX, 0, 0)),
+                    (hostile[1], record(u32::MAX, 0, 0)),
+                ],
+                vec![(1, port(100, 40, 0)), (0, port(u32::MAX, 0, 0))],
+                vec![],
+            ),
+            snap(
+                sws[1],
+                vec![(victim, record(60, 10, 0)), (other, record(200, 10, 0))],
+                vec![(0, port(260, 20, 520))],
+                vec![(1, 0, 100_000)],
+            ),
+        ];
+        let window = Window {
+            from: Nanos::ZERO,
+            to: Nanos(2 << 20),
+        };
+        let cfg = AnalyzerConfig::for_epoch_len(epoch_len);
+        let (report, g, agg) = analyze_victim_window(&victim, window, &snaps, &topo, &cfg);
+
+        let unread = PortId::new(sws[0], 0);
+        let terminal = g.port_index(PortId::new(sws[1], 0)).expect("terminal node");
+        let off_path = g.port_index(unread).expect("off-path node");
+        assert_eq!(report.pfc_paths.len(), 1, "one spreading path: {report:?}");
+        assert!(
+            g.contention_filled(terminal),
+            "the verdict read the terminal"
+        );
+        assert!(
+            !g.contention_filled(off_path),
+            "the unread port was replayed"
+        );
+
+        // The eager graph: every port replayed except the unread one, which
+        // gets weights no replay produces. The verdict cannot tell.
+        let frag_port = agg
+            .ports
+            .keys()
+            .map(|&p| (p, port_causality_edges(&agg, &topo, cfg.replay, p)))
+            .collect();
+        let frag_cont: HashMap<PortId, Vec<(FlowKey, f64)>> = agg
+            .ports
+            .keys()
+            .map(|&p| {
+                let weights = if p == unread {
+                    hostile.iter().map(|&k| (k, 1e9)).collect()
+                } else {
+                    port_contention(&agg, &topo, cfg.replay, p)
+                };
+                (p, weights)
+            })
+            .collect();
+        let eager = assemble_graph(&agg, &frag_port, &frag_cont);
+        assert_eq!((&eager.ports, &eager.flows), (&g.ports, &g.flows));
+        let mut expect = diagnose(&eager, &topo, &agg, &victim, cfg.diagnosis);
+        grade_report(&mut expect, &victim, &snaps, &topo);
+        assert_eq!(report, expect);
+        assert!(!g.contention_filled(off_path), "comparing read nothing");
+    }
 
     #[test]
     fn no_snapshots_grades_inconclusive() {

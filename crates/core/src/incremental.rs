@@ -4,15 +4,15 @@
 //! The batch pipeline rebuilds [`AggTelemetry`] and the whole graph for
 //! every diagnosis, while a single snapshot only changes the evidence of
 //! *one* switch (and, through the causality meters, the port-level edges of
-//! its upstream neighbors). The expensive step of that rebuild is the
-//! per-epoch FIFO contention replay
+//! its upstream neighbors). The expensive step of a graph is the per-epoch
+//! FIFO contention replay
 //! ([`contribution`](crate::provenance::contribution)): one step per
-//! claimed packet in every epoch where two or more flows contend (an epoch
-//! with one flow is not replayed). How expensive is a measured question —
-//! in the daemon's `serve-diagnose` benchmark the replay is ≈0.7 ms of a
-//! windowed Diagnose's ≈1.5 ms mean (it was ≈2.1 of ≈3.0 ms before the
-//! lone-flow shortcut and the merge), so a cache of its results can save a
-//! verdict at most about half its time (DESIGN §9.2).
+//! claimed packet in every epoch where two or more flows contend. The batch
+//! build defers it per port to the first read of that port's weights, and
+//! a verdict reads few ports, so in the daemon's `serve-diagnose` benchmark
+//! it is off the Diagnose path altogether (DESIGN §9.2). This engine still
+//! replays every affected port on refresh: its fragments are the eager
+//! path, which `assemble_graph` takes as given.
 //!
 //! [`IncrementalProvenance`] therefore keeps, per switch, the deduplicated
 //! epoch ring (keep-latest by `taken_at`, mirroring
@@ -501,7 +501,7 @@ mod tests {
         assert_eq!(g.flows, batch.flows);
         assert_eq!(g.port_edges, batch.port_edges);
         assert_eq!(g.flow_port_edges, batch.flow_port_edges);
-        assert_eq!(g.port_flow_edges, batch.port_flow_edges);
+        assert_eq!(g.port_flow_edges(), batch.port_flow_edges());
     }
 
     #[test]
@@ -622,7 +622,7 @@ mod tests {
             ReplayConfig::default(),
         );
         assert_eq!(g.ports, batch.ports);
-        assert_eq!(g.port_flow_edges, batch.port_flow_edges);
+        assert_eq!(g.port_flow_edges(), batch.port_flow_edges());
     }
 
     #[test]

@@ -12,12 +12,20 @@
 //!   occupying its queue; the weight is the flow's *net* contribution
 //!   (how much others wait for it minus how much it waits for others), so
 //!   contributors are positive and victims negative.
+//!
+//! The port→flow weights are the one costly part of the graph: each comes
+//! from replaying the port's queue packet by packet. Algorithm 2 reads them
+//! only at the initial nodes of a PFC spreading path that show no
+//! congestion onset, so [`build_graph`] fixes every node and edge position
+//! up front and replays a port the first time its weights are read
+//! ([`ProvenanceGraph::contention_at`]).
 
 use crate::aggregate::{AggTelemetry, FlowAgg};
 #[cfg(test)]
 use hawkeye_sim::NodeId;
 use hawkeye_sim::{FlowKey, PortId, Topology};
 use std::collections::{HashMap, VecDeque};
+use std::sync::OnceLock;
 
 /// Contribution replay tuning.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +52,16 @@ impl Default for ReplayConfig {
 /// `flows[j]`); adjacency lists are index-based — which is what makes
 /// `PartialEq` the *positional identity* check the incremental-vs-batch
 /// and cross-shard merge parity properties assert with plain `==`.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Every node and every edge position exists once the graph is built. The
+/// port→flow *weights* of a graph from [`build_graph`] are replayed per
+/// port on first read ([`contention_at`](Self::contention_at)) and kept;
+/// reads through `&self` are safe from any thread (the graph is `Send +
+/// Sync`). [`port_flow_edges`](Self::port_flow_edges), `PartialEq`,
+/// [`edge_count`](Self::edge_count) and [`to_dot`](Self::to_dot) read every
+/// port. The graph owns its replay input, so it outlives the aggregate it
+/// was built from.
+#[derive(Debug, Clone, Default)]
 pub struct ProvenanceGraph {
     pub ports: Vec<PortId>,
     pub flows: Vec<FlowKey>,
@@ -54,8 +71,42 @@ pub struct ProvenanceGraph {
     pub port_edges: Vec<Vec<(usize, f64)>>,
     /// flow -> port edges (PFC pausing impact on the flow).
     pub flow_port_edges: Vec<Vec<(usize, f64)>>,
-    /// port -> flow edges (net contention contribution; signed).
-    pub port_flow_edges: Vec<Vec<(usize, f64)>>,
+    /// port -> flow edges (net contention contribution; signed), one cell
+    /// per port node.
+    port_flow_edges: Vec<Contention>,
+}
+
+/// One port node's port→flow edges: the targets are fixed when the graph
+/// is built, the weights are replayed from `input` on first read.
+#[derive(Debug, Clone, Default)]
+struct Contention {
+    /// Flow-node indices of the port's contenders, in flow-key order.
+    flows: Vec<usize>,
+    /// What their weights are replayed from. A cell built with its edges
+    /// already in place leaves `flows` and `input` empty.
+    input: PortReplay,
+    edges: OnceLock<Vec<(usize, f64)>>,
+}
+
+impl Contention {
+    fn edges(&self) -> &[(usize, f64)] {
+        self.edges.get_or_init(|| {
+            let mut edges: Vec<(usize, f64)> = self.flows.iter().map(|&j| (j, 0.0)).collect();
+            self.input.replay_into(&mut edges);
+            edges
+        })
+    }
+}
+
+impl PartialEq for ProvenanceGraph {
+    /// Positional identity, port→flow weights included: reads every port.
+    fn eq(&self, other: &Self) -> bool {
+        self.ports == other.ports
+            && self.flows == other.flows
+            && self.port_edges == other.port_edges
+            && self.flow_port_edges == other.flow_port_edges
+            && self.port_flow_edges() == other.port_flow_edges()
+    }
 }
 
 impl ProvenanceGraph {
@@ -88,16 +139,22 @@ impl ProvenanceGraph {
         self.flow_port_edges[flow].push((port, weight));
     }
 
-    /// Add a port→flow contention edge by node index (signed weight).
+    /// Add a port→flow contention edge by node index (signed weight),
+    /// after the port's existing ones.
     pub fn add_port_flow_edge(&mut self, port: usize, flow: usize, weight: f64) {
-        self.port_flow_edges[port].push((flow, weight));
+        let cell = &mut self.port_flow_edges[port];
+        cell.edges();
+        cell.edges
+            .get_mut()
+            .expect("filled by the read above")
+            .push((flow, weight));
     }
 
     fn add_port(&mut self, p: PortId) -> usize {
         *self.port_idx.entry(p).or_insert_with(|| {
             self.ports.push(p);
             self.port_edges.push(Vec::new());
-            self.port_flow_edges.push(Vec::new());
+            self.port_flow_edges.push(Contention::default());
             self.ports.len() - 1
         })
     }
@@ -120,9 +177,24 @@ impl ProvenanceGraph {
         &self.port_edges[port]
     }
 
-    /// Port-to-flow contention weights at a port node.
+    /// Port-to-flow contention weights at a port node: `(flow node, net
+    /// contribution)` in flow-key order. The first read of a port replays
+    /// its queue (see [`build_graph`]); later reads return the same slice.
     pub fn contention_at(&self, port: usize) -> &[(usize, f64)] {
-        &self.port_flow_edges[port]
+        self.port_flow_edges[port].edges()
+    }
+
+    /// Every port node's [`contention_at`](Self::contention_at), by port
+    /// index. Replays every port not read yet.
+    pub fn port_flow_edges(&self) -> Vec<&[(usize, f64)]> {
+        self.port_flow_edges.iter().map(Contention::edges).collect()
+    }
+
+    /// Whether port node `port`'s weights have been filled — the probe
+    /// that shows an unread port was never replayed.
+    #[cfg(test)]
+    pub(crate) fn contention_filled(&self, port: usize) -> bool {
+        self.port_flow_edges[port].edges.get().is_some()
     }
 
     /// Ports pausing a given flow, with paused-packet weights.
@@ -134,7 +206,11 @@ impl ProvenanceGraph {
     pub fn edge_count(&self) -> usize {
         self.port_edges.iter().map(Vec::len).sum::<usize>()
             + self.flow_port_edges.iter().map(Vec::len).sum::<usize>()
-            + self.port_flow_edges.iter().map(Vec::len).sum::<usize>()
+            + self
+                .port_flow_edges
+                .iter()
+                .map(|c| c.edges().len())
+                .sum::<usize>()
     }
 
     /// Graphviz DOT rendering (used by the Fig. 12 case-study harness).
@@ -162,7 +238,7 @@ impl ProvenanceGraph {
                 let _ = writeln!(s, "  F{j} -> P{i} [style=dashed,label=\"{w:.0}\"];");
             }
         }
-        for (i, es) in self.port_flow_edges.iter().enumerate() {
+        for (i, es) in self.port_flow_edges().into_iter().enumerate() {
             for (j, w) in es {
                 let color = if *w > 0.0 { "red" } else { "gray" };
                 let _ = writeln!(s, "  P{i} -> F{j} [color={color},label=\"{w:.2}\"];");
@@ -235,43 +311,133 @@ pub fn port_causality_edges(
 /// per epoch (Algorithm 1's T is the epoch size) and summed over the
 /// window, so transient bursts keep their intra-epoch dominance instead of
 /// being smeared across the whole window. Result is sorted by flow key —
-/// the exact list `build_graph` attaches to the port node.
+/// the list [`ProvenanceGraph::contention_at`] reads at the port node, by
+/// key instead of flow index, from the same replay.
 pub fn port_contention(
     agg: &AggTelemetry,
     topo: &Topology,
     replay: ReplayConfig,
     pi: PortId,
 ) -> Vec<(FlowKey, f64)> {
-    let epoch_ns = agg.epoch_len.as_nanos() as f64;
-    let pkt_tx_ns = topo
-        .port(pi)
-        .bandwidth
-        .tx_time(hawkeye_sim::DATA_PKT_SIZE)
-        .as_nanos() as f64;
-    let mut total: HashMap<FlowKey, f64> = HashMap::new();
-    let mut buffers = ReplayBuffers::default();
-    for (_, epoch_flows) in agg.epoch_detail_at(pi) {
-        buffers.contribution(epoch_flows, epoch_ns, pkt_tx_ns, replay, |key, w| {
-            *total.entry(key).or_default() += w;
-        });
-    }
-    let mut total: Vec<(FlowKey, f64)> = total.into_iter().collect();
-    total.sort_unstable_by_key(|(k, _)| *k);
+    let mut keys = Vec::new();
+    let input = PortReplay::gather(agg, topo, replay, pi, &mut keys);
+    let mut total: Vec<(FlowKey, f64)> = keys.into_iter().map(|k| (k, 0.0)).collect();
+    input.replay_into(&mut total);
     total
 }
 
-/// Assemble a provenance graph from precomputed per-port edge fragments.
+/// One port's contention-replay input, copied out of the aggregate in
+/// compact form: only the epochs in which two or more flows contend, each
+/// as its contenders' positions in the port's key-sorted contender list
+/// with their contention packet counts.
 ///
-/// Node-creation and edge-push order replicates the original one-pass
-/// builder exactly, so a graph assembled from cached fragments (the
-/// incremental engine) is *positionally identical* — same `ports[i]` /
-/// `flows[j]` indices, same adjacency lists — to a from-scratch
-/// [`build_graph`] over the same aggregate.
-pub(crate) fn assemble_graph(
+/// Leaving out the other epochs is exact. An epoch with no contender emits
+/// nothing. An epoch with one emits `(key, +0.0)` (see [`contribution`]),
+/// which the contender list already records, and whose weight only adds
+/// `+0.0` to that key's sum. Every sum starts at `+0.0`, and under
+/// round-to-nearest `a + b` is `−0.0` only when both `a` and `b` are, so no
+/// partial sum is ever `−0.0`; and `s + (+0.0)` is `s` for every `s` other
+/// than `−0.0`, infinities included. The remaining addends reach each sum
+/// in the order the full replay adds them: epochs by start time, an epoch's
+/// contenders in list order.
+#[derive(Debug, Clone, Default)]
+struct PortReplay {
+    epoch_ns: f64,
+    pkt_tx_ns: f64,
+    cfg: ReplayConfig,
+    /// Where each kept epoch's run in `active` ends.
+    ends: Vec<usize>,
+    /// `(position in the contender list, contention packets)`, every kept
+    /// epoch's contenders in list order, epochs by start time.
+    active: Vec<(usize, u64)>,
+}
+
+impl PortReplay {
+    /// Read `pi`'s epochs: leave the port's contenders — flows with
+    /// contention packets in some epoch — in `keys`, sorted and deduplicated,
+    /// and return the replay input of its weights.
+    fn gather(
+        agg: &AggTelemetry,
+        topo: &Topology,
+        cfg: ReplayConfig,
+        pi: PortId,
+        keys: &mut Vec<FlowKey>,
+    ) -> PortReplay {
+        keys.clear();
+        let (mut epochs, mut entries) = (0, 0);
+        for (_, flows) in agg.epoch_detail_at(pi) {
+            let before = keys.len();
+            keys.extend(contenders(flows).map(|(k, _)| k));
+            let n = keys.len() - before;
+            if n >= 2 {
+                epochs += 1;
+                entries += n;
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        if epochs == 0 {
+            return PortReplay::default();
+        }
+        let mut input = PortReplay {
+            epoch_ns: agg.epoch_len.as_nanos() as f64,
+            pkt_tx_ns: topo
+                .port(pi)
+                .bandwidth
+                .tx_time(hawkeye_sim::DATA_PKT_SIZE)
+                .as_nanos() as f64,
+            cfg,
+            ends: Vec::with_capacity(epochs),
+            active: Vec::with_capacity(entries),
+        };
+        for (_, flows) in agg.epoch_detail_at(pi) {
+            let start = input.active.len();
+            input.active.extend(contenders(flows).map(|(k, pkts)| {
+                let pos = keys.binary_search(&k).expect("gathered above");
+                (pos, pkts)
+            }));
+            if input.active.len() - start >= 2 {
+                input.ends.push(input.active.len());
+            } else {
+                input.active.truncate(start);
+            }
+        }
+        input
+    }
+
+    /// Add each kept epoch's replayed weights into `sums`, indexed by
+    /// contender position. The one replay body behind both
+    /// [`port_contention`] and [`ProvenanceGraph::contention_at`].
+    fn replay_into<T>(&self, sums: &mut [(T, f64)]) {
+        let mut buffers = ReplayBuffers::default();
+        let mut start = 0;
+        for &end in &self.ends {
+            let epoch = &self.active[start..end];
+            buffers.contribution(epoch, self.epoch_ns, self.pkt_tx_ns, self.cfg, |pos, w| {
+                sums[pos].1 += w;
+            });
+            start = end;
+        }
+    }
+}
+
+/// An epoch's flows with contention packets, `(flow, packets)` in list
+/// order: the flows its replay runs over.
+fn contenders(flows: &[(FlowKey, FlowAgg)]) -> impl Iterator<Item = (FlowKey, u64)> + '_ {
+    flows
+        .iter()
+        .map(|(k, fa)| (*k, fa.contention_pkts()))
+        .filter(|&(_, pkts)| pkts > 0)
+}
+
+/// Ports, port→port edges and flow→port edges of the graph over `agg`, in
+/// the one construction order every builder shares, plus the sorted port
+/// list. Port node `i` is `ports[i]`; ports first seen as a port→port
+/// target come after them.
+fn skeleton(
     agg: &AggTelemetry,
     frag_port: &HashMap<PortId, Vec<(PortId, f64)>>,
-    frag_cont: &HashMap<PortId, Vec<(FlowKey, f64)>>,
-) -> ProvenanceGraph {
+) -> (ProvenanceGraph, Vec<PortId>) {
     let mut g = ProvenanceGraph::default();
 
     // Deterministic port ordering.
@@ -302,33 +468,68 @@ pub(crate) fn assemble_graph(
             g.flow_port_edges[j].push((i, fa.paused_num as f64));
         }
     }
+    (g, ports)
+}
 
+/// Assemble a provenance graph from precomputed per-port edge fragments,
+/// port→flow weights included (no replay is deferred).
+///
+/// Node-creation and edge-push order is [`build_graph`]'s, so a graph
+/// assembled from cached fragments (the incremental engine) is
+/// *positionally identical* — same `ports[i]` / `flows[j]` indices, same
+/// adjacency lists — to a from-scratch [`build_graph`] over the same
+/// aggregate.
+pub(crate) fn assemble_graph(
+    agg: &AggTelemetry,
+    frag_port: &HashMap<PortId, Vec<(PortId, f64)>>,
+    frag_cont: &HashMap<PortId, Vec<(FlowKey, f64)>>,
+) -> ProvenanceGraph {
+    let (mut g, ports) = skeleton(agg, frag_port);
     // --- Port-flow provenance (contention contribution via replay). ---
-    for &pi in &ports {
-        let i = g.add_port(pi);
-        if let Some(cs) = frag_cont.get(&pi) {
-            for &(key, w) in cs {
-                let j = g.add_flow(key);
-                g.port_flow_edges[i].push((j, w));
-            }
+    for (i, pi) in ports.iter().enumerate() {
+        if let Some(cs) = frag_cont.get(pi) {
+            let edges: Vec<(usize, f64)> =
+                cs.iter().map(|&(key, w)| (g.add_flow(key), w)).collect();
+            g.port_flow_edges[i].edges = OnceLock::from(edges);
         }
     }
-
     g
 }
 
 /// Algorithm 1: construct the provenance graph from reported telemetry.
+///
+/// Every node, every port→port and flow→port edge and every port→flow
+/// edge *target* is built here. A port's contenders — the flows with
+/// contention packets in some epoch there — are exactly the keys a replay
+/// of the port emits (a lone contender emits `+0.0`, two or more emit every
+/// active key), so the flow nodes get the indices a full replay would give
+/// them without running it. The port→flow *weights* are replayed per port
+/// on the first [`ProvenanceGraph::contention_at`] of that port, from a
+/// compact copy of its epochs the graph keeps, through the same kernel and
+/// summation order [`port_contention`] uses, so they are bit-identical to
+/// it.
+///
+/// `agg` must describe `topo`'s own switches: a port that is not one of
+/// theirs panics at the topology lookup.
 pub fn build_graph(agg: &AggTelemetry, topo: &Topology, replay: ReplayConfig) -> ProvenanceGraph {
-    let ports: Vec<PortId> = agg.ports.keys().copied().collect();
-    let frag_port: HashMap<PortId, Vec<(PortId, f64)>> = ports
-        .iter()
+    let frag_port: HashMap<PortId, Vec<(PortId, f64)>> = agg
+        .ports
+        .keys()
         .map(|&pi| (pi, port_causality_edges(agg, topo, replay, pi)))
         .collect();
-    let frag_cont: HashMap<PortId, Vec<(FlowKey, f64)>> = ports
-        .iter()
-        .map(|&pi| (pi, port_contention(agg, topo, replay, pi)))
-        .collect();
-    assemble_graph(agg, &frag_port, &frag_cont)
+    let (mut g, ports) = skeleton(agg, &frag_port);
+    // --- Port-flow provenance: targets now, weights on first read. ---
+    let mut keys = Vec::new();
+    for (i, &pi) in ports.iter().enumerate() {
+        let input = PortReplay::gather(agg, topo, replay, pi, &mut keys);
+        let flows = keys.iter().map(|&key| g.add_flow(key)).collect();
+        g.port_flow_edges[i] = Contention {
+            flows,
+            input,
+            edges: OnceLock::new(),
+        };
+    }
+    g
 }
 
 /// `ReplayQueue` + `Contribution` of Algorithm 1, for one epoch of one
@@ -355,8 +556,8 @@ pub fn build_graph(agg: &AggTelemetry, topo: &Topology, replay: ReplayConfig) ->
 /// - **One active flow is not replayed.** With n = 1 the matrix is the
 ///   single self term `x = W[0][0] / pkts`, finite because `pkts > 0`, and
 ///   the net weight is `x − x`, which is `+0.0` for every finite `x` under
-///   round-to-nearest. The `(key, +0.0)` entry is still emitted: it is what
-///   puts the flow's node under the port in the graph.
+///   round-to-nearest. The `(key, +0.0)` entry is still emitted: the flow
+///   contends at the port, and is a node under it in the graph.
 /// - **n ≥ 2 flows are merged, not sorted.** Packet `j` of a flow arrives
 ///   at `fl(fl(j·T) / pkts)`. `j ↦ j as f64`, multiplication by `T ≥ 0` and
 ///   division by `pkts > 0` are each monotone and rounding preserves `≤`,
@@ -375,19 +576,18 @@ pub fn contribution(
     pkt_tx_ns: f64,
     cfg: ReplayConfig,
 ) -> Vec<(FlowKey, f64)> {
+    let active: Vec<(FlowKey, u64)> = contenders(flows).collect();
     let mut out = Vec::new();
-    ReplayBuffers::default().contribution(flows, epoch_ns, pkt_tx_ns, cfg, |key, w| {
+    ReplayBuffers::default().contribution(&active, epoch_ns, pkt_tx_ns, cfg, |key, w| {
         out.push((key, w));
     });
     out
 }
 
 /// The replay's working memory, kept across the epochs of one port so a
-/// graph build allocates it once per port rather than once per epoch.
+/// port's replay allocates it once rather than once per epoch.
 #[derive(Default)]
 struct ReplayBuffers {
-    /// Flows with contention packets, in the epoch list's order.
-    active: Vec<(FlowKey, u64)>,
     /// Per active flow: its next packet's index and arrival time (`+∞`
     /// once the flow has none left).
     heads: Vec<(u64, f64)>,
@@ -399,30 +599,23 @@ struct ReplayBuffers {
 }
 
 impl ReplayBuffers {
-    /// [`contribution`], handing each `(flow, net weight)` to `emit` in the
-    /// epoch list's order.
-    fn contribution(
+    /// [`contribution`] over one epoch's active flows — `(id, contention
+    /// packets > 0)` in the epoch list's order — handing each `(id, net
+    /// weight)` to `emit` in that order.
+    fn contribution<K: Copy>(
         &mut self,
-        flows: &[(FlowKey, FlowAgg)],
+        active: &[(K, u64)],
         epoch_ns: f64,
         pkt_tx_ns: f64,
         cfg: ReplayConfig,
-        mut emit: impl FnMut(FlowKey, f64),
+        mut emit: impl FnMut(K, f64),
     ) {
         let ReplayBuffers {
-            active,
             heads,
             w,
             in_queue,
             queue,
         } = self;
-        active.clear();
-        active.extend(
-            flows
-                .iter()
-                .map(|(k, fa)| (*k, fa.contention_pkts()))
-                .filter(|&(_, pkts)| pkts > 0),
-        );
         let n = active.len();
         match n {
             0 => return,
@@ -933,5 +1126,216 @@ mod replay_props {
         let f = g.flow_index(&key(1)).expect("the lone flow is a node");
         assert_eq!(g.contention_at(p), &[(f, 0.0)]);
         assert!(g.flow_index(&key(2)).is_none(), "paused-only: no node");
+    }
+}
+
+/// The deferred port→flow weights against the eager assembly they replace.
+#[cfg(test)]
+mod lazy_props {
+    use super::*;
+    use crate::aggregate::{sort_epoch_flows, PortAgg};
+    use hawkeye_sim::{chain, Nanos, EVAL_BANDWIDTH, EVAL_DELAY};
+    use proptest::prelude::*;
+
+    const T: u64 = 1 << 13;
+
+    /// `(flow, enqueues, paused enqueues)` of one record.
+    type FlowRow = (u16, u64, u64);
+    /// `(port, per-epoch flow records, port counters, listed)`: `listed`
+    /// 0 leaves the port out of `agg.ports`, so its epochs are evidence no
+    /// port node reads.
+    type PortRow = (usize, Vec<Vec<FlowRow>>, (u64, u64, u64), u8);
+
+    fn key(i: u16) -> FlowKey {
+        FlowKey::roce(NodeId(0), NodeId(1), i)
+    }
+
+    /// Random aggregates over `chain(3, 2)`, shaped like `properties.rs`'s
+    /// `build_graph_deterministic` (port counters on every switch's first
+    /// three ports, meters on the middle switch) plus per-epoch flow
+    /// records: none, lone and several contenders per epoch, paused-only
+    /// records, a flow repeated within an epoch, ports with epochs but no
+    /// port node.
+    fn agg_strategy() -> impl Strategy<Value = (Vec<PortRow>, Vec<(u8, u8, u64)>)> {
+        let flow = (0u16..6, 0u64..300, 0u64..40);
+        let epoch = proptest::collection::vec(flow, 0..5);
+        let port = (
+            0usize..9,
+            proptest::collection::vec(epoch, 0..4),
+            (0u64..500, 0u64..500, 0u64..5000),
+            0u8..4,
+        );
+        (
+            proptest::collection::vec(port, 1..7),
+            proptest::collection::vec((0u8..4, 0u8..4, 1u64..1_000_000), 0..6),
+        )
+    }
+
+    fn build_agg(topo: &Topology, rows: &[PortRow], meters: &[(u8, u8, u64)]) -> AggTelemetry {
+        let sws: Vec<NodeId> = topo.switches().collect();
+        let mut agg = AggTelemetry {
+            epoch_len: Nanos(T),
+            ..Default::default()
+        };
+        for (p, epochs, (pkt, paused, qd), listed) in rows {
+            let port = PortId::new(sws[p % 3], (p / 3) as u8);
+            if *listed > 0 {
+                agg.ports.insert(
+                    port,
+                    PortAgg {
+                        pkt_num: (*pkt).max(*paused),
+                        paused_num: *paused,
+                        qdepth_sum: *qd,
+                    },
+                );
+            }
+            for (e, records) in epochs.iter().enumerate() {
+                let flows: Vec<(FlowKey, FlowAgg)> = records
+                    .iter()
+                    .map(|&(k, pkt_num, paused_num)| {
+                        let fa = FlowAgg {
+                            pkt_num,
+                            paused_num,
+                            qdepth_sum: 3 * pkt_num,
+                            epochs_active: 1,
+                        };
+                        let total = agg.flows.entry((key(k), port)).or_default();
+                        total.pkt_num += pkt_num;
+                        total.paused_num += paused_num;
+                        total.epochs_active += 1;
+                        (key(k), fa)
+                    })
+                    .collect();
+                let pe = PortAgg {
+                    pkt_num: *pkt,
+                    paused_num: *paused,
+                    qdepth_sum: qd / (e as u64 + 1),
+                };
+                agg.port_epochs
+                    .entry(port)
+                    .or_default()
+                    .insert(e as u64 * T, (pe, flows));
+            }
+        }
+        for &(ip, op, bytes) in meters {
+            agg.meters.insert((sws[1], ip, op), bytes);
+        }
+        agg.port_epochs.values_mut().for_each(sort_epoch_flows);
+        agg
+    }
+
+    /// `port_contention` before the compact input: every epoch through
+    /// `contribution`, lone and empty ones included, summed per key in a
+    /// map from `+0.0`, then sorted by key.
+    fn port_contention_oracle(
+        agg: &AggTelemetry,
+        topo: &Topology,
+        replay: ReplayConfig,
+        pi: PortId,
+    ) -> Vec<(FlowKey, u64)> {
+        let epoch_ns = agg.epoch_len.as_nanos() as f64;
+        let pkt_tx_ns = topo
+            .port(pi)
+            .bandwidth
+            .tx_time(hawkeye_sim::DATA_PKT_SIZE)
+            .as_nanos() as f64;
+        let mut total: HashMap<FlowKey, f64> = HashMap::new();
+        for (_, flows) in agg.epoch_detail_at(pi) {
+            for (key, w) in contribution(flows, epoch_ns, pkt_tx_ns, replay) {
+                *total.entry(key).or_default() += w;
+            }
+        }
+        let mut total: Vec<(FlowKey, u64)> =
+            total.into_iter().map(|(k, w)| (k, w.to_bits())).collect();
+        total.sort_unstable_by_key(|(k, _)| *k);
+        total
+    }
+
+    /// The eager oracle: every port's `port_contention`, assembled.
+    fn eager(agg: &AggTelemetry, topo: &Topology, replay: ReplayConfig) -> ProvenanceGraph {
+        let frag_port = agg
+            .ports
+            .keys()
+            .map(|&pi| (pi, port_causality_edges(agg, topo, replay, pi)))
+            .collect();
+        let frag_cont = agg
+            .ports
+            .keys()
+            .map(|&pi| (pi, port_contention(agg, topo, replay, pi)))
+            .collect();
+        assemble_graph(agg, &frag_port, &frag_cont)
+    }
+
+    fn bits(es: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        es.iter().map(|&(i, w)| (i, w.to_bits())).collect()
+    }
+
+    fn all_bits<'a>(lists: impl IntoIterator<Item = &'a [(usize, f64)]>) -> Vec<Vec<(usize, u64)>> {
+        lists.into_iter().map(bits).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Read a random subset of ports in random order: each read is the
+        /// eager oracle's list bit for bit, the unread ports stay
+        /// unreplayed, a clone taken midway equals the original, and the
+        /// whole graph is the eager one position for position — whose
+        /// weights are in turn the full per-epoch replay's.
+        #[test]
+        fn deferred_weights_equal_eager_in_any_read_order(
+            case in agg_strategy(),
+            picks in proptest::collection::vec(0usize..1 << 16, 0..12),
+            max_lookback in (0..2u8, 1usize..50).prop_map(|(c, small)| if c == 0 { small } else { 4096 }),
+        ) {
+            let (rows, meters) = case;
+            let topo = chain(3, 2, EVAL_BANDWIDTH, EVAL_DELAY);
+            let agg = build_agg(&topo, &rows, &meters);
+            let replay = ReplayConfig { max_lookback, ..ReplayConfig::default() };
+            // The compact input loses nothing: every port's weights are the
+            // full replay's, lone-flow `+0.0` addends included.
+            for &pi in agg.ports.keys() {
+                let weights: Vec<(FlowKey, u64)> = port_contention(&agg, &topo, replay, pi)
+                    .into_iter()
+                    .map(|(k, w)| (k, w.to_bits()))
+                    .collect();
+                prop_assert_eq!(weights, port_contention_oracle(&agg, &topo, replay, pi));
+            }
+            let lazy = build_graph(&agg, &topo, replay);
+            let oracle = eager(&agg, &topo, replay);
+            prop_assert_eq!(&lazy.ports, &oracle.ports);
+            prop_assert_eq!(&lazy.flows, &oracle.flows);
+
+            let mut read: Vec<usize> = Vec::new();
+            for pick in picks.into_iter().filter(|_| !lazy.ports.is_empty()) {
+                let p = pick % lazy.ports.len();
+                if !read.contains(&p) {
+                    read.push(p);
+                }
+            }
+            for &p in &read {
+                prop_assert_eq!(bits(lazy.contention_at(p)), bits(oracle.contention_at(p)));
+            }
+            for p in 0..lazy.ports.len() {
+                prop_assert_eq!(lazy.contention_filled(p), read.contains(&p));
+            }
+
+            let copy = lazy.clone();
+            prop_assert!(copy == lazy, "a partly read clone differs");
+            prop_assert_eq!(all_bits(lazy.port_edges.iter().map(Vec::as_slice)),
+                            all_bits(oracle.port_edges.iter().map(Vec::as_slice)));
+            prop_assert_eq!(all_bits(lazy.flow_port_edges.iter().map(Vec::as_slice)),
+                            all_bits(oracle.flow_port_edges.iter().map(Vec::as_slice)));
+            prop_assert_eq!(all_bits(lazy.port_flow_edges()), all_bits(oracle.port_flow_edges()));
+            prop_assert_eq!(all_bits(copy.port_flow_edges()), all_bits(oracle.port_flow_edges()));
+        }
+    }
+
+    /// Analyses hand graphs across threads; a filled cell must be safe to
+    /// share.
+    #[test]
+    fn graph_is_send_and_sync() {
+        fn shareable<G: Send + Sync>() {}
+        shareable::<ProvenanceGraph>();
     }
 }

@@ -155,7 +155,7 @@ fn assert_matches_batch(
     assert_eq!(g.flows, batch.flows);
     assert_eq!(g.port_edges, batch.port_edges);
     assert_eq!(g.flow_port_edges, batch.flow_port_edges);
-    assert_eq!(g.port_flow_edges, batch.port_flow_edges);
+    assert_eq!(g.port_flow_edges(), batch.port_flow_edges());
 }
 
 proptest! {

@@ -73,7 +73,9 @@ use crate::wal::{
     WalConfig, WalStats, REC_BATCH, REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH,
     REC_VERDICT,
 };
-use hawkeye_client::proto::{DiagnoseParams, Request, Response, WRONG_SHARD_PREFIX};
+use hawkeye_client::proto::{
+    check_evidence, DiagnoseParams, Request, Response, WRONG_SHARD_PREFIX,
+};
 use hawkeye_client::{AnyStream, ExplainRecord, FlowObservation, ShardRange};
 use hawkeye_core::{
     analyze_victim_window_obs, AnalyzerConfig, AnomalyType, Confidence, DiagnosisReport,
@@ -1005,6 +1007,13 @@ fn route_frame(
             )));
         }
     }
+    // Fabric gate, also before anything is queued or journaled: a snapshot
+    // about no switch of this fabric, or a port its switch lacks, would
+    // index past the topology in the engine and in every Diagnose over
+    // its window.
+    if let Err(refusal) = check_evidence(&snaps, &plane.topo) {
+        return Some(Response::Error(refusal));
+    }
     let mut slices: Vec<Vec<TelemetrySnapshot>> = vec![Vec::new(); routes.shards.len()];
     for snap in snaps {
         slices[routes.shard_of(snap.switch)].push(snap);
@@ -1316,6 +1325,7 @@ pub fn spawn_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hawkeye_client::proto::FOREIGN_EVIDENCE_PREFIX;
     use hawkeye_client::ServeClient;
     use hawkeye_sim::{chain, EVAL_BANDWIDTH, EVAL_DELAY};
 
@@ -1337,8 +1347,10 @@ mod tests {
         let (txs, shard_rxs) = (0..shards).map(|_| sync_channel(depth)).unzip();
         let (core, core_rx) = sync_channel(depth);
         Rig {
+            // Eight switches, ids 0..8 — every id these tests route — and
+            // no hosts.
             plane: Arc::new(Plane::new(
-                chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY),
+                chain(8, 0, EVAL_BANDWIDTH, EVAL_DELAY),
                 cfg,
                 false,
             )),
@@ -1483,6 +1495,32 @@ mod tests {
         };
         assert!(msg.starts_with(WRONG_SHARD_PREFIX));
         assert_eq!(wrong_shard_count(&r.plane), 1);
+        for (i, rx) in r.shard_rxs.iter().enumerate() {
+            assert_eq!(rx.try_iter().count(), 0, "refused frame queued to {i}");
+        }
+        assert_eq!(queued_snapshots(&r.plane), 0);
+    }
+
+    /// A snapshot about no switch of the fabric, or naming a port its
+    /// switch lacks, fails the whole frame with the typed
+    /// `foreign_evidence:` error before any of it is queued.
+    #[test]
+    fn foreign_evidence_fails_batch_typed() {
+        let r = rig(2, 8, None);
+        let past_radix = TelemetrySnapshot {
+            epochs: vec![hawkeye_telemetry::EpochSnapshot {
+                ports: vec![(9, hawkeye_telemetry::PortRecord::default())],
+                ..epoch(1)
+            }],
+            ..snap(1)
+        };
+        for foreign in [snap(8), past_radix] {
+            let resp = route_batch(&r.plane, &r.routes, vec![snap(0), foreign], None);
+            let Response::Error(msg) = resp else {
+                panic!("foreign evidence answered {resp:?}");
+            };
+            assert!(msg.starts_with(FOREIGN_EVIDENCE_PREFIX), "untyped: {msg}");
+        }
         for (i, rx) in r.shard_rxs.iter().enumerate() {
             assert_eq!(rx.try_iter().count(), 0, "refused frame queued to {i}");
         }

@@ -8,7 +8,7 @@ use hawkeye_client::{EpochSink, ProtoError, Response, ServeClient, VecSink};
 use hawkeye_eval::{optimal_run_config, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
-use hawkeye_telemetry::{EpochSnapshot, FlowRecord, PortRecord, TelemetrySnapshot};
+use hawkeye_telemetry::{EpochSnapshot, EvictedFlow, FlowRecord, PortRecord, TelemetrySnapshot};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> hawkeye_workloads::Scenario {
@@ -560,9 +560,149 @@ fn hostile_counts_do_not_kill_the_daemon() {
     handle.wait();
 }
 
-/// A snapshot for a switch outside the daemon's topology must not crash
-/// the daemon; diagnosis with no ingested telemetry is a remote error,
-/// not a hang or a panic.
+/// Analysis indexes the fabric by every switch and port a snapshot names,
+/// so a frame naming one the daemon's topology lacks — a node id past the
+/// last, a host, or a port past a real switch's radix in a flow record, a
+/// port record, a meter or an evicted record — is refused whole with the
+/// typed `foreign_evidence` error before anything is stored or journaled.
+/// Each such frame also carries a well-formed snapshot, which must not be
+/// stored either. The session then diagnoses the clean window, and `Stats`
+/// (which refreshes the core's engine) still answers.
+#[test]
+fn foreign_switch_or_port_is_refused_whole() {
+    let sc = incast();
+    let cfg = optimal_run_config(1);
+    let handle = spawn(
+        sc.topo.clone(),
+        ServeConfig::default(),
+        Endpoint::Tcp("127.0.0.1:0".into()),
+    )
+    .expect("bind daemon");
+    let addr = handle.local_addr.expect("tcp daemon has an address");
+    let client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
+    let (outcome, mut client) = hawkeye_serve::replay_streaming(&sc, &cfg, client);
+    let w = outcome.window.expect("victim was detected");
+    let appended = |client: &mut ServeClient| {
+        let stats = client.stats().expect("stats answers");
+        stats
+            .get("store_snapshots_appended")
+            .and_then(|v| v.as_u64())
+            .expect("appended counter")
+    };
+    let before = appended(&mut client);
+
+    // A well-formed snapshot of a real switch, at a ring key nothing uses.
+    let replayed = client.fragments().expect("whole rings");
+    let base = replayed
+        .iter()
+        .find(|s| !s.epochs.is_empty())
+        .expect("a switch with epochs");
+    let mut clean = base.clone();
+    clean.taken_at = base.taken_at + Nanos(1);
+    clean.epochs.truncate(1);
+    clean.epochs[0].slot = 1000;
+    clean.epochs[0].start = w.to;
+
+    const PAST: u8 = 250;
+    let record = FlowRecord {
+        pkt_count: 10,
+        paused_count: 0,
+        qdepth_sum: 0,
+        out_port: PAST,
+    };
+    let with_epoch = |f: &dyn Fn(&mut EpochSnapshot)| {
+        let mut s = clean.clone();
+        f(&mut s.epochs[0]);
+        s
+    };
+    let host = sc.topo.hosts().next().expect("a host");
+    let host_named = format!("node {}", host.0);
+    let cases = [
+        (
+            "node 9999",
+            TelemetrySnapshot {
+                switch: NodeId(9999),
+                ..clean.clone()
+            },
+        ),
+        (
+            host_named.as_str(),
+            TelemetrySnapshot {
+                switch: host,
+                ..clean.clone()
+            },
+        ),
+        (
+            "flow record",
+            with_epoch(&|ep| ep.flows.push((sc.truth.victim, record))),
+        ),
+        (
+            "port record",
+            with_epoch(&|ep| {
+                ep.ports.push((
+                    PAST,
+                    PortRecord {
+                        pkt_count: 10,
+                        paused_count: 0,
+                        qdepth_sum: 0,
+                    },
+                ))
+            }),
+        ),
+        ("meter", with_epoch(&|ep| ep.meter.push((PAST, 0, 1)))),
+        ("meter", with_epoch(&|ep| ep.meter.push((0, PAST, 1)))),
+        (
+            "evicted record",
+            TelemetrySnapshot {
+                evicted: vec![EvictedFlow {
+                    key: sc.truth.victim,
+                    record,
+                    epoch_id: 0,
+                    slot: 0,
+                }],
+                ..clean.clone()
+            },
+        ),
+    ];
+    for (named, foreign) in cases {
+        let frame = [clean.clone(), foreign];
+        match client
+            .ingest_batch(&frame)
+            .and_then(|_| client.finish_ingest())
+        {
+            Err(ProtoError::ForeignEvidence(msg)) => {
+                assert!(msg.contains(named), "refusal names the {named}: {msg}")
+            }
+            other => panic!("foreign {named} answered {other:?}"),
+        }
+    }
+    assert_eq!(
+        appended(&mut client),
+        before,
+        "part of a refused frame was stored"
+    );
+    assert_eq!(client.in_flight(), 0, "a refused frame kept its credits");
+
+    let served = client
+        .diagnose(sc.truth.victim, w.from, w.to, outcome.missing.clone())
+        .expect("served diagnosis after the refusals");
+    assert!(
+        outcome.parity_with(&served),
+        "refused frames changed the clean verdict:\n  one-shot: {:?}\n  served:   {:?}",
+        outcome.oneshot,
+        served
+    );
+    // The well-formed half alone is accepted on the same session.
+    client.ingest_batch(&[clean]).expect("clean frame");
+    assert_eq!(client.finish_ingest().expect("settle").accepted, 1);
+    assert_eq!(appended(&mut client), before + 1);
+
+    client.shutdown().expect("shutdown handshake");
+    handle.wait();
+}
+
+/// Diagnosis with no ingested telemetry is a remote error, not a hang or
+/// a panic.
 #[test]
 fn diagnose_without_telemetry_is_remote_error() {
     let sc = incast();

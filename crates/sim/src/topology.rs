@@ -141,6 +141,12 @@ impl Topology {
         self.kinds.get(n.index()) == Some(&NodeKind::Host)
     }
 
+    /// Whether `n` is a switch of this fabric (false for a host, and for
+    /// an id that is no node of it).
+    pub fn is_switch(&self, n: NodeId) -> bool {
+        self.kinds.get(n.index()) == Some(&NodeKind::Switch)
+    }
+
     pub fn name(&self, n: NodeId) -> &str {
         &self.names[n.index()]
     }
@@ -161,8 +167,16 @@ impl Topology {
         &self.ports[n.index()]
     }
 
+    /// Panics when `p` is not a port of this fabric; see
+    /// [`try_port`](Self::try_port).
     pub fn port(&self, p: PortId) -> &PortInfo {
         &self.ports[p.node.index()][p.port as usize]
+    }
+
+    /// `p`'s link, or `None` when `p.node` is no node of this fabric or
+    /// has no port `p.port`.
+    pub fn try_port(&self, p: PortId) -> Option<&PortInfo> {
+        self.ports.get(p.node.index())?.get(p.port as usize)
     }
 
     /// The port on the far end of `p`'s link.
@@ -227,7 +241,7 @@ impl Topology {
     /// is a switch and `dst` a host of this fabric.
     #[inline]
     fn table_index(&self, sw: NodeId, dst: NodeId) -> Option<usize> {
-        (self.kinds.get(sw.index()) == Some(&NodeKind::Switch) && self.is_host(dst)).then(|| {
+        (self.is_switch(sw) && self.is_host(dst)).then(|| {
             self.rank[sw.index()] as usize * self.n_hosts + self.rank[dst.index()] as usize
         })
     }
@@ -948,6 +962,25 @@ mod tests {
         let b = lone.add_host("b");
         lone.compute_routes();
         assert_eq!(lone.flow_path(&FlowKey::roce(a, b, 1)), None);
+
+        // Ports: a foreign node or a port past the radix has no link.
+        let radix = t.ports(sws[0]).len() as u8;
+        assert_eq!(
+            t.try_port(PortId::new(sws[0], radix - 1)),
+            t.ports(sws[0]).last()
+        );
+        for p in [
+            PortId::new(sws[0], radix),
+            PortId::new(sws[0], 255),
+            PortId::new(far, 0),
+            PortId::new(NodeId(t.node_count() as u32), 0),
+        ] {
+            assert_eq!(t.try_port(p), None, "{p:?}");
+        }
+        assert!(t.is_switch(sws[0]));
+        for n in [far, NodeId(t.node_count() as u32), hosts[0]] {
+            assert!(!t.is_switch(n), "node {}", n.0);
+        }
     }
 
     #[test]
