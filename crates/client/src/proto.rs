@@ -65,8 +65,8 @@
 //!   map), which routing must treat differently from a transient fault.
 //!   Messages starting with `foreign_evidence:` decode to the typed
 //!   [`ProtoError::ForeignEvidence`]: an ingest frame refused whole because
-//!   a snapshot in it names a switch or port the fabric lacks
-//!   ([`check_evidence`]).
+//!   a snapshot in it names a switch or port the fabric lacks, or an epoch
+//!   whose end overflows the clock ([`check_evidence`]).
 //!
 //! Frames above [`MAX_FRAME`] are rejected before allocation on read and
 //! refused before the first byte on write; a malformed frame poisons only
@@ -175,7 +175,8 @@ pub enum ProtoError {
     WrongShard(String),
     /// The daemon refused an ingest frame whole, storing and journaling
     /// none of it: a snapshot in it names a node that is no switch of the
-    /// daemon's fabric, or a port that switch lacks. Resending the same
+    /// daemon's fabric or a port that switch lacks, or holds an epoch whose
+    /// end overflows the clock. Resending the same
     /// frame cannot succeed; the session stays usable.
     ForeignEvidence(String),
 }
@@ -276,7 +277,9 @@ impl DiagnoseParams {
 /// every snapshot describes a switch of `topo` through ports that switch
 /// has — the switch itself, each flow record's `out_port`, each port
 /// record, each meter's in and out port, each evicted record's `out_port`.
-/// Analysis indexes the fabric by all of them. `Err` is the text of the
+/// Analysis indexes the fabric by all of them. Each epoch's end,
+/// `start + len`, must also fit the clock: the store's watermark, its
+/// windowed read and every overlap test compute it. `Err` is the text of the
 /// `Response::Error` refusing the whole frame, [`FOREIGN_EVIDENCE_PREFIX`]
 /// first.
 pub fn check_evidence(snaps: &[TelemetrySnapshot], topo: &Topology) -> Result<(), String> {
@@ -298,6 +301,13 @@ pub fn check_evidence(snaps: &[TelemetrySnapshot], topo: &Topology) -> Result<()
             ))
         };
         for ep in &snap.epochs {
+            if ep.start.0.checked_add(ep.len.0).is_none() {
+                return Err(format!(
+                    "{FOREIGN_EVIDENCE_PREFIX} an epoch of switch {} starting at {} ns \
+                     with length {} ns overflows the clock",
+                    sw.0, ep.start.0, ep.len.0
+                ));
+            }
             if let Some((_, r)) = ep.flows.iter().find(|(_, r)| lacks(r.out_port)) {
                 return refuse("flow record", r.out_port);
             }

@@ -3,6 +3,7 @@
 //! (the "P - Port list in reported telemetry; F - Flow list" inputs of
 //! Algorithm 1).
 
+use crate::hash::BoundedKeys;
 use hawkeye_sim::{FlowKey, Nanos, NodeId, PortId};
 use hawkeye_telemetry::{EpochSnapshot, EvictedFlow, FlowRecord, TelemetrySnapshot};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -103,11 +104,18 @@ pub fn sort_epoch_flows(epochs: &mut BTreeMap<u64, PortEpoch>) {
 }
 
 /// All reported telemetry, flattened for graph construction.
-#[derive(Debug, Clone, Default)]
+///
+/// The maps keyed by switch and port ids — `ports`, `meters`,
+/// `port_epochs` — hash with the fixed [`BoundedKeys`]: every ingest gate
+/// has checked those ids against the fabric, so nothing an uploader sends
+/// can pile them into one bucket. `flows` is keyed by flow five-tuples,
+/// which the uploader chooses freely, so it keeps the randomly seeded std
+/// hasher.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggTelemetry {
-    pub ports: HashMap<PortId, PortAgg>,
+    pub ports: HashMap<PortId, PortAgg, BoundedKeys>,
     /// (switch, ingress port, egress port) -> bytes (the causality meter).
-    pub meters: HashMap<(NodeId, u8, u8), u64>,
+    pub meters: HashMap<(NodeId, u8, u8), u64, BoundedKeys>,
     pub flows: HashMap<(FlowKey, PortId), FlowAgg>,
     /// Switches whose telemetry was reported.
     pub collected: BTreeSet<NodeId>,
@@ -122,7 +130,7 @@ pub struct AggTelemetry {
     /// across the whole window; the per-epoch port queue depths drive
     /// congestion-onset location. Each flow list is sorted by key
     /// ([`sort_epoch_flows`]) where the aggregate is built.
-    pub port_epochs: HashMap<PortId, BTreeMap<u64, PortEpoch>>,
+    pub port_epochs: HashMap<PortId, BTreeMap<u64, PortEpoch>, BoundedKeys>,
 }
 
 impl AggTelemetry {
@@ -133,53 +141,65 @@ impl AggTelemetry {
     /// epochs again, more complete; epochs are deduplicated by
     /// (switch, ring slot, epoch id), keeping the latest-taken version, and
     /// the (cumulative) eviction list is taken from each switch's latest
-    /// snapshot only.
+    /// snapshot only. Both "latest" rules break `taken_at` ties toward the
+    /// later position in `snapshots` (and, within a snapshot, in its epoch
+    /// list), and the chosen epochs are added in (snapshot, epoch) position
+    /// order, so the result is a function of the input sequence alone.
     pub fn build(snapshots: &[TelemetrySnapshot], window: Window) -> AggTelemetry {
+        // Sorted, the last candidate of each (switch, slot, id) run is the
+        // latest-taken version at the latest position.
+        let mut versions: Vec<(NodeId, usize, u8, Nanos, usize, usize)> = snapshots
+            .iter()
+            .enumerate()
+            .flat_map(|(si, s)| {
+                s.epochs
+                    .iter()
+                    .enumerate()
+                    .map(move |(ei, ep)| (s.switch, ep.slot, ep.id, s.taken_at, si, ei))
+            })
+            .collect();
+        versions.sort_unstable();
+        let (mut flow_recs, mut port_recs, mut meter_recs) = (0, 0, 0);
+        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(versions.len());
+        for run in versions.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+            let &(.., si, ei) = run.last().expect("runs are non-empty");
+            let ep = &snapshots[si].epochs[ei];
+            if window.overlaps(ep.start, ep.end()) {
+                chosen.push((si, ei));
+                flow_recs += ep.flows.len();
+                port_recs += ep.ports.len();
+                meter_recs += ep.meter.len();
+            }
+        }
+        chosen.sort_unstable();
+        // Evicted entries: per-switch cumulative, so use the latest
+        // snapshot's list only — again the last of each switch's run.
+        let mut stamps: Vec<(NodeId, Nanos, usize)> = snapshots
+            .iter()
+            .enumerate()
+            .map(|(si, s)| (s.switch, s.taken_at, si))
+            .collect();
+        stamps.sort_unstable();
+        let latest: Vec<usize> = stamps
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| run.last().expect("runs are non-empty").2)
+            .collect();
+        let evicted_recs: usize = latest.iter().map(|&si| snapshots[si].evicted.len()).sum();
+
         let mut agg = AggTelemetry {
+            ports: HashMap::with_capacity_and_hasher(port_recs, BoundedKeys::default()),
+            meters: HashMap::with_capacity_and_hasher(meter_recs, BoundedKeys::default()),
+            flows: HashMap::with_capacity(flow_recs + evicted_recs),
+            port_epochs: HashMap::with_capacity_and_hasher(port_recs, BoundedKeys::default()),
             window,
             ..Default::default()
         };
-        // (switch, slot, id) -> (taken_at, snapshot idx, epoch idx)
-        let mut latest_epoch: HashMap<(NodeId, usize, u8), (Nanos, usize, usize)> = HashMap::new();
-        let mut latest_snap: HashMap<NodeId, (Nanos, usize)> = HashMap::new();
-        for (si, snap) in snapshots.iter().enumerate() {
-            agg.collected.insert(snap.switch);
-            let ls = latest_snap
-                .entry(snap.switch)
-                .or_insert((snap.taken_at, si));
-            if snap.taken_at >= ls.0 {
-                *ls = (snap.taken_at, si);
-            }
-            for (ei, ep) in snap.epochs.iter().enumerate() {
-                let key = (snap.switch, ep.slot, ep.id);
-                let cand = (snap.taken_at, si, ei);
-                let e = latest_epoch.entry(key).or_insert(cand);
-                if cand.0 >= e.0 {
-                    *e = cand;
-                }
-            }
-        }
-        let mut chosen: Vec<(usize, usize)> = latest_epoch
-            .into_values()
-            .map(|(_, si, ei)| (si, ei))
-            .collect();
-        chosen.sort_unstable();
         for (si, ei) in chosen {
-            let snap = &snapshots[si];
-            let ep = &snap.epochs[ei];
-            if window.overlaps(ep.start, ep.end()) {
-                agg.add_epoch(snap.switch, ep);
-            }
+            agg.add_epoch(snapshots[si].switch, &snapshots[si].epochs[ei]);
         }
-        // Evicted entries: per-switch cumulative, so use the latest
-        // snapshot's list only.
-        let mut latest: Vec<(NodeId, usize)> = latest_snap
-            .into_iter()
-            .map(|(sw, (_, si))| (sw, si))
-            .collect();
-        latest.sort_unstable();
-        for (_, si) in latest {
+        for si in latest {
             let snap = &snapshots[si];
+            agg.collected.insert(snap.switch);
             agg.add_evicted(snap.switch, &snap.evicted);
         }
         agg.port_epochs.values_mut().for_each(sort_epoch_flows);
@@ -391,6 +411,21 @@ mod tests {
         assert_eq!(agg.collected.len(), 2);
     }
 
+    /// Chosen epochs are added in (snapshot, epoch) position order, not in
+    /// start order: `epoch_len` is the last added epoch's.
+    #[test]
+    fn epochs_are_added_in_position_order() {
+        let mut late = snap(7, 5 << 20);
+        late.epochs[0].len = Nanos(1 << 19);
+        let mut early = snap(7, 0);
+        early.epochs[0].slot = 1;
+        early.epochs[0].len = Nanos(1 << 21);
+        let w = Window::default();
+        let build = |s: &[TelemetrySnapshot]| AggTelemetry::build(s, w).epoch_len;
+        assert_eq!(build(&[late.clone(), early.clone()]), Nanos(1 << 21));
+        assert_eq!(build(&[early, late]), Nanos(1 << 19));
+    }
+
     #[test]
     fn window_lookback_constructor() {
         let w = Window::lookback(Nanos(10_000_000), Nanos(1 << 20), 2);
@@ -398,5 +433,148 @@ mod tests {
         assert_eq!(w.from, Nanos(10_000_000 - 2 * (1 << 20)));
         assert!(w.overlaps(Nanos(9_000_000), Nanos(9_500_000)));
         assert!(!w.overlaps(Nanos(0), Nanos(1000)));
+    }
+}
+
+#[cfg(test)]
+mod build_props {
+    use super::*;
+    use hawkeye_telemetry::PortRecord;
+    use proptest::prelude::*;
+
+    const L: u64 = 1 << 20;
+
+    /// One upload: (switch, taken_at, epochs as (ring key, variant),
+    /// eviction-list variant). Few stamps, so equal-`taken_at`
+    /// re-deliveries with different content are common.
+    type Upload = (u32, u64, Vec<(u8, u8)>, u8);
+
+    fn upload() -> impl Strategy<Value = Upload> {
+        (
+            0..3u32,
+            0..3u64,
+            proptest::collection::vec((0..6u8, 0..4u8), 0..4),
+            0..3u8,
+        )
+    }
+
+    /// Ring key `k` is (slot k % 3, id k); odd variants reuse the key for
+    /// an epoch six lengths later, so which version wins decides whether
+    /// the window holds it. The content differs by variant; flow keys and
+    /// ports are unique within an epoch.
+    fn materialize(&(sw, taken, ref eps, ev): &Upload) -> TelemetrySnapshot {
+        let epoch = |k: u8, v: u8| EpochSnapshot {
+            slot: usize::from(k % 3),
+            id: k,
+            start: Nanos((u64::from(k) + 6 * u64::from(v % 2)) * L),
+            len: Nanos(L),
+            flows: (0..=u16::from(v))
+                .map(|i| {
+                    let rec = FlowRecord {
+                        pkt_count: 10 + u32::from(v) * 7 + u32::from(i),
+                        paused_count: u32::from(v),
+                        qdepth_sum: 5 * u64::from(v) + 1,
+                        out_port: 1 + (i % 2) as u8,
+                    };
+                    (FlowKey::roce(NodeId(0), NodeId(1), i), rec)
+                })
+                .collect(),
+            ports: vec![(
+                1,
+                PortRecord {
+                    pkt_count: 20 + u32::from(v),
+                    paused_count: u32::from(v),
+                    qdepth_sum: 9 * u64::from(v),
+                },
+            )],
+            meter: vec![(0, 1, 1000 * u64::from(v) + 1)],
+        };
+        TelemetrySnapshot {
+            switch: NodeId(sw),
+            taken_at: Nanos(taken),
+            nports: 4,
+            max_flows: 64,
+            epochs: eps.iter().map(|&(k, v)| epoch(k, v)).collect(),
+            evicted: (0..ev)
+                .map(|i| EvictedFlow {
+                    key: FlowKey::roce(NodeId(0), NodeId(1), 20 + u16::from(i)),
+                    record: FlowRecord {
+                        pkt_count: 3 + u32::from(ev),
+                        paused_count: 0,
+                        qdepth_sum: 2,
+                        out_port: 2,
+                    },
+                    epoch_id: 0,
+                    slot: 0,
+                })
+                .collect(),
+        }
+    }
+
+    /// The rule, stated as a walk: a version replaces the held one unless
+    /// it was taken strictly earlier — the latest `taken_at` wins, and
+    /// among equal stamps the later (snapshot, epoch) position. The same
+    /// for each switch's snapshot-level fields. The result holds one
+    /// snapshot per switch with its winning epochs in start order.
+    fn canonical(seq: &[TelemetrySnapshot]) -> Vec<TelemetrySnapshot> {
+        let mut snaps: BTreeMap<NodeId, TelemetrySnapshot> = BTreeMap::new();
+        let mut held: BTreeMap<(NodeId, usize, u8), (Nanos, EpochSnapshot)> = BTreeMap::new();
+        for s in seq {
+            let cur = snaps.entry(s.switch).or_insert_with(|| s.clone());
+            if s.taken_at >= cur.taken_at {
+                cur.taken_at = s.taken_at;
+                cur.evicted = s.evicted.clone();
+            }
+            for e in &s.epochs {
+                let key = (s.switch, e.slot, e.id);
+                if held.get(&key).is_none_or(|(t, _)| s.taken_at >= *t) {
+                    held.insert(key, (s.taken_at, e.clone()));
+                }
+            }
+        }
+        for s in snaps.values_mut() {
+            s.epochs.clear();
+        }
+        for ((sw, ..), (_, e)) in held {
+            snaps
+                .get_mut(&sw)
+                .expect("held epochs have a switch")
+                .epochs
+                .push(e);
+        }
+        for s in snaps.values_mut() {
+            s.epochs.sort_by_key(|e| (e.start, e.slot, e.id));
+        }
+        snaps.into_values().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `build` over any delivery — shuffled, with duplicates spliced
+        /// in — equals `build` over the canonical set the stated rule
+        /// picks from that delivery.
+        #[test]
+        fn build_keeps_the_latest_later_position(
+            uploads in proptest::collection::vec((upload(), 0..1000u32), 1..12),
+            dups in proptest::collection::vec((0..64usize, 0..64usize), 0..6),
+            window_at in 0..4u8,
+        ) {
+            let mut order: Vec<usize> = (0..uploads.len()).collect();
+            order.sort_by_key(|&i| (uploads[i].1, i));
+            let mut seq: Vec<TelemetrySnapshot> =
+                order.iter().map(|&i| materialize(&uploads[i].0)).collect();
+            for &(which, at) in &dups {
+                let copy = seq[which % seq.len()].clone();
+                seq.insert(at % (seq.len() + 1), copy);
+            }
+            let w = match window_at {
+                0 => Window::default(),
+                1 => Window { from: Nanos(2 * L + 1), to: Nanos(5 * L) },
+                2 => Window { from: Nanos(5 * L), to: Nanos(9 * L) },
+                _ => Window { from: Nanos(7 * L), to: Nanos(7 * L) },
+            };
+            prop_assert_eq!(AggTelemetry::build(&seq, w), AggTelemetry::build(&canonical(&seq), w));
+        }
     }
 }

@@ -402,7 +402,10 @@ impl IncrementalProvenance {
 pub fn merge_fragment_sets(shards: Vec<Vec<TelemetrySnapshot>>) -> Vec<TelemetrySnapshot> {
     let mut all: Vec<TelemetrySnapshot> = shards.into_iter().flatten().collect();
     // Latest-taken first within a switch, so the dedup keeps it; later
-    // shard position wins ties, matching the store's keep-latest rule.
+    // shard position wins ties, matching the store's keep-latest rule —
+    // reversed first, the stable sort keeps later positions ahead among
+    // equal stamps.
+    all.reverse();
     all.sort_by(|a, b| a.switch.cmp(&b.switch).then(b.taken_at.cmp(&a.taken_at)));
     all.dedup_by_key(|s| s.switch);
     all
@@ -681,6 +684,17 @@ mod tests {
         assert_eq!(merged[0], b_newer, "latest-taken snapshot must win");
         assert_eq!(merged[1], c);
         assert_eq!(merged[2], a);
+
+        // Equal stamps: the later shard position wins, as in the store.
+        let narrow = TelemetrySnapshot {
+            nports: 1,
+            ..b.clone()
+        };
+        let wide = TelemetrySnapshot { nports: 2, ..b };
+        for (first, second) in [(&narrow, &wide), (&wide, &narrow)] {
+            let merged = merge_fragment_sets(vec![vec![first.clone()], vec![second.clone()]]);
+            assert_eq!(merged, vec![second.clone()], "later shard loses a tie");
+        }
     }
 
     /// A graph assembled from arbitrarily partitioned fragments is

@@ -24,6 +24,7 @@ pub mod cbd;
 pub mod collector;
 pub mod diagnosis;
 pub mod error;
+pub mod hash;
 pub mod hook;
 pub mod incremental;
 pub mod provenance;

@@ -15,6 +15,14 @@
 //!   a second `compact_budget`. Coarse queries
 //!   ([`TelemetryStore::flow_history`]) extend into this tier.
 //!
+//! Each switch's raw ring carries one exact index: the `(start, slot, id)`
+//! of every live epoch, ascending. It is the eviction order (the front is
+//! the oldest start), the canonical epoch order, and the windowed read's
+//! index: [`TelemetryStore::snapshots_in`] binary-searches to the first
+//! epoch that can still reach the window and walks forward only while
+//! epochs start before its end, so a Diagnose reads in proportion to its
+//! window, not to the ring.
+//!
 //! Ring eviction is what moves the per-switch **retention horizon**
 //! ([`TelemetryStore::retention_horizon`]): everything ending at or before
 //! it has left the raw ring, and the serve daemon propagates it to
@@ -34,58 +42,18 @@
 //! froze the stale version and cannot subtract it.
 
 use crate::compactor::{Compactor, PendingFold};
+use hawkeye_core::hash::BoundedKeys;
 use hawkeye_core::Window;
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{CompactedEpoch, EpochSnapshot, EvictedFlow, TelemetrySnapshot};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Deterministic multiply-mix hasher for the per-switch ring-key maps.
-/// Keys are (slot, id) pairs drawn from the switch's bounded ring
-/// geometry — a few bits of honest entropy, no attacker-controlled data —
-/// so SipHash's collision resistance buys nothing here while its cost
-/// lands on every epoch of the append hot path.
-#[derive(Default)]
-struct RingKeyHasher(u64);
-
-impl RingKeyHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        // splitmix64 finalizer over an accumulating state.
-        let mut x = self.0 ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        self.0 = x;
-    }
+#[cfg(test)]
+thread_local! {
+    /// Index entries [`TelemetryStore::snapshots_in`] has visited on this
+    /// thread: what the windowed read's cost tests count.
+    static INDEX_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
-
-impl std::hash::Hasher for RingKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-}
-
-type RingBuild = BuildHasherDefault<RingKeyHasher>;
 
 /// Store tuning.
 #[derive(Debug, Clone, Copy)]
@@ -179,8 +147,8 @@ use hawkeye_client::{Fidelity, FlowObservation};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchRestore {
     pub switch: NodeId,
-    /// Canonical snapshot ([`TelemetryStore::snapshots`] form: epochs
-    /// sorted by (start, slot, id)).
+    /// Canonical snapshot: every live ring epoch, sorted by (start, slot,
+    /// id) — the [`TelemetryStore::snapshots`] form.
     pub snapshot: TelemetrySnapshot,
     /// Acceptance stamp of each ring epoch, parallel to
     /// `snapshot.epochs`.
@@ -197,12 +165,15 @@ pub struct SwitchRestore {
 struct SwitchLog {
     /// (slot, id) -> (taken_at, epoch); keep-latest by taken_at, later
     /// arrival winning ties.
-    epochs: HashMap<(usize, u8), (Nanos, EpochSnapshot), RingBuild>,
-    /// Eviction order cache: (start, slot, id) min-heap over the live
-    /// ring, lazily invalidated. Ring-key reuse leaves the old entry in
-    /// place; eviction pops until the top's start matches the live epoch
-    /// under that key. Replaces an O(budget) scan per eviction.
-    evict_order: BinaryHeap<Reverse<(Nanos, usize, u8)>>,
+    epochs: HashMap<(usize, u8), (Nanos, EpochSnapshot), BoundedKeys>,
+    /// `(start, slot, id)` of exactly the epochs in `epochs`, ascending:
+    /// eviction pops the front, the windowed read and `export` walk it.
+    index: StartIndex,
+    /// The longest epoch ever admitted: no live epoch that starts at or
+    /// before `from - max_len` can reach past `from`, which is where the
+    /// windowed read starts its walk. Never shrinks, so it stays a bound
+    /// after the epoch that set it is evicted.
+    max_len: Nanos,
     taken_at: Nanos,
     nports: usize,
     max_flows: usize,
@@ -216,10 +187,72 @@ struct SwitchLog {
     /// re-deliveries are rejected instead of double counted. Bounded by
     /// the switch's physical ring-key space (slots x 256 ids): a key is
     /// overwritten when the slot is reused for a new epoch.
-    folded: HashMap<(usize, u8), (Nanos, Nanos), RingBuild>,
+    folded: HashMap<(usize, u8), (Nanos, Nanos), BoundedKeys>,
     /// Largest end among epochs aged out of the raw ring — this switch's
     /// retention horizon.
     fold_horizon: Nanos,
+}
+
+impl SwitchLog {
+    /// This switch's canonical snapshot, holding `epochs`.
+    fn snapshot(&self, switch: NodeId, epochs: Vec<EpochSnapshot>) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            switch,
+            taken_at: self.taken_at,
+            nports: self.nports,
+            max_flows: self.max_flows,
+            epochs,
+            evicted: self.evicted.clone(),
+        }
+    }
+
+    /// The live epochs overlapping `window`, in (start, slot, id) order,
+    /// visiting only the index entries between the first start that can
+    /// reach `window.from` and the last start before `window.to`. The
+    /// bound needs every live `start + len` to fit in a `u64`, which the
+    /// ingest gates check before anything is stored.
+    fn in_window(&self, window: Window) -> impl Iterator<Item = &(Nanos, EpochSnapshot)> {
+        let index = &self.index.0;
+        let lo = index.partition_point(|&(start, ..)| {
+            start.0.saturating_add(self.max_len.0) <= window.from.0
+        });
+        let hi = index.partition_point(|&(start, ..)| start < window.to);
+        index
+            .range(lo..hi.max(lo))
+            .map(|&(_, slot, id)| {
+                #[cfg(test)]
+                INDEX_VISITS.with(|v| v.set(v.get() + 1));
+                &self.epochs[&(slot, id)]
+            })
+            .filter(move |(_, e)| window.overlaps(e.start, e.end()))
+    }
+}
+
+/// A sorted deque of `(start, slot, id)` keys. Epochs mostly arrive in
+/// start order and leave oldest first, so the common insert is a
+/// `push_back` and every eviction a `pop_front`; out-of-order arrival and
+/// ring-key reuse (the key's epoch moves to a new start) pay a binary
+/// search and a shift.
+#[derive(Debug, Default)]
+struct StartIndex(VecDeque<(Nanos, usize, u8)>);
+
+impl StartIndex {
+    fn insert(&mut self, key: (Nanos, usize, u8)) {
+        if self.0.back().is_none_or(|&last| last < key) {
+            self.0.push_back(key);
+        } else {
+            let at = self.0.partition_point(|&k| k < key);
+            self.0.insert(at, key);
+        }
+    }
+
+    fn remove(&mut self, key: (Nanos, usize, u8)) {
+        let at = self
+            .0
+            .binary_search(&key)
+            .expect("every live ring epoch has an index entry");
+        self.0.remove(at);
+    }
 }
 
 /// See module docs.
@@ -259,7 +292,8 @@ impl TelemetryStore {
             .entry(snap.switch)
             .or_insert_with(|| SwitchLog {
                 epochs: HashMap::default(),
-                evict_order: BinaryHeap::new(),
+                index: StartIndex::default(),
+                max_len: Nanos::ZERO,
                 taken_at: snap.taken_at,
                 nports: snap.nports,
                 max_flows: snap.max_flows,
@@ -284,11 +318,12 @@ impl TelemetryStore {
                 Some(cur) => {
                     self.stats.epochs_superseded += 1;
                     if cur.1.start != ep.start {
-                        // Ring-key reuse: the old heap entry goes stale
-                        // and the new epoch needs its own.
-                        log.evict_order.push(Reverse((ep.start, ep.slot, ep.id)));
+                        // Ring-key reuse: the epoch moves in the index.
+                        log.index.remove((cur.1.start, ep.slot, ep.id));
+                        log.index.insert((ep.start, ep.slot, ep.id));
                     }
                     *cur = (snap.taken_at, ep.clone());
+                    log.max_len = log.max_len.max(ep.len);
                     log.watermark = log.watermark.max(ep.end());
                 }
                 None => {
@@ -314,27 +349,25 @@ impl TelemetryStore {
                     }
                     log.epochs
                         .insert((ep.slot, ep.id), (snap.taken_at, ep.clone()));
-                    log.evict_order.push(Reverse((ep.start, ep.slot, ep.id)));
+                    log.index.insert((ep.start, ep.slot, ep.id));
                     self.stats.epochs_appended += 1;
+                    log.max_len = log.max_len.max(ep.len);
                     log.watermark = log.watermark.max(ep.end());
                 }
             }
         }
         let t1 = self.cfg.timed.then(std::time::Instant::now);
         while log.epochs.len() > self.cfg.epoch_budget {
-            let Reverse((start, slot, id)) = log
-                .evict_order
-                .pop()
-                .expect("every live ring epoch has a heap entry");
+            let (_, slot, id) = log
+                .index
+                .0
+                .pop_front()
+                .expect("every live ring epoch has an index entry");
             let oldest = (slot, id);
-            // Lazy invalidation: a popped entry whose start no longer
-            // matches the live epoch under its key was superseded by a
-            // ring-key reuse — skip it, its replacement has its own entry.
-            match log.epochs.get(&oldest) {
-                Some((_, e)) if e.start == start => {}
-                _ => continue,
-            }
-            let (taken, ep) = log.epochs.remove(&oldest).expect("oldest key exists");
+            let (taken, ep) = log
+                .epochs
+                .remove(&oldest)
+                .expect("the index holds exactly the live ring's keys");
             self.stats.epochs_evicted += 1;
             log.fold_horizon = log.fold_horizon.max(ep.end());
             if self.cfg.compact_budget == 0 {
@@ -386,27 +419,14 @@ impl TelemetryStore {
     /// is evidence of quiet, not a blind spot. Raw ring only: compacted
     /// buckets cannot participate in a diagnosis window.
     ///
-    /// The one place raw-ring epochs are cloned, and only those the window
-    /// overlaps (not the whole ring).
+    /// Reads each switch's start index from the first epoch that can reach
+    /// the window to the last one starting inside it (module docs), and
+    /// clones only the epochs the window overlaps.
     pub fn snapshots_in(&self, window: Window) -> Vec<TelemetrySnapshot> {
         self.switches
             .iter()
             .map(|(&sw, log)| {
-                let mut epochs: Vec<EpochSnapshot> = log
-                    .epochs
-                    .values()
-                    .filter(|(_, e)| window.overlaps(e.start, e.end()))
-                    .map(|(_, e)| e.clone())
-                    .collect();
-                epochs.sort_unstable_by_key(|e| (e.start, e.slot, e.id));
-                TelemetrySnapshot {
-                    switch: sw,
-                    taken_at: log.taken_at,
-                    nports: log.nports,
-                    max_flows: log.max_flows,
-                    epochs,
-                    evicted: log.evicted.clone(),
-                }
+                log.snapshot(sw, log.in_window(window).map(|(_, e)| e.clone()).collect())
             })
             .collect()
     }
@@ -494,16 +514,18 @@ impl TelemetryStore {
     /// Every switch's full ring state for a durable checkpoint (see
     /// [`SwitchRestore`]), in switch-id order.
     pub fn export(&self) -> Vec<SwitchRestore> {
-        // `snapshots` and the log map walk the same keys in the same order.
-        self.snapshots()
-            .into_iter()
-            .zip(self.switches.values())
-            .map(|(snapshot, log)| {
-                let taken_at = snapshot
-                    .epochs
+        self.switches
+            .iter()
+            .map(|(&switch, log)| {
+                let (taken_at, epochs) = log
+                    .index
+                    .0
                     .iter()
-                    .map(|e| log.epochs[&(e.slot, e.id)].0)
-                    .collect();
+                    .map(|&(_, slot, id)| {
+                        let (taken, ep) = &log.epochs[&(slot, id)];
+                        (*taken, ep.clone())
+                    })
+                    .unzip();
                 let mut folded: Vec<(usize, u8, Nanos, Nanos)> = log
                     .folded
                     .iter()
@@ -511,8 +533,8 @@ impl TelemetryStore {
                     .collect();
                 folded.sort_unstable();
                 SwitchRestore {
-                    switch: snapshot.switch,
-                    snapshot,
+                    switch,
+                    snapshot: log.snapshot(switch, epochs),
                     taken_at,
                     watermark: log.watermark,
                     fold_horizon: log.fold_horizon,
@@ -528,32 +550,32 @@ impl TelemetryStore {
     /// a recovered daemon's counters restart at the replayed work.
     pub fn restore_switch(&mut self, r: &SwitchRestore) {
         debug_assert_eq!(r.taken_at.len(), r.snapshot.epochs.len());
-        let mut epochs: HashMap<(usize, u8), (Nanos, EpochSnapshot), RingBuild> =
-            HashMap::default();
-        let mut evict_order = BinaryHeap::new();
+        let mut log = SwitchLog {
+            epochs: HashMap::default(),
+            index: StartIndex::default(),
+            max_len: Nanos::ZERO,
+            taken_at: r.snapshot.taken_at,
+            nports: r.snapshot.nports,
+            max_flows: r.snapshot.max_flows,
+            evicted: r.snapshot.evicted.clone(),
+            watermark: r.watermark,
+            folded: r
+                .folded
+                .iter()
+                .map(|&(slot, id, taken, start)| ((slot, id), (taken, start)))
+                .collect(),
+            fold_horizon: r.fold_horizon,
+        };
         for (ep, &taken) in r.snapshot.epochs.iter().zip(&r.taken_at) {
-            evict_order.push(Reverse((ep.start, ep.slot, ep.id)));
-            epochs.insert((ep.slot, ep.id), (taken, ep.clone()));
+            // An exported ring names each key once; should a checkpoint
+            // repeat one, the later row wins and the index stays exact.
+            if let Some((_, old)) = log.epochs.insert((ep.slot, ep.id), (taken, ep.clone())) {
+                log.index.remove((old.start, old.slot, old.id));
+            }
+            log.index.insert((ep.start, ep.slot, ep.id));
+            log.max_len = log.max_len.max(ep.len);
         }
-        let folded = r
-            .folded
-            .iter()
-            .map(|&(slot, id, taken, start)| ((slot, id), (taken, start)))
-            .collect();
-        self.switches.insert(
-            r.switch,
-            SwitchLog {
-                epochs,
-                evict_order,
-                taken_at: r.snapshot.taken_at,
-                nports: r.snapshot.nports,
-                max_flows: r.snapshot.max_flows,
-                evicted: r.snapshot.evicted.clone(),
-                watermark: r.watermark,
-                folded,
-                fold_horizon: r.fold_horizon,
-            },
-        );
+        self.switches.insert(r.switch, log);
     }
 
     pub fn stats(&self) -> &StoreStats {
@@ -827,6 +849,45 @@ mod tests {
         assert_eq!(got.len(), 2, "quiet switch still present");
         assert!(got[0].epochs.is_empty());
         assert_eq!(got[1].epochs.len(), 1);
+    }
+
+    /// The windowed read costs what the window holds: over a full
+    /// 256-epoch ring per switch, a window overlapping k epochs visits at
+    /// most k + 1 index entries per switch, wherever its bounds fall. A
+    /// read that scans the ring visits 256.
+    #[test]
+    fn a_window_visits_its_epochs_not_the_ring() {
+        const L: u64 = 1 << 20;
+        let mut st = TelemetryStore::default();
+        for i in 0..300u64 {
+            for sw in [3, 4] {
+                st.append(&snap(
+                    sw,
+                    (i + 1) * L,
+                    vec![epoch(i as usize, i as u8, i * L)],
+                ));
+            }
+        }
+        assert_eq!(st.epochs_held(), 2 * 256, "both rings full");
+        let reads = [
+            (100 * L, 104 * L),         // on epoch edges: 4 epochs
+            (100 * L + 1, 104 * L - 1), // just inside them: 4
+            (100 * L - 1, 104 * L + 1), // just outside them: 6
+            (299 * L, u64::MAX),        // the newest epoch: 1
+            (120 * L + 7, 120 * L + 9), // inside one epoch: 1
+            (0, 44 * L + 1),            // before the ring, then its first: 1
+        ];
+        for (from, to) in reads {
+            INDEX_VISITS.with(|v| v.set(0));
+            let got = st.snapshots_in(window(from, to));
+            let k = got[0].epochs.len();
+            assert!(k > 0 && got.iter().all(|s| s.epochs.len() == k));
+            let visits = INDEX_VISITS.with(|v| v.get());
+            assert!(
+                visits <= 2 * (k + 1),
+                "window {from}..{to} holds {k} epochs per switch but visited {visits}"
+            );
+        }
     }
 
     #[test]

@@ -563,8 +563,9 @@ fn hostile_counts_do_not_kill_the_daemon() {
 /// Analysis indexes the fabric by every switch and port a snapshot names,
 /// so a frame naming one the daemon's topology lacks — a node id past the
 /// last, a host, or a port past a real switch's radix in a flow record, a
-/// port record, a meter or an evicted record — is refused whole with the
-/// typed `foreign_evidence` error before anything is stored or journaled.
+/// port record, a meter or an evicted record — or an epoch whose
+/// `start + len` overflows the clock, is refused whole with the typed
+/// `foreign_evidence` error before anything is stored or journaled.
 /// Each such frame also carries a well-formed snapshot, which must not be
 /// stored either. The session then diagnoses the clean window, and `Stats`
 /// (which refreshes the core's engine) still answers.
@@ -651,6 +652,13 @@ fn foreign_switch_or_port_is_refused_whole() {
         ),
         ("meter", with_epoch(&|ep| ep.meter.push((PAST, 0, 1)))),
         ("meter", with_epoch(&|ep| ep.meter.push((0, PAST, 1)))),
+        // A real switch and real ports, but the epoch's end is past the
+        // clock: stored, it would panic the shard worker on its first
+        // `start + len`.
+        (
+            "overflows the clock",
+            with_epoch(&|ep| ep.start = Nanos(u64::MAX - 10)),
+        ),
         (
             "evicted record",
             TelemetrySnapshot {

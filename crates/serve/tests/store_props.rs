@@ -476,3 +476,190 @@ fn flow_totals(store: &TelemetryStore, f: u16) -> (u64, u64, u64, u64) {
             )
         })
 }
+
+/// One upload of the index property: (switch, taken_at, epochs as
+/// (step, length choice, content variant)).
+type Upload = (u32, u64, Vec<(u64, u8, u8)>);
+
+const UNIT: u64 = 1 << 10;
+
+/// Step `s` starts at `s * UNIT` under ring key (slot s % 4, id s % 8), so
+/// steps eight apart reuse a key at a new start. Lengths mix a quarter, one
+/// and two and a half units; the variant changes the content, so a
+/// re-collection of a step supersedes or is stale by its `taken_at` alone.
+fn upload_snapshot((sw, taken, eps): &Upload) -> TelemetrySnapshot {
+    TelemetrySnapshot {
+        switch: NodeId(*sw),
+        taken_at: Nanos(*taken),
+        nports: 3,
+        max_flows: 32,
+        epochs: eps
+            .iter()
+            .map(|&(step, len, variant)| EpochSnapshot {
+                slot: (step % 4) as usize,
+                id: (step % 8) as u8,
+                start: Nanos(step * UNIT),
+                len: Nanos([UNIT / 4, UNIT, 5 * UNIT / 2][usize::from(len)]),
+                flows: vec![(
+                    flow(0),
+                    FlowRecord {
+                        pkt_count: 1 + u32::from(variant),
+                        paused_count: 0,
+                        qdepth_sum: 0,
+                        out_port: 0,
+                    },
+                )],
+                ports: vec![],
+                meter: vec![],
+            })
+            .collect(),
+        evicted: vec![],
+    }
+}
+
+/// The raw ring as a plain map with the store's admission rules, evicting
+/// by a linear scan for the minimum `(start, slot, id)` — no index.
+#[derive(Default)]
+struct RingModel {
+    /// (switch, slot, id) -> (taken_at, epoch).
+    live: std::collections::BTreeMap<(u32, usize, u8), (Nanos, EpochSnapshot)>,
+    /// (switch, slot, id) -> start of the version last evicted under it.
+    folded: std::collections::HashMap<(u32, usize, u8), Nanos>,
+}
+
+impl RingModel {
+    /// Admit one snapshot, then evict down to `budget`; the evicted epochs
+    /// in eviction order.
+    fn apply(&mut self, s: &TelemetrySnapshot, budget: usize) -> Vec<EpochSnapshot> {
+        let sw = s.switch.0;
+        for e in &s.epochs {
+            let key = (sw, e.slot, e.id);
+            let admit = match self.live.get(&key) {
+                Some((taken, _)) => s.taken_at >= *taken,
+                None => self.folded.get(&key) != Some(&e.start),
+            };
+            if admit {
+                self.live.insert(key, (s.taken_at, e.clone()));
+            }
+        }
+        let mut evicted = Vec::new();
+        while self.live.keys().filter(|k| k.0 == sw).count() > budget {
+            let oldest = *self
+                .live
+                .iter()
+                .filter(|(k, _)| k.0 == sw)
+                .min_by_key(|(k, (_, e))| (e.start, k.1, k.2))
+                .expect("an over-budget ring is not empty")
+                .0;
+            let (_, e) = self.live.remove(&oldest).expect("just found");
+            self.folded.insert(oldest, e.start);
+            evicted.push(e);
+        }
+        evicted
+    }
+
+    /// One switch's live epochs in (start, slot, id) order.
+    fn ring(&self, sw: NodeId) -> Vec<EpochSnapshot> {
+        let mut eps: Vec<EpochSnapshot> = self
+            .live
+            .iter()
+            .filter(|(k, _)| k.0 == sw.0)
+            .map(|(_, (_, e))| e.clone())
+            .collect();
+        eps.sort_by_key(|e| (e.start, e.slot, e.id));
+        eps
+    }
+}
+
+/// The epochs one append evicted, in order (deferred-fold outbox).
+fn evictions(store: &mut TelemetryStore) -> Vec<EpochSnapshot> {
+    store
+        .take_pending_folds()
+        .into_iter()
+        .map(|p| p.epoch)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The per-switch start index is exact. Under random uploads — mixed
+    /// epoch lengths, ring-key reuse at a new start, superseding and stale
+    /// re-collections (equal stamps included: the later arrival wins), out
+    /// of start order — after every append:
+    /// - the ring equals a plain-map model's, and each evicted epoch is the
+    ///   model's linear-scan minimum `(start, slot, id)`, in order;
+    /// - every `snapshots_in(w)` — random, empty, inverted, all-covering —
+    ///   is `snapshots()` with the epochs `w` does not overlap dropped;
+    /// - a store restored from an `export` taken at a random point reads
+    ///   the same and makes the same evictions from then on.
+    #[test]
+    fn start_index_matches_a_linear_scan_model(
+        uploads in proptest::collection::vec(
+            (0..2u32, 0..64u64, proptest::collection::vec((0..40u64, 0..3u8, 0..3u8), 1..4)),
+            1..60,
+        ),
+        budget in 1..7usize,
+        windows in proptest::collection::vec((0..4u8, 0..150u64, 0..150u64), 1..4),
+        cut in 0..usize::MAX,
+    ) {
+        let cfg = StoreConfig {
+            epoch_budget: budget,
+            compact_budget: 64,
+            compact_chunk: 2,
+            deferred_fold: true,
+            ..StoreConfig::default()
+        };
+        let windows: Vec<Window> = windows
+            .iter()
+            .map(|&(shape, a, b)| {
+                let (a, b) = (Nanos(a * UNIT / 3), Nanos(b * UNIT / 3));
+                match shape {
+                    0 => Window::default(),
+                    1 => Window { from: a, to: a },
+                    2 => Window { from: a.max(b), to: a.min(b) },
+                    _ => Window { from: a.min(b), to: a.max(b) },
+                }
+            })
+            .collect();
+        let cut = cut % (uploads.len() + 1);
+
+        let mut model = RingModel::default();
+        let mut store = TelemetryStore::new(cfg);
+        let mut restored: Option<TelemetryStore> = None;
+        for (i, u) in uploads.iter().enumerate() {
+            if i == cut {
+                let mut fresh = TelemetryStore::new(cfg);
+                for r in store.export() {
+                    fresh.restore_switch(&r);
+                }
+                restored = Some(fresh);
+            }
+            let snap = upload_snapshot(u);
+            let want = model.apply(&snap, budget);
+            store.append(&snap);
+            let got = evictions(&mut store);
+            prop_assert_eq!(&got, &want);
+
+            let full = store.snapshots();
+            for s in &full {
+                prop_assert_eq!(&s.epochs, &model.ring(s.switch));
+            }
+            for &w in windows.iter().chain([&Window::default()]) {
+                let mut filtered = full.clone();
+                for s in &mut filtered {
+                    s.epochs.retain(|e| w.overlaps(e.start, e.end()));
+                }
+                prop_assert_eq!(store.snapshots_in(w), filtered);
+            }
+            if let Some(back) = restored.as_mut() {
+                back.append(&snap);
+                prop_assert_eq!(evictions(back), got);
+                prop_assert_eq!(back.snapshots(), full);
+                for &w in &windows {
+                    prop_assert_eq!(back.snapshots_in(w), store.snapshots_in(w));
+                }
+            }
+        }
+    }
+}
