@@ -75,6 +75,7 @@
 use crate::types::{ExplainRecord, Fidelity, FlowObservation};
 use hawkeye_core::{DiagnosisReport, Window};
 use hawkeye_sim::{FlowKey, Nanos, NodeId, PortId, Topology};
+use hawkeye_telemetry::wire::{CodecError, Reader, Writer};
 use hawkeye_telemetry::{decode_batch, encode_batch, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -215,6 +216,18 @@ impl std::error::Error for ProtoError {}
 impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> Self {
         ProtoError::Io(e)
+    }
+}
+
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        ProtoError::BadBody(e.to_string())
+    }
+}
+
+impl From<serde::Error> for ProtoError {
+    fn from(e: serde::Error) -> Self {
+        ProtoError::BadBody(e.0)
     }
 }
 
@@ -418,8 +431,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ProtoError
 
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
-        Request::Diagnose(p) => {
-            let body = serde_json::to_string(&serde::Value::Object(vec![
+        Request::Diagnose(p) => write_json(
+            w,
+            OP_DIAGNOSE,
+            &serde::Value::Object(vec![
                 ("victim".into(), p.victim.to_value()),
                 ("from".into(), serde::Value::UInt(p.window.from.0)),
                 ("to".into(), serde::Value::UInt(p.window.to.0)),
@@ -432,42 +447,31 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
                             .collect(),
                     ),
                 ),
-            ]))
-            .expect("value serialization is infallible");
-            write_frame(w, OP_DIAGNOSE, body.as_bytes())
-        }
+            ]),
+        ),
         Request::Stats => write_frame(w, OP_STATS, &[]),
         Request::Shutdown => write_frame(w, OP_SHUTDOWN, &[]),
-        Request::FlowHistory(flow) => {
-            let body = serde_json::to_string(&serde::Value::Object(vec![(
-                "flow".into(),
-                flow.to_value(),
-            )]))
-            .expect("value serialization is infallible");
-            write_frame(w, OP_FLOW_HISTORY, body.as_bytes())
-        }
+        Request::FlowHistory(flow) => write_json(
+            w,
+            OP_FLOW_HISTORY,
+            &serde::Value::Object(vec![("flow".into(), flow.to_value())]),
+        ),
         Request::Metrics => write_frame(w, OP_METRICS, &[]),
         Request::IngestBatch(snaps) => write_frame(w, OP_INGEST_BATCH, &encode_batch(snaps)),
-        Request::Hello { version, map_epoch } => {
-            let mut body = [0u8; 12];
-            body[0..4].copy_from_slice(&version.to_le_bytes());
-            body[4..12].copy_from_slice(&map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
-            write_frame(w, OP_HELLO, &body)
-        }
-        Request::Fragments(window) => {
-            let mut body = [0u8; 16];
-            body[0..8].copy_from_slice(&window.from.0.to_le_bytes());
-            body[8..16].copy_from_slice(&window.to.0.to_le_bytes());
-            write_frame(w, OP_FRAGMENTS, &body)
-        }
+        Request::Hello { version, map_epoch } => write_fixed(w, OP_HELLO, |b| {
+            b.u32(*version);
+            b.u64(map_epoch.unwrap_or(NO_EPOCH));
+        }),
+        Request::Fragments(window) => write_fixed(w, OP_FRAGMENTS, |b| {
+            b.u64(window.from.0);
+            b.u64(window.to.0);
+        }),
         Request::Explain(seq) => {
             let fields = match seq {
                 Some(n) => vec![("seq".to_string(), serde::Value::UInt(*n))],
                 None => vec![],
             };
-            let body = serde_json::to_string(&serde::Value::Object(fields))
-                .expect("value serialization is infallible");
-            write_frame(w, OP_EXPLAIN, body.as_bytes())
+            write_json(w, OP_EXPLAIN, &serde::Value::Object(fields))
         }
     }
 }
@@ -525,29 +529,58 @@ fn observation_from_value(v: &serde::Value) -> Result<FlowObservation, ProtoErro
     })
 }
 
-fn parse_flow_history(body: &[u8]) -> Result<FlowKey, ProtoError> {
+/// A JSON body: UTF-8 text holding one JSON value, nested at most
+/// [`serde_json::MAX_DEPTH`] deep.
+fn json(body: &[u8]) -> Result<serde::Value, ProtoError> {
     let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-    let v = serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?;
+    Ok(serde_json::parse(text)?)
+}
+
+/// A frame whose body is `v` as JSON.
+fn write_json(w: &mut impl Write, opcode: u8, v: &impl Serialize) -> io::Result<()> {
+    let body = serde_json::to_string(v).expect("value serialization is infallible");
+    write_frame(w, opcode, body.as_bytes())
+}
+
+/// A frame with a fixed-length binary body, written through the codec's
+/// [`Writer`].
+fn write_fixed(w: &mut impl Write, opcode: u8, body: impl FnOnce(&mut Writer)) -> io::Result<()> {
+    write_frame(w, opcode, &Writer::encode(16, body))
+}
+
+/// A fixed-length binary body read through the codec's [`Reader`]: `read`
+/// must consume all `want` bytes, and a body of any other length — a body
+/// at all, on the ops documented as empty — is malformed.
+fn read_fixed<T>(
+    what: &str,
+    want: usize,
+    body: &[u8],
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<T, ProtoError> {
+    Reader::read_all(body, read)
+        .map_err(|_| ProtoError::BadBody(format!("{what} body {} bytes, want {want}", body.len())))
+}
+
+fn parse_flow_history(body: &[u8]) -> Result<FlowKey, ProtoError> {
+    let v = json(body)?;
     let flow = v
         .get("flow")
         .ok_or_else(|| ProtoError::BadBody("missing field flow".into()))?;
-    FlowKey::from_value(flow).map_err(|e| ProtoError::BadBody(e.0))
+    Ok(FlowKey::from_value(flow)?)
 }
 
 fn parse_diagnose(body: &[u8]) -> Result<DiagnoseParams, ProtoError> {
-    let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-    let v = serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?;
+    let v = json(body)?;
     let field = |name: &str| {
         v.get(name)
             .ok_or_else(|| ProtoError::BadBody(format!("missing field {name}")))
     };
-    let victim = FlowKey::from_value(field("victim")?).map_err(|e| ProtoError::BadBody(e.0))?;
-    let from = field("from")?
-        .as_u64()
-        .ok_or_else(|| ProtoError::BadBody("from not u64".into()))?;
-    let to = field("to")?
-        .as_u64()
-        .ok_or_else(|| ProtoError::BadBody("to not u64".into()))?;
+    let num = |name: &str| {
+        field(name)?
+            .as_u64()
+            .ok_or_else(|| ProtoError::BadBody(format!("{name} not u64")))
+    };
+    let victim = FlowKey::from_value(field("victim")?)?;
     let missing = field("missing")?
         .as_array()
         .ok_or_else(|| ProtoError::BadBody("missing not array".into()))?
@@ -562,33 +595,10 @@ fn parse_diagnose(body: &[u8]) -> Result<DiagnoseParams, ProtoError> {
     Ok(DiagnoseParams {
         victim,
         window: Window {
-            from: Nanos(from),
-            to: Nanos(to),
+            from: Nanos(num("from")?),
+            to: Nanos(num("to")?),
         },
         missing,
-    })
-}
-
-/// The length rule for fixed-size bodies: exactly `want` bytes (0 for the
-/// ops documented as empty) or the frame is malformed.
-fn expect_len(what: &str, body: &[u8], want: usize) -> Result<(), ProtoError> {
-    if body.len() == want {
-        Ok(())
-    } else {
-        Err(ProtoError::BadBody(format!(
-            "{what} body {} bytes, want {want}",
-            body.len()
-        )))
-    }
-}
-
-fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
-    expect_len("hello", body, 12)?;
-    let version = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
-    let raw = u64::from_le_bytes(body[4..12].try_into().expect("8 bytes"));
-    Ok(Request::Hello {
-        version,
-        map_epoch: (raw != NO_EPOCH).then_some(raw),
     })
 }
 
@@ -596,82 +606,60 @@ fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
 pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, ProtoError> {
     match opcode {
         OP_DIAGNOSE => Ok(Request::Diagnose(parse_diagnose(body)?)),
-        OP_STATS => expect_len("stats", body, 0).map(|()| Request::Stats),
-        OP_SHUTDOWN => expect_len("shutdown", body, 0).map(|()| Request::Shutdown),
+        OP_STATS => read_fixed("stats", 0, body, |_| Ok(Request::Stats)),
+        OP_SHUTDOWN => read_fixed("shutdown", 0, body, |_| Ok(Request::Shutdown)),
         OP_FLOW_HISTORY => Ok(Request::FlowHistory(parse_flow_history(body)?)),
-        OP_METRICS => expect_len("metrics", body, 0).map(|()| Request::Metrics),
-        OP_INGEST_BATCH => Ok(Request::IngestBatch(
-            decode_batch(body).map_err(|e| ProtoError::BadBody(e.to_string()))?,
-        )),
-        OP_HELLO => parse_hello(body),
-        OP_FRAGMENTS => {
-            expect_len("fragments", body, 16)?;
-            let word = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().expect("8 bytes"));
+        OP_METRICS => read_fixed("metrics", 0, body, |_| Ok(Request::Metrics)),
+        OP_INGEST_BATCH => Ok(Request::IngestBatch(decode_batch(body)?)),
+        OP_HELLO => read_fixed("hello", 12, body, |r| {
+            Ok(Request::Hello {
+                version: r.u32()?,
+                map_epoch: Some(r.u64()?).filter(|&e| e != NO_EPOCH),
+            })
+        }),
+        OP_FRAGMENTS => read_fixed("fragments", 16, body, |r| {
             Ok(Request::Fragments(Window {
-                from: Nanos(word(0)),
-                to: Nanos(word(8)),
+                from: Nanos(r.u64()?),
+                to: Nanos(r.u64()?),
             }))
-        }
-        OP_EXPLAIN => {
-            let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-            let v = serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?;
-            let seq = match v.get("seq") {
-                None => None,
-                Some(n) => Some(
-                    n.as_u64()
-                        .ok_or_else(|| ProtoError::BadBody("seq not u64".into()))?,
-                ),
-            };
-            Ok(Request::Explain(seq))
-        }
+        }),
+        OP_EXPLAIN => match json(body)?.get("seq") {
+            None => Ok(Request::Explain(None)),
+            Some(n) => n
+                .as_u64()
+                .map(|n| Request::Explain(Some(n)))
+                .ok_or_else(|| ProtoError::BadBody("seq not u64".into())),
+        },
         op => Err(ProtoError::BadOpcode(op)),
     }
 }
 
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     match resp {
-        Response::Ack { granted, info } => {
-            let mut body = [0u8; 16];
-            body[0..4].copy_from_slice(&granted.to_le_bytes());
-            body[4..8].copy_from_slice(&info.version.to_le_bytes());
-            body[8..16].copy_from_slice(&info.map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
-            write_frame(w, OP_ACK, &body)
-        }
-        Response::Diagnosis(report) => {
-            let body = serde_json::to_string(report).expect("report serialization is infallible");
-            write_frame(w, OP_DIAGNOSIS, body.as_bytes())
-        }
-        Response::Stats(v) => {
-            let body = serde_json::to_string(v).expect("value serialization is infallible");
-            write_frame(w, OP_STATS_RESP, body.as_bytes())
-        }
+        Response::Ack { granted, info } => write_fixed(w, OP_ACK, |b| {
+            b.u32(*granted);
+            b.u32(info.version);
+            b.u64(info.map_epoch.unwrap_or(NO_EPOCH));
+        }),
+        Response::Diagnosis(report) => write_json(w, OP_DIAGNOSIS, report),
+        Response::Stats(v) => write_json(w, OP_STATS_RESP, v),
         Response::Bye => write_frame(w, OP_BYE, &[]),
-        Response::History(rows) => {
-            let body = serde_json::to_string(&serde::Value::Array(
-                rows.iter().map(observation_to_value).collect(),
-            ))
-            .expect("value serialization is infallible");
-            write_frame(w, OP_HISTORY, body.as_bytes())
-        }
-        Response::Metrics(v) => {
-            let body = serde_json::to_string(v).expect("value serialization is infallible");
-            write_frame(w, OP_METRICS_RESP, body.as_bytes())
-        }
-        Response::Explain(rec) => {
-            let body = serde_json::to_string(rec).expect("record serialization is infallible");
-            write_frame(w, OP_EXPLAIN_RESP, body.as_bytes())
-        }
+        Response::History(rows) => write_json(
+            w,
+            OP_HISTORY,
+            &serde::Value::Array(rows.iter().map(observation_to_value).collect()),
+        ),
+        Response::Metrics(v) => write_json(w, OP_METRICS_RESP, v),
+        Response::Explain(rec) => write_json(w, OP_EXPLAIN_RESP, rec),
         Response::BatchAck {
             accepted,
             shed,
             granted,
-        } => {
-            let mut body = [0u8; 12];
-            body[0..4].copy_from_slice(&accepted.to_le_bytes());
-            body[4..8].copy_from_slice(&shed.to_le_bytes());
-            body[8..12].copy_from_slice(&granted.to_le_bytes());
-            write_frame(w, OP_BATCH_ACK, &body)
-        }
+        } => write_fixed(w, OP_BATCH_ACK, |b| {
+            b.u32(*accepted);
+            b.u32(*shed);
+            b.u32(*granted);
+        }),
         Response::Fragments(snaps) => write_frame(w, OP_FRAGMENTS_RESP, &encode_batch(snaps)),
         Response::Error(msg) => write_frame(w, OP_ERROR, msg.as_bytes()),
     }
@@ -680,35 +668,22 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
 /// Decode a response frame (client side).
 pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> {
     match opcode {
-        OP_ACK => {
-            expect_len("ack", body, 16)?;
-            let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
-            let raw = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
+        OP_ACK => read_fixed("ack", 16, body, |r| {
             Ok(Response::Ack {
-                granted: word(0),
+                granted: r.u32()?,
                 info: PeerInfo {
-                    version: word(4),
-                    map_epoch: (raw != NO_EPOCH).then_some(raw),
+                    version: r.u32()?,
+                    map_epoch: Some(r.u64()?).filter(|&e| e != NO_EPOCH),
                 },
             })
-        }
-        OP_DIAGNOSIS => {
-            let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-            let report: DiagnosisReport =
-                serde_json::from_str(text).map_err(|e| ProtoError::BadBody(e.0))?;
-            Ok(Response::Diagnosis(report))
-        }
-        OP_STATS_RESP => {
-            let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-            Ok(Response::Stats(
-                serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?,
-            ))
-        }
-        OP_BYE => expect_len("bye", body, 0).map(|()| Response::Bye),
+        }),
+        OP_DIAGNOSIS => Ok(Response::Diagnosis(DiagnosisReport::from_value(&json(
+            body,
+        )?)?)),
+        OP_STATS_RESP => Ok(Response::Stats(json(body)?)),
+        OP_BYE => read_fixed("bye", 0, body, |_| Ok(Response::Bye)),
         OP_HISTORY => {
-            let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-            let v = serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?;
-            let rows = v
+            let rows = json(body)?
                 .as_array()
                 .ok_or_else(|| ProtoError::BadBody("history not array".into()))?
                 .iter()
@@ -716,30 +691,16 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> 
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Response::History(rows))
         }
-        OP_METRICS_RESP => {
-            let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-            Ok(Response::Metrics(
-                serde_json::parse(text).map_err(|e| ProtoError::BadBody(e.0))?,
-            ))
-        }
-        OP_EXPLAIN_RESP => {
-            let text = std::str::from_utf8(body).map_err(|e| ProtoError::BadBody(e.to_string()))?;
-            let rec: ExplainRecord =
-                serde_json::from_str(text).map_err(|e| ProtoError::BadBody(e.0))?;
-            Ok(Response::Explain(rec))
-        }
-        OP_BATCH_ACK => {
-            expect_len("batch ack", body, 12)?;
-            let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
+        OP_METRICS_RESP => Ok(Response::Metrics(json(body)?)),
+        OP_EXPLAIN_RESP => Ok(Response::Explain(ExplainRecord::from_value(&json(body)?)?)),
+        OP_BATCH_ACK => read_fixed("batch ack", 12, body, |r| {
             Ok(Response::BatchAck {
-                accepted: word(0),
-                shed: word(4),
-                granted: word(8),
+                accepted: r.u32()?,
+                shed: r.u32()?,
+                granted: r.u32()?,
             })
-        }
-        OP_FRAGMENTS_RESP => Ok(Response::Fragments(
-            decode_batch(body).map_err(|e| ProtoError::BadBody(e.to_string()))?,
-        )),
+        }),
+        OP_FRAGMENTS_RESP => Ok(Response::Fragments(decode_batch(body)?)),
         OP_ERROR => Ok(Response::Error(String::from_utf8_lossy(body).into_owned())),
         op => Err(ProtoError::BadOpcode(op)),
     }

@@ -5,9 +5,8 @@
 //! the same seed emit byte-identical output.
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::metrics::{bucket_upper, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use serde::{Serialize, Value};
-use std::fmt::Write as _;
 
 /// Emit records as JSONL: one compact JSON object per line, trailing
 /// newline after each record.
@@ -41,57 +40,6 @@ pub fn counter_totals(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
     }
     totals.sort_by(|a, b| a.0.cmp(&b.0));
     totals
-}
-
-/// Split a rendered metric key into `(name, inner_labels)`, where
-/// `inner_labels` is the `switch=3,port=1` part without braces ("" if none).
-fn split_key(key: &str) -> (&str, &str) {
-    match key.find('{') {
-        Some(i) => (&key[..i], key[i + 1..].trim_end_matches('}')),
-        None => (key, ""),
-    }
-}
-
-/// Render a snapshot in the Prometheus text exposition format.
-///
-/// Counters and gauges emit one `name{labels} value` line each. Histograms
-/// emit cumulative `_bucket` lines with `le` set to each non-empty log2
-/// bucket's inclusive upper bound, a `+Inf` bucket, and `_sum` / `_count`
-/// lines — the shape `histogram_quantile()` expects.
-pub fn prometheus(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for c in &snap.counters {
-        writeln!(out, "{} {}", c.key, c.value).unwrap();
-    }
-    for g in &snap.gauges {
-        writeln!(out, "{} {}", g.key, g.value).unwrap();
-    }
-    for h in &snap.histograms {
-        let (name, inner) = split_key(&h.key);
-        let with = |extra: &str| -> String {
-            if inner.is_empty() {
-                format!("{{{extra}}}")
-            } else {
-                format!("{{{inner},{extra}}}")
-            }
-        };
-        let plain = if inner.is_empty() {
-            String::new()
-        } else {
-            format!("{{{inner}}}")
-        };
-        let mut cum = 0u64;
-        for &(i, c) in &h.buckets {
-            cum += c;
-            let le = with(&format!("le=\"{}\"", bucket_upper(i as usize)));
-            writeln!(out, "{name}_bucket{le} {cum}").unwrap();
-        }
-        let inf = with("le=\"+Inf\"");
-        writeln!(out, "{name}_bucket{inf} {}", h.count).unwrap();
-        writeln!(out, "{name}_sum{plain} {}", h.sum).unwrap();
-        writeln!(out, "{name}_count{plain} {}", h.count).unwrap();
-    }
-    out
 }
 
 /// Process ID used for diagnosis-pipeline (non-switch) rows in the Chrome
@@ -552,25 +500,5 @@ mod tests {
     fn counter_totals_folds_labels_sorted() {
         let totals = counter_totals(&sample_snapshot());
         assert_eq!(totals, vec![("epochs_ingested".to_string(), 11)]);
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let out = prometheus(&sample_snapshot());
-        assert!(out.contains("epochs_ingested 7\n"));
-        assert!(out.contains("epochs_ingested{switch=2} 3\n"));
-        assert!(out.contains("goodput_bps 2500000000\n"));
-        // Histogram: buckets 0 (value 0), 2 (two 3s), 10 (900) → cumulative
-        // counts 1, 3, 4 at le = 0, 3, 1023; then +Inf / sum / count.
-        assert!(out.contains("lat_ns_bucket{switch=1,port=0,le=\"0\"} 1\n"));
-        assert!(out.contains("lat_ns_bucket{switch=1,port=0,le=\"3\"} 3\n"));
-        assert!(out.contains("lat_ns_bucket{switch=1,port=0,le=\"1023\"} 4\n"));
-        assert!(out.contains("lat_ns_bucket{switch=1,port=0,le=\"+Inf\"} 4\n"));
-        assert!(out.contains("lat_ns_sum{switch=1,port=0} 906\n"));
-        assert!(out.contains("lat_ns_count{switch=1,port=0} 4\n"));
-        // Every line is `key value`.
-        for line in out.lines() {
-            assert_eq!(line.split(' ').count(), 2, "bad line {line:?}");
-        }
     }
 }

@@ -10,7 +10,7 @@ use hawkeye_client::AnyStream;
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{SERVE_SESSIONS, SLOW_OPS};
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry};
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -93,6 +93,47 @@ impl Drop for Listener {
     }
 }
 
+/// Whether a read error is the session's poll timeout expiring.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// The session's read side for one frame. The stream's 100 ms read timeout
+/// is the idle poll that re-checks `stop` between frames; once a frame's
+/// first byte has arrived, a timeout is a slow peer (a TCP retransmission,
+/// a writer that paused), not idleness, so the read is retried until the
+/// frame is whole. Giving up there would drop the bytes already read and
+/// start the next read mid-frame. Mid-frame, `stop` is checked before every
+/// read, so neither a stalled nor a trickling peer holds up a shutdown. A
+/// frame already buffered costs no extra syscall.
+struct FrameReader<'a> {
+    stream: &'a mut AnyStream,
+    stop: &'a AtomicBool,
+    /// Whether a byte of the frame has been read.
+    begun: bool,
+}
+
+impl Read for FrameReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if self.begun && self.stop.load(Ordering::SeqCst) {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            match self.stream.read(buf) {
+                Err(e) if self.begun && timed_out(&e) => {}
+                Ok(n) => {
+                    self.begun = true;
+                    return Ok(n);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 /// Serve one connection: read request frames until the peer hangs up,
 /// `stop` is raised (polled every 100 ms while idle) or a `Shutdown`
 /// request raises it. `Hello` is answered here — a peer announcing a
@@ -128,13 +169,16 @@ pub fn serve_session(
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let (opcode, mut body) = match read_frame(&mut stream) {
+        let mut frame = FrameReader {
+            stream: &mut stream,
+            stop,
+            begun: false,
+        };
+        let (opcode, mut body) = match read_frame(&mut frame) {
             Ok(Some(f)) => f,
             Ok(None) => return, // clean disconnect
-            Err(ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // idle poll; re-check the stop flag
+            Err(ProtoError::Io(e)) if timed_out(&e) => {
+                continue; // idle poll (or stop mid-frame); re-check the stop flag
             }
             Err(e) => {
                 let _ = write_response(&mut stream, &Response::Error(e.to_string()));
@@ -250,13 +294,16 @@ pub fn stop_signalled() -> bool {
 mod tests {
     use super::*;
     use hawkeye_client::proto::{decode_response, write_request, MAX_FRAME};
+    use std::io::Write;
     use std::os::unix::net::UnixStream;
 
-    /// A response too large to frame is answered with an error naming the
-    /// cap, and the session stays usable — never a half-written frame.
-    #[test]
-    fn oversized_response_is_an_error_not_a_hangup() {
-        let (mut peer, ours) = UnixStream::pair().expect("socket pair");
+    /// Run `serve_session` over one end of a socket pair, with `handle`
+    /// answering, while `peer` drives the other end; returns the flight ring.
+    fn session_rig(
+        handle: impl FnMut(Request, &mut Vec<u8>) -> (Option<&'static str>, Response) + Send,
+        peer: impl FnOnce(&mut UnixStream),
+    ) -> FlightRecorder {
+        let (mut ours_peer, ours) = UnixStream::pair().expect("socket pair");
         let stop = AtomicBool::new(false);
         let metrics = Mutex::new(MetricsRegistry::default());
         let flight = Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY));
@@ -269,32 +316,123 @@ mod tests {
                     Some(&flight),
                     1,
                     None,
-                    |req, _| match req {
-                        Request::Stats => {
-                            let huge = "x".repeat(MAX_FRAME as usize);
-                            (None, Response::Stats(serde::Value::Str(huge)))
-                        }
-                        _ => (None, Response::Stats(serde::Value::Null)),
-                    },
+                    handle,
                 )
             });
-            let mut ask = |req| {
-                write_request(&mut peer, &req).expect("write");
-                let (op, body) = read_frame(&mut peer).expect("read").expect("frame");
-                decode_response(op, &body).expect("decode")
-            };
-            let Response::Error(msg) = ask(Request::Stats) else {
-                panic!("oversized response must come back as an error");
-            };
-            assert!(msg.contains(&MAX_FRAME.to_string()), "cap not named: {msg}");
-            assert_eq!(ask(Request::Metrics), Response::Stats(serde::Value::Null));
-            assert_eq!(ask(Request::Shutdown), Response::Bye);
+            peer(&mut ours_peer);
         });
-        assert!(stop.load(Ordering::SeqCst));
-        assert_eq!(
-            flight.lock().unwrap().len(),
-            1,
-            "the refusal reaches the ring"
+        assert!(stop.load(Ordering::SeqCst), "the peer ends with Shutdown");
+        flight.into_inner().unwrap()
+    }
+
+    fn ask(peer: &mut UnixStream, req: &Request) -> Response {
+        write_request(peer, req).expect("write");
+        let (op, body) = read_frame(peer).expect("read").expect("frame");
+        decode_response(op, &body).expect("decode")
+    }
+
+    /// A response too large to frame is answered with an error naming the
+    /// cap, and the session stays usable — never a half-written frame.
+    #[test]
+    fn oversized_response_is_an_error_not_a_hangup() {
+        let flight = session_rig(
+            |req, _| match req {
+                Request::Stats => {
+                    let huge = "x".repeat(MAX_FRAME as usize);
+                    (None, Response::Stats(serde::Value::Str(huge)))
+                }
+                _ => (None, Response::Stats(serde::Value::Null)),
+            },
+            |peer| {
+                let Response::Error(msg) = ask(peer, &Request::Stats) else {
+                    panic!("oversized response must come back as an error");
+                };
+                assert!(msg.contains(&MAX_FRAME.to_string()), "cap not named: {msg}");
+                assert_eq!(
+                    ask(peer, &Request::Metrics),
+                    Response::Stats(serde::Value::Null)
+                );
+                assert_eq!(ask(peer, &Request::Shutdown), Response::Bye);
+            },
         );
+        assert_eq!(flight.len(), 1, "the refusal reaches the ring");
+    }
+
+    /// A frame that arrives in two writes with a pause longer than the
+    /// session's 100 ms idle poll between them — after part of the length
+    /// prefix, or after the prefix — is read whole, and the session stays
+    /// at a frame boundary for the next request.
+    #[test]
+    fn a_frame_split_across_the_idle_poll_is_read_whole() {
+        let explain = Request::Explain(Some(7));
+        let mut frame = Vec::new();
+        write_request(&mut frame, &explain).expect("encode");
+        for split in [2, 4] {
+            session_rig(
+                |req, _| match req {
+                    Request::Explain(seq) => (None, Response::Error(format!("explain {seq:?}"))),
+                    _ => (None, Response::Stats(serde::Value::Null)),
+                },
+                |peer| {
+                    peer.write_all(&frame[..split]).expect("first part");
+                    std::thread::sleep(Duration::from_millis(250));
+                    peer.write_all(&frame[split..]).expect("rest");
+                    let (op, body) = read_frame(peer).expect("read").expect("frame");
+                    assert_eq!(
+                        decode_response(op, &body).expect("decode"),
+                        Response::Error("explain Some(7)".into()),
+                        "split after {split} bytes"
+                    );
+                    assert_eq!(
+                        ask(peer, &Request::Stats),
+                        Response::Stats(serde::Value::Null)
+                    );
+                    assert_eq!(ask(peer, &Request::Shutdown), Response::Bye);
+                },
+            );
+        }
+    }
+
+    /// Patience with a partial frame stops at `stop`: neither a peer that
+    /// sends two bytes of a frame and then nothing, nor one that trickles a
+    /// 1 MiB frame a byte every 50 ms, keeps `DaemonHandle::shutdown` from
+    /// returning.
+    #[test]
+    fn a_peer_stalled_mid_frame_does_not_block_shutdown() {
+        use hawkeye_sim::{chain, EVAL_BANDWIDTH, EVAL_DELAY};
+        let path = std::env::temp_dir().join(format!("hawkeye-stall-{}.sock", std::process::id()));
+        let handle = crate::spawn(
+            chain(2, 1, EVAL_BANDWIDTH, EVAL_DELAY),
+            crate::ServeConfig::default(),
+            Endpoint::Unix(path.clone()),
+        )
+        .expect("bind daemon");
+        let mut peer = UnixStream::connect(&path).expect("connect");
+        let mut frame = Vec::new();
+        write_request(&mut frame, &Request::Stats).expect("encode");
+        peer.write_all(&frame[..2]).expect("two bytes");
+        let mut trickle = UnixStream::connect(&path).expect("connect");
+        let trickler = std::thread::spawn(move || {
+            let head = (1u32 << 20).to_le_bytes().into_iter().chain([3]);
+            for b in head.chain(std::iter::repeat_n(0, 400)) {
+                if trickle.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(250));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            handle.shutdown();
+            let _ = done_tx.send(());
+        });
+        done.recv_timeout(Duration::from_secs(10))
+            .expect("shutdown returned while a peer stalled mid-frame");
+        stopper.join().expect("shutdown thread");
+        trickler
+            .join()
+            .expect("the trickle ends when its session does");
+        assert!(!path.exists(), "socket file removed");
     }
 }

@@ -36,13 +36,13 @@ use crate::audit::AuditTrail;
 use crate::compactor::Compactor;
 use crate::store::TelemetryStore;
 use crate::wal::{
-    decode_audit_checkpoint, decode_switch_checkpoint, parse_segment_name, record_crc,
-    AuditCheckpoint, ResumePlan, SwitchCheckpoint, Wal, WalConfig, MAX_RECORD, OLD_SEG_MAGIC,
-    REC_BATCH, REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH, REC_HEADER_LEN,
+    decode_audit_checkpoint, decode_explain, decode_switch_checkpoint, parse_segment_name,
+    record_crc, AuditCheckpoint, ResumePlan, SwitchCheckpoint, Wal, WalConfig, MAX_RECORD,
+    OLD_SEG_MAGIC, REC_BATCH, REC_CKPT_AUDIT, REC_CKPT_BEGIN, REC_CKPT_END, REC_CKPT_SWITCH,
     REC_VERDICT, SEG_HEADER_LEN, SEG_MAGIC,
 };
 use hawkeye_client::ExplainRecord;
-use hawkeye_telemetry::{decode_batch, TelemetrySnapshot};
+use hawkeye_telemetry::{decode_batch, CodecError, Reader, TelemetrySnapshot};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -78,38 +78,37 @@ pub struct Scan {
 }
 
 fn decode_entry(kind: u8, payload: &[u8]) -> Result<WalEntry, String> {
-    match kind {
-        REC_BATCH => decode_batch(payload)
-            .map(WalEntry::Batch)
-            .map_err(|e| format!("batch payload: {e}")),
-        REC_VERDICT => {
-            let js =
-                std::str::from_utf8(payload).map_err(|e| format!("verdict payload utf8: {e}"))?;
-            serde_json::from_str::<ExplainRecord>(js)
-                .map(|v| WalEntry::Verdict(Box::new(v)))
-                .map_err(|e| format!("verdict payload json: {e}"))
-        }
-        REC_CKPT_BEGIN => {
-            let bytes: [u8; 8] = payload
-                .try_into()
-                .map_err(|_| "ckpt begin payload is not 8 bytes".to_string())?;
-            Ok(WalEntry::CkptBegin(u64::from_le_bytes(bytes)))
-        }
-        REC_CKPT_SWITCH => decode_switch_checkpoint(payload)
-            .map(|c| WalEntry::CkptSwitch(Box::new(c)))
-            .map_err(|e| format!("ckpt switch payload: {e}")),
-        REC_CKPT_AUDIT => decode_audit_checkpoint(payload)
-            .map(WalEntry::CkptAudit)
-            .map_err(|e| format!("ckpt audit payload: {e}")),
-        REC_CKPT_END => {
-            if payload.is_empty() {
-                Ok(WalEntry::CkptEnd)
-            } else {
-                Err("ckpt end carries a payload".to_string())
-            }
-        }
-        other => Err(format!("unknown record kind 0x{other:02X}")),
+    Ok(match kind {
+        REC_BATCH => WalEntry::Batch(decode_batch(payload)?),
+        REC_VERDICT => WalEntry::Verdict(Box::new(decode_explain(payload)?)),
+        REC_CKPT_BEGIN => WalEntry::CkptBegin(Reader::read_all(payload, |r| r.u64())?),
+        REC_CKPT_SWITCH => WalEntry::CkptSwitch(Box::new(decode_switch_checkpoint(payload)?)),
+        REC_CKPT_AUDIT => WalEntry::CkptAudit(decode_audit_checkpoint(payload)?),
+        REC_CKPT_END => Reader::read_all::<_, CodecError>(payload, |_| Ok(WalEntry::CkptEnd))?,
+        other => return Err(format!("unknown record kind 0x{other:02X}")),
+    })
+}
+
+/// The record at the reader's position — `[u32 len] [u8 kind] [u64 seq]
+/// [u32 crc] [payload]` — which must carry `seq`, pass its CRC and decode.
+/// A short header or payload is the reader's truncation error.
+fn read_record(r: &mut Reader<'_>, seq: u64) -> Result<ScannedRecord, String> {
+    let len = r.u32()?;
+    let kind = r.u8()?;
+    let rseq = r.u64()?;
+    let crc = r.u32()?;
+    if len > MAX_RECORD {
+        return Err(format!("oversized record ({len} bytes)"));
     }
+    let payload = r.take(len as usize)?;
+    if rseq != seq {
+        return Err(format!("seq discontinuity: {rseq} where {seq} expected"));
+    }
+    if crc != record_crc(len, kind, rseq, payload) {
+        return Err("crc mismatch".into());
+    }
+    let entry = decode_entry(kind, payload)?;
+    Ok(ScannedRecord { seq: rseq, entry })
 }
 
 /// Scan a durable directory read-only. A missing or empty directory is a
@@ -158,9 +157,9 @@ pub fn scan(dir: &Path) -> io::Result<Scan> {
                 ),
             ));
         }
-        let header_ok = bytes.len() >= SEG_HEADER_LEN
-            && &bytes[..8] == SEG_MAGIC
-            && u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) == *name_start
+        let mut r = Reader::new(&bytes);
+        let header_ok = r.take(SEG_MAGIC.len()).is_ok_and(|m| m == SEG_MAGIC)
+            && r.u64().is_ok_and(|start| start == *name_start)
             && expected_seq.is_none_or(|e| e == *name_start);
         if !header_ok {
             // The whole file is untrustworthy; it and everything after
@@ -172,53 +171,25 @@ pub fn scan(dir: &Path) -> io::Result<Scan> {
             continue;
         }
         let mut seq = *name_start;
-        let mut pos = SEG_HEADER_LEN;
-        let mut valid_len = pos as u64;
-        while pos < bytes.len() {
-            let rest = &bytes[pos..];
-            let parsed = (|| -> Result<(ScannedRecord, usize), String> {
-                if rest.len() < REC_HEADER_LEN {
-                    return Err("torn record header".into());
-                }
-                let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-                let kind = rest[4];
-                let rseq = u64::from_le_bytes(rest[5..13].try_into().expect("8 bytes"));
-                let crc = u32::from_le_bytes(rest[13..17].try_into().expect("4 bytes"));
-                if len > MAX_RECORD {
-                    return Err(format!("oversized record ({len} bytes)"));
-                }
-                let total = REC_HEADER_LEN + len as usize;
-                if rest.len() < total {
-                    return Err("torn record payload".into());
-                }
-                if rseq != seq {
-                    return Err(format!("seq discontinuity: {rseq} where {seq} expected"));
-                }
-                let payload = &rest[REC_HEADER_LEN..total];
-                if crc != record_crc(len, kind, rseq, payload) {
-                    return Err("crc mismatch".into());
-                }
-                let entry = decode_entry(kind, payload)?;
-                Ok((ScannedRecord { seq: rseq, entry }, total))
-            })();
-            match parsed {
-                Ok((rec, consumed)) => {
+        let mut valid_len = r.pos();
+        while r.pos() < bytes.len() {
+            match read_record(&mut r, seq) {
+                Ok(rec) => {
                     out.records.push(rec);
                     seq += 1;
-                    pos += consumed;
-                    valid_len = pos as u64;
+                    valid_len = r.pos();
                 }
                 Err(_) => {
                     corrupt = true;
                     out.truncated_records += 1;
-                    out.truncated_bytes += (bytes.len() - pos) as u64;
+                    out.truncated_bytes += (bytes.len() - valid_len) as u64;
                     break;
                 }
             }
         }
         expected_seq = Some(seq);
-        kept.push((*name_start, path.clone(), valid_len));
-        if corrupt && valid_len <= SEG_HEADER_LEN as u64 {
+        kept.push((*name_start, path.clone(), valid_len as u64));
+        if corrupt && valid_len <= SEG_HEADER_LEN {
             // Nothing valid survived in this segment; condemn the file
             // instead of keeping an empty husk as the tail. Its bytes
             // were already counted above.
@@ -373,6 +344,7 @@ mod tests {
     use crate::store::StoreConfig;
     use crate::wal::{
         encode_audit_checkpoint, encode_switch_checkpoint, FsyncPolicy, REC_CKPT_BEGIN,
+        REC_HEADER_LEN,
     };
     use hawkeye_sim::{FlowKey, Nanos, NodeId};
     use hawkeye_telemetry::{encode_batch, EpochSnapshot, FlowRecord};

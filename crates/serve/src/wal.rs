@@ -40,8 +40,8 @@ use crate::store::SwitchRestore;
 use hawkeye_client::ExplainRecord;
 use hawkeye_sim::{Nanos, NodeId};
 use hawkeye_telemetry::{
-    decode_compacted, decode_snapshot, encode_compacted, encode_snapshot, CompactedEpoch,
-    KIND_BATCH,
+    decode_compacted, decode_snapshot, encode_compacted, encode_snapshot, CompactedEpoch, Reader,
+    Writer, KIND_BATCH,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -399,11 +399,12 @@ impl Wal {
         let crc = record_crc(len, kind, seq, payload);
         let framed = REC_HEADER_LEN + payload.len();
         self.buf.reserve(framed);
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.push(kind);
-        self.buf.extend_from_slice(&seq.to_le_bytes());
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        let mut w = Writer::new(&mut self.buf);
+        w.u32(len);
+        w.u8(kind);
+        w.u64(seq);
+        w.u32(crc);
+        w.bytes(payload);
         if self.buf.len() >= FLUSH_BUF_BYTES {
             self.flush_buf()?;
         }
@@ -549,172 +550,87 @@ pub struct AuditCheckpoint {
     pub records: Vec<ExplainRecord>,
 }
 
-struct W(Vec<u8>);
-
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn blob(&mut self, bytes: &[u8]) {
-        self.u32(bytes.len() as u32);
-        self.0.extend_from_slice(bytes);
-    }
-}
-
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("truncated checkpoint payload at byte {}", self.pos))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn blob(&mut self) -> Result<&'a [u8], String> {
-        let n = self.u32()? as usize;
-        if n > MAX_RECORD as usize {
-            return Err(format!("oversized checkpoint blob ({n} bytes)"));
-        }
-        self.take(n)
-    }
-    fn done(&self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "trailing garbage in checkpoint payload ({} of {} bytes consumed)",
-                self.pos,
-                self.buf.len()
-            ))
-        }
-    }
-}
-
 pub fn encode_switch_checkpoint(c: &SwitchCheckpoint) -> Vec<u8> {
     let r = &c.restore;
-    let mut w = W(Vec::with_capacity(256));
-    w.u32(r.switch.0);
-    w.blob(&encode_snapshot(&r.snapshot));
     debug_assert_eq!(r.taken_at.len(), r.snapshot.epochs.len());
-    w.u32(r.taken_at.len() as u32);
-    for t in &r.taken_at {
-        w.u64(t.0);
-    }
-    w.u64(r.watermark.0);
-    w.u64(r.fold_horizon.0);
-    w.u32(r.folded.len() as u32);
-    for &(slot, id, taken, start) in &r.folded {
-        w.u64(slot as u64);
-        w.u8(id);
-        w.u64(taken.0);
-        w.u64(start.0);
-    }
-    w.u32(c.buckets.len() as u32);
-    for b in &c.buckets {
-        w.blob(&encode_compacted(b));
-    }
-    w.0
+    Writer::encode(256, |w| {
+        w.u32(r.switch.0);
+        w.blob(&encode_snapshot(&r.snapshot));
+        w.section(&r.taken_at, |w, t| w.u64(t.0));
+        w.u64(r.watermark.0);
+        w.u64(r.fold_horizon.0);
+        w.section(&r.folded, |w, &(slot, id, taken, start)| {
+            w.u64(slot as u64);
+            w.u8(id);
+            w.u64(taken.0);
+            w.u64(start.0);
+        });
+        w.section(&c.buckets, |w, b| w.blob(&encode_compacted(b)));
+    })
 }
 
 pub fn decode_switch_checkpoint(bytes: &[u8]) -> Result<SwitchCheckpoint, String> {
-    let mut r = R { buf: bytes, pos: 0 };
-    let switch = NodeId(r.u32()?);
-    let snapshot = decode_snapshot(r.blob()?).map_err(|e| format!("checkpoint snapshot: {e}"))?;
-    if snapshot.switch != switch {
-        return Err(format!(
-            "checkpoint switch mismatch: header {} vs snapshot {}",
-            switch.0, snapshot.switch.0
-        ));
-    }
-    let n = r.u32()? as usize;
-    if n != snapshot.epochs.len() {
-        return Err(format!(
-            "checkpoint taken_at count {n} != {} epochs",
-            snapshot.epochs.len()
-        ));
-    }
-    let mut taken_at = Vec::with_capacity(n.min(bytes.len() / 8 + 1));
-    for _ in 0..n {
-        taken_at.push(Nanos(r.u64()?));
-    }
-    let watermark = Nanos(r.u64()?);
-    let fold_horizon = Nanos(r.u64()?);
-    let nf = r.u32()? as usize;
-    let mut folded = Vec::with_capacity(nf.min(bytes.len() / 25 + 1));
-    for _ in 0..nf {
-        let slot = r.u64()? as usize;
-        let id = r.u8()?;
-        let taken = Nanos(r.u64()?);
-        let start = Nanos(r.u64()?);
-        folded.push((slot, id, taken, start));
-    }
-    let nb = r.u32()? as usize;
-    let mut buckets = Vec::with_capacity(nb.min(bytes.len() / 32 + 1));
-    for _ in 0..nb {
-        buckets.push(decode_compacted(r.blob()?).map_err(|e| format!("checkpoint bucket: {e}"))?);
-    }
-    r.done()?;
-    Ok(SwitchCheckpoint {
-        restore: SwitchRestore {
-            switch,
-            snapshot,
-            taken_at,
-            watermark,
-            fold_horizon,
-            folded,
-        },
-        buckets,
+    Reader::read_all(bytes, |r| {
+        let switch = NodeId(r.u32()?);
+        let snapshot = decode_snapshot(r.blob("checkpoint snapshot byte", MAX_RECORD)?)?;
+        let taken_at = r.section("checkpoint taken_at", 8, |r| Ok(Nanos(r.u64()?)))?;
+        if snapshot.switch != switch || taken_at.len() != snapshot.epochs.len() {
+            return Err(format!(
+                "checkpoint of switch {} disagrees with its snapshot",
+                switch.0
+            ));
+        }
+        let watermark = Nanos(r.u64()?);
+        let fold_horizon = Nanos(r.u64()?);
+        let folded = r.section("checkpoint folded", 25, |r| {
+            Ok((r.u64()? as usize, r.u8()?, Nanos(r.u64()?), Nanos(r.u64()?)))
+        })?;
+        let buckets = r.section("checkpoint buckets", 4, |r| {
+            decode_compacted(r.blob("checkpoint bucket byte", MAX_RECORD)?)
+        })?;
+        Ok(SwitchCheckpoint {
+            restore: SwitchRestore {
+                switch,
+                snapshot,
+                taken_at,
+                watermark,
+                fold_horizon,
+                folded,
+            },
+            buckets,
+        })
     })
 }
 
 pub fn encode_audit_checkpoint(c: &AuditCheckpoint) -> Vec<u8> {
-    let mut w = W(Vec::with_capacity(64));
-    w.u64(c.next_seq);
-    w.u32(c.records.len() as u32);
-    for rec in &c.records {
-        let js = serde_json::to_string(rec).expect("ExplainRecord serializes");
-        w.blob(js.as_bytes());
-    }
-    w.0
+    Writer::encode(64, |w| {
+        w.u64(c.next_seq);
+        w.section(&c.records, |w, rec| {
+            let js = serde_json::to_string(rec).expect("ExplainRecord serializes");
+            w.blob(js.as_bytes());
+        });
+    })
 }
 
 pub fn decode_audit_checkpoint(bytes: &[u8]) -> Result<AuditCheckpoint, String> {
-    let mut r = R { buf: bytes, pos: 0 };
-    let next_seq = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut records = Vec::with_capacity(n.min(bytes.len() / 16 + 1));
-    for _ in 0..n {
-        let blob = r.blob()?;
-        let js = std::str::from_utf8(blob).map_err(|e| format!("audit record utf8: {e}"))?;
-        records.push(
-            serde_json::from_str::<ExplainRecord>(js)
-                .map_err(|e| format!("audit record json: {e}"))?,
-        );
-    }
-    r.done()?;
-    Ok(AuditCheckpoint { next_seq, records })
+    Reader::read_all(bytes, |r| {
+        let next_seq = r.u64()?;
+        let blobs = r.section("audit records", 4, |r| {
+            r.blob("audit record byte", MAX_RECORD)
+        })?;
+        let records = blobs
+            .into_iter()
+            .map(decode_explain)
+            .collect::<Result<_, _>>()?;
+        Ok(AuditCheckpoint { next_seq, records })
+    })
+}
+
+/// An [`ExplainRecord`] from its JSON bytes: a verdict record's payload,
+/// or one record of an audit checkpoint.
+pub(crate) fn decode_explain(bytes: &[u8]) -> Result<ExplainRecord, String> {
+    let js = std::str::from_utf8(bytes).map_err(|e| format!("verdict utf8: {e}"))?;
+    serde_json::from_str(js).map_err(|e| format!("verdict json: {e}"))
 }
 
 #[cfg(test)]

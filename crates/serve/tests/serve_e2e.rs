@@ -709,6 +709,41 @@ fn foreign_switch_or_port_is_refused_whole() {
     handle.wait();
 }
 
+/// A JSON request body nested 20 000 deep — one Diagnose, FlowHistory or
+/// Explain frame of `[` bytes — once overflowed the session thread's stack
+/// in the JSON parser and aborted the whole daemon. It is a typed
+/// malformed-body error now, and the same session answers `Stats` after
+/// each.
+#[test]
+fn deeply_nested_json_is_a_typed_error() {
+    let sc = incast();
+    let handle = spawn(
+        sc.topo.clone(),
+        ServeConfig::default(),
+        Endpoint::Tcp("127.0.0.1:0".into()),
+    )
+    .expect("bind daemon");
+    let addr = handle.local_addr.expect("tcp daemon has an address");
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let mut ask_raw = |op: u8, body: &[u8]| {
+        write_frame(&mut raw, op, body).expect("write");
+        let (op, body) = read_frame(&mut raw).expect("read").expect("frame");
+        decode_response(op, &body).expect("decode")
+    };
+    let nested = "[".repeat(20_000);
+    for op in [2, 5, 7] {
+        let Response::Error(msg) = ask_raw(op, nested.as_bytes()) else {
+            panic!("opcode {op}: a nested body must be refused");
+        };
+        assert!(
+            matches!(ProtoError::remote(msg), ProtoError::Remote(m) if m.contains("malformed body")),
+            "opcode {op}"
+        );
+        assert!(matches!(ask_raw(3, &[]), Response::Stats(_)), "opcode {op}");
+    }
+    handle.shutdown();
+}
+
 /// Diagnosis with no ingested telemetry is a remote error, not a hang or
 /// a panic.
 #[test]

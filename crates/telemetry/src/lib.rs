@@ -40,5 +40,5 @@ pub use switch_state::{SwitchTelemetry, TelemetryConfig};
 pub use tables::{CausalityMeter, EvictedFlow, FlowRecord, FlowTable, PortRecord, PortTable};
 pub use wire::{
     decode_batch, decode_compacted, decode_snapshot, encode_batch, encode_compacted,
-    encode_snapshot, CodecError, KIND_BATCH, KIND_COMPACTED, WIRE_VERSION,
+    encode_snapshot, CodecError, Reader, Writer, KIND_BATCH, KIND_COMPACTED, WIRE_VERSION,
 };

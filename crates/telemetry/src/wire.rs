@@ -1,4 +1,7 @@
-//! Compact binary codec for [`TelemetrySnapshot`]s.
+//! Compact binary codec for [`TelemetrySnapshot`]s, and the bounded
+//! little-endian [`Reader`] / [`Writer`] every binary format in the
+//! workspace is read and written through (serve protocol bodies, evidence
+//! log records and checkpoints too).
 //!
 //! The online store and the serve protocol move snapshots constantly; the
 //! JSON edge formats are an order of magnitude larger and allocate per
@@ -11,6 +14,10 @@
 //! The encoding is canonical: encoding a decoded snapshot reproduces the
 //! input bytes exactly (there is one representation per value), which the
 //! store's byte-for-byte reconciliation tests rely on.
+//!
+//! The reader is bounded: a claimed count or length is capped before it is
+//! trusted, reservation follows the bytes present, and [`Reader::finish`]
+//! refuses leftovers. Hostile input is a typed [`CodecError`].
 
 use crate::compact::{CompactedEpoch, FlowTotals, PortTotals};
 use crate::snapshot::{EpochSnapshot, TelemetrySnapshot};
@@ -22,23 +29,27 @@ use std::fmt;
 pub const WIRE_VERSION: u8 = 1;
 
 /// Decode failure: structurally invalid bytes (truncation, bad version,
-/// absurd counts). Carries enough context to log usefully at the frame
-/// boundary.
+/// absurd counts, leftovers). Carries enough context to log usefully at the
+/// frame boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// Input ended before the layout said it should.
     Truncated { need: usize, have: usize },
-    /// Leading version byte is not [`WIRE_VERSION`].
+    /// Leading version byte is not [`WIRE_VERSION`] (or the kind byte after
+    /// it is not the layout's).
     Version(u8),
-    /// An element count exceeds the sanity bound for its section.
+    /// An element count (or a blob's byte length) exceeds the sanity bound
+    /// for its section.
     Oversized { section: &'static str, count: u32 },
+    /// Bytes left over after the layout ended at byte `used`.
+    Trailing { used: usize, have: usize },
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::Truncated { need, have } => {
-                write!(f, "truncated snapshot: need {need} bytes, have {have}")
+                write!(f, "truncated input: need {need} bytes, have {have}")
             }
             CodecError::Version(v) => {
                 write!(f, "unsupported wire version {v} (expected {WIRE_VERSION})")
@@ -46,16 +57,27 @@ impl fmt::Display for CodecError {
             CodecError::Oversized { section, count } => {
                 write!(f, "implausible {section} count {count}")
             }
+            CodecError::Trailing { used, have } => {
+                write!(f, "trailing bytes: layout ends at byte {used} of {have}")
+            }
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
+/// The evidence log's decoders report their causes as text; this lets `?`
+/// carry a codec error into them.
+impl From<CodecError> for String {
+    fn from(e: CodecError) -> String {
+        e.to_string()
+    }
+}
+
 /// Per-section element ceiling: a real switch exports at most a few
 /// thousand flows per epoch; anything near this bound is a corrupt or
 /// hostile frame, rejected before allocation.
-const MAX_COUNT: u32 = 1 << 20;
+pub const MAX_COUNT: u32 = 1 << 20;
 
 /// Encoded bytes per element of each repeated section (for the nested
 /// ones — epochs, snapshot bodies — the fixed part, i.e. the least one
@@ -70,26 +92,64 @@ const SNAPSHOT_MIN_LEN: usize = 4 + 8 + 4 + 4 + 2 * 4;
 const COMPACTED_FLOW_LEN: usize = FlowKey::WIRE_SIZE + 1 + 8 + 8 + 8 + 4;
 const COMPACTED_PORT_LEN: usize = 1 + 8 + 8 + 8;
 
-struct Writer {
-    buf: Vec<u8>,
-}
+/// Little-endian writer appending to a borrowed buffer: the encoding half
+/// of [`Reader`], method for method.
+pub struct Writer<'a>(&'a mut Vec<u8>);
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+impl<'a> Writer<'a> {
+    pub fn new(buf: &'a mut Vec<u8>) -> Writer<'a> {
+        Writer(buf)
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// A fresh buffer of `capacity` filled by `write` ([`Reader::read_all`]'s
+    /// counterpart).
+    #[inline]
+    pub fn encode(capacity: usize, write: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(capacity);
+        write(&mut Writer(&mut buf));
+        buf
     }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
+        self.0.push(v);
     }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    pub fn u16(&mut self, v: u16) {
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn count(&mut self, n: usize) {
-        debug_assert!(n <= MAX_COUNT as usize, "section count {n} over bound");
-        self.u32(n as u32);
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.0.extend_from_slice(v);
+    }
+    /// A `u32` byte length, then the bytes ([`Reader::blob`]).
+    pub fn blob(&mut self, v: &[u8]) {
+        self.u32(v.len() as u32);
+        self.bytes(v);
+    }
+    /// One repeated section: a `u32` element count, then each element
+    /// ([`Reader::section`]).
+    #[inline]
+    pub fn section<T>(&mut self, items: &[T], mut element: impl FnMut(&mut Self, &T)) {
+        debug_assert!(items.len() <= MAX_COUNT as usize);
+        self.u32(items.len() as u32);
+        for item in items {
+            element(self, item);
+        }
+    }
+    /// The version tag, then the layout's kind byte if it has one
+    /// ([`Reader::header`]).
+    pub fn header(&mut self, kind: Option<u8>) {
+        self.u8(WIRE_VERSION);
+        if let Some(k) = kind {
+            self.u8(k);
+        }
     }
     fn flow_key(&mut self, k: &FlowKey) {
         self.u32(k.src.0);
@@ -106,41 +166,83 @@ impl Writer {
     }
 }
 
-struct Reader<'a> {
+/// Bounded little-endian reader over a byte slice. Every read that would
+/// run past the end is [`CodecError::Truncated`]; nothing it does can
+/// panic or allocate more than the input could hold.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::Truncated {
-                need: self.pos + n,
-                have: self.buf.len(),
-            });
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, pos: 0 }
+    }
+    /// Read all of `bytes` with `read`, then [`Reader::finish`]. Every
+    /// fixed layout decodes through this.
+    #[inline]
+    pub fn read_all<T, E: From<CodecError>>(
+        bytes: &'a [u8],
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut r = Reader::new(bytes);
+        let out = read(&mut r)?;
+        r.finish()?;
+        Ok(out)
+    }
+    /// The layout ended: any byte left is [`CodecError::Trailing`].
+    pub fn finish(&self) -> Result<(), CodecError> {
+        match (self.pos, self.buf.len()) {
+            (used, have) if used < have => Err(CodecError::Trailing { used, have }),
+            _ => Ok(()),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    }
+    /// Bytes consumed so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let (need, have) = (self.pos.saturating_add(n), self.buf.len());
+        let s = self
+            .buf
+            .get(self.pos..need)
+            .ok_or(CodecError::Truncated { need, have })?;
+        self.pos = need;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, CodecError> {
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
-    fn u16(&mut self) -> Result<u16, CodecError> {
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
     }
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
     }
-    fn u64(&mut self) -> Result<u64, CodecError> {
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
-    /// One repeated section: a `u32` element count, then that many
-    /// elements. The Vec is reserved from the bytes remaining (each
-    /// element occupies at least `min_len` of them), not from the claimed
-    /// count, so a hostile count cannot force an allocation larger than
-    /// the frame that carries it before the truncation check trips.
-    fn section<T>(
+    /// A `u32` byte length of at most `cap`, then that many bytes.
+    pub fn blob(&mut self, section: &'static str, cap: u32) -> Result<&'a [u8], CodecError> {
+        let count = self.u32()?;
+        if count > cap {
+            return Err(CodecError::Oversized { section, count });
+        }
+        self.take(count as usize)
+    }
+    /// One repeated section: a `u32` element count of at most
+    /// [`MAX_COUNT`], then that many elements. The Vec is reserved from
+    /// the bytes remaining (each element occupies at least `min_len` of
+    /// them), not from the claimed count, so a hostile count cannot force
+    /// an allocation larger than the frame that carries it before the
+    /// truncation check trips.
+    #[inline]
+    pub fn section<T>(
         &mut self,
         section: &'static str,
         min_len: usize,
@@ -150,12 +252,22 @@ impl<'a> Reader<'a> {
         if count > MAX_COUNT {
             return Err(CodecError::Oversized { section, count });
         }
-        let n = count as usize;
-        let mut out = Vec::with_capacity(n.min((self.buf.len() - self.pos) / min_len));
-        for _ in 0..n {
+        let room = (self.buf.len() - self.pos) / min_len.max(1);
+        let mut out = Vec::with_capacity(room.min(count as usize));
+        for _ in 0..count {
             out.push(element(self)?);
         }
         Ok(out)
+    }
+    /// The version tag, then — if the layout has one — its kind byte.
+    pub fn header(&mut self, kind: Option<u8>) -> Result<(), CodecError> {
+        for want in std::iter::once(WIRE_VERSION).chain(kind) {
+            let got = self.u8()?;
+            if got != want {
+                return Err(CodecError::Version(got));
+            }
+        }
+        Ok(())
     }
     fn flow_key(&mut self) -> Result<FlowKey, CodecError> {
         Ok(FlowKey {
@@ -176,14 +288,25 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The shape every telemetry layout shares: the header, a body, nothing
+/// after it.
+fn decode<'a, T>(
+    bytes: &'a [u8],
+    kind: Option<u8>,
+    body: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    Reader::read_all(bytes, |r| {
+        r.header(kind)?;
+        body(r)
+    })
+}
+
 /// Encode a snapshot into the versioned binary layout.
 pub fn encode_snapshot(s: &TelemetrySnapshot) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(64 + s.epochs.len() * 64),
-    };
-    w.u8(WIRE_VERSION);
-    write_snapshot_body(&mut w, s);
-    w.buf
+    Writer::encode(64 + s.epochs.len() * 64, |w| {
+        w.header(None);
+        write_snapshot_body(w, s)
+    })
 }
 
 /// The snapshot layout minus the version tag — shared between the
@@ -194,55 +317,38 @@ fn write_snapshot_body(w: &mut Writer, s: &TelemetrySnapshot) {
     w.u64(s.taken_at.0);
     w.u32(s.nports as u32);
     w.u32(s.max_flows as u32);
-    w.count(s.epochs.len());
-    for ep in &s.epochs {
+    w.section(&s.epochs, |w, ep| {
         w.u32(ep.slot as u32);
         w.u8(ep.id);
         w.u64(ep.start.0);
         w.u64(ep.len.0);
-        w.count(ep.flows.len());
-        for (k, r) in &ep.flows {
+        w.section(&ep.flows, |w, (k, r)| {
             w.flow_key(k);
             w.flow_record(r);
-        }
-        w.count(ep.ports.len());
-        for (p, r) in &ep.ports {
+        });
+        w.section(&ep.ports, |w, (p, r)| {
             w.u8(*p);
             w.u32(r.pkt_count);
             w.u32(r.paused_count);
             w.u64(r.qdepth_sum);
-        }
-        w.count(ep.meter.len());
-        for (ip, op, bytes) in &ep.meter {
-            w.u8(*ip);
-            w.u8(*op);
-            w.u64(*bytes);
-        }
-    }
-    w.count(s.evicted.len());
-    for ev in &s.evicted {
+        });
+        w.section(&ep.meter, |w, &(ip, op, bytes)| {
+            w.u8(ip);
+            w.u8(op);
+            w.u64(bytes);
+        });
+    });
+    w.section(&s.evicted, |w, ev| {
         w.flow_key(&ev.key);
         w.flow_record(&ev.record);
         w.u8(ev.epoch_id);
         w.u32(ev.slot as u32);
-    }
+    });
 }
 
 /// Decode a snapshot; rejects trailing garbage.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<TelemetrySnapshot, CodecError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let v = r.u8()?;
-    if v != WIRE_VERSION {
-        return Err(CodecError::Version(v));
-    }
-    let snap = read_snapshot_body(&mut r)?;
-    if r.pos != bytes.len() {
-        return Err(CodecError::Truncated {
-            need: r.pos,
-            have: bytes.len(),
-        });
-    }
-    Ok(snap)
+    decode(bytes, None, read_snapshot_body)
 }
 
 /// Counterpart of [`write_snapshot_body`]: one snapshot's fields, leaving
@@ -302,75 +408,49 @@ pub const KIND_BATCH: u8 = 0xB1;
 /// syscall each way) carries a whole collection interval's worth of
 /// epochs — the ingest hot path's framing amortization.
 pub fn encode_batch(snaps: &[TelemetrySnapshot]) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(8 + snaps.len() * 128),
-    };
-    w.u8(WIRE_VERSION);
-    w.u8(KIND_BATCH);
-    w.count(snaps.len());
-    for s in snaps {
-        write_snapshot_body(&mut w, s);
-    }
-    w.buf
+    Writer::encode(8 + snaps.len() * 128, |w| {
+        w.header(Some(KIND_BATCH));
+        w.section(snaps, write_snapshot_body)
+    })
 }
 
 /// Decode a batch frame; rejects trailing garbage like
 /// [`decode_snapshot`]. An empty batch is valid (and canonical).
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<TelemetrySnapshot>, CodecError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let v = r.u8()?;
-    if v != WIRE_VERSION {
-        return Err(CodecError::Version(v));
-    }
-    let kind = r.u8()?;
-    if kind != KIND_BATCH {
-        return Err(CodecError::Version(kind));
-    }
-    let out = r.section("batch", SNAPSHOT_MIN_LEN, read_snapshot_body)?;
-    if r.pos != bytes.len() {
-        return Err(CodecError::Truncated {
-            need: r.pos,
-            have: bytes.len(),
-        });
-    }
-    Ok(out)
+    decode(bytes, Some(KIND_BATCH), |r| {
+        r.section("batch", SNAPSHOT_MIN_LEN, read_snapshot_body)
+    })
 }
 
 /// Encode a compacted bucket into the versioned binary layout. The layout
 /// shares [`WIRE_VERSION`] with snapshots but leads with a distinct kind
 /// byte, so a compacted frame can never be misparsed as a raw snapshot.
 pub fn encode_compacted(c: &CompactedEpoch) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(32 + c.flows.len() * 48),
-    };
-    w.u8(WIRE_VERSION);
-    w.u8(KIND_COMPACTED);
-    w.u64(c.from.0);
-    w.u64(c.to.0);
-    w.u32(c.epochs);
-    w.count(c.flows.len());
-    for (key, out_port, t) in &c.flows {
-        w.flow_key(key);
-        w.u8(*out_port);
-        w.u64(t.pkt_count);
-        w.u64(t.paused_count);
-        w.u64(t.qdepth_sum);
-        w.u32(t.epochs_active);
-    }
-    w.count(c.ports.len());
-    for (p, t) in &c.ports {
-        w.u8(*p);
-        w.u64(t.pkt_count);
-        w.u64(t.paused_count);
-        w.u64(t.qdepth_sum);
-    }
-    w.count(c.meter.len());
-    for (ip, op, bytes) in &c.meter {
-        w.u8(*ip);
-        w.u8(*op);
-        w.u64(*bytes);
-    }
-    w.buf
+    Writer::encode(32 + c.flows.len() * 48, |w| {
+        w.header(Some(KIND_COMPACTED));
+        w.u64(c.from.0);
+        w.u64(c.to.0);
+        w.u32(c.epochs);
+        w.section(&c.flows, |w, (key, out_port, t)| {
+            w.flow_key(key);
+            w.u8(*out_port);
+            w.u64(t.pkt_count);
+            w.u64(t.paused_count);
+            w.u64(t.qdepth_sum);
+            w.u32(t.epochs_active);
+        });
+        w.section(&c.ports, |w, (p, t)| {
+            w.u8(*p);
+            w.u64(t.pkt_count);
+            w.u64(t.paused_count);
+            w.u64(t.qdepth_sum);
+        });
+        w.section(&c.meter, |w, &(ip, op, bytes)| {
+            w.u8(ip);
+            w.u8(op);
+            w.u64(bytes);
+        });
+    })
 }
 
 /// Kind byte after the version tag distinguishing a compacted bucket from
@@ -383,54 +463,41 @@ pub const KIND_COMPACTED: u8 = 0xC0;
 /// Decode a compacted bucket; rejects trailing garbage, like
 /// [`decode_snapshot`].
 pub fn decode_compacted(bytes: &[u8]) -> Result<CompactedEpoch, CodecError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let v = r.u8()?;
-    if v != WIRE_VERSION {
-        return Err(CodecError::Version(v));
-    }
-    let kind = r.u8()?;
-    if kind != KIND_COMPACTED {
-        return Err(CodecError::Version(kind));
-    }
-    let from = Nanos(r.u64()?);
-    let to = Nanos(r.u64()?);
-    let epochs = r.u32()?;
-    let flows = r.section("compacted flows", COMPACTED_FLOW_LEN, |r| {
-        let key = r.flow_key()?;
-        let out_port = r.u8()?;
-        let totals = FlowTotals {
-            pkt_count: r.u64()?,
-            paused_count: r.u64()?,
-            qdepth_sum: r.u64()?,
-            epochs_active: r.u32()?,
-        };
-        Ok((key, out_port, totals))
-    })?;
-    let ports = r.section("compacted ports", COMPACTED_PORT_LEN, |r| {
-        let p = r.u8()?;
-        let totals = PortTotals {
-            pkt_count: r.u64()?,
-            paused_count: r.u64()?,
-            qdepth_sum: r.u64()?,
-        };
-        Ok((p, totals))
-    })?;
-    let meter = r.section("compacted meter", METER_LEN, |r| {
-        Ok((r.u8()?, r.u8()?, r.u64()?))
-    })?;
-    if r.pos != bytes.len() {
-        return Err(CodecError::Truncated {
-            need: r.pos,
-            have: bytes.len(),
-        });
-    }
-    Ok(CompactedEpoch {
-        from,
-        to,
-        epochs,
-        flows,
-        ports,
-        meter,
+    decode(bytes, Some(KIND_COMPACTED), |r| {
+        let from = Nanos(r.u64()?);
+        let to = Nanos(r.u64()?);
+        let epochs = r.u32()?;
+        let flows = r.section("compacted flows", COMPACTED_FLOW_LEN, |r| {
+            let key = r.flow_key()?;
+            let out_port = r.u8()?;
+            let totals = FlowTotals {
+                pkt_count: r.u64()?,
+                paused_count: r.u64()?,
+                qdepth_sum: r.u64()?,
+                epochs_active: r.u32()?,
+            };
+            Ok((key, out_port, totals))
+        })?;
+        let ports = r.section("compacted ports", COMPACTED_PORT_LEN, |r| {
+            let p = r.u8()?;
+            let totals = PortTotals {
+                pkt_count: r.u64()?,
+                paused_count: r.u64()?,
+                qdepth_sum: r.u64()?,
+            };
+            Ok((p, totals))
+        })?;
+        let meter = r.section("compacted meter", METER_LEN, |r| {
+            Ok((r.u8()?, r.u8()?, r.u64()?))
+        })?;
+        Ok(CompactedEpoch {
+            from,
+            to,
+            epochs,
+            flows,
+            ports,
+            meter,
+        })
     })
 }
 

@@ -77,6 +77,52 @@ EOF
 rm -f "$serve_out"
 test ! -e "$serve_sock" || { echo "stale socket file left behind"; exit 1; }
 
+echo "==> hostile-bytes smoke (nested JSON body, frame split across the idle poll)"
+# One connection to a foreground daemon through the release CLI: a Diagnose
+# frame whose body is 20 000 `[` must be answered with an error (the JSON
+# parser once recursed per level until the session thread's stack
+# overflowed, aborting the daemon), then a Stats frame written in two
+# halves 300 ms apart must be answered with Stats (the session's 100 ms
+# idle poll once dropped the first half and read the rest as a new frame).
+# The daemon must still answer serve-stats and exit 0 on SIGTERM.
+hb_sock=$(mktemp -u /tmp/hawkeye-hostile-XXXXXX.sock)
+./target/release/hawkeye serve --socket "$hb_sock" &
+hb_pid=$!
+for _ in $(seq 100); do [ -S "$hb_sock" ] && break; sleep 0.1; done
+test -S "$hb_sock" || { echo "hostile-bytes daemon never bound its socket"; exit 1; }
+python3 - "$hb_sock" <<'EOF'
+import socket, struct, sys, time
+s = socket.socket(socket.AF_UNIX)
+s.settimeout(10)
+s.connect(sys.argv[1])
+def frame(op, body=b""):
+    return struct.pack("<I", len(body) + 1) + bytes([op]) + body
+def exact(n):
+    buf = b""
+    while len(buf) < n:
+        chunk = s.recv(n - len(buf))
+        assert chunk, "daemon hung up"
+        buf += chunk
+    return buf
+def answer():
+    (n,) = struct.unpack("<I", exact(4))
+    payload = exact(n)
+    return payload[0], payload[1:]
+s.sendall(frame(2, b"[" * 20000))
+op, body = answer()
+assert op == 255 and b"malformed body" in body, f"nested body answered {op}: {body[:80]!r}"
+stats = frame(3)
+s.sendall(stats[:2]); time.sleep(0.3); s.sendall(stats[2:])
+op, body = answer()
+assert op == 131, f"split Stats frame answered {op}: {body[:80]!r}"
+print("hostile-bytes smoke ok: nested body refused, split frame answered")
+EOF
+./target/release/hawkeye serve-stats --socket "$hb_sock" > /dev/null \
+  || { echo "serve-stats failed after the hostile bytes"; exit 1; }
+kill -TERM "$hb_pid"
+wait "$hb_pid" || { echo "hostile-bytes daemon exited nonzero on SIGTERM"; exit 1; }
+test ! -e "$hb_sock" || { echo "stale socket file left behind"; exit 1; }
+
 echo "==> metrics smoke (observability surface over the wire)"
 # Serve-plane observability through the release CLI: replay over a unix
 # socket, then assert the Metrics wire op saw the traffic (ingest counter,
