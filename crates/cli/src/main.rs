@@ -1,28 +1,19 @@
 //! `hawkeye` — command-line driver for the reproduction.
 //!
-//! ```text
-//! hawkeye scenario <kind> [--load F] [--seed N] [--json]   run + diagnose one anomaly
-//! hawkeye matrix   [--load F] [--seed N]                   all six anomalies, verdicts
-//! hawkeye methods  <kind> [--load F] [--seed N]            every baseline on one trace
-//! hawkeye cbd      <kind>                                  static deadlock-prevention analysis
-//! hawkeye dot      <kind>                                  provenance graph as Graphviz DOT
-//! hawkeye resources                                        Tofino resource model (Fig 13)
-//! hawkeye summary  <kind> [--load F] [--seed N] [--json]   network-wide run statistics
-//! hawkeye trace    <kind> [--format jsonl|chrome]          structured event trace of a run
-//! hawkeye chaos    [--rates R,..] [--trials N] [--out F]   fault-rate sweep, accuracy table
-//! hawkeye corpus   [--golden F] [--write] [--topos T,..]   verdict matrix vs golden pins
-//!                  [--seeds N,..] [--jobs N] [--json]
-//! hawkeye fuzz     [--budget N] [--base-topo T] [--seed N] disagreement fuzzer
-//!                  [--bank F] [--json]
-//! hawkeye serve    [--replay KIND] [--socket P|--tcp A]    online diagnosis daemon
-//!                  [--epoch-budget N] [--history]
-//!                  [--durable DIR] [--fsync POLICY]        crash-safe evidence log
-//!                  [--connect] [--stream-only] [--query-only] [--client-retries N]
-//!                  [--shard LO..HI] [--map-epoch N]        own one shard of a fleet
-//! hawkeye front    --map FILE [--socket P|--tcp A] [kind]  shard-routing front-end
-//! hawkeye serve-stats --socket P|--tcp A [--json]          observability view of a daemon
-//! ```
-//! Kinds: incast, storm, inloop, oolc, oolinj, contention.
+//! Subcommands: `scenario` (run + diagnose one anomaly), `matrix` (all six
+//! anomalies' verdicts), `methods` (every baseline on one trace), `cbd`
+//! (static deadlock-prevention analysis), `dot` (a Fig 12 provenance graph
+//! as Graphviz DOT), `resources` (Tofino resource model), `summary`
+//! (network-wide run statistics), `trace` (event trace of a run), `chaos`
+//! (fault-rate sweep), `corpus` (verdict matrix vs golden pins), `fuzz`
+//! (disagreement fuzzer), `serve` (online diagnosis daemon and replay
+//! client), `front` (shard-routing front-end), `serve-stats` (a daemon's
+//! observability view) and `figure` (the paper's figures). [`COMMANDS`]
+//! gives each one's arguments and the flags it reads; `hawkeye` alone
+//! prints them. A flag the subcommand does not read is a usage error.
+//! Kinds: incast, storm, inloop, oolc, oolinj, contention. Figure ids:
+//! fig7, fig8 (Figs 8, 9 and 11), fig10, fig12, fig13, fig14, ablations,
+//! partial-deployment, load-sweep; `figure all` prints every one in order.
 //!
 //! `chaos` sweeps control-plane fault rates (default 0%-50%) across the
 //! whole scenario matrix, prints an accuracy/confidence table, and writes
@@ -37,24 +28,52 @@
 use hawkeye_baselines::Method;
 use hawkeye_core::{BufferDependencyGraph, RootCause};
 use hawkeye_eval::{
-    chaos_sweep, default_jobs, optimal_run_config, par_map, run_hawkeye_obs, run_method,
-    ChaosConfig, ScoreConfig,
+    chaos_sweep, default_jobs, fig12_case, figure, optimal_run_config, par_map, run_hawkeye_obs,
+    run_method, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES, FIGURE_IDS,
 };
 use hawkeye_obs::{kind as evkind, ObsConfig};
-use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
+use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams, TopologySpec};
 use serde::Serialize;
+use std::str::FromStr;
+
+/// The scenario kinds, by the name the command line gives them.
+const KINDS: [(&str, ScenarioKind); 6] = [
+    ("incast", ScenarioKind::MicroBurstIncast),
+    ("storm", ScenarioKind::PfcStorm),
+    ("inloop", ScenarioKind::InLoopDeadlock),
+    ("oolc", ScenarioKind::OutOfLoopDeadlockContention),
+    ("oolinj", ScenarioKind::OutOfLoopDeadlockInjection),
+    ("contention", ScenarioKind::NormalContention),
+];
 
 fn parse_kind(s: &str) -> Option<ScenarioKind> {
-    Some(match s {
-        "incast" => ScenarioKind::MicroBurstIncast,
-        "storm" => ScenarioKind::PfcStorm,
-        "inloop" => ScenarioKind::InLoopDeadlock,
-        "oolc" => ScenarioKind::OutOfLoopDeadlockContention,
-        "oolinj" => ScenarioKind::OutOfLoopDeadlockInjection,
-        "contention" => ScenarioKind::NormalContention,
-        _ => return None,
-    })
+    KINDS.iter().find(|(name, _)| *name == s).map(|&(_, k)| k)
 }
+
+/// Every subcommand: its name, its positional argument, and each flag it
+/// reads followed by its value's placeholder when it takes one. Usage is
+/// printed from this table, and a flag is parsed only for a subcommand
+/// that lists it.
+const COMMANDS: [&str; 15] = [
+    "scenario <kind> --load F --seed N --json",
+    "matrix --load F --seed N --jobs N",
+    "methods <kind> --load F --seed N --jobs N",
+    "cbd <kind> --load F --seed N",
+    "dot <kind>",
+    "resources",
+    "summary <kind> --load F --seed N --json",
+    "trace <kind> --load F --seed N --format jsonl|chrome",
+    "chaos --rates R,.. --trials N --out F --load F --seed N --jobs N --json",
+    "corpus --golden F --write --topos T,.. --seeds N,.. --jobs N --json",
+    "fuzz --budget N --base-topo T --seed N --bank F --json",
+    "serve --replay KIND --socket P --tcp A --epoch-budget N --history --batch N \
+     --queue-depth N --slow-shard-us N --durable DIR --fsync never|interval|always \
+     --connect --stream-only --query-only --client-retries N --shard LO..HI \
+     --map-epoch N --load F --seed N --json",
+    "front [kind] --map F --socket P --tcp A --client-retries N --load F --seed N",
+    "serve-stats --socket P --tcp A --json",
+    "figure <id|all> --trials N --load F --jobs N",
+];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum TraceFormat {
@@ -73,8 +92,9 @@ struct Opts {
     jobs: usize,
     /// Fault rates for `chaos` (fractions).
     rates: Vec<f64>,
-    /// Trials per (scenario, rate) cell for `chaos`.
-    trials: usize,
+    /// Trials per operating point for `chaos` and `figure` (each has its
+    /// own default).
+    trials: Option<usize>,
     /// JSON output path for `chaos`.
     out: String,
     /// Unix socket path for `serve`.
@@ -140,10 +160,14 @@ struct Opts {
     bank: Option<String>,
 }
 
-/// Strict option parser: every `--flag` must be known and every value must
-/// parse; anything else is a usage error. Returns the parsed options plus
-/// the positional arguments (the scenario kind) in order.
-fn parse_opts(args: &[String]) -> Result<(Opts, Vec<String>), String> {
+/// Strict option parser for subcommand `cmd`: every `--flag` must be one
+/// `cmd` reads and every value must parse; anything else is a usage error.
+/// Returns the parsed options plus the positional arguments in order.
+fn parse_opts(cmd: &str, args: &[String]) -> Result<(Opts, Vec<String>), String> {
+    let spec = COMMANDS
+        .iter()
+        .find(|spec| spec.split_whitespace().next() == Some(cmd))
+        .ok_or_else(|| format!("unknown command '{cmd}'"))?;
     let mut o = Opts {
         load: 0.1,
         seed: 1,
@@ -151,7 +175,7 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<String>), String> {
         format: TraceFormat::Jsonl,
         jobs: default_jobs(),
         rates: ChaosConfig::default().rates,
-        trials: ChaosConfig::default().trials,
+        trials: None,
         out: "CHAOS.json".to_string(),
         socket: None,
         tcp: None,
@@ -181,208 +205,116 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<String>), String> {
     let mut pos = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--load" => {
-                let v = it.next().ok_or("--load requires a value")?;
-                o.load = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|l| (0.0..=1.0).contains(l))
-                    .ok_or_else(|| format!("--load: '{v}' is not a fraction in [0, 1]"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed requires a value")?;
-                o.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed: '{v}' is not an unsigned integer"))?;
-            }
+        let flag = a.as_str();
+        if !flag.starts_with('-') {
+            pos.push(a.clone());
+            continue;
+        }
+        // Whether `spec` lists the flag, and if so whether a value's
+        // placeholder follows it.
+        let listed = |spec: &str| {
+            let mut words = spec.split_whitespace().skip_while(|w| *w != flag);
+            words
+                .next()
+                .map(|_| words.next().is_some_and(|w| !w.starts_with("--")))
+        };
+        let Some(takes_value) = listed(spec) else {
+            return Err(if COMMANDS.iter().any(|s| listed(s).is_some()) {
+                format!("{flag} does not apply to {cmd}")
+            } else {
+                format!("unknown option '{flag}'")
+            });
+        };
+        let v = if takes_value {
+            it.next()
+                .ok_or(format!("{flag} requires a value"))?
+                .as_str()
+        } else {
+            ""
+        };
+        let slug = |s: &str| {
+            TopologySpec::parse(s).ok_or_else(|| format!("{flag}: unknown topology slug '{s}'"))
+        };
+        match flag {
+            "--load" => o.load = fraction(flag, v)?,
+            "--seed" => o.seed = unsigned(flag, v)?,
             "--json" => o.json = true,
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs requires a value")?;
-                o.jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs: '{v}' is not a positive integer"))?;
-            }
-            "--rates" => {
-                let v = it.next().ok_or("--rates requires a comma-separated list")?;
-                o.rates = v
-                    .split(',')
-                    .map(|r| {
-                        r.trim()
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|r| (0.0..=1.0).contains(r))
-                            .ok_or_else(|| format!("--rates: '{r}' is not a fraction in [0, 1]"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if o.rates.is_empty() {
-                    return Err("--rates: list is empty".to_string());
-                }
-            }
-            "--trials" => {
-                let v = it.next().ok_or("--trials requires a value")?;
-                o.trials = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--trials: '{v}' is not a positive integer"))?;
-            }
-            "--out" => {
-                o.out = it.next().ok_or("--out requires a path")?.clone();
-            }
-            "--socket" => {
-                o.socket = Some(it.next().ok_or("--socket requires a path")?.clone());
-            }
-            "--tcp" => {
-                o.tcp = Some(it.next().ok_or("--tcp requires a bind address")?.clone());
-            }
+            "--jobs" => o.jobs = positive(flag, v)?,
+            "--rates" => o.rates = list(v, |r| fraction(flag, r))?,
+            "--trials" => o.trials = Some(positive(flag, v)?),
+            "--out" => o.out = v.to_string(),
+            "--socket" => o.socket = Some(v.to_string()),
+            "--tcp" => o.tcp = Some(v.to_string()),
             "--replay" => {
-                let v = it.next().ok_or("--replay requires a scenario kind")?;
-                o.replay =
-                    Some(parse_kind(v).ok_or_else(|| format!("--replay: unknown kind '{v}'"))?);
+                o.replay = Some(parse_kind(v).ok_or(format!("--replay: unknown kind '{v}'"))?)
             }
-            "--epoch-budget" => {
-                let v = it.next().ok_or("--epoch-budget requires a value")?;
-                o.epoch_budget =
-                    Some(v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--epoch-budget: '{v}' is not a positive integer")
-                    })?);
-            }
+            "--epoch-budget" => o.epoch_budget = Some(positive(flag, v)?),
             "--history" => o.history = true,
-            "--batch" => {
-                let v = it.next().ok_or("--batch requires a value")?;
-                o.batch = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--batch: '{v}' is not a positive integer"))?;
-            }
-            "--queue-depth" => {
-                let v = it.next().ok_or("--queue-depth requires a value")?;
-                o.queue_depth =
-                    Some(v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--queue-depth: '{v}' is not a positive integer")
-                    })?);
-            }
-            "--durable" => {
-                o.durable = Some(it.next().ok_or("--durable requires a directory")?.clone());
-            }
-            "--fsync" => {
-                let v = it.next().ok_or("--fsync requires never|interval|always")?;
-                o.fsync = Some(hawkeye_serve::FsyncPolicy::parse(v)?);
-            }
+            "--batch" => o.batch = positive(flag, v)?,
+            "--queue-depth" => o.queue_depth = Some(positive(flag, v)?),
+            "--durable" => o.durable = Some(v.to_string()),
+            "--fsync" => o.fsync = Some(hawkeye_serve::FsyncPolicy::parse(v)?),
             "--connect" => o.connect = true,
             "--stream-only" => o.stream_only = true,
             "--query-only" => o.query_only = true,
-            "--client-retries" => {
-                let v = it.next().ok_or("--client-retries requires a value")?;
-                o.client_retries =
-                    Some(v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--client-retries: '{v}' is not a positive integer")
-                    })?);
-            }
-            "--shard" => {
-                let v = it.next().ok_or("--shard requires LO..HI")?;
-                o.shard = Some(hawkeye_client::ShardRange::parse(v)?);
-            }
-            "--map-epoch" => {
-                let v = it.next().ok_or("--map-epoch requires a value")?;
-                o.map_epoch = Some(
-                    v.parse()
-                        .map_err(|_| format!("--map-epoch: '{v}' is not an unsigned integer"))?,
-                );
-            }
-            "--map" => {
-                o.map = Some(it.next().ok_or("--map requires a file path")?.clone());
-            }
-            "--slow-shard-us" => {
-                let v = it.next().ok_or("--slow-shard-us requires a value")?;
-                o.slow_shard_us = v
-                    .parse()
-                    .map_err(|_| format!("--slow-shard-us: '{v}' is not an unsigned integer"))?;
-            }
-            "--golden" => {
-                o.golden = it.next().ok_or("--golden requires a path")?.clone();
-            }
+            "--client-retries" => o.client_retries = Some(positive(flag, v)?),
+            "--shard" => o.shard = Some(hawkeye_client::ShardRange::parse(v)?),
+            "--map-epoch" => o.map_epoch = Some(unsigned(flag, v)?),
+            "--map" => o.map = Some(v.to_string()),
+            "--slow-shard-us" => o.slow_shard_us = unsigned(flag, v)?,
+            "--golden" => o.golden = v.to_string(),
             "--write" => o.write = true,
-            "--topos" => {
-                let v = it.next().ok_or("--topos requires a comma-separated list")?;
-                let topos = v
-                    .split(',')
-                    .map(|s| {
-                        hawkeye_workloads::TopologySpec::parse(s.trim())
-                            .ok_or_else(|| format!("--topos: unknown topology slug '{s}'"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if topos.is_empty() {
-                    return Err("--topos: list is empty".to_string());
-                }
-                o.topos = Some(topos);
-            }
-            "--seeds" => {
-                let v = it.next().ok_or("--seeds requires a comma-separated list")?;
-                let seeds = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u64>()
-                            .map_err(|_| format!("--seeds: '{s}' is not an unsigned integer"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if seeds.is_empty() {
-                    return Err("--seeds: list is empty".to_string());
-                }
-                o.seeds = Some(seeds);
-            }
-            "--budget" => {
-                let v = it.next().ok_or("--budget requires a value")?;
-                o.budget = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--budget: '{v}' is not a positive integer"))?;
-            }
-            "--base-topo" => {
-                let v = it.next().ok_or("--base-topo requires a topology slug")?;
-                o.base_topo = Some(
-                    hawkeye_workloads::TopologySpec::parse(v)
-                        .ok_or_else(|| format!("--base-topo: unknown topology slug '{v}'"))?,
-                );
-            }
-            "--bank" => {
-                o.bank = Some(it.next().ok_or("--bank requires a path")?.clone());
-            }
+            "--topos" => o.topos = Some(list(v, slug)?),
+            "--seeds" => o.seeds = Some(list(v, |s| unsigned(flag, s))?),
+            "--budget" => o.budget = positive(flag, v)?,
+            "--base-topo" => o.base_topo = Some(slug(v)?),
+            "--bank" => o.bank = Some(v.to_string()),
             "--format" => {
-                let v = it.next().ok_or("--format requires a value")?;
-                o.format = match v.as_str() {
+                o.format = match v {
                     "jsonl" => TraceFormat::Jsonl,
                     "chrome" => TraceFormat::Chrome,
                     _ => return Err(format!("--format: '{v}' is not jsonl|chrome")),
-                };
+                }
             }
-            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
-            _ => pos.push(a.clone()),
+            _ => return Err(format!("unknown option '{flag}'")),
         }
     }
     Ok((o, pos))
 }
 
+/// `v` as an integer of at least 1.
+fn positive<T: FromStr + PartialOrd + From<u8>>(flag: &str, v: &str) -> Result<T, String> {
+    (v.parse().ok())
+        .filter(|n| *n >= T::from(1))
+        .ok_or_else(|| format!("{flag}: '{v}' is not a positive integer"))
+}
+
+fn unsigned<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: '{v}' is not an unsigned integer"))
+}
+
+/// `v` as a finite fraction in [0, 1].
+fn fraction(flag: &str, v: &str) -> Result<f64, String> {
+    (v.parse().ok())
+        .filter(|f| (0.0..=1.0).contains(f))
+        .ok_or_else(|| format!("{flag}: '{v}' is not a fraction in [0, 1]"))
+}
+
+/// A comma-separated list, each item parsed by `item`.
+fn list<T>(v: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    v.split(',').map(|s| item(s.trim())).collect()
+}
+
 fn usage() -> ! {
+    eprintln!("usage:");
+    for spec in COMMANDS {
+        eprintln!("  hawkeye {spec}");
+    }
     eprintln!(
-        "usage: hawkeye <scenario|matrix|methods|cbd|dot|resources|summary|trace|chaos|corpus\
-         |fuzz|serve|front|serve-stats> \
-         [kind] [--load F] [--seed N] [--jobs N] [--json] [--format jsonl|chrome] \
-         [--rates R,R,..] [--trials N] [--out F] \
-         [--socket PATH] [--tcp ADDR] [--replay KIND] [--epoch-budget N] [--history] \
-         [--batch N] [--queue-depth N] [--slow-shard-us N] \
-         [--durable DIR] [--fsync never|interval|always] [--connect] [--stream-only] \
-         [--query-only] [--client-retries N] \
-         [--shard LO..HI] [--map-epoch N] [--map FILE] \
-         [--golden FILE] [--write] [--topos T,T,..] [--seeds N,N,..] \
-         [--budget N] [--base-topo T] [--bank FILE]\n\
-         kinds: incast storm inloop oolc oolinj contention"
+        "kinds: {}\nfigures: {} all",
+        KINDS.map(|(name, _)| name).join(" "),
+        FIGURE_IDS.join(" ")
     );
     std::process::exit(2)
 }
@@ -542,15 +474,50 @@ fn cmd_cbd(kind: ScenarioKind, o: &Opts) {
     }
 }
 
+/// `hawkeye dot <kind>`: Figure 12's provenance graph of one case study
+/// as Graphviz DOT on stdout, its diagnosis summary on stderr.
 fn cmd_dot(kind: ScenarioKind) {
-    for (name, dot, summary) in hawkeye_eval::fig12_case_study() {
-        if name == kind.name() {
-            eprintln!("// {summary}");
-            println!("{dot}");
-            return;
-        }
+    if !FIG12_CASES.contains(&kind) {
+        let drawn: Vec<&str> = KINDS
+            .iter()
+            .filter(|(_, k)| FIG12_CASES.contains(k))
+            .map(|(name, _)| *name)
+            .collect();
+        eprintln!(
+            "hawkeye: no case study for {}; dot draws {}",
+            kind.name(),
+            drawn.join(" ")
+        );
+        usage()
     }
-    eprintln!("no case study for {}", kind.name());
+    let (summary, dot) = fig12_case(kind);
+    eprintln!("// {summary}");
+    println!("{dot}");
+}
+
+/// `hawkeye figure <id>`: one of the paper's figures (`all`: every one,
+/// in [`FIGURE_IDS`] order) — its banner, then the rows the paper plots.
+fn cmd_figure(id: Option<&str>, o: &Opts) {
+    let ids = match id {
+        Some("all") => FIGURE_IDS.to_vec(),
+        Some(id) => vec![id],
+        None => {
+            eprintln!("hawkeye: figure requires an id");
+            usage()
+        }
+    };
+    let cfg = EvalConfig {
+        trials: o.trials.unwrap_or(EvalConfig::default().trials),
+        load: o.load,
+        ..EvalConfig::default()
+    };
+    for id in ids {
+        let Some(text) = figure(id, &cfg, o.jobs) else {
+            eprintln!("hawkeye: unknown figure '{id}'");
+            usage()
+        };
+        print!("{text}");
+    }
 }
 
 fn cmd_summary(kind: ScenarioKind, o: &Opts) {
@@ -624,7 +591,7 @@ fn cmd_trace(kind: ScenarioKind, o: &Opts) {
 fn cmd_chaos(o: &Opts) {
     let cfg = ChaosConfig {
         rates: o.rates.clone(),
-        trials: o.trials,
+        trials: o.trials.unwrap_or(ChaosConfig::default().trials),
         load: o.load,
         base_seed: o.seed,
     };
@@ -1345,7 +1312,7 @@ fn cmd_resources() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let (opts, pos) = match parse_opts(&args[1..]) {
+    let (opts, pos) = match parse_opts(cmd, &args[1..]) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("hawkeye: {e}");
@@ -1355,6 +1322,9 @@ fn main() {
     if pos.len() > 1 {
         eprintln!("hawkeye: unexpected argument '{}'", pos[1]);
         usage()
+    }
+    if cmd == "figure" {
+        return cmd_figure(pos.first().map(String::as_str), &opts);
     }
     let kind_arg = match pos.first() {
         Some(k) => match parse_kind(k) {

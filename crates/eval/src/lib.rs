@@ -1,9 +1,10 @@
 //! # hawkeye-eval
 //!
 //! Evaluation harness: precision/recall scoring against scenario ground
-//! truth, per-trial runners for Hawkeye and the baselines, and the
-//! experiment drivers that regenerate every table and figure of the paper
-//! (see `hawkeye-bench` for the bench targets that print them).
+//! truth, per-trial runners for Hawkeye and the baselines (every offline
+//! trial is set up by [`simulate`] and windowed by [`victim_window`]), and
+//! the paper's figures behind one entry point, [`figure`] (`hawkeye figure
+//! <id>` prints them).
 
 pub mod chaos;
 pub mod corpus;
@@ -20,10 +21,7 @@ pub use corpus::{
     CellVerdict, CorpusCell, CorpusConfig,
 };
 pub use figures::{
-    epoch_sweep, fig10_granularity, fig10_granularity_jobs, fig11_switch_coverage,
-    fig12_case_study, fig7_param_sweep, fig7_param_sweep_jobs, fig8_baseline_accuracy,
-    fig9_overhead, method_matrix, method_matrix_jobs, optimal_run_config, threshold_sweep,
-    EvalConfig, FigureTable,
+    fig12_case, figure, optimal_run_config, EvalConfig, FigureTable, FIG12_CASES, FIGURE_IDS,
 };
 pub use fuzz::{
     bank_from_json, bank_to_json, reverify_bank, run_fuzz, BankedRepro, FuzzConfig, FuzzParams,
@@ -32,4 +30,4 @@ pub use fuzz::{
 pub use methods::{run_method, MethodOutcome};
 pub use metrics::{judge, PrecisionRecall, ScoreConfig, Verdict};
 pub use parallel::{default_jobs, par_map};
-pub use runner::{run_hawkeye, run_hawkeye_obs, victim_window, RunConfig, RunOutcome};
+pub use runner::{run_hawkeye, run_hawkeye_obs, simulate, victim_window, RunConfig, RunOutcome};

@@ -2,17 +2,17 @@
 //! per-method visibility transforms and overhead accounting.
 
 use crate::metrics::{judge, ScoreConfig, Verdict};
-use crate::runner::RunConfig;
+use crate::runner::{last_victim_detection, simulate, RunConfig};
 use hawkeye_baselines::{
     filter_victim_path, netsight_bandwidth, netsight_processing, polling_bandwidth,
     spidermon_bandwidth, spidermon_processing, strip_flows, strip_pfc, strip_ports, Method,
 };
 use hawkeye_core::{
-    analyze_victim_window, AnalyzerConfig, DiagnosisError, DiagnosisReport, HawkeyeConfig,
-    HawkeyeHook, TracingPolicy, Window,
+    analyze_victim_window, DiagnosisError, DiagnosisReport, HawkeyeConfig, HawkeyeHook,
+    TracingPolicy,
 };
-use hawkeye_sim::{Detection, Nanos, NodeId};
-use hawkeye_telemetry::{TelemetryConfig, TelemetrySnapshot};
+use hawkeye_sim::{Detection, NodeId, Simulator};
+use hawkeye_telemetry::TelemetrySnapshot;
 use hawkeye_workloads::Scenario;
 
 /// Everything extracted from one trial of one method.
@@ -39,6 +39,17 @@ pub struct MethodOutcome {
 }
 
 /// Run `scenario` under `method` and judge the result.
+///
+/// This is one of two Hawkeye pipelines: with `Method::Hawkeye` it
+/// analyzes only the snapshots taken inside the diagnosis window and
+/// counts only the collections attributed to the victim, where
+/// [`run_hawkeye`](crate::run_hawkeye) analyzes every collected snapshot
+/// and counts every collection. Over the 108 corpus cells their reports
+/// differ in 11 cells but their verdict labels agree in all 108;
+/// `collected_switches` differs in most cells (clos8s2d4: ≈5 here, ≈40
+/// there). This one feeds `hawkeye scenario`/`matrix` and every figure;
+/// the other feeds the corpus, `chaos`, `fuzz` and the daemon's parity
+/// reference.
 pub fn run_method(
     scenario: &Scenario,
     cfg: &RunConfig,
@@ -50,41 +61,28 @@ pub fn run_method(
     } else {
         TracingPolicy::Hawkeye
     };
-    let hcfg = HawkeyeConfig {
-        telemetry: TelemetryConfig {
-            epochs: cfg.epoch,
-            ..Default::default()
-        },
-        policy,
-        full_polling: method.collects_everything(),
-        faults: cfg.faults,
-        ..Default::default()
-    };
-    let hook = HawkeyeHook::new(&scenario.topo, hcfg);
-    let mut agent = Scenario::agent(cfg.threshold_factor);
-    agent.dedup_interval = Nanos::from_micros(400);
-    agent.retry = cfg.agent_retry;
-    let mut sim = scenario.instantiate_faulted(cfg.sim_seed, agent, hook, cfg.faults);
-    sim.run_until(scenario.params.duration);
+    let sim = simulate(scenario, &RunConfig { policy, ..*cfg }, |h| {
+        let full_polling = method.collects_everything();
+        HawkeyeHook::new(&scenario.topo, HawkeyeConfig { full_polling, ..h })
+    });
+    analyze_method(&sim, scenario, cfg, method, score)
+}
 
+/// Judge a finished trial `sim` of `scenario` as `method` sees it: the
+/// method's visibility transform over the snapshots collected inside the
+/// diagnosis window, then its overhead accounting.
+pub(crate) fn analyze_method(
+    sim: &Simulator<HawkeyeHook>,
+    scenario: &Scenario,
+    cfg: &RunConfig,
+    method: Method,
+    score: &ScoreConfig,
+) -> MethodOutcome {
     let dets = sim.detections();
-    let victim_dets: Vec<_> = dets
-        .iter()
-        .filter(|d| d.key == scenario.truth.victim && d.at >= scenario.truth.anomaly_at)
-        .collect();
-    let detection = victim_dets.last().copied().copied();
-
-    let analyzer = AnalyzerConfig::for_epoch_len(cfg.epoch.epoch_len());
+    let detection = last_victim_detection(scenario, &dets);
+    let analyzer = cfg.analyzer();
     // No detection → no window: handled as a typed error, never a panic.
-    let window = victim_dets
-        .first()
-        .zip(victim_dets.last())
-        .map(|(f, l)| Window {
-            from: f.at.saturating_sub(Nanos(
-                cfg.epoch.epoch_len().as_nanos() * analyzer.lookback_epochs,
-            )),
-            to: l.at + cfg.epoch.epoch_len(),
-        });
+    let window = cfg.victim_window(scenario, &dets);
 
     // Only the collections belonging to THIS diagnosis (within its window)
     // count toward its telemetry and coverage — unrelated background

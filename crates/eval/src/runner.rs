@@ -16,7 +16,7 @@ use hawkeye_core::{
 use hawkeye_obs::{MetricKey, MetricsSnapshot, ObsConfig, Recorder};
 use hawkeye_sim::{
     record_sim_metrics, trace_detections, trace_drop_warnings, Detection, FaultPlan, Nanos, NodeId,
-    ObservedHook, ProbeRetryConfig,
+    ObservedHook, ProbeRetryConfig, Simulator, SwitchHook,
 };
 use hawkeye_telemetry::{EpochConfig, TelemetryConfig};
 use hawkeye_workloads::Scenario;
@@ -50,6 +50,53 @@ impl Default for RunConfig {
     }
 }
 
+impl RunConfig {
+    /// The analyzer configuration for this run's epoch length.
+    pub fn analyzer(&self) -> AnalyzerConfig {
+        AnalyzerConfig::for_epoch_len(self.epoch.epoch_len())
+    }
+
+    /// [`victim_window`] of `scenario`'s victim over `dets`, at this run's
+    /// epoch length and the analyzer's lookback.
+    pub fn victim_window(&self, scenario: &Scenario, dets: &[Detection]) -> Option<Window> {
+        victim_window(
+            dets,
+            &scenario.truth.victim,
+            scenario.truth.anomaly_at,
+            self.epoch.epoch_len(),
+            self.analyzer().lookback_epochs,
+        )
+    }
+}
+
+/// Set up one offline trial and run it to the scenario's end: the Hawkeye
+/// deployment `cfg` describes is handed to `hook`, which builds the switch
+/// hook from it (adjusting or wrapping it as its caller needs), behind the
+/// host agent every trial uses, on the simulator seeded and faulted as
+/// `cfg` says. [`run_hawkeye_obs`], [`run_method`](crate::run_method), the
+/// figures and `hawkeye-serve`'s replay all set their trials up here.
+pub fn simulate<H: SwitchHook>(
+    scenario: &Scenario,
+    cfg: &RunConfig,
+    hook: impl FnOnce(HawkeyeConfig) -> H,
+) -> Simulator<H> {
+    let hook = hook(HawkeyeConfig {
+        telemetry: TelemetryConfig {
+            epochs: cfg.epoch,
+            ..Default::default()
+        },
+        policy: cfg.policy,
+        faults: cfg.faults,
+        ..Default::default()
+    });
+    let mut agent = Scenario::agent(cfg.threshold_factor);
+    agent.dedup_interval = Nanos::from_micros(400);
+    agent.retry = cfg.agent_retry;
+    let mut sim = scenario.instantiate_faulted(cfg.sim_seed, agent, hook, cfg.faults);
+    sim.run_until(scenario.params.duration);
+    sim
+}
+
 /// Everything extracted from one simulated trial.
 #[derive(Debug)]
 pub struct RunOutcome {
@@ -77,6 +124,13 @@ pub struct RunOutcome {
     pub error: Option<DiagnosisError>,
     /// The registry snapshot every counter above was read back from.
     pub metrics: MetricsSnapshot,
+}
+
+/// The victim's last post-anomaly detection in `dets`, if any.
+pub(crate) fn last_victim_detection(scenario: &Scenario, dets: &[Detection]) -> Option<Detection> {
+    dets.iter()
+        .rfind(|d| d.key == scenario.truth.victim && d.at >= scenario.truth.anomaly_at)
+        .copied()
 }
 
 /// The window a victim's diagnosis aggregates over, given every detection
@@ -111,6 +165,17 @@ pub fn victim_window(
 }
 
 /// Run a scenario under Hawkeye (full or victim-only tracing).
+///
+/// This analyzes *every* snapshot the run collected, and counts every
+/// switch the collector touched. [`run_method`](crate::run_method) with
+/// `Method::Hawkeye` is the other Hawkeye pipeline: it analyzes only the
+/// snapshots taken inside the diagnosis window and counts only the
+/// collections attributed to the victim. Over the 108 corpus cells their
+/// reports differ in 11 cells but their verdict labels agree in all 108;
+/// `collected_switches` differs in most cells (clos8s2d4: ≈40 here, ≈5
+/// there). This one feeds the corpus, `chaos`, `fuzz` and the daemon's
+/// parity reference; the other feeds `hawkeye scenario`/`matrix` and every
+/// figure.
 pub fn run_hawkeye(scenario: &Scenario, cfg: &RunConfig, score: &ScoreConfig) -> RunOutcome {
     run_hawkeye_obs(scenario, cfg, score, ObsConfig::off()).0
 }
@@ -126,45 +191,18 @@ pub fn run_hawkeye_obs(
     score: &ScoreConfig,
     ocfg: ObsConfig,
 ) -> (RunOutcome, Recorder) {
-    let hcfg = HawkeyeConfig {
-        telemetry: TelemetryConfig {
-            epochs: cfg.epoch,
-            ..Default::default()
-        },
-        policy: cfg.policy,
-        faults: cfg.faults,
-        ..Default::default()
-    };
-    let hook = ObservedHook::new(HawkeyeHook::new(&scenario.topo, hcfg), ocfg);
-    let mut agent = Scenario::agent(cfg.threshold_factor);
-    agent.dedup_interval = Nanos::from_micros(400);
-    agent.retry = cfg.agent_retry;
-    let mut sim = scenario.instantiate_faulted(cfg.sim_seed, agent, hook, cfg.faults);
-    sim.run_until(scenario.params.duration);
+    let mut sim = simulate(scenario, cfg, |h| {
+        ObservedHook::new(HawkeyeHook::new(&scenario.topo, h), ocfg)
+    });
 
     let dets = sim.detections();
     trace_detections(&mut sim.hook.obs, &dets);
-
-    // A persisting anomaly re-triggers detection every dedup interval; the
-    // diagnosis window spans from before the FIRST post-anomaly detection
-    // (onset evidence) to after the LAST (fully-developed causality — a
-    // deadlock loop takes hundreds of microseconds to close).
-    let victim_dets: Vec<_> = dets
-        .iter()
-        .filter(|d| d.key == scenario.truth.victim && d.at >= scenario.truth.anomaly_at)
-        .collect();
-    let detection = victim_dets.last().copied().copied();
+    let detection = last_victim_detection(scenario, &dets);
 
     let snapshots = sim.hook.inner().collector.snapshots();
-    let analyzer = AnalyzerConfig::for_epoch_len(cfg.epoch.epoch_len());
+    let analyzer = cfg.analyzer();
     // No detection → no window → no diagnosis: a typed error, not a panic.
-    let window = victim_window(
-        &dets,
-        &scenario.truth.victim,
-        scenario.truth.anomaly_at,
-        cfg.epoch.epoch_len(),
-        analyzer.lookback_epochs,
-    );
+    let window = cfg.victim_window(scenario, &dets);
     // Collections that demonstrably failed inside the diagnosis window —
     // folded into the verdict's confidence below.
     let missing_in_window: Vec<NodeId> = window

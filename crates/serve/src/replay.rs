@@ -13,12 +13,9 @@
 
 use crate::stream::{StreamStats, StreamingHook};
 use hawkeye_client::EpochSink;
-use hawkeye_core::{
-    analyze_victim_window, AnalyzerConfig, DiagnosisReport, HawkeyeConfig, HawkeyeHook, Window,
-};
-use hawkeye_eval::{judge, victim_window, RunConfig, ScoreConfig, Verdict};
-use hawkeye_sim::{Nanos, NodeId};
-use hawkeye_telemetry::TelemetryConfig;
+use hawkeye_core::{analyze_victim_window, DiagnosisReport, HawkeyeHook, Window};
+use hawkeye_eval::{judge, simulate, RunConfig, ScoreConfig, Verdict};
+use hawkeye_sim::NodeId;
 use hawkeye_workloads::Scenario;
 
 /// Everything a replayed run produced.
@@ -72,31 +69,11 @@ pub fn replay_streaming_batched<S: EpochSink>(
     sink: S,
     batch: usize,
 ) -> (ReplayOutcome, S) {
-    let hcfg = HawkeyeConfig {
-        telemetry: TelemetryConfig {
-            epochs: cfg.epoch,
-            ..Default::default()
-        },
-        policy: cfg.policy,
-        faults: cfg.faults,
-        ..Default::default()
-    };
-    let hook = StreamingHook::new(HawkeyeHook::new(&scenario.topo, hcfg), sink).with_batch(batch);
-    let mut agent = Scenario::agent(cfg.threshold_factor);
-    agent.dedup_interval = Nanos::from_micros(400);
-    agent.retry = cfg.agent_retry;
-    let mut sim = scenario.instantiate_faulted(cfg.sim_seed, agent, hook, cfg.faults);
-    sim.run_until(scenario.params.duration);
-
-    let analyzer = AnalyzerConfig::for_epoch_len(cfg.epoch.epoch_len());
-    let dets = sim.detections();
-    let window = victim_window(
-        &dets,
-        &scenario.truth.victim,
-        scenario.truth.anomaly_at,
-        cfg.epoch.epoch_len(),
-        analyzer.lookback_epochs,
-    );
+    let sim = simulate(scenario, cfg, |h| {
+        StreamingHook::new(HawkeyeHook::new(&scenario.topo, h), sink).with_batch(batch)
+    });
+    let analyzer = cfg.analyzer();
+    let window = cfg.victim_window(scenario, &sim.detections());
 
     let collector = &sim.hook.inner().collector;
     let missing: Vec<NodeId> = window

@@ -362,6 +362,23 @@ print("corpus ok:", doc["cells"], "cells match golden")
 EOF
 rm -f "$corpus_out"
 
+echo "==> figures (hawkeye figure all vs bench_results_reference.txt)"
+# The paper's figures pinned like the corpus: the reference file is its
+# own first line (the command) followed by that command's output at the
+# defaults, so any move in a figure's rows fails here as a diff. ~25 s on
+# two vCPUs. An unknown figure id must be a usage error that lists the ids.
+fig_out=$(mktemp); fig_err=$(mktemp)
+{ echo '$ hawkeye figure all'; ./target/release/hawkeye figure all; } > "$fig_out"
+diff bench_results_reference.txt "$fig_out" \
+  || { echo "figures drifted from bench_results_reference.txt"; exit 1; }
+fig_code=0
+./target/release/hawkeye figure nope > /dev/null 2> "$fig_err" || fig_code=$?
+test "$fig_code" -eq 2 || { echo "figure nope exited $fig_code, want 2"; exit 1; }
+grep -q "^figures: fig7 fig8 fig10 fig12 fig13 fig14 ablations partial-deployment load-sweep all$" \
+  "$fig_err" || { cat "$fig_err"; echo "usage does not list the figure ids"; exit 1; }
+rm -f "$fig_out" "$fig_err"
+echo "figures ok: figure all matches bench_results_reference.txt"
+
 echo "==> fuzz smoke (24 mutations on ft4, banked repros re-verify)"
 # The disagreement fuzzer end to end at CI size: a small deterministic
 # hunt must complete panic-free with every attempted case accounted for
