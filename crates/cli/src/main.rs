@@ -28,8 +28,8 @@
 use hawkeye_baselines::Method;
 use hawkeye_core::{BufferDependencyGraph, RootCause};
 use hawkeye_eval::{
-    chaos_sweep, default_jobs, fig12_case, figure, optimal_run_config, par_map, run_hawkeye_obs,
-    run_method, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES, FIGURE_IDS,
+    chaos_sweep, default_jobs, fig12_case, figure, optimal_run_config, par_map, run_method,
+    run_method_obs, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES, FIGURE_IDS,
 };
 use hawkeye_obs::{kind as evkind, ObsConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams, TopologySpec};
@@ -568,9 +568,10 @@ fn cmd_trace(kind: ScenarioKind, o: &Opts) {
         capacity: 1 << 20,
         mask: evkind::DEFAULT,
     };
-    let (_, obs) = run_hawkeye_obs(
+    let (_, obs) = run_method_obs(
         &sc,
         &optimal_run_config(o.seed),
+        Method::Hawkeye,
         &ScoreConfig::default(),
         ocfg,
     );

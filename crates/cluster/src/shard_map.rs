@@ -98,12 +98,16 @@ impl ShardMap {
             };
             let mut range = ShardRange::parse(range_s).map_err(&err)?;
             range.epoch = 0; // stamped below once the epoch line is known
-            let endpoint = if let Some(p) = ep_s.strip_prefix("unix:") {
-                BackendEndpoint::Unix(PathBuf::from(p))
-            } else if let Some(a) = ep_s.strip_prefix("tcp:") {
-                BackendEndpoint::Tcp(a.to_string())
-            } else {
-                return Err(err(format!("'{ep_s}' is not unix:PATH or tcp:ADDR")));
+
+            // An empty path or address would only fail at connect time,
+            // on every request for the shard, with no line to point at.
+            let endpoint = match ep_s.split_once(':') {
+                Some(("unix", p)) if !p.is_empty() => BackendEndpoint::Unix(PathBuf::from(p)),
+                Some(("tcp", a)) if !a.is_empty() => BackendEndpoint::Tcp(a.to_string()),
+                Some(("unix" | "tcp", _)) => {
+                    return Err(err(format!("endpoint '{ep_s}' names no path or address")))
+                }
+                _ => return Err(err(format!("'{ep_s}' is not unix:PATH or tcp:ADDR"))),
             };
             shards.push(ShardEntry { range, endpoint });
         }
@@ -232,6 +236,17 @@ mod tests {
         assert!(ShardMap::parse("epoch x\n0..4 tcp:a:1\n").is_err());
         assert!(ShardMap::parse("0..4 tcp:a:1\nepoch 2\n").is_err()); // epoch after ranges
         assert!(ShardMap::parse("epoch 1\nepoch 2\n0..4 tcp:a:1\n").is_err());
+    }
+
+    #[test]
+    fn rejects_empty_endpoints_with_their_line() {
+        for ep in ["unix:", "tcp:", "unix: # no path"] {
+            let e = ShardMap::parse(&format!("epoch 1\n0..4 {ep}\n")).unwrap_err();
+            assert!(
+                e.starts_with("shard map line 2: endpoint '") && e.contains("names no"),
+                "{ep}: {e}"
+            );
+        }
     }
 
     #[test]

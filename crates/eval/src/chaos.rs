@@ -12,7 +12,8 @@
 
 use crate::metrics::{ScoreConfig, Verdict};
 use crate::parallel::par_map;
-use crate::runner::{run_hawkeye, RunConfig, RunOutcome};
+use crate::runner::{run_method, RunConfig, RunOutcome};
+use hawkeye_baselines::Method;
 use hawkeye_sim::{CpuPathFault, FaultPlan, Nanos, ProbeRetryConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 use serde::{Serialize, Value};
@@ -236,7 +237,7 @@ fn run_chaos_trial(t: &ChaosSpec) -> RunOutcome {
         agent_retry: (!faults.is_none()).then(ProbeRetryConfig::default),
         ..RunConfig::default()
     };
-    run_hawkeye(&sc, &run, &ScoreConfig::default())
+    run_method(&sc, &run, Method::Hawkeye, &ScoreConfig::default())
 }
 
 /// Run the full rate × scenario × trial grid across `jobs` workers and

@@ -18,7 +18,8 @@
 use crate::figures::optimal_run_config;
 use crate::metrics::ScoreConfig;
 use crate::parallel::par_map;
-use crate::runner::{run_hawkeye, RunOutcome};
+use crate::runner::{run_method, RunOutcome};
+use hawkeye_baselines::Method;
 use hawkeye_core::DiagnosisError;
 use hawkeye_sim::Nanos;
 use hawkeye_workloads::{build_scenario_on, ScenarioKind, ScenarioParams, TopologySpec};
@@ -198,7 +199,8 @@ pub fn run_cell(
     let verdict = match build_scenario_on(spec, kind, cell_params(spec, seed)) {
         Ok(scenario) => {
             let cfg = optimal_run_config(seed);
-            outcome_to_verdict(&run_hawkeye(&scenario, &cfg, score), score)
+            let out = run_method(&scenario, &cfg, Method::Hawkeye, score);
+            outcome_to_verdict(&out, score)
         }
         Err(_) => CellVerdict {
             verdict: "build-rejected".to_string(),

@@ -6,12 +6,12 @@
 //! across `jobs` threads with [`par_map`], which returns results in input
 //! order, so the output does not depend on `jobs`.
 
-use crate::methods::{analyze_method, run_method, MethodOutcome};
 use crate::metrics::{judge, PrecisionRecall, ScoreConfig};
 use crate::parallel::par_map;
-use crate::runner::{simulate, RunConfig};
+use crate::runner::{conclude_trial, run_method, simulate, RunConfig, RunOutcome};
 use hawkeye_baselines::{partial_deployment, Method};
 use hawkeye_core::{analyze_victim_window, HawkeyeHook, TracingPolicy};
+use hawkeye_obs::Recorder;
 use hawkeye_sim::{Nanos, NodeId, NullHook, PortId, SimConfig, Simulator, SwitchConfig};
 use hawkeye_telemetry::{EpochConfig, TelemetryConfig};
 use hawkeye_tofino::{memory_sweep, poll, poll_analytic, poll_time_ms, resource_usage, SwitchDims};
@@ -159,7 +159,7 @@ struct TrialSpec {
 /// Run one grid cell. Pure in its spec: two calls with equal specs return
 /// identical outcomes, which is what lets the parallel sweeps aggregate in
 /// input order and stay bit-for-bit equal to a sequential pass.
-fn run_trial(t: &TrialSpec) -> MethodOutcome {
+fn run_trial(t: &TrialSpec) -> RunOutcome {
     let run = RunConfig {
         epoch: t.epoch,
         threshold_factor: t.threshold,
@@ -213,7 +213,7 @@ impl EvalConfig {
 
 /// Fold one operating point's verdicts (a `trials`-sized chunk of the flat
 /// outcome list) into a precision/recall cell.
-fn pr_of(outcomes: &[MethodOutcome]) -> PrecisionRecall {
+fn pr_of(outcomes: &[RunOutcome]) -> PrecisionRecall {
     let mut pr = PrecisionRecall::default();
     for o in outcomes {
         pr.record(o.verdict.clone());
@@ -290,7 +290,7 @@ fn method_matrix(
     cfg: &EvalConfig,
     methods: &[Method],
     jobs: usize,
-) -> Vec<(Method, ScenarioKind, Vec<MethodOutcome>)> {
+) -> Vec<(Method, ScenarioKind, Vec<RunOutcome>)> {
     let mut specs = Vec::new();
     for &m in methods {
         for kind in ScenarioKind::ALL {
@@ -301,7 +301,7 @@ fn method_matrix(
     let mut out = Vec::new();
     for &m in methods {
         for kind in ScenarioKind::ALL {
-            let group: Vec<MethodOutcome> = (0..cfg.trials)
+            let group: Vec<RunOutcome> = (0..cfg.trials)
                 .map(|_| outcomes.next().expect("one outcome per spec"))
                 .collect();
             out.push((m, kind, group));
@@ -312,7 +312,7 @@ fn method_matrix(
 
 /// **Figure 8**: precision & recall upper bound per method per anomaly.
 fn fig8_baseline_accuracy(
-    matrix: &[(Method, ScenarioKind, Vec<MethodOutcome>)],
+    matrix: &[(Method, ScenarioKind, Vec<RunOutcome>)],
     cfg: &EvalConfig,
 ) -> FigureTable {
     let mut rows = Vec::new();
@@ -340,9 +340,9 @@ fn fig8_baseline_accuracy(
 /// The mean of `f` over every outcome of method `m` in `matrix`, in
 /// matrix order; `None` when the matrix did not run `m`.
 fn mean_of(
-    matrix: &[(Method, ScenarioKind, Vec<MethodOutcome>)],
+    matrix: &[(Method, ScenarioKind, Vec<RunOutcome>)],
     m: Method,
-    f: impl Fn(&MethodOutcome) -> f64,
+    f: impl Fn(&RunOutcome) -> f64,
 ) -> Option<f64> {
     let all: Vec<f64> = (matrix.iter().filter(|(mm, _, _)| *mm == m))
         .flat_map(|(_, _, os)| os.iter().map(&f))
@@ -353,7 +353,7 @@ fn mean_of(
 /// **Figure 9**: processing overhead (telemetry bytes per diagnosis) and
 /// monitoring bandwidth overhead per method, averaged across anomalies.
 fn fig9_overhead(
-    matrix: &[(Method, ScenarioKind, Vec<MethodOutcome>)],
+    matrix: &[(Method, ScenarioKind, Vec<RunOutcome>)],
     cfg: &EvalConfig,
 ) -> FigureTable {
     let mut rows = Vec::new();
@@ -390,7 +390,7 @@ fn fig9_overhead(
 /// **Figure 11**: switches collected per diagnosis and causal-switch
 /// coverage ratio, per method.
 fn fig11_switch_coverage(
-    matrix: &[(Method, ScenarioKind, Vec<MethodOutcome>)],
+    matrix: &[(Method, ScenarioKind, Vec<RunOutcome>)],
     cfg: &EvalConfig,
 ) -> FigureTable {
     let mut rows = Vec::new();
@@ -728,19 +728,21 @@ fn partial(out: &mut String, cfg: &EvalConfig, jobs: usize) -> fmt::Result {
         let sc = scenario(kind, seed, cfg.load);
         let run = optimal_run_config(seed);
         let sim = simulate(&sc, &run, |h| HawkeyeHook::new(&sc.topo, h));
-        let full = analyze_method(&sim, &sc, &run, Method::Hawkeye, &score).verdict;
+        let collector = &sim.hook.collector;
+        let obs = &mut Recorder::disabled();
+        let full = conclude_trial(&sim, collector, &sc, &run, Method::Hawkeye, &score, obs);
         let tor: Vec<NodeId> = FatTreeNav::new(sim.topo(), 4)
             .edges
             .into_iter()
             .flatten()
             .collect();
-        let partial = run.victim_window(&sc, &sim.detections()).map(|w| {
-            let snaps = partial_deployment(&sim.hook.collector.snapshots(), &tor);
+        let partial = full.window.map(|w| {
+            let snaps = partial_deployment(&collector.snapshots(), &tor);
             let (report, _, _) =
                 analyze_victim_window(&sc.truth.victim, w, &snaps, sim.topo(), &run.analyzer());
             judge(&sc.truth, &report, &score)
         });
-        (full, partial)
+        (full.verdict, partial)
     });
     for (kind, trials) in ScenarioKind::ALL
         .into_iter()

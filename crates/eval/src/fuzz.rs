@@ -19,7 +19,8 @@
 
 use crate::corpus::{outcome_to_verdict, CellVerdict};
 use crate::metrics::{ScoreConfig, Verdict};
-use crate::runner::{run_hawkeye, RunConfig};
+use crate::runner::{run_method, RunConfig};
+use hawkeye_baselines::Method;
 use hawkeye_obs::{names, MetricKey, MetricsRegistry, MetricsSnapshot};
 use hawkeye_sim::Nanos;
 use hawkeye_telemetry::EpochConfig;
@@ -318,7 +319,7 @@ fn mutate(base: &FuzzParams, rng: &mut StdRng) -> FuzzParams {
 fn run_point(p: &FuzzParams, score: &ScoreConfig) -> Result<(CellVerdict, bool), String> {
     let scenario =
         build_scenario_on(&p.spec, p.kind, p.scenario_params()).map_err(|e| e.to_string())?;
-    let out = run_hawkeye(&scenario, &p.run_config(), score);
+    let out = run_method(&scenario, &p.run_config(), Method::Hawkeye, score);
     let agrees = out.verdict == Some(Verdict::Correct);
     Ok((outcome_to_verdict(&out, score), agrees))
 }

@@ -1,16 +1,15 @@
 //! # hawkeye-eval
 //!
 //! Evaluation harness: precision/recall scoring against scenario ground
-//! truth, per-trial runners for Hawkeye and the baselines (every offline
-//! trial is set up by [`simulate`] and windowed by [`victim_window`]), and
-//! the paper's figures behind one entry point, [`figure`] (`hawkeye figure
-//! <id>` prints them).
+//! truth, one per-trial runner for Hawkeye and the baselines alike
+//! ([`run_method`]: every offline trial is set up by [`simulate`] and
+//! becomes a verdict in [`conclude_trial`]), and the paper's figures
+//! behind one entry point, [`figure`] (`hawkeye figure <id>` prints them).
 
 pub mod chaos;
 pub mod corpus;
 pub mod figures;
 pub mod fuzz;
-pub mod methods;
 pub mod metrics;
 pub mod parallel;
 pub mod runner;
@@ -27,7 +26,9 @@ pub use fuzz::{
     bank_from_json, bank_to_json, reverify_bank, run_fuzz, BankedRepro, FuzzConfig, FuzzParams,
     FuzzReport,
 };
-pub use methods::{run_method, MethodOutcome};
+pub use hawkeye_baselines::Method;
 pub use metrics::{judge, PrecisionRecall, ScoreConfig, Verdict};
 pub use parallel::{default_jobs, par_map};
-pub use runner::{run_hawkeye, run_hawkeye_obs, simulate, victim_window, RunConfig, RunOutcome};
+pub use runner::{
+    conclude_trial, run_method, run_method_obs, simulate, victim_window, RunConfig, RunOutcome,
+};

@@ -1,6 +1,14 @@
-//! Run one scenario under the Hawkeye pipeline (or a tracing-policy
-//! variant) and extract everything the figures need: the victim diagnosis,
-//! collection/overhead statistics, and causal-switch coverage.
+//! Run one scenario under any of the seven compared methods and extract
+//! everything the figures need: the victim diagnosis, collection/overhead
+//! statistics, and causal-switch coverage.
+//!
+//! Every offline trial becomes a verdict through [`conclude_trial`]; the
+//! runners here, the figures and `hawkeye-serve`'s replay all call it.
+//! Its evidence rule is the daemon's: the analyzer reads every collected
+//! snapshot after the method's visibility transform, and the aggregate
+//! keeps what overlaps the window. Its accounting rule is the paper's
+//! per-diagnosis one: coverage and overheads count only the collections
+//! the victim's polling packets triggered inside the window.
 //!
 //! Every counter reported on [`RunOutcome`] is first folded into a
 //! [`hawkeye_obs::MetricsRegistry`] and then read back from it, so the
@@ -9,16 +17,20 @@
 //! outcome fields were computed from.
 
 use crate::metrics::{judge, ScoreConfig, Verdict};
+use hawkeye_baselines::{
+    filter_victim_path, netsight_bandwidth, netsight_processing, polling_bandwidth,
+    spidermon_bandwidth, spidermon_processing, strip_flows, strip_pfc, strip_ports, Method,
+};
 use hawkeye_core::{
-    analyze_victim_window_obs, AnalyzerConfig, DiagnosisError, DiagnosisReport, HawkeyeConfig,
-    HawkeyeHook, TracingPolicy, Window,
+    analyze_victim_window_obs, AnalyzerConfig, Collector, DiagnosisError, DiagnosisReport,
+    HawkeyeConfig, HawkeyeHook, TracingPolicy, Window,
 };
 use hawkeye_obs::{MetricKey, MetricsSnapshot, ObsConfig, Recorder};
 use hawkeye_sim::{
     record_sim_metrics, trace_detections, trace_drop_warnings, Detection, FaultPlan, Nanos, NodeId,
     ObservedHook, ProbeRetryConfig, Simulator, SwitchHook,
 };
-use hawkeye_telemetry::{EpochConfig, TelemetryConfig};
+use hawkeye_telemetry::{EpochConfig, TelemetryConfig, TelemetrySnapshot};
 use hawkeye_workloads::Scenario;
 
 /// Per-run knobs (the paper's Fig. 7 sweep axes plus seeds).
@@ -73,8 +85,8 @@ impl RunConfig {
 /// deployment `cfg` describes is handed to `hook`, which builds the switch
 /// hook from it (adjusting or wrapping it as its caller needs), behind the
 /// host agent every trial uses, on the simulator seeded and faulted as
-/// `cfg` says. [`run_hawkeye_obs`], [`run_method`](crate::run_method), the
-/// figures and `hawkeye-serve`'s replay all set their trials up here.
+/// `cfg` says. [`run_method_obs`], the figures and `hawkeye-serve`'s
+/// replay all set their trials up here.
 pub fn simulate<H: SwitchHook>(
     scenario: &Scenario,
     cfg: &RunConfig,
@@ -97,40 +109,40 @@ pub fn simulate<H: SwitchHook>(
     sim
 }
 
-/// Everything extracted from one simulated trial.
+/// Everything extracted from one trial of one method.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// The victim's post-anomaly detection, if any.
+    /// The victim's last post-anomaly detection, if any.
     pub detection: Option<Detection>,
+    /// The diagnosis window, when a detection produced one.
+    pub window: Option<Window>,
+    /// Switches whose collection demonstrably failed inside the window,
+    /// folded into the report's confidence.
+    pub missing: Vec<NodeId>,
     /// Diagnosis of the victim detection.
     pub report: Option<DiagnosisReport>,
     pub verdict: Option<Verdict>,
-    /// Switches collected / causal coverage (Fig. 11).
-    pub collected_switches: Vec<NodeId>,
-    pub causal_covered: usize,
-    pub causal_total: usize,
-    /// Telemetry bytes shipped to the analyzer (Fig. 9a).
-    pub collected_bytes: usize,
-    pub collected_bytes_full_dump: usize,
-    pub report_packets: usize,
-    /// Polling packets emitted in-network (Fig. 9b bandwidth overhead).
-    pub polling_packets: u64,
-    /// Total data packets forwarded (for normalizing overheads).
-    pub data_packets: u64,
-    pub all_detections: usize,
     /// Why the pipeline could not produce a (meaningful) diagnosis, when it
     /// could not. A report may still accompany a [`DiagnosisError::NoTelemetry`]
     /// (graded inconclusive); [`DiagnosisError::NoDetection`] never has one.
     pub error: Option<DiagnosisError>,
+    /// Distinct switches whose telemetry this diagnosis consumed / causal
+    /// coverage (Fig. 11).
+    pub collected_switches: Vec<NodeId>,
+    pub causal_covered: usize,
+    pub causal_total: usize,
+    /// Telemetry bytes processed by the analyzer per diagnosis (Fig. 9a).
+    pub processing_bytes: u64,
+    /// Extra bytes placed on the wire by monitoring (Fig. 9b).
+    pub bandwidth_bytes: u64,
+    /// Report packets shipped (Hawkeye-family only; 0 otherwise).
+    pub report_packets: usize,
+    /// Data packets the hosts sent.
+    pub data_packets: u64,
+    /// Data packets forwarded, counted once per switch hop.
+    pub packet_hops: u64,
     /// The registry snapshot every counter above was read back from.
     pub metrics: MetricsSnapshot,
-}
-
-/// The victim's last post-anomaly detection in `dets`, if any.
-pub(crate) fn last_victim_detection(scenario: &Scenario, dets: &[Detection]) -> Option<Detection> {
-    dets.iter()
-        .rfind(|d| d.key == scenario.truth.victim && d.at >= scenario.truth.anomaly_at)
-        .copied()
 }
 
 /// The window a victim's diagnosis aggregates over, given every detection
@@ -139,9 +151,9 @@ pub(crate) fn last_victim_detection(scenario: &Scenario, dets: &[Detection]) -> 
 /// (fully-developed causality — a persisting anomaly re-triggers detection
 /// every dedup interval, and e.g. a deadlock loop takes hundreds of
 /// microseconds to close). `None` when the victim was never detected after
-/// the anomaly. Shared by the one-shot runner and the online replay path
-/// (`hawkeye-serve`), whose verdict parity depends on using the *same*
-/// window arithmetic.
+/// the anomaly. [`conclude_trial`] windows every trial with it; a served
+/// `Diagnose` is asked for the same window, so verdict parity with the
+/// daemon depends on this one arithmetic.
 pub fn victim_window(
     dets: &[Detection],
     victim: &hawkeye_sim::FlowKey,
@@ -164,85 +176,107 @@ pub fn victim_window(
         })
 }
 
-/// Run a scenario under Hawkeye (full or victim-only tracing).
-///
-/// This analyzes *every* snapshot the run collected, and counts every
-/// switch the collector touched. [`run_method`](crate::run_method) with
-/// `Method::Hawkeye` is the other Hawkeye pipeline: it analyzes only the
-/// snapshots taken inside the diagnosis window and counts only the
-/// collections attributed to the victim. Over the 108 corpus cells their
-/// reports differ in 11 cells but their verdict labels agree in all 108;
-/// `collected_switches` differs in most cells (clos8s2d4: ≈40 here, ≈5
-/// there). This one feeds the corpus, `chaos`, `fuzz` and the daemon's
-/// parity reference; the other feeds `hawkeye scenario`/`matrix` and every
-/// figure.
-pub fn run_hawkeye(scenario: &Scenario, cfg: &RunConfig, score: &ScoreConfig) -> RunOutcome {
-    run_hawkeye_obs(scenario, cfg, score, ObsConfig::off()).0
+/// Run `scenario` under `method` and judge the result.
+pub fn run_method(
+    scenario: &Scenario,
+    cfg: &RunConfig,
+    method: Method,
+    score: &ScoreConfig,
+) -> RunOutcome {
+    run_method_obs(scenario, cfg, method, score, ObsConfig::off()).0
 }
 
-/// [`run_hawkeye`] with observability: the simulation runs under an
+/// [`run_method`] with observability: the simulation runs under an
 /// [`ObservedHook`] so PFC pause/resume, probe hops, CPU mirrors and
 /// detections land in the recorder's trace, and the diagnosis stages are
 /// span-timed. Returns the recorder alongside the outcome so callers can
 /// emit the trace (JSONL / Chrome) or inspect the stage profile.
-pub fn run_hawkeye_obs(
+pub fn run_method_obs(
     scenario: &Scenario,
     cfg: &RunConfig,
+    method: Method,
     score: &ScoreConfig,
     ocfg: ObsConfig,
 ) -> (RunOutcome, Recorder) {
-    let mut sim = simulate(scenario, cfg, |h| {
-        ObservedHook::new(HawkeyeHook::new(&scenario.topo, h), ocfg)
+    let policy = if method.victim_path_only() || method == Method::FlowOnly {
+        TracingPolicy::VictimOnly
+    } else {
+        TracingPolicy::Hawkeye
+    };
+    let mut sim = simulate(scenario, &RunConfig { policy, ..*cfg }, |h| {
+        let full_polling = method.collects_everything();
+        let hook = HawkeyeHook::new(&scenario.topo, HawkeyeConfig { full_polling, ..h });
+        ObservedHook::new(hook, ocfg)
     });
+    let mut obs = std::mem::take(&mut sim.hook.obs);
+    let collector = &sim.hook.inner().collector;
+    let out = conclude_trial(&sim, collector, scenario, cfg, method, score, &mut obs);
+    (out, obs)
+}
 
+/// Turn the finished trial `sim` of `scenario`, whose telemetry reached
+/// `collector`, into its outcome as `method` sees it: the victim's
+/// detection and window, the switches missing inside it, the typed error,
+/// the report over every collected snapshot after the method's visibility
+/// transform, the verdict, and the per-diagnosis overheads. Detections,
+/// the diagnosis stages and the registry fold land in `obs`.
+pub fn conclude_trial<H: SwitchHook>(
+    sim: &Simulator<H>,
+    collector: &Collector,
+    scenario: &Scenario,
+    cfg: &RunConfig,
+    method: Method,
+    score: &ScoreConfig,
+    obs: &mut Recorder,
+) -> RunOutcome {
+    let victim = &scenario.truth.victim;
     let dets = sim.detections();
-    trace_detections(&mut sim.hook.obs, &dets);
-    let detection = last_victim_detection(scenario, &dets);
-
-    let snapshots = sim.hook.inner().collector.snapshots();
-    let analyzer = cfg.analyzer();
+    trace_detections(obs, &dets);
+    let detection = dets
+        .iter()
+        .rfind(|d| d.key == *victim && d.at >= scenario.truth.anomaly_at)
+        .copied();
     // No detection → no window → no diagnosis: a typed error, not a panic.
     let window = cfg.victim_window(scenario, &dets);
-    // Collections that demonstrably failed inside the diagnosis window —
-    // folded into the verdict's confidence below.
-    let missing_in_window: Vec<NodeId> = window
-        .map(|w| sim.hook.inner().collector.missing_switches(w.from, w.to))
+    let missing: Vec<NodeId> = window
+        .map(|w| collector.missing_switches(w.from, w.to))
         .unwrap_or_default();
+
+    let all = collector.snapshots();
+    let on_path = |s: &[TelemetrySnapshot]| filter_victim_path(s, sim.topo(), victim);
+    let snapshots = match method {
+        Method::Hawkeye | Method::FullPolling => all,
+        Method::VictimOnly => on_path(&all),
+        Method::SpiderMon => strip_pfc(&on_path(&all)),
+        Method::NetSight => strip_pfc(&all),
+        Method::PortOnly => strip_flows(&all),
+        Method::FlowOnly => strip_ports(&on_path(&all)),
+    };
     let error = if window.is_none() {
-        Some(DiagnosisError::NoDetection {
-            victim: scenario.truth.victim,
-        })
+        Some(DiagnosisError::NoDetection { victim: *victim })
     } else if snapshots.is_empty() {
         Some(DiagnosisError::NoTelemetry {
-            victim: scenario.truth.victim,
-            missing: missing_in_window.clone(),
+            victim: *victim,
+            missing: missing.clone(),
         })
     } else {
         None
     };
     let report = window.map(|w| {
-        let mut r = analyze_victim_window_obs(
-            &scenario.truth.victim,
-            w,
-            &snapshots,
-            &scenario.topo,
-            &analyzer,
-            &mut sim.hook.obs,
-        )
-        .0;
-        r.note_missing(&missing_in_window);
+        let analyzer = cfg.analyzer();
+        let mut r = analyze_victim_window_obs(victim, w, &snapshots, sim.topo(), &analyzer, obs).0;
+        r.note_missing(&missing);
         r
     });
     let verdict = report.as_ref().map(|r| judge(&scenario.truth, r, score));
 
-    let mut collected: Vec<NodeId> = sim
-        .hook
-        .inner()
-        .collector
-        .events
-        .iter()
-        .map(|e| e.switch)
-        .collect();
+    // Per-diagnosis attribution: only the collections THIS victim's polling
+    // packets triggered (within its window) count toward its overheads —
+    // the collector is shared with every other concurrent anomaly.
+    let victim_snaps: Vec<TelemetrySnapshot> = window
+        .map(|w| collector.attributed_snapshots(victim, w.from, w.to))
+        .unwrap_or_default();
+    let mut collected: Vec<NodeId> = victim_snaps.iter().map(|s| s.switch).collect();
     collected.sort_unstable();
     collected.dedup();
     let causal_covered = scenario
@@ -254,10 +288,8 @@ pub fn run_hawkeye_obs(
 
     // Fold everything into the registry, then read the outcome's counters
     // back out of it — the snapshot and the fields can never disagree.
-    let mut obs = std::mem::replace(&mut sim.hook.obs, Recorder::disabled());
-    record_sim_metrics(&sim, &mut obs.metrics);
-    trace_drop_warnings(&sim, &mut obs);
-    let collector = &sim.hook.inner().collector;
+    record_sim_metrics(sim, &mut obs.metrics);
+    trace_drop_warnings(sim, obs);
     let m = &mut obs.metrics;
     // Fault-handling counters fold only when they fired: zero-valued keys
     // would perturb the registry snapshot of every fault-free run.
@@ -292,11 +324,30 @@ pub fn run_hawkeye_obs(
         MetricKey::global("report_packets"),
         collector.report_packets() as u64,
     );
-    let probes_emitted = m.counter_total("probes_emitted");
-    m.add(
-        MetricKey::global("polling_packets"),
-        probes_emitted + dets.len() as u64,
-    );
+    let polling_packets = m.counter_total("probes_emitted") + dets.len() as u64;
+    m.add(MetricKey::global("polling_packets"), polling_packets);
+    let data_packets = m.counter_total("host_data_sent");
+    let packet_hops = m.counter_total("switch_data_pkts");
+    let processing_bytes = match method {
+        Method::SpiderMon => {
+            let flow_entries = victim_snaps.iter().flat_map(|s| &s.epochs);
+            spidermon_processing(flow_entries.map(|e| e.flows.len()).sum()) as u64
+        }
+        Method::NetSight => netsight_processing(packet_hops),
+        _ => victim_snaps
+            .iter()
+            .map(|s| s.wire_size_filtered() as u64)
+            .sum(),
+    };
+    let bandwidth_bytes = match method {
+        Method::SpiderMon => spidermon_bandwidth(data_packets),
+        Method::NetSight => netsight_bandwidth(packet_hops),
+        // Full polling is triggered out of band: no polling packets.
+        Method::FullPolling => 0,
+        _ => polling_bandwidth(polling_packets),
+    };
+    m.add(MetricKey::global("processing_bytes"), processing_bytes);
+    m.add(MetricKey::global("bandwidth_bytes"), bandwidth_bytes);
     m.set(
         MetricKey::global("collected_switches"),
         collected.len() as f64,
@@ -307,21 +358,21 @@ pub fn run_hawkeye_obs(
         scenario.truth.causal_switches.len() as f64,
     );
 
-    let outcome = RunOutcome {
+    RunOutcome {
         detection,
+        window,
+        missing,
+        report,
         verdict,
+        error,
+        collected_switches: collected,
         causal_covered,
         causal_total: scenario.truth.causal_switches.len(),
-        collected_bytes: m.counter_total("collected_bytes") as usize,
-        collected_bytes_full_dump: m.counter_total("collected_bytes_full_dump") as usize,
+        processing_bytes: m.counter_total("processing_bytes"),
+        bandwidth_bytes: m.counter_total("bandwidth_bytes"),
         report_packets: m.counter_total("report_packets") as usize,
-        polling_packets: m.counter_total("polling_packets"),
-        data_packets: m.counter_total("switch_data_pkts"),
-        all_detections: m.counter_total("detections") as usize,
-        collected_switches: collected,
-        report,
-        error,
+        data_packets,
+        packet_hops,
         metrics: m.snapshot(),
-    };
-    (outcome, obs)
+    }
 }

@@ -5,7 +5,7 @@
 //! - `FaultPlan::none()` is bit-for-bit the pipeline without fault
 //!   injection, seed field and all.
 
-use hawkeye_eval::{par_map, plan_for_rate, run_hawkeye, RunConfig, ScoreConfig};
+use hawkeye_eval::{par_map, plan_for_rate, run_method, Method, RunConfig, ScoreConfig};
 use hawkeye_sim::{FaultPlan, Nanos, ProbeRetryConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 use proptest::prelude::*;
@@ -38,7 +38,10 @@ fn run(spec: &Spec) -> String {
         agent_retry: (!faults.is_none()).then(ProbeRetryConfig::default),
         ..RunConfig::default()
     };
-    format!("{:?}", run_hawkeye(&sc, &cfg, &ScoreConfig::default()))
+    format!(
+        "{:?}",
+        run_method(&sc, &cfg, Method::Hawkeye, &ScoreConfig::default())
+    )
 }
 
 proptest! {
@@ -90,10 +93,13 @@ fn none_plan_is_bit_identical_to_no_injection() {
             },
             ..RunConfig::default()
         };
-        let a = format!("{:?}", run_hawkeye(&sc, &baseline, &ScoreConfig::default()));
+        let a = format!(
+            "{:?}",
+            run_method(&sc, &baseline, Method::Hawkeye, &ScoreConfig::default())
+        );
         let b = format!(
             "{:?}",
-            run_hawkeye(&sc, &seeded_none, &ScoreConfig::default())
+            run_method(&sc, &seeded_none, Method::Hawkeye, &ScoreConfig::default())
         );
         // The fault plan itself is not part of the outcome, so the
         // fingerprints must match to the byte.
@@ -118,8 +124,8 @@ fn same_plan_same_failures_twice() {
         agent_retry: Some(ProbeRetryConfig::default()),
         ..RunConfig::default()
     };
-    let a = run_hawkeye(&sc, &cfg, &ScoreConfig::default());
-    let b = run_hawkeye(&sc, &cfg, &ScoreConfig::default());
+    let a = run_method(&sc, &cfg, Method::Hawkeye, &ScoreConfig::default());
+    let b = run_method(&sc, &cfg, Method::Hawkeye, &ScoreConfig::default());
     assert!(
         a.metrics.counter("faults_injected").unwrap_or(0) > 0,
         "30% plan must actually inject"

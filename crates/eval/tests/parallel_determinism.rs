@@ -29,7 +29,7 @@ fn run(spec: &Spec) -> String {
         hawkeye_baselines::Method::Hawkeye,
         &ScoreConfig::default(),
     );
-    // RunOutcome/MethodOutcome carry no thread- or time-dependent state, so
+    // RunOutcome carries no thread- or time-dependent state, so
     // the Debug rendering is a faithful structural fingerprint.
     format!("{out:?}")
 }

@@ -4,8 +4,10 @@
 //! [`HawkeyeHook`] — identical trajectory to the one-shot pipeline in
 //! `hawkeye_eval::runner` — while every collection epoch is simultaneously
 //! pushed to the daemon in `IngestBatch` frames. Afterwards the same diagnosis
-//! window is analyzed twice: locally from the run's own collector (the
-//! one-shot reference) and remotely via `Diagnose` over the socket. On a
+//! window is analyzed twice: locally from the run's own collector through
+//! [`hawkeye_eval::conclude_trial`] (the one-shot reference, the very
+//! outcome `run_method` gives with `Method::Hawkeye`) and remotely via
+//! `Diagnose` over the socket. On a
 //! fault-free run the two verdicts must be identical in label, culprits
 //! and confidence ([`ReplayOutcome::parity_with`]), because the daemon's
 //! store reconstructs the exact canonical telemetry the batch aggregator
@@ -13,8 +15,9 @@
 
 use crate::stream::{StreamStats, StreamingHook};
 use hawkeye_client::EpochSink;
-use hawkeye_core::{analyze_victim_window, DiagnosisReport, HawkeyeHook, Window};
-use hawkeye_eval::{judge, simulate, RunConfig, ScoreConfig, Verdict};
+use hawkeye_core::{DiagnosisReport, HawkeyeHook, Window};
+use hawkeye_eval::{conclude_trial, simulate, Method, RunConfig, ScoreConfig, Verdict};
+use hawkeye_obs::Recorder;
 use hawkeye_sim::NodeId;
 use hawkeye_workloads::Scenario;
 
@@ -72,32 +75,18 @@ pub fn replay_streaming_batched<S: EpochSink>(
     let sim = simulate(scenario, cfg, |h| {
         StreamingHook::new(HawkeyeHook::new(&scenario.topo, h), sink).with_batch(batch)
     });
-    let analyzer = cfg.analyzer();
-    let window = cfg.victim_window(scenario, &sim.detections());
-
     let collector = &sim.hook.inner().collector;
-    let missing: Vec<NodeId> = window
-        .map(|w| collector.missing_switches(w.from, w.to))
-        .unwrap_or_default();
-    let snapshots = collector.snapshots();
-    let topo = sim.topo().clone();
-    let oneshot = window.map(|w| {
-        let mut r =
-            analyze_victim_window(&scenario.truth.victim, w, &snapshots, &topo, &analyzer).0;
-        r.note_missing(&missing);
-        r
-    });
-    let verdict = oneshot
-        .as_ref()
-        .map(|r| judge(&scenario.truth, r, &ScoreConfig::default()));
+    let score = ScoreConfig::default();
+    let obs = &mut Recorder::disabled();
+    let out = conclude_trial(&sim, collector, scenario, cfg, Method::Hawkeye, &score, obs);
 
     let (_, sink, stream) = sim.hook.into_parts();
     (
         ReplayOutcome {
-            oneshot,
-            verdict,
-            window,
-            missing,
+            oneshot: out.report,
+            verdict: out.verdict,
+            window: out.window,
+            missing: out.missing,
             stream,
         },
         sink,

@@ -5,14 +5,35 @@
 
 use hawkeye_client::proto::{decode_response, read_frame, write_frame};
 use hawkeye_client::{EpochSink, ProtoError, Response, ServeClient, VecSink};
-use hawkeye_eval::{optimal_run_config, Verdict};
+use hawkeye_eval::corpus::cell_params;
+use hawkeye_eval::{optimal_run_config, run_method, Method, ScoreConfig, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{EpochSnapshot, EvictedFlow, FlowRecord, PortRecord, TelemetrySnapshot};
-use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
+use hawkeye_workloads::{
+    build_scenario, build_scenario_on, ScenarioKind, ScenarioParams, TopologySpec,
+};
 
 fn incast() -> hawkeye_workloads::Scenario {
     build_scenario(ScenarioKind::MicroBurstIncast, ScenarioParams::default())
+}
+
+/// The figures and the daemon's one-shot reference measure the same
+/// system: `run_method` reads every collected snapshot, as the replay's
+/// reference (and the daemon's windowed store read) does. On this corpus
+/// cell, dropping the snapshots taken outside the window changes the
+/// report, so the cell tells the two evidence rules apart.
+#[test]
+fn run_method_report_is_the_replay_reference() {
+    let spec = TopologySpec::EVAL;
+    let sc = build_scenario_on(&spec, ScenarioKind::MicroBurstIncast, cell_params(&spec, 1))
+        .expect("ft4 scripts every scenario");
+    let cfg = optimal_run_config(1);
+    let out = run_method(&sc, &cfg, Method::Hawkeye, &ScoreConfig::default());
+    let (replay, _) = hawkeye_serve::replay_streaming(&sc, &cfg, VecSink::default());
+    assert!(out.report.is_some(), "the cell must be diagnosed");
+    assert_eq!(out.report, replay.oneshot);
+    assert_eq!((out.window, out.verdict), (replay.window, replay.verdict));
 }
 
 /// Fault-free incast, streamed over TCP: served diagnosis == one-shot.

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release --example scenario_matrix [load] [seed]`
 
-use hawkeye::eval::{run_hawkeye, RunConfig, ScoreConfig};
+use hawkeye::eval::{run_method, Method, RunConfig, ScoreConfig};
 use hawkeye::workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn main() {
@@ -19,7 +19,12 @@ fn main() {
                 ..Default::default()
             },
         );
-        let out = run_hawkeye(&sc, &RunConfig::default(), &ScoreConfig::default());
+        let out = run_method(
+            &sc,
+            &RunConfig::default(),
+            Method::Hawkeye,
+            &ScoreConfig::default(),
+        );
         println!("== {} ==", kind.name());
         println!(
             "  detection: {:?}",
@@ -74,7 +79,7 @@ fn main() {
             out.collected_switches.len(),
             out.causal_covered,
             out.causal_total,
-            out.collected_bytes
+            out.processing_bytes
         );
     }
 }

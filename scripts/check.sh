@@ -280,7 +280,7 @@ echo "==> fleet smoke (3 sharded daemons behind a front-end, verdict parity)"
 # replay streamed through the front, and the served verdict required to
 # be byte-identical to a monolithic daemon's over the same replay — the
 # shard cut must be invisible to clients. Clean SIGTERM teardown all
-# around, sockets removed.
+# around, sockets removed. A map with an empty endpoint is refused first.
 fleet_dir=$(mktemp -d /tmp/hawkeye-fleet-XXXXXX)
 fleet_ref=$(mktemp); fleet_out=$(mktemp)
 timeout 120 ./target/release/hawkeye serve --replay incast --json > "$fleet_ref"
@@ -299,6 +299,16 @@ for i in 0 1 2; do
   for _ in $(seq 100); do [ -S "$fleet_dir/shard$i.sock" ] && break; sleep 0.1; done
   test -S "$fleet_dir/shard$i.sock" || { echo "shard $i never bound its socket"; exit 1; }
 done
+# A map line with an empty endpoint is refused when the map loads, with
+# its line number, before the front binds anything: exit 1, no socket.
+printf 'epoch 1\n0..8 unix:\n' > "$fleet_dir/bad_map"
+bad_code=0
+timeout 20 ./target/release/hawkeye front --map "$fleet_dir/bad_map" \
+  --socket "$fleet_dir/bad_front.sock" 2> "$fleet_dir/bad_err" || bad_code=$?
+test "$bad_code" -eq 1 || { echo "front on an empty endpoint exited $bad_code, want 1"; exit 1; }
+grep -q "shard map line 2: endpoint 'unix:' names no path or address" "$fleet_dir/bad_err" \
+  || { cat "$fleet_dir/bad_err"; echo "empty endpoint refused without its line"; exit 1; }
+test ! -e "$fleet_dir/bad_front.sock" || { echo "refused front bound its socket"; exit 1; }
 cat > "$fleet_dir/map" <<EOF
 epoch 1
 0..8     unix:$fleet_dir/shard0.sock

@@ -3,7 +3,7 @@
 //! diagnosis identifies the loop and its initiator.
 
 use hawkeye::core::{AnomalyType, RootCause};
-use hawkeye::eval::{optimal_run_config, run_hawkeye, ScoreConfig, Verdict};
+use hawkeye::eval::{optimal_run_config, run_method, Method, ScoreConfig, Verdict};
 use hawkeye::workloads::{build_scenario, FatTreeNav, ScenarioKind, ScenarioParams};
 
 fn run(kind: ScenarioKind) -> (hawkeye::workloads::Scenario, hawkeye::eval::RunOutcome) {
@@ -14,7 +14,12 @@ fn run(kind: ScenarioKind) -> (hawkeye::workloads::Scenario, hawkeye::eval::RunO
             ..Default::default()
         },
     );
-    let out = run_hawkeye(&sc, &optimal_run_config(1), &ScoreConfig::default());
+    let out = run_method(
+        &sc,
+        &optimal_run_config(1),
+        Method::Hawkeye,
+        &ScoreConfig::default(),
+    );
     (sc, out)
 }
 

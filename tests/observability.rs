@@ -6,7 +6,7 @@
 
 use hawkeye::core::{analyze_victim_window, AnalyzerConfig, HawkeyeConfig, HawkeyeHook, Window};
 use hawkeye::eval::{
-    optimal_run_config, plan_for_rate, run_hawkeye, run_hawkeye_obs, RunConfig, ScoreConfig,
+    optimal_run_config, plan_for_rate, run_method, run_method_obs, Method, RunConfig, ScoreConfig,
 };
 use hawkeye::obs::{emit, kind, ObsConfig};
 use hawkeye::sim::{
@@ -162,7 +162,7 @@ fn same_seed_traces_are_byte_identical() {
         mask: kind::DEFAULT,
     };
     let trace = |sc: &Scenario, run: &RunConfig| {
-        let (_, obs) = run_hawkeye_obs(sc, run, &ScoreConfig::default(), cfg);
+        let (_, obs) = run_method_obs(sc, run, Method::Hawkeye, &ScoreConfig::default(), cfg);
         let recs: Vec<_> = obs.tracer.records().cloned().collect();
         (emit::jsonl(&recs), emit::chrome_trace(&recs))
     };
@@ -273,28 +273,50 @@ fn same_seed_traces_are_byte_identical() {
 
 /// `RunOutcome`'s counters are read back from the metrics registry; the
 /// snapshot carried on the outcome must agree with the fields, and the
-/// un-instrumented `run_hawkeye` must produce the same numbers.
+/// un-instrumented `run_method` must produce the same numbers — the
+/// fields and the counters that live only in the registry alike.
 #[test]
 fn run_outcome_counters_come_from_the_registry() {
     let sc = scenario();
     let cfg = optimal_run_config(1);
     let score = ScoreConfig::default();
-    let (out, obs) = run_hawkeye_obs(&sc, &cfg, &score, ObsConfig::default());
+    let (out, obs) = run_method_obs(&sc, &cfg, Method::Hawkeye, &score, ObsConfig::default());
     let snap = &out.metrics;
-    assert_eq!(snap.counter("polling_packets"), Some(out.polling_packets));
+    assert_eq!(snap.counter("processing_bytes"), Some(out.processing_bytes));
+    assert_eq!(snap.counter("bandwidth_bytes"), Some(out.bandwidth_bytes));
     assert_eq!(
-        snap.counter("collected_bytes"),
-        Some(out.collected_bytes as u64)
+        snap.counter("report_packets"),
+        Some(out.report_packets as u64)
     );
-    assert_eq!(snap.counter("detections"), Some(out.all_detections as u64));
-    assert_eq!(snap.counter_total("switch_data_pkts"), out.data_packets);
+    assert_eq!(snap.counter_total("host_data_sent"), out.data_packets);
+    assert_eq!(snap.counter_total("switch_data_pkts"), out.packet_hops);
+    assert_eq!(
+        snap.gauge("collected_switches"),
+        Some(out.collected_switches.len() as f64)
+    );
+    assert_eq!(
+        snap.gauge("causal_covered"),
+        Some(out.causal_covered as f64)
+    );
+    assert_eq!(snap.gauge("causal_total"), Some(out.causal_total as f64));
     // The diagnosis ran under span timing: all three stages profiled.
     let stages: Vec<_> = obs.profile.spans().iter().map(|s| s.stage).collect();
     assert!(stages.len() >= 3, "expected stage spans, got {stages:?}");
 
-    let plain = run_hawkeye(&sc, &cfg, &score);
-    assert_eq!(plain.polling_packets, out.polling_packets);
-    assert_eq!(plain.collected_bytes, out.collected_bytes);
+    let plain = run_method(&sc, &cfg, Method::Hawkeye, &score);
+    for key in [
+        "polling_packets",
+        "collected_bytes",
+        "collected_bytes_full_dump",
+        "detections",
+    ] {
+        assert!(snap.counter(key).is_some(), "{key} missing from registry");
+        assert_eq!(plain.metrics.counter(key), snap.counter(key), "{key}");
+    }
+    assert_eq!(plain.processing_bytes, out.processing_bytes);
+    assert_eq!(plain.bandwidth_bytes, out.bandwidth_bytes);
+    assert_eq!(plain.report_packets, out.report_packets);
     assert_eq!(plain.data_packets, out.data_packets);
+    assert_eq!(plain.packet_hops, out.packet_hops);
     assert_eq!(plain.report, out.report);
 }
