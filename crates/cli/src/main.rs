@@ -112,9 +112,10 @@ struct Opts {
     /// Snapshots per ingest frame for `serve --replay` (default 1), sent
     /// pipelined under the daemon's credit window.
     batch: usize,
-    /// Per-shard ingest queue depth override for `serve`.
+    /// Ingest queue depth override for `serve`: frames the store thread
+    /// may have queued before a session blocks.
     queue_depth: Option<usize>,
-    /// Artificial per-snapshot shard-worker delay for `serve`
+    /// Artificial per-snapshot store-thread delay for `serve`
     /// (microseconds) — deliberately slows ingest to exercise the
     /// backpressure path.
     slow_shard_us: u64,

@@ -161,25 +161,8 @@ pub fn analyze_detection(
     topo: &Topology,
     cfg: &AnalyzerConfig,
 ) -> (DiagnosisReport, ProvenanceGraph, AggTelemetry) {
-    analyze_detection_obs(det, snapshots, topo, cfg, &mut Recorder::disabled())
-}
-
-/// [`analyze_detection`] with span timing (see
-/// [`analyze_victim_window_obs`]).
-pub fn analyze_detection_obs(
-    det: &Detection,
-    snapshots: &[TelemetrySnapshot],
-    topo: &Topology,
-    cfg: &AnalyzerConfig,
-    obs: &mut Recorder,
-) -> (DiagnosisReport, ProvenanceGraph, AggTelemetry) {
     let window = detection_window(det, cfg);
-    let mut agg = obs.stage(
-        Stage::TelemetryCollection,
-        window.from.as_nanos(),
-        window.to.as_nanos(),
-        || AggTelemetry::build(snapshots, window),
-    );
+    let mut agg = AggTelemetry::build(snapshots, window);
     if agg.ports.is_empty() && !snapshots.is_empty() {
         // Stalled-network fallback: in a full deadlock nothing enqueues
         // anymore, so the epoch ring froze before the detection window.
@@ -199,13 +182,8 @@ pub fn analyze_detection_obs(
     if agg.epoch_len == Nanos::ZERO {
         agg.epoch_len = cfg.epoch_len;
     }
-    let (from, to) = (window.from.as_nanos(), window.to.as_nanos());
-    let g = obs.stage(Stage::GraphBuild, from, to, || {
-        build_graph(&agg, topo, cfg.replay)
-    });
-    let mut report = obs.stage(Stage::SignatureMatch, from, to, || {
-        diagnose(&g, topo, &agg, &det.key, cfg.diagnosis)
-    });
+    let g = build_graph(&agg, topo, cfg.replay);
+    let mut report = diagnose(&g, topo, &agg, &det.key, cfg.diagnosis);
     grade_report(&mut report, &det.key, snapshots, topo);
     (report, g, agg)
 }

@@ -33,8 +33,8 @@ pub mod test_graphs;
 
 pub use aggregate::{AggTelemetry, FlowAgg, PortAgg, Window};
 pub use analyzer::{
-    analyze_detection, analyze_detection_obs, analyze_victim_window, analyze_victim_window_obs,
-    detection_window, victim_coverage_gaps, AnalyzerConfig,
+    analyze_detection, analyze_victim_window, analyze_victim_window_obs, detection_window,
+    victim_coverage_gaps, AnalyzerConfig,
 };
 pub use cbd::BufferDependencyGraph;
 pub use collector::{

@@ -123,16 +123,13 @@ pub mod names {
 
     // --- serve-plane health gauges and warning counters ------------------
 
-    /// Per-shard ingest queue depth (gauge, labelled by shard index).
+    /// Snapshots queued to the serve daemon's store thread but not yet
+    /// appended (gauge).
     pub const SHARD_QUEUE_DEPTH: &str = "shard_queue_depth";
-    /// Per-shard watermark lag behind the fleet-max watermark (gauge, ns).
-    pub const SHARD_WATERMARK_LAG_NS: &str = "shard_watermark_lag_ns";
-    /// Fleet-max watermark minus the retention horizon (gauge, ns).
+    /// The store's watermark minus its retention horizon (gauge, ns).
     pub const RETENTION_LAG_NS: &str = "retention_lag_ns";
     /// Requests slower than the configured slow-op threshold.
     pub const SLOW_OPS: &str = "slow_ops";
-    /// Watermark-lag warnings recorded in the flight ring.
-    pub const WATERMARK_LAG_WARNS: &str = "watermark_lag_warns";
     /// Applied snapshots queued to the serve daemon's core thread but not
     /// yet processed (gauge).
     pub const COMPACTOR_QUEUE_DEPTH: &str = "compactor_queue_depth";

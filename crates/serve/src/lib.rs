@@ -6,10 +6,10 @@
 //!
 //! - [`store`] — epoch-indexed telemetry store with per-switch ring
 //!   retention and watermark tracking; the daemon's source of truth.
-//! - [`server`] — the multi-threaded daemon: per-connection sessions,
-//!   switch-sharded bounded ingest queues that backpressure, shard
-//!   workers that each own a store partition, and one core thread that
-//!   owns the [`IncrementalProvenance`](hawkeye_core::IncrementalProvenance)
+//! - [`server`] — the multi-threaded daemon: per-connection sessions, a
+//!   bounded ingest queue that backpressures, one store thread that owns
+//!   the daemon's one store, and one core thread that owns the
+//!   [`IncrementalProvenance`](hawkeye_core::IncrementalProvenance)
 //!   engine (maintained on the ingest path), the folded tier, the
 //!   evidence log and the audit trail. With a
 //!   [`ShardRange`](hawkeye_client::ShardRange) the daemon serves one

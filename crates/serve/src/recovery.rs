@@ -18,8 +18,8 @@
 //!    torn checkpoint without its END is ignored — segments are only
 //!    retired after END is synced, so the previous checkpoint still
 //!    exists in that case).
-//! 2. Restore it wholesale: per-switch ring images into the shard
-//!    stores, compacted buckets into the compactor, the audit trail with
+//! 2. Restore it wholesale: per-switch ring images into the store,
+//!    compacted buckets into the compactor, the audit trail with
 //!    its seq counter.
 //! 3. Re-apply every telemetry/verdict record with seq ≥ the
 //!    checkpoint's barrier, in WAL order, through the normal
@@ -219,16 +219,14 @@ pub struct ReplayCounts {
     pub checkpoint_restored: bool,
 }
 
-/// Rebuild store/compactor/audit state from a scanned record prefix. The
-/// stores are the daemon's shard array: snapshots route by
-/// `switch % stores.len()`, exactly like live ingest.
+/// Rebuild store/compactor/audit state from a scanned record prefix,
+/// through the same append path live ingest takes.
 pub fn replay(
     records: &[ScannedRecord],
-    stores: &mut [TelemetryStore],
+    store: &mut TelemetryStore,
     compactor: &mut Compactor,
     audit: &mut AuditTrail,
 ) -> ReplayCounts {
-    assert!(!stores.is_empty(), "replay needs at least one shard store");
     let mut counts = ReplayCounts::default();
 
     // Pass 1: locate the last complete checkpoint.
@@ -253,8 +251,7 @@ pub fn replay(
             for rec in &records[begin..end] {
                 match &rec.entry {
                     WalEntry::CkptSwitch(c) => {
-                        let shard = c.restore.switch.0 as usize % stores.len();
-                        stores[shard].restore_switch(&c.restore);
+                        store.restore_switch(&c.restore);
                         compactor.restore_switch(c.restore.switch, c.buckets.clone());
                     }
                     WalEntry::CkptAudit(a) => audit.restore(a.records.clone(), a.next_seq),
@@ -274,9 +271,8 @@ pub fn replay(
         match &rec.entry {
             WalEntry::Batch(frame) => {
                 for snap in frame {
-                    let shard = snap.switch.0 as usize % stores.len();
-                    stores[shard].append(snap);
-                    let staged = stores[shard].take_pending_folds();
+                    store.append(snap);
+                    let staged = store.take_pending_folds();
                     if !staged.is_empty() {
                         compactor.absorb(staged);
                     }
@@ -313,7 +309,7 @@ pub struct RecoveryReport {
 /// refused before anything is replayed or any file touched.
 pub fn recover_and_open(
     cfg: &WalConfig,
-    stores: &mut [TelemetryStore],
+    store: &mut TelemetryStore,
     compactor: &mut Compactor,
     audit: &mut AuditTrail,
 ) -> io::Result<(Wal, RecoveryReport)> {
@@ -323,7 +319,7 @@ pub fn recover_and_open(
         truncated_records,
         truncated_bytes,
     } = scan(&cfg.dir)?;
-    let counts = replay(&records, stores, compactor, audit);
+    let counts = replay(&records, store, compactor, audit);
     let report = RecoveryReport {
         records_scanned: records.len() as u64,
         snapshots_replayed: counts.snapshots_applied,
@@ -403,7 +399,7 @@ mod tests {
         }
     }
 
-    /// Feed `snaps` through a fresh shard store + external compactor —
+    /// Feed `snaps` through a fresh store + external compactor —
     /// the reference for what replay must reconstruct.
     fn reference(snaps: &[TelemetrySnapshot]) -> (TelemetryStore, Compactor) {
         let mut store = TelemetryStore::new(tiered());
@@ -468,14 +464,14 @@ mod tests {
         let scanned = scan(&dir).unwrap();
         assert_eq!(scanned.records.len(), 8);
         assert_eq!(scanned.truncated_records, 0);
-        let mut stores = vec![TelemetryStore::new(tiered())];
+        let mut store = TelemetryStore::new(tiered());
         let mut comp = Compactor::new(tiered());
         let mut audit = AuditTrail::new(8);
-        let counts = replay(&scanned.records, &mut stores, &mut comp, &mut audit);
+        let counts = replay(&scanned.records, &mut store, &mut comp, &mut audit);
         assert_eq!(counts.snapshots_applied, 8);
         let (ref_store, ref_comp) = reference(&snaps);
         assert_eq!(
-            fingerprint(&stores[0], &comp),
+            fingerprint(&store, &comp),
             fingerprint(&ref_store, &ref_comp)
         );
 
@@ -584,11 +580,11 @@ mod tests {
         };
 
         let old = with_magic(OLD_SEG_MAGIC);
-        let mut stores = vec![TelemetryStore::new(tiered())];
+        let mut store = TelemetryStore::new(tiered());
         let mut comp = Compactor::new(tiered());
         let mut audit = AuditTrail::new(8);
         let scan_err = scan(&dir).expect_err("old format must not scan");
-        let open_err = recover_and_open(&cfg, &mut stores, &mut comp, &mut audit)
+        let open_err = recover_and_open(&cfg, &mut store, &mut comp, &mut audit)
             .expect_err("old format must not open");
         for err in [scan_err, open_err] {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -598,7 +594,7 @@ mod tests {
                 "{msg}"
             );
         }
-        assert!(stores[0].snapshots().is_empty(), "nothing was replayed");
+        assert!(store.snapshots().is_empty(), "nothing was replayed");
         let names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
@@ -663,15 +659,15 @@ mod tests {
         drop(wal);
 
         let scanned = scan(&dir).unwrap();
-        let mut stores = vec![TelemetryStore::new(tiered())];
+        let mut store = TelemetryStore::new(tiered());
         let mut comp = Compactor::new(tiered());
         let mut audit = AuditTrail::new(8);
-        let counts = replay(&scanned.records, &mut stores, &mut comp, &mut audit);
+        let counts = replay(&scanned.records, &mut store, &mut comp, &mut audit);
         assert!(counts.checkpoint_restored);
         assert_eq!(counts.snapshots_applied, 2, "only the tail re-applied");
         let (ref_store, ref_comp) = reference(&snaps);
         assert_eq!(
-            fingerprint(&stores[0], &comp),
+            fingerprint(&store, &comp),
             fingerprint(&ref_store, &ref_comp)
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -696,15 +692,15 @@ mod tests {
         drop(wal);
 
         let scanned = scan(&dir).unwrap();
-        let mut stores = vec![TelemetryStore::new(tiered())];
+        let mut store = TelemetryStore::new(tiered());
         let mut comp = Compactor::new(tiered());
         let mut audit = AuditTrail::new(8);
-        let counts = replay(&scanned.records, &mut stores, &mut comp, &mut audit);
+        let counts = replay(&scanned.records, &mut store, &mut comp, &mut audit);
         assert!(!counts.checkpoint_restored);
         assert_eq!(counts.snapshots_applied, 4, "full prefix replayed");
         let (ref_store, ref_comp) = reference(&snaps);
         assert_eq!(
-            fingerprint(&stores[0], &comp),
+            fingerprint(&store, &comp),
             fingerprint(&ref_store, &ref_comp)
         );
         std::fs::remove_dir_all(&dir).unwrap();

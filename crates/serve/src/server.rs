@@ -4,51 +4,56 @@
 //! ```text
 //!  accept loop ─Export──────────────┐
 //!                                   ▼
-//!  session ─Ingest / Snapshots(w)/▶ shard worker i ─Applied / Export─▶ core
-//!     │     FlowHistory / Stats    owns TelemetryStore i              owns engine,
-//!     │                                                               folded tier,
-//!     └────Verdict / Explain / FlowHistory / Stats──────────────────▶ WAL, audit
+//!  session ─Ingest / Snapshots(w)/▶ store thread ─Applied / Export─▶ core
+//!     │     FlowHistory / Stats    owns TelemetryStore              owns engine,
+//!     │                                                             folded tier,
+//!     └────Verdict / Explain / FlowHistory / Stats────────────────▶ WAL, audit
 //! ```
 //!
-//! `Ingest` and `Applied` each carry a **frame slice** — the snapshots of
-//! one `IngestBatch` frame that belong to one shard, in frame order: one
-//! message per shard per frame from socket to core, whatever the frame
-//! size (a single snapshot is a frame of one).
+//! `Ingest` and `Applied` each carry one `IngestBatch` frame's snapshots
+//! in frame order: one message into the store thread and one out of it
+//! per frame, whatever the frame size (a single snapshot is a frame of
+//! one).
 //!
 //! - One **accept loop** (the daemon thread) polls the listener, spawns
 //!   one **session thread** per connection, and — when the core raises
-//!   its flag — asks every worker to export for a checkpoint round.
-//! - **Sessions** decode request frames and route `IngestBatch` by
-//!   `switch id % shards` into bounded per-shard queues once the whole
-//!   frame passed the shard-ownership gate.
-//!   A full queue **backpressures**: the session blocks, the client's
-//!   credit window (granted on `Hello`, replenished by every ack) empties,
-//!   and the producer slows to the slowest shard's pace with zero loss.
-//! - **Shard worker** *i* owns [`TelemetryStore`] partition *i* outright.
-//!   It appends a slice in order and forwards one `Applied` (the slice,
-//!   the ring evictions the appends staged, the journal record that rode
-//!   in with it, the store's horizon and watermark) to the core. Reads of
-//!   the raw ring — `Diagnose`, `Fragments`, `FlowHistory`, `Stats` — are
-//!   request messages on the same queue, answered from the owned store;
-//!   `Diagnose` and `Fragments` carry their window, so a worker clones
-//!   only the epochs the window overlaps, never its whole ring.
+//!   its flag — asks the store thread to export for a checkpoint round.
+//! - **Sessions** decode request frames and queue each `IngestBatch` on
+//!   the store thread's bounded queue once the whole frame passed the
+//!   shard-ownership and fabric gates. A full queue **backpressures**: the
+//!   session blocks, the client's credit window (granted on `Hello`,
+//!   replenished by every ack) empties, and the producer slows to the
+//!   store's pace with zero loss.
+//! - The **store thread** owns the daemon's one [`TelemetryStore`]
+//!   outright. It appends a frame in order and forwards one `Applied`
+//!   (the frame, the ring evictions the appends staged, the journal
+//!   record that rode in with it, the store's horizon and watermark) to
+//!   the core. Reads of the raw ring — `Diagnose`, `Fragments`,
+//!   `FlowHistory`, `Stats` — are request messages on the same queue,
+//!   answered from the owned store; `Diagnose` and `Fragments` carry
+//!   their window, so the store clones only the epochs the window
+//!   overlaps, never its whole ring.
 //! - The single **core thread** owns the [`IncrementalProvenance`] engine,
 //!   the folded tier ([`Compactor`]), the evidence log ([`Wal`]) and the
-//!   [`AuditTrail`]. Per slice it applies every snapshot to the engine,
-//!   absorbs the folds, retires the engine behind the fleet-minimum store
+//!   [`AuditTrail`]. Per frame it applies every snapshot to the engine,
+//!   absorbs the folds, retires the engine behind the store's retention
 //!   horizon (so store and engine age out telemetry in lockstep, see
 //!   `tests/retention.rs`) and appends the journal record — each once.
 //!
-//! **Messages travel one way only: session → shard worker → core.**
+//! A daemon never splits its switches: splitting them across processes
+//! is the fleet's job (`hawkeye serve --shard LO..HI` behind a front).
+//!
+//! **Messages travel one way only: session → store thread → core.**
 //! Replies come back on a per-request rendezvous channel. No owner ever
-//! waits on a thread upstream of it — the core never sends to a worker, a
-//! worker never sends to a session except as a reply — so the wait-for
-//! relation between threads is acyclic and the plane cannot deadlock
-//! (`tests/lock_order.rs` hammers it anyway). Because every queue is FIFO
-//! the request *is* the barrier: a worker answers a query only after every
-//! slice queued before it, and the core answers only after every
-//! `Applied` those appends forwarded. `Diagnose` therefore waits for the
-//! workers' appends but not for the engine applies behind them — it reads
+//! waits on a thread upstream of it — the core never sends to the store
+//! thread, the store thread never sends to a session except as a reply —
+//! so the wait-for relation between threads is acyclic and the plane
+//! cannot deadlock (`tests/lock_order.rs` hammers it anyway). Because
+//! every queue is FIFO the request *is* the barrier: the store thread
+//! answers a query only after every frame queued before it, and the core
+//! answers only after every `Applied` those appends forwarded. `Diagnose`
+//! therefore waits for the store's appends but not for the engine applies
+//! behind them — which is why the store thread is not the core — it reads
 //! its window of the raw ring only, and the store's canonical form makes
 //! the verdict identical to the one-shot path on the same telemetry (see
 //! `tests/serve_e2e.rs`).
@@ -85,12 +90,12 @@ use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
     COMPACTOR_QUEUE_DEPTH, CREDITS_OUTSTANDING, INGEST_BATCHES, INGEST_WRONG_SHARD, OP_DIAGNOSE_NS,
     OP_EXPLAIN_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS, OP_METRICS_NS,
-    OP_STATS_NS, RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH, SHARD_WATERMARK_LAG_NS,
-    SLOW_OPS, STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES,
-    WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED, WATERMARK_LAG_WARNS,
+    OP_STATS_NS, RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH, SLOW_OPS,
+    STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES,
+    WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, ObsConfig, Recorder, Stage};
-use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
+use hawkeye_sim::{FlowKey, Nanos, Topology};
 use hawkeye_telemetry::{encode_batch, TelemetrySnapshot};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -109,11 +114,9 @@ pub struct ServeConfig {
     pub store: StoreConfig,
     pub replay: ReplayConfig,
     pub analyzer: AnalyzerConfig,
-    /// Ingest shards (worker threads + store partitions).
-    pub shards: usize,
-    /// Bounded depth of each shard's ingest queue, in frame slices (one
-    /// frame's snapshots for that shard: at most the batch size); a full
-    /// queue blocks the session (backpressure).
+    /// Bounded depth of the store thread's ingest queue, in frames (at
+    /// most the batch size in snapshots each); a full queue blocks the
+    /// session (backpressure).
     pub queue_depth: usize,
     /// Master switch for serve-plane observability: per-op latency
     /// histograms, stage timings, health gauges, the flight ring and the
@@ -122,9 +125,9 @@ pub struct ServeConfig {
     /// Credit window granted per session on `Hello`: the maximum
     /// un-acknowledged snapshots a pipelining client may have in flight.
     pub session_credits: u32,
-    /// Artificial per-snapshot delay (wall ns) in every shard worker — the
-    /// "deliberately slow shard" knob for backpressure tests (and the CLI's
-    /// `--slow-shard-us`); 0 in production.
+    /// Artificial per-snapshot delay (wall ns) in the store thread — the
+    /// "deliberately slow store" knob for backpressure tests (and the
+    /// CLI's `--slow-shard-us`); 0 in production.
     pub ingest_delay_ns: u64,
     /// The contiguous switch-id range this daemon owns when it serves one
     /// shard of a fleet (`hawkeye serve --shard LO..HI`). Ingest for a
@@ -142,7 +145,6 @@ impl Default for ServeConfig {
             store: StoreConfig::default(),
             replay: ReplayConfig::default(),
             analyzer: AnalyzerConfig::for_epoch_len(Nanos::from_micros(100)),
-            shards: 4,
             queue_depth: 256,
             obs: true,
             session_credits: 64,
@@ -155,70 +157,56 @@ impl Default for ServeConfig {
 /// Audit-trail ring capacity (explain records).
 const AUDIT_CAPACITY: usize = 64;
 
-/// A shard lagging more than this (sim-time ns) behind the fleet-max
-/// watermark records a WARNING flight event. Generous, so fault-free
-/// replays stay warning-free.
-const LAG_WARN_NS: u64 = 1_000_000_000;
-
 /// A frame's evidence-log record (`REC_BATCH`) riding the ingest path:
 /// the received frame body — never a re-encode.
 type JournalRecord = Vec<u8>;
 
-/// Messages to a shard worker, the owner of one store partition.
-enum ShardMsg {
-    /// One frame's snapshots for this shard, in frame order, plus (on a
-    /// `--durable` daemon, on one slice of the frame) the journal record
-    /// the frame settles. The record rides the shard queue and the
-    /// worker's `Applied` instead of a message of its own, so durable
-    /// ingest wakes exactly the threads durability-off ingest does.
+/// Messages to the store thread, the owner of the daemon's store.
+enum StoreMsg {
+    /// One frame's snapshots, in frame order, plus (on a `--durable`
+    /// daemon) the journal record the frame settles. The record rides the
+    /// store queue and the `Applied` instead of a message of its own, so
+    /// durable ingest wakes exactly the threads durability-off ingest does.
     Ingest(Vec<TelemetrySnapshot>, Option<JournalRecord>),
-    /// The partition's canonical per-switch snapshots, restricted to the
-    /// epochs overlapping the window (`Diagnose`, `Fragments`).
+    /// The canonical per-switch snapshots, restricted to the epochs
+    /// overlapping the window (`Diagnose`, `Fragments`).
     Snapshots(Window, SyncSender<Vec<TelemetrySnapshot>>),
     /// Raw-ring rows for one flow (unsorted; the session merges).
     FlowHistory(FlowKey, SyncSender<Vec<FlowObservation>>),
-    /// The partition's share of the `Stats` totals.
-    Stats(SyncSender<StoreTotals>),
+    /// The store's `Stats` fields, in response order.
+    Stats(SyncSender<Vec<(String, serde::Value)>>),
     /// Checkpoint round: forward every switch's ring image to the core.
     Export,
 }
 
-/// One partition's contribution to `Stats`.
-struct StoreTotals {
-    snapshots_appended: u64,
-    epochs_held: usize,
-    switches: usize,
-}
-
-/// What a shard worker hands the core for one appended slice.
+/// What the store thread hands the core for one appended frame.
 struct Applied {
-    shard: usize,
     snaps: Vec<TelemetrySnapshot>,
     /// Ring evictions the appends staged for the folded tier.
     staged: Vec<PendingFold>,
     journal: Option<JournalRecord>,
-    /// The partition's retention horizon and freshest-data watermark
-    /// after the last append; `None` = no reporting switch yet. The
-    /// horizon only moves forward, so once per slice can delay an engine
-    /// retirement by a frame and never cause an early one.
+    /// The store's retention horizon and freshest-data watermark after
+    /// the frame's last append; `None` = no reporting switch yet. Read
+    /// once per frame, which can delay an engine retirement by a frame and
+    /// never cause an early one.
     horizon: Option<Nanos>,
     watermark: Option<Nanos>,
-    /// The store's own wall-clock over the slice: ring admission and the
+    /// The store's own wall-clock over the frame: ring admission and the
     /// eviction loop.
     append_ns: u64,
     evict_ns: u64,
-    /// Ingest-queue occupancy (snapshots) behind this slice at dequeue.
+    /// Ingest-queue occupancy (snapshots) behind this frame at dequeue.
     queue_depth: u64,
 }
 
-/// Messages to the core thread. Workers send `Applied` and `Export`;
-/// sessions send the rest.
+/// Messages to the core thread. The store thread sends `Applied` and
+/// `Export`; sessions send the rest.
 enum CoreMsg {
     Applied(Applied),
-    /// One worker's share of a checkpoint round. It follows, on the same
-    /// FIFO, every `Applied` the worker sent before exporting, so the
-    /// buckets the core pairs with each image hold exactly the epochs that
-    /// image has evicted — no more, no fewer.
+    /// The store's half of a checkpoint round. It follows, on the same
+    /// FIFO, every `Applied` the store thread sent before exporting, so
+    /// the buckets the core pairs with each image hold exactly the epochs
+    /// that image has evicted — no more, no fewer.
     Export(Vec<SwitchRestore>),
     /// A verdict to journal: the core fills in its engine's view and the
     /// trail assigns the seq.
@@ -232,20 +220,19 @@ enum CoreMsg {
     Stats(SyncSender<Vec<(String, serde::Value)>>),
 }
 
-/// Depth of the core thread's channel, in messages (an `Applied` is a
-/// frame slice). Bounded on purpose: if the core falls this far behind,
-/// shard workers block on the send and the slowdown propagates up the
+/// Depth of the core thread's channel, in messages (an `Applied` is one
+/// frame). Bounded on purpose: if the core falls this far behind, the
+/// store thread blocks on the send and the slowdown propagates up the
 /// ingest path (and, under the credit window, back to the client) instead
-/// of growing an unbounded queue. 128 slices park about the 1024
-/// snapshots the per-snapshot `Applied` did at 32-snapshot frames over
-/// four shards; left at 1024, a core stall parked eight times that and
-/// showed as +14 % peak RSS on `serve-ingest`.
+/// of growing an unbounded queue. 128 frames park at most 4096 snapshots
+/// at 32-snapshot frames; left at 1024 messages, a core stall showed as
+/// +14 % peak RSS on `serve-ingest`.
 const CORE_QUEUE_DEPTH: usize = 128;
 
 /// What every thread of one daemon can see: the configuration, the stop
 /// and checkpoint flags, two queue-occupancy statistics, and the two
 /// leaf-locked observability sinks. No telemetry, graph or log state
-/// lives here — that is owned by the workers and the core.
+/// lives here — that is owned by the store thread and the core.
 struct Plane {
     topo: Topology,
     cfg: ServeConfig,
@@ -259,10 +246,10 @@ struct Plane {
     /// Raised by the core when enough segments have completed to warrant
     /// a checkpoint; the accept loop polls it and starts the round.
     ckpt_wanted: AtomicBool,
-    /// Per-shard ingest-queue occupancy in snapshots: added *before* the
-    /// slice is sent, so the worker's subtraction on dequeue can never run
+    /// Ingest-queue occupancy in snapshots: added *before* the frame is
+    /// sent, so the store thread's subtraction on dequeue can never run
     /// ahead of it and wrap; taken back if the send fails.
-    queue_depths: Vec<AtomicU64>,
+    queue_depth: AtomicU64,
     /// `Applied` messages sent but not yet processed by the core (the
     /// `compactor_queue_depth` gauge).
     core_depth: AtomicU64,
@@ -278,7 +265,7 @@ impl Plane {
             flight: Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             stop: AtomicBool::new(false),
             ckpt_wanted: AtomicBool::new(false),
-            queue_depths: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
+            queue_depth: AtomicU64::new(0),
             core_depth: AtomicU64::new(0),
         }
     }
@@ -318,7 +305,6 @@ fn seeded_registry(durable: bool) -> MetricsRegistry {
         SERVE_SESSIONS,
         ENGINE_EPOCHS_RETIRED,
         SLOW_OPS,
-        WATERMARK_LAG_WARNS,
         INGEST_BATCHES,
     ] {
         m.add(MetricKey::global(name), 0);
@@ -346,19 +332,6 @@ fn uint(name: &str, v: u64) -> (String, serde::Value) {
     (name.into(), serde::Value::UInt(v))
 }
 
-/// A checkpoint round in flight: opened when the core asks for one,
-/// written when the last worker's images arrive.
-struct CheckpointRound {
-    /// WAL seq when the round opened. Every record below it had already
-    /// been applied by its worker, so every image covers it; records at or
-    /// above may or may not be inside the images, and recovery re-applies
-    /// them all, which the store's dedup rules make idempotent.
-    boundary: u64,
-    /// Encoded `REC_CKPT_SWITCH` payloads collected so far.
-    images: Vec<Vec<u8>>,
-    workers_reported: usize,
-}
-
 /// The core thread's state: single owner of the engine, the folded tier,
 /// the evidence log and the audit trail.
 struct Core {
@@ -367,23 +340,27 @@ struct Core {
     comp: Compactor,
     wal: Option<Wal>,
     audit: AuditTrail,
-    /// Per-shard store retention horizons and freshest-data watermarks as
-    /// last reported in an `Applied`; `None` places no constraint.
-    horizons: Vec<Option<Nanos>>,
-    watermarks: Vec<Option<Nanos>>,
-    /// Fleet horizon last pushed into the engine — most snapshots don't
-    /// move it, and comparing here skips the engine call entirely.
-    last_fleet: Nanos,
+    /// The store's retention horizon as last reported in an `Applied`;
+    /// [`Nanos::ZERO`] (retire nothing) until a switch has reported.
+    horizon: Nanos,
+    /// Horizon last pushed into the engine — most frames don't move it,
+    /// and comparing here skips the engine call entirely.
+    last_retired: Nanos,
     /// `Wal::stats` as of the last publish to the registry.
     wal_published: WalStats,
-    round: Option<CheckpointRound>,
+    /// The open checkpoint round's boundary: the WAL seq when it opened.
+    /// Every record below it had already been applied by the store, so
+    /// every image covers it; records at or above may or may not be inside
+    /// the images, and recovery re-applies them all, which the store's
+    /// dedup rules make idempotent.
+    round: Option<u64>,
 }
 
 impl Core {
     fn run(mut self, rx: Receiver<CoreMsg>) {
         // Ends when every sender is gone: the accept loop drops the last
-        // one after joining the sessions and workers, so everything they
-        // sent is processed first.
+        // one after joining the sessions and the store thread, so
+        // everything they sent is processed first.
         while let Ok(msg) = rx.recv() {
             self.handle(msg);
         }
@@ -407,17 +384,6 @@ impl Core {
         }
     }
 
-    /// The minimum of every reporting shard's store horizon;
-    /// [`Nanos::ZERO`] (retire nothing) until one has reported.
-    fn fleet_horizon(&self) -> Nanos {
-        self.horizons
-            .iter()
-            .flatten()
-            .min()
-            .copied()
-            .unwrap_or(Nanos::ZERO)
-    }
-
     fn applied(&mut self, a: Applied) {
         let obs = self.plane.cfg.obs;
         let queued = self
@@ -434,15 +400,14 @@ impl Core {
         }
         let apply_ns = elapsed_ns(t);
         let fold_ns = a.evict_ns + self.comp.absorb(a.staged);
-        self.horizons[a.shard] = a.horizon;
-        self.watermarks[a.shard] = a.watermark;
-        let fleet = self.fleet_horizon();
+        let horizon = a.horizon.unwrap_or(Nanos::ZERO);
+        self.horizon = horizon;
         let t = obs.then(Instant::now);
-        // Retire engine state the stores no longer back with raw epochs —
+        // Retire engine state the store no longer backs with raw epochs —
         // what keeps a long-running daemon's wait-for graph bounded.
-        let retired = if fleet > self.last_fleet {
-            self.last_fleet = fleet;
-            self.engine.retire_before(fleet)
+        let retired = if horizon > self.last_retired {
+            self.last_retired = horizon;
+            self.engine.retire_before(horizon)
         } else {
             0
         };
@@ -464,42 +429,17 @@ impl Core {
         }
         // Stage split: where does the ingest path spend its wall-clock —
         // ring admission, eviction + fold, engine apply, or retirement
-        // (sums over the slice).
+        // (sums over the frame).
         m.add(MetricKey::global(STAGE_APPEND_NS), a.append_ns);
         m.add(MetricKey::global(STAGE_FOLD_NS), fold_ns);
         m.add(MetricKey::global(STAGE_ENGINE_APPLY_NS), apply_ns);
         m.add(MetricKey::global(STAGE_RETIRE_NS), retire_ns);
-        let shard = a.shard as u32;
-        let freshest = self.watermarks.iter().flatten().max().copied();
-        // How far this shard's data lags the freshest shard's, and the
-        // raw-history span the daemon holds (both sim-time ns).
-        let lag = match (a.watermark, freshest) {
-            (Some(own), Some(max)) => max.0.saturating_sub(own.0),
-            _ => 0,
-        };
-        let retention = freshest.map_or(0, |max| max.0.saturating_sub(fleet.0));
-        m.set(
-            MetricKey::at_switch(SHARD_QUEUE_DEPTH, shard),
-            a.queue_depth as f64,
-        );
-        m.set(
-            MetricKey::at_switch(SHARD_WATERMARK_LAG_NS, shard),
-            lag as f64,
-        );
+        // The raw-history span the daemon holds (sim-time ns).
+        let retention = a.watermark.map_or(0, |w| w.0.saturating_sub(horizon.0));
+        m.set(MetricKey::global(SHARD_QUEUE_DEPTH), a.queue_depth as f64);
         m.set(MetricKey::global(RETENTION_LAG_NS), retention as f64);
         m.set(MetricKey::global(COMPACTOR_QUEUE_DEPTH), queued as f64);
         add_wal_counters(&self.wal, &mut self.wal_published, &mut m);
-        let warn = lag >= LAG_WARN_NS;
-        if warn {
-            m.inc(MetricKey::global(WATERMARK_LAG_WARNS));
-        }
-        drop(m);
-        if warn {
-            self.plane.flight.lock().expect("flight lock").warn(
-                "watermark_lag",
-                format!("shard {shard} is {lag}ns behind the fleet watermark"),
-            );
-        }
     }
 
     /// Append one record to the evidence log (no-op when durability is
@@ -518,43 +458,20 @@ impl Core {
     fn maybe_open_round(&mut self) {
         let Some(w) = self.wal.as_ref() else { return };
         if self.round.is_none() && w.wants_checkpoint() {
-            self.round = Some(CheckpointRound {
-                boundary: w.next_seq(),
-                images: Vec::new(),
-                workers_reported: 0,
-            });
+            self.round = Some(w.next_seq());
             self.plane.ckpt_wanted.store(true, Ordering::SeqCst);
         }
     }
 
-    /// One worker's ring images for the open round. Paired right here with
+    /// The store's ring images for the open round, paired right here with
     /// the buckets of the same switches — see [`CoreMsg::Export`] for why
-    /// this instant is the consistent one — and, once every worker has
-    /// reported, written out as one checkpoint.
+    /// this instant is the consistent one — and written out as one
+    /// checkpoint.
     fn export(&mut self, images: Vec<SwitchRestore>) {
-        let Some(round) = self.round.as_mut() else {
+        let Some(boundary) = self.round.take() else {
             return;
         };
-        for restore in images {
-            let buckets = self
-                .comp
-                .buckets_of(restore.switch)
-                .into_iter()
-                .cloned()
-                .collect();
-            round
-                .images
-                .push(encode_switch_checkpoint(&SwitchCheckpoint {
-                    restore,
-                    buckets,
-                }));
-        }
-        round.workers_reported += 1;
-        if round.workers_reported < self.horizons.len() {
-            return;
-        }
-        let round = self.round.take().expect("round checked above");
-        if let Err(e) = self.write_checkpoint(round) {
+        if let Err(e) = self.write_checkpoint(boundary, images) {
             self.plane.wal_fault("wal_checkpoint", &e);
         }
         self.maybe_open_round();
@@ -563,13 +480,20 @@ impl Core {
     /// Write one complete checkpoint (per-switch ring images + compacted
     /// buckets + the audit trail) and retire the raw segments it covers —
     /// disk stays bounded in lockstep with the compaction tiers.
-    fn write_checkpoint(&mut self, round: CheckpointRound) -> io::Result<()> {
+    fn write_checkpoint(&mut self, boundary: u64, images: Vec<SwitchRestore>) -> io::Result<()> {
         let Some(wal) = self.wal.as_mut() else {
             return Ok(());
         };
-        wal.append(REC_CKPT_BEGIN, &round.boundary.to_le_bytes())?;
-        for payload in &round.images {
-            wal.append(REC_CKPT_SWITCH, payload)?;
+        wal.append(REC_CKPT_BEGIN, &boundary.to_le_bytes())?;
+        for restore in images {
+            let buckets = self
+                .comp
+                .buckets_of(restore.switch)
+                .into_iter()
+                .cloned()
+                .collect();
+            let image = SwitchCheckpoint { restore, buckets };
+            wal.append(REC_CKPT_SWITCH, &encode_switch_checkpoint(&image))?;
         }
         let audit = AuditCheckpoint {
             next_seq: self.audit.total(),
@@ -581,7 +505,7 @@ impl Core {
         // replaces are deleted — a torn checkpoint (no END on disk) must
         // still find the previous one's segments intact.
         wal.sync()?;
-        wal.retire_below(round.boundary)?;
+        wal.retire_below(boundary)?;
         Ok(())
     }
 
@@ -646,7 +570,7 @@ impl Core {
         vec![
             uint("store_epochs_compacted_held", self.comp.epochs_held()),
             uint("store_compacted_buckets", self.comp.buckets_held() as u64),
-            uint("store_retention_horizon", self.fleet_horizon().0),
+            uint("store_retention_horizon", self.horizon.0),
             uint("engine_snapshots_applied", st.snapshots_applied),
             uint("engine_frags_recomputed", st.frags_recomputed),
             uint("engine_frags_reused", st.frags_reused),
@@ -666,9 +590,6 @@ impl Core {
 fn add_wal_counters(wal: &Option<Wal>, published: &mut WalStats, m: &mut MetricsRegistry) {
     let Some(wal) = wal else { return };
     let now = *wal.stats();
-    if now == *published {
-        return; // only one slice of a batch frame carries the record
-    }
     m.add(
         MetricKey::global(WAL_RECORDS_APPENDED),
         now.records_appended - published.records_appended,
@@ -684,27 +605,27 @@ fn add_wal_counters(wal: &Option<Wal>, published: &mut WalStats, m: &mut Metrics
     *published = now;
 }
 
-fn shard_worker(
+fn store_thread(
     plane: Arc<Plane>,
-    shard: usize,
     mut store: TelemetryStore,
-    rx: Receiver<ShardMsg>,
+    rx: Receiver<StoreMsg>,
     core: SyncSender<CoreMsg>,
 ) {
     // A send to the core fails only when the core thread is gone; with
-    // nothing downstream left to feed, the worker exits and sessions see
-    // "shard worker gone".
+    // nothing downstream left to feed, the store thread exits and sessions
+    // see "store thread gone".
     while let Ok(msg) = rx.recv() {
         match msg {
-            ShardMsg::Ingest(snaps, journal) => {
+            StoreMsg::Ingest(snaps, journal) => {
                 let n = snaps.len() as u64;
-                let queue_depth = plane.queue_depths[shard]
+                let queue_depth = plane
+                    .queue_depth
                     .fetch_sub(n, Ordering::Relaxed)
                     .saturating_sub(n);
                 let before = *store.stats();
                 for snap in &snaps {
                     if plane.cfg.ingest_delay_ns > 0 {
-                        // The deliberately-slow-shard knob: backpressure
+                        // The deliberately-slow-store knob: backpressure
                         // tests throttle the consumer here.
                         thread::sleep(Duration::from_nanos(plane.cfg.ingest_delay_ns));
                     }
@@ -712,7 +633,6 @@ fn shard_worker(
                 }
                 let after = store.stats();
                 let applied = Applied {
-                    shard,
                     append_ns: after.append_ns - before.append_ns,
                     evict_ns: after.fold_ns - before.fold_ns,
                     staged: store.take_pending_folds(),
@@ -729,20 +649,20 @@ fn shard_worker(
                     return;
                 }
             }
-            ShardMsg::Snapshots(window, reply) => {
+            StoreMsg::Snapshots(window, reply) => {
                 let _ = reply.send(store.snapshots_in(window));
             }
-            ShardMsg::FlowHistory(key, reply) => {
+            StoreMsg::FlowHistory(key, reply) => {
                 let _ = reply.send(store.flow_history(&key));
             }
-            ShardMsg::Stats(reply) => {
-                let _ = reply.send(StoreTotals {
-                    snapshots_appended: store.stats().snapshots_appended,
-                    epochs_held: store.epochs_held(),
-                    switches: store.switches().len(),
-                });
+            StoreMsg::Stats(reply) => {
+                let _ = reply.send(vec![
+                    uint("store_snapshots_appended", store.stats().snapshots_appended),
+                    uint("store_epochs_held", store.epochs_held() as u64),
+                    uint("store_switches", store.switches().len() as u64),
+                ]);
             }
-            ShardMsg::Export => {
+            StoreMsg::Export => {
                 if core.send(CoreMsg::Export(store.export())).is_err() {
                     return;
                 }
@@ -754,7 +674,7 @@ fn shard_worker(
 /// A session's (and the accept loop's) senders into the plane.
 #[derive(Clone)]
 struct Routes {
-    shards: Vec<SyncSender<ShardMsg>>,
+    store: SyncSender<StoreMsg>,
     core: SyncSender<CoreMsg>,
 }
 
@@ -769,78 +689,47 @@ impl From<Gone> for Response {
     }
 }
 
+/// Send `to` one request built around a fresh reply channel and wait for
+/// the answer; `who` names the owner thread if it is gone.
+fn ask<M, R>(
+    to: &SyncSender<M>,
+    who: &'static str,
+    request: impl FnOnce(SyncSender<R>) -> M,
+) -> Result<R, Gone> {
+    let (reply_tx, reply_rx) = sync_channel(1);
+    to.send(request(reply_tx)).map_err(|_| Gone(who))?;
+    reply_rx.recv().map_err(|_| Gone(who))
+}
+
 impl Routes {
-    fn shard_of(&self, switch: NodeId) -> usize {
-        switch.0 as usize % self.shards.len()
+    fn ask_store<R>(&self, request: impl FnOnce(SyncSender<R>) -> StoreMsg) -> Result<R, Gone> {
+        ask(&self.store, "store thread", request)
     }
 
-    /// Send the core one request built around a fresh reply channel and
-    /// wait for the answer.
     fn ask_core<R>(&self, request: impl FnOnce(SyncSender<R>) -> CoreMsg) -> Result<R, Gone> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.core
-            .send(request(reply_tx))
-            .map_err(|_| Gone("core thread"))?;
-        reply_rx.recv().map_err(|_| Gone("core thread"))
+        ask(&self.core, "core thread", request)
     }
 
-    /// Put the same request to every shard worker, then collect the
-    /// answers (in arrival order) — the workers serve it in parallel,
-    /// each after everything queued to it before.
-    fn ask_shards<R>(&self, request: impl Fn(SyncSender<R>) -> ShardMsg) -> Result<Vec<R>, Gone> {
-        let (reply_tx, reply_rx) = sync_channel(self.shards.len());
-        for tx in &self.shards {
-            // A dead worker drops the request and its reply sender.
-            let _ = tx.send(request(reply_tx.clone()));
-        }
-        drop(reply_tx);
-        let replies: Vec<R> = reply_rx.iter().collect();
-        if replies.len() == self.shards.len() {
-            Ok(replies)
-        } else {
-            Err(Gone("shard worker"))
-        }
-    }
-
-    /// All shards' canonical snapshots of `window`, merged in switch-id
-    /// order (each switch lives in exactly one shard, so this is a
-    /// disjoint union).
+    /// The store's canonical snapshots of `window`, in switch-id order.
     fn gather_snapshots(&self, window: Window) -> Result<Vec<TelemetrySnapshot>, Gone> {
-        let mut all: Vec<TelemetrySnapshot> = self
-            .ask_shards(|reply| ShardMsg::Snapshots(window, reply))?
-            .into_iter()
-            .flatten()
-            .collect();
-        all.sort_unstable_by_key(|s| s.switch);
-        Ok(all)
+        self.ask_store(|reply| StoreMsg::Snapshots(window, reply))
     }
 
-    /// Where was this flow seen, across every shard and both retention
-    /// tiers, in the store's canonical row order. Workers first, core
-    /// second: the core answers after every fold those workers staged.
+    /// Where was this flow seen, across both retention tiers, in the
+    /// store's canonical row order. Store first, core second: the core
+    /// answers after every fold the store staged.
     fn flow_history(&self, key: FlowKey) -> Result<Response, Gone> {
-        let mut rows: Vec<FlowObservation> = self
-            .ask_shards(|reply| ShardMsg::FlowHistory(key, reply))?
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut rows = self.ask_store(|reply| StoreMsg::FlowHistory(key, reply))?;
         rows.extend(self.ask_core(|reply| CoreMsg::FlowHistory(key, reply))?);
         rows.sort_unstable_by_key(|o| (o.from, o.to, o.switch, o.fidelity, o.out_port));
         Ok(Response::History(rows))
     }
 
-    /// `Stats` is the full barrier: the workers answer after every ingest
-    /// queued before it, the core after every `Applied` they forwarded
-    /// (and a WAL sync), and only then are the counters read.
+    /// `Stats` is the full barrier: the store thread answers after every
+    /// ingest queued before it, the core after every `Applied` it
+    /// forwarded (and a WAL sync), and only then are the counters read.
     fn stats(&self, plane: &Plane) -> Result<Response, Gone> {
-        let mut snapshots = 0u64;
-        let mut epochs = 0usize;
-        let mut switches = 0usize;
-        for t in self.ask_shards(ShardMsg::Stats)? {
-            snapshots += t.snapshots_appended;
-            epochs += t.epochs_held;
-            switches += t.switches;
-        }
+        let store_fields = self.ask_store(StoreMsg::Stats)?;
         let core_fields = self.ask_core(CoreMsg::Stats)?;
         let m = plane.metrics.lock().expect("metrics lock");
         // Every registered counter, not a hand-maintained list: a counter
@@ -853,9 +742,7 @@ impl Routes {
             .map(|name| uint(name, m.counter_total(name)))
             .collect();
         drop(m);
-        fields.push(uint("store_snapshots_appended", snapshots));
-        fields.push(uint("store_epochs_held", epochs as u64));
-        fields.push(uint("store_switches", switches as u64));
+        fields.extend(store_fields);
         fields.extend(core_fields);
         Ok(Response::Stats(serde::Value::Object(fields)))
     }
@@ -885,7 +772,7 @@ impl Routes {
         );
         report.note_missing(&p.missing);
         if plane.cfg.obs {
-            // Sent after the workers answered, so the core journals it
+            // Sent after the store answered, so the core journals it
             // behind every `Applied` this verdict's evidence produced.
             let record = explain_record(p, &snapshots, &report, &rec);
             let _ = self.core.send(CoreMsg::Verdict(Box::new(record)));
@@ -966,22 +853,21 @@ fn confidence_label(c: &Confidence) -> &'static str {
     }
 }
 
-/// Route one request frame: gate it, split it by shard (frame order kept
-/// within a shard) and queue one slice per shard it touches. A full queue
-/// *blocks* until the shard drains — the session slows down, the client's
-/// credit window empties, and the slow shard's pace propagates all the
-/// way back to the producer with zero loss. A *disconnected* shard
-/// (worker thread gone) is a request error.
+/// Route one request frame: gate it and queue it whole on the store
+/// thread. A full queue *blocks* until the store drains — the session
+/// slows down, the client's credit window empties, and the store's pace
+/// propagates all the way back to the producer with zero loss. A
+/// *disconnected* store thread is a request error.
 ///
 /// `journal` is the frame's evidence-log record on a durable daemon: the
-/// received frame body, never a re-encode. It rides the last slice sent,
-/// so it is appended once, and only if every slice was queued. Returns
-/// the refusal; `None` = the whole frame is queued.
+/// received frame body, never a re-encode. It rides the frame, so it is
+/// appended once, and only if the frame was queued. Returns the refusal;
+/// `None` = the frame is queued.
 fn route_frame(
     plane: &Plane,
     routes: &Routes,
     snaps: Vec<TelemetrySnapshot>,
-    mut journal: Option<JournalRecord>,
+    journal: Option<JournalRecord>,
 ) -> Option<Response> {
     // Shard-ownership gate, ahead of everything and over the whole frame:
     // an out-of-range switch is a routing fault (stale or mis-cut shard
@@ -1014,25 +900,11 @@ fn route_frame(
     if let Err(refusal) = check_evidence(&snaps, &plane.topo) {
         return Some(Response::Error(refusal));
     }
-    let mut slices: Vec<Vec<TelemetrySnapshot>> = vec![Vec::new(); routes.shards.len()];
-    for snap in snaps {
-        slices[routes.shard_of(snap.switch)].push(snap);
-    }
-    let last = slices.iter().rposition(|s| !s.is_empty());
-    for (shard, slice) in slices.into_iter().enumerate() {
-        if slice.is_empty() {
-            continue;
-        }
-        let n = slice.len() as u64;
-        let record = journal.take_if(|_| Some(shard) == last);
-        plane.queue_depths[shard].fetch_add(n, Ordering::Relaxed);
-        if routes.shards[shard]
-            .send(ShardMsg::Ingest(slice, record))
-            .is_err()
-        {
-            plane.queue_depths[shard].fetch_sub(n, Ordering::Relaxed);
-            return Some(Gone("shard worker").into());
-        }
+    let n = snaps.len() as u64;
+    plane.queue_depth.fetch_add(n, Ordering::Relaxed);
+    if routes.store.send(StoreMsg::Ingest(snaps, journal)).is_err() {
+        plane.queue_depth.fetch_sub(n, Ordering::Relaxed);
+        return Some(Gone("store thread").into());
     }
     None
 }
@@ -1040,8 +912,8 @@ fn route_frame(
 /// Route an `IngestBatch` frame; one `BatchAck` settles the whole frame,
 /// returning its credits, and the whole frame journals as one record. The
 /// codec is deterministic, so the frame bytes ARE the canonical form a
-/// durable daemon journals (checked in debug builds). A dead shard or an
-/// out-of-range switch fails the frame with an error.
+/// durable daemon journals (checked in debug builds). A dead store thread
+/// or an out-of-range switch fails the frame with an error.
 fn route_batch(
     plane: &Plane,
     routes: &Routes,
@@ -1158,7 +1030,7 @@ pub fn spawn(topo: Topology, cfg: ServeConfig, endpoint: Endpoint) -> io::Result
 /// restore the last complete checkpoint, replay the tail — and only then
 /// binds the listener, so a client that can connect always sees the
 /// recovered state. Every accepted epoch and emitted verdict is journaled
-/// by the core thread; the shard workers never touch the log.
+/// by the core thread; the store thread never touches the log.
 pub fn spawn_durable(
     topo: Topology,
     cfg: ServeConfig,
@@ -1166,22 +1038,19 @@ pub fn spawn_durable(
     wal_cfg: Option<WalConfig>,
 ) -> io::Result<DaemonHandle> {
     let mut cfg = cfg;
-    cfg.shards = cfg.shards.max(1);
-    // The daemon always folds off-thread: shard stores stage ring-evicted
+    // The daemon always folds off-thread: the store stages ring-evicted
     // epochs and the core owns the folded tier. Inline mode remains the
     // standalone-store default only.
     cfg.store.deferred_fold = true;
 
-    // Recover before binding: replay the evidence log into the shard
-    // stores, the folded tier and the audit trail.
-    let mut stores: Vec<TelemetryStore> = (0..cfg.shards)
-        .map(|_| TelemetryStore::new(cfg.store))
-        .collect();
+    // Recover before binding: replay the evidence log into the store, the
+    // folded tier and the audit trail.
+    let mut store = TelemetryStore::new(cfg.store);
     let mut comp = Compactor::new(cfg.store);
     let mut audit = AuditTrail::new(AUDIT_CAPACITY);
     let (wal, recovery) = match &wal_cfg {
         Some(wcfg) => {
-            let (wal, report) = recover_and_open(wcfg, &mut stores, &mut comp, &mut audit)?;
+            let (wal, report) = recover_and_open(wcfg, &mut store, &mut comp, &mut audit)?;
             (Some(wal), Some(report))
         }
         None => (None, None),
@@ -1193,22 +1062,18 @@ pub fn spawn_durable(
     // actually be the thing that fires.
     let mut engine =
         IncrementalProvenance::new(cfg.replay, cfg.store.epoch_budget.saturating_mul(2));
-    let horizons: Vec<Option<Nanos>> = stores.iter().map(|s| s.retention_horizon()).collect();
-    let mut last_fleet = Nanos::ZERO;
+    let horizon = store.retention_horizon().unwrap_or(Nanos::ZERO);
+    let mut last_retired = Nanos::ZERO;
     if recovery.is_some() {
         // Rebuild the wait-for graph from the recovered canonical rings —
         // the engine is derived state, so it is never checkpointed — and
-        // retire it behind the recovered fleet horizon, exactly as the
-        // ingest path would have.
-        for store in &stores {
-            for snap in store.snapshots() {
-                engine.apply_owned(snap);
-            }
+        // retire it behind the recovered horizon, exactly as the ingest
+        // path would have.
+        for snap in store.snapshots() {
+            engine.apply_owned(snap);
         }
-        if let Some(fleet) = horizons.iter().flatten().min() {
-            engine.retire_before(*fleet);
-            last_fleet = *fleet;
-        }
+        engine.retire_before(horizon);
+        last_retired = horizon;
     }
     let plane = Arc::new(Plane::new(topo, cfg, wal.is_some()));
     if let Some(rep) = &recovery {
@@ -1229,9 +1094,8 @@ pub fn spawn_durable(
         comp,
         wal,
         audit,
-        watermarks: stores.iter().map(|s| s.min_watermark()).collect(),
-        horizons,
-        last_fleet,
+        horizon,
+        last_retired,
         wal_published: WalStats::default(),
         round: None,
     };
@@ -1240,22 +1104,17 @@ pub fn spawn_durable(
         .spawn(move || core.run(core_rx))
         .expect("spawn core thread");
 
-    let mut shard_txs = Vec::with_capacity(cfg.shards);
-    let mut workers = Vec::with_capacity(cfg.shards);
-    for (shard, store) in stores.into_iter().enumerate() {
-        let (tx, rx) = sync_channel(cfg.queue_depth.max(1));
-        shard_txs.push(tx);
+    let (store_tx, store_rx) = sync_channel(cfg.queue_depth.max(1));
+    let store_join = {
         let plane = Arc::clone(&plane);
         let core_tx = core_tx.clone();
-        workers.push(
-            thread::Builder::new()
-                .name(format!("hawkeye-shard-{shard}"))
-                .spawn(move || shard_worker(plane, shard, store, rx, core_tx))
-                .expect("spawn shard worker"),
-        );
-    }
+        thread::Builder::new()
+            .name("hawkeye-store".into())
+            .spawn(move || store_thread(plane, store, store_rx, core_tx))
+            .expect("spawn store thread")
+    };
     let routes = Routes {
-        shards: shard_txs,
+        store: store_tx,
         core: core_tx,
     };
 
@@ -1272,13 +1131,10 @@ pub fn spawn_durable(
                     break;
                 }
                 // A checkpoint round, started from here because this
-                // thread is upstream of every worker: each forwards its
-                // ring images to the core, which writes the checkpoint
-                // when the last one lands.
+                // thread is upstream of the store thread: it forwards its
+                // ring images to the core, which writes the checkpoint.
                 if plane.ckpt_wanted.swap(false, Ordering::SeqCst) {
-                    for tx in &routes.shards {
-                        let _ = tx.send(ShardMsg::Export);
-                    }
+                    let _ = routes.store.send(StoreMsg::Export);
                 }
                 match listener.accept() {
                     Ok(stream) => {
@@ -1300,14 +1156,12 @@ pub fn spawn_durable(
             for s in sessions {
                 let _ = s.join();
             }
-            // Dropping the last senders ends the workers' loops, and —
-            // once they are joined and their core senders with them — the
+            // Dropping the last senders ends the store thread's loop, and
+            // — once it is joined and its core sender with it — the
             // core's: FIFO order means each drains everything sent to it
             // first, and the core syncs the WAL on the way out.
             drop(routes);
-            for w in workers {
-                let _ = w.join();
-            }
+            let _ = store_join.join();
             let _ = core_join.join();
             // Dropped last: a unix socket file outlives every thread.
             drop(listener);
@@ -1327,24 +1181,24 @@ mod tests {
     use super::*;
     use hawkeye_client::proto::FOREIGN_EVIDENCE_PREFIX;
     use hawkeye_client::ServeClient;
-    use hawkeye_sim::{chain, EVAL_BANDWIDTH, EVAL_DELAY};
+    use hawkeye_sim::{chain, NodeId, EVAL_BANDWIDTH, EVAL_DELAY};
 
     /// A thread-less plane plus routes into hand-held receivers: what a
     /// session sees, with the tests standing in for the owner threads.
     struct Rig {
         plane: Arc<Plane>,
         routes: Routes,
-        shard_rxs: Vec<Receiver<ShardMsg>>,
+        /// `None` once a test dropped it: the store thread is gone.
+        store_rx: Option<Receiver<StoreMsg>>,
         core_rx: Receiver<CoreMsg>,
     }
 
-    fn rig(shards: usize, depth: usize, shard_range: Option<ShardRange>) -> Rig {
+    fn rig(depth: usize, shard_range: Option<ShardRange>) -> Rig {
         let cfg = ServeConfig {
-            shards,
             shard_range,
             ..ServeConfig::default()
         };
-        let (txs, shard_rxs) = (0..shards).map(|_| sync_channel(depth)).unzip();
+        let (store, store_rx) = sync_channel(depth);
         let (core, core_rx) = sync_channel(depth);
         Rig {
             // Eight switches, ids 0..8 — every id these tests route — and
@@ -1354,18 +1208,25 @@ mod tests {
                 cfg,
                 false,
             )),
-            routes: Routes { shards: txs, core },
-            shard_rxs,
+            routes: Routes { store, core },
+            store_rx: Some(store_rx),
             core_rx,
         }
     }
 
+    impl Rig {
+        /// Ingest messages queued on the store thread so far.
+        fn queued_frames(&self) -> usize {
+            self.store_rx
+                .as_ref()
+                .expect("store alive")
+                .try_iter()
+                .count()
+        }
+    }
+
     fn queued_snapshots(plane: &Plane) -> u64 {
-        plane
-            .queue_depths
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .sum()
+        plane.queue_depth.load(Ordering::Relaxed)
     }
 
     fn snap(switch: u32) -> TelemetrySnapshot {
@@ -1404,7 +1265,7 @@ mod tests {
     /// never leaks.
     #[test]
     fn acks_return_the_frames_credits() {
-        let r = rig(1, 4, None);
+        let r = rig(4, None);
         for n in [1, 3] {
             let resp = route_batch(&r.plane, &r.routes, vec![snap(0); n as usize], None);
             assert_eq!(
@@ -1418,33 +1279,32 @@ mod tests {
         }
     }
 
-    /// A disconnected shard (worker gone) reports an error, not a panic
-    /// and not an ack — and a query fails too, rather than answering from
-    /// the partitions that are left.
+    /// A disconnected store (its thread gone) reports an error, not a
+    /// panic and not an ack — and a query fails too.
     #[test]
-    fn disconnected_shard_reports_error() {
-        let mut r = rig(1, 1, None);
-        r.shard_rxs.clear();
+    fn disconnected_store_reports_error() {
+        let mut r = rig(1, None);
+        r.store_rx = None;
         assert!(matches!(
             route_batch(&r.plane, &r.routes, vec![snap(0)], None),
             Response::Error(_)
         ));
         assert!(matches!(
             r.routes.gather_snapshots(Window::default()),
-            Err(Gone("shard worker"))
+            Err(Gone("store thread"))
         ));
         assert!(matches!(
             r.routes.stats(&r.plane),
-            Err(Gone("shard worker"))
+            Err(Gone("store thread"))
         ));
     }
 
-    /// A dead shard fails a whole batch with an error (never a BatchAck
-    /// that silently lost snapshots).
+    /// A dead store thread fails a whole batch with an error (never a
+    /// BatchAck that silently lost snapshots).
     #[test]
-    fn disconnected_shard_fails_batch() {
-        let mut r = rig(1, 4, None);
-        r.shard_rxs.clear();
+    fn disconnected_store_fails_batch() {
+        let mut r = rig(4, None);
+        r.store_rx = None;
         let resp = route_batch(&r.plane, &r.routes, vec![snap(0), snap(0)], None);
         assert!(matches!(resp, Response::Error(_)));
     }
@@ -1459,7 +1319,7 @@ mod tests {
             hi: 2,
             epoch: 1,
         };
-        let r = rig(1, 4, Some(range));
+        let r = rig(4, Some(range));
         assert!(matches!(
             route_batch(&r.plane, &r.routes, vec![snap(1)], None),
             Response::BatchAck { accepted: 1, .. }
@@ -1473,7 +1333,7 @@ mod tests {
             "rejection '{msg}' not typed wrong_shard"
         );
         assert_eq!(wrong_shard_count(&r.plane), 1);
-        assert_eq!(r.shard_rxs[0].try_iter().count(), 1, "refused but queued");
+        assert_eq!(r.queued_frames(), 1, "refused but queued");
     }
 
     /// A batch containing one out-of-range snapshot fails with the typed
@@ -1487,7 +1347,7 @@ mod tests {
             hi: 2,
             epoch: 0,
         };
-        let r = rig(2, 8, Some(range));
+        let r = rig(8, Some(range));
         let frame = vec![snap(0), snap(1), snap(5)];
         let resp = route_batch(&r.plane, &r.routes, frame, None);
         let Response::Error(msg) = resp else {
@@ -1495,9 +1355,7 @@ mod tests {
         };
         assert!(msg.starts_with(WRONG_SHARD_PREFIX));
         assert_eq!(wrong_shard_count(&r.plane), 1);
-        for (i, rx) in r.shard_rxs.iter().enumerate() {
-            assert_eq!(rx.try_iter().count(), 0, "refused frame queued to {i}");
-        }
+        assert_eq!(r.queued_frames(), 0, "refused frame queued");
         assert_eq!(queued_snapshots(&r.plane), 0);
     }
 
@@ -1506,7 +1364,7 @@ mod tests {
     /// `foreign_evidence:` error before any of it is queued.
     #[test]
     fn foreign_evidence_fails_batch_typed() {
-        let r = rig(2, 8, None);
+        let r = rig(8, None);
         let past_radix = TelemetrySnapshot {
             epochs: vec![hawkeye_telemetry::EpochSnapshot {
                 ports: vec![(9, hawkeye_telemetry::PortRecord::default())],
@@ -1521,27 +1379,24 @@ mod tests {
             };
             assert!(msg.starts_with(FOREIGN_EVIDENCE_PREFIX), "untyped: {msg}");
         }
-        for (i, rx) in r.shard_rxs.iter().enumerate() {
-            assert_eq!(rx.try_iter().count(), 0, "refused frame queued to {i}");
-        }
+        assert_eq!(r.queued_frames(), 0, "refused frame queued");
         assert_eq!(queued_snapshots(&r.plane), 0);
     }
 
-    /// The occupancy gauge counts a slice before it is sent and takes it
-    /// back when the send fails. Counted after the send, a worker that
-    /// dequeues at once subtracts first, wraps the counter below zero and
-    /// publishes ~1.8e19 as `shard_queue_depth`: the rendezvous queue here
-    /// hands the slice over at exactly that instant.
+    /// The occupancy gauge counts a frame before it is sent and takes it
+    /// back when the send fails. Counted after the send, a store thread
+    /// that dequeues at once subtracts first, wraps the counter below zero
+    /// and publishes ~1.8e19 as `shard_queue_depth`: the rendezvous queue
+    /// here hands the frame over at exactly that instant.
     #[test]
     fn queue_depth_counts_before_the_send() {
-        let r = rig(2, 8, None);
+        let r = rig(8, None);
         let frame: Vec<_> = (0..5).map(snap).collect();
         route_batch(&r.plane, &r.routes, frame, None);
         assert_eq!(queued_snapshots(&r.plane), 5);
-        assert_eq!(r.plane.queue_depths[0].load(Ordering::Relaxed), 3);
 
-        let mut dead = rig(2, 8, None);
-        dead.shard_rxs.clear();
+        let mut dead = rig(8, None);
+        dead.store_rx = None;
         let resp = route_batch(&dead.plane, &dead.routes, vec![snap(0), snap(1)], None);
         assert!(matches!(resp, Response::Error(_)));
         assert_eq!(
@@ -1550,28 +1405,27 @@ mod tests {
             "failed send kept its count"
         );
 
-        let mut eager = rig(1, 0, None);
-        let rx = eager.shard_rxs.remove(0);
+        let mut eager = rig(0, None);
+        let rx = eager.store_rx.take().expect("store alive");
         let plane = Arc::clone(&eager.plane);
-        let worker = thread::spawn(move || {
-            let _slice = rx.recv().expect("a slice arrives");
-            plane.queue_depths[0].load(Ordering::Relaxed)
+        let store = thread::spawn(move || {
+            let _frame = rx.recv().expect("a frame arrives");
+            queued_snapshots(&plane)
         });
         route_batch(&eager.plane, &eager.routes, vec![snap(0); 3], None);
         assert_eq!(
-            worker.join().expect("worker"),
+            store.join().expect("store thread"),
             3,
             "dequeued ahead of the count"
         );
     }
 
-    /// A frame crosses the plane as one slice per shard it touches: frame
-    /// order within the slice, the journal record on exactly one slice,
-    /// one `Applied` per slice out of the worker, and the core's counters
+    /// A frame crosses the plane as one `Ingest` and one `Applied`: frame
+    /// order kept, the journal record riding both, and the core's counters
     /// still in snapshots and epochs.
     #[test]
-    fn frame_travels_as_one_slice_per_shard() {
-        let r = rig(3, 8, None);
+    fn frame_travels_as_one_ingest_and_one_applied() {
+        let r = rig(8, None);
         let frame: Vec<TelemetrySnapshot> = [4, 0, 1, 3, 6, 0]
             .iter()
             .zip(1u64..)
@@ -1585,66 +1439,42 @@ mod tests {
         let resp = route_batch(&r.plane, &r.routes, frame.clone(), Some(wire.clone()));
         assert!(matches!(resp, Response::BatchAck { accepted: 6, .. }));
 
-        // Through the workers — run to completion on this thread, their
-        // queues being closed — and into a core.
+        // Through the store thread — run to completion on this thread, its
+        // queue being closed — and into a core.
         let Rig {
             plane,
-            routes: Routes { shards, core: tx },
-            shard_rxs,
+            routes: Routes {
+                store: sender,
+                core: tx,
+            },
+            store_rx,
             core_rx,
         } = r;
-        let nshards = shards.len();
-        drop(shards);
-        let shard_of = |s: &TelemetrySnapshot| s.switch.0 as usize % nshards;
-        for (shard, rx) in shard_rxs.into_iter().enumerate() {
-            let store = TelemetryStore::new(StoreConfig {
-                deferred_fold: true,
-                ..plane.cfg.store
-            });
-            shard_worker(Arc::clone(&plane), shard, store, rx, tx.clone());
-        }
+        drop(sender);
+        let store = TelemetryStore::new(StoreConfig {
+            deferred_fold: true,
+            ..plane.cfg.store
+        });
+        store_thread(Arc::clone(&plane), store, store_rx.unwrap(), tx);
         assert_eq!(queued_snapshots(&plane), 0);
 
-        // Switches 0, 3, 6 -> shard 0; 1, 4 -> shard 1; nothing -> shard 2.
         let mut core = thread_less_core();
         core.plane = Arc::clone(&plane);
-        core.horizons = vec![None; 3];
-        core.watermarks = vec![None; 3];
-        let mut records = Vec::new();
-        let mut shards_heard = Vec::new();
-        for msg in core_rx.try_iter() {
-            let CoreMsg::Applied(a) = &msg else {
-                panic!("workers forwarded only Applied");
-            };
-            let share: Vec<_> = frame
-                .iter()
-                .filter(|s| shard_of(s) == a.shard)
-                .cloned()
-                .collect();
-            assert_eq!(a.snaps, share, "shard {} slice out of frame order", a.shard);
-            shards_heard.push(a.shard);
-            records.extend(a.journal.clone());
+        let applied: Vec<CoreMsg> = core_rx.try_iter().collect();
+        assert_eq!(applied.len(), 1, "one Applied per frame");
+        let CoreMsg::Applied(a) = &applied[0] else {
+            panic!("the store thread forwarded only Applied");
+        };
+        assert_eq!(a.snaps, frame, "frame order lost");
+        assert_eq!(a.journal, Some(wire), "one record per frame");
+        for msg in applied {
             core.handle(msg);
         }
-        assert_eq!(shards_heard, vec![0, 1], "one Applied per slice");
-        assert_eq!(records, vec![wire], "one record per frame");
         let m = plane.metrics.lock().unwrap();
         assert_eq!(m.counter_total(EPOCHS_INGESTED), 6);
         assert_eq!(m.counter_total(INCREMENTAL_UPDATES), 6);
         assert_eq!(core.engine.stats().snapshots_applied, 6);
         assert_eq!(core.engine.epochs_held(), 6);
-    }
-
-    /// Sharding is stable per switch and spreads across the store set.
-    #[test]
-    fn shard_of_is_switch_stable() {
-        let r = rig(4, 1, None);
-        for sw in 0..16u32 {
-            let a = r.routes.shard_of(NodeId(sw));
-            assert_eq!(a, r.routes.shard_of(NodeId(sw)));
-            assert!(a < 4);
-        }
-        assert_ne!(r.routes.shard_of(NodeId(0)), r.routes.shard_of(NodeId(1)));
     }
 
     fn thread_less_core() -> Core {
@@ -1659,9 +1489,8 @@ mod tests {
             comp: Compactor::new(cfg.store),
             wal: None,
             audit: AuditTrail::new(AUDIT_CAPACITY),
-            horizons: vec![None],
-            watermarks: vec![None],
-            last_fleet: Nanos::ZERO,
+            horizon: Nanos::ZERO,
+            last_retired: Nanos::ZERO,
             wal_published: WalStats::default(),
             round: None,
         }

@@ -129,7 +129,7 @@ pub struct StoreStats {
     /// Wall nanoseconds spent in the eviction/fold loop (ring budget
     /// enforcement plus compaction) — zero unless [`StoreConfig::timed`].
     /// `append_ns + fold_ns` is the store's share of ingest; the engine's
-    /// apply/retire share is timed by the daemon's shard workers.
+    /// apply/retire share is timed by the daemon's core thread.
     pub fold_ns: u64,
 }
 
@@ -398,8 +398,8 @@ impl TelemetryStore {
 
     /// Drain the epochs staged for an external compactor. Always empty in
     /// inline mode; in deferred mode the caller owns handing these to its
-    /// [`Compactor`] (the daemon's shard worker forwards them to the core
-    /// thread with the snapshot that evicted them).
+    /// [`Compactor`] (the daemon's store thread forwards them to the core
+    /// thread with the frame that evicted them).
     pub fn take_pending_folds(&mut self) -> Vec<PendingFold> {
         std::mem::take(&mut self.pending)
     }

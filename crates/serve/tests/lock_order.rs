@@ -1,16 +1,16 @@
 //! Liveness hammer for the serve plane's one-direction message rule.
 //!
-//! Daemon state is owned, not shared: shard worker *i* owns store *i*, the
+//! Daemon state is owned, not shared: the store thread owns the store, the
 //! core thread owns the engine, the folded tier, the evidence log and the
 //! audit trail, and every query is a request message with a reply channel.
-//! Messages travel session → shard worker → core only, so no owner ever
+//! Messages travel session → store thread → core only, so no owner ever
 //! waits on a thread upstream of it and the plane cannot deadlock — as
 //! long as that rule holds. The place a cycle would show is a bounded
-//! worker → core channel filling while someone waits on a reply. This
+//! store → core channel filling while someone waits on a reply. This
 //! test hammers every query op (`Stats`, `FlowHistory`, `Diagnose`,
 //! `Fragments`, `Explain`) from several connections while another streams
 //! ingest — once plain, once durable with segments small enough that
-//! checkpoint rounds (accept loop → workers → core) keep firing underneath
+//! checkpoint rounds (accept loop → store thread → core) keep firing underneath
 //! — under a watchdog that turns a deadlock into a test failure instead of
 //! a hang.
 
@@ -84,7 +84,7 @@ fn under_watchdog(body: impl FnOnce() + Send + 'static) {
         Ok(()) => body.join().expect("hammer body panicked"),
         Err(_) => panic!(
             "hammer did not finish within {WATCHDOG:?} — \
-             probable wait-for cycle between sessions, shard workers and the core"
+             probable wait-for cycle between sessions, the store thread and the core"
         ),
     }
 }
@@ -178,7 +178,7 @@ fn run_hammer(wal: Option<WalConfig>) {
     }
 
     // Ingester: streams STEPS epochs per switch, interleaved across
-    // switches so every shard worker stays busy the whole run.
+    // switches so the store thread stays busy the whole run.
     let mut client = ServeClient::connect_tcp(&addr).expect("connect ingest");
     let mut sent = 0u64;
     let mut ack = SinkAck::default();

@@ -1,13 +1,12 @@
 //! Long-running-serve retention regression tests.
 //!
-//! The headline bug this guards against: shard workers used to call
+//! The headline bug this guards against: the ingest path used to call
 //! [`IncrementalProvenance::apply`] on every snapshot but never
 //! `retire_before`, so the engine's rings, wait-for graph and fragment
 //! caches grew without bound while the store evicted underneath them. Now
 //! every ingest publishes the store's retention horizon and retires the
-//! engine behind the fleet minimum; these tests stream many multiples of
-//! the ring budget through both paths and assert every retention counter
-//! stays bounded.
+//! engine behind it; these tests stream many multiples of the ring budget
+//! through both paths and assert every retention counter stays bounded.
 
 use hawkeye_client::{Fidelity, ServeClient};
 use hawkeye_core::{IncrementalProvenance, ReplayConfig};

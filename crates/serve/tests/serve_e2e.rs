@@ -274,7 +274,7 @@ fn unix_socket_session_roundtrip() {
     assert!(!path.exists(), "socket file must be removed on shutdown");
 }
 
-/// Slow-consumer stress: a deliberately throttled shard worker, a
+/// Slow-consumer stress: a deliberately throttled store thread, a
 /// two-deep ingest queue and a tiny credit window, streamed with
 /// multi-epoch batch frames. Credit backpressure must absorb the speed
 /// mismatch with *zero* sheds and zero errors, and the served verdict
@@ -352,8 +352,8 @@ fn slow_consumer_backpressure_sheds_nothing() {
 /// before it has been appended (and, on a durable daemon, journaled) — the
 /// CLI's `--stream-only` and the crash-recovery smoke rely on it. Queues
 /// deep enough to hold the whole stream mean every ack comes back while
-/// the slowed workers are still far behind, so a `Stats` that does not
-/// wait for the shard queues reports a short count.
+/// the slowed store thread is still far behind, so a `Stats` that does
+/// not wait for the store queue reports a short count.
 #[test]
 fn stats_waits_for_every_acknowledged_snapshot() {
     let sc = incast();
@@ -394,15 +394,9 @@ fn stats_waits_for_every_acknowledged_snapshot() {
 
 /// The frame is a unit inside the daemon, and its size is invisible in
 /// what the daemon ends up holding: the same stream sent as 1-snapshot
-/// frames and as 32-snapshot frames (each split across four shards)
-/// leaves equal store and folded-tier counts, equal flow history and the
-/// same verdict, under a ring small enough that eviction and folds run.
-///
-/// What the *engine* holds is compared on one shard only. Across shards
-/// it depends on the order their `Applied`s reach the core, at any frame
-/// size: a shard that has not reported yet places no constraint on the
-/// fleet horizon, so whichever evicts first can retire the engine past
-/// epochs another shard's switches deliver later.
+/// frames and as 32-snapshot frames leaves equal store, folded-tier and
+/// engine counts, equal flow history and the same verdict, under a ring
+/// small enough that eviction and folds run.
 #[test]
 fn frame_size_does_not_change_what_the_daemon_holds() {
     let sc = incast();
@@ -417,7 +411,7 @@ fn frame_size_does_not_change_what_the_daemon_holds() {
         "engine_epochs_held",
     ];
 
-    let run = |shards: usize, frame: usize| {
+    let run = |frame: usize| {
         let handle = spawn(
             sc.topo.clone(),
             ServeConfig {
@@ -427,7 +421,6 @@ fn frame_size_does_not_change_what_the_daemon_holds() {
                     compact_chunk: 4,
                     ..StoreConfig::default()
                 },
-                shards,
                 ..ServeConfig::default()
             },
             Endpoint::Tcp("127.0.0.1:0".into()),
@@ -450,20 +443,14 @@ fn frame_size_does_not_change_what_the_daemon_holds() {
         (held, history, served)
     };
 
-    for (shards, compared) in [(4, &HELD[..4]), (1, &HELD[..])] {
-        let (held_1, history_1, served_1) = run(shards, 1);
-        let (held_32, history_32, served_32) = run(shards, 32);
-        assert!(held_1[3] > 0, "tiny ring must have folded: {held_1:?}");
-        assert!(held_1[4] < held_1[0], "engine budget must have evicted");
-        assert_eq!(
-            held_32[..compared.len()],
-            held_1[..compared.len()],
-            "{compared:?} differ by frame size on {shards} shard(s)"
-        );
-        assert_eq!(history_32, history_1, "flow history differs by frame size");
-        assert_eq!(served_32, served_1, "verdict differs by frame size");
-        assert!(outcome.parity_with(&served_32), "served != one-shot");
-    }
+    let (held_1, history_1, served_1) = run(1);
+    let (held_32, history_32, served_32) = run(32);
+    assert!(held_1[3] > 0, "tiny ring must have folded: {held_1:?}");
+    assert!(held_1[4] < held_1[0], "engine budget must have evicted");
+    assert_eq!(held_32, held_1, "{HELD:?} differ by frame size");
+    assert_eq!(history_32, history_1, "flow history differs by frame size");
+    assert_eq!(served_32, served_1, "verdict differs by frame size");
+    assert!(outcome.parity_with(&served_32), "served != one-shot");
 }
 
 /// Flow counters are unchecked `u32`s on the wire. A record claiming more
@@ -674,7 +661,7 @@ fn foreign_switch_or_port_is_refused_whole() {
         ("meter", with_epoch(&|ep| ep.meter.push((PAST, 0, 1)))),
         ("meter", with_epoch(&|ep| ep.meter.push((0, PAST, 1)))),
         // A real switch and real ports, but the epoch's end is past the
-        // clock: stored, it would panic the shard worker on its first
+        // clock: stored, it would panic the store thread on its first
         // `start + len`.
         (
             "overflows the clock",

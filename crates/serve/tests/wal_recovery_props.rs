@@ -150,10 +150,10 @@ fn assert_replay_matches_direct(dir: &Path, snaps: &[TelemetrySnapshot], n: u64)
         ..StoreConfig::default()
     };
     let s = scan(dir).expect("scan");
-    let mut stores = vec![TelemetryStore::new(cfg)];
+    let mut store = TelemetryStore::new(cfg);
     let mut comp = Compactor::new(cfg);
     let mut audit = AuditTrail::new(8);
-    hawkeye_serve::recovery::replay(&s.records, &mut stores, &mut comp, &mut audit);
+    hawkeye_serve::recovery::replay(&s.records, &mut store, &mut comp, &mut audit);
 
     let mut direct = TelemetryStore::new(cfg);
     let mut direct_comp = Compactor::new(cfg);
@@ -174,7 +174,7 @@ fn assert_replay_matches_direct(dir: &Path, snaps: &[TelemetrySnapshot], n: u64)
         )
     };
     assert_eq!(
-        fp(&stores[0], &comp),
+        fp(&store, &comp),
         fp(&direct, &direct_comp),
         "replayed state diverges from direct ingestion of the same prefix"
     );

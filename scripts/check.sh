@@ -77,7 +77,7 @@ EOF
 rm -f "$serve_out"
 test ! -e "$serve_sock" || { echo "stale socket file left behind"; exit 1; }
 
-echo "==> hostile-bytes smoke (nested JSON body, frame split across the idle poll)"
+echo "==> hostile-bytes smoke (thread count, nested JSON body, frame split across the idle poll)"
 # One connection to a foreground daemon through the release CLI: a Diagnose
 # frame whose body is 20 000 `[` must be answered with an error (the JSON
 # parser once recursed per level until the session thread's stack
@@ -90,6 +90,17 @@ hb_sock=$(mktemp -u /tmp/hawkeye-hostile-XXXXXX.sock)
 hb_pid=$!
 for _ in $(seq 100); do [ -S "$hb_sock" ] && break; sleep 0.1; done
 test -S "$hb_sock" || { echo "hostile-bytes daemon never bound its socket"; exit 1; }
+# An idle daemon runs exactly four threads: the main thread, the accept
+# loop, the core and the one store thread. The socket is bound before the
+# owner threads start, so poll until the set settles.
+hb_want="hawkeye hawkeye-accept hawkeye-core hawkeye-store"
+for _ in $(seq 50); do
+  hb_threads=$(cat /proc/"$hb_pid"/task/*/comm | LC_ALL=C sort | paste -sd' ')
+  [ "$hb_threads" = "$hb_want" ] && break
+  sleep 0.1
+done
+test "$hb_threads" = "$hb_want" \
+  || { echo "idle daemon runs threads [$hb_threads], want [$hb_want]"; exit 1; }
 python3 - "$hb_sock" <<'EOF'
 import socket, struct, sys, time
 s = socket.socket(socket.AF_UNIX)
@@ -191,10 +202,10 @@ print("retention smoke ok:", d["store_epochs_held"], "raw epochs held,",
 EOF
 rm -f "$retention_out"
 
-echo "==> backpressure smoke (batch frames, slow shard, tight queue)"
+echo "==> backpressure smoke (batch frames, slow store, tight queue)"
 # Ingest-path overload behavior through the release CLI: batched frames
-# into a daemon whose shard workers are artificially slowed behind a
-# 4-deep queue. The slow shard must stall the sender's credit window —
+# into a daemon whose store thread is artificially slowed behind a
+# 4-deep queue. The slow store must stall the sender's credit window —
 # nothing is ever shed — with full parity with the one-shot diagnosis, and
 # the batch path actually taken.
 bp_out=$(mktemp)
