@@ -28,7 +28,6 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 use hawkeye_client::proto::{check_evidence, FOREIGN_EVIDENCE_PREFIX, WRONG_SHARD_PREFIX};
 use hawkeye_client::{
@@ -42,8 +41,8 @@ use hawkeye_obs::names::{
     OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot};
-use hawkeye_serve::listen::{serve_session, FLIGHT_CAPACITY};
-use hawkeye_serve::{stop_signalled, Endpoint};
+use hawkeye_serve::listen::{accept_loop, serve_session, FLIGHT_CAPACITY};
+use hawkeye_serve::Endpoint;
 use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::TelemetrySnapshot;
 
@@ -520,31 +519,16 @@ pub fn spawn_front(
     let accept_thread = thread::Builder::new()
         .name("hawkeye-front-accept".into())
         .spawn(move || {
-            let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_shared.stop.load(Ordering::SeqCst) {
-                if stop_signalled() {
-                    accept_shared.stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-                match listener.accept() {
-                    Ok(stream) => {
-                        let sh = Arc::clone(&accept_shared);
-                        sessions.push(
-                            thread::Builder::new()
-                                .name("hawkeye-front-session".into())
-                                .spawn(move || session(sh, stream))
-                                .expect("spawn front session"),
-                        );
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for s in sessions {
-                let _ = s.join();
-            }
+            accept_loop(
+                &listener,
+                &accept_shared.stop,
+                "hawkeye-front-session",
+                || {},
+                |stream| {
+                    let sh = Arc::clone(&accept_shared);
+                    move || session(sh, stream)
+                },
+            );
             // Dropping the listener removes a unix socket file.
             drop(listener);
         })

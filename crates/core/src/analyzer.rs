@@ -6,7 +6,7 @@ use crate::diagnosis::{diagnose, AnomalyType, DiagnosisConfig, DiagnosisReport};
 use crate::error::Confidence;
 use crate::provenance::{build_graph, ProvenanceGraph, ReplayConfig};
 use hawkeye_obs::{Recorder, Stage};
-use hawkeye_sim::{Detection, Nanos, NodeId, Topology};
+use hawkeye_sim::{Nanos, NodeId, Topology};
 use hawkeye_telemetry::TelemetrySnapshot;
 use std::collections::HashSet;
 
@@ -82,24 +82,15 @@ fn grade_report(
     );
 }
 
-/// The window a detection's diagnosis aggregates over: from `lookback`
-/// epochs before the detection to one epoch after it (collection happens
-/// within microseconds of detection, inside that epoch).
-pub fn detection_window(det: &Detection, cfg: &AnalyzerConfig) -> Window {
-    Window {
-        from: det
-            .at
-            .saturating_sub(Nanos(cfg.epoch_len.as_nanos() * cfg.lookback_epochs)),
-        to: det.at + cfg.epoch_len,
-    }
-}
-
-/// Analyze a victim over an explicit window — used when an anomaly
-/// persisted across several re-detections and collections: the window then
-/// spans from before the first detection to after the last, so evidence
-/// that froze early (e.g. the escape port of a deadlock) and evidence that
-/// froze late (the closing ring port) are both covered. Epoch-level
-/// keep-latest deduplication makes the wide window safe.
+/// Analyze a victim over a window: aggregate → Algorithm 1 → Algorithm 2.
+/// Returns the report plus the graph and the aggregate (for rendering /
+/// tests). The window reaches from `lookback_epochs` before the victim's
+/// first detection to one epoch after its last (collection happens within
+/// microseconds of detection, inside that epoch). When the anomaly
+/// persisted across several re-detections and collections, evidence that
+/// froze early (e.g. the escape port of a deadlock) and evidence that froze
+/// late (the closing ring port) are both covered; epoch-level keep-latest
+/// deduplication makes the wide window safe.
 ///
 /// `snapshots` must be of `topo`'s own switches, naming only ports those
 /// switches have: the analysis indexes `topo` by every switch and port
@@ -148,43 +139,6 @@ pub fn analyze_victim_window_obs(
         diagnose(&g, topo, &agg, victim, cfg.diagnosis)
     });
     grade_report(&mut report, victim, snapshots, topo);
-    (report, g, agg)
-}
-
-/// Full offline analysis of one detection: aggregate → Algorithm 1 →
-/// Algorithm 2. Returns the report plus the graph (for rendering / tests).
-/// `snapshots` must be of `topo`'s own switches, as for
-/// [`analyze_victim_window`].
-pub fn analyze_detection(
-    det: &Detection,
-    snapshots: &[TelemetrySnapshot],
-    topo: &Topology,
-    cfg: &AnalyzerConfig,
-) -> (DiagnosisReport, ProvenanceGraph, AggTelemetry) {
-    let window = detection_window(det, cfg);
-    let mut agg = AggTelemetry::build(snapshots, window);
-    if agg.ports.is_empty() && !snapshots.is_empty() {
-        // Stalled-network fallback: in a full deadlock nothing enqueues
-        // anymore, so the epoch ring froze before the detection window.
-        // Diagnose over the most recent epochs that exist.
-        let max_end = snapshots
-            .iter()
-            .flat_map(|s| s.epochs.iter().map(|e| e.end()))
-            .max()
-            .unwrap_or(Nanos::ZERO);
-        let span = Nanos(cfg.epoch_len.as_nanos() * (cfg.lookback_epochs + 1));
-        let fallback = Window {
-            from: max_end.saturating_sub(span),
-            to: det.at + cfg.epoch_len,
-        };
-        agg = AggTelemetry::build(snapshots, fallback);
-    }
-    if agg.epoch_len == Nanos::ZERO {
-        agg.epoch_len = cfg.epoch_len;
-    }
-    let g = build_graph(&agg, topo, cfg.replay);
-    let mut report = diagnose(&g, topo, &agg, &det.key, cfg.diagnosis);
-    grade_report(&mut report, &det.key, snapshots, topo);
     (report, g, agg)
 }
 

@@ -16,7 +16,7 @@
 //! - [`signature`] — the formal anomaly signatures of Table 2.
 //! - [`diagnosis`] — Algorithm 2: loop detection, root-cause location
 //!   (flow contention vs. host PFC injection), anomaly classification.
-//! - [`analyzer`] — end-to-end: detection → window → graph → report.
+//! - [`analyzer`] — end-to-end: a victim's window → graph → report.
 
 pub mod aggregate;
 pub mod analyzer;
@@ -33,8 +33,7 @@ pub mod test_graphs;
 
 pub use aggregate::{AggTelemetry, FlowAgg, PortAgg, Window};
 pub use analyzer::{
-    analyze_detection, analyze_victim_window, analyze_victim_window_obs, detection_window,
-    victim_coverage_gaps, AnalyzerConfig,
+    analyze_victim_window, analyze_victim_window_obs, victim_coverage_gaps, AnalyzerConfig,
 };
 pub use cbd::BufferDependencyGraph;
 pub use collector::{

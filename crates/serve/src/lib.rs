@@ -14,12 +14,12 @@
 //!   evidence log and the audit trail. With a
 //!   [`ShardRange`](hawkeye_client::ShardRange) the daemon serves one
 //!   shard of a fleet and enforces switch ownership on ingest.
-//! - [`listen`] — the listening socket and the process stop signal, shared
-//!   with the cluster front-end's accept loop.
-//! - [`stream`] — [`StreamingHook`], the simulator decorator that pushes
-//!   each collection epoch to a sink as it happens.
-//! - [`replay`] — end-to-end online diagnosis: stream a scenario into a
-//!   live daemon and check served-vs-one-shot verdict parity.
+//! - [`listen`] — the listening socket, the process stop signal and the
+//!   accept loop that reaps finished sessions, shared with the cluster
+//!   front-end.
+//! - [`replay`] — end-to-end online diagnosis: run a scenario, send its
+//!   collected telemetry into a live daemon in frames, and check
+//!   served-vs-one-shot verdict parity.
 //! - [`wal`] / [`recovery`] — disk-backed segmented evidence log (CRC32
 //!   framing, size-based rotation, checkpoint-coupled retirement) and the
 //!   startup replay that lets a `--durable` daemon survive `kill -9`.
@@ -36,17 +36,15 @@ pub mod recovery;
 pub mod replay;
 pub mod server;
 pub mod store;
-pub mod stream;
 pub mod wal;
 
 pub use audit::AuditTrail;
 pub use compactor::{Compactor, CompactorStats, PendingFold};
 // The one `hawkeye_client` name exported here: `benchmark/src/tracegen.rs` imports it.
 pub use hawkeye_client::VecSink;
-pub use listen::{install_signal_handlers, stop_signalled, Endpoint, Listener};
+pub use listen::{install_signal_handlers, Endpoint, Listener};
 pub use recovery::{recover_and_open, scan, RecoveryReport, Scan, ScannedRecord, WalEntry};
-pub use replay::{replay_streaming, replay_streaming_batched, ReplayOutcome};
+pub use replay::{replay_streaming, replay_streaming_batched, ReplayOutcome, StreamStats};
 pub use server::{spawn, spawn_durable, DaemonHandle, ServeConfig};
 pub use store::{StoreConfig, StoreStats, SwitchRestore, TelemetryStore};
-pub use stream::{StreamStats, StreamingHook};
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalStats};

@@ -1,6 +1,6 @@
-//! The listening socket, the process stop signal and the frame-serving
-//! session loop — shared by every frame speaker's accept side in the
-//! workspace (the daemon here, the cluster front-end).
+//! The listening socket, the accept loop, the process stop signal and the
+//! frame-serving session loop — shared by every frame speaker's accept side
+//! in the workspace (the daemon here, the cluster front-end).
 
 use hawkeye_client::proto::{
     decode_request, read_frame, write_response, PeerInfo, ProtoError, Request, Response,
@@ -16,6 +16,7 @@ use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Requests slower than this (wall-clock ns) count as `slow_ops` and land
@@ -255,7 +256,51 @@ pub fn serve_session(
     }
 }
 
-/// Set by the process signal handler, polled by every accept loop.
+/// Accept connections on `listener` until `stop` is raised (a `Shutdown`
+/// request, the handle) or SIGINT/SIGTERM arrives, which raises it. Each
+/// pass joins every session that has ended, so a finished session's stack
+/// does not stay mapped until shutdown; then it runs `tick`, takes one
+/// pending connection and runs the session `session` makes of it on a
+/// thread named `session_name`. The live sessions are joined before this
+/// returns; the caller's own teardown follows.
+pub fn accept_loop<S>(
+    listener: &Listener,
+    stop: &AtomicBool,
+    session_name: &str,
+    mut tick: impl FnMut(),
+    mut session: impl FnMut(AnyStream) -> S,
+) where
+    S: FnOnce() + Send + 'static,
+{
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    while !stop.load(Ordering::SeqCst) {
+        if SIG_STOP.load(Ordering::SeqCst) {
+            stop.store(true, Ordering::SeqCst);
+            break;
+        }
+        for ended in sessions.extract_if(.., |s| s.is_finished()) {
+            let _ = ended.join();
+        }
+        tick();
+        match listener.accept() {
+            Ok(stream) => sessions.push(
+                thread::Builder::new()
+                    .name(session_name.into())
+                    .spawn(session(stream))
+                    .expect("spawn session"),
+            ),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                thread::sleep(Duration::from_millis(2));
+            }
+            Err(_) => break,
+        }
+    }
+    for s in sessions {
+        let _ = s.join();
+    }
+}
+
+/// Set by the process signal handler, polled by [`accept_loop`].
 static SIG_STOP: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_signum: i32) {
@@ -264,8 +309,8 @@ extern "C" fn on_signal(_signum: i32) {
 }
 
 /// Install SIGINT/SIGTERM handlers that request a graceful stop of every
-/// accept loop in this process: each notices [`stop_signalled`] within its
-/// poll interval and runs the same teardown a `Shutdown` request does, so
+/// accept loop in this process: each notices the signal within its poll
+/// interval and runs the same teardown a `Shutdown` request does, so
 /// `kill -TERM` never leaves a stale socket behind. `std` already links
 /// libc, so `signal(2)` is declared directly instead of pulling in a
 /// binding crate.
@@ -283,11 +328,6 @@ pub fn install_signal_handlers() {
         signal(SIGINT, handler);
         signal(SIGTERM, handler);
     }
-}
-
-/// True once SIGINT/SIGTERM arrived (after [`install_signal_handlers`]).
-pub fn stop_signalled() -> bool {
-    SIG_STOP.load(Ordering::SeqCst)
 }
 
 #[cfg(test)]

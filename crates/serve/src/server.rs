@@ -70,7 +70,7 @@
 
 use crate::audit::AuditTrail;
 use crate::compactor::{Compactor, PendingFold};
-use crate::listen::{serve_session, stop_signalled, Endpoint, FLIGHT_CAPACITY};
+use crate::listen::{accept_loop, serve_session, Endpoint, FLIGHT_CAPACITY};
 use crate::recovery::{recover_and_open, RecoveryReport};
 use crate::store::{StoreConfig, SwitchRestore, TelemetryStore};
 use crate::wal::{
@@ -1122,40 +1122,19 @@ pub fn spawn_durable(
     let accept_thread = thread::Builder::new()
         .name("hawkeye-accept".into())
         .spawn(move || {
-            let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-            while !plane.stop.load(Ordering::SeqCst) {
-                // SIGINT/SIGTERM request the same orderly teardown as a
-                // Shutdown frame (when install_signal_handlers is on).
-                if stop_signalled() {
-                    plane.stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-                // A checkpoint round, started from here because this
-                // thread is upstream of the store thread: it forwards its
-                // ring images to the core, which writes the checkpoint.
+            // A checkpoint round starts from this thread because it is
+            // upstream of the store thread: the store forwards its ring
+            // images to the core, which writes the checkpoint.
+            let tick = || {
                 if plane.ckpt_wanted.swap(false, Ordering::SeqCst) {
                     let _ = routes.store.send(StoreMsg::Export);
                 }
-                match listener.accept() {
-                    Ok(stream) => {
-                        let plane = Arc::clone(&plane);
-                        let routes = routes.clone();
-                        sessions.push(
-                            thread::Builder::new()
-                                .name("hawkeye-session".into())
-                                .spawn(move || session(plane, routes, stream))
-                                .expect("spawn session"),
-                        );
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for s in sessions {
-                let _ = s.join();
-            }
+            };
+            accept_loop(&listener, &plane.stop, "hawkeye-session", tick, |stream| {
+                let plane = Arc::clone(&plane);
+                let routes = routes.clone();
+                move || session(plane, routes, stream)
+            });
             // Dropping the last senders ends the store thread's loop, and
             // — once it is joined and its core sender with it — the
             // core's: FIFO order means each drains everything sent to it

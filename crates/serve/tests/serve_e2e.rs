@@ -9,6 +9,7 @@ use hawkeye_eval::corpus::cell_params;
 use hawkeye_eval::{optimal_run_config, run_method, Method, ScoreConfig, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
+use hawkeye_telemetry::wire::encode_batch;
 use hawkeye_telemetry::{EpochSnapshot, EvictedFlow, FlowRecord, PortRecord, TelemetrySnapshot};
 use hawkeye_workloads::{
     build_scenario, build_scenario_on, ScenarioKind, ScenarioParams, TopologySpec,
@@ -34,6 +35,53 @@ fn run_method_report_is_the_replay_reference() {
     assert!(out.report.is_some(), "the cell must be diagnosed");
     assert_eq!(out.report, replay.oneshot);
     assert_eq!((out.window, out.verdict), (replay.window, replay.verdict));
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// What a replay sends is pinned across commits: for each scenario kind on
+/// the benchmark's `ft8` fabric at seed 1 — the cell the daemon workloads
+/// capture first — an FNV-1a digest of the wire encoding of the whole
+/// `VecSink` capture, and its snapshot count. A change that means to alter
+/// what a daemon receives updates them on purpose.
+#[test]
+fn same_seed_captures_are_byte_identical() {
+    let spec = TopologySpec::FatTree { k: 8 };
+    // (kind, capture digest, snapshots)
+    let pinned: [(ScenarioKind, u64, usize); 6] = [
+        (ScenarioKind::MicroBurstIncast, 0xf9b58967f98776a2, 23),
+        (ScenarioKind::PfcStorm, 0xe09604169dfbeae0, 55),
+        (ScenarioKind::InLoopDeadlock, 0x3abc5d15c3c477e8, 86),
+        (
+            ScenarioKind::OutOfLoopDeadlockContention,
+            0x3756397df7f62123,
+            94,
+        ),
+        (
+            ScenarioKind::OutOfLoopDeadlockInjection,
+            0x87731fa887d8cd28,
+            68,
+        ),
+        (ScenarioKind::NormalContention, 0x848c2e3683e0c0f3, 28),
+    ];
+    let actual = pinned.map(|(k, ..)| {
+        let sc = build_scenario_on(&spec, k, cell_params(&spec, 1)).expect("ft8 scripts it");
+        let (_, sink) =
+            hawkeye_serve::replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+        (k, fnv1a(&encode_batch(&sink.snaps)), sink.snaps.len())
+    });
+    let rows: String = actual
+        .iter()
+        .map(|(k, d, n)| format!("\n    (ScenarioKind::{k:?}, {d:#018x}, {n}),"))
+        .collect();
+    assert_eq!(
+        actual, pinned,
+        "the replay's capture drifted from its pinned digests; actual:{rows}"
+    );
 }
 
 /// Fault-free incast, streamed over TCP: served diagnosis == one-shot.

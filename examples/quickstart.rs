@@ -9,7 +9,8 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use hawkeye::core::{analyze_detection, AnalyzerConfig, HawkeyeConfig, HawkeyeHook, RootCause};
+use hawkeye::core::{analyze_victim_window, AnalyzerConfig, HawkeyeConfig, HawkeyeHook};
+use hawkeye::core::{RootCause, Window};
 use hawkeye::sim::{chain, AgentConfig, FlowKey, Nanos, SimConfig, Simulator};
 use hawkeye::sim::{EVAL_BANDWIDTH, EVAL_DELAY};
 use hawkeye::telemetry::{EpochConfig, TelemetryConfig};
@@ -77,12 +78,15 @@ fn main() {
         sim.hook.collector.total_bytes()
     );
 
-    let (report, _graph, _agg) = analyze_detection(
-        &det,
-        &snapshots,
-        sim.topo(),
-        &AnalyzerConfig::for_epoch_len(epoch.epoch_len()),
-    );
+    // Diagnose from a few epochs before the detection to one after it.
+    let analyzer = AnalyzerConfig::for_epoch_len(epoch.epoch_len());
+    let lookback = Nanos(analyzer.epoch_len.as_nanos() * analyzer.lookback_epochs);
+    let window = Window {
+        from: det.at.saturating_sub(lookback),
+        to: det.at + analyzer.epoch_len,
+    };
+    let (report, _graph, _agg) =
+        analyze_victim_window(&det.key, window, &snapshots, sim.topo(), &analyzer);
     println!("\nDIAGNOSIS: {:?}", report.anomaly);
     for path in &report.pfc_paths {
         let p: Vec<String> = path.iter().map(|x| x.to_string()).collect();

@@ -77,13 +77,17 @@ EOF
 rm -f "$serve_out"
 test ! -e "$serve_sock" || { echo "stale socket file left behind"; exit 1; }
 
-echo "==> hostile-bytes smoke (thread count, nested JSON body, frame split across the idle poll)"
+echo "==> hostile-bytes smoke (thread count, nested JSON body, frame split across the idle poll, session churn)"
 # One connection to a foreground daemon through the release CLI: a Diagnose
 # frame whose body is 20 000 `[` must be answered with an error (the JSON
 # parser once recursed per level until the session thread's stack
 # overflowed, aborting the daemon), then a Stats frame written in two
 # halves 300 ms apart must be answered with Stats (the session's 100 ms
 # idle poll once dropped the first half and read the rest as a new frame).
+# Then 1000 sequential connections, one Stats each, must grow the daemon's
+# /proc/<pid>/maps by fewer than 64 lines: a finished session is joined
+# while the accept loop runs (each one once kept its 2 MiB stack mapped
+# until shutdown, and the daemon aborted at the kernel's map-count limit).
 # The daemon must still answer serve-stats and exit 0 on SIGTERM.
 hb_sock=$(mktemp -u /tmp/hawkeye-hostile-XXXXXX.sock)
 ./target/release/hawkeye serve --socket "$hb_sock" &
@@ -127,6 +131,34 @@ s.sendall(stats[:2]); time.sleep(0.3); s.sendall(stats[2:])
 op, body = answer()
 assert op == 131, f"split Stats frame answered {op}: {body[:80]!r}"
 print("hostile-bytes smoke ok: nested body refused, split frame answered")
+EOF
+python3 - "$hb_sock" "$hb_pid" <<'EOF'
+import socket, struct, sys, time
+path, pid = sys.argv[1], sys.argv[2]
+def maps():
+    with open(f"/proc/{pid}/maps") as f:
+        return sum(1 for _ in f)
+def exact(s, n):
+    buf = b""
+    while len(buf) < n:
+        chunk = s.recv(n - len(buf))
+        assert chunk, "daemon hung up"
+        buf += chunk
+    return buf
+before = maps()
+for i in range(1000):
+    s = socket.socket(socket.AF_UNIX)
+    s.settimeout(10)
+    s.connect(path)
+    s.sendall(struct.pack("<I", 1) + bytes([3]))
+    (n,) = struct.unpack("<I", exact(s, 4))
+    op = exact(s, n)[0]
+    assert op == 131, f"session {i}: Stats answered {op}"
+    s.close()
+time.sleep(0.3)
+grew = maps() - before
+assert grew < 64, f"1000 sessions grew the daemon's maps by {grew} lines"
+print(f"session-churn smoke ok: 1000 sessions grew the maps by {grew} lines")
 EOF
 ./target/release/hawkeye serve-stats --socket "$hb_sock" > /dev/null \
   || { echo "serve-stats failed after the hostile bytes"; exit 1; }

@@ -7,13 +7,14 @@
 //! verdicts.
 
 use hawkeye::core::{
-    analyze_detection, AnalyzerConfig, AnomalyType, HawkeyeConfig, HawkeyeHook, RootCause,
+    analyze_victim_window, AnalyzerConfig, AnomalyType, DiagnosisReport, HawkeyeConfig,
+    HawkeyeHook, ProvenanceGraph, RootCause, Window,
 };
 use hawkeye::sim::{
-    chain, AgentConfig, FlowKey, Nanos, PfcInjectorConfig, SimConfig, Simulator, EVAL_BANDWIDTH,
-    EVAL_DELAY,
+    chain, AgentConfig, Detection, FlowKey, Nanos, PfcInjectorConfig, SimConfig, Simulator,
+    Topology, EVAL_BANDWIDTH, EVAL_DELAY,
 };
-use hawkeye::telemetry::{EpochConfig, TelemetryConfig};
+use hawkeye::telemetry::{EpochConfig, TelemetryConfig, TelemetrySnapshot};
 
 /// ~131 us epochs (2^17 ns), the precision-friendly end of the paper's
 /// Fig. 7 sweep.
@@ -44,6 +45,24 @@ fn agent() -> AgentConfig {
 
 fn analyzer_cfg() -> AnalyzerConfig {
     AnalyzerConfig::for_epoch_len(epoch().epoch_len())
+}
+
+/// Diagnose a detection's victim over `lookback_epochs` before the
+/// detection to one epoch after it.
+fn analyze(
+    det: &Detection,
+    snapshots: &[TelemetrySnapshot],
+    topo: &Topology,
+) -> (DiagnosisReport, ProvenanceGraph) {
+    let cfg = analyzer_cfg();
+    let window = Window {
+        from: det
+            .at
+            .saturating_sub(Nanos(cfg.epoch_len.as_nanos() * cfg.lookback_epochs)),
+        to: det.at + cfg.epoch_len,
+    };
+    let (report, graph, _) = analyze_victim_window(&det.key, window, snapshots, topo, &cfg);
+    (report, graph)
 }
 
 /// Fig. 1(a): PFC backpressure by incast micro-bursts. Bursts from sw2's
@@ -95,8 +114,7 @@ fn incast_backpressure_diagnosed_end_to_end() {
         coll.switch_count()
     );
 
-    let (report, graph, _agg) =
-        analyze_detection(det, &coll.snapshots(), sim.topo(), &analyzer_cfg());
+    let (report, graph) = analyze(det, &coll.snapshots(), sim.topo());
 
     assert_eq!(report.anomaly, AnomalyType::MicroBurstIncast);
     // The major contributors at sw2's host-facing egress are exactly the
@@ -173,12 +191,7 @@ fn pfc_storm_diagnosed_end_to_end() {
         .find(|d| d.key == victim)
         .expect("storm victim detected");
 
-    let (report, _g, _a) = analyze_detection(
-        det,
-        &sim.hook.collector.snapshots(),
-        sim.topo(),
-        &analyzer_cfg(),
-    );
+    let (report, _g) = analyze(det, &sim.hook.collector.snapshots(), sim.topo());
 
     assert_eq!(report.anomaly, AnomalyType::PfcStorm);
     let peers = report.injection_peers();
