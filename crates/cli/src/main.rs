@@ -68,9 +68,9 @@ const COMMANDS: [&str; 15] = [
     "fuzz --budget N --base-topo T --seed N --bank F --json",
     "serve --replay KIND --socket P --tcp A --epoch-budget N --history --batch N \
      --queue-depth N --slow-shard-us N --durable DIR --fsync never|interval|always \
-     --connect --stream-only --query-only --client-retries N --shard LO..HI \
+     --connect --stream-only --query-only --shard LO..HI \
      --map-epoch N --load F --seed N --json",
-    "front [kind] --map F --socket P --tcp A --client-retries N --load F --seed N",
+    "front [kind] --map F --socket P --tcp A --load F --seed N",
     "serve-stats --socket P --tcp A --json",
     "figure <id|all> --trials N --load F --jobs N",
 ];
@@ -133,9 +133,6 @@ struct Opts {
     /// `serve --replay`: skip streaming; compute the diagnosis window
     /// locally and query the daemon's recovered state (crash-smoke half 2).
     query_only: bool,
-    /// Bounded client retry budget: reconnect + resend on transient
-    /// connect/mid-stream I/O failures, up to N attempts per operation.
-    client_retries: Option<u32>,
     /// Owned switch-id range for `serve` (`--shard LO..HI`): refuse
     /// ingest outside it with a typed `wrong_shard` error.
     shard: Option<hawkeye_client::ShardRange>,
@@ -191,7 +188,6 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<(Opts, Vec<String>), String>
         connect: false,
         stream_only: false,
         query_only: false,
-        client_retries: None,
         shard: None,
         map_epoch: None,
         map: None,
@@ -258,7 +254,6 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<(Opts, Vec<String>), String>
             "--connect" => o.connect = true,
             "--stream-only" => o.stream_only = true,
             "--query-only" => o.query_only = true,
-            "--client-retries" => o.client_retries = Some(positive(flag, v)?),
             "--shard" => o.shard = Some(hawkeye_client::ShardRange::parse(v)?),
             "--map-epoch" => o.map_epoch = Some(unsigned(flag, v)?),
             "--map" => o.map = Some(v.to_string()),
@@ -782,7 +777,7 @@ fn cmd_fuzz(o: &Opts) {
 /// Exit codes: 0 success (replay: parity verified), 1 served/one-shot
 /// mismatch, 3 no diagnosis produced.
 fn cmd_serve(o: &Opts) {
-    use hawkeye_client::{RetryConfig, ServeClient, VecSink};
+    use hawkeye_client::{ServeClient, VecSink};
     use hawkeye_core::AnalyzerConfig;
     use hawkeye_serve::{
         replay_streaming, replay_streaming_batched, Endpoint, ServeConfig, StoreConfig, WalConfig,
@@ -831,10 +826,6 @@ fn cmd_serve(o: &Opts) {
             w.fsync = f;
         }
         w
-    });
-    let retry = o.client_retries.map(|n| RetryConfig {
-        max_attempts: n,
-        ..RetryConfig::default()
     });
     let report_recovery = |h: &hawkeye_serve::DaemonHandle| {
         if let Some(rep) = &h.recovery {
@@ -890,7 +881,7 @@ fn cmd_serve(o: &Opts) {
         }
     };
     let client = match &endpoint {
-        Endpoint::Unix(path) => ServeClient::connect_unix_with(std::path::Path::new(path), retry),
+        Endpoint::Unix(path) => ServeClient::connect_unix(std::path::Path::new(path)),
         Endpoint::Tcp(addr) => {
             // A spawned TCP daemon may have bound port 0; a --connect
             // target is addressed exactly as given.
@@ -898,7 +889,7 @@ fn cmd_serve(o: &Opts) {
                 .as_ref()
                 .and_then(|h| h.local_addr)
                 .map_or_else(|| addr.clone(), |a| a.to_string());
-            ServeClient::connect_tcp_with(&addr, retry)
+            ServeClient::connect_tcp(&addr)
         }
     };
     let client = match client {
@@ -944,12 +935,6 @@ fn cmd_serve(o: &Opts) {
         if let Some(stats) = stats {
             doc.push(("daemon".to_string(), stats));
         }
-        if retry.is_some() {
-            doc.push((
-                "client_retries".to_string(),
-                serde::Value::UInt(client.retries()),
-            ));
-        }
         let doc = serde::Value::Object(doc);
         if o.json {
             println!(
@@ -987,7 +972,6 @@ fn cmd_serve(o: &Opts) {
     } else {
         None
     };
-    let client_retries = retry.is_some().then(|| client.retries());
     if o.connect {
         // The daemon belongs to someone else; leave it running.
         drop(client);
@@ -1039,9 +1023,6 @@ fn cmd_serve(o: &Opts) {
         ];
         if let Some(stats) = stats {
             doc.push(("daemon".to_string(), stats));
-        }
-        if let Some(n) = client_retries {
-            doc.push(("client_retries".to_string(), serde::Value::UInt(n)));
         }
         if let Some((snap, flight)) = &obs {
             if let Some(p99) = snap
@@ -1147,7 +1128,6 @@ fn cmd_serve(o: &Opts) {
 /// foreground mode). Runs in the foreground until a `Shutdown` frame or
 /// SIGINT/SIGTERM; shard daemons are never stopped by the front.
 fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
-    use hawkeye_client::RetryConfig;
     use hawkeye_cluster::{spawn_front, FrontConfig, ShardMap};
     use hawkeye_serve::Endpoint;
 
@@ -1172,16 +1152,10 @@ fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
     };
     let runcfg = optimal_run_config(o.seed);
     let sc = build(kind.unwrap_or(ScenarioKind::MicroBurstIncast), o);
-    let mut cfg = FrontConfig {
+    let cfg = FrontConfig {
         analyzer: hawkeye_core::AnalyzerConfig::for_epoch_len(runcfg.epoch.epoch_len()),
         ..FrontConfig::default()
     };
-    if let Some(n) = o.client_retries {
-        cfg.retry = Some(RetryConfig {
-            max_attempts: n,
-            ..RetryConfig::default()
-        });
-    }
     hawkeye_serve::install_signal_handlers();
     match spawn_front(sc.topo, map, cfg, endpoint) {
         Ok(handle) => {

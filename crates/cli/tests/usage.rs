@@ -51,6 +51,18 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         &["figure", "fig7", "--bogus"],
         "hawkeye: unknown option '--bogus'",
     );
+    refused(
+        &[
+            "front",
+            "--map",
+            "m",
+            "--socket",
+            "s",
+            "--client-retries",
+            "3",
+        ],
+        "hawkeye: unknown option '--client-retries'",
+    );
 }
 
 #[test]

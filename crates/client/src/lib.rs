@@ -7,8 +7,7 @@
 //!   enums, opcode tables, versioned `Hello` negotiation, the `Fragments`
 //!   cross-shard gather op, and shard-ownership (`wrong_shard`) errors.
 //! - [`client`] — [`ServeClient`]: synchronous requests plus pipelined
-//!   `IngestBatch` under a credit window, with optional reconnect/resend
-//!   ([`RetryConfig`]).
+//!   `IngestBatch` under a credit window; every operation is one attempt.
 //! - [`conn`] — [`AnyStream`], the unix-or-TCP connected byte stream both
 //!   ends of the protocol read frames from.
 //! - [`sink`] — [`EpochSink`], the push interface streamed collection
@@ -22,7 +21,7 @@ pub mod proto;
 pub mod sink;
 pub mod types;
 
-pub use client::{RetryConfig, ServeClient};
+pub use client::ServeClient;
 pub use conn::AnyStream;
 pub use proto::{
     decode_request, decode_response, observation_to_value, read_frame, write_frame, write_request,

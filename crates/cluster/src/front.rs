@@ -30,9 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
 use hawkeye_client::proto::{check_evidence, FOREIGN_EVIDENCE_PREFIX, WRONG_SHARD_PREFIX};
-use hawkeye_client::{
-    AnyStream, DiagnoseParams, ProtoError, Request, Response, RetryConfig, ServeClient,
-};
+use hawkeye_client::{AnyStream, DiagnoseParams, ProtoError, Request, Response, ServeClient};
 use hawkeye_core::{analyze_victim_window, merge_fragment_sets, AnalyzerConfig, Window};
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
@@ -55,8 +53,6 @@ pub struct FrontConfig {
     pub analyzer: AnalyzerConfig,
     /// Credit window granted to each of the front's own sessions.
     pub session_credits: u32,
-    /// Reconnect schedule for the backend clients. `None` = one attempt.
-    pub retry: Option<RetryConfig>,
 }
 
 impl Default for FrontConfig {
@@ -64,7 +60,6 @@ impl Default for FrontConfig {
         FrontConfig {
             analyzer: AnalyzerConfig::for_epoch_len(Nanos::from_micros(100)),
             session_credits: 64,
-            retry: Some(RetryConfig::default()),
         }
     }
 }
@@ -74,20 +69,18 @@ struct Backend {
     range: hawkeye_client::ShardRange,
     endpoint: BackendEndpoint,
     client: Option<ServeClient>,
-    /// Set when the last contact failed; a down backend gets exactly one
-    /// fast reconnect probe per operation instead of the full backoff
-    /// ladder, so a dead shard costs microseconds per routed op, not the
-    /// retry deadline.
+    /// Set when the last contact failed (the `front_backends_down` gauge);
+    /// every operation probes a down backend with one connect attempt, so
+    /// a dead shard costs microseconds per routed op.
     down: bool,
 }
 
 impl Backend {
-    fn connect(&mut self, epoch: u64, retry: Option<RetryConfig>) -> io::Result<&mut ServeClient> {
+    fn connect(&mut self, epoch: u64) -> io::Result<&mut ServeClient> {
         if self.client.is_none() {
-            let retry = if self.down { None } else { retry };
             let c = match &self.endpoint {
-                BackendEndpoint::Unix(p) => ServeClient::connect_unix_with(p, retry),
-                BackendEndpoint::Tcp(a) => ServeClient::connect_tcp_with(a, retry),
+                BackendEndpoint::Unix(p) => ServeClient::connect_unix(p),
+                BackendEndpoint::Tcp(a) => ServeClient::connect_tcp(a),
             }?;
             self.client = Some(c.with_map_epoch(epoch));
         }
@@ -152,16 +145,17 @@ impl FrontShared {
     }
 
     /// Run one operation against backend `i`, connecting lazily. An I/O
-    /// failure (after the client's own retry ladder) marks the slot down,
-    /// drops the connection and lands in the flight ring; the next call
-    /// probes for a recovered daemon with a single fast attempt.
+    /// failure marks the slot down, drops the connection and lands in the
+    /// flight ring; the next call probes for a recovered daemon with a
+    /// single connect attempt. This is the one reconnect rule: the client
+    /// never retries on its own.
     fn with_backend<R>(
         &self,
         i: usize,
         op: impl FnOnce(&mut ServeClient) -> Result<R, ProtoError>,
     ) -> Result<R, ProtoError> {
         let mut slot = self.backends[i].lock().expect("backend lock");
-        let result = match slot.connect(self.map.epoch, self.cfg.retry) {
+        let result = match slot.connect(self.map.epoch) {
             Ok(client) => op(client),
             Err(e) => Err(ProtoError::Io(e)),
         };

@@ -307,9 +307,6 @@ fn dead_shard_degrades_the_verdict_not_the_service() {
         map,
         FrontConfig {
             analyzer: analyzer(seed),
-            // No backoff ladder: a dead backend should cost microseconds
-            // per routed op, keeping the test (and real fleets) brisk.
-            retry: None,
             ..FrontConfig::default()
         },
         Endpoint::Tcp("127.0.0.1:0".into()),
@@ -445,7 +442,6 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
         map,
         FrontConfig {
             analyzer: analyzer(seed),
-            retry: None,
             ..FrontConfig::default()
         },
         Endpoint::Tcp("127.0.0.1:0".into()),

@@ -89,8 +89,7 @@ pub mod names {
     /// (gauge). Non-zero means diagnoses are degraded.
     pub const FRONT_BACKENDS_DOWN: &str = "front_backends_down";
     /// Snapshots the front-end dropped because the owning shard daemon
-    /// was unreachable (distinct from `ingest_shed`, which a daemon
-    /// reports for queue overflow).
+    /// was unreachable; the front also counts them in `ingest_shed`.
     pub const FRONT_SHED_DOWN: &str = "front_shed_down";
 
     // --- serve-plane pipeline stage timings (wall-clock ns, counters) ---
@@ -145,9 +144,6 @@ pub mod names {
     /// Torn or corrupt suffixes truncated away during startup recovery
     /// (one per corruption event, plus one per condemned later segment).
     pub const RECOVERY_TRUNCATED: &str = "recovery_truncated";
-    /// Client-side reconnect attempts that recovered a transient ingest
-    /// failure (reported by `hawkeye serve --connect --client-retries`).
-    pub const CLIENT_RETRIES: &str = "client_retries";
 }
 
 /// Configuration for a [`Recorder`].

@@ -48,7 +48,7 @@ pub struct CompactorStats {
     /// Raw epochs that were summed inside those dropped buckets.
     pub epochs_dropped: u64,
     /// Wall nanoseconds spent folding (only accumulated by
-    /// [`Compactor::absorb`], and only when [`StoreConfig::timed`]).
+    /// [`Compactor::absorb`]).
     pub fold_ns: u64,
 }
 
@@ -96,13 +96,13 @@ impl Compactor {
     }
 
     /// Absorb a batch of staged folds (the deferred path). Returns the
-    /// wall nanoseconds spent, 0 unless [`StoreConfig::timed`].
+    /// wall nanoseconds spent.
     pub fn absorb(&mut self, pending: Vec<PendingFold>) -> u64 {
-        let t0 = self.cfg.timed.then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         for f in pending {
             self.fold(f.switch, &f.epoch);
         }
-        let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let ns = t0.elapsed().as_nanos() as u64;
         self.stats.fold_ns += ns;
         ns
     }

@@ -395,7 +395,6 @@ mod tests {
             compact_budget: 4,
             compact_chunk: 2,
             deferred_fold: true,
-            ..StoreConfig::default()
         }
     }
 

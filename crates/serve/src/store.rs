@@ -68,11 +68,6 @@ pub struct StoreConfig {
     /// Raw epochs folded into one bucket before it is sealed and a new
     /// one opened; `0` means "one ring's worth" (`epoch_budget`).
     pub compact_chunk: usize,
-    /// Record wall-clock time spent in [`TelemetryStore::append`], split
-    /// into raw-ring admission ([`StoreStats::append_ns`]) vs the
-    /// eviction/fold loop ([`StoreStats::fold_ns`]). Two `Instant` reads
-    /// per append.
-    pub timed: bool,
     /// Stage ring-evicted epochs for an external [`Compactor`] instead of
     /// folding inline: `append` leaves them in a pending outbox
     /// ([`TelemetryStore::take_pending_folds`]) and this store's own
@@ -92,7 +87,6 @@ impl Default for StoreConfig {
             epoch_budget: 256,
             compact_budget: 16,
             compact_chunk: 0,
-            timed: true,
             deferred_fold: false,
         }
     }
@@ -123,11 +117,10 @@ pub struct StoreStats {
     /// Raw epochs that were summed inside those dropped buckets.
     pub compact_epochs_dropped: u64,
     /// Wall nanoseconds spent admitting snapshots into the raw ring
-    /// (dedup, keep-latest, watermark) — zero unless
-    /// [`StoreConfig::timed`].
+    /// (dedup, keep-latest, watermark).
     pub append_ns: u64,
     /// Wall nanoseconds spent in the eviction/fold loop (ring budget
-    /// enforcement plus compaction) — zero unless [`StoreConfig::timed`].
+    /// enforcement plus compaction).
     /// `append_ns + fold_ns` is the store's share of ingest; the engine's
     /// apply/retire share is timed by the daemon's core thread.
     pub fold_ns: u64,
@@ -285,7 +278,7 @@ impl TelemetryStore {
     /// Ingest one snapshot. Idempotent for duplicates, order-independent
     /// for re-deliveries (see module docs).
     pub fn append(&mut self, snap: &TelemetrySnapshot) {
-        let t0 = self.cfg.timed.then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         self.stats.snapshots_appended += 1;
         let log = self
             .switches
@@ -356,7 +349,7 @@ impl TelemetryStore {
                 }
             }
         }
-        let t1 = self.cfg.timed.then(std::time::Instant::now);
+        let t1 = std::time::Instant::now();
         while log.epochs.len() > self.cfg.epoch_budget {
             let (_, slot, id) = log
                 .index
@@ -390,10 +383,8 @@ impl TelemetryStore {
         self.stats.epochs_compacted = cst.epochs_compacted;
         self.stats.compact_buckets_dropped = cst.buckets_dropped;
         self.stats.compact_epochs_dropped = cst.epochs_dropped;
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            self.stats.append_ns += (t1 - t0).as_nanos() as u64;
-            self.stats.fold_ns += t1.elapsed().as_nanos() as u64;
-        }
+        self.stats.append_ns += (t1 - t0).as_nanos() as u64;
+        self.stats.fold_ns += t1.elapsed().as_nanos() as u64;
     }
 
     /// Drain the epochs staged for an external compactor. Always empty in
@@ -896,7 +887,6 @@ mod tests {
             epoch_budget: 1,
             compact_budget: 4,
             compact_chunk: 4,
-            timed: true,
             deferred_fold: false,
         });
         st.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
@@ -906,14 +896,6 @@ mod tests {
         // instantaneous, so just check the split is recorded and disjoint.
         let timed = *st.stats();
         assert!(timed.epochs_evicted == 1 && timed.epochs_compacted == 1);
-
-        let mut bare = TelemetryStore::new(StoreConfig {
-            timed: false,
-            ..StoreConfig::default()
-        });
-        bare.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
-        assert_eq!(bare.stats().append_ns, 0, "untimed store recorded time");
-        assert_eq!(bare.stats().fold_ns, 0);
     }
 
     #[test]

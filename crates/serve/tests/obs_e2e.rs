@@ -53,9 +53,17 @@ fn metrics_and_explain_round_trip_after_replay() {
         diag.percentile(0.50) <= diag.percentile(0.99),
         "percentiles must be monotone"
     );
-    // The seeded well-known counters are present even at zero.
     assert!(snap.counter_total(names::EPOCHS_INGESTED) > 0);
-    assert_eq!(snap.counter_total(names::INGEST_SHED), 0);
+    // A daemon backpressures and never sheds: every streamed snapshot
+    // reached the store.
+    let stats = client.stats().expect("stats op");
+    assert_eq!(
+        stats
+            .get("store_snapshots_appended")
+            .and_then(|v| v.as_u64()),
+        Some(outcome.stream.pushed),
+        "stats: {stats:?}"
+    );
     // Stage split: the ingest path attributed wall-clock somewhere.
     assert!(
         snap.counter_total(names::STAGE_APPEND_NS) > 0,

@@ -133,9 +133,11 @@ fn served_diagnosis_matches_oneshot_over_tcp() {
     assert!(get("epochs_ingested") > 0, "stats: {stats:?}");
     assert!(get("serve_sessions") >= 1, "stats: {stats:?}");
     assert_eq!(
-        get("ingest_shed"),
-        0,
-        "fault-free replay must not shed: {stats:?}"
+        stats
+            .get("store_snapshots_appended")
+            .and_then(|v| v.as_u64()),
+        Some(outcome.stream.pushed),
+        "fault-free replay must deliver every snapshot: {stats:?}"
     );
     assert!(get("store_epochs_held") > 0, "stats: {stats:?}");
 
@@ -383,9 +385,11 @@ fn slow_consumer_backpressure_sheds_nothing() {
             .unwrap_or(0)
     };
     assert_eq!(
-        get("ingest_shed"),
-        0,
-        "credit flow must not shed: {stats:?}"
+        stats
+            .get("store_snapshots_appended")
+            .and_then(|v| v.as_u64()),
+        Some(outcome.stream.pushed),
+        "credit flow must deliver every snapshot: {stats:?}"
     );
     assert!(
         get("store_epochs_compacted_held") > 0,

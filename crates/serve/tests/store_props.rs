@@ -608,7 +608,6 @@ proptest! {
             compact_budget: 64,
             compact_chunk: 2,
             deferred_fold: true,
-            ..StoreConfig::default()
         };
         let windows: Vec<Window> = windows
             .iter()

@@ -147,7 +147,6 @@ fn assert_replay_matches_direct(dir: &Path, snaps: &[TelemetrySnapshot], n: u64)
         compact_budget: 8,
         compact_chunk: 2,
         deferred_fold: true,
-        ..StoreConfig::default()
     };
     let s = scan(dir).expect("scan");
     let mut store = TelemetryStore::new(cfg);

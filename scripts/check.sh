@@ -317,22 +317,26 @@ wait "$cr_pid" || { echo "recovered daemon exited nonzero on SIGTERM"; exit 1; }
 test ! -e "$cr_sock" || { echo "stale socket file left behind"; exit 1; }
 rm -rf "$wal_dir"; rm -f "$ref_out" "$s1_out" "$s2_out" "$d2_err"
 
-echo "==> fleet smoke (3 sharded daemons behind a front-end, verdict parity)"
+echo "==> fleet smoke (3 sharded daemons behind a front-end, verdict parity, dead shard)"
 # Multi-daemon serving through the release CLI: three `serve --shard`
 # daemons on unix sockets behind a `hawkeye front` router, the incast
 # replay streamed through the front, and the served verdict required to
 # be byte-identical to a monolithic daemon's over the same replay — the
-# shard cut must be invisible to clients. Clean SIGTERM teardown all
-# around, sockets removed. A map with an empty endpoint is refused first.
+# shard cut must be invisible to clients. The incast fabric's switches
+# are ids 16..36, so the map gives every shard some of the reporting
+# switches, and each must hold evidence. Then shard 0 is killed -9 and the
+# replay streamed again: the front sheds exactly what shard 0 owned and
+# the stream still succeeds. Clean SIGTERM teardown for the survivors,
+# sockets removed. A map with an empty endpoint is refused first.
 fleet_dir=$(mktemp -d /tmp/hawkeye-fleet-XXXXXX)
 fleet_ref=$(mktemp); fleet_out=$(mktemp)
 timeout 120 ./target/release/hawkeye serve --replay incast --json > "$fleet_ref"
 fleet_pids=()
 for i in 0 1 2; do
   case $i in
-    0) range="0..8" ;;
-    1) range="8..16" ;;
-    2) range="16..1024" ;;
+    0) range="0..20" ;;
+    1) range="20..32" ;;
+    2) range="32..1024" ;;
   esac
   ./target/release/hawkeye serve --socket "$fleet_dir/shard$i.sock" \
     --shard "$range" --map-epoch 1 &
@@ -354,9 +358,9 @@ grep -q "shard map line 2: endpoint 'unix:' names no path or address" "$fleet_di
 test ! -e "$fleet_dir/bad_front.sock" || { echo "refused front bound its socket"; exit 1; }
 cat > "$fleet_dir/map" <<EOF
 epoch 1
-0..8     unix:$fleet_dir/shard0.sock
-8..16    unix:$fleet_dir/shard1.sock
-16..1024 unix:$fleet_dir/shard2.sock
+0..20    unix:$fleet_dir/shard0.sock
+20..32   unix:$fleet_dir/shard1.sock
+32..1024 unix:$fleet_dir/shard2.sock
 EOF
 ./target/release/hawkeye front --map "$fleet_dir/map" \
   --socket "$fleet_dir/front.sock" &
@@ -374,17 +378,37 @@ assert fleet["epochs_streamed"] > 0, "nothing streamed through the front"
 assert fleet["epochs_shed"] == 0, "healthy fleet shed epochs"
 assert fleet["served"] == ref["served"], \
     "verdict through 3-shard fleet differs from monolithic daemon"
+held = [b["store_switches"] for b in fleet["daemon"]["backends"]]
+assert all(n > 0 for n in held), f"a shard holds no switch: {held}"
 print("fleet smoke ok:", fleet["verdict"] + ",",
-      fleet["epochs_streamed"], "epochs routed, verdict byte-identical")
+      fleet["epochs_streamed"], "epochs routed over shards holding", held,
+      "switches, verdict byte-identical")
+EOF
+{ kill -9 "${fleet_pids[0]}"; wait "${fleet_pids[0]}" || true; } 2>/dev/null
+fleet_dead=$(mktemp)
+timeout 120 ./target/release/hawkeye serve --replay incast --connect \
+  --socket "$fleet_dir/front.sock" --stream-only --json > "$fleet_dead" \
+  || { echo "stream through a fleet with a dead shard failed"; exit 1; }
+python3 - "$fleet_out" "$fleet_dead" <<'EOF'
+import json, sys
+first, dead = (json.load(open(p)) for p in sys.argv[1:3])
+owned = first["daemon"]["backends"][0]["store_snapshots_appended"]
+assert owned > 0, "shard 0 took nothing in the first stream"
+assert dead["daemon"]["backends"][0] is None, "killed shard still reports stats"
+assert dead["epochs_shed"] == owned, f"shed {dead['epochs_shed']}, shard 0 owned {owned}"
+assert dead["daemon"]["front_shed_down"] == owned, \
+    f"front_shed_down {dead['daemon']['front_shed_down']}, shard 0 owned {owned}"
+print("dead-shard smoke ok:", dead["epochs_shed"], "snapshots shed,",
+      dead["epochs_streamed"], "streamed with shard 0 down")
 EOF
 kill -TERM "$front_pid"
 wait "$front_pid" || { echo "front exited nonzero on SIGTERM"; exit 1; }
 test ! -e "$fleet_dir/front.sock" || { echo "stale front socket left behind"; exit 1; }
-for pid in "${fleet_pids[@]}"; do
+for pid in "${fleet_pids[@]:1}"; do
   kill -TERM "$pid"
   wait "$pid" || { echo "shard daemon exited nonzero on SIGTERM"; exit 1; }
 done
-rm -rf "$fleet_dir"; rm -f "$fleet_ref" "$fleet_out"
+rm -rf "$fleet_dir"; rm -f "$fleet_ref" "$fleet_out" "$fleet_dead"
 
 echo "==> benchmark smoke (every workload at 2 s, one traced pass)"
 # benchmark/ is its own package building against this checkout's crates:
