@@ -110,7 +110,7 @@ struct Opts {
     /// compacted tiers) from the daemon and report it.
     history: bool,
     /// Snapshots per ingest frame for `serve --replay` (default 1), sent
-    /// pipelined under the daemon's credit window.
+    /// pipelined under the client's credit window.
     batch: usize,
     /// Ingest queue depth override for `serve`: frames the store thread
     /// may have queued before a session blocks.
@@ -1154,7 +1154,6 @@ fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
     let sc = build(kind.unwrap_or(ScenarioKind::MicroBurstIncast), o);
     let cfg = FrontConfig {
         analyzer: hawkeye_core::AnalyzerConfig::for_epoch_len(runcfg.epoch.epoch_len()),
-        ..FrontConfig::default()
     };
     hawkeye_serve::install_signal_handlers();
     match spawn_front(sc.topo, map, cfg, endpoint) {

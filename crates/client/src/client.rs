@@ -2,11 +2,11 @@
 //! adapter that lets a streaming collection hook feed a running daemon.
 //!
 //! Ingest is [`ServeClient::ingest_batch`]: frames of N ≥ 1 snapshots,
-//! pipelined under a credit window. `Hello` negotiates a budget of `W`
-//! snapshots that may be in flight un-acknowledged; each `BatchAck`
-//! piggybacks the credits it returns. The client blocks only when the
-//! window is empty, which is exactly when the daemon's slowest shard is
-//! the bottleneck — RDMA-style credit flow control over a byte stream.
+//! pipelined under the constant [`CREDIT_WINDOW`]: at most that many
+//! snapshots may be in flight un-acknowledged, and each `BatchAck` (or
+//! refusal) returns its own frame's count. The client blocks only when the
+//! window is full, which is exactly when the daemon's store is the
+//! bottleneck — RDMA-style credit flow control over a byte stream.
 //!
 //! Every synchronous request ([`ServeClient::diagnose`], `stats`, …)
 //! first settles all in-flight batch acks, so frames never interleave.
@@ -20,7 +20,7 @@
 use crate::conn::AnyStream;
 use crate::proto::{
     decode_response, read_frame, write_request, DiagnoseParams, ProtoError, Request, Response,
-    PROTO_VERSION,
+    CREDIT_WINDOW, PROTO_VERSION,
 };
 use crate::sink::{EpochSink, SinkAck};
 use crate::types::{ExplainRecord, FlowObservation};
@@ -46,10 +46,8 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// rule is the one reconnect policy in the system).
 pub struct ServeClient {
     stream: AnyStream,
-    /// Credit window size granted by `Hello`; 0 until negotiated.
-    window: u32,
-    /// Credits currently available to spend on un-acked snapshots.
-    credits: u32,
+    /// Whether this session's `Hello` has been answered.
+    greeted: bool,
     /// Snapshot count of each batch frame sent but not yet acknowledged,
     /// FIFO.
     outstanding: VecDeque<u32>,
@@ -63,8 +61,7 @@ impl ServeClient {
     fn from_stream(stream: AnyStream) -> ServeClient {
         ServeClient {
             stream,
-            window: 0,
-            credits: 0,
+            greeted: false,
             outstanding: VecDeque::new(),
             settled: SinkAck::default(),
             map_epoch: None,
@@ -88,15 +85,15 @@ impl ServeClient {
     /// form). A sharded daemon cut from a different map generation refuses
     /// the session with [`ProtoError::WrongShard`] — the stale side learns
     /// immediately instead of mis-routing ingest. Must be set before the
-    /// first request (the window negotiates once per connection).
+    /// first request (the `Hello` goes out once per connection).
     pub fn with_map_epoch(mut self, epoch: u64) -> ServeClient {
         self.map_epoch = Some(epoch);
         self
     }
 
     /// Read one response frame and settle the oldest in-flight batch with
-    /// it: replenish the window from `granted` and accumulate delivery
-    /// counts.
+    /// it: the frame's snapshots leave the window, and an ack's delivery
+    /// counts accumulate.
     fn settle_one(&mut self) -> Result<(), ProtoError> {
         let (op, body) = read_frame(&mut self.stream)?.ok_or_else(|| {
             ProtoError::Io(io::Error::new(
@@ -104,33 +101,26 @@ impl ServeClient {
                 "daemon closed with batches in flight",
             ))
         })?;
-        let sent = self.outstanding.pop_front().unwrap_or(0);
+        // A refused frame holds nothing at the daemon: its credits come
+        // back with the refusal, as an accepted frame's come back with its
+        // ack.
+        self.outstanding.pop_front();
         match decode_response(op, &body)? {
-            Response::BatchAck {
-                accepted,
-                shed,
-                granted,
-            } => {
+            Response::BatchAck { accepted, shed } => {
                 self.settled.accepted += u64::from(accepted);
                 self.settled.shed += u64::from(shed);
-                self.credits = (self.credits + granted).min(self.window);
                 Ok(())
             }
-            Response::Error(msg) => {
-                // A refused frame holds nothing at the daemon: its credits
-                // come back with the refusal.
-                self.credits = (self.credits + sent).min(self.window);
-                Err(ProtoError::remote(msg))
-            }
+            Response::Error(msg) => Err(ProtoError::remote(msg)),
             other => Err(ProtoError::BadBody(format!(
                 "unexpected in-flight response {other:?}"
             ))),
         }
     }
 
-    /// Open the credit window if this session hasn't yet.
+    /// Send this session's `Hello` if it hasn't been answered yet.
     fn negotiate(&mut self) -> Result<(), ProtoError> {
-        if self.window > 0 {
+        if self.greeted {
             return Ok(());
         }
         write_request(
@@ -147,11 +137,8 @@ impl ServeClient {
             ))
         })?;
         match decode_response(op, &body)? {
-            Response::Ack { granted, .. } => {
-                // A peer configured to grant 0 still gets a window of 1,
-                // which makes every batch effectively synchronous.
-                self.window = granted.max(1);
-                self.credits = self.window;
+            Response::Ack => {
+                self.greeted = true;
                 Ok(())
             }
             Response::Error(msg) => Err(ProtoError::remote(msg)),
@@ -201,13 +188,14 @@ impl ServeClient {
         // Wait for window room. A batch larger than the whole window can
         // never fit: settle everything and send it alone, effectively
         // synchronous.
-        while self.credits < n.min(self.window) && !self.outstanding.is_empty() {
+        while !self.outstanding.is_empty()
+            && self.in_flight() + n.min(CREDIT_WINDOW) > CREDIT_WINDOW
+        {
             self.settle_one()?;
         }
         write_request(&mut self.stream, &Request::IngestBatch(snaps.to_vec()))?;
-        self.credits = self.credits.saturating_sub(n);
         self.outstanding.push_back(n);
-        if n > self.window {
+        if n > CREDIT_WINDOW {
             return self.finish_ingest();
         }
         Ok(std::mem::take(&mut self.settled))
@@ -225,7 +213,7 @@ impl ServeClient {
     /// Snapshots sent but not yet acknowledged (the spent part of the
     /// credit window).
     pub fn in_flight(&self) -> u32 {
-        self.window.saturating_sub(self.credits)
+        self.outstanding.iter().sum()
     }
 
     /// Run a diagnosis over `[from, to)` for `victim`; `missing` is the

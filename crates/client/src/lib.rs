@@ -25,7 +25,7 @@ pub use client::ServeClient;
 pub use conn::AnyStream;
 pub use proto::{
     decode_request, decode_response, observation_to_value, read_frame, write_frame, write_request,
-    write_response, DiagnoseParams, PeerInfo, ProtoError, Request, Response, ShardRange, MAX_FRAME,
+    write_response, DiagnoseParams, ProtoError, Request, Response, ShardRange, MAX_FRAME,
     PROTO_VERSION,
 };
 pub use sink::{EpochSink, SinkAck, VecSink};

@@ -23,16 +23,13 @@
 //!   frame ([`hawkeye_telemetry::wire::encode_batch`], binary codec, no
 //!   JSON on the hot path) of N ≥ 1 snapshots; a single snapshot is a
 //!   frame of one.
-//! - `9` Hello — opens a credit window. The body is exactly 12 bytes: the
+//! - `9` Hello — opens the session. The body is exactly 12 bytes: the
 //!   speaker's protocol version (`u32`) and its shard-map epoch (`u64`,
-//!   `u64::MAX` = none).
-//!   The daemon answers `Ack {granted: W, info}` where `W` is
-//!   the session's credit budget: the client may have up to `W`
-//!   un-acknowledged snapshots in flight and replenishes from the
-//!   `granted` field piggybacked on every subsequent `BatchAck`
-//!   (RDMA-style credit flow control). A sharded daemon whose shard-map
-//!   epoch differs from an announced one refuses the session with a typed
-//!   `wrong_shard:` error instead of mis-routing accepts.
+//!   `u64::MAX` = none). A version other than [`PROTO_VERSION`] is refused
+//!   with an error naming both versions. A sharded daemon or a front
+//!   refuses an announced epoch that differs from its own with the typed
+//!   `wrong_shard:` error instead of mis-routing accepts. Either way the
+//!   session stays open; otherwise the answer is an empty `Ack`.
 //! - `10` Fragments — body is exactly 16 bytes, the window `from: u64`,
 //!   `to: u64`; a cross-shard gather primitive. The daemon flushes its
 //!   ingest queues and returns its per-switch evidence fragment set (the
@@ -44,18 +41,16 @@
 //! have exactly that length; anything else is [`ProtoError::BadBody`].
 //!
 //! Response opcodes (daemon → client):
-//! - `129` Ack — the Hello answer. Body is exactly 16 bytes: `granted:
-//!   u32`, the session's credit budget, then the daemon's protocol
-//!   version (`u32`) and shard-map epoch (`u64`, `u64::MAX` = none).
+//! - `129` Ack — the Hello answer; empty body.
 //! - `130` Diagnosis — body is a JSON [`DiagnosisReport`].
 //! - `131` Stats — body is a JSON counter object.
 //! - `132` Bye — empty body; shutdown acknowledged.
 //! - `133` History — body is a JSON array of [`FlowObservation`] rows.
 //! - `134` Metrics — body is JSON `{metrics, flight}`.
 //! - `135` Explain — body is a JSON [`ExplainRecord`].
-//! - `136` BatchAck — body is `accepted: u32, shed: u32, granted: u32`:
-//!   per-frame delivery outcome (`shed` = a front-end's count for
-//!   switches whose backend is down) plus the returned credits.
+//! - `136` BatchAck — body is `accepted: u32, shed: u32`: the per-frame
+//!   delivery outcome (`shed` = a front-end's count for switches whose
+//!   backend is down). Acks arrive in frame order.
 //! - `137` Fragments — body is a multi-epoch batch frame
 //!   ([`hawkeye_telemetry::wire::encode_batch`]) holding the shard's
 //!   per-switch canonical snapshots of the requested window.
@@ -67,6 +62,12 @@
 //!   [`ProtoError::ForeignEvidence`]: an ingest frame refused whole because
 //!   a snapshot in it names a switch or port the fabric lacks, or an epoch
 //!   whose end overflows the clock ([`check_evidence`]).
+//!
+//! Ingest is paced by one credit rule that only the client keeps: at most
+//! [`CREDIT_WINDOW`] snapshots un-acknowledged, and a `BatchAck` or an
+//! error answering a frame returns that frame's own snapshot count to the
+//! window. The receiver needs no state for it: a full store queue stalls
+//! its acks, which stalls the sender (RDMA-style credit flow control).
 //!
 //! Frames above [`MAX_FRAME`] are rejected before allocation on read and
 //! refused before the first byte on write; a malformed frame poisons only
@@ -88,8 +89,14 @@ pub const MAX_FRAME: u32 = 16 << 20;
 /// The protocol revision this implementation speaks, announced in `Hello`.
 /// Version 1 predates shard maps and the `Fragments` op; version 2 adds
 /// both; version 3 puts the window in the `Fragments` request; version 4
-/// drops the per-snapshot ingest op (opcode 1) and fixes the `Ack` body.
-pub const PROTO_VERSION: u32 = 4;
+/// drops the per-snapshot ingest op (opcode 1) and fixes the `Ack` body;
+/// version 5 empties the `Ack` and drops the credits from the `BatchAck`,
+/// the window being [`CREDIT_WINDOW`] at every client.
+pub const PROTO_VERSION: u32 = 5;
+
+/// Snapshots a client may have sent and not yet seen acknowledged. A frame
+/// larger than the window is sent alone and settled before the next one.
+pub const CREDIT_WINDOW: u32 = 64;
 
 /// Message prefix that marks an opcode-255 error as a typed shard-
 /// ownership violation (see [`ProtoError::WrongShard`]).
@@ -147,14 +154,6 @@ impl fmt::Display for ShardRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}..{}", self.lo, self.hi)
     }
-}
-
-/// What the daemon disclosed about itself on a Hello ack: its protocol
-/// version and (on a sharded daemon) the shard-map epoch it enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerInfo {
-    pub version: u32,
-    pub map_epoch: Option<u64>,
 }
 
 /// A protocol-level failure on one connection.
@@ -247,7 +246,7 @@ pub enum Request {
     /// One ingest frame of N ≥ 1 snapshots (one round trip, one message
     /// per shard it touches). Answered with [`Response::BatchAck`].
     IngestBatch(Vec<TelemetrySnapshot>),
-    /// Open a credit window; answered with `Ack {granted: W}`. `version`
+    /// Open the session; answered with an empty `Ack`. `version`
     /// is the speaker's [`PROTO_VERSION`]; `map_epoch` the shard-map
     /// generation the speaker routes under, if it routes at all.
     Hello {
@@ -343,12 +342,8 @@ pub fn check_evidence(snaps: &[TelemetrySnapshot], topo: &Topology) -> Result<()
 /// Daemon → client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// The Hello answer. `granted`: the session's credit budget. `info`:
-    /// the daemon's version/shard-map disclosure.
-    Ack {
-        granted: u32,
-        info: PeerInfo,
-    },
+    /// The Hello answer.
+    Ack,
     Diagnosis(DiagnosisReport),
     Stats(serde::Value),
     Bye,
@@ -357,11 +352,10 @@ pub enum Response {
     Metrics(serde::Value),
     Explain(ExplainRecord),
     /// Per-frame delivery outcome: `accepted + shed` equals the frame
-    /// size, `granted` returns the frame's credits to the window.
+    /// size.
     BatchAck {
         accepted: u32,
         shed: u32,
-        granted: u32,
     },
     /// The shard's per-switch canonical snapshots of the requested window,
     /// one per owned switch that has reported, in switch-id order.
@@ -636,11 +630,7 @@ pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, ProtoError> {
 
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     match resp {
-        Response::Ack { granted, info } => write_fixed(w, OP_ACK, |b| {
-            b.u32(*granted);
-            b.u32(info.version);
-            b.u64(info.map_epoch.unwrap_or(NO_EPOCH));
-        }),
+        Response::Ack => write_frame(w, OP_ACK, &[]),
         Response::Diagnosis(report) => write_json(w, OP_DIAGNOSIS, report),
         Response::Stats(v) => write_json(w, OP_STATS_RESP, v),
         Response::Bye => write_frame(w, OP_BYE, &[]),
@@ -651,14 +641,9 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
         ),
         Response::Metrics(v) => write_json(w, OP_METRICS_RESP, v),
         Response::Explain(rec) => write_json(w, OP_EXPLAIN_RESP, rec),
-        Response::BatchAck {
-            accepted,
-            shed,
-            granted,
-        } => write_fixed(w, OP_BATCH_ACK, |b| {
+        Response::BatchAck { accepted, shed } => write_fixed(w, OP_BATCH_ACK, |b| {
             b.u32(*accepted);
             b.u32(*shed);
-            b.u32(*granted);
         }),
         Response::Fragments(snaps) => write_frame(w, OP_FRAGMENTS_RESP, &encode_batch(snaps)),
         Response::Error(msg) => write_frame(w, OP_ERROR, msg.as_bytes()),
@@ -668,15 +653,7 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
 /// Decode a response frame (client side).
 pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> {
     match opcode {
-        OP_ACK => read_fixed("ack", 16, body, |r| {
-            Ok(Response::Ack {
-                granted: r.u32()?,
-                info: PeerInfo {
-                    version: r.u32()?,
-                    map_epoch: Some(r.u64()?).filter(|&e| e != NO_EPOCH),
-                },
-            })
-        }),
+        OP_ACK => read_fixed("ack", 0, body, |_| Ok(Response::Ack)),
         OP_DIAGNOSIS => Ok(Response::Diagnosis(DiagnosisReport::from_value(&json(
             body,
         )?)?)),
@@ -693,11 +670,10 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> 
         }
         OP_METRICS_RESP => Ok(Response::Metrics(json(body)?)),
         OP_EXPLAIN_RESP => Ok(Response::Explain(ExplainRecord::from_value(&json(body)?)?)),
-        OP_BATCH_ACK => read_fixed("batch ack", 12, body, |r| {
+        OP_BATCH_ACK => read_fixed("batch ack", 8, body, |r| {
             Ok(Response::BatchAck {
                 accepted: r.u32()?,
                 shed: r.u32()?,
-                granted: r.u32()?,
             })
         }),
         OP_FRAGMENTS_RESP => Ok(Response::Fragments(decode_batch(body)?)),
@@ -813,9 +789,8 @@ mod tests {
 
     /// Fixed-length bodies are exact: a `Fragments` body is the 16-byte
     /// window (above all not the empty body version 2 sent), the ops
-    /// documented as empty take no body, and an `Ack` is the 16-byte Hello
-    /// answer — not the 5- and 17-byte bodies version 3 sent, and not the
-    /// empty body, which once read as "not taken".
+    /// documented as empty take no body, and an `Ack` is empty — not the
+    /// 5- and 17-byte bodies version 3 sent, nor version 4's 16 bytes.
     #[test]
     fn fixed_length_bodies_are_exact() {
         let requests = [(OP_FRAGMENTS, 0), (OP_FRAGMENTS, 15), (OP_FRAGMENTS, 17)]
@@ -825,7 +800,7 @@ mod tests {
             let got = decode_request(op, &vec![0; len]);
             assert!(matches!(got, Err(ProtoError::BadBody(_))), "{op}: {got:?}");
         }
-        let responses = [0, 1, 5, 15, 17, 18]
+        let responses = [1, 5, 16, 17]
             .map(|len| (OP_ACK, len))
             .into_iter()
             .chain([(OP_BYE, 1)]);
@@ -908,24 +883,10 @@ mod tests {
     #[test]
     fn responses_roundtrip() {
         for resp in [
-            Response::Ack {
-                granted: 64,
-                info: PeerInfo {
-                    version: PROTO_VERSION,
-                    map_epoch: Some(3),
-                },
-            },
-            Response::Ack {
-                granted: 8,
-                info: PeerInfo {
-                    version: PROTO_VERSION,
-                    map_epoch: None,
-                },
-            },
+            Response::Ack,
             Response::BatchAck {
                 accepted: 7,
                 shed: 1,
-                granted: 8,
             },
             Response::Fragments(vec![sample_snap()]),
             Response::Fragments(Vec::new()),
@@ -966,8 +927,10 @@ mod tests {
 
     #[test]
     fn malformed_batch_ack_rejected() {
-        assert!(decode_response(OP_BATCH_ACK, &[0u8; 11]).is_err());
-        assert!(decode_response(OP_BATCH_ACK, &[0u8; 13]).is_err());
+        // 12 bytes is version 4's ack, credits and all.
+        for len in [7, 9, 12] {
+            assert!(decode_response(OP_BATCH_ACK, &vec![0u8; len]).is_err());
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use hawkeye_obs::names::{
     INGEST_WRONG_SHARD, OP_DIAGNOSE_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS,
     OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
 };
-use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot};
+use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry};
 use hawkeye_serve::listen::{accept_loop, serve_session, FLIGHT_CAPACITY};
 use hawkeye_serve::Endpoint;
 use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
@@ -51,15 +51,12 @@ use crate::shard_map::{BackendEndpoint, ShardMap};
 #[derive(Debug, Clone, Copy)]
 pub struct FrontConfig {
     pub analyzer: AnalyzerConfig,
-    /// Credit window granted to each of the front's own sessions.
-    pub session_credits: u32,
 }
 
 impl Default for FrontConfig {
     fn default() -> Self {
         FrontConfig {
             analyzer: AnalyzerConfig::for_epoch_len(Nanos::from_micros(100)),
-            session_credits: 64,
         }
     }
 }
@@ -203,7 +200,6 @@ impl FrontShared {
         if let Err(refusal) = check_evidence(&snaps, &self.topo) {
             return Response::Error(refusal);
         }
-        let total = snaps.len() as u32;
         let mut groups: Vec<Vec<TelemetrySnapshot>> = Vec::new();
         groups.resize_with(self.backends.len(), Vec::new);
         for snap in snaps {
@@ -237,11 +233,7 @@ impl FrontShared {
             self.add(INGEST_SHED, u64::from(shed));
         }
         self.inc(INGEST_BATCHES);
-        Response::BatchAck {
-            accepted,
-            shed,
-            granted: total,
-        }
+        Response::BatchAck { accepted, shed }
     }
 
     /// Fan the cross-shard gather out to every backend in parallel:
@@ -410,7 +402,6 @@ fn session(shared: Arc<FrontShared>, stream: AnyStream) {
         &shared.stop,
         &shared.metrics,
         Some(&shared.flight),
-        shared.cfg.session_credits,
         Some(shared.map.epoch),
         |req, _body| match req {
             Request::IngestBatch(snaps) => (Some(OP_INGEST_BATCH_NS), shared.route_batch(snaps)),
@@ -462,15 +453,6 @@ impl FrontHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-    }
-
-    pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    /// Point-in-time copy of the front's metrics registry.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.lock().expect("metrics lock").snapshot()
     }
 }
 

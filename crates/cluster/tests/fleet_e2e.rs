@@ -109,7 +109,6 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
         map,
         FrontConfig {
             analyzer: analyzer(seed),
-            ..FrontConfig::default()
         },
         Endpoint::Tcp("127.0.0.1:0".into()),
     )
@@ -307,7 +306,6 @@ fn dead_shard_degrades_the_verdict_not_the_service() {
         map,
         FrontConfig {
             analyzer: analyzer(seed),
-            ..FrontConfig::default()
         },
         Endpoint::Tcp("127.0.0.1:0".into()),
     )
@@ -434,7 +432,7 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
                 hi: n,
                 epoch: 6,
             },
-            endpoint: BackendEndpoint::Tcp(addr),
+            endpoint: BackendEndpoint::Tcp(addr.clone()),
         }],
     };
     let front = spawn_front(
@@ -442,7 +440,6 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
         map,
         FrontConfig {
             analyzer: analyzer(seed),
-            ..FrontConfig::default()
         },
         Endpoint::Tcp("127.0.0.1:0".into()),
     )
@@ -466,5 +463,18 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
 
     client.shutdown().expect("front shutdown");
     front.wait();
+
+    // Both refused sessions count as wrong-shard refusals at the daemon,
+    // although neither got past its Hello. A client announcing no epoch
+    // is not refused, so it can read them.
+    let stats = ServeClient::connect_tcp(&addr)
+        .expect("connect")
+        .stats()
+        .expect("daemon stats");
+    assert_eq!(
+        stats.get("ingest_wrong_shard").and_then(|v| v.as_u64()),
+        Some(2),
+        "{stats:?}"
+    );
     daemon.shutdown();
 }

@@ -70,7 +70,7 @@ pub mod names {
     /// Fragments (cross-shard gather) request handling latency.
     pub const OP_FRAGMENTS_NS: &str = "op_fragments_ns";
 
-    // --- batched ingest and credit flow control --------------------------
+    // --- batched ingest ---------------------------------------------------
 
     /// Ingest frames accepted by the serve daemon.
     pub const INGEST_BATCHES: &str = "ingest_batches";
@@ -78,10 +78,6 @@ pub mod names {
     /// outside the daemon's `--shard` range, or a stale shard-map epoch
     /// announced on Hello) — typed `wrong_shard` errors, never stored.
     pub const INGEST_WRONG_SHARD: &str = "ingest_wrong_shard";
-    /// Credits consumed by the most recent in-flight batch (gauge): how
-    /// much of a session's credit window the last `IngestBatch` frame
-    /// used. The client's true outstanding window is at least this.
-    pub const CREDITS_OUTSTANDING: &str = "credits_outstanding";
 
     // --- front-end (the `hawkeye front` shard router) ---------------------
 

@@ -3,12 +3,12 @@
 //! in the workspace (the daemon here, the cluster front-end).
 
 use hawkeye_client::proto::{
-    decode_request, read_frame, write_response, PeerInfo, ProtoError, Request, Response,
-    PROTO_VERSION, WRONG_SHARD_PREFIX,
+    decode_request, read_frame, write_response, ProtoError, Request, Response, PROTO_VERSION,
+    WRONG_SHARD_PREFIX,
 };
 use hawkeye_client::AnyStream;
 use hawkeye_obs::flight as flight_kind;
-use hawkeye_obs::names::{SERVE_SESSIONS, SLOW_OPS};
+use hawkeye_obs::names::{INGEST_WRONG_SHARD, SERVE_SESSIONS, SLOW_OPS};
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener};
@@ -69,7 +69,7 @@ impl Listener {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                // Acks are 12–16 byte frames; leaving Nagle on lets
+                // Acks are 5- and 13-byte frames; leaving Nagle on lets
                 // delayed-ACK stall the client's credit window.
                 let _ = s.set_nodelay(true);
                 AnyStream::Tcp(s)
@@ -137,12 +137,14 @@ impl Read for FrameReader<'_> {
 
 /// Serve one connection: read request frames until the peer hangs up,
 /// `stop` is raised (polled every 100 ms while idle) or a `Shutdown`
-/// request raises it. `Hello` is answered here — a peer announcing a
-/// shard-map epoch other than `map_epoch` is refused with the typed
-/// `wrong_shard:` error, any other gets `session_credits` — and every
-/// other request goes to `handle` with the frame body it was decoded from
-/// (which a journaling handler may take), returning the latency histogram
-/// to time it under (if any) and the response.
+/// request raises it. `Hello` is answered here — a peer speaking another
+/// protocol version is refused with an error naming both, one announcing
+/// a shard-map epoch other than `map_epoch` with the typed `wrong_shard:`
+/// error (counted in `ingest_wrong_shard`), any other gets an empty
+/// `Ack`, and the session stays open either way — and every other request
+/// goes to `handle` with the frame body it was decoded from (which a
+/// journaling handler may take), returning the latency histogram to time
+/// it under (if any) and the response.
 ///
 /// `flight` is the observability gate: with `Some`, ops are timed into
 /// `metrics`, slow ones and request errors land in the ring; with `None`
@@ -152,7 +154,6 @@ pub fn serve_session(
     stop: &AtomicBool,
     metrics: &Mutex<MetricsRegistry>,
     flight: Option<&Mutex<FlightRecorder>>,
-    session_credits: u32,
     map_epoch: Option<u64>,
     mut handle: impl FnMut(Request, &mut Vec<u8>) -> (Option<&'static str>, Response),
 ) {
@@ -193,24 +194,31 @@ pub fn serve_session(
         let mut log_error = true;
         let (op, resp) = match decode_request(opcode, &body) {
             Ok(Request::Hello {
-                map_epoch: theirs, ..
+                version,
+                map_epoch: theirs,
             }) => {
-                // A peer routing under a different shard-map generation is
-                // refused up front: accepting its session would mean every
-                // ingest it routes is suspect. Refused only when both sides
-                // announce an epoch and they differ.
+                // A peer speaking another protocol version would misread
+                // every frame after this one. A peer routing under a
+                // different shard-map generation is refused up front too:
+                // accepting its session would mean every ingest it routes
+                // is suspect. Refused only when both sides announce an
+                // epoch and they differ.
                 let resp = match (theirs, map_epoch) {
-                    (Some(theirs), Some(ours)) if theirs != ours => Response::Error(format!(
-                        "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match \
-                         this endpoint's epoch {ours}"
+                    _ if version != PROTO_VERSION => Response::Error(format!(
+                        "protocol version {version} is not this endpoint's version \
+                         {PROTO_VERSION}"
                     )),
-                    _ => Response::Ack {
-                        granted: session_credits,
-                        info: PeerInfo {
-                            version: PROTO_VERSION,
-                            map_epoch,
-                        },
-                    },
+                    (Some(theirs), Some(ours)) if theirs != ours => {
+                        metrics
+                            .lock()
+                            .expect("metrics lock")
+                            .inc(MetricKey::global(INGEST_WRONG_SHARD));
+                        Response::Error(format!(
+                            "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match \
+                             this endpoint's epoch {ours}"
+                        ))
+                    }
+                    _ => Response::Ack,
                 };
                 (None, resp)
             }
@@ -343,7 +351,7 @@ mod tests {
         handle: impl FnMut(Request, &mut Vec<u8>) -> (Option<&'static str>, Response) + Send,
         peer: impl FnOnce(&mut UnixStream),
     ) -> FlightRecorder {
-        let (mut ours_peer, ours) = UnixStream::pair().expect("socket pair");
+        let (peer_end, ours) = UnixStream::pair().expect("socket pair");
         let stop = AtomicBool::new(false);
         let metrics = Mutex::new(MetricsRegistry::default());
         let flight = Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY));
@@ -354,12 +362,14 @@ mod tests {
                     &stop,
                     &metrics,
                     Some(&flight),
-                    1,
                     None,
                     handle,
                 )
             });
-            peer(&mut ours_peer);
+            // Owned in here, so a failing peer's unwinding closes it and
+            // the session ends instead of waiting on it forever.
+            let mut peer_end = peer_end;
+            peer(&mut peer_end);
         });
         assert!(stop.load(Ordering::SeqCst), "the peer ends with Shutdown");
         flight.into_inner().unwrap()
@@ -369,6 +379,32 @@ mod tests {
         write_request(peer, req).expect("write");
         let (op, body) = read_frame(peer).expect("read").expect("frame");
         decode_response(op, &body).expect("decode")
+    }
+
+    /// A Hello is refused unless it speaks this build's protocol version,
+    /// with an error naming both versions, and the session stays open: the
+    /// same peer's current-version Hello is then answered with an `Ack`.
+    #[test]
+    fn a_hello_of_another_version_is_refused() {
+        let flight = session_rig(
+            |_, _| (None, Response::Stats(serde::Value::Null)),
+            |peer| {
+                let hello = |version| Request::Hello {
+                    version,
+                    map_epoch: None,
+                };
+                let Response::Error(msg) = ask(peer, &hello(4)) else {
+                    panic!("a version-4 Hello must be refused");
+                };
+                assert!(
+                    msg.contains("version 4") && msg.contains("version 5"),
+                    "versions not named: {msg}"
+                );
+                assert_eq!(ask(peer, &hello(PROTO_VERSION)), Response::Ack);
+                assert_eq!(ask(peer, &Request::Shutdown), Response::Bye);
+            },
+        );
+        assert_eq!(flight.len(), 1, "the refusal reaches the ring");
     }
 
     /// A response too large to frame is answered with an error naming the

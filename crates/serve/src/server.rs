@@ -21,9 +21,9 @@
 //! - **Sessions** decode request frames and queue each `IngestBatch` on
 //!   the store thread's bounded queue once the whole frame passed the
 //!   shard-ownership and fabric gates. A full queue **backpressures**: the
-//!   session blocks, the client's credit window (granted on `Hello`,
-//!   replenished by every ack) empties, and the producer slows to the
-//!   store's pace with zero loss.
+//!   session blocks, its acks stop, the client's constant credit window
+//!   (`CREDIT_WINDOW` un-acknowledged snapshots) fills, and the producer
+//!   slows to the store's pace with zero loss.
 //! - The **store thread** owns the daemon's one [`TelemetryStore`]
 //!   outright. It appends a frame in order and forwards one `Applied`
 //!   (the frame, the ring evictions the appends staged, the journal
@@ -88,11 +88,11 @@ use hawkeye_core::{
 };
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
-    COMPACTOR_QUEUE_DEPTH, CREDITS_OUTSTANDING, INGEST_BATCHES, INGEST_WRONG_SHARD, OP_DIAGNOSE_NS,
-    OP_EXPLAIN_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS, OP_METRICS_NS,
-    OP_STATS_NS, RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH, SLOW_OPS,
-    STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES,
-    WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED,
+    COMPACTOR_QUEUE_DEPTH, INGEST_BATCHES, INGEST_WRONG_SHARD, OP_DIAGNOSE_NS, OP_EXPLAIN_NS,
+    OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS, OP_METRICS_NS, OP_STATS_NS,
+    RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH, SLOW_OPS, STAGE_APPEND_NS,
+    STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES, WAL_RECORDS_APPENDED,
+    WAL_SEGMENTS_RETIRED,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, ObsConfig, Recorder, Stage};
 use hawkeye_sim::{FlowKey, Nanos, Topology};
@@ -122,9 +122,6 @@ pub struct ServeConfig {
     /// histograms, stage timings, health gauges, the flight ring and the
     /// verdict audit trail. Off = the bare hot path.
     pub obs: bool,
-    /// Credit window granted per session on `Hello`: the maximum
-    /// un-acknowledged snapshots a pipelining client may have in flight.
-    pub session_credits: u32,
     /// Artificial per-snapshot delay (wall ns) in the store thread — the
     /// "deliberately slow store" knob for backpressure tests (and the
     /// CLI's `--slow-shard-us`); 0 in production.
@@ -147,7 +144,6 @@ impl Default for ServeConfig {
             analyzer: AnalyzerConfig::for_epoch_len(Nanos::from_micros(100)),
             queue_depth: 256,
             obs: true,
-            session_credits: 64,
             ingest_delay_ns: 0,
             shard_range: None,
         }
@@ -909,8 +905,8 @@ fn route_frame(
     None
 }
 
-/// Route an `IngestBatch` frame; one `BatchAck` settles the whole frame,
-/// returning its credits, and the whole frame journals as one record. The
+/// Route an `IngestBatch` frame; one `BatchAck` settles the whole frame
+/// (the client's window gets the frame's snapshots back), and the whole frame journals as one record. The
 /// codec is deterministic, so the frame bytes ARE the canonical form a
 /// durable daemon journals (checked in debug builds). A dead store thread
 /// or an out-of-range switch fails the frame with an error.
@@ -929,14 +925,15 @@ fn route_batch(
         return refusal;
     }
     if plane.cfg.obs {
-        let mut m = plane.metrics.lock().expect("metrics lock");
-        m.inc(MetricKey::global(INGEST_BATCHES));
-        m.set(MetricKey::global(CREDITS_OUTSTANDING), f64::from(n));
+        plane
+            .metrics
+            .lock()
+            .expect("metrics lock")
+            .inc(MetricKey::global(INGEST_BATCHES));
     }
     Response::BatchAck {
         accepted: n,
         shed: 0,
-        granted: n,
     }
 }
 
@@ -946,7 +943,6 @@ fn session(plane: Arc<Plane>, routes: Routes, stream: AnyStream) {
         &plane.stop,
         &plane.metrics,
         plane.cfg.obs.then_some(&plane.flight),
-        plane.cfg.session_credits,
         plane.cfg.shard_range.map(|r| r.epoch),
         |req, body| {
             let (op, resp) = match req {
@@ -1239,9 +1235,8 @@ mod tests {
             .counter_total(INGEST_WRONG_SHARD)
     }
 
-    /// Every ack returns exactly the credits its frame consumed — the
-    /// frame's size, a frame of one included — so the client's window
-    /// never leaks.
+    /// Every ack accounts for exactly its frame — the frame's size, a frame
+    /// of one included — which is what the client's window gets back.
     #[test]
     fn acks_return_the_frames_credits() {
         let r = rig(4, None);
@@ -1251,8 +1246,7 @@ mod tests {
                 resp,
                 Response::BatchAck {
                     accepted: n,
-                    shed: 0,
-                    granted: n
+                    shed: 0
                 }
             );
         }

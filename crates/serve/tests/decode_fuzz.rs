@@ -15,8 +15,8 @@ use hawkeye_client::proto::{
     decode_request, decode_response, read_frame, write_request, write_response,
 };
 use hawkeye_client::{
-    DiagnoseParams, ExplainRecord, Fidelity, FlowObservation, PeerInfo, ProtoError, Request,
-    Response, PROTO_VERSION,
+    DiagnoseParams, ExplainRecord, Fidelity, FlowObservation, ProtoError, Request, Response,
+    PROTO_VERSION,
 };
 use hawkeye_core::{AnomalyType, Confidence, DiagnosisReport, RootCause, Window};
 use hawkeye_serve::wal::{
@@ -210,13 +210,7 @@ fn requests() -> Vec<Request> {
 /// them (taken from a live daemon), as frame bytes.
 fn response_frames() -> Vec<Vec<u8>> {
     let mut frames: Vec<Vec<u8>> = [
-        Response::Ack {
-            granted: 64,
-            info: PeerInfo {
-                version: PROTO_VERSION,
-                map_epoch: None,
-            },
-        },
+        Response::Ack,
         Response::Diagnosis(report()),
         Response::Bye,
         Response::History(vec![FlowObservation {
@@ -234,7 +228,6 @@ fn response_frames() -> Vec<Vec<u8>> {
         Response::BatchAck {
             accepted: 7,
             shed: 1,
-            granted: 8,
         },
         Response::Fragments(vec![snap(3)]),
         Response::Error("boom".into()),
@@ -428,7 +421,7 @@ fn binary_request(req: &Request) -> bool {
 fn binary_response(resp: &Response) -> bool {
     matches!(
         resp,
-        Response::Ack { .. } | Response::Bye | Response::BatchAck { .. } | Response::Fragments(_)
+        Response::Ack | Response::Bye | Response::BatchAck { .. } | Response::Fragments(_)
     )
 }
 

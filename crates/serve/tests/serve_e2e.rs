@@ -3,8 +3,8 @@
 //! wire, with the served `Diagnose` verdict required to be identical —
 //! anomaly label, culprits, confidence — to the local one-shot reference.
 
-use hawkeye_client::proto::{decode_response, read_frame, write_frame};
-use hawkeye_client::{EpochSink, ProtoError, Response, ServeClient, VecSink};
+use hawkeye_client::proto::{decode_response, read_frame, write_frame, CREDIT_WINDOW};
+use hawkeye_client::{EpochSink, ProtoError, Response, ServeClient, SinkAck, VecSink};
 use hawkeye_eval::corpus::cell_params;
 use hawkeye_eval::{optimal_run_config, run_method, Method, ScoreConfig, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
@@ -280,8 +280,7 @@ fn deep_rings_serve_the_window_only() {
             resp,
             Response::BatchAck {
                 accepted: 1,
-                shed: 0,
-                granted: 1
+                shed: 0
             }
         ),
         "frame of one answered {resp:?}"
@@ -324,8 +323,28 @@ fn unix_socket_session_roundtrip() {
     assert!(!path.exists(), "socket file must be removed on shutdown");
 }
 
-/// Slow-consumer stress: a deliberately throttled store thread, a
-/// two-deep ingest queue and a tiny credit window, streamed with
+/// A client that checks the credit rule after every frame it sends: at
+/// most [`CREDIT_WINDOW`] snapshots are ever un-acknowledged.
+struct WindowChecked(ServeClient);
+
+impl EpochSink for WindowChecked {
+    fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> std::io::Result<SinkAck> {
+        let ack = self.0.ingest_batch(snaps);
+        assert!(
+            self.0.in_flight() <= CREDIT_WINDOW,
+            "{} snapshots in flight",
+            self.0.in_flight()
+        );
+        ack.map_err(|e| std::io::Error::other(e.to_string()))
+    }
+
+    fn finish(&mut self) -> std::io::Result<SinkAck> {
+        self.0.finish()
+    }
+}
+
+/// Slow-consumer stress: a deliberately throttled store thread and a
+/// two-deep ingest queue under the constant credit window, streamed with
 /// multi-epoch batch frames. Credit backpressure must absorb the speed
 /// mismatch with *zero* sheds and zero errors, and the served verdict
 /// must still match the one-shot reference exactly — slowness propagates
@@ -338,7 +357,6 @@ fn slow_consumer_backpressure_sheds_nothing() {
         sc.topo.clone(),
         ServeConfig {
             queue_depth: 2,
-            session_credits: 4,
             ingest_delay_ns: 100_000, // 100µs per snapshot
             store: StoreConfig {
                 epoch_budget: 2, // force eviction → core-thread folds
@@ -352,7 +370,8 @@ fn slow_consumer_backpressure_sheds_nothing() {
     let addr = handle.local_addr.expect("tcp daemon has an address");
     let client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
 
-    let (outcome, mut client) = hawkeye_serve::replay_streaming_batched(&sc, &cfg, client, 4);
+    let (outcome, WindowChecked(mut client)) =
+        hawkeye_serve::replay_streaming_batched(&sc, &cfg, WindowChecked(client), 4);
     assert!(outcome.stream.pushed > 0, "no epochs streamed");
     assert_eq!(
         outcome.stream.shed, 0,

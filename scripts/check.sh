@@ -77,8 +77,11 @@ EOF
 rm -f "$serve_out"
 test ! -e "$serve_sock" || { echo "stale socket file left behind"; exit 1; }
 
-echo "==> hostile-bytes smoke (thread count, nested JSON body, frame split across the idle poll, session churn)"
-# One connection to a foreground daemon through the release CLI: a Diagnose
+echo "==> hostile-bytes smoke (thread count, Hello versions, nested JSON body, frame split across the idle poll, session churn)"
+# One connection to a foreground daemon through the release CLI: a Hello
+# announcing protocol version 4 must be refused with an error naming it,
+# and a version-5 Hello on the same connection answered with an empty Ack
+# (both ends once sent a version and neither compared it); then a Diagnose
 # frame whose body is 20 000 `[` must be answered with an error (the JSON
 # parser once recursed per level until the session thread's stack
 # overflowed, aborting the daemon), then a Stats frame written in two
@@ -123,6 +126,14 @@ def answer():
     (n,) = struct.unpack("<I", exact(4))
     payload = exact(n)
     return payload[0], payload[1:]
+def hello(version):
+    return frame(9, struct.pack("<IQ", version, 2**64 - 1))
+s.sendall(hello(4))
+op, body = answer()
+assert op == 255 and b"version 4" in body, f"version-4 Hello answered {op}: {body[:80]!r}"
+s.sendall(hello(5))
+op, body = answer()
+assert op == 129 and body == b"", f"version-5 Hello answered {op}: {body[:80]!r}"
 s.sendall(frame(2, b"[" * 20000))
 op, body = answer()
 assert op == 255 and b"malformed body" in body, f"nested body answered {op}: {body[:80]!r}"
@@ -130,7 +141,7 @@ stats = frame(3)
 s.sendall(stats[:2]); time.sleep(0.3); s.sendall(stats[2:])
 op, body = answer()
 assert op == 131, f"split Stats frame answered {op}: {body[:80]!r}"
-print("hostile-bytes smoke ok: nested body refused, split frame answered")
+print("hostile-bytes smoke ok: old Hello refused, Hello acked, nested body refused, split frame answered")
 EOF
 python3 - "$hb_sock" "$hb_pid" <<'EOF'
 import socket, struct, sys, time
