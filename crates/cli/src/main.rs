@@ -3,14 +3,14 @@
 //! Subcommands: `scenario` (run + diagnose one anomaly), `matrix` (all six
 //! anomalies' verdicts), `methods` (every baseline on one trace), `cbd`
 //! (static deadlock-prevention analysis), `dot` (a Fig 12 provenance graph
-//! as Graphviz DOT), `resources` (Tofino resource model), `summary`
-//! (network-wide run statistics), `trace` (event trace of a run), `chaos`
-//! (fault-rate sweep), `corpus` (verdict matrix vs golden pins), `fuzz`
-//! (disagreement fuzzer), `serve` (online diagnosis daemon and replay
-//! client), `front` (shard-routing front-end), `serve-stats` (a daemon's
-//! observability view) and `figure` (the paper's figures). [`COMMANDS`]
-//! gives each one's arguments and the flags it reads; `hawkeye` alone
-//! prints them. A flag the subcommand does not read is a usage error.
+//! as Graphviz DOT), `summary` (network-wide run statistics), `trace`
+//! (event trace of a run), `chaos` (fault-rate sweep), `corpus` (verdict
+//! matrix vs golden pins), `fuzz` (disagreement fuzzer), `serve` (online
+//! diagnosis daemon and replay client), `front` (shard-routing
+//! front-end), `serve-stats` (a daemon's observability view) and `figure`
+//! (the paper's figures). [`COMMANDS`] gives each one's arguments and the
+//! flags it reads; `hawkeye` alone prints them. A flag the subcommand does
+//! not read is a usage error.
 //! Kinds: incast, storm, inloop, oolc, oolinj, contention. Figure ids:
 //! fig7, fig8 (Figs 8, 9 and 11), fig10, fig12, fig13, fig14, ablations,
 //! partial-deployment, load-sweep; `figure all` prints every one in order.
@@ -19,6 +19,8 @@
 //! whole scenario matrix, prints an accuracy/confidence table, and writes
 //! the same data as JSON (default `CHAOS.json`). Exit codes: 0 success,
 //! 2 usage, 3 diagnosis failed with a typed cause (`scenario` only).
+//! Every subcommand exits 0 when the reader of its stdout goes away
+//! (`hawkeye ... | head`), and 1 on any other stdout write error.
 //!
 //! `trace` emits sim-time-stamped events (PFC pause/resume, probe hops, CPU
 //! mirrors, detections, diagnosis stage spans) — `--format chrome` produces
@@ -29,7 +31,7 @@ use hawkeye_baselines::Method;
 use hawkeye_core::{BufferDependencyGraph, RootCause};
 use hawkeye_eval::{
     chaos_sweep, default_jobs, fig12_case, figure, optimal_run_config, par_map, run_method,
-    run_method_obs, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES, FIGURE_IDS,
+    run_method_obs, simulate, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES, FIGURE_IDS,
 };
 use hawkeye_obs::{kind as evkind, ObsConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams, TopologySpec};
@@ -46,6 +48,35 @@ const KINDS: [(&str, ScenarioKind); 6] = [
     ("contention", ScenarioKind::NormalContention),
 ];
 
+/// [`print!`] through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// [`println!`] through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The one writer of stdout. A reader that went away (`hawkeye ... |
+/// head`) ends the run quietly with exit 0; any other write error exits 1
+/// with a message.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    let Err(e) = std::io::stdout().write_fmt(args) else {
+        return;
+    };
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("hawkeye: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
+
 fn parse_kind(s: &str) -> Option<ScenarioKind> {
     KINDS.iter().find(|(name, _)| *name == s).map(|&(_, k)| k)
 }
@@ -54,13 +85,12 @@ fn parse_kind(s: &str) -> Option<ScenarioKind> {
 /// reads followed by its value's placeholder when it takes one. Usage is
 /// printed from this table, and a flag is parsed only for a subcommand
 /// that lists it.
-const COMMANDS: [&str; 15] = [
+const COMMANDS: [&str; 14] = [
     "scenario <kind> --load F --seed N --json",
     "matrix --load F --seed N --jobs N",
     "methods <kind> --load F --seed N --jobs N",
     "cbd <kind> --load F --seed N",
     "dot <kind>",
-    "resources",
     "summary <kind> --load F --seed N --json",
     "trace <kind> --load F --seed N --format jsonl|chrome",
     "chaos --rates R,.. --trials N --out F --load F --seed N --jobs N --json",
@@ -344,21 +374,21 @@ fn cmd_scenario(kind: ScenarioKind, o: &Opts) {
         std::process::exit(3);
     };
     if o.json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(report).expect("report serialization is infallible")
         );
         return;
     }
-    println!("scenario : {}", kind.name());
-    println!("victim   : {}", sc.truth.victim);
-    println!(
+    outln!("scenario : {}", kind.name());
+    outln!("victim   : {}", sc.truth.victim);
+    outln!(
         "verdict  : {:?}",
         out.verdict.expect("verdict accompanies every report")
     );
-    println!("diagnosis: {:?}", report.anomaly);
+    outln!("diagnosis: {:?}", report.anomaly);
     for p in &report.pfc_paths {
-        println!(
+        outln!(
             "pfc path : {}",
             p.iter()
                 .map(|x| x.to_string())
@@ -367,7 +397,7 @@ fn cmd_scenario(kind: ScenarioKind, o: &Opts) {
         );
     }
     if let Some(lp) = &report.deadlock_loop {
-        println!(
+        outln!(
             "deadlock : {}",
             lp.iter()
                 .map(|x| x.to_string())
@@ -378,17 +408,17 @@ fn cmd_scenario(kind: ScenarioKind, o: &Opts) {
     for rc in &report.root_causes {
         match rc {
             RootCause::FlowContention { port, flows } => {
-                println!("root     : contention at {port}");
+                outln!("root     : contention at {port}");
                 for (k, w) in flows.iter().take(6) {
-                    println!("           {k} (weight {w:.1})");
+                    outln!("           {k} (weight {w:.1})");
                 }
             }
             RootCause::HostPfcInjection { port, peer } => {
-                println!("root     : PFC injection at {port} from host {peer}");
+                outln!("root     : PFC injection at {port} from host {peer}");
             }
         }
     }
-    println!(
+    outln!(
         "collected: {} switches, {} B telemetry, causal coverage {}/{}",
         out.collected_switches.len(),
         out.processing_bytes,
@@ -398,7 +428,7 @@ fn cmd_scenario(kind: ScenarioKind, o: &Opts) {
 }
 
 fn cmd_matrix(o: &Opts) {
-    println!("{:<33} {:<10} diagnosis", "anomaly", "verdict");
+    outln!("{:<33} {:<10} diagnosis", "anomaly", "verdict");
     let outs = par_map(o.jobs, &ScenarioKind::ALL, |&kind| {
         let sc = build(kind, o);
         run_method(
@@ -409,7 +439,7 @@ fn cmd_matrix(o: &Opts) {
         )
     });
     for (kind, out) in ScenarioKind::ALL.into_iter().zip(outs) {
-        println!(
+        outln!(
             "{:<33} {:<10} {}",
             kind.name(),
             out.verdict
@@ -421,16 +451,19 @@ fn cmd_matrix(o: &Opts) {
 }
 
 fn cmd_methods(kind: ScenarioKind, o: &Opts) {
-    println!(
+    outln!(
         "{:<13} {:<17} {:<10} {:<10} bw_B",
-        "method", "verdict", "switches", "proc_B"
+        "method",
+        "verdict",
+        "switches",
+        "proc_B"
     );
     let outs = par_map(o.jobs, &Method::ALL, |&m| {
         let sc = build(kind, o);
         run_method(&sc, &optimal_run_config(o.seed), m, &ScoreConfig::default())
     });
     for (m, out) in Method::ALL.into_iter().zip(outs) {
-        println!(
+        outln!(
             "{:<13} {:<17} {:<10} {:<10} {}",
             m.name(),
             out.verdict
@@ -447,14 +480,14 @@ fn cmd_cbd(kind: ScenarioKind, o: &Opts) {
     let flows: Vec<_> = sc.flows.iter().map(|f| f.key).collect();
     let g = BufferDependencyGraph::build(&sc.topo, &flows);
     let cycles = g.find_cycles();
-    println!(
+    outln!(
         "{}: {} buffer dependencies, {} cycle(s)",
         kind.name(),
         g.edge_count(),
         cycles.len()
     );
     for cyc in &cycles {
-        println!(
+        outln!(
             "  CBD: {}",
             cyc.iter()
                 .map(|p| p.to_string())
@@ -462,11 +495,11 @@ fn cmd_cbd(kind: ScenarioKind, o: &Opts) {
                 .join(" -> ")
         );
         for f in g.cycle_flows(cyc) {
-            println!("    via flow {f}");
+            outln!("    via flow {f}");
         }
     }
     if cycles.is_empty() {
-        println!("  routing is deadlock-free");
+        outln!("  routing is deadlock-free");
     }
 }
 
@@ -488,7 +521,7 @@ fn cmd_dot(kind: ScenarioKind) {
     }
     let (summary, dot) = fig12_case(kind);
     eprintln!("// {summary}");
-    println!("{dot}");
+    outln!("{dot}");
 }
 
 /// `hawkeye figure <id>`: one of the paper's figures (`all`: every one,
@@ -512,18 +545,20 @@ fn cmd_figure(id: Option<&str>, o: &Opts) {
             eprintln!("hawkeye: unknown figure '{id}'");
             usage()
         };
-        print!("{text}");
+        out!("{text}");
     }
 }
 
+/// `hawkeye summary <kind>`: network-wide statistics of the same trial
+/// `scenario` diagnoses.
 fn cmd_summary(kind: ScenarioKind, o: &Opts) {
-    use hawkeye_core::{HawkeyeConfig, HawkeyeHook};
+    use hawkeye_core::HawkeyeHook;
     use hawkeye_obs::MetricsRegistry;
     use hawkeye_sim::RunSummary;
     let sc = build(kind, o);
-    let hook = HawkeyeHook::new(&sc.topo, HawkeyeConfig::default());
-    let mut sim = sc.instantiate_seeded(o.seed, hawkeye_workloads::Scenario::agent(2.0), hook);
-    sim.run_until(sc.params.duration);
+    let sim = simulate(&sc, &optimal_run_config(o.seed), |h| {
+        HawkeyeHook::new(&sc.topo, h)
+    });
     let mut reg = MetricsRegistry::new();
     let s = RunSummary::of_with(&sim, &mut reg);
     if o.json {
@@ -536,14 +571,14 @@ fn cmd_summary(kind: ScenarioKind, o: &Opts) {
                 hawkeye_obs::emit::metrics_value(&reg.snapshot()),
             ),
         ]);
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("value serialization is infallible")
         );
     } else {
-        println!("{s:#?}");
+        outln!("{s:#?}");
         let snap = reg.snapshot();
-        println!(
+        outln!(
             "metrics  : {} counters, {} gauges, {} histograms (use --json for the full snapshot)",
             snap.counters.len(),
             snap.gauges.len(),
@@ -573,8 +608,8 @@ fn cmd_trace(kind: ScenarioKind, o: &Opts) {
     );
     let recs: Vec<_> = obs.tracer.records().cloned().collect();
     match o.format {
-        TraceFormat::Jsonl => print!("{}", hawkeye_obs::emit::jsonl(&recs)),
-        TraceFormat::Chrome => println!("{}", hawkeye_obs::emit::chrome_trace(&recs)),
+        TraceFormat::Jsonl => out!("{}", hawkeye_obs::emit::jsonl(&recs)),
+        TraceFormat::Chrome => outln!("{}", hawkeye_obs::emit::chrome_trace(&recs)),
     }
     if obs.tracer.dropped() > 0 {
         eprintln!(
@@ -596,9 +631,9 @@ fn cmd_chaos(o: &Opts) {
     let json =
         serde_json::to_string_pretty(&rep.to_value()).expect("value serialization is infallible");
     if o.json {
-        println!("{json}");
+        outln!("{json}");
     } else {
-        println!("{}", rep.to_figure());
+        outln!("{}", rep.to_figure());
     }
     if let Err(e) = std::fs::write(&o.out, json + "\n") {
         eprintln!("hawkeye: cannot write {}: {e}", o.out);
@@ -673,15 +708,15 @@ fn cmd_corpus(o: &Opts) {
                 ),
             ),
         ]);
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("value serialization is infallible")
         );
     } else {
         for d in &diffs {
-            println!("{d}");
+            outln!("{d}");
         }
-        println!(
+        outln!(
             "corpus: {} cells checked against {}: {}",
             cells.len(),
             o.golden,
@@ -716,13 +751,13 @@ fn cmd_fuzz(o: &Opts) {
     }
     let rep = run_fuzz(&cfg);
     if o.json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&rep.to_value())
                 .expect("value serialization is infallible")
         );
     } else {
-        println!(
+        outln!(
             "fuzz: base {} seed {}: {} runs, {} degenerate topologies rejected, \
              {} disagreements, {} shrink runs, {} banked",
             cfg.base,
@@ -734,10 +769,10 @@ fn cmd_fuzz(o: &Opts) {
             rep.banked.len()
         );
         for (cell, ag) in &rep.agreement {
-            println!("  {cell}: {}/{} agree", ag.agree, ag.runs);
+            outln!("  {cell}: {}/{} agree", ag.agree, ag.runs);
         }
         for b in &rep.banked {
-            println!(
+            outln!(
                 "  banked: {}/{} seed {} -> {}",
                 b.params.spec,
                 b.params.kind.name(),
@@ -937,14 +972,16 @@ fn cmd_serve(o: &Opts) {
         }
         let doc = serde::Value::Object(doc);
         if o.json {
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string_pretty(&doc).expect("value serialization is infallible")
             );
         } else {
-            println!(
+            outln!(
                 "streamed : {} snapshots ({} shed, {} errors)",
-                outcome.stream.pushed, outcome.stream.shed, outcome.stream.errors
+                outcome.stream.pushed,
+                outcome.stream.shed,
+                outcome.stream.errors
             );
         }
         return;
@@ -1050,32 +1087,34 @@ fn cmd_serve(o: &Opts) {
                 ),
             ));
         }
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&serde::Value::Object(doc))
                 .expect("value serialization is infallible")
         );
     } else {
-        println!("scenario : {}", kind.name());
-        println!(
+        outln!("scenario : {}", kind.name());
+        outln!(
             "verdict  : {:?}",
             outcome.verdict.expect("verdict accompanies every report")
         );
-        println!("served   : {:?} ({:?})", served.anomaly, served.confidence);
-        println!(
+        outln!("served   : {:?} ({:?})", served.anomaly, served.confidence);
+        outln!(
             "streamed : {} snapshots ({} shed, {} errors)",
-            outcome.stream.pushed, outcome.stream.shed, outcome.stream.errors
+            outcome.stream.pushed,
+            outcome.stream.shed,
+            outcome.stream.errors
         );
-        println!("parity   : {}", if parity { "ok" } else { "MISMATCH" });
+        outln!("parity   : {}", if parity { "ok" } else { "MISMATCH" });
         if let Some(stats) = stats {
-            println!(
+            outln!(
                 "daemon   : {}",
                 serde_json::to_string(&stats).expect("value serialization is infallible")
             );
         }
         if let Some((snap, _)) = &obs {
             if let Some(h) = snap.histogram(hawkeye_obs::names::OP_DIAGNOSE_NS) {
-                println!(
+                outln!(
                     "diagnose : {} calls, p50 {} ns, p99 {} ns",
                     h.count,
                     h.percentile(0.50).unwrap_or(0),
@@ -1084,7 +1123,7 @@ fn cmd_serve(o: &Opts) {
             }
         }
         if let Some(rec) = &explain {
-            println!(
+            outln!(
                 "explain  : verdict #{} {} ({}), {} epochs from {} switches, \
                  {} dirty, frags {}r/{}c",
                 rec.seq,
@@ -1103,7 +1142,7 @@ fn cmd_serve(o: &Opts) {
                 .filter(|r| r.fidelity == hawkeye_client::Fidelity::Raw)
                 .count();
             let pkts: u64 = rows.iter().map(|r| r.pkt_count).sum();
-            println!(
+            outln!(
                 "history  : {} rows ({} raw, {} compacted), {} pkts total",
                 rows.len(),
                 raw,
@@ -1213,7 +1252,7 @@ fn cmd_serve_stats(o: &Opts) {
         if let Some(rec) = &explain {
             doc.push(("explain".to_string(), rec.to_value()));
         }
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&serde::Value::Object(doc))
                 .expect("value serialization is infallible")
@@ -1222,16 +1261,16 @@ fn cmd_serve_stats(o: &Opts) {
     }
 
     for (name, total) in hawkeye_obs::emit::counter_totals(&snap) {
-        println!("{name:<28} {total}");
+        outln!("{name:<28} {total}");
     }
     for g in &snap.gauges {
-        println!("{:<28} {}", g.key, g.value);
+        outln!("{:<28} {}", g.key, g.value);
     }
     // Every per-op latency histogram the daemon recorded (the snapshot
     // lists them in name order), not a list this command has to be told
     // about.
     for h in snap.histograms.iter().filter(|h| h.key.starts_with("op_")) {
-        println!(
+        outln!(
             "{:<28} {} calls, p50 {} ns, p99 {} ns, max {} ns",
             h.key,
             h.count,
@@ -1241,9 +1280,9 @@ fn cmd_serve_stats(o: &Opts) {
         );
     }
     if let Some(events) = flight.as_array() {
-        println!("flight ring: {} events", events.len());
+        outln!("flight ring: {} events", events.len());
         for e in events.iter().rev().take(8) {
-            println!(
+            outln!(
                 "  [{}] {} {}: {}",
                 e.get("seq").and_then(|v| v.as_u64()).unwrap_or(0),
                 e.get("kind").and_then(|v| v.as_str()).unwrap_or("?"),
@@ -1253,7 +1292,7 @@ fn cmd_serve_stats(o: &Opts) {
         }
     }
     match &explain {
-        Some(rec) => println!(
+        Some(rec) => outln!(
             "latest verdict: #{} {} → {} ({}), {} epochs from {} switches, \
              {} dirty, frags {}r/{}c, stages {}/{}/{} ns",
             rec.seq,
@@ -1269,19 +1308,8 @@ fn cmd_serve_stats(o: &Opts) {
             rec.stage_graph_ns,
             rec.stage_match_ns
         ),
-        None => println!("latest verdict: none journaled yet"),
+        None => outln!("latest verdict: none journaled yet"),
     }
-}
-
-fn cmd_resources() {
-    let u = hawkeye_tofino::resource_usage(
-        &hawkeye_telemetry::TelemetryConfig::default(),
-        hawkeye_tofino::SwitchDims::default(),
-    );
-    println!(
-        "SRAM {:.1}%  TCAM {:.1}%  PHV {:.1}%  stages {}/12  sALU {:.1}%",
-        u.sram_pct, u.tcam_pct, u.phv_pct, u.stages_used, u.salu_pct
-    );
 }
 
 fn main() {
@@ -1317,7 +1345,6 @@ fn main() {
         ("methods", Some(k)) => cmd_methods(k, &opts),
         ("cbd", Some(k)) => cmd_cbd(k, &opts),
         ("dot", Some(k)) => cmd_dot(k),
-        ("resources", None) => cmd_resources(),
         ("summary", Some(k)) => cmd_summary(k, &opts),
         ("trace", Some(k)) => cmd_trace(k, &opts),
         ("chaos", None) => cmd_chaos(&opts),

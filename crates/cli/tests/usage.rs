@@ -1,8 +1,9 @@
 //! Usage errors exit 2 with `hawkeye: <reason>` and the usage text: a
 //! flag the subcommand does not read, a figure id that does not exist,
-//! and a `dot` kind that has no case study.
+//! a `dot` kind that has no case study and a removed subcommand. A closed
+//! stdout is no error at all.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn hawkeye(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hawkeye"))
@@ -63,6 +64,8 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         ],
         "hawkeye: unknown option '--client-retries'",
     );
+    // Gone: line (a) of `figure fig13` is the same resource usage.
+    refused(&["resources"], "hawkeye: unknown command 'resources'");
 }
 
 #[test]
@@ -97,4 +100,34 @@ fn figure_prints_its_banner_then_its_rows() {
         "figure fig13 printed {text:?}"
     );
     assert!(text.contains("(b) memory vs epochs and max flows (bytes):"));
+}
+
+/// Each subcommand writes into a pipe whose read end is already closed, as
+/// under `hawkeye ... | head` once `head` has exited: it exits 0 and says
+/// nothing on stderr (beyond the `// ` summary `dot` always writes there).
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    for args in [
+        &["dot", "incast"][..],
+        &["figure", "fig13"],
+        &["scenario", "incast", "--json"],
+        &["summary", "incast"],
+        &["cbd", "inloop"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_hawkeye"))
+            .args(args)
+            .env_remove("HAWKEYE_JOBS")
+            .stdout(Stdio::from(writer))
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn hawkeye");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(
+            err.lines().all(|l| l.starts_with("// ")),
+            "{args:?} wrote to stderr: {err}"
+        );
+    }
 }

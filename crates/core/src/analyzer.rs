@@ -2,7 +2,7 @@
 //! telemetry to a [`DiagnosisReport`].
 
 use crate::aggregate::{AggTelemetry, Window};
-use crate::diagnosis::{diagnose, AnomalyType, DiagnosisConfig, DiagnosisReport};
+use crate::diagnosis::{diagnose, DiagnosisConfig, DiagnosisReport};
 use crate::error::Confidence;
 use crate::provenance::{build_graph, ProvenanceGraph, ReplayConfig};
 use hawkeye_obs::{Recorder, Stage};
@@ -78,7 +78,7 @@ fn grade_report(
 ) {
     report.confidence = Confidence::grade(
         victim_path_gaps(victim, snapshots, topo),
-        report.anomaly != AnomalyType::NoAnomaly,
+        report.anomaly.is_anomaly(),
     );
 }
 
@@ -145,6 +145,7 @@ pub fn analyze_victim_window_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnosis::AnomalyType;
     use crate::provenance::{assemble_graph, port_causality_edges, port_contention};
     use crate::test_graphs::{fkey, topo4};
     use hawkeye_sim::{FlowKey, PortId};

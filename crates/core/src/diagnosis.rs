@@ -5,7 +5,6 @@
 use crate::aggregate::{AggTelemetry, PortEpoch};
 use crate::error::Confidence;
 use crate::provenance::{victim_extents, ProvenanceGraph, ReplayConfig};
-use crate::signature::{contributors, has_flow_contention, CONTENTION_EPS};
 #[cfg(test)]
 use hawkeye_sim::Nanos;
 use hawkeye_sim::{FlowKey, NodeId, PortId, Topology, DATA_PKT_SIZE};
@@ -40,6 +39,11 @@ impl AnomalyType {
                 | AnomalyType::OutOfLoopDeadlockContention
                 | AnomalyType::OutOfLoopDeadlockInjection
         )
+    }
+
+    /// Whether the verdict names an anomaly at all.
+    pub(crate) fn is_anomaly(self) -> bool {
+        self != AnomalyType::NoAnomaly
     }
 }
 
@@ -225,7 +229,7 @@ impl DiagnosisReport {
         }
         let mut missing = std::mem::take(&mut self.confidence).missing().to_vec();
         missing.extend_from_slice(more);
-        self.confidence = Confidence::grade(missing, self.anomaly != AnomalyType::NoAnomaly);
+        self.confidence = Confidence::grade(missing, self.anomaly.is_anomaly());
     }
 
     /// Injection peers named as root causes.
@@ -238,6 +242,103 @@ impl DiagnosisReport {
             })
             .collect()
     }
+}
+
+/// Positive-contribution threshold: weights above this count as flow
+/// contention (floating-point noise floor).
+const CONTENTION_EPS: f64 = 1e-9;
+
+/// Positive contributors at `port`, heaviest first.
+fn contributors(g: &ProvenanceGraph, port: usize) -> Vec<(usize, f64)> {
+    let mut v: Vec<(usize, f64)> = g
+        .contention_at(port)
+        .iter()
+        .copied()
+        .filter(|&(_, w)| w > CONTENTION_EPS)
+        .collect();
+    v.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    v
+}
+
+/// Out-degree-0 port nodes reachable from `start` along port edges — the
+/// initial congestion candidates of a PFC spreading path.
+fn terminal_ports(g: &ProvenanceGraph, start: usize) -> Vec<usize> {
+    let mut seen = vec![false; g.ports.len()];
+    let mut out = Vec::new();
+    let mut stack = vec![start];
+    while let Some(p) = stack.pop() {
+        if seen[p] {
+            continue;
+        }
+        seen[p] = true;
+        if g.out_deg_port(p) == 0 {
+            out.push(p);
+        }
+        stack.extend(g.port_neighbors(p).iter().map(|&(nbr, _)| nbr));
+    }
+    out.sort_unstable();
+    out
+}
+
+/// What started a congestion: flows contending for the port, or PFC
+/// injected by its peer device. Injection orders above contention, so the
+/// larger of two causes is the one that dominates a verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Cause {
+    Contention,
+    Injection,
+}
+
+/// What Algorithm 2's walk found, as the columns [`table2`] reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct Table2Features {
+    /// The victim was PFC-paused.
+    pfc_path: bool,
+    /// An unpaused victim's path has a port whose onset another flow leads.
+    path_contention: bool,
+    /// The trace from the victim closed a port loop.
+    port_loop: bool,
+    /// The loop's valid out-of-loop initiator, injection dominating;
+    /// `None` when the initiator is in the loop.
+    escape: Option<Cause>,
+    /// With no loop, the cause at the most severe root.
+    primary: Option<Cause>,
+}
+
+/// Table 2 of the paper: the anomaly class of what the walk found, one arm
+/// per row in the paper's order.
+fn table2(f: &Table2Features) -> AnomalyType {
+    use Cause::{Contention, Injection};
+    match (
+        f.pfc_path,
+        f.path_contention,
+        f.port_loop,
+        f.escape,
+        f.primary,
+    ) {
+        (true, _, false, _, Some(Contention)) => AnomalyType::MicroBurstIncast,
+        (true, _, true, None, _) => AnomalyType::InLoopDeadlock,
+        (true, _, true, Some(Contention), _) => AnomalyType::OutOfLoopDeadlockContention,
+        (true, _, true, Some(Injection), _) => AnomalyType::OutOfLoopDeadlockInjection,
+        (true, _, false, _, Some(Injection)) => AnomalyType::PfcStorm,
+        (false, true, ..) => AnomalyType::NormalContention,
+        _ => AnomalyType::NoAnomaly,
+    }
+}
+
+/// What a port's telemetry says started its congestion.
+enum Evidence {
+    /// Flows contended: the onset's excess arrivals or, with no onset, the
+    /// graph's positive contributors, heaviest first.
+    Contention { flows: Vec<(FlowKey, f64)> },
+    /// The queue was frozen from outside: PFC injected by the peer.
+    Injection,
+    /// Nothing in the window shows the port congested or paused.
+    Silent,
 }
 
 struct Walker<'a> {
@@ -297,53 +398,58 @@ impl<'a> Walker<'a> {
             .map_or(0, |a| a.paused_num)
     }
 
-    /// Algorithm 2 `AnalyzeFlowContention`, refined with onset attribution:
+    /// Algorithm 2's contention-or-injection test, refined with onset
+    /// attribution:
     /// - an onset whose excess arrivals outweigh the port's paused enqueues
     ///   is flow contention, attributed to the excess flows;
     /// - an onset dominated by paused enqueues (the queue was frozen from
     ///   outside, traffic did not grow) is host PFC injection;
-    /// - with no visible onset, fall back to the window-wide graph weights.
+    /// - with no visible onset, fall back to the window-wide graph weights:
+    ///   positive contributors are contention, and a port that was paused,
+    ///   saw any flow, or is someone's downstream cause is injection.
+    fn evidence(&self, p: usize) -> Evidence {
+        let paused = self.port_paused(p) as f64;
+        match self.onset_contributors(p) {
+            Some(flows)
+                if !flows.is_empty() && flows.iter().map(|(_, w)| w).sum::<f64>() >= paused =>
+            {
+                Evidence::Contention { flows }
+            }
+            Some(_) => Evidence::Injection,
+            None => {
+                let flows: Vec<(FlowKey, f64)> = contributors(self.g, p)
+                    .into_iter()
+                    .map(|(f, w)| (self.g.flows[f], w))
+                    .collect();
+                if !flows.is_empty() {
+                    Evidence::Contention { flows }
+                } else if paused > 0.0
+                    || !self.g.contention_at(p).is_empty()
+                    || self.g.port_edges.iter().flatten().any(|&(q, _)| q == p)
+                {
+                    Evidence::Injection
+                } else {
+                    Evidence::Silent
+                }
+            }
+        }
+    }
+
+    /// Algorithm 2 `AnalyzeFlowContention`: record port node `p` (once) as
+    /// a root cause, as its [`evidence`](Self::evidence) names it. A silent
+    /// port shows no flow contention, so its PFC came from its peer.
     fn analyze_flow_contention(&mut self, p: usize) {
         if !self.root_ports.insert(p) {
             return;
         }
         let port = self.g.ports[p];
-        let paused = self.port_paused(p) as f64;
-        match self.onset_contributors(p) {
-            Some(flows) if !flows.is_empty() => {
-                let excess: f64 = flows.iter().map(|(_, w)| w).sum();
-                if excess >= paused {
-                    self.roots.push(RootCause::FlowContention { port, flows });
-                } else {
-                    self.roots.push(RootCause::HostPfcInjection {
-                        port,
-                        peer: self.topo.peer(port).node,
-                    });
-                }
-                return;
-            }
-            Some(_) => {
-                self.roots.push(RootCause::HostPfcInjection {
-                    port,
-                    peer: self.topo.peer(port).node,
-                });
-                return;
-            }
-            None => {}
-        }
-        if !has_flow_contention(self.g, p) {
-            // No flow contention: PFC came from the port's peer device.
-            self.roots.push(RootCause::HostPfcInjection {
+        self.roots.push(match self.evidence(p) {
+            Evidence::Contention { flows } => RootCause::FlowContention { port, flows },
+            Evidence::Injection | Evidence::Silent => RootCause::HostPfcInjection {
                 port,
                 peer: self.topo.peer(port).node,
-            });
-        } else {
-            let flows = contributors(self.g, p)
-                .into_iter()
-                .map(|(f, w)| (self.g.flows[f], w))
-                .collect();
-            self.roots.push(RootCause::FlowContention { port, flows });
-        }
+            },
+        });
     }
 
     /// Positive contributors during the initial congestion at port node
@@ -418,136 +524,88 @@ impl<'a> Walker<'a> {
         Some(flows)
     }
 
-    /// Is terminal `t` a *valid* deadlock initiator outside loop `lp`?
+    /// Is terminal `t` a *valid* deadlock initiator outside loop `lp`, and
+    /// by which cause?
     ///
     /// A terminal whose congestion is fed *through* the loop is downstream
     /// of it — a consequence, not the initiator (its packets only pile up
     /// because the loop starves or floods it). Contention terminals
-    /// qualify when the majority (by excess weight) of their contributors
-    /// reach them without traversing any loop port; paused host-facing
-    /// terminals qualify as injection evidence regardless.
-    fn valid_escape(&self, t: usize, lp: &[usize]) -> Option<bool> {
+    /// qualify when the majority (by weight) of their contributors reach
+    /// them without traversing any loop port, a flow with no known path
+    /// counting as crossing it; injection terminals qualify regardless.
+    fn valid_escape(&self, t: usize, lp: &[usize]) -> Option<Cause> {
+        let flows = match self.evidence(t) {
+            Evidence::Contention { flows } => flows,
+            Evidence::Injection => return Some(Cause::Injection),
+            Evidence::Silent => return None,
+        };
         let loop_ports: BTreeSet<PortId> = lp.iter().map(|&i| self.g.ports[i]).collect();
-        let paused = self.port_paused(t) as f64;
-        match self.onset_contributors(t) {
-            Some(flows) if !flows.is_empty() => {
-                let excess: f64 = flows.iter().map(|(_, w)| w).sum();
-                if excess < paused {
-                    // Frozen from outside: injection.
-                    return Some(false);
-                }
-                let mut through = 0.0;
-                let mut avoid = 0.0;
-                for (key, w) in &flows {
-                    let crosses = self
-                        .topo
-                        .flow_path(key)
-                        .map(|path| {
-                            path.iter()
-                                .any(|(sw, _, out)| loop_ports.contains(&PortId::new(*sw, *out)))
-                        })
-                        .unwrap_or(true);
-                    if crosses {
-                        through += w;
-                    } else {
-                        avoid += w;
-                    }
-                }
-                (avoid > through).then_some(true)
-            }
-            Some(_) => Some(false),
-            None => {
-                // No per-epoch telemetry for this port (e.g. synthetic or
-                // pruned graphs): fall back to the graph-level signature.
-                if has_flow_contention(self.g, t) {
-                    let loop_set = loop_ports;
-                    let mut through = 0.0;
-                    let mut avoid = 0.0;
-                    for (f, w) in contributors(self.g, t) {
-                        let key = self.g.flows[f];
-                        let crosses = self
-                            .topo
-                            .flow_path(&key)
-                            .map(|path| {
-                                path.iter()
-                                    .any(|(sw, _, out)| loop_set.contains(&PortId::new(*sw, *out)))
-                            })
-                            .unwrap_or(false);
-                        if crosses {
-                            through += w;
-                        } else {
-                            avoid += w;
-                        }
-                    }
-                    (avoid > through).then_some(true)
-                } else if paused > 0.0
-                    || !self.g.contention_at(t).is_empty()
-                    || crate::signature::port_has_incoming(self.g, t)
-                {
-                    Some(false)
-                } else {
-                    None
-                }
+        let (mut through, mut avoid) = (0.0, 0.0);
+        for (key, w) in &flows {
+            let crosses = self.topo.flow_path(key).is_none_or(|path| {
+                path.iter()
+                    .any(|(sw, _, out)| loop_ports.contains(&PortId::new(*sw, *out)))
+            });
+            if crosses {
+                through += w;
+            } else {
+                avoid += w;
             }
         }
+        (avoid > through).then_some(Cause::Contention)
     }
 
-    /// `DeadlockDiagnose`: classify the deadlock and find its initiator.
-    fn deadlock_diagnose(&mut self, lp: &[usize]) -> AnomalyType {
+    /// `DeadlockDiagnose`: find the deadlock's initiator and record it as
+    /// the root. Returns the out-of-loop initiator's cause, or `None` when
+    /// the initiator is inside the loop.
+    fn deadlock_diagnose(&mut self, lp: &[usize]) -> Option<Cause> {
         let set: BTreeSet<usize> = lp.iter().copied().collect();
         let mut escape_terminals: Vec<usize> = lp
             .iter()
             .flat_map(|&p| self.g.port_neighbors(p).iter().map(|&(n, _)| n))
             .filter(|n| !set.contains(n))
-            .flat_map(|n| crate::signature::terminal_ports(self.g, n))
+            .flat_map(|n| terminal_ports(self.g, n))
             .collect();
         escape_terminals.sort_unstable();
         escape_terminals.dedup();
 
-        // Some(true) = contention initiator out of the loop; Some(false) =
-        // injection initiator; None = not an initiator at all.
-        let verdicts: Vec<(usize, bool)> = escape_terminals
-            .iter()
-            .filter_map(|&t| self.valid_escape(t, lp).map(|v| (t, v)))
-            .collect();
-        if !verdicts.is_empty() {
-            for &(t, _) in &verdicts {
+        let mut escape = None;
+        for t in escape_terminals {
+            if let Some(cause) = self.valid_escape(t, lp) {
                 self.analyze_flow_contention(t);
+                escape = escape.max(Some(cause));
             }
-            if verdicts.iter().any(|&(_, contention)| !contention) {
-                AnomalyType::OutOfLoopDeadlockInjection
-            } else {
-                AnomalyType::OutOfLoopDeadlockContention
+        }
+        if escape.is_some() {
+            return escape;
+        }
+        // Initiator inside the loop. Prefer the member port(s) whose
+        // telemetry shows an actual onset of oversubscription — the
+        // congestion event that started the cascade; other members' queues
+        // are consequences, not causes.
+        let onset_ports: Vec<usize> = lp
+            .iter()
+            .copied()
+            .filter(|&p| self.onset_contributors(p).is_some_and(|c| !c.is_empty()))
+            .collect();
+        if !onset_ports.is_empty() {
+            for p in onset_ports {
+                self.analyze_flow_contention(p);
             }
         } else {
-            // Initiator inside the loop. Prefer the member port(s) whose
-            // telemetry shows an actual onset of oversubscription — the
-            // congestion event that started the cascade; other members'
-            // queues are consequences, not causes.
-            let onset_ports: Vec<usize> = lp
-                .iter()
-                .copied()
-                .filter(|&p| self.onset_contributors(p).is_some_and(|c| !c.is_empty()))
-                .collect();
-            if !onset_ports.is_empty() {
-                for p in onset_ports {
+            for &p in lp {
+                if !contributors(self.g, p).is_empty() {
                     self.analyze_flow_contention(p);
                 }
-            } else {
+            }
+            if self.roots.is_empty() {
+                // Fall back: report every member for operator inspection.
                 for &p in lp {
-                    if has_flow_contention(self.g, p) {
-                        self.analyze_flow_contention(p);
-                    }
-                }
-                if self.roots.is_empty() {
-                    // Fall back: report every member for operator inspection.
-                    for &p in lp {
-                        self.analyze_flow_contention(p);
-                    }
+                    self.analyze_flow_contention(p);
                 }
             }
-            AnomalyType::InLoopDeadlock
         }
+        None
     }
 
     /// Severity of a root cause, for picking the primary anomaly: the total
@@ -629,12 +687,14 @@ pub fn diagnose(
         extents
     };
 
-    let anomaly;
-    if extents.is_empty() {
+    let mut found = Table2Features {
+        pfc_path: !extents.is_empty(),
+        ..Default::default()
+    };
+    if !found.pfc_path {
         // Victim never PFC-paused: normal flow contention along its path.
         // A path port qualifies when its congestion onset names someone
         // other than the victim as the top contributor.
-        let mut found = false;
         for port in topo.flow_egress_ports(victim) {
             let Some(p) = g.port_index(port) else {
                 continue;
@@ -643,15 +703,10 @@ pub fn diagnose(
                 let victim_is_top = flows.first().is_some_and(|(k, _)| k == victim);
                 if !flows.is_empty() && !victim_is_top {
                     w.analyze_flow_contention(p);
-                    found = true;
+                    found.path_contention = true;
                 }
             }
         }
-        anomaly = if found {
-            AnomalyType::NormalContention
-        } else {
-            AnomalyType::NoAnomaly
-        };
     } else {
         // Trace PFC causality from every port pausing the victim, ordered
         // along the victim's path (earliest hop first) so the reported PFC
@@ -673,30 +728,25 @@ pub fn diagnose(
             }
         }
         if let Some(lp) = w.loop_found.clone() {
-            anomaly = w.deadlock_diagnose(&lp);
+            found.port_loop = true;
+            found.escape = w.deadlock_diagnose(&lp);
         } else {
             for t in w.terminals.clone() {
                 w.analyze_flow_contention(t);
             }
-            if w.roots.is_empty() {
-                // Paused victim but no traceable cause (e.g. telemetry
-                // pruned by a baseline): inconclusive.
-                anomaly = AnomalyType::NoAnomaly;
-            } else {
-                // The primary root — the most severe one — names the
-                // anomaly; a victim often crosses secondary congestion
-                // (background contention) on the way to the real cause.
-                let primary = w.roots.iter().max_by(|a, b| {
-                    w.root_severity(a)
-                        .partial_cmp(&w.root_severity(b))
-                        .unwrap_or(Ordering::Equal)
-                });
-                anomaly = match primary {
-                    Some(RootCause::HostPfcInjection { .. }) => AnomalyType::PfcStorm,
-                    Some(RootCause::FlowContention { .. }) => AnomalyType::MicroBurstIncast,
-                    None => AnomalyType::NoAnomaly,
-                };
-            }
+            // The primary root — the most severe one — names the anomaly;
+            // a victim often crosses secondary congestion (background
+            // contention) on the way to the real cause. No root at all
+            // (e.g. telemetry pruned by a baseline) is inconclusive.
+            let primary = w.roots.iter().max_by(|a, b| {
+                w.root_severity(a)
+                    .partial_cmp(&w.root_severity(b))
+                    .unwrap_or(Ordering::Equal)
+            });
+            found.primary = primary.map(|rc| match rc {
+                RootCause::FlowContention { .. } => Cause::Contention,
+                RootCause::HostPfcInjection { .. } => Cause::Injection,
+            });
         }
     }
 
@@ -717,7 +767,7 @@ pub fn diagnose(
     let burst_flows = w.burst_flows();
     DiagnosisReport {
         victim: *victim,
-        anomaly,
+        anomaly: table2(&found),
         root_causes: w.roots,
         pfc_paths: w
             .paths
@@ -820,6 +870,72 @@ mod tests {
         let r = diagnose(&g, &topo, &agg, &fkey(1), DiagnosisConfig::default());
         assert_eq!(r.anomaly, AnomalyType::NoAnomaly);
         assert!(r.root_causes.is_empty());
+    }
+
+    #[test]
+    fn table2_rows() {
+        use Cause::{Contention, Injection};
+        let paused = Table2Features {
+            pfc_path: true,
+            ..Default::default()
+        };
+        let looped = Table2Features {
+            port_loop: true,
+            ..paused
+        };
+        let rows = [
+            (
+                Table2Features {
+                    primary: Some(Contention),
+                    ..paused
+                },
+                AnomalyType::MicroBurstIncast,
+            ),
+            (looped, AnomalyType::InLoopDeadlock),
+            (
+                Table2Features {
+                    escape: Some(Contention),
+                    ..looped
+                },
+                AnomalyType::OutOfLoopDeadlockContention,
+            ),
+            (
+                Table2Features {
+                    escape: Some(Injection),
+                    ..looped
+                },
+                AnomalyType::OutOfLoopDeadlockInjection,
+            ),
+            (
+                Table2Features {
+                    primary: Some(Injection),
+                    ..paused
+                },
+                AnomalyType::PfcStorm,
+            ),
+            (
+                Table2Features {
+                    path_contention: true,
+                    ..Default::default()
+                },
+                AnomalyType::NormalContention,
+            ),
+            // An unpaused victim with no contention on its path.
+            (Table2Features::default(), AnomalyType::NoAnomaly),
+            // A PFC path with no root to name the cause.
+            (paused, AnomalyType::NoAnomaly),
+        ];
+        for (features, anomaly) in rows {
+            assert_eq!(table2(&features), anomaly, "{features:?}");
+        }
+    }
+
+    #[test]
+    fn terminals_of_backpressure_chain() {
+        let (topo, _) = dummy_env();
+        let g = graph_backpressure_contention(&topo);
+        // Port 0 -> 1 -> 2 (terminal).
+        assert_eq!(terminal_ports(&g, 0), vec![2]);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   wait-for provenance graph over ports and flows (port-level PFC
 //!   causality edges, flow-port pausing edges, port-flow contention edges
 //!   via queue replay).
-//! - [`signature`] — the formal anomaly signatures of Table 2.
 //! - [`diagnosis`] — Algorithm 2: loop detection, root-cause location
-//!   (flow contention vs. host PFC injection), anomaly classification.
+//!   (flow contention vs. host PFC injection), and the anomaly class of
+//!   Table 2, matched on what the walk found.
 //! - [`analyzer`] — end-to-end: a victim's window → graph → report.
 
 pub mod aggregate;
@@ -28,8 +28,8 @@ pub mod hash;
 pub mod hook;
 pub mod incremental;
 pub mod provenance;
-pub mod signature;
-pub mod test_graphs;
+#[cfg(test)]
+mod test_graphs;
 
 pub use aggregate::{AggTelemetry, FlowAgg, PortAgg, Window};
 pub use analyzer::{

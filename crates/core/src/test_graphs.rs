@@ -1,7 +1,7 @@
-//! Hand-built provenance graphs mirroring Fig. 12's four case studies plus
-//! normal contention — shared by signature and diagnosis tests. Ports refer
-//! to the real switches of [`topo4`] so topology lookups (peer devices for
-//! injection roots) resolve.
+//! Hand-built provenance graphs mirroring Fig. 12's four case studies —
+//! shared by the diagnosis and analyzer tests. Ports refer to the real
+//! switches of [`topo4`] so topology lookups (peer devices for injection
+//! roots) resolve.
 
 use crate::provenance::ProvenanceGraph;
 use hawkeye_sim::{chain, FlowKey, NodeId, PortId, Topology, EVAL_BANDWIDTH, EVAL_DELAY};
@@ -120,19 +120,5 @@ pub fn graph_out_of_loop_deadlock(topo: &Topology, contention_root: bool) -> Pro
         let v = g.add_flow_node(fkey(20));
         g.add_port_flow_edge(escape, v, -5.0);
     }
-    g
-}
-
-/// Table 2 row 6: traditional flow contention — no port-level edges, one
-/// congested port with positive contributors.
-pub fn graph_normal_contention(topo: &Topology) -> ProvenanceGraph {
-    let mut g = ProvenanceGraph::default();
-    let p = g.add_port_node(port(topo, 0, 2));
-    let c1 = g.add_flow_node(fkey(3));
-    let c2 = g.add_flow_node(fkey(4));
-    let v = g.add_flow_node(fkey(1));
-    g.add_port_flow_edge(p, c1, 4.0);
-    g.add_port_flow_edge(p, c2, 3.0);
-    g.add_port_flow_edge(p, v, -7.0);
     g
 }
