@@ -5,10 +5,11 @@
 //! (static deadlock-prevention analysis), `dot` (a Fig 12 provenance graph
 //! as Graphviz DOT), `summary` (network-wide run statistics), `trace`
 //! (event trace of a run), `chaos` (fault-rate sweep), `corpus` (verdict
-//! matrix vs golden pins), `fuzz` (disagreement fuzzer), `serve` (online
-//! diagnosis daemon and replay client), `front` (shard-routing
-//! front-end), `serve-stats` (a daemon's observability view) and `figure`
-//! (the paper's figures). [`COMMANDS`] gives each one's arguments and the
+//! matrix vs golden pins), `fuzz` (disagreement fuzzer), `serve` (the
+//! online diagnosis daemon), `replay` (stream one scenario into a daemon
+//! and check its verdict), `front` (shard-routing front-end),
+//! `serve-stats` (a daemon's observability view) and `figure` (the
+//! paper's figures). [`COMMANDS`] gives each one's arguments and the
 //! flags it reads; `hawkeye` alone prints them. A flag the subcommand does
 //! not read is a usage error.
 //! Kinds: incast, storm, inloop, oolc, oolinj, contention. Figure ids:
@@ -18,9 +19,10 @@
 //! `chaos` sweeps control-plane fault rates (default 0%-50%) across the
 //! whole scenario matrix, prints an accuracy/confidence table, and writes
 //! the same data as JSON (default `CHAOS.json`). Exit codes: 0 success,
-//! 2 usage, 3 diagnosis failed with a typed cause (`scenario` only).
+//! 2 usage, 3 diagnosis failed with a typed cause (`scenario`, `replay`).
 //! Every subcommand exits 0 when the reader of its stdout goes away
-//! (`hawkeye ... | head`), and 1 on any other stdout write error.
+//! (`hawkeye ... | head`), and 1 on any other stdout write error; a
+//! reader of stderr that went away changes no exit code.
 //!
 //! `trace` emits sim-time-stamped events (PFC pause/resume, probe hops, CPU
 //! mirrors, detections, diagnosis stage spans) — `--format chrome` produces
@@ -34,8 +36,10 @@ use hawkeye_eval::{
     run_method_obs, simulate, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES, FIGURE_IDS,
 };
 use hawkeye_obs::{kind as evkind, ObsConfig};
+use hawkeye_serve::Endpoint;
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams, TopologySpec};
 use serde::Serialize;
+use std::io::Write;
 use std::str::FromStr;
 
 /// The scenario kinds, by the name the command line gives them.
@@ -62,19 +66,51 @@ macro_rules! outln {
     };
 }
 
+/// [`eprintln!`] through [`note`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        note(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// The one writer of stdout. A reader that went away (`hawkeye ... |
 /// head`) ends the run quietly with exit 0; any other write error exits 1
 /// with a message.
 fn emit(args: std::fmt::Arguments) {
-    use std::io::Write;
     let Err(e) = std::io::stdout().write_fmt(args) else {
         return;
     };
     if e.kind() == std::io::ErrorKind::BrokenPipe {
         std::process::exit(0);
     }
-    eprintln!("hawkeye: cannot write to stdout: {e}");
-    std::process::exit(1);
+    fail(format_args!("cannot write to stdout: {e}"))
+}
+
+/// `doc` as pretty JSON on stdout.
+fn print_json(doc: &(impl Serialize + ?Sized)) {
+    outln!(
+        "{}",
+        serde_json::to_string_pretty(doc).expect("serialization is infallible")
+    );
+}
+
+/// The one writer of stderr. A failed write is dropped: a message nobody
+/// can read must not turn the run's exit code into a panic's.
+fn note(args: std::fmt::Arguments) {
+    let _ = std::io::stderr().write_fmt(args);
+}
+
+/// `hawkeye: <why>` and exit 1: the run could not do its work.
+fn fail(why: impl std::fmt::Display) -> ! {
+    errln!("hawkeye: {why}");
+    std::process::exit(1)
+}
+
+/// `hawkeye: <why>`, the usage text and exit 2: the command line asked
+/// for something no run does.
+fn refuse(why: impl std::fmt::Display) -> ! {
+    errln!("hawkeye: {why}");
+    usage()
 }
 
 fn parse_kind(s: &str) -> Option<ScenarioKind> {
@@ -85,7 +121,7 @@ fn parse_kind(s: &str) -> Option<ScenarioKind> {
 /// reads followed by its value's placeholder when it takes one. Usage is
 /// printed from this table, and a flag is parsed only for a subcommand
 /// that lists it.
-const COMMANDS: [&str; 14] = [
+const COMMANDS: [&str; 15] = [
     "scenario <kind> --load F --seed N --json",
     "matrix --load F --seed N --jobs N",
     "methods <kind> --load F --seed N --jobs N",
@@ -96,11 +132,11 @@ const COMMANDS: [&str; 14] = [
     "chaos --rates R,.. --trials N --out F --load F --seed N --jobs N --json",
     "corpus --golden F --write --topos T,.. --seeds N,.. --jobs N --json",
     "fuzz --budget N --base-topo T --seed N --bank F --json",
-    "serve --replay KIND --socket P --tcp A --epoch-budget N --history --batch N \
-     --queue-depth N --slow-shard-us N --durable DIR --fsync never|interval|always \
-     --connect --stream-only --query-only --shard LO..HI \
-     --map-epoch N --load F --seed N --json",
-    "front [kind] --map F --socket P --tcp A --load F --seed N",
+    "serve --socket P --tcp A --epoch-budget N --queue-depth N --slow-shard-us N \
+     --durable DIR --fsync never|interval|always --shard LO..HI --map-epoch N",
+    "replay <kind> --socket P --tcp A --batch N --history --stream-only --query-only \
+     --load F --seed N --json",
+    "front [kind] --map F --socket P --tcp A",
     "serve-stats --socket P --tcp A --json",
     "figure <id|all> --trials N --load F --jobs N",
 ];
@@ -127,21 +163,21 @@ struct Opts {
     trials: Option<usize>,
     /// JSON output path for `chaos`.
     out: String,
-    /// Unix socket path for `serve`.
+    /// Unix socket path: the one `serve` and `front` bind, the one
+    /// `replay` and `serve-stats` connect to.
     socket: Option<String>,
-    /// TCP bind address for `serve` (e.g. 127.0.0.1:0).
+    /// TCP address, bound or connected to as `--socket` is (e.g.
+    /// 127.0.0.1:0 to bind an ephemeral port).
     tcp: Option<String>,
-    /// Scenario to stream through the daemon (`serve --replay <kind>`).
-    replay: Option<ScenarioKind>,
     /// Per-switch raw-ring budget override for `serve` (tiny values force
-    /// compaction; the long-run smoke uses this).
+    /// compaction; the retention smoke uses this).
     epoch_budget: Option<usize>,
-    /// `serve --replay`: also fetch the victim's flow history (raw +
-    /// compacted tiers) from the daemon and report it.
+    /// `replay`: also fetch the victim's flow history (raw + compacted
+    /// tiers) from the daemon and report it.
     history: bool,
-    /// Snapshots per ingest frame for `serve --replay` (default 1), sent
+    /// Snapshots per ingest frame for `replay` (default 1), sent
     /// pipelined under the client's credit window.
-    batch: usize,
+    batch: Option<usize>,
     /// Ingest queue depth override for `serve`: frames the store thread
     /// may have queued before a session blocks.
     queue_depth: Option<usize>,
@@ -154,14 +190,12 @@ struct Opts {
     durable: Option<String>,
     /// Fsync policy for `--durable` (never|interval|always).
     fsync: Option<hawkeye_serve::FsyncPolicy>,
-    /// `serve --replay`: connect to an *already running* daemon at
-    /// `--socket`/`--tcp` instead of spawning one, and leave it running.
-    connect: bool,
-    /// `serve --replay`: stream telemetry and stop after the stats
-    /// barrier — no diagnosis, no daemon shutdown (crash-smoke half 1).
+    /// `replay` against a running daemon: stream telemetry and stop after
+    /// the stats barrier, with no diagnosis (crash-smoke half 1).
     stream_only: bool,
-    /// `serve --replay`: skip streaming; compute the diagnosis window
-    /// locally and query the daemon's recovered state (crash-smoke half 2).
+    /// `replay` against a running daemon: skip streaming; compute the
+    /// diagnosis window locally and query the daemon's recovered state
+    /// (crash-smoke half 2).
     query_only: bool,
     /// Owned switch-id range for `serve` (`--shard LO..HI`): refuse
     /// ingest outside it with a typed `wrong_shard` error.
@@ -207,15 +241,13 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<(Opts, Vec<String>), String>
         out: "CHAOS.json".to_string(),
         socket: None,
         tcp: None,
-        replay: None,
         epoch_budget: None,
         history: false,
-        batch: 1,
+        batch: None,
         queue_depth: None,
         slow_shard_us: 0,
         durable: None,
         fsync: None,
-        connect: false,
         stream_only: false,
         query_only: false,
         shard: None,
@@ -272,16 +304,12 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<(Opts, Vec<String>), String>
             "--out" => o.out = v.to_string(),
             "--socket" => o.socket = Some(v.to_string()),
             "--tcp" => o.tcp = Some(v.to_string()),
-            "--replay" => {
-                o.replay = Some(parse_kind(v).ok_or(format!("--replay: unknown kind '{v}'"))?)
-            }
             "--epoch-budget" => o.epoch_budget = Some(positive(flag, v)?),
             "--history" => o.history = true,
-            "--batch" => o.batch = positive(flag, v)?,
+            "--batch" => o.batch = Some(positive(flag, v)?),
             "--queue-depth" => o.queue_depth = Some(positive(flag, v)?),
             "--durable" => o.durable = Some(v.to_string()),
             "--fsync" => o.fsync = Some(hawkeye_serve::FsyncPolicy::parse(v)?),
-            "--connect" => o.connect = true,
             "--stream-only" => o.stream_only = true,
             "--query-only" => o.query_only = true,
             "--shard" => o.shard = Some(hawkeye_client::ShardRange::parse(v)?),
@@ -333,11 +361,11 @@ fn list<T>(v: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, 
 }
 
 fn usage() -> ! {
-    eprintln!("usage:");
+    errln!("usage:");
     for spec in COMMANDS {
-        eprintln!("  hawkeye {spec}");
+        errln!("  hawkeye {spec}");
     }
-    eprintln!(
+    errln!(
         "kinds: {}\nfigures: {} all",
         KINDS.map(|(name, _)| name).join(" "),
         FIGURE_IDS.join(" ")
@@ -370,14 +398,11 @@ fn cmd_scenario(kind: ScenarioKind, o: &Opts) {
         let cause = out
             .error
             .map_or_else(|| "no diagnosis produced".to_string(), |e| e.to_string());
-        eprintln!("hawkeye: {cause}");
+        errln!("hawkeye: {cause}");
         std::process::exit(3);
     };
     if o.json {
-        outln!(
-            "{}",
-            serde_json::to_string_pretty(report).expect("report serialization is infallible")
-        );
+        print_json(report);
         return;
     }
     outln!("scenario : {}", kind.name());
@@ -512,15 +537,14 @@ fn cmd_dot(kind: ScenarioKind) {
             .filter(|(_, k)| FIG12_CASES.contains(k))
             .map(|(name, _)| *name)
             .collect();
-        eprintln!(
-            "hawkeye: no case study for {}; dot draws {}",
+        refuse(format_args!(
+            "no case study for {}; dot draws {}",
             kind.name(),
             drawn.join(" ")
-        );
-        usage()
+        ))
     }
     let (summary, dot) = fig12_case(kind);
-    eprintln!("// {summary}");
+    errln!("// {summary}");
     outln!("{dot}");
 }
 
@@ -530,10 +554,7 @@ fn cmd_figure(id: Option<&str>, o: &Opts) {
     let ids = match id {
         Some("all") => FIGURE_IDS.to_vec(),
         Some(id) => vec![id],
-        None => {
-            eprintln!("hawkeye: figure requires an id");
-            usage()
-        }
+        None => refuse("figure requires an id"),
     };
     let cfg = EvalConfig {
         trials: o.trials.unwrap_or(EvalConfig::default().trials),
@@ -542,8 +563,7 @@ fn cmd_figure(id: Option<&str>, o: &Opts) {
     };
     for id in ids {
         let Some(text) = figure(id, &cfg, o.jobs) else {
-            eprintln!("hawkeye: unknown figure '{id}'");
-            usage()
+            refuse(format_args!("unknown figure '{id}'"))
         };
         out!("{text}");
     }
@@ -571,10 +591,7 @@ fn cmd_summary(kind: ScenarioKind, o: &Opts) {
                 hawkeye_obs::emit::metrics_value(&reg.snapshot()),
             ),
         ]);
-        outln!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("value serialization is infallible")
-        );
+        print_json(&doc);
     } else {
         outln!("{s:#?}");
         let snap = reg.snapshot();
@@ -612,7 +629,7 @@ fn cmd_trace(kind: ScenarioKind, o: &Opts) {
         TraceFormat::Chrome => outln!("{}", hawkeye_obs::emit::chrome_trace(&recs)),
     }
     if obs.tracer.dropped() > 0 {
-        eprintln!(
+        errln!(
             "note: ring buffer overflowed, oldest {} of {} events dropped",
             obs.tracer.dropped(),
             obs.tracer.recorded()
@@ -636,11 +653,10 @@ fn cmd_chaos(o: &Opts) {
         outln!("{}", rep.to_figure());
     }
     if let Err(e) = std::fs::write(&o.out, json + "\n") {
-        eprintln!("hawkeye: cannot write {}: {e}", o.out);
-        std::process::exit(1);
+        fail(format_args!("cannot write {}: {e}", o.out))
     }
     if !o.json {
-        eprintln!("wrote {}", o.out);
+        errln!("wrote {}", o.out);
     }
 }
 
@@ -663,36 +679,26 @@ fn cmd_corpus(o: &Opts) {
         cfg.seeds = s.clone();
     }
     if o.write && subset {
-        eprintln!("hawkeye: corpus --write pins the full matrix; drop --topos/--seeds");
+        errln!("hawkeye: corpus --write pins the full matrix; drop --topos/--seeds");
         std::process::exit(2);
     }
     let cells = run_corpus(&cfg, o.jobs);
     if o.write {
         let json = golden_to_json(&cells);
         if let Err(e) = std::fs::write(&o.golden, json + "\n") {
-            eprintln!("hawkeye: cannot write {}: {e}", o.golden);
-            std::process::exit(1);
+            fail(format_args!("cannot write {}: {e}", o.golden))
         }
-        eprintln!("wrote {} ({} cells)", o.golden, cells.len());
+        errln!("wrote {} ({} cells)", o.golden, cells.len());
         return;
     }
-    let golden_src = match std::fs::read_to_string(&o.golden) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!(
-                "hawkeye: cannot read {}: {e} (generate it with `hawkeye corpus --write`)",
-                o.golden
-            );
-            std::process::exit(1);
-        }
-    };
-    let golden = match golden_from_json(&golden_src) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("hawkeye: {}: {e}", o.golden);
-            std::process::exit(1);
-        }
-    };
+    let golden_src = std::fs::read_to_string(&o.golden).unwrap_or_else(|e| {
+        fail(format_args!(
+            "cannot read {}: {e} (generate it with `hawkeye corpus --write`)",
+            o.golden
+        ))
+    });
+    let golden =
+        golden_from_json(&golden_src).unwrap_or_else(|e| fail(format_args!("{}: {e}", o.golden)));
     let diffs = diff_cells(&golden, &cells, subset);
     if o.json {
         let doc = serde::Value::Object(vec![
@@ -708,10 +714,7 @@ fn cmd_corpus(o: &Opts) {
                 ),
             ),
         ]);
-        outln!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("value serialization is infallible")
-        );
+        print_json(&doc);
     } else {
         for d in &diffs {
             outln!("{d}");
@@ -751,11 +754,7 @@ fn cmd_fuzz(o: &Opts) {
     }
     let rep = run_fuzz(&cfg);
     if o.json {
-        outln!(
-            "{}",
-            serde_json::to_string_pretty(&rep.to_value())
-                .expect("value serialization is infallible")
-        );
+        print_json(&rep.to_value());
     } else {
         outln!(
             "fuzz: base {} seed {}: {} runs, {} degenerate topologies rejected, \
@@ -784,245 +783,230 @@ fn cmd_fuzz(o: &Opts) {
     if let Some(path) = &o.bank {
         let json = bank_to_json(&rep.banked);
         if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("hawkeye: cannot write {path}: {e}");
-            std::process::exit(1);
+            fail(format_args!("cannot write {path}: {e}"))
         }
         if !o.json {
-            eprintln!("wrote {path} ({} repros)", rep.banked.len());
+            errln!("wrote {path} ({} repros)", rep.banked.len());
         }
     }
     std::process::exit(if rep.reverify_failures == 0 { 0 } else { 1 });
 }
 
-/// `hawkeye serve`: start the online diagnosis daemon. With `--replay
-/// <kind>` the CLI also streams that scenario's telemetry into the daemon
-/// over the socket, asks it for a diagnosis of the same window the
-/// one-shot pipeline would use, verifies verdict parity, and shuts the
-/// daemon down — the end-to-end online mode. Without `--replay` the daemon
-/// runs in the foreground (SIGINT/SIGTERM tear it down like a `Shutdown`
-/// frame) until stopped; with `--durable DIR` it journals accepted epochs
-/// and verdicts to `DIR` and replays the log on startup.
-///
-/// `--connect` targets an already running daemon instead of spawning one
-/// (and leaves it running); `--stream-only` stops after the journaled
-/// stats barrier, `--query-only` skips streaming and diagnoses against
-/// whatever state the daemon already holds — together they bracket a
-/// `kill -9` in the crash-recovery smoke.
-///
-/// Exit codes: 0 success (replay: parity verified), 1 served/one-shot
-/// mismatch, 3 no diagnosis produced.
-fn cmd_serve(o: &Opts) {
-    use hawkeye_client::{ServeClient, VecSink};
-    use hawkeye_core::AnalyzerConfig;
-    use hawkeye_serve::{
-        replay_streaming, replay_streaming_batched, Endpoint, ServeConfig, StoreConfig, WalConfig,
-    };
+/// The `--socket`/`--tcp` address `o` gives, if any. Giving both is a
+/// usage error: only one of them would be used.
+fn address(o: &Opts) -> Option<Endpoint> {
+    match (&o.socket, &o.tcp) {
+        (Some(_), Some(_)) => refuse("give --socket or --tcp, not both"),
+        (Some(path), None) => Some(Endpoint::Unix(path.into())),
+        (None, Some(addr)) => Some(Endpoint::Tcp(addr.clone())),
+        (None, None) => None,
+    }
+}
 
-    let runcfg = optimal_run_config(o.seed);
-    let store = o
-        .epoch_budget
-        .map_or_else(StoreConfig::default, |n| StoreConfig {
-            epoch_budget: n,
-            ..StoreConfig::default()
-        });
-    let make_cfg = |store: StoreConfig| {
-        let mut cfg = ServeConfig {
-            analyzer: AnalyzerConfig::for_epoch_len(runcfg.epoch.epoch_len()),
-            store,
-            ingest_delay_ns: o.slow_shard_us * 1_000,
-            ..Default::default()
-        };
-        if let Some(d) = o.queue_depth {
-            cfg.queue_depth = d;
-        }
-        if let Some(mut range) = o.shard {
-            range.epoch = o.map_epoch.unwrap_or(0);
-            cfg.shard_range = Some(range);
-        }
-        cfg
+/// [`address`], which `cmd` cannot run without.
+fn required_address(cmd: &str, o: &Opts) -> Endpoint {
+    address(o).unwrap_or_else(|| refuse(format_args!("{cmd} requires --socket PATH or --tcp ADDR")))
+}
+
+/// A client of the daemon or front listening at `at`.
+fn connect(at: &Endpoint) -> hawkeye_client::ServeClient {
+    use hawkeye_client::ServeClient;
+    match at {
+        Endpoint::Unix(path) => ServeClient::connect_unix(path),
+        Endpoint::Tcp(addr) => ServeClient::connect_tcp(addr),
+    }
+    .unwrap_or_else(|e| fail(format_args!("cannot connect to daemon: {e}")))
+}
+
+/// The analyzer a daemon or front runs: epochs as long as the trials'
+/// ([`optimal_run_config`] fixes them whatever the seed).
+fn analyzer() -> hawkeye_core::AnalyzerConfig {
+    hawkeye_core::AnalyzerConfig::for_epoch_len(optimal_run_config(0).epoch.epoch_len())
+}
+
+/// The fabric a daemon or front diagnoses on: `kind`'s topology and
+/// routes, which neither `--load` nor `--seed` changes.
+fn fabric(kind: ScenarioKind) -> hawkeye_sim::Topology {
+    let params = ScenarioParams {
+        load: 0.0,
+        ..Default::default()
     };
-    let endpoint = match (&o.socket, &o.tcp) {
-        (Some(path), _) => Endpoint::Unix(path.into()),
-        (None, Some(addr)) => Endpoint::Tcp(addr.clone()),
-        // Replay is self-contained, so an ephemeral local port is the
-        // no-flags default; a foreground daemon needs an address the
-        // operator knows.
-        (None, None) if o.replay.is_some() && !o.connect => {
-            Endpoint::Tcp("127.0.0.1:0".to_string())
-        }
-        (None, None) => {
-            eprintln!("hawkeye: serve requires --socket PATH or --tcp ADDR (or --replay KIND)");
-            usage()
-        }
+    build_scenario(kind, params).topo
+}
+
+/// `hawkeye serve`: the online diagnosis daemon on the incast fabric, in
+/// the foreground at `--socket`/`--tcp` until a `Shutdown` frame or
+/// SIGINT/SIGTERM. With `--durable DIR` it journals accepted epochs and
+/// verdicts to `DIR` and replays the log on startup; with `--shard
+/// LO..HI` it owns that switch-id range of a fleet. `hawkeye replay`
+/// drives it.
+///
+/// Exit codes: 0 stopped, 1 cannot bind (or recover), 2 usage.
+fn cmd_serve(o: &Opts) {
+    use hawkeye_serve::{ServeConfig, WalConfig};
+    let endpoint = required_address("serve", o);
+    if o.fsync.is_some() && o.durable.is_none() {
+        refuse("--fsync needs --durable DIR")
+    }
+    if o.map_epoch.is_some() && o.shard.is_none() {
+        refuse("--map-epoch needs --shard LO..HI")
+    }
+    let mut cfg = ServeConfig {
+        analyzer: analyzer(),
+        ingest_delay_ns: o.slow_shard_us * 1_000,
+        ..Default::default()
     };
-    let wal_cfg = o.durable.as_ref().map(|d| {
+    if let Some(n) = o.epoch_budget {
+        cfg.store.epoch_budget = n;
+    }
+    if let Some(d) = o.queue_depth {
+        cfg.queue_depth = d;
+    }
+    if let Some(mut range) = o.shard {
+        range.epoch = o.map_epoch.unwrap_or(0);
+        cfg.shard_range = Some(range);
+    }
+    let wal = o.durable.as_ref().map(|d| {
         let mut w = WalConfig::new(std::path::Path::new(d));
         if let Some(f) = o.fsync {
             w.fsync = f;
         }
         w
     });
-    let report_recovery = |h: &hawkeye_serve::DaemonHandle| {
-        if let Some(rep) = &h.recovery {
-            eprintln!(
-                "hawkeye: recovered {} records ({} snapshots, {} verdicts, checkpoint: {}, \
-                 {} truncated), resuming at seq {}",
-                rep.records_scanned,
-                rep.snapshots_replayed,
-                rep.verdicts_replayed,
-                rep.checkpoint_restored,
-                rep.truncated_records,
-                rep.next_seq
-            );
-        }
-    };
-    let Some(kind) = o.replay else {
-        // Foreground daemon mode: a replay client (possibly another
-        // hawkeye process) connects later. The topology must match the
-        // scenario the client streams; default to the incast fabric.
-        let sc = build(ScenarioKind::MicroBurstIncast, o);
-        let cfg = make_cfg(store);
-        hawkeye_serve::install_signal_handlers();
-        match hawkeye_serve::spawn_durable(sc.topo, cfg, endpoint, wal_cfg) {
-            Ok(handle) => {
-                report_recovery(&handle);
-                if let Some(addr) = handle.local_addr {
-                    eprintln!("hawkeye: serving on {addr}");
-                }
-                handle.wait();
-            }
-            Err(e) => {
-                eprintln!("hawkeye: cannot bind daemon: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    };
+    hawkeye_serve::install_signal_handlers();
+    let fabric = fabric(ScenarioKind::MicroBurstIncast);
+    let handle = hawkeye_serve::spawn_durable(fabric, cfg, endpoint, wal)
+        .unwrap_or_else(|e| fail(format_args!("cannot bind daemon: {e}")));
+    if let Some(rep) = &handle.recovery {
+        errln!(
+            "hawkeye: recovered {} records ({} snapshots, {} verdicts, checkpoint: {}, \
+             {} truncated), resuming at seq {}",
+            rep.records_scanned,
+            rep.snapshots_replayed,
+            rep.verdicts_replayed,
+            rep.checkpoint_restored,
+            rep.truncated_records,
+            rep.next_seq
+        );
+    }
+    if let Some(addr) = handle.local_addr {
+        errln!("hawkeye: serving on {addr}");
+    }
+    handle.wait();
+}
 
+/// What a replay reads back from the daemon besides the served report.
+#[derive(Default)]
+struct Readback {
+    stats: Option<serde::Value>,
+    obs: Option<(hawkeye_obs::MetricsSnapshot, serde::Value)>,
+    explain: Option<hawkeye_client::ExplainRecord>,
+    history: Option<Vec<hawkeye_client::FlowObservation>>,
+}
+
+/// `hawkeye replay <kind>`: simulate one scenario, stream its telemetry
+/// into a daemon in frames of `--batch` snapshots, ask the daemon for a
+/// diagnosis of the window the one-shot pipeline uses, and check that the
+/// two agree. With `--socket`/`--tcp` it is a client of that running
+/// daemon or front and leaves it running. With neither it is
+/// self-contained: it spawns a daemon of its own on the scenario's fabric
+/// (a `serve` daemon always has the incast one) and shuts it down.
+///
+/// Against a running daemon, `--stream-only` stops after the journaled
+/// stats barrier and `--query-only` streams nothing and diagnoses what
+/// the daemon already holds — together they bracket a `kill -9` in the
+/// crash-recovery smoke.
+///
+/// Exit codes: 0 parity verified (or streamed), 1 served/one-shot
+/// mismatch or no daemon reached, 2 usage, 3 no diagnosis produced.
+fn cmd_replay(kind: ScenarioKind, o: &Opts) {
+    use hawkeye_serve::{replay_streaming, replay_streaming_batched, ServeConfig, VecSink};
+    let address = address(o);
+    if address.is_none() && (o.stream_only || o.query_only) {
+        refuse("--stream-only and --query-only drive a running daemon: give --socket or --tcp")
+    }
+    if o.stream_only && o.query_only {
+        refuse("--stream-only and --query-only exclude each other")
+    }
+    if o.query_only && o.batch.is_some() {
+        refuse("--batch does not apply to --query-only, which streams nothing")
+    }
+    if o.stream_only && o.history {
+        refuse("--history does not apply to --stream-only, which diagnoses nothing")
+    }
     let sc = build(kind, o);
-    let handle = if o.connect {
-        None
-    } else {
-        let cfg = make_cfg(store);
-        match hawkeye_serve::spawn_durable(sc.topo.clone(), cfg, endpoint.clone(), wal_cfg) {
-            Ok(h) => {
-                report_recovery(&h);
-                Some(h)
-            }
-            Err(e) => {
-                eprintln!("hawkeye: cannot bind daemon: {e}");
-                std::process::exit(1);
-            }
+    let runcfg = optimal_run_config(o.seed);
+    let (daemon, at) = match address {
+        Some(at) => (None, at),
+        None => {
+            let cfg = ServeConfig {
+                analyzer: analyzer(),
+                ..Default::default()
+            };
+            let at = Endpoint::Tcp("127.0.0.1:0".to_string());
+            let h = hawkeye_serve::spawn(sc.topo.clone(), cfg, at)
+                .unwrap_or_else(|e| fail(format_args!("cannot bind daemon: {e}")));
+            let bound = h.local_addr.expect("a TCP daemon knows its address");
+            (Some(h), Endpoint::Tcp(bound.to_string()))
         }
     };
-    let client = match &endpoint {
-        Endpoint::Unix(path) => ServeClient::connect_unix(std::path::Path::new(path)),
-        Endpoint::Tcp(addr) => {
-            // A spawned TCP daemon may have bound port 0; a --connect
-            // target is addressed exactly as given.
-            let addr = handle
-                .as_ref()
-                .and_then(|h| h.local_addr)
-                .map_or_else(|| addr.clone(), |a| a.to_string());
-            ServeClient::connect_tcp(&addr)
-        }
-    };
-    let client = match client {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("hawkeye: cannot connect to daemon: {e}");
-            if let Some(h) = handle {
-                h.shutdown();
-            }
-            std::process::exit(1);
-        }
-    };
-
-    // --query-only runs the simulation against a local throwaway sink
-    // (the daemon already holds the recovered telemetry); everything else
-    // streams into the daemon for real.
+    let client = connect(&at);
     let (outcome, mut client) = if o.query_only {
-        let (outcome, _) = replay_streaming(&sc, &runcfg, VecSink::default());
-        (outcome, client)
+        // The daemon already holds the telemetry: the local run only
+        // finds the diagnosis window.
+        (replay_streaming(&sc, &runcfg, VecSink::default()).0, client)
     } else {
-        replay_streaming_batched(&sc, &runcfg, client, o.batch)
+        replay_streaming_batched(&sc, &runcfg, client, o.batch.unwrap_or(1))
     };
-
     if o.stream_only {
         // Stats doubles as the flush barrier: once it returns, every
         // accepted epoch has been applied AND journaled — the daemon may
         // now be killed without losing what this run streamed.
-        let stats = client.stats().ok();
-        let mut doc = vec![
-            (
-                "scenario".to_string(),
-                serde::Value::Str(kind.name().into()),
-            ),
-            (
-                "epochs_streamed".to_string(),
-                serde::Value::UInt(outcome.stream.pushed),
-            ),
-            (
-                "epochs_shed".to_string(),
-                serde::Value::UInt(outcome.stream.shed),
-            ),
-        ];
-        if let Some(stats) = stats {
-            doc.push(("daemon".to_string(), stats));
-        }
-        let doc = serde::Value::Object(doc);
+        let rb = Readback {
+            stats: client.stats().ok(),
+            ..Readback::default()
+        };
         if o.json {
-            outln!(
-                "{}",
-                serde_json::to_string_pretty(&doc).expect("value serialization is infallible")
-            );
+            print_json(&replay_doc(kind, &outcome, None, &rb));
         } else {
-            outln!(
-                "streamed : {} snapshots ({} shed, {} errors)",
-                outcome.stream.pushed,
-                outcome.stream.shed,
-                outcome.stream.errors
-            );
+            print_streamed(&outcome.stream);
         }
         return;
     }
     let served = outcome.window.and_then(|w| {
         client
             .diagnose(sc.truth.victim, w.from, w.to, outcome.missing.clone())
-            .map_err(|e| eprintln!("hawkeye: served diagnosis failed: {e}"))
+            .map_err(|e| errln!("hawkeye: served diagnosis failed: {e}"))
             .ok()
     });
-    let stats = client.stats().ok();
-    let obs = client
-        .metrics()
-        .map_err(|e| eprintln!("hawkeye: metrics fetch failed: {e}"))
-        .ok();
-    let explain = served
-        .is_some()
-        .then(|| client.explain(None).ok())
-        .flatten();
-    let history = if o.history {
-        client
-            .flow_history(sc.truth.victim)
-            .map_err(|e| eprintln!("hawkeye: flow history failed: {e}"))
-            .ok()
-    } else {
-        None
+    let rb = Readback {
+        stats: client.stats().ok(),
+        obs: client
+            .metrics()
+            .map_err(|e| errln!("hawkeye: metrics fetch failed: {e}"))
+            .ok(),
+        explain: served
+            .is_some()
+            .then(|| client.explain(None).ok())
+            .flatten(),
+        history: if o.history {
+            client
+                .flow_history(sc.truth.victim)
+                .map_err(|e| errln!("hawkeye: flow history failed: {e}"))
+                .ok()
+        } else {
+            None
+        },
     };
-    if o.connect {
-        // The daemon belongs to someone else; leave it running.
-        drop(client);
-    } else {
+    // A daemon given by its address belongs to someone else: it stays up.
+    if let Some(h) = daemon {
         if let Err(e) = client.shutdown() {
-            eprintln!("hawkeye: daemon shutdown failed: {e}");
+            errln!("hawkeye: daemon shutdown failed: {e}");
         }
-        if let Some(h) = handle {
-            h.wait();
-        }
+        h.wait();
     }
-
     let (Some(one), Some(served)) = (&outcome.oneshot, &served) else {
-        eprintln!(
+        errln!(
             "hawkeye: no diagnosis produced ({})",
             if outcome.window.is_none() {
                 "victim anomaly never detected"
@@ -1034,125 +1018,142 @@ fn cmd_serve(o: &Opts) {
     };
     let parity = outcome.parity_with(served);
     if o.json {
-        let mut doc = vec![
-            (
-                "scenario".to_string(),
-                serde::Value::Str(kind.name().into()),
-            ),
-            (
-                "verdict".to_string(),
-                serde::Value::Str(format!(
-                    "{:?}",
-                    outcome.verdict.expect("verdict accompanies every report")
-                )),
-            ),
-            ("parity".to_string(), serde::Value::Bool(parity)),
-            ("oneshot".to_string(), one.to_value()),
-            ("served".to_string(), served.to_value()),
-            (
-                "epochs_streamed".to_string(),
-                serde::Value::UInt(outcome.stream.pushed),
-            ),
-            (
-                "epochs_shed".to_string(),
-                serde::Value::UInt(outcome.stream.shed),
-            ),
-        ];
-        if let Some(stats) = stats {
-            doc.push(("daemon".to_string(), stats));
-        }
-        if let Some((snap, flight)) = &obs {
-            if let Some(p99) = snap
-                .histogram(hawkeye_obs::names::OP_DIAGNOSE_NS)
-                .and_then(|h| h.percentile(0.99))
-            {
-                doc.push(("diagnose_p99_ns".to_string(), serde::Value::UInt(p99)));
-            }
-            doc.push((
-                "metrics".to_string(),
-                hawkeye_obs::emit::metrics_value(snap),
-            ));
-            doc.push(("flight".to_string(), flight.clone()));
-        }
-        if let Some(rec) = &explain {
-            doc.push(("explain".to_string(), rec.to_value()));
-        }
-        if let Some(rows) = &history {
-            doc.push((
-                "history".to_string(),
-                serde::Value::Array(
-                    rows.iter()
-                        .map(hawkeye_client::observation_to_value)
-                        .collect(),
-                ),
-            ));
-        }
-        outln!(
-            "{}",
-            serde_json::to_string_pretty(&serde::Value::Object(doc))
-                .expect("value serialization is infallible")
-        );
+        print_json(&replay_doc(
+            kind,
+            &outcome,
+            Some((one, served, parity)),
+            &rb,
+        ));
     } else {
-        outln!("scenario : {}", kind.name());
-        outln!(
-            "verdict  : {:?}",
-            outcome.verdict.expect("verdict accompanies every report")
-        );
-        outln!("served   : {:?} ({:?})", served.anomaly, served.confidence);
-        outln!(
-            "streamed : {} snapshots ({} shed, {} errors)",
-            outcome.stream.pushed,
-            outcome.stream.shed,
-            outcome.stream.errors
-        );
-        outln!("parity   : {}", if parity { "ok" } else { "MISMATCH" });
-        if let Some(stats) = stats {
-            outln!(
-                "daemon   : {}",
-                serde_json::to_string(&stats).expect("value serialization is infallible")
-            );
-        }
-        if let Some((snap, _)) = &obs {
-            if let Some(h) = snap.histogram(hawkeye_obs::names::OP_DIAGNOSE_NS) {
-                outln!(
-                    "diagnose : {} calls, p50 {} ns, p99 {} ns",
-                    h.count,
-                    h.percentile(0.50).unwrap_or(0),
-                    h.percentile(0.99).unwrap_or(0)
-                );
-            }
-        }
-        if let Some(rec) = &explain {
-            outln!(
-                "explain  : verdict #{} {} ({}), {} epochs from {} switches, \
-                 {} dirty, frags {}r/{}c",
-                rec.seq,
-                rec.signature_row,
-                rec.confidence,
-                rec.contributing_epochs,
-                rec.contributing_switches.len(),
-                rec.dirty_switches.len(),
-                rec.frags_reused,
-                rec.frags_recomputed
-            );
-        }
-        if let Some(rows) = &history {
-            let raw = rows
-                .iter()
-                .filter(|r| r.fidelity == hawkeye_client::Fidelity::Raw)
-                .count();
-            let pkts: u64 = rows.iter().map(|r| r.pkt_count).sum();
-            outln!(
-                "history  : {} rows ({} raw, {} compacted), {} pkts total",
-                rows.len(),
-                raw,
-                rows.len() - raw,
-                pkts
-            );
-        }
+        print_replay(kind, &outcome, served, parity, &rb);
     }
     if !parity {
         std::process::exit(1);
+    }
+}
+
+fn print_streamed(s: &hawkeye_serve::StreamStats) {
+    outln!(
+        "streamed : {} snapshots ({} shed, {} errors)",
+        s.pushed,
+        s.shed,
+        s.errors
+    );
+}
+
+/// A replay's JSON report; `diagnosed` is the one-shot and served reports
+/// and their parity, absent under `--stream-only`.
+fn replay_doc(
+    kind: ScenarioKind,
+    outcome: &hawkeye_serve::ReplayOutcome,
+    diagnosed: Option<(
+        &hawkeye_core::DiagnosisReport,
+        &hawkeye_core::DiagnosisReport,
+        bool,
+    )>,
+    rb: &Readback,
+) -> serde::Value {
+    use serde::Value;
+    let mut doc = vec![("scenario".to_string(), Value::Str(kind.name().into()))];
+    if let Some((one, served, parity)) = diagnosed {
+        let verdict = outcome
+            .verdict
+            .as_ref()
+            .expect("verdict accompanies every report");
+        doc.push(("verdict".to_string(), Value::Str(format!("{verdict:?}"))));
+        doc.push(("parity".to_string(), Value::Bool(parity)));
+        doc.push(("oneshot".to_string(), one.to_value()));
+        doc.push(("served".to_string(), served.to_value()));
+    }
+    let s = &outcome.stream;
+    doc.push(("epochs_streamed".to_string(), Value::UInt(s.pushed)));
+    doc.push(("epochs_shed".to_string(), Value::UInt(s.shed)));
+    if let Some(stats) = &rb.stats {
+        doc.push(("daemon".to_string(), stats.clone()));
+    }
+    if let Some((snap, flight)) = &rb.obs {
+        if let Some(p99) = snap
+            .histogram(hawkeye_obs::names::OP_DIAGNOSE_NS)
+            .and_then(|h| h.percentile(0.99))
+        {
+            doc.push(("diagnose_p99_ns".to_string(), Value::UInt(p99)));
+        }
+        let metrics = hawkeye_obs::emit::metrics_value(snap);
+        doc.push(("metrics".to_string(), metrics));
+        doc.push(("flight".to_string(), flight.clone()));
+    }
+    if let Some(rec) = &rb.explain {
+        doc.push(("explain".to_string(), rec.to_value()));
+    }
+    if let Some(rows) = &rb.history {
+        let rows = rows.iter().map(hawkeye_client::observation_to_value);
+        doc.push(("history".to_string(), Value::Array(rows.collect())));
+    }
+    Value::Object(doc)
+}
+
+/// A diagnosed replay's text report.
+fn print_replay(
+    kind: ScenarioKind,
+    outcome: &hawkeye_serve::ReplayOutcome,
+    served: &hawkeye_core::DiagnosisReport,
+    parity: bool,
+    rb: &Readback,
+) {
+    outln!("scenario : {}", kind.name());
+    outln!(
+        "verdict  : {:?}",
+        outcome
+            .verdict
+            .as_ref()
+            .expect("verdict accompanies every report")
+    );
+    outln!("served   : {:?} ({:?})", served.anomaly, served.confidence);
+    print_streamed(&outcome.stream);
+    outln!("parity   : {}", if parity { "ok" } else { "MISMATCH" });
+    if let Some(stats) = &rb.stats {
+        outln!(
+            "daemon   : {}",
+            serde_json::to_string(stats).expect("value serialization is infallible")
+        );
+    }
+    if let Some((snap, _)) = &rb.obs {
+        if let Some(h) = snap.histogram(hawkeye_obs::names::OP_DIAGNOSE_NS) {
+            outln!(
+                "diagnose : {} calls, p50 {} ns, p99 {} ns",
+                h.count,
+                h.percentile(0.50).unwrap_or(0),
+                h.percentile(0.99).unwrap_or(0)
+            );
+        }
+    }
+    if let Some(rec) = &rb.explain {
+        outln!(
+            "explain  : verdict #{} {} ({}), {} epochs from {} switches, \
+             {} dirty, frags {}r/{}c",
+            rec.seq,
+            rec.signature_row,
+            rec.confidence,
+            rec.contributing_epochs,
+            rec.contributing_switches.len(),
+            rec.dirty_switches.len(),
+            rec.frags_reused,
+            rec.frags_recomputed
+        );
+    }
+    if let Some(rows) = &rb.history {
+        let raw = rows
+            .iter()
+            .filter(|r| r.fidelity == hawkeye_client::Fidelity::Raw)
+            .count();
+        let pkts: u64 = rows.iter().map(|r| r.pkt_count).sum();
+        outln!(
+            "history  : {} rows ({} raw, {} compacted), {} pkts total",
+            rows.len(),
+            raw,
+            rows.len() - raw,
+            pkts
+        );
     }
 }
 
@@ -1163,50 +1164,28 @@ fn cmd_serve(o: &Opts) {
 /// fragments and analyzes the merged evidence (byte-identical verdicts
 /// to one big daemon; a dead shard degrades confidence instead of
 /// failing). The optional positional kind names the scenario whose
-/// topology diagnosis runs against (default incast, matching `serve`'s
-/// foreground mode). Runs in the foreground until a `Shutdown` frame or
-/// SIGINT/SIGTERM; shard daemons are never stopped by the front.
+/// fabric diagnosis runs against (default incast, the `serve` daemon's).
+/// Runs in the foreground until a `Shutdown` frame or SIGINT/SIGTERM;
+/// shard daemons are never stopped by the front.
 fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
     use hawkeye_cluster::{spawn_front, FrontConfig, ShardMap};
-    use hawkeye_serve::Endpoint;
-
     let Some(map_path) = &o.map else {
-        eprintln!("hawkeye: front requires --map FILE");
-        usage()
+        refuse("front requires --map FILE")
     };
-    let map = match ShardMap::load(std::path::Path::new(map_path)) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("hawkeye: cannot load shard map {map_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let endpoint = match (&o.socket, &o.tcp) {
-        (Some(path), _) => Endpoint::Unix(path.into()),
-        (None, Some(addr)) => Endpoint::Tcp(addr.clone()),
-        (None, None) => {
-            eprintln!("hawkeye: front requires --socket PATH or --tcp ADDR");
-            usage()
-        }
-    };
-    let runcfg = optimal_run_config(o.seed);
-    let sc = build(kind.unwrap_or(ScenarioKind::MicroBurstIncast), o);
+    let map = ShardMap::load(std::path::Path::new(map_path))
+        .unwrap_or_else(|e| fail(format_args!("cannot load shard map {map_path}: {e}")));
+    let endpoint = required_address("front", o);
+    let fabric = fabric(kind.unwrap_or(ScenarioKind::MicroBurstIncast));
     let cfg = FrontConfig {
-        analyzer: hawkeye_core::AnalyzerConfig::for_epoch_len(runcfg.epoch.epoch_len()),
+        analyzer: analyzer(),
     };
     hawkeye_serve::install_signal_handlers();
-    match spawn_front(sc.topo, map, cfg, endpoint) {
-        Ok(handle) => {
-            if let Some(addr) = handle.local_addr {
-                eprintln!("hawkeye: front serving on {addr}");
-            }
-            handle.wait();
-        }
-        Err(e) => {
-            eprintln!("hawkeye: cannot bind front: {e}");
-            std::process::exit(1);
-        }
+    let handle = spawn_front(fabric, map, cfg, endpoint)
+        .unwrap_or_else(|e| fail(format_args!("cannot bind front: {e}")));
+    if let Some(addr) = handle.local_addr {
+        errln!("hawkeye: front serving on {addr}");
     }
+    handle.wait();
 }
 
 /// `hawkeye serve-stats`: the observability view of a *running* daemon —
@@ -1214,30 +1193,10 @@ fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
 /// tail and the latest verdict's audit record, over the `Metrics` and
 /// `Explain` wire ops. Point it at the daemon's `--socket`/`--tcp`.
 fn cmd_serve_stats(o: &Opts) {
-    use hawkeye_client::ServeClient;
-
-    let client = match (&o.socket, &o.tcp) {
-        (Some(path), _) => ServeClient::connect_unix(std::path::Path::new(path)),
-        (None, Some(addr)) => ServeClient::connect_tcp(addr),
-        (None, None) => {
-            eprintln!("hawkeye: serve-stats requires --socket PATH or --tcp ADDR");
-            usage()
-        }
-    };
-    let mut client = match client {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("hawkeye: cannot connect to daemon: {e}");
-            std::process::exit(1);
-        }
-    };
-    let (snap, flight) = match client.metrics() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("hawkeye: metrics fetch failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut client = connect(&required_address("serve-stats", o));
+    let (snap, flight) = client
+        .metrics()
+        .unwrap_or_else(|e| fail(format_args!("metrics fetch failed: {e}")));
     // No verdict journaled yet is a normal state, not an error.
     let explain = client.explain(None).ok();
 
@@ -1252,11 +1211,7 @@ fn cmd_serve_stats(o: &Opts) {
         if let Some(rec) = &explain {
             doc.push(("explain".to_string(), rec.to_value()));
         }
-        outln!(
-            "{}",
-            serde_json::to_string_pretty(&serde::Value::Object(doc))
-                .expect("value serialization is infallible")
-        );
+        print_json(&serde::Value::Object(doc));
         return;
     }
 
@@ -1315,30 +1270,16 @@ fn cmd_serve_stats(o: &Opts) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let (opts, pos) = match parse_opts(cmd, &args[1..]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("hawkeye: {e}");
-            usage()
-        }
-    };
+    let (opts, pos) = parse_opts(cmd, &args[1..]).unwrap_or_else(|e| refuse(e));
     if pos.len() > 1 {
-        eprintln!("hawkeye: unexpected argument '{}'", pos[1]);
-        usage()
+        refuse(format_args!("unexpected argument '{}'", pos[1]))
     }
     if cmd == "figure" {
         return cmd_figure(pos.first().map(String::as_str), &opts);
     }
-    let kind_arg = match pos.first() {
-        Some(k) => match parse_kind(k) {
-            Some(k) => Some(k),
-            None => {
-                eprintln!("hawkeye: unknown kind '{k}'");
-                usage()
-            }
-        },
-        None => None,
-    };
+    let kind_arg = pos
+        .first()
+        .map(|k| parse_kind(k).unwrap_or_else(|| refuse(format_args!("unknown kind '{k}'"))));
     match (cmd.as_str(), kind_arg) {
         ("scenario", Some(k)) => cmd_scenario(k, &opts),
         ("matrix", None) => cmd_matrix(&opts),
@@ -1351,6 +1292,7 @@ fn main() {
         ("corpus", None) => cmd_corpus(&opts),
         ("fuzz", None) => cmd_fuzz(&opts),
         ("serve", None) => cmd_serve(&opts),
+        ("replay", Some(k)) => cmd_replay(k, &opts),
         ("front", k) => cmd_front(k, &opts),
         ("serve-stats", None) => cmd_serve_stats(&opts),
         _ => usage(),

@@ -1,7 +1,7 @@
 //! Usage errors exit 2 with `hawkeye: <reason>` and the usage text: a
 //! flag the subcommand does not read, a figure id that does not exist,
 //! a `dot` kind that has no case study and a removed subcommand. A closed
-//! stdout is no error at all.
+//! stdout is no error at all, and a closed stderr changes no exit code.
 
 use std::process::{Command, Output, Stdio};
 
@@ -66,6 +66,99 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
     );
     // Gone: line (a) of `figure fig13` is the same resource usage.
     refused(&["resources"], "hawkeye: unknown command 'resources'");
+    // Read by no run: a daemon's fabric is the incast one whatever the
+    // load and seed, a front's depends only on its kind.
+    refused(
+        &["serve", "--socket", "s", "--seed", "3"],
+        "hawkeye: --seed does not apply to serve",
+    );
+    refused(
+        &["front", "--map", "m", "--socket", "s", "--load", "0.2"],
+        "hawkeye: --load does not apply to front",
+    );
+}
+
+/// `serve` is only the daemon and `replay` only drives one: neither takes
+/// the other's flags, and each refuses every combination in which a flag
+/// it was given would be read by nothing. Each case is refused
+/// before anything binds, connects or simulates.
+#[test]
+fn serve_and_replay_take_only_their_own_flags() {
+    for (args, reason) in [
+        (
+            &["serve", "--replay", "incast"][..],
+            "hawkeye: unknown option '--replay'",
+        ),
+        (
+            &["replay", "incast", "--connect"],
+            "hawkeye: unknown option '--connect'",
+        ),
+        (
+            &["serve", "--socket", "s", "--history"],
+            "hawkeye: --history does not apply to serve",
+        ),
+        (
+            &["replay", "incast", "--epoch-budget", "2"],
+            "hawkeye: --epoch-budget does not apply to replay",
+        ),
+        (
+            &["replay", "incast", "--stream-only"],
+            "hawkeye: --stream-only and --query-only drive a running daemon",
+        ),
+        (
+            &[
+                "replay",
+                "incast",
+                "--socket",
+                "s",
+                "--stream-only",
+                "--query-only",
+            ],
+            "hawkeye: --stream-only and --query-only exclude each other",
+        ),
+        (
+            &[
+                "replay",
+                "incast",
+                "--socket",
+                "s",
+                "--query-only",
+                "--batch",
+                "4",
+            ],
+            "hawkeye: --batch does not apply to --query-only",
+        ),
+        (
+            &[
+                "replay",
+                "incast",
+                "--socket",
+                "s",
+                "--stream-only",
+                "--history",
+            ],
+            "hawkeye: --history does not apply to --stream-only",
+        ),
+        (
+            &["serve", "--socket", "s", "--fsync", "always"],
+            "hawkeye: --fsync needs --durable DIR",
+        ),
+        (
+            &["serve", "--socket", "s", "--map-epoch", "2"],
+            "hawkeye: --map-epoch needs --shard LO..HI",
+        ),
+        (
+            &["serve", "--socket", "s", "--tcp", "127.0.0.1:0"],
+            "hawkeye: give --socket or --tcp, not both",
+        ),
+        (
+            &["serve"],
+            "hawkeye: serve requires --socket PATH or --tcp ADDR",
+        ),
+        (&["replay"], "hawkeye replay <kind>"),
+    ] {
+        refused(args, reason);
+    }
 }
 
 #[test]
@@ -129,5 +222,28 @@ fn a_closed_stdout_ends_the_run_quietly() {
             err.lines().all(|l| l.starts_with("// ")),
             "{args:?} wrote to stderr: {err}"
         );
+    }
+}
+
+/// Each run writes to a stderr whose read end is already closed: a usage
+/// error still exits 2 and `dot`, which always writes its summary there,
+/// still exits 0.
+#[test]
+fn a_closed_stderr_changes_no_exit_code() {
+    for (args, code) in [
+        (&["scenario", "bogus"][..], 2),
+        (&["dot", "incast"], 0),
+        (&["serve"], 2),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_hawkeye"))
+            .args(args)
+            .env_remove("HAWKEYE_JOBS")
+            .stdout(Stdio::null())
+            .stderr(Stdio::from(writer))
+            .status()
+            .expect("spawn hawkeye");
+        assert_eq!(status.code(), Some(code), "{args:?}");
     }
 }

@@ -13,6 +13,34 @@ trap 'jobs -p | xargs -r kill -9 2>/dev/null || true' EXIT
 # against this at the end.
 status_before=$(git status --porcelain)
 
+# wait_for_socket PATH WHAT [LOG]: poll up to 10 s for a daemon or front
+# to bind its unix socket PATH; else print LOG (its stderr) and fail.
+wait_for_socket() {
+  for _ in $(seq 100); do [ -S "$1" ] && return 0; sleep 0.1; done
+  [ -z "${3:-}" ] || cat "$3"
+  echo "$2 never bound its socket"
+  exit 1
+}
+
+# serve_on PATH [FLAG...]: a foreground `hawkeye serve` daemon on unix
+# socket PATH, in the background; returns once PATH is bound, with the
+# daemon's pid in $daemon_pid.
+serve_on() {
+  local sock=$1
+  shift
+  ./target/release/hawkeye serve --socket "$sock" "$@" &
+  daemon_pid=$!
+  wait_for_socket "$sock" "daemon on $sock"
+}
+
+# stop_daemon PID PATH WHAT: SIGTERM must end the daemon (or front) with
+# exit 0 and remove its socket file PATH.
+stop_daemon() {
+  kill -TERM "$1"
+  wait "$1" || { echo "$3 exited nonzero on SIGTERM"; exit 1; }
+  test ! -e "$2" || { echo "$3 left its socket file behind"; exit 1; }
+}
+
 echo "==> cargo build --release --workspace"
 # --workspace matters: the root manifest is a package, so a bare build
 # would skip the hawkeye-cli binary every smoke below shells out to.
@@ -56,26 +84,36 @@ print("chaos smoke ok:", {c["rate"]: c["degraded"] + c["inconclusive"] for c in 
 EOF
 rm -f "$chaos_out"
 
-echo "==> serve smoke (daemon on unix socket, replay incast)"
-# End-to-end online diagnosis through the release CLI: daemon on a unix
-# socket, incast replay streamed over it, served verdict must be Correct
-# and byte-identical (label/culprits/confidence) to the one-shot path,
-# clean shutdown with exit 0 — all inside a hard timeout.
+echo "==> serve smoke (self-contained replay, then the same replay into a daemon)"
+# End-to-end online diagnosis through the release CLI. `replay incast`
+# with no address spawns a daemon of its own: the served verdict must be
+# Correct and match the one-shot path (label/culprits/confidence). Then
+# the same replay into a foreground `serve` daemon on a unix socket must
+# serve a report byte-identical to the self-contained one, and the daemon
+# must exit 0 on SIGTERM and remove its socket — replays inside a hard
+# timeout.
 serve_sock=$(mktemp -u /tmp/hawkeye-serve-XXXXXX.sock)
-serve_out=$(mktemp)
-timeout 120 ./target/release/hawkeye serve --replay incast \
-  --socket "$serve_sock" --json > "$serve_out"
-python3 - "$serve_out" <<'EOF'
+serve_ref=$(mktemp); serve_out=$(mktemp)
+timeout 120 ./target/release/hawkeye replay incast --json > "$serve_ref"
+serve_on "$serve_sock"
+serve_pid=$daemon_pid
+timeout 120 ./target/release/hawkeye replay incast --socket "$serve_sock" \
+  --json > "$serve_out"
+python3 - "$serve_ref" "$serve_out" <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["verdict"] == "Correct", f"served verdict {doc['verdict']!r}"
-assert doc["parity"] is True, "served diagnosis diverged from one-shot"
-assert doc["epochs_streamed"] > 0, "no epochs streamed to the daemon"
-assert doc["epochs_shed"] == 0, "fault-free replay shed epochs"
-print("serve smoke ok:", doc["verdict"], f"({doc['epochs_streamed']} epochs)")
+ref, out = (json.load(open(p)) for p in sys.argv[1:3])
+for doc in (ref, out):
+    assert doc["verdict"] == "Correct", f"served verdict {doc['verdict']!r}"
+    assert doc["parity"] is True, "served diagnosis diverged from one-shot"
+    assert doc["epochs_streamed"] > 0, "no epochs streamed to the daemon"
+    assert doc["epochs_shed"] == 0, "fault-free replay shed epochs"
+assert out["served"] == ref["served"], \
+    "a serve daemon's report differs from the self-contained replay's"
+print("serve smoke ok:", out["verdict"], f"({out['epochs_streamed']} epochs),",
+      "daemon report == self-contained report")
 EOF
-rm -f "$serve_out"
-test ! -e "$serve_sock" || { echo "stale socket file left behind"; exit 1; }
+stop_daemon "$serve_pid" "$serve_sock" "serve-smoke daemon"
+rm -f "$serve_ref" "$serve_out"
 
 echo "==> hostile-bytes smoke (thread count, Hello versions, nested JSON body, frame split across the idle poll, session churn)"
 # One connection to a foreground daemon through the release CLI: a Hello
@@ -93,10 +131,8 @@ echo "==> hostile-bytes smoke (thread count, Hello versions, nested JSON body, f
 # until shutdown, and the daemon aborted at the kernel's map-count limit).
 # The daemon must still answer serve-stats and exit 0 on SIGTERM.
 hb_sock=$(mktemp -u /tmp/hawkeye-hostile-XXXXXX.sock)
-./target/release/hawkeye serve --socket "$hb_sock" &
-hb_pid=$!
-for _ in $(seq 100); do [ -S "$hb_sock" ] && break; sleep 0.1; done
-test -S "$hb_sock" || { echo "hostile-bytes daemon never bound its socket"; exit 1; }
+serve_on "$hb_sock"
+hb_pid=$daemon_pid
 # An idle daemon runs exactly four threads: the main thread, the accept
 # loop, the core and the one store thread. The socket is bound before the
 # owner threads start, so poll until the set settles.
@@ -173,20 +209,16 @@ print(f"session-churn smoke ok: 1000 sessions grew the maps by {grew} lines")
 EOF
 ./target/release/hawkeye serve-stats --socket "$hb_sock" > /dev/null \
   || { echo "serve-stats failed after the hostile bytes"; exit 1; }
-kill -TERM "$hb_pid"
-wait "$hb_pid" || { echo "hostile-bytes daemon exited nonzero on SIGTERM"; exit 1; }
-test ! -e "$hb_sock" || { echo "stale socket file left behind"; exit 1; }
+stop_daemon "$hb_pid" "$hb_sock" "hostile-bytes daemon"
 
 echo "==> metrics smoke (observability surface over the wire)"
-# Serve-plane observability through the release CLI: replay over a unix
-# socket, then assert the Metrics wire op saw the traffic (ingest counter,
+# Serve-plane observability through the release CLI: a self-contained
+# replay (its own daemon on a loopback TCP port), then assert the Metrics wire op saw the traffic (ingest counter,
 # Diagnose latency histogram), the flight ring stayed warning-free on a
 # fault-free run, and the Diagnose verdict's audit record round-tripped
 # over the Explain op with its evidence and stage timings intact.
-metrics_sock=$(mktemp -u /tmp/hawkeye-metrics-XXXXXX.sock)
 metrics_out=$(mktemp)
-timeout 120 ./target/release/hawkeye serve --replay incast \
-  --socket "$metrics_sock" --json > "$metrics_out"
+timeout 120 ./target/release/hawkeye replay incast --json > "$metrics_out"
 python3 - "$metrics_out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -215,17 +247,19 @@ print("metrics smoke ok:", counters["epochs_ingested"], "epochs,",
       "diagnose p99", doc["diagnose_p99_ns"], "ns, verdict #%d" % ex["seq"])
 EOF
 rm -f "$metrics_out"
-test ! -e "$metrics_sock" || { echo "stale socket file left behind"; exit 1; }
 
 echo "==> retention smoke (tiny ring budget, compaction + engine retirement)"
-# Long-running-serve retention through the release CLI: a ring budget far
-# below the replay's epoch count forces store eviction, snapshot
-# compaction and horizon-driven engine retirement — while the served
-# verdict must stay Correct and at parity (diagnosis reads the raw ring
-# only) and the victim's history must span both fidelity tiers.
+# Long-running-serve retention through the release CLI: a daemon whose
+# ring budget is far below the replay's epoch count must evict from the
+# store, compact snapshots and retire engine epochs at the horizon —
+# while the served verdict stays Correct and at parity (diagnosis reads
+# the raw ring only) and the victim's history spans both fidelity tiers.
+retention_sock=$(mktemp -u /tmp/hawkeye-retention-XXXXXX.sock)
 retention_out=$(mktemp)
-timeout 120 ./target/release/hawkeye serve --replay incast \
-  --epoch-budget 2 --history --json > "$retention_out"
+serve_on "$retention_sock" --epoch-budget 2
+retention_pid=$daemon_pid
+timeout 120 ./target/release/hawkeye replay incast --socket "$retention_sock" \
+  --history --json > "$retention_out"
 python3 - "$retention_out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -243,17 +277,21 @@ print("retention smoke ok:", d["store_epochs_held"], "raw epochs held,",
       d["store_epochs_compacted_held"], "compacted,",
       d["engine_epochs_retired_total"], "retired")
 EOF
+stop_daemon "$retention_pid" "$retention_sock" "retention daemon"
 rm -f "$retention_out"
 
 echo "==> backpressure smoke (batch frames, slow store, tight queue)"
 # Ingest-path overload behavior through the release CLI: batched frames
-# into a daemon whose store thread is artificially slowed behind a
-# 4-deep queue. The slow store must stall the sender's credit window —
+# from `replay` into a `serve` daemon whose store thread is artificially
+# slowed behind a 4-deep queue. The slow store must stall the sender's credit window —
 # nothing is ever shed — with full parity with the one-shot diagnosis, and
 # the batch path actually taken.
+bp_sock=$(mktemp -u /tmp/hawkeye-backpressure-XXXXXX.sock)
 bp_out=$(mktemp)
-timeout 120 ./target/release/hawkeye serve --replay incast \
-  --batch 8 --slow-shard-us 200 --queue-depth 4 --json > "$bp_out"
+serve_on "$bp_sock" --slow-shard-us 200 --queue-depth 4
+bp_pid=$daemon_pid
+timeout 120 ./target/release/hawkeye replay incast --socket "$bp_sock" \
+  --batch 8 --json > "$bp_out"
 python3 - "$bp_out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -266,6 +304,7 @@ assert counters["ingest_batches"] > 0, "batch frames never taken"
 print("backpressure smoke ok:", doc["epochs_streamed"], "epochs,",
       counters["ingest_batches"], "batch frames, 0 shed")
 EOF
+stop_daemon "$bp_pid" "$bp_sock" "backpressure daemon"
 rm -f "$bp_out"
 
 echo "==> crash-recovery smoke (durable daemon survives kill -9)"
@@ -278,14 +317,11 @@ echo "==> crash-recovery smoke (durable daemon survives kill -9)"
 wal_dir=$(mktemp -d /tmp/hawkeye-wal-XXXXXX)
 cr_sock=$(mktemp -u /tmp/hawkeye-crash-XXXXXX.sock)
 ref_out=$(mktemp); s1_out=$(mktemp); s2_out=$(mktemp); d2_err=$(mktemp)
-timeout 120 ./target/release/hawkeye serve --replay incast --history --json \
-  > "$ref_out"
-./target/release/hawkeye serve --socket "$cr_sock" --durable "$wal_dir" &
-cr_pid=$!
-for _ in $(seq 100); do [ -S "$cr_sock" ] && break; sleep 0.1; done
-test -S "$cr_sock" || { echo "durable daemon never bound its socket"; exit 1; }
-timeout 120 ./target/release/hawkeye serve --replay incast --connect \
-  --socket "$cr_sock" --stream-only --json > "$s1_out"
+timeout 120 ./target/release/hawkeye replay incast --history --json > "$ref_out"
+serve_on "$cr_sock" --durable "$wal_dir"
+cr_pid=$daemon_pid
+timeout 120 ./target/release/hawkeye replay incast --socket "$cr_sock" \
+  --stream-only --json > "$s1_out"
 python3 - "$s1_out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -297,20 +333,18 @@ EOF
 stats_txt=$(./target/release/hawkeye serve-stats --socket "$cr_sock")
 grep -q '^op_ingest_batch_ns ' <<< "$stats_txt" \
   || { echo "$stats_txt"; echo "serve-stats printed no op_ingest_batch_ns row"; exit 1; }
-kill -9 "$cr_pid"
-wait "$cr_pid" 2>/dev/null || true
+{ kill -9 "$cr_pid"; wait "$cr_pid" || true; } 2>/dev/null
 rm -f "$cr_sock"
 ./target/release/hawkeye serve --socket "$cr_sock" --durable "$wal_dir" \
   2> "$d2_err" &
 cr_pid=$!
-for _ in $(seq 100); do [ -S "$cr_sock" ] && break; sleep 0.1; done
-test -S "$cr_sock" || { cat "$d2_err"; echo "recovered daemon never bound its socket"; exit 1; }
+wait_for_socket "$cr_sock" "recovered daemon" "$d2_err"
 # The daemon binds its socket before the CLI prints the recovery line,
 # so poll briefly rather than racing a single grep against its stderr.
 for _ in $(seq 100); do grep -q "hawkeye: recovered" "$d2_err" && break; sleep 0.1; done
 grep -q "hawkeye: recovered" "$d2_err" || { cat "$d2_err"; echo "restart did not report recovery"; exit 1; }
-timeout 120 ./target/release/hawkeye serve --replay incast --connect \
-  --socket "$cr_sock" --query-only --history --json > "$s2_out"
+timeout 120 ./target/release/hawkeye replay incast --socket "$cr_sock" \
+  --query-only --history --json > "$s2_out"
 python3 - "$ref_out" "$s2_out" <<'EOF'
 import json, sys
 ref, rec = (json.load(open(p)) for p in sys.argv[1:3])
@@ -323,9 +357,7 @@ assert rec["history"] == ref["history"], \
 print("crash-recovery smoke ok: verdict", rec["verdict"] + ",",
       len(rec["history"]), "history rows byte-identical after kill -9")
 EOF
-kill -TERM "$cr_pid"
-wait "$cr_pid" || { echo "recovered daemon exited nonzero on SIGTERM"; exit 1; }
-test ! -e "$cr_sock" || { echo "stale socket file left behind"; exit 1; }
+stop_daemon "$cr_pid" "$cr_sock" "recovered daemon"
 rm -rf "$wal_dir"; rm -f "$ref_out" "$s1_out" "$s2_out" "$d2_err"
 
 echo "==> fleet smoke (3 sharded daemons behind a front-end, verdict parity, dead shard)"
@@ -341,7 +373,7 @@ echo "==> fleet smoke (3 sharded daemons behind a front-end, verdict parity, dea
 # sockets removed. A map with an empty endpoint is refused first.
 fleet_dir=$(mktemp -d /tmp/hawkeye-fleet-XXXXXX)
 fleet_ref=$(mktemp); fleet_out=$(mktemp)
-timeout 120 ./target/release/hawkeye serve --replay incast --json > "$fleet_ref"
+timeout 120 ./target/release/hawkeye replay incast --json > "$fleet_ref"
 fleet_pids=()
 for i in 0 1 2; do
   case $i in
@@ -349,13 +381,8 @@ for i in 0 1 2; do
     1) range="20..32" ;;
     2) range="32..1024" ;;
   esac
-  ./target/release/hawkeye serve --socket "$fleet_dir/shard$i.sock" \
-    --shard "$range" --map-epoch 1 &
-  fleet_pids+=($!)
-done
-for i in 0 1 2; do
-  for _ in $(seq 100); do [ -S "$fleet_dir/shard$i.sock" ] && break; sleep 0.1; done
-  test -S "$fleet_dir/shard$i.sock" || { echo "shard $i never bound its socket"; exit 1; }
+  serve_on "$fleet_dir/shard$i.sock" --shard "$range" --map-epoch 1
+  fleet_pids+=("$daemon_pid")
 done
 # A map line with an empty endpoint is refused when the map loads, with
 # its line number, before the front binds anything: exit 1, no socket.
@@ -376,9 +403,8 @@ EOF
 ./target/release/hawkeye front --map "$fleet_dir/map" \
   --socket "$fleet_dir/front.sock" &
 front_pid=$!
-for _ in $(seq 100); do [ -S "$fleet_dir/front.sock" ] && break; sleep 0.1; done
-test -S "$fleet_dir/front.sock" || { echo "front never bound its socket"; exit 1; }
-timeout 120 ./target/release/hawkeye serve --replay incast --connect \
+wait_for_socket "$fleet_dir/front.sock" "front"
+timeout 120 ./target/release/hawkeye replay incast \
   --socket "$fleet_dir/front.sock" --json > "$fleet_out"
 python3 - "$fleet_ref" "$fleet_out" <<'EOF'
 import json, sys
@@ -397,7 +423,7 @@ print("fleet smoke ok:", fleet["verdict"] + ",",
 EOF
 { kill -9 "${fleet_pids[0]}"; wait "${fleet_pids[0]}" || true; } 2>/dev/null
 fleet_dead=$(mktemp)
-timeout 120 ./target/release/hawkeye serve --replay incast --connect \
+timeout 120 ./target/release/hawkeye replay incast \
   --socket "$fleet_dir/front.sock" --stream-only --json > "$fleet_dead" \
   || { echo "stream through a fleet with a dead shard failed"; exit 1; }
 python3 - "$fleet_out" "$fleet_dead" <<'EOF'
@@ -412,12 +438,9 @@ assert dead["daemon"]["front_shed_down"] == owned, \
 print("dead-shard smoke ok:", dead["epochs_shed"], "snapshots shed,",
       dead["epochs_streamed"], "streamed with shard 0 down")
 EOF
-kill -TERM "$front_pid"
-wait "$front_pid" || { echo "front exited nonzero on SIGTERM"; exit 1; }
-test ! -e "$fleet_dir/front.sock" || { echo "stale front socket left behind"; exit 1; }
-for pid in "${fleet_pids[@]:1}"; do
-  kill -TERM "$pid"
-  wait "$pid" || { echo "shard daemon exited nonzero on SIGTERM"; exit 1; }
+stop_daemon "$front_pid" "$fleet_dir/front.sock" "front"
+for i in 1 2; do
+  stop_daemon "${fleet_pids[$i]}" "$fleet_dir/shard$i.sock" "shard $i daemon"
 done
 rm -rf "$fleet_dir"; rm -f "$fleet_ref" "$fleet_out" "$fleet_dead"
 
