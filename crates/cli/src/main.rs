@@ -950,7 +950,10 @@ fn cmd_replay(kind: ScenarioKind, o: &Opts) {
             (Some(h), Endpoint::Tcp(bound.to_string()))
         }
     };
-    let client = connect(&at);
+    let mut client = connect(&at);
+    if daemon.is_none() && !o.query_only {
+        note_held_epochs(&mut client);
+    }
     let (outcome, mut client) = if o.query_only {
         // The daemon already holds the telemetry: the local run only
         // finds the diagnosis window.
@@ -1029,6 +1032,28 @@ fn cmd_replay(kind: ScenarioKind, o: &Opts) {
     }
     if !parity {
         std::process::exit(1);
+    }
+}
+
+/// Every replay starts its simulated clock at 0, so epochs a running
+/// daemon (or front) already holds from an earlier replay share this
+/// one's window: a replay of another kind is diagnosed over both runs.
+/// Say so once, on stderr, before streaming; re-sending the same capture
+/// is idempotent.
+fn note_held_epochs(client: &mut hawkeye_client::ServeClient) {
+    let Ok(stats) = client.stats() else {
+        return;
+    };
+    let held = |s: &serde::Value| s.get("store_epochs_held").and_then(|v| v.as_u64());
+    let epochs: u64 = match stats.get("backends").and_then(|b| b.as_array()) {
+        Some(backends) => backends.iter().filter_map(held).sum(),
+        None => held(&stats).unwrap_or(0),
+    };
+    if epochs > 0 {
+        errln!(
+            "hawkeye: note: the daemon already holds {epochs} epochs; every replay starts at \
+             simulated time 0, so a replay of another kind is diagnosed together with them"
+        );
     }
 }
 

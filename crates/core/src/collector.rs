@@ -10,38 +10,26 @@
 //! resilience boundary of the pipeline: it applies the upload-path faults
 //! of an active [`FaultPlan`] (loss, delay, stale/truncated snapshots,
 //! corrupted causality-meter entries, dead switch CPUs), enforces a
-//! per-switch upload deadline, suppresses duplicate deliveries, reconciles
-//! out-of-order/stale snapshots, and records an explicit
-//! [`MissingTelemetry`] marker for every gap instead of staying silent.
+//! per-switch upload deadline, reconciles out-of-order/stale snapshots,
+//! and records an explicit [`MissingTelemetry`] marker for every gap
+//! instead of staying silent.
 
 use hawkeye_sim::{FaultPlan, FaultRng, FlowKey, Nanos, NodeId, STREAM_UPLOAD};
 use hawkeye_telemetry::{SwitchTelemetry, TelemetrySnapshot};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Collector configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CollectorConfig {
-    /// Minimum spacing between two collections of the same switch.
-    pub dedup_interval: Nanos,
-    /// Usable payload per report packet (MTU batching, §4.5).
-    pub report_payload: usize,
-    /// Per-switch upload deadline: a snapshot delivered more than this
-    /// after it was taken is discarded as late (its window has been
-    /// re-collected by then; acting on it would mix timelines).
-    pub upload_deadline: Nanos,
-}
-
-impl Default for CollectorConfig {
-    fn default() -> Self {
-        CollectorConfig {
-            // Short enough that a persisting anomaly is re-collected with
-            // its epochs complete; the analyzer dedups epochs keep-latest.
-            dedup_interval: Nanos::from_micros(100),
-            report_payload: 1500,
-            upload_deadline: Nanos::from_micros(500),
-        }
-    }
-}
+/// Minimum spacing between two collections of the same switch: short
+/// enough that a persisting anomaly is re-collected with its epochs
+/// complete; the analyzer dedups epochs keep-latest. It also makes every
+/// re-delivery of a collected register read a suppressed offer, since a
+/// read is stamped with its offer time.
+const DEDUP_INTERVAL: Nanos = Nanos::from_micros(100);
+/// Usable payload per report packet (MTU batching, §4.5).
+const REPORT_PAYLOAD: usize = 1500;
+/// Per-switch upload deadline: a snapshot delivered more than this after
+/// it was taken is discarded as late (its window has been re-collected by
+/// then; acting on it would mix timelines).
+const UPLOAD_DEADLINE: Nanos = Nanos::from_micros(500);
 
 /// Why a switch's telemetry never reached the analyzer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +67,6 @@ pub struct CollectorFaultStats {
     pub meter_entries_corrupted: u64,
     /// Uploads suppressed because the switch CPU was dead.
     pub cpu_down_drops: u64,
-    /// Byte-identical re-deliveries suppressed.
-    pub duplicates_suppressed: u64,
     /// Delivered snapshots discarded because a fresher one for the same
     /// switch had already arrived (out-of-order reconciliation).
     pub snapshots_stale_dropped: u64,
@@ -100,7 +86,6 @@ pub struct CollectionEvent {
 /// The telemetry collector.
 #[derive(Debug)]
 pub struct Collector {
-    cfg: CollectorConfig,
     last: HashMap<NodeId, Nanos>,
     pub events: Vec<CollectionEvent>,
     /// Every offer, including dedup-suppressed ones: (switch, time,
@@ -113,23 +98,17 @@ pub struct Collector {
     pub fault_stats: CollectorFaultStats,
     faults: FaultPlan,
     frng: FaultRng,
-    /// Delivered snapshot identities, for duplicate suppression.
-    seen: HashSet<(NodeId, Nanos)>,
     /// Newest epoch end delivered per switch, for out-of-order/stale
     /// reconciliation.
     freshest: HashMap<NodeId, Nanos>,
 }
 
 impl Collector {
-    pub fn new(cfg: CollectorConfig) -> Self {
-        Self::with_faults(cfg, FaultPlan::none())
-    }
-
     /// A collector whose upload path is subjected to `faults` (its own
-    /// deterministic decision stream, disjoint from the simulator's).
-    pub fn with_faults(cfg: CollectorConfig, faults: FaultPlan) -> Self {
+    /// deterministic decision stream, disjoint from the simulator's);
+    /// [`FaultPlan::none()`] is the fault-free collector.
+    pub fn new(faults: FaultPlan) -> Self {
         Collector {
-            cfg,
             last: HashMap::new(),
             events: Vec::new(),
             offers: Vec::new(),
@@ -137,7 +116,6 @@ impl Collector {
             fault_stats: CollectorFaultStats::default(),
             faults,
             frng: FaultRng::new(faults.seed, STREAM_UPLOAD),
-            seen: HashSet::new(),
             freshest: HashMap::new(),
         }
     }
@@ -164,7 +142,7 @@ impl Collector {
     ) -> bool {
         self.offers.push((switch, now, victim));
         if let Some(&last) = self.last.get(&switch) {
-            if now.saturating_sub(last) < self.cfg.dedup_interval {
+            if now.saturating_sub(last) < DEDUP_INTERVAL {
                 return false;
             }
         }
@@ -188,7 +166,7 @@ impl Collector {
             if self.frng.chance(self.faults.upload_delay) {
                 let d = self.frng.delay(self.faults.upload_delay_max);
                 self.fault_stats.uploads_delayed += 1;
-                if d > self.cfg.upload_deadline {
+                if d > UPLOAD_DEADLINE {
                     self.fault_stats.uploads_late_dropped += 1;
                     self.note_missing(switch, now, victim, MissingReason::UploadLate);
                     return false;
@@ -217,15 +195,10 @@ impl Collector {
                 }
             }
         }
-        // Resilience machinery (always on; no-ops on a fault-free run):
-        // suppress byte-identical re-deliveries, and reconcile out-of-order
-        // arrivals — a snapshot strictly older than what this switch has
-        // already delivered adds nothing and would only confuse keep-latest
-        // epoch aggregation.
-        if !self.seen.insert((switch, snapshot.taken_at)) {
-            self.fault_stats.duplicates_suppressed += 1;
-            return false;
-        }
+        // Resilience machinery (always on; a no-op on a fault-free run):
+        // reconcile out-of-order arrivals — a snapshot strictly older than
+        // what this switch has already delivered adds nothing and would
+        // only confuse keep-latest epoch aggregation.
         let newest = snapshot.newest_epoch_end();
         if let Some(&fresh) = self.freshest.get(&switch) {
             if newest < fresh {
@@ -327,7 +300,7 @@ impl Collector {
     pub fn report_packets(&self) -> usize {
         self.events
             .iter()
-            .map(|e| e.snapshot.report_packets(self.cfg.report_payload))
+            .map(|e| e.snapshot.report_packets(REPORT_PAYLOAD))
             .sum()
     }
 }
@@ -346,8 +319,13 @@ mod tests {
     /// 2^20 ns), so stale-read degradation has an older epoch to fall back
     /// to.
     fn tele(sw: NodeId) -> SwitchTelemetry {
+        tele_epochs(sw, 2)
+    }
+
+    /// A switch with traffic in its first `epochs` epochs.
+    fn tele_epochs(sw: NodeId, epochs: u64) -> SwitchTelemetry {
         let mut t = SwitchTelemetry::new(sw, 4, TelemetryConfig::default());
-        for epoch in 0u64..2 {
+        for epoch in 0..epochs {
             for i in 0..4u16 {
                 t.on_enqueue(&EnqueueRecord {
                     switch: sw,
@@ -373,7 +351,7 @@ mod tests {
     fn fault_free_offer_collects_and_dedups() {
         let sw = NodeId(1);
         let t = tele(sw);
-        let mut c = Collector::new(CollectorConfig::default());
+        let mut c = Collector::new(FaultPlan::none());
         assert!(c.offer(sw, SNAP_AT, victim(), &t));
         // Within the dedup interval: suppressed, but attributed.
         assert!(!c.offer(sw, SNAP_AT + Nanos(10), victim(), &t));
@@ -385,7 +363,6 @@ mod tests {
         let later = SNAP_AT + Nanos::from_micros(200);
         assert!(c.offer(sw, later, victim(), &t));
         assert_eq!(c.events.len(), 2);
-        assert_eq!(c.fault_stats.duplicates_suppressed, 0);
         assert_eq!(c.fault_stats.snapshots_stale_dropped, 0);
     }
 
@@ -398,7 +375,7 @@ mod tests {
             upload_drop: 1.0,
             ..FaultPlan::none()
         };
-        let mut c = Collector::with_faults(CollectorConfig::default(), plan);
+        let mut c = Collector::new(plan);
         assert!(!c.offer(sw, SNAP_AT, victim(), &t));
         assert!(c.events.is_empty());
         assert_eq!(c.fault_stats.uploads_dropped, 1);
@@ -411,18 +388,15 @@ mod tests {
     fn delay_beyond_deadline_drops_as_late() {
         let sw = NodeId(1);
         let t = tele(sw);
+        // Seed 7 draws a delay past the 500 µs deadline from the 10 ms
+        // range.
         let plan = FaultPlan {
             seed: 7,
             upload_delay: 1.0,
             upload_delay_max: Nanos::from_millis(10),
             ..FaultPlan::none()
         };
-        let cfg = CollectorConfig {
-            // Any drawn delay (>= 1 ns) lands past this deadline.
-            upload_deadline: Nanos::ZERO,
-            ..CollectorConfig::default()
-        };
-        let mut c = Collector::with_faults(cfg, plan);
+        let mut c = Collector::new(plan);
         assert!(!c.offer(sw, SNAP_AT, victim(), &t));
         assert_eq!(c.fault_stats.uploads_delayed, 1);
         assert_eq!(c.fault_stats.uploads_late_dropped, 1);
@@ -439,7 +413,7 @@ mod tests {
             upload_delay_max: Nanos(100),
             ..FaultPlan::none()
         };
-        let mut c = Collector::with_faults(CollectorConfig::default(), plan);
+        let mut c = Collector::new(plan);
         assert!(c.offer(sw, SNAP_AT, victim(), &t));
         assert_eq!(c.fault_stats.uploads_delayed, 1);
         assert_eq!(c.fault_stats.uploads_late_dropped, 0);
@@ -462,7 +436,7 @@ mod tests {
             snapshot_truncate: 1.0,
             ..FaultPlan::none()
         };
-        let mut c = Collector::with_faults(CollectorConfig::default(), plan);
+        let mut c = Collector::new(plan);
         assert!(c.offer(sw, SNAP_AT, victim(), &t));
         assert_eq!(c.fault_stats.snapshots_stale, 1);
         assert_eq!(c.fault_stats.snapshots_truncated, 1);
@@ -490,7 +464,7 @@ mod tests {
             meter_corrupt: 1.0,
             ..FaultPlan::none()
         };
-        let mut c = Collector::with_faults(CollectorConfig::default(), plan);
+        let mut c = Collector::new(plan);
         assert!(c.offer(sw, SNAP_AT, victim(), &t));
         assert_eq!(c.fault_stats.meter_entries_corrupted, full as u64);
         assert!(c.events[0]
@@ -514,7 +488,7 @@ mod tests {
             }),
             ..FaultPlan::none()
         };
-        let mut c = Collector::with_faults(CollectorConfig::default(), plan);
+        let mut c = Collector::new(plan);
         assert!(!c.offer(sw, SNAP_AT, victim(), &t));
         assert_eq!(c.fault_stats.cpu_down_drops, 1);
         assert_eq!(c.missing[0].reason, MissingReason::CpuDown);
@@ -529,30 +503,20 @@ mod tests {
     fn duplicate_and_out_of_order_deliveries_are_reconciled() {
         let sw = NodeId(1);
         let t = tele(sw);
-        let cfg = CollectorConfig {
-            dedup_interval: Nanos::ZERO,
-            ..CollectorConfig::default()
-        };
-        let mut c = Collector::new(cfg);
+        let mut c = Collector::new(FaultPlan::none());
         assert!(c.offer(sw, SNAP_AT, victim(), &t));
-        // Same switch, same register read: byte-identical duplicate.
+        // Same switch, same register read: the re-delivery falls inside
+        // the dedup interval and is suppressed.
         assert!(!c.offer(sw, SNAP_AT, victim(), &t));
-        assert_eq!(c.fault_stats.duplicates_suppressed, 1);
-        // An older telemetry state arriving after a fresher one: stale.
-        let old = tele(sw);
-        let mut c2 = Collector::new(cfg);
-        assert!(c2.offer(sw, SNAP_AT + Nanos::from_millis(4), victim(), &t));
-        // `old` was read before epoch 1 of the fresher capture closed; take
-        // its snapshot from back inside epoch 0 so its horizon is older.
-        let early = Nanos(900_000);
-        let stale_snap = old.snapshot(early);
-        assert!(
-            stale_snap.newest_epoch_end()
-                < t.snapshot(SNAP_AT + Nanos::from_millis(4))
-                    .newest_epoch_end()
-        );
-        assert!(!c2.offer(sw, early, victim(), &old));
-        assert_eq!(c2.fault_stats.snapshots_stale_dropped, 1);
-        assert_eq!(c2.events.len(), 1);
+        assert_eq!(c.events.len(), 1);
+        // Past the interval, a read of a register state that never saw
+        // epoch 1: its horizon is older than what was delivered: stale.
+        let old = tele_epochs(sw, 1);
+        let later = SNAP_AT + Nanos::from_micros(200);
+        assert!(old.snapshot(later).newest_epoch_end() < t.snapshot(SNAP_AT).newest_epoch_end());
+        assert!(!c.offer(sw, later, victim(), &old));
+        assert_eq!(c.fault_stats.snapshots_stale_dropped, 1);
+        assert_eq!(c.missing[0].reason, MissingReason::UploadLate);
+        assert_eq!(c.events.len(), 1);
     }
 }

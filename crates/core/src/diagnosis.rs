@@ -4,7 +4,7 @@
 
 use crate::aggregate::{AggTelemetry, PortEpoch};
 use crate::error::Confidence;
-use crate::provenance::{victim_extents, ProvenanceGraph, ReplayConfig};
+use crate::provenance::{victim_extents, ProvenanceGraph};
 #[cfg(test)]
 use hawkeye_sim::Nanos;
 use hawkeye_sim::{FlowKey, NodeId, PortId, Topology, DATA_PKT_SIZE};
@@ -78,7 +78,6 @@ pub struct DiagnosisConfig {
     pub onset_qdepth: f64,
     /// Epochs included from the onset.
     pub onset_epochs: usize,
-    pub replay: ReplayConfig,
 }
 
 impl Default for DiagnosisConfig {
@@ -88,7 +87,6 @@ impl Default for DiagnosisConfig {
             burst_min_gbps: 2.0,
             onset_qdepth: 16.0,
             onset_epochs: 2,
-            replay: ReplayConfig::default(),
         }
     }
 }
@@ -408,8 +406,14 @@ impl<'a> Walker<'a> {
     ///   positive contributors are contention, and a port that was paused,
     ///   saw any flow, or is someone's downstream cause is injection.
     fn evidence(&self, p: usize) -> Evidence {
+        self.evidence_from(p, self.onset_contributors(p))
+    }
+
+    /// [`evidence`](Self::evidence) of port `p` from its already computed
+    /// [`onset_contributors`](Self::onset_contributors).
+    fn evidence_from(&self, p: usize, onset: Option<Vec<(FlowKey, f64)>>) -> Evidence {
         let paused = self.port_paused(p) as f64;
-        match self.onset_contributors(p) {
+        match onset {
             Some(flows)
                 if !flows.is_empty() && flows.iter().map(|(_, w)| w).sum::<f64>() >= paused =>
             {
@@ -436,14 +440,14 @@ impl<'a> Walker<'a> {
     }
 
     /// Algorithm 2 `AnalyzeFlowContention`: record port node `p` (once) as
-    /// a root cause, as its [`evidence`](Self::evidence) names it. A silent
-    /// port shows no flow contention, so its PFC came from its peer.
-    fn analyze_flow_contention(&mut self, p: usize) {
+    /// a root cause, as its [`evidence`](Self::evidence) `ev` names it. A
+    /// silent port shows no flow contention, so its PFC came from its peer.
+    fn analyze_flow_contention(&mut self, p: usize, ev: Evidence) {
         if !self.root_ports.insert(p) {
             return;
         }
         let port = self.g.ports[p];
-        self.roots.push(match self.evidence(p) {
+        self.roots.push(match ev {
             Evidence::Contention { flows } => RootCause::FlowContention { port, flows },
             Evidence::Injection | Evidence::Silent => RootCause::HostPfcInjection {
                 port,
@@ -525,7 +529,7 @@ impl<'a> Walker<'a> {
     }
 
     /// Is terminal `t` a *valid* deadlock initiator outside loop `lp`, and
-    /// by which cause?
+    /// by which cause? A valid one comes with its evidence.
     ///
     /// A terminal whose congestion is fed *through* the loop is downstream
     /// of it — a consequence, not the initiator (its packets only pile up
@@ -533,10 +537,10 @@ impl<'a> Walker<'a> {
     /// qualify when the majority (by weight) of their contributors reach
     /// them without traversing any loop port, a flow with no known path
     /// counting as crossing it; injection terminals qualify regardless.
-    fn valid_escape(&self, t: usize, lp: &[usize]) -> Option<Cause> {
+    fn valid_escape(&self, t: usize, lp: &[usize]) -> Option<(Cause, Evidence)> {
         let flows = match self.evidence(t) {
             Evidence::Contention { flows } => flows,
-            Evidence::Injection => return Some(Cause::Injection),
+            Evidence::Injection => return Some((Cause::Injection, Evidence::Injection)),
             Evidence::Silent => return None,
         };
         let loop_ports: BTreeSet<PortId> = lp.iter().map(|&i| self.g.ports[i]).collect();
@@ -552,7 +556,7 @@ impl<'a> Walker<'a> {
                 avoid += w;
             }
         }
-        (avoid > through).then_some(Cause::Contention)
+        (avoid > through).then_some((Cause::Contention, Evidence::Contention { flows }))
     }
 
     /// `DeadlockDiagnose`: find the deadlock's initiator and record it as
@@ -571,8 +575,8 @@ impl<'a> Walker<'a> {
 
         let mut escape = None;
         for t in escape_terminals {
-            if let Some(cause) = self.valid_escape(t, lp) {
-                self.analyze_flow_contention(t);
+            if let Some((cause, ev)) = self.valid_escape(t, lp) {
+                self.analyze_flow_contention(t, ev);
                 escape = escape.max(Some(cause));
             }
         }
@@ -582,28 +586,23 @@ impl<'a> Walker<'a> {
         // Initiator inside the loop. Prefer the member port(s) whose
         // telemetry shows an actual onset of oversubscription — the
         // congestion event that started the cascade; other members' queues
-        // are consequences, not causes.
-        let onset_ports: Vec<usize> = lp
-            .iter()
-            .copied()
-            .filter(|&p| self.onset_contributors(p).is_some_and(|c| !c.is_empty()))
-            .collect();
-        if !onset_ports.is_empty() {
-            for p in onset_ports {
-                self.analyze_flow_contention(p);
-            }
-        } else {
-            for &p in lp {
-                if !contributors(self.g, p).is_empty() {
-                    self.analyze_flow_contention(p);
-                }
-            }
-            if self.roots.is_empty() {
-                // Fall back: report every member for operator inspection.
-                for &p in lp {
-                    self.analyze_flow_contention(p);
-                }
-            }
+        // are consequences, not causes. Failing that, the members with
+        // positive contributors; failing that, every member, for operator
+        // inspection.
+        let mut onsets: Vec<_> = lp.iter().map(|&p| self.onset_contributors(p)).collect();
+        let has_onset = |o: &Option<Vec<_>>| o.as_ref().is_some_and(|c| !c.is_empty());
+        let mut members: Vec<usize> = (0..lp.len()).filter(|&i| has_onset(&onsets[i])).collect();
+        if members.is_empty() {
+            members = (0..lp.len())
+                .filter(|&i| !contributors(self.g, lp[i]).is_empty())
+                .collect();
+        }
+        if members.is_empty() {
+            members = (0..lp.len()).collect();
+        }
+        for i in members {
+            let ev = self.evidence_from(lp[i], onsets[i].take());
+            self.analyze_flow_contention(lp[i], ev);
         }
         None
     }
@@ -702,7 +701,8 @@ pub fn diagnose(
             if let Some(flows) = w.onset_contributors(p) {
                 let victim_is_top = flows.first().is_some_and(|(k, _)| k == victim);
                 if !flows.is_empty() && !victim_is_top {
-                    w.analyze_flow_contention(p);
+                    let ev = w.evidence_from(p, Some(flows));
+                    w.analyze_flow_contention(p, ev);
                     found.path_contention = true;
                 }
             }
@@ -732,7 +732,8 @@ pub fn diagnose(
             found.escape = w.deadlock_diagnose(&lp);
         } else {
             for t in w.terminals.clone() {
-                w.analyze_flow_contention(t);
+                let ev = w.evidence(t);
+                w.analyze_flow_contention(t, ev);
             }
             // The primary root — the most severe one — names the anomaly;
             // a victim often crosses secondary congestion (background

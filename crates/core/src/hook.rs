@@ -4,7 +4,7 @@
 //! One [`HawkeyeHook`] instance instruments every switch in a simulation
 //! (state is per-switch internally), implementing `hawkeye_sim::SwitchHook`.
 
-use crate::collector::{Collector, CollectorConfig};
+use crate::collector::Collector;
 use hawkeye_sim::{
     EnqueueRecord, FaultPlan, FlowKey, Nanos, NodeId, PfcEvent, PollingFlags, Probe, ProbeDecision,
     SwitchHook, SwitchView, Topology,
@@ -28,11 +28,6 @@ pub enum TracingPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct HawkeyeConfig {
     pub telemetry: TelemetryConfig,
-    /// Per-switch, per-victim polling dedup interval (§3.4: "HAWKEYE drops
-    /// polling packets with the same 5-tuple within a certain time
-    /// interval"). Also what terminates probe circulation in a deadlock
-    /// loop.
-    pub probe_dedup: Nanos,
     pub policy: TracingPolicy,
     /// The "full polling" baseline (§4.2): every CPU mirror collects the
     /// telemetry of EVERY switch in the network, not just the mirroring
@@ -48,13 +43,17 @@ impl Default for HawkeyeConfig {
     fn default() -> Self {
         HawkeyeConfig {
             telemetry: TelemetryConfig::default(),
-            probe_dedup: Nanos::from_micros(400),
             policy: TracingPolicy::Hawkeye,
             full_polling: false,
             faults: FaultPlan::none(),
         }
     }
 }
+
+/// Per-switch, per-victim polling dedup interval (§3.4: "HAWKEYE drops
+/// polling packets with the same 5-tuple within a certain time interval").
+/// Also what terminates probe circulation in a deadlock loop.
+const PROBE_DEDUP: Nanos = Nanos::from_micros(400);
 
 /// Aggregate hook counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,11 +86,6 @@ pub struct HawkeyeHook {
 impl HawkeyeHook {
     /// Instrument every switch of `topo`.
     pub fn new(topo: &Topology, cfg: HawkeyeConfig) -> Self {
-        Self::with_collector(topo, cfg, CollectorConfig::default())
-    }
-
-    /// Instrument every switch with an explicit collector configuration.
-    pub fn with_collector(topo: &Topology, cfg: HawkeyeConfig, coll: CollectorConfig) -> Self {
         let switches = (0..topo.node_count() as u32)
             .map(NodeId)
             .map(|n| {
@@ -104,7 +98,7 @@ impl HawkeyeHook {
         HawkeyeHook {
             cfg,
             switches,
-            collector: Collector::with_faults(coll, cfg.faults),
+            collector: Collector::new(cfg.faults),
             stats: HookStats::default(),
         }
     }
@@ -156,7 +150,7 @@ impl SwitchHook for HawkeyeHook {
         // Per-victim dedup: drop repeats within the interval (this is also
         // what stops probes circulating a deadlock loop forever).
         if let Some(&last) = slot.dedup.get(&probe.victim) {
-            if now.saturating_sub(last) < self.cfg.probe_dedup {
+            if now.saturating_sub(last) < PROBE_DEDUP {
                 self.stats.probes_deduped += 1;
                 return ProbeDecision::default();
             }

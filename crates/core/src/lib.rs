@@ -37,8 +37,7 @@ pub use analyzer::{
 };
 pub use cbd::BufferDependencyGraph;
 pub use collector::{
-    CollectionEvent, Collector, CollectorConfig, CollectorFaultStats, MissingReason,
-    MissingTelemetry,
+    CollectionEvent, Collector, CollectorFaultStats, MissingReason, MissingTelemetry,
 };
 pub use diagnosis::{diagnose, AnomalyType, DiagnosisConfig, DiagnosisReport, RootCause};
 pub use error::{Confidence, DiagnosisError};

@@ -14,7 +14,7 @@ use crate::metrics::{ScoreConfig, Verdict};
 use crate::parallel::par_map;
 use crate::runner::{run_method, RunConfig, RunOutcome};
 use hawkeye_baselines::Method;
-use hawkeye_sim::{CpuPathFault, FaultPlan, Nanos, ProbeRetryConfig};
+use hawkeye_sim::{CpuPathFault, FaultPlan, Nanos};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 use serde::{Serialize, Value};
 
@@ -234,7 +234,7 @@ fn run_chaos_trial(t: &ChaosSpec) -> RunOutcome {
         faults,
         // The re-poll ladder is part of the resilience story under faults;
         // at rate zero it stays off so that row IS the fault-free baseline.
-        agent_retry: (!faults.is_none()).then(ProbeRetryConfig::default),
+        agent_retry: !faults.is_none(),
         ..RunConfig::default()
     };
     run_method(&sc, &run, Method::Hawkeye, &ScoreConfig::default())

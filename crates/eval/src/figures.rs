@@ -731,7 +731,8 @@ fn partial(out: &mut String, cfg: &EvalConfig, jobs: usize) -> fmt::Result {
         let collector = &sim.hook.collector;
         let obs = &mut Recorder::disabled();
         let full = conclude_trial(&sim, collector, &sc, &run, Method::Hawkeye, &score, obs);
-        let tor: Vec<NodeId> = FatTreeNav::new(sim.topo(), 4)
+        let tor: Vec<NodeId> = FatTreeNav::try_new(sim.topo(), 4)
+            .expect("invariant: the figures' scenarios run on the K=4 fat-tree")
             .edges
             .into_iter()
             .flatten()

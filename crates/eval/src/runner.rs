@@ -28,7 +28,7 @@ use hawkeye_core::{
 use hawkeye_obs::{MetricKey, MetricsSnapshot, ObsConfig, Recorder};
 use hawkeye_sim::{
     record_sim_metrics, trace_detections, trace_drop_warnings, Detection, FaultPlan, Nanos, NodeId,
-    ObservedHook, ProbeRetryConfig, Simulator, SwitchHook,
+    ObservedHook, Simulator, SwitchHook,
 };
 use hawkeye_telemetry::{EpochConfig, TelemetryConfig, TelemetrySnapshot};
 use hawkeye_workloads::Scenario;
@@ -45,8 +45,8 @@ pub struct RunConfig {
     /// Control-plane fault injection; [`FaultPlan::none()`] reproduces the
     /// fault-free pipeline bit for bit.
     pub faults: FaultPlan,
-    /// Host-agent probe re-poll ladder (None = single-shot probes).
-    pub agent_retry: Option<ProbeRetryConfig>,
+    /// Host-agent probe re-poll ladder (false = single-shot probes).
+    pub agent_retry: bool,
 }
 
 impl Default for RunConfig {
@@ -57,7 +57,7 @@ impl Default for RunConfig {
             sim_seed: 1,
             policy: TracingPolicy::Hawkeye,
             faults: FaultPlan::none(),
-            agent_retry: None,
+            agent_retry: false,
         }
     }
 }

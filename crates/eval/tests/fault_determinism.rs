@@ -6,7 +6,7 @@
 //!   injection, seed field and all.
 
 use hawkeye_eval::{par_map, plan_for_rate, run_method, Method, RunConfig, ScoreConfig};
-use hawkeye_sim::{FaultPlan, Nanos, ProbeRetryConfig};
+use hawkeye_sim::{FaultPlan, Nanos};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ fn run(spec: &Spec) -> String {
     let cfg = RunConfig {
         sim_seed: spec.seed,
         faults,
-        agent_retry: (!faults.is_none()).then(ProbeRetryConfig::default),
+        agent_retry: !faults.is_none(),
         ..RunConfig::default()
     };
     format!(
@@ -121,7 +121,7 @@ fn same_plan_same_failures_twice() {
     let cfg = RunConfig {
         sim_seed: 3,
         faults: plan_for_rate(0.3, 11),
-        agent_retry: Some(ProbeRetryConfig::default()),
+        agent_retry: true,
         ..RunConfig::default()
     };
     let a = run_method(&sc, &cfg, Method::Hawkeye, &ScoreConfig::default());

@@ -37,13 +37,18 @@ pub struct PendingFold {
     pub epoch: EpochSnapshot,
 }
 
+/// Compacted buckets retained per switch, each one ring's worth
+/// (`StoreConfig::epoch_budget` epochs): coarse history reaches ~16x
+/// beyond the raw ring. The oldest bucket drops first, counted.
+pub(crate) const COMPACT_BUDGET: usize = 16;
+
 /// Fold-side counters, disjoint from [`StoreStats`](crate::store::StoreStats)
 /// so the deferred mode can report them from the core thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactorStats {
     /// Evicted epochs folded into buckets.
     pub epochs_compacted: u64,
-    /// Buckets dropped to enforce `compact_budget`.
+    /// Buckets dropped to enforce `COMPACT_BUDGET`.
     pub buckets_dropped: u64,
     /// Raw epochs that were summed inside those dropped buckets.
     pub epochs_dropped: u64,
@@ -71,24 +76,18 @@ impl Compactor {
         }
     }
 
-    /// Fold one evicted epoch into `switch`'s open bucket, sealing and
-    /// dropping buckets per the config. No-op when the compacted tier is
-    /// disabled.
+    /// Fold one evicted epoch into `switch`'s open bucket, sealing it at
+    /// one ring's worth of epochs and dropping the oldest bucket past
+    /// `COMPACT_BUDGET` (16).
     pub fn fold(&mut self, switch: NodeId, ep: &EpochSnapshot) {
-        if self.cfg.compact_budget == 0 {
-            return;
-        }
-        let chunk = match self.cfg.compact_chunk {
-            0 => self.cfg.epoch_budget.max(1),
-            c => c,
-        };
+        let chunk = self.cfg.epoch_budget.max(1);
         let buckets = self.switches.entry(switch).or_default();
         if buckets.back().is_none_or(|b| b.epochs as usize >= chunk) {
             buckets.push_back(CompactedEpoch::default());
         }
         buckets.back_mut().expect("bucket just ensured").fold(ep);
         self.stats.epochs_compacted += 1;
-        while buckets.len() > self.cfg.compact_budget {
+        while buckets.len() > COMPACT_BUDGET {
             let dropped = buckets.pop_front().expect("over-budget tier");
             self.stats.buckets_dropped += 1;
             self.stats.epochs_dropped += u64::from(dropped.epochs);
@@ -202,8 +201,6 @@ mod tests {
     fn absorb_matches_direct_folds() {
         let cfg = StoreConfig {
             epoch_budget: 2,
-            compact_budget: 4,
-            compact_chunk: 2,
             ..StoreConfig::default()
         };
         let mut direct = Compactor::new(cfg);
@@ -232,28 +229,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_zero_disables_tier() {
-        let mut c = Compactor::new(StoreConfig {
-            compact_budget: 0,
-            ..StoreConfig::default()
-        });
-        c.fold(NodeId(3), &epoch(0, 1, 0));
-        assert_eq!(c.epochs_held(), 0);
-        assert_eq!(c.stats().epochs_compacted, 0);
-    }
-
-    #[test]
     fn bucket_budget_enforced() {
+        // A one-epoch ring seals a bucket per fold: 20 folds, 4 past the
+        // cap.
         let mut c = Compactor::new(StoreConfig {
             epoch_budget: 1,
-            compact_budget: 2,
-            compact_chunk: 1,
             ..StoreConfig::default()
         });
-        for i in 0..6u64 {
+        for i in 0..20u64 {
             c.fold(NodeId(3), &epoch(i as usize, i as u8, i << 20));
         }
-        assert_eq!(c.buckets_held(), 2);
+        assert_eq!(c.buckets_held(), COMPACT_BUDGET);
         assert_eq!(c.stats().buckets_dropped, 4);
         assert_eq!(c.stats().epochs_dropped, 4);
     }

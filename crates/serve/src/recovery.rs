@@ -392,8 +392,6 @@ mod tests {
     fn tiered() -> StoreConfig {
         StoreConfig {
             epoch_budget: 2,
-            compact_budget: 4,
-            compact_chunk: 2,
             deferred_fold: true,
         }
     }

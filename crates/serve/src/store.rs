@@ -11,8 +11,8 @@
 //!   The full-fidelity query ([`TelemetryStore::snapshots_in`]) serves
 //!   this tier only, so diagnosis verdicts never depend on compacted data.
 //! - **Compacted tier** — epochs aged past the ring budget are folded into
-//!   [`CompactedEpoch`] aggregate buckets instead of vanishing, bounded by
-//!   a second `compact_budget`. Coarse queries
+//!   [`CompactedEpoch`] aggregate buckets of one ring's worth each instead
+//!   of vanishing, at most 16 (`COMPACT_BUDGET`) per switch. Coarse queries
 //!   ([`TelemetryStore::flow_history`]) extend into this tier.
 //!
 //! Each switch's raw ring carries one exact index: the `(start, slot, id)`
@@ -61,13 +61,6 @@ pub struct StoreConfig {
     /// Maximum epochs retained per switch in the raw ring; the
     /// oldest-starting epoch falls off first when exceeded.
     pub epoch_budget: usize,
-    /// Maximum compacted buckets retained per switch; `0` disables the
-    /// compacted tier entirely (aged epochs are dropped, pre-compaction
-    /// behaviour).
-    pub compact_budget: usize,
-    /// Raw epochs folded into one bucket before it is sealed and a new
-    /// one opened; `0` means "one ring's worth" (`epoch_budget`).
-    pub compact_chunk: usize,
     /// Stage ring-evicted epochs for an external [`Compactor`] instead of
     /// folding inline: `append` leaves them in a pending outbox
     /// ([`TelemetryStore::take_pending_folds`]) and this store's own
@@ -85,8 +78,6 @@ impl Default for StoreConfig {
         // ring's worth each extends coarse history ~16x beyond that.
         StoreConfig {
             epoch_budget: 256,
-            compact_budget: 16,
-            compact_chunk: 0,
             deferred_fold: false,
         }
     }
@@ -104,15 +95,14 @@ pub struct StoreStats {
     /// already accepted (in the ring or already folded).
     pub epochs_stale_rejected: u64,
     /// Epochs aged out of the raw ring to enforce the per-switch budget
-    /// (folded into the compacted tier when it is enabled, dropped when
-    /// not).
+    /// (folded into the compacted tier).
     pub epochs_evicted: u64,
     /// Evicted epochs folded into compacted buckets.
     pub epochs_compacted: u64,
     /// Later-taken re-collections of epochs that were already folded —
     /// dropped, because the bucket cannot subtract the stale version.
     pub epochs_superseded_after_fold: u64,
-    /// Compacted buckets dropped to enforce `compact_budget`.
+    /// Compacted buckets dropped to enforce `COMPACT_BUDGET`.
     pub compact_buckets_dropped: u64,
     /// Raw epochs that were summed inside those dropped buckets.
     pub compact_epochs_dropped: u64,
@@ -320,24 +310,20 @@ impl TelemetryStore {
                     log.watermark = log.watermark.max(ep.end());
                 }
                 None => {
-                    if self.cfg.compact_budget > 0 {
-                        if let Some(&(folded_taken, folded_start)) =
-                            log.folded.get(&(ep.slot, ep.id))
-                        {
-                            // Same epoch (same start) already folded: a
-                            // re-delivery is rejected; a *superseding*
-                            // re-collection is dropped too (the bucket
-                            // froze the stale version — module docs).
-                            // A different start means the switch reused
-                            // the ring key for a new epoch: admit it.
-                            if ep.start == folded_start {
-                                if snap.taken_at <= folded_taken {
-                                    self.stats.epochs_stale_rejected += 1;
-                                } else {
-                                    self.stats.epochs_superseded_after_fold += 1;
-                                }
-                                continue;
+                    if let Some(&(folded_taken, folded_start)) = log.folded.get(&(ep.slot, ep.id)) {
+                        // Same epoch (same start) already folded: a
+                        // re-delivery is rejected; a *superseding*
+                        // re-collection is dropped too (the bucket froze
+                        // the stale version — module docs). A different
+                        // start means the switch reused the ring key for
+                        // a new epoch: admit it.
+                        if ep.start == folded_start {
+                            if snap.taken_at <= folded_taken {
+                                self.stats.epochs_stale_rejected += 1;
+                            } else {
+                                self.stats.epochs_superseded_after_fold += 1;
                             }
+                            continue;
                         }
                     }
                     log.epochs
@@ -363,9 +349,6 @@ impl TelemetryStore {
                 .expect("the index holds exactly the live ring's keys");
             self.stats.epochs_evicted += 1;
             log.fold_horizon = log.fold_horizon.max(ep.end());
-            if self.cfg.compact_budget == 0 {
-                continue;
-            }
             log.folded.insert(oldest, (taken, ep.start));
             if self.cfg.deferred_fold {
                 // Stage the epoch (a move, not a clone) for the external
@@ -583,6 +566,7 @@ impl Default for TelemetryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compactor::COMPACT_BUDGET;
     use hawkeye_telemetry::{FlowRecord, PortRecord};
 
     fn key(i: u16) -> FlowKey {
@@ -723,8 +707,6 @@ mod tests {
     fn eviction_folds_into_compacted_tier() {
         let mut st = TelemetryStore::new(StoreConfig {
             epoch_budget: 2,
-            compact_budget: 4,
-            compact_chunk: 2,
             ..StoreConfig::default()
         });
         for i in 0..5u64 {
@@ -738,7 +720,11 @@ mod tests {
         assert_eq!(st.stats().epochs_evicted, 3);
         assert_eq!(st.stats().epochs_compacted, 3, "evicted epochs folded");
         assert_eq!(st.compacted_epochs_held(), 3);
-        assert_eq!(st.compacted_buckets_held(), 2, "chunk of 2 seals buckets");
+        assert_eq!(
+            st.compacted_buckets_held(),
+            2,
+            "a ring's worth (2) seals a bucket"
+        );
         // The horizon is the max end among evicted epochs: 0,1,2 evicted.
         assert_eq!(st.retention_horizon(), Some(Nanos(3 << 20)));
         // Flow 3's epoch was folded: raw detail is gone, history remains.
@@ -755,8 +741,6 @@ mod tests {
     fn folded_redelivery_is_not_double_counted() {
         let mut st = TelemetryStore::new(StoreConfig {
             epoch_budget: 1,
-            compact_budget: 4,
-            compact_chunk: 4,
             ..StoreConfig::default()
         });
         let first = snap(3, 500, vec![epoch(0, 1, 0)]);
@@ -780,8 +764,6 @@ mod tests {
     fn ring_key_reuse_after_fold_is_admitted() {
         let mut st = TelemetryStore::new(StoreConfig {
             epoch_budget: 1,
-            compact_budget: 4,
-            compact_chunk: 4,
             ..StoreConfig::default()
         });
         st.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
@@ -794,41 +776,26 @@ mod tests {
     }
 
     #[test]
-    fn compact_budget_zero_drops_aged_epochs() {
-        let mut st = TelemetryStore::new(StoreConfig {
-            epoch_budget: 1,
-            compact_budget: 0,
-            compact_chunk: 0,
-            ..StoreConfig::default()
-        });
-        st.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
-        st.append(&snap(3, 600, vec![epoch(1, 2, 1 << 20)]));
-        assert_eq!(st.stats().epochs_evicted, 1);
-        assert_eq!(st.stats().epochs_compacted, 0);
-        assert_eq!(st.compacted_buckets_held(), 0);
-        assert!(st.flow_history(&key(1)).is_empty(), "dropped, not folded");
-        // Eviction still drives the retention horizon.
-        assert_eq!(st.retention_horizon(), Some(Nanos(1 << 20)));
-    }
-
-    #[test]
     fn compact_budget_bounds_bucket_count() {
+        // A one-epoch ring seals a bucket per eviction: 20 appends evict
+        // 19 epochs into 19 buckets, 3 past the cap.
         let mut st = TelemetryStore::new(StoreConfig {
             epoch_budget: 1,
-            compact_budget: 2,
-            compact_chunk: 1,
             ..StoreConfig::default()
         });
-        for i in 0..6u64 {
+        for i in 0..20u64 {
             st.append(&snap(
                 3,
                 500 + i,
                 vec![epoch(i as usize, i as u8 + 1, i << 20)],
             ));
         }
-        assert_eq!(st.compacted_buckets_held(), 2);
+        assert_eq!(st.stats().epochs_evicted, 19);
+        assert_eq!(st.compacted_buckets_held(), COMPACT_BUDGET);
         assert_eq!(st.stats().compact_buckets_dropped, 3);
         assert_eq!(st.stats().compact_epochs_dropped, 3);
+        // Eviction drives the retention horizon.
+        assert_eq!(st.retention_horizon(), Some(Nanos(19 << 20)));
     }
 
     #[test]
@@ -885,8 +852,6 @@ mod tests {
     fn timed_append_splits_admission_from_fold() {
         let mut st = TelemetryStore::new(StoreConfig {
             epoch_budget: 1,
-            compact_budget: 4,
-            compact_chunk: 4,
             deferred_fold: false,
         });
         st.append(&snap(3, 500, vec![epoch(0, 1, 0)]));
@@ -902,8 +867,6 @@ mod tests {
     fn deferred_fold_stages_instead_of_folding() {
         let cfg = StoreConfig {
             epoch_budget: 2,
-            compact_budget: 4,
-            compact_chunk: 2,
             ..StoreConfig::default()
         };
         let mut inline = TelemetryStore::new(cfg);
@@ -950,8 +913,6 @@ mod tests {
     fn export_restore_round_trips_ring_and_retention_state() {
         let cfg = StoreConfig {
             epoch_budget: 2,
-            compact_budget: 4,
-            compact_chunk: 2,
             ..StoreConfig::default()
         };
         let mut st = TelemetryStore::new(cfg);

@@ -20,8 +20,6 @@ fn tiered_cfg() -> ServeConfig {
     ServeConfig {
         store: StoreConfig {
             epoch_budget: 2,
-            compact_budget: 8,
-            compact_chunk: 4,
             ..StoreConfig::default()
         },
         ..ServeConfig::default()

@@ -119,8 +119,6 @@ fn hammer_cfg() -> ServeConfig {
     ServeConfig {
         store: StoreConfig {
             epoch_budget: 4,
-            compact_budget: 8,
-            compact_chunk: 4,
             ..StoreConfig::default()
         },
         ..ServeConfig::default()

@@ -96,8 +96,6 @@ fn daemon_replay_rounds_stay_bounded() {
     let cfg = ServeConfig {
         store: StoreConfig {
             epoch_budget: BUDGET,
-            compact_budget: 8,
-            compact_chunk: BUDGET,
             ..StoreConfig::default()
         },
         ..ServeConfig::default()
@@ -182,8 +180,6 @@ fn engine_retirement_tracks_store_horizon() {
     let switches: Vec<NodeId> = sc.topo.switches().collect();
     let mut store = TelemetryStore::new(StoreConfig {
         epoch_budget: BUDGET,
-        compact_budget: 8,
-        compact_chunk: BUDGET,
         ..StoreConfig::default()
     });
     let mut engine = IncrementalProvenance::new(ReplayConfig::default(), 2 * BUDGET);

@@ -488,8 +488,6 @@ fn frame_size_does_not_change_what_the_daemon_holds() {
             ServeConfig {
                 store: StoreConfig {
                     epoch_budget: 2,
-                    compact_budget: 8,
-                    compact_chunk: 4,
                     ..StoreConfig::default()
                 },
                 ..ServeConfig::default()

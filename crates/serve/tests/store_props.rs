@@ -200,11 +200,11 @@ proptest! {
             .enumerate()
             .map(|(i, (o, _))| materialize(o, i))
             .collect();
-        // Compaction off: this property is about the legacy drop path.
+        // The raw ring only: an aged epoch re-delivered is dropped
+        // unadmitted (it was folded) rather than admitted and re-evicted,
+        // which leaves the same ring.
         let cfg = StoreConfig {
             epoch_budget: budget,
-            compact_budget: 0,
-            compact_chunk: 0,
             ..StoreConfig::default()
         };
 
@@ -253,14 +253,12 @@ proptest! {
 
         let unbounded_cfg = StoreConfig {
             epoch_budget: 1 << 12,
-            compact_budget: 0,
-            compact_chunk: 0,
             ..StoreConfig::default()
         };
         let tiered_cfg = StoreConfig {
+            // At most 8 steps per switch: far below the bucket cap, whose
+            // drops would lose counts.
             epoch_budget: budget,
-            compact_budget: 64, // roomy: bucket drops would lose counts
-            compact_chunk: 2,
             ..StoreConfig::default()
         };
 
@@ -328,8 +326,6 @@ proptest! {
 
         let inline_cfg = StoreConfig {
             epoch_budget: budget,
-            compact_budget: 64,
-            compact_chunk: 2,
             ..StoreConfig::default()
         };
         let deferred_cfg = StoreConfig {
@@ -605,8 +601,6 @@ proptest! {
     ) {
         let cfg = StoreConfig {
             epoch_budget: budget,
-            compact_budget: 64,
-            compact_chunk: 2,
             deferred_fold: true,
         };
         let windows: Vec<Window> = windows

@@ -144,8 +144,6 @@ fn assert_prefix(scan: &hawkeye_serve::Scan, snaps: &[TelemetrySnapshot], n: u64
 fn assert_replay_matches_direct(dir: &Path, snaps: &[TelemetrySnapshot], n: u64) {
     let cfg = StoreConfig {
         epoch_budget: 2,
-        compact_budget: 8,
-        compact_chunk: 2,
         deferred_fold: true,
     };
     let s = scan(dir).expect("scan");

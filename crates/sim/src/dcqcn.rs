@@ -8,50 +8,31 @@
 use crate::time::Nanos;
 use crate::units::Rate;
 
-/// DCQCN tunables. Defaults follow the common 100 Gbps deployments
-/// (and the NS-3 HPCC simulator's DCQCN configuration).
-#[derive(Debug, Clone, Copy)]
-pub struct DcqcnConfig {
-    /// alpha EWMA gain `g`.
-    pub g: f64,
-    /// Alpha-update timer period (no-CNP decay), typically 55 µs.
-    pub alpha_timer: Nanos,
-    /// Rate-increase timer period, typically 55 µs (timer-based stage).
-    pub increase_timer: Nanos,
-    /// Bytes per byte-counter increase stage.
-    pub byte_counter: u64,
-    /// Additive increase step (bits/s).
-    pub rai: f64,
-    /// Hyper increase step (bits/s).
-    pub rhai: f64,
-    /// Fast-recovery iterations before additive increase.
-    pub fast_recovery_threshold: u32,
-    /// Minimum sending rate (bits/s).
-    pub min_rate: f64,
-    /// Line rate cap (bits/s).
-    pub line_rate: f64,
-}
+// DCQCN tunables: the common 100 Gbps deployment, as in the NS-3 HPCC
+// simulator's DCQCN configuration.
 
-impl DcqcnConfig {
-    pub fn for_line_rate(line_rate_bps: f64) -> Self {
-        DcqcnConfig {
-            g: 1.0 / 256.0,
-            alpha_timer: Nanos::from_micros(55),
-            increase_timer: Nanos::from_micros(55),
-            byte_counter: 10 * 1024 * 1024,
-            rai: 40e6,
-            rhai: 200e6,
-            fast_recovery_threshold: 5,
-            min_rate: 100e6,
-            line_rate: line_rate_bps,
-        }
-    }
-}
+/// alpha EWMA gain `g`.
+const G: f64 = 1.0 / 256.0;
+/// Alpha-update timer period (no-CNP decay).
+pub(crate) const ALPHA_TIMER: Nanos = Nanos::from_micros(55);
+/// Rate-increase timer period (timer-based stage).
+pub(crate) const INCREASE_TIMER: Nanos = Nanos::from_micros(55);
+/// Bytes per byte-counter increase stage.
+const BYTE_COUNTER: u64 = 10 * 1024 * 1024;
+/// Additive increase step (bits/s).
+const RAI: f64 = 40e6;
+/// Hyper increase step (bits/s).
+const RHAI: f64 = 200e6;
+/// Fast-recovery iterations before additive increase.
+const FAST_RECOVERY_THRESHOLD: u32 = 5;
+/// Minimum sending rate (bits/s).
+const MIN_RATE: f64 = 100e6;
+/// Line rate cap (bits/s): the host NIC speed.
+const LINE_RATE: f64 = 100e9;
 
 /// Per-flow DCQCN reaction-point state.
 #[derive(Debug, Clone)]
 pub struct Dcqcn {
-    cfg: DcqcnConfig,
     /// Current sending rate Rc.
     rc: f64,
     /// Target rate Rt.
@@ -68,21 +49,23 @@ pub struct Dcqcn {
     cut_happened: bool,
 }
 
-impl Dcqcn {
-    pub fn new(cfg: DcqcnConfig) -> Self {
+/// A flow starts at line rate with `alpha` = 1.
+impl Default for Dcqcn {
+    fn default() -> Self {
         Dcqcn {
-            rc: cfg.line_rate,
-            rt: cfg.line_rate,
+            rc: LINE_RATE,
+            rt: LINE_RATE,
             alpha: 1.0,
             cnp_since_alpha_tick: false,
             timer_iter: 0,
             byte_iter: 0,
             bytes_since_stage: 0,
             cut_happened: false,
-            cfg,
         }
     }
+}
 
+impl Dcqcn {
     /// Current paced sending rate.
     pub fn rate(&self) -> Rate {
         Rate(self.rc)
@@ -97,22 +80,22 @@ impl Dcqcn {
         self.cnp_since_alpha_tick = true;
         self.cut_happened = true;
         self.rt = self.rc;
-        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(self.cfg.min_rate);
-        self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
+        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(MIN_RATE);
+        self.alpha = (1.0 - G) * self.alpha + G;
         self.timer_iter = 0;
         self.byte_iter = 0;
         self.bytes_since_stage = 0;
     }
 
-    /// Alpha-update timer tick (every `cfg.alpha_timer`).
+    /// Alpha-update timer tick (every `ALPHA_TIMER`).
     pub fn on_alpha_timer(&mut self) {
         if !self.cnp_since_alpha_tick {
-            self.alpha *= 1.0 - self.cfg.g;
+            self.alpha *= 1.0 - G;
         }
         self.cnp_since_alpha_tick = false;
     }
 
-    /// Rate-increase timer tick (every `cfg.increase_timer`).
+    /// Rate-increase timer tick (every `INCREASE_TIMER`).
     pub fn on_increase_timer(&mut self) {
         self.timer_iter += 1;
         self.increase();
@@ -124,8 +107,8 @@ impl Dcqcn {
             return;
         }
         self.bytes_since_stage += bytes;
-        while self.bytes_since_stage >= self.cfg.byte_counter {
-            self.bytes_since_stage -= self.cfg.byte_counter;
+        while self.bytes_since_stage >= BYTE_COUNTER {
+            self.bytes_since_stage -= BYTE_COUNTER;
             self.byte_iter += 1;
             self.increase();
         }
@@ -138,23 +121,22 @@ impl Dcqcn {
             return;
         }
         let iter = self.timer_iter.max(self.byte_iter);
-        if iter > self.cfg.fast_recovery_threshold {
-            let both_past = self.timer_iter > self.cfg.fast_recovery_threshold
-                && self.byte_iter > self.cfg.fast_recovery_threshold;
+        if iter > FAST_RECOVERY_THRESHOLD {
+            let both_past = self.timer_iter > FAST_RECOVERY_THRESHOLD
+                && self.byte_iter > FAST_RECOVERY_THRESHOLD;
             let step = if both_past {
                 // Hyper increase once both counters pass the threshold.
                 let i = self
                     .timer_iter
                     .min(self.byte_iter)
-                    .saturating_sub(self.cfg.fast_recovery_threshold)
-                    as f64;
-                i * self.cfg.rhai
+                    .saturating_sub(FAST_RECOVERY_THRESHOLD) as f64;
+                i * RHAI
             } else {
-                self.cfg.rai
+                RAI
             };
-            self.rt = (self.rt + step).min(self.cfg.line_rate);
+            self.rt = (self.rt + step).min(LINE_RATE);
         }
-        self.rc = ((self.rt + self.rc) / 2.0).min(self.cfg.line_rate);
+        self.rc = ((self.rt + self.rc) / 2.0).min(LINE_RATE);
     }
 }
 
@@ -163,7 +145,7 @@ mod tests {
     use super::*;
 
     fn cc() -> Dcqcn {
-        Dcqcn::new(DcqcnConfig::for_line_rate(100e9))
+        Dcqcn::default()
     }
 
     #[test]

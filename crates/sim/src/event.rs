@@ -73,7 +73,7 @@ pub enum EventKind {
     /// Host detection-agent periodic check of flow RTTs.
     AgentCheck { node: NodeId },
     /// Re-poll timer for a flow whose detection probe may have been lost
-    /// (attempt is 1-based; see `host::ProbeRetryConfig`).
+    /// (attempt is 1-based; see the re-poll ladder in `host`).
     ProbeRetry {
         node: NodeId,
         flow_idx: u32,

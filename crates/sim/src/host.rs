@@ -15,7 +15,7 @@
 //! flow waits behind it, by whichever [`HostState::try_tx`] call finds the
 //! uplink busy.
 
-use crate::dcqcn::{Dcqcn, DcqcnConfig};
+use crate::dcqcn::{Dcqcn, ALPHA_TIMER, INCREASE_TIMER};
 use crate::event::{EventKind, EventQueue, PortTx};
 use crate::ids::{FlowId, FlowKey, NodeId};
 use crate::packet::{
@@ -72,37 +72,24 @@ pub struct AgentConfig {
     pub periodic_probe: Option<Nanos>,
     /// Probe timeout + bounded exponential-backoff re-poll: polling packets
     /// ride the (lossy, congested) data plane, so a detection whose probe
-    /// is lost would otherwise never be diagnosed. `None` (the default)
-    /// disables re-polling; the fault-free pipeline is unchanged.
-    pub retry: Option<ProbeRetryConfig>,
+    /// is lost would otherwise never be diagnosed. `false` disables
+    /// re-polling; the fault-free pipeline is unchanged.
+    pub retry: bool,
 }
 
-/// Re-poll schedule after a detection: attempt `k` (1-based) fires
-/// `timeout * backoff^(k-1)` after the previous probe, while the flow still
-/// looks anomalous, up to `max_attempts` re-polls and never past `deadline`
-/// from the triggering detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeRetryConfig {
-    /// Re-polls after the initial probe (0 disables).
-    pub max_attempts: u32,
-    /// Wait before the first re-poll.
-    pub timeout: Nanos,
-    /// Backoff multiplier between consecutive re-polls.
-    pub backoff: u32,
-    /// Hard bound on the whole ladder, measured from the detection.
-    pub deadline: Nanos,
-}
+// The re-poll ladder after a detection: attempt `k` (1-based) fires
+// `RETRY_TIMEOUT * RETRY_BACKOFF^(k-1)` after the previous probe, while the
+// flow still looks anomalous, up to `RETRY_MAX_ATTEMPTS` re-polls and never
+// past `RETRY_DEADLINE` from the triggering detection.
 
-impl Default for ProbeRetryConfig {
-    fn default() -> Self {
-        ProbeRetryConfig {
-            max_attempts: 3,
-            timeout: Nanos::from_micros(100),
-            backoff: 2,
-            deadline: Nanos::from_millis(1),
-        }
-    }
-}
+/// Re-polls after the initial probe.
+const RETRY_MAX_ATTEMPTS: u32 = 3;
+/// Wait before the first re-poll.
+const RETRY_TIMEOUT: Nanos = Nanos::from_micros(100);
+/// Backoff multiplier between consecutive re-polls.
+const RETRY_BACKOFF: u64 = 2;
+/// Hard bound on the whole ladder, measured from the detection.
+const RETRY_DEADLINE: Nanos = Nanos::from_millis(1);
 
 impl AgentConfig {
     pub fn threshold(&self) -> Nanos {
@@ -120,26 +107,8 @@ pub struct PfcInjectorConfig {
     pub period: Nanos,
 }
 
-/// Host configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct HostConfig {
-    /// Minimum gap between CNPs per flow (DCQCN notification point).
-    pub cnp_interval: Nanos,
-    pub dcqcn: DcqcnConfig,
-    pub agent: Option<AgentConfig>,
-    pub pfc_injector: Option<PfcInjectorConfig>,
-}
-
-impl HostConfig {
-    pub fn for_line_rate(bps: f64) -> Self {
-        HostConfig {
-            cnp_interval: Nanos::from_micros(50),
-            dcqcn: DcqcnConfig::for_line_rate(bps),
-            agent: None,
-            pfc_injector: None,
-        }
-    }
-}
+/// Minimum gap between CNPs per flow (DCQCN notification point).
+const CNP_INTERVAL: Nanos = Nanos::from_micros(50);
 
 /// An anomaly detection produced by the agent (the trigger for diagnosis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,7 +190,8 @@ pub struct HostStats {
 #[derive(Debug)]
 pub struct HostState {
     pub id: NodeId,
-    cfg: HostConfig,
+    agent: Option<AgentConfig>,
+    pfc_injector: Option<PfcInjectorConfig>,
     flows: Vec<HostFlow>,
     by_flow_id: FlowIdMap<u32>,
     recv: FlowIdMap<RecvState>,
@@ -235,10 +205,11 @@ pub struct HostState {
 }
 
 impl HostState {
-    pub fn new(id: NodeId, cfg: HostConfig) -> Self {
+    pub fn new(id: NodeId) -> Self {
         HostState {
             id,
-            cfg,
+            agent: None,
+            pfc_injector: None,
             flows: Vec::new(),
             by_flow_id: FlowIdMap::default(),
             recv: FlowIdMap::default(),
@@ -292,7 +263,7 @@ impl HostState {
             next_seq: 0,
             acked_pkts: 0,
             state: FlowState::Pending,
-            dcqcn: Dcqcn::new(self.cfg.dcqcn),
+            dcqcn: Dcqcn::default(),
             max_rate: max_rate_bps,
             cc_enabled,
             timers_running: false,
@@ -312,12 +283,12 @@ impl HostState {
 
     /// Enable/disable the detection agent (before the simulation runs).
     pub fn set_agent(&mut self, agent: Option<AgentConfig>) {
-        self.cfg.agent = agent;
+        self.agent = agent;
     }
 
     /// Configure the PFC-injection fault (before the simulation runs).
     pub fn set_injector(&mut self, inj: Option<PfcInjectorConfig>) {
-        self.cfg.pfc_injector = inj;
+        self.pfc_injector = inj;
     }
 
     pub fn flow_by_id(&self, id: FlowId) -> Option<&HostFlow> {
@@ -336,10 +307,10 @@ impl HostState {
                 },
             );
         }
-        if let Some(inj) = self.cfg.pfc_injector {
+        if let Some(inj) = self.pfc_injector {
             q.schedule(inj.start, EventKind::HostPfcInject { node: self.id });
         }
-        if let Some(agent) = self.cfg.agent {
+        if let Some(agent) = self.agent {
             if !self.flows.is_empty() {
                 q.schedule(
                     agent.check_interval,
@@ -483,7 +454,7 @@ impl HostState {
         }));
         self.stats.acks_sent += 1;
         if d.ecn_ce && now >= rs.next_cnp_ok {
-            self.recv.get_mut(&d.flow).unwrap().next_cnp_ok = now + self.cfg.cnp_interval;
+            self.recv.get_mut(&d.flow).unwrap().next_cnp_ok = now + CNP_INTERVAL;
             self.ctrl.push_back(Packet::Cnp(CnpPacket {
                 flow: d.flow,
                 key: ack_key,
@@ -529,14 +500,14 @@ impl HostState {
         if !f.timers_running {
             f.timers_running = true;
             q.schedule(
-                now + self.cfg.dcqcn.alpha_timer,
+                now + ALPHA_TIMER,
                 EventKind::DcqcnAlpha {
                     node: self.id,
                     flow_idx: idx,
                 },
             );
             q.schedule(
-                now + self.cfg.dcqcn.increase_timer,
+                now + INCREASE_TIMER,
                 EventKind::DcqcnIncrease {
                     node: self.id,
                     flow_idx: idx,
@@ -575,7 +546,7 @@ impl HostState {
         }
         f.dcqcn.on_alpha_timer();
         q.schedule(
-            now + self.cfg.dcqcn.alpha_timer,
+            now + ALPHA_TIMER,
             EventKind::DcqcnAlpha {
                 node: self.id,
                 flow_idx,
@@ -590,7 +561,7 @@ impl HostState {
         }
         f.dcqcn.on_increase_timer();
         q.schedule(
-            now + self.cfg.dcqcn.increase_timer,
+            now + INCREASE_TIMER,
             EventKind::DcqcnIncrease {
                 node: self.id,
                 flow_idx,
@@ -600,7 +571,7 @@ impl HostState {
 
     /// Faulty-host PFC injection tick.
     pub fn handle_pfc_inject(&mut self, now: Nanos, q: &mut EventQueue, topo: &Topology) {
-        let Some(inj) = self.cfg.pfc_injector else {
+        let Some(inj) = self.pfc_injector else {
             return;
         };
         if now >= inj.stop {
@@ -620,7 +591,7 @@ impl HostState {
     /// With `periodic_probe` set, also runs the pingmesh-style periodic
     /// polling for every active flow.
     pub fn handle_agent_check(&mut self, now: Nanos, q: &mut EventQueue, topo: &Topology) {
-        let Some(agent) = self.cfg.agent else {
+        let Some(agent) = self.agent else {
             return;
         };
         for idx in 0..self.flows.len() as u32 {
@@ -660,7 +631,7 @@ impl HostState {
         q: &mut EventQueue,
         topo: &Topology,
     ) {
-        let Some(agent) = self.cfg.agent else {
+        let Some(agent) = self.agent else {
             return;
         };
         if rtt < agent.threshold() {
@@ -681,18 +652,16 @@ impl HostState {
         });
         self.stats.probes_sent += 1;
         let key = f.key;
-        if let Some(r) = agent.retry {
-            if r.max_attempts > 0 {
-                self.flows[idx as usize].retry_anchor = now;
-                q.schedule(
-                    now + r.timeout,
-                    EventKind::ProbeRetry {
-                        node: self.id,
-                        flow_idx: idx,
-                        attempt: 1,
-                    },
-                );
-            }
+        if agent.retry {
+            self.flows[idx as usize].retry_anchor = now;
+            q.schedule(
+                now + RETRY_TIMEOUT,
+                EventKind::ProbeRetry {
+                    node: self.id,
+                    flow_idx: idx,
+                    attempt: 1,
+                },
+            );
         }
         self.ctrl.push_back(Packet::Probe(Probe::new(key)));
         self.try_tx(now, q, topo);
@@ -709,10 +678,7 @@ impl HostState {
         q: &mut EventQueue,
         topo: &Topology,
     ) {
-        let Some(agent) = self.cfg.agent else {
-            return;
-        };
-        let Some(r) = agent.retry else {
+        let Some(agent) = self.agent.filter(|a| a.retry) else {
             return;
         };
         let f = &self.flows[flow_idx as usize];
@@ -734,13 +700,13 @@ impl HostState {
         self.stats.probes_sent += 1;
         self.stats.probes_retried += 1;
         self.ctrl.push_back(Packet::Probe(Probe::new(key)));
-        if attempt < r.max_attempts {
+        if attempt < RETRY_MAX_ATTEMPTS {
             let delay = Nanos(
-                r.timeout
+                RETRY_TIMEOUT
                     .0
-                    .saturating_mul((r.backoff.max(1) as u64).saturating_pow(attempt)),
+                    .saturating_mul(RETRY_BACKOFF.saturating_pow(attempt)),
             );
-            if (now + delay).saturating_sub(anchor) <= r.deadline {
+            if (now + delay).saturating_sub(anchor) <= RETRY_DEADLINE {
                 q.schedule(
                     now + delay,
                     EventKind::ProbeRetry {
@@ -774,7 +740,7 @@ mod tests {
     fn setup() -> (Topology, HostState, EventQueue) {
         let topo = dumbbell(1, 1, EVAL_BANDWIDTH, EVAL_DELAY);
         let h0 = topo.hosts().next().unwrap();
-        let host = HostState::new(h0, HostConfig::for_line_rate(100e9));
+        let host = HostState::new(h0);
         (topo, host, EventQueue::new())
     }
 
@@ -872,13 +838,13 @@ mod tests {
         let (topo, mut host, mut q) = setup();
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.cfg.agent = Some(AgentConfig {
+        host.agent = Some(AgentConfig {
             rtt_threshold_factor: 2.0,
             base_rtt: Nanos::from_micros(10),
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(1),
             periodic_probe: None,
-            retry: None,
+            retry: false,
         });
         host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
         // Simulate an ACK with a 50 µs RTT (threshold is 20 µs).
@@ -906,13 +872,13 @@ mod tests {
         let (topo, mut host, mut q) = setup();
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.cfg.agent = Some(AgentConfig {
+        host.agent = Some(AgentConfig {
             rtt_threshold_factor: 3.0,
             base_rtt: Nanos::from_micros(10),
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(1),
             periodic_probe: None,
-            retry: None,
+            retry: false,
         });
         host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
         host.flows[0].state = FlowState::Active;
@@ -927,13 +893,13 @@ mod tests {
         let (topo, mut host, mut q) = setup();
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.cfg.agent = Some(AgentConfig {
+        host.agent = Some(AgentConfig {
             rtt_threshold_factor: 100.0, // never trips on RTT
             base_rtt: Nanos::from_micros(10),
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(10),
             periodic_probe: Some(Nanos::from_micros(300)),
-            retry: None,
+            retry: false,
         });
         host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
         host.flows[0].state = FlowState::Active;
@@ -952,7 +918,7 @@ mod tests {
     #[test]
     fn injector_emits_pauses_periodically() {
         let (topo, mut host, mut q) = setup();
-        host.cfg.pfc_injector = Some(PfcInjectorConfig {
+        host.pfc_injector = Some(PfcInjectorConfig {
             start: Nanos::ZERO,
             stop: Nanos::from_micros(500),
             period: Nanos::from_micros(100),
@@ -982,12 +948,7 @@ mod tests {
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(10),
             periodic_probe: None,
-            retry: Some(ProbeRetryConfig {
-                max_attempts: 3,
-                timeout: Nanos::from_micros(50),
-                backoff: 2,
-                deadline: Nanos::from_millis(1),
-            }),
+            retry: true,
         }
     }
 
@@ -1008,7 +969,7 @@ mod tests {
         let (topo, mut host, mut q) = setup();
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.cfg.agent = Some(retry_agent());
+        host.agent = Some(retry_agent());
         host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
         host.flows[0].state = FlowState::Active;
         host.flows[0].outstanding.push_back((0, Nanos::ZERO));
@@ -1034,7 +995,7 @@ mod tests {
         let (topo, mut host, mut q) = setup();
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.cfg.agent = Some(retry_agent());
+        host.agent = Some(retry_agent());
         host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
         host.flows[0].state = FlowState::Active;
         host.flows[0].outstanding.push_back((0, Nanos::ZERO));

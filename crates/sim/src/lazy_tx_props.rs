@@ -14,7 +14,7 @@
 
 use crate::event::TxFiling;
 use crate::hooks::{EnqueueRecord, PfcEvent, ProbeDecision, SwitchHook, SwitchView};
-use crate::host::{AgentConfig, Detection, HostStats, PfcInjectorConfig, ProbeRetryConfig};
+use crate::host::{AgentConfig, Detection, HostStats, PfcInjectorConfig};
 use crate::ids::{FlowKey, NodeId, PortId};
 use crate::packet::Probe;
 use crate::sim::{SimConfig, Simulator};
@@ -125,7 +125,7 @@ fn run(w: &Workload, seed: u64, filing: TxFiling) -> (Outcome, u64) {
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_micros(400),
         periodic_probe: None,
-        retry: Some(ProbeRetryConfig::default()),
+        retry: true,
     });
     for f in &w.flows {
         sim.add_flow_limited(f.key, f.bytes, f.start, f.max_rate_bps);

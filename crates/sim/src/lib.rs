@@ -51,9 +51,7 @@ pub use faults::{
 pub use hooks::{
     CpuNotification, EnqueueRecord, NullHook, PfcEvent, ProbeDecision, SwitchHook, SwitchView,
 };
-pub use host::{
-    AgentConfig, Detection, HostConfig, HostState, PfcInjectorConfig, ProbeRetryConfig,
-};
+pub use host::{AgentConfig, Detection, HostState, PfcInjectorConfig};
 pub use ids::{FlowId, FlowKey, NodeId, PortId};
 pub use observed::{record_sim_metrics, trace_detections, trace_drop_warnings, ObservedHook};
 pub use packet::{

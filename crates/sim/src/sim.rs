@@ -4,7 +4,7 @@
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultInjector, FaultPlan, FaultStats, ProbeFate};
 use crate::hooks::{CpuNotification, SwitchHook};
-use crate::host::{AgentConfig, Detection, HostConfig, HostState, PfcInjectorConfig};
+use crate::host::{AgentConfig, Detection, HostState, PfcInjectorConfig};
 use crate::ids::{FlowId, FlowKey, NodeId};
 use crate::packet::Packet;
 use crate::switch::{SwitchConfig, SwitchState};
@@ -25,7 +25,6 @@ pub struct FlowMeta {
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     pub switch: SwitchConfig,
-    pub host: HostConfig,
     /// Seed for all stochastic decisions (ECN marking); identical seeds
     /// reproduce identical runs.
     pub seed: u64,
@@ -38,7 +37,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             switch: SwitchConfig::default(),
-            host: HostConfig::for_line_rate(100e9),
             seed: 1,
             faults: FaultPlan::none(),
         }
@@ -72,9 +70,7 @@ impl<H: SwitchHook> Simulator<H> {
         for i in 0..topo.node_count() as u32 {
             let id = NodeId(i);
             match topo.kind(id) {
-                NodeKind::Host => {
-                    nodes.push(NodeState::Host(Box::new(HostState::new(id, cfg.host))))
-                }
+                NodeKind::Host => nodes.push(NodeState::Host(Box::new(HostState::new(id)))),
                 NodeKind::Switch => nodes.push(NodeState::Switch(Box::new(SwitchState::new(
                     id,
                     topo.ports(id).len(),
@@ -483,7 +479,7 @@ mod tests {
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(1),
             periodic_probe: None,
-            retry: None,
+            retry: false,
         });
         // Heavy incast: the victim flow's packets queue behind PFC.
         for (i, &src) in [hosts[0], hosts[1], hosts[3]].iter().enumerate() {

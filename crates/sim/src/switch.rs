@@ -40,15 +40,9 @@ pub struct SwitchConfig {
     pub ecn_kmin: u64,
     /// RED/ECN max threshold (bytes).
     pub ecn_kmax: u64,
-    /// RED/ECN max marking probability at kmax.
-    pub ecn_pmax: f64,
     /// Total shared data buffer (bytes); tail-drop beyond this (with sane
     /// PFC settings this never engages — drops are a reportable bug signal).
     pub buffer_bytes: u64,
-    /// Quanta carried in PAUSE frames (0xFFFF = ~335 µs at 100 Gbps).
-    pub pause_quanta: u16,
-    /// Interval at which an above-xon ingress port re-sends PAUSE.
-    pub pfc_refresh: Nanos,
     /// Master PFC switch (off = lossy network, for ablations).
     pub pfc_enabled: bool,
 }
@@ -60,14 +54,18 @@ impl Default for SwitchConfig {
             xon_bytes: 80 * 1024,
             ecn_kmin: 40 * 1024,
             ecn_kmax: 160 * 1024,
-            ecn_pmax: 0.2,
             buffer_bytes: 24 * 1024 * 1024,
-            pause_quanta: u16::MAX,
-            pfc_refresh: Nanos::from_micros(200),
             pfc_enabled: true,
         }
     }
 }
+
+/// RED/ECN max marking probability at `ecn_kmax`.
+const ECN_PMAX: f64 = 0.2;
+/// Quanta carried in PAUSE frames (0xFFFF = ~335 µs at 100 Gbps).
+const PAUSE_QUANTA: u16 = u16::MAX;
+/// Interval at which an above-xon ingress port re-sends PAUSE.
+const PFC_REFRESH: Nanos = Nanos::from_micros(200);
 
 /// Aggregate per-switch counters (sanity checks and overhead accounting).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -167,7 +165,7 @@ impl SwitchState {
         } else if qbytes >= self.cfg.ecn_kmax {
             true
         } else {
-            let p = self.cfg.ecn_pmax * (qbytes - self.cfg.ecn_kmin) as f64
+            let p = ECN_PMAX * (qbytes - self.cfg.ecn_kmin) as f64
                 / (self.cfg.ecn_kmax - self.cfg.ecn_kmin) as f64;
             self.next_rand() < p
         }
@@ -300,14 +298,14 @@ impl SwitchState {
             in_port,
             Packet::Pfc(PfcFrame {
                 class: CLASS_DATA,
-                quanta: self.cfg.pause_quanta,
+                quanta: PAUSE_QUANTA,
             }),
             now,
             q,
             topo,
         );
         q.schedule_in(
-            self.cfg.pfc_refresh,
+            PFC_REFRESH,
             EventKind::PfcRefresh {
                 node: self.id,
                 port: in_port,
@@ -345,14 +343,14 @@ impl SwitchState {
                 port,
                 Packet::Pfc(PfcFrame {
                     class: CLASS_DATA,
-                    quanta: self.cfg.pause_quanta,
+                    quanta: PAUSE_QUANTA,
                 }),
                 now,
                 q,
                 topo,
             );
             q.schedule_in(
-                self.cfg.pfc_refresh,
+                PFC_REFRESH,
                 EventKind::PfcRefresh {
                     node: self.id,
                     port,

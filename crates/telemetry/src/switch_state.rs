@@ -14,19 +14,18 @@ pub struct TelemetryConfig {
     pub epochs: EpochConfig,
     /// Flow-table slots per epoch (the paper's testbed uses 4096).
     pub max_flows: usize,
-    /// How many ring epochs (newest first) in-switch causality queries
-    /// consult. A slowly-developing anomaly (a deadlock loop takes hundreds
-    /// of microseconds to close) must still be traceable by later polling
-    /// rounds, so the default consults the whole ring.
-    pub query_lookback: usize,
 }
+
+/// Ring epochs (newest first) an in-switch causality query consults, at
+/// most the whole ring: a slowly-developing anomaly (a deadlock loop takes
+/// hundreds of microseconds to close) stays traceable by later polls.
+const QUERY_LOOKBACK: usize = 4;
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             epochs: EpochConfig::DEFAULT,
             max_flows: 4096,
-            query_lookback: 4,
         }
     }
 }
@@ -117,12 +116,12 @@ impl SwitchTelemetry {
     }
 
     /// Ring slots ordered newest-first starting from the epoch containing
-    /// `now`, limited to `query_lookback` and to slots whose stored ID
+    /// `now`, limited to [`QUERY_LOOKBACK`] and to slots whose stored ID
     /// matches what the timestamp arithmetic expects (stale slots excluded).
     fn recent_slots(&self, now: Nanos) -> impl Iterator<Item = &EpochSlot> {
         let ec = self.cfg.epochs;
         let count = ec.epoch_count();
-        let lookback = self.cfg.query_lookback.min(count);
+        let lookback = QUERY_LOOKBACK.min(count);
         (0..lookback).filter_map(move |back| {
             let delta = ec.epoch_len().as_nanos() * back as u64;
             if delta > now.as_nanos() {
@@ -323,25 +322,22 @@ mod tests {
 
     #[test]
     fn lookback_spans_epoch_boundary() {
-        let mut t = SwitchTelemetry::new(
-            NodeId(100),
-            4,
-            TelemetryConfig {
-                query_lookback: 2,
-                ..Default::default()
-            },
-        );
+        let mut t = SwitchTelemetry::new(NodeId(100), 4, TelemetryConfig::default());
         let key = FlowKey::roce(NodeId(0), NodeId(1), 7);
         let ec = t.cfg.epochs;
+        assert_eq!(ec.epoch_count(), QUERY_LOOKBACK);
         t.on_pfc(&pfc(2, true, u64::MAX / 2, Nanos(0)));
         // Enqueue near the end of epoch 0.
         let late = ec.epoch_len() - Nanos(10);
         t.on_enqueue(&rec(key, 0, 2, 0, late));
-        // Query early in epoch 1: lookback=2 must still see it.
+        // Query early in epoch 1: the lookback must still see it.
         let early = ec.epoch_len() + Nanos(10);
         assert_eq!(t.flow_paused_count(&key, early), 1);
-        // Query two epochs later: out of lookback.
-        let later = Nanos(ec.epoch_len().as_nanos() * 2 + 10);
+        // Early in epoch 3, the lookback's oldest epoch: still seen.
+        let last = Nanos(ec.epoch_len().as_nanos() * 3 + 10);
+        assert_eq!(t.flow_paused_count(&key, last), 1);
+        // Four epochs later: out of lookback.
+        let later = Nanos(ec.epoch_len().as_nanos() * 4 + 10);
         assert_eq!(t.flow_paused_count(&key, later), 0);
     }
 

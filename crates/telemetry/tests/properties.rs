@@ -35,7 +35,6 @@ proptest! {
         let cfg = TelemetryConfig {
             epochs: EpochConfig::DEFAULT,
             max_flows: 1 << table_bits,
-            query_lookback: 2,
         };
         let mut t = SwitchTelemetry::new(NodeId(0), 4, cfg);
         // All enqueues in epoch 0.
@@ -66,7 +65,7 @@ proptest! {
         rounds in 1u64..4,
     ) {
         let ec = EpochConfig::DEFAULT;
-        let cfg = TelemetryConfig { epochs: ec, max_flows: 64, query_lookback: 2 };
+        let cfg = TelemetryConfig { epochs: ec, max_flows: 64 };
         let mut t = SwitchTelemetry::new(NodeId(0), 4, cfg);
         let key = FlowKey::roce(NodeId(1), NodeId(2), 9);
         let span = ec.ring_span().as_nanos();
@@ -99,7 +98,7 @@ proptest! {
     /// occupancy.
     #[test]
     fn snapshot_size_sanity(n in 1usize..60) {
-        let cfg = TelemetryConfig { epochs: EpochConfig::DEFAULT, max_flows: 256, query_lookback: 2 };
+        let cfg = TelemetryConfig { epochs: EpochConfig::DEFAULT, max_flows: 256 };
         let mut t = SwitchTelemetry::new(NodeId(0), 8, cfg);
         for i in 0..n {
             let key = FlowKey::roce(NodeId(1), NodeId(2), i as u16);

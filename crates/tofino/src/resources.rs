@@ -120,7 +120,6 @@ pub fn memory_sweep(dims: SwitchDims) -> Vec<(usize, usize, MemoryUsage)> {
                     index_bits,
                 },
                 max_flows,
-                ..Default::default()
             };
             rows.push((1 << index_bits, max_flows, memory_usage(&cfg, dims)));
         }
@@ -139,7 +138,6 @@ mod tests {
                 index_bits: bits,
             },
             max_flows: flows,
-            ..Default::default()
         }
     }
 

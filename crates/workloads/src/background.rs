@@ -24,27 +24,25 @@ pub struct FlowSpec {
 pub struct BackgroundConfig {
     /// Average fraction of per-host access bandwidth consumed (0.0..1.0).
     pub load: f64,
-    /// Host access bandwidth (bits/s).
-    pub host_bw_bps: f64,
     /// Trace duration.
     pub duration: Nanos,
-    /// Cap on a single background flow's size (bytes); the empirical tail
-    /// reaches 300 MB, far longer than a trace — capping keeps per-trace
-    /// load near its expectation without changing the in-trace mix.
-    pub max_flow_bytes: u64,
-    /// UDP source ports are drawn from this base upward (so scenario flows
-    /// can use a disjoint range).
-    pub src_port_base: u16,
 }
+
+/// Host access bandwidth (bits/s).
+const HOST_BW_BPS: f64 = 100e9;
+/// Cap on a single background flow's size (bytes); the empirical tail
+/// reaches 300 MB, far longer than a trace — capping keeps per-trace load
+/// near its expectation without changing the in-trace mix.
+const MAX_FLOW_BYTES: u64 = 10_000_000;
+/// UDP source ports are drawn from this base upward (so scenario flows can
+/// use a disjoint range).
+const SRC_PORT_BASE: u16 = 10_000;
 
 impl Default for BackgroundConfig {
     fn default() -> Self {
         BackgroundConfig {
             load: 0.3,
-            host_bw_bps: 100e9,
             duration: Nanos::from_millis(3),
-            max_flow_bytes: 10_000_000,
-            src_port_base: 10_000,
         }
     }
 }
@@ -63,16 +61,16 @@ pub fn generate(topo: &Topology, cfg: &BackgroundConfig, seed: u64) -> Vec<FlowS
     // analytic mean is for the uncapped tail).
     let mut est = StdRng::seed_from_u64(seed ^ 0x51AB);
     let mean_bytes: f64 = (0..4096)
-        .map(|_| dist.sample(&mut est).min(cfg.max_flow_bytes) as f64)
+        .map(|_| dist.sample(&mut est).min(MAX_FLOW_BYTES) as f64)
         .sum::<f64>()
         / 4096.0;
 
-    let offered_bps = cfg.load * cfg.host_bw_bps * hosts.len() as f64;
+    let offered_bps = cfg.load * HOST_BW_BPS * hosts.len() as f64;
     let flows_per_ns = offered_bps / (mean_bytes * 8.0) / 1e9;
 
     let mut out = Vec::new();
     let mut t = 0.0f64;
-    let mut sp = cfg.src_port_base;
+    let mut sp = SRC_PORT_BASE;
     loop {
         // Exponential inter-arrival.
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -87,12 +85,12 @@ pub fn generate(topo: &Topology, cfg: &BackgroundConfig, seed: u64) -> Vec<FlowS
         }
         out.push(FlowSpec {
             key: FlowKey::roce(src, dst, sp),
-            size_bytes: dist.sample(&mut rng).min(cfg.max_flow_bytes),
+            size_bytes: dist.sample(&mut rng).min(MAX_FLOW_BYTES),
             start: Nanos(t as u64),
             max_rate_bps: None,
             cc_enabled: true,
         });
-        sp = sp.wrapping_add(1).max(cfg.src_port_base);
+        sp = sp.wrapping_add(1).max(SRC_PORT_BASE);
     }
     out
 }
@@ -112,7 +110,6 @@ mod tests {
         let cfg = BackgroundConfig {
             load: 0.4,
             duration: Nanos::from_millis(20),
-            ..Default::default()
         };
         let flows = generate(&t, &cfg, 3);
         let bytes: u64 = flows.iter().map(|f| f.size_bytes).sum();
@@ -134,8 +131,8 @@ mod tests {
             assert!(f.start < cfg.duration);
             assert_ne!(f.key.src, f.key.dst);
             assert!(t.is_host(f.key.src) && t.is_host(f.key.dst));
-            assert!(f.size_bytes <= cfg.max_flow_bytes);
-            assert!(f.key.src_port >= cfg.src_port_base);
+            assert!(f.size_bytes <= MAX_FLOW_BYTES);
+            assert!(f.key.src_port >= SRC_PORT_BASE);
         }
     }
 

@@ -6,8 +6,7 @@
 //! Reconstruction goes through a single name → `NodeId` map built in one
 //! pass over the node table, so a K=16 tree (1344 nodes) costs O(n)
 //! instead of the old O(n²) per-name scan. All lookups return typed
-//! [`NavError`]s; the panicking [`FatTreeNav::new`]/[`FatTreeNav::port_to`]
-//! wrappers are kept for existing call sites.
+//! [`NavError`]s.
 
 use hawkeye_sim::{ClosConfig, NodeId, PortId, Topology};
 use std::collections::HashMap;
@@ -79,13 +78,6 @@ fn name_index(topo: &Topology) -> HashMap<&str, NodeId> {
 }
 
 impl FatTreeNav {
-    /// Reconstruct roles from the builder's naming scheme; panics if `topo`
-    /// was not produced by `fat_tree(k, ..)`. Prefer [`FatTreeNav::try_new`]
-    /// where a degenerate topology is survivable.
-    pub fn new(topo: &Topology, k: usize) -> Self {
-        Self::try_new(topo, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Reconstruct roles from the `fat_tree(k, ..)` naming scheme.
     pub fn try_new(topo: &Topology, k: usize) -> Result<Self, NavError> {
         let half = k / 2;
@@ -224,14 +216,6 @@ impl FatTreeNav {
         )
     }
 
-    /// The port on `from` whose link leads to `to`; panics if not adjacent.
-    /// Prefer [`FatTreeNav::try_port_to`] where a missing link is
-    /// survivable (e.g. link-failure topology variants).
-    pub fn port_to(&self, topo: &Topology, from: NodeId, to: NodeId) -> u8 {
-        self.try_port_to(topo, from, to)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The port on `from` whose link leads to `to`.
     pub fn try_port_to(&self, topo: &Topology, from: NodeId, to: NodeId) -> Result<u8, NavError> {
         (0..topo.ports(from).len() as u8)
@@ -243,8 +227,8 @@ impl FatTreeNav {
     }
 
     /// Egress PortId on `from` toward `to`.
-    pub fn egress(&self, topo: &Topology, from: NodeId, to: NodeId) -> PortId {
-        PortId::new(from, self.port_to(topo, from, to))
+    pub fn egress(&self, topo: &Topology, from: NodeId, to: NodeId) -> Result<PortId, NavError> {
+        Ok(PortId::new(from, self.try_port_to(topo, from, to)?))
     }
 
     /// Pin traffic for `dst` entering the fabric at `edge` so it descends
@@ -300,7 +284,7 @@ mod tests {
     #[test]
     fn roles_cover_the_k4_tree() {
         let topo = fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
-        let nav = FatTreeNav::new(&topo, 4);
+        let nav = FatTreeNav::try_new(&topo, 4).unwrap();
         assert_eq!(nav.cores.len(), 4);
         assert_eq!(nav.edges.iter().flatten().count(), 8);
         assert_eq!(nav.aggs.iter().flatten().count(), 8);
@@ -313,28 +297,31 @@ mod tests {
     #[test]
     fn port_to_finds_adjacency() {
         let topo = fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
-        let nav = FatTreeNav::new(&topo, 4);
+        let nav = FatTreeNav::try_new(&topo, 4).unwrap();
         let e = nav.edges[0][0];
         let a = nav.aggs[0][1];
-        let p = nav.port_to(&topo, e, a);
+        let p = nav.try_port_to(&topo, e, a).unwrap();
         assert_eq!(topo.peer(PortId::new(e, p)).node, a);
         // Agg0_0 connects cores 0 and 1.
         let a0 = nav.aggs[0][0];
-        nav.port_to(&topo, a0, nav.cores[0]);
-        nav.port_to(&topo, a0, nav.cores[1]);
+        nav.try_port_to(&topo, a0, nav.cores[0]).unwrap();
+        nav.try_port_to(&topo, a0, nav.cores[1]).unwrap();
         // Agg0_1 connects cores 2 and 3.
         let a1 = nav.aggs[0][1];
-        nav.port_to(&topo, a1, nav.cores[2]);
-        nav.port_to(&topo, a1, nav.cores[3]);
+        nav.try_port_to(&topo, a1, nav.cores[2]).unwrap();
+        nav.try_port_to(&topo, a1, nav.cores[3]).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "no link")]
-    fn port_to_panics_for_non_adjacent() {
+    fn egress_reports_non_adjacent() {
         let topo = fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
-        let nav = FatTreeNav::new(&topo, 4);
+        let nav = FatTreeNav::try_new(&topo, 4).unwrap();
         // edge0_0 and core0 are not directly linked.
-        nav.port_to(&topo, nav.edges[0][0], nav.cores[0]);
+        let err = nav
+            .egress(&topo, nav.edges[0][0], nav.cores[0])
+            .unwrap_err();
+        assert!(matches!(err, NavError::NotAdjacent { .. }), "{err}");
+        assert!(err.to_string().contains("no link"), "{err}");
     }
 
     #[test]
@@ -347,7 +334,7 @@ mod tests {
     #[test]
     fn try_port_to_reports_missing_links_typed() {
         let topo = fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
-        let nav = FatTreeNav::new(&topo, 4);
+        let nav = FatTreeNav::try_new(&topo, 4).unwrap();
         let err = nav
             .try_port_to(&topo, nav.edges[0][0], nav.cores[0])
             .unwrap_err();
@@ -382,7 +369,7 @@ mod tests {
     fn pin_ingress_creates_overrides_on_both_tiers() {
         // Three-tier: edge and agg overrides.
         let mut topo = fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
-        let nav = FatTreeNav::new(&topo, 4);
+        let nav = FatTreeNav::try_new(&topo, 4).unwrap();
         let dst = nav.hosts[0][0][0];
         let edge = nav.edges[1][0];
         nav.pin_ingress_via_agg(&mut topo, edge, dst, 1, 0, 1)

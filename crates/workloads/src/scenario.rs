@@ -241,7 +241,7 @@ impl Scenario {
             check_interval: Nanos::from_micros(50),
             dedup_interval: Nanos::from_millis(2),
             periodic_probe: None,
-            retry: None,
+            retry: false,
         }
     }
 }
@@ -335,7 +335,6 @@ fn build_with_nav(
             &BackgroundConfig {
                 load: params.load,
                 duration: params.duration,
-                ..Default::default()
             },
             params.seed,
         )
@@ -427,7 +426,7 @@ fn build_with_nav(
                 victim,
                 causal_switches: causal,
                 anomaly_at: at,
-                initial_port: Some(nav.egress(&topo, e0, h_t)),
+                initial_port: Some(nav.egress(&topo, e0, h_t)?),
             }
         }
 
@@ -469,7 +468,7 @@ fn build_with_nav(
                 victim,
                 causal_switches: causal,
                 anomaly_at: at,
-                initial_port: Some(nav.egress(&topo, e0, h_t)),
+                initial_port: Some(nav.egress(&topo, e0, h_t)?),
             }
         }
 
@@ -523,10 +522,10 @@ fn build_with_nav(
                 });
             }
             let ring_ports = vec![
-                nav.egress(&topo, e0, a0),
-                nav.egress(&topo, a0, e1),
-                nav.egress(&topo, e1, a1),
-                nav.egress(&topo, a1, e0),
+                nav.egress(&topo, e0, a0)?,
+                nav.egress(&topo, a0, e1)?,
+                nav.egress(&topo, e1, a1)?,
+                nav.egress(&topo, a1, e0)?,
             ];
             // Causally relevant switches (paper Fig. 11 semantics): the
             // victim's path plus the PFC spreading path — here the CBD
@@ -563,7 +562,7 @@ fn build_with_nav(
                         AnomalyType::InLoopDeadlock,
                         vec![b1, b2],
                         None,
-                        nav.egress(&topo, a0, e1),
+                        nav.egress(&topo, a0, e1)?,
                     )
                 }
                 ScenarioKind::OutOfLoopDeadlockInjection => {
@@ -602,7 +601,7 @@ fn build_with_nav(
                         AnomalyType::OutOfLoopDeadlockInjection,
                         vec![],
                         Some(h3),
-                        nav.egress(&topo, e1, h3),
+                        nav.egress(&topo, e1, h3)?,
                     )
                 }
                 _ => {
@@ -640,7 +639,7 @@ fn build_with_nav(
                         AnomalyType::OutOfLoopDeadlockContention,
                         vec![local, via_a1],
                         None,
-                        nav.egress(&topo, e1, h3),
+                        nav.egress(&topo, e1, h3)?,
                     )
                 }
             };
@@ -706,7 +705,7 @@ fn build_with_nav(
                 victim,
                 causal_switches: causal,
                 anomaly_at: at,
-                initial_port: Some(nav.egress(&topo, e0, h_t)),
+                initial_port: Some(nav.egress(&topo, e0, h_t)?),
             }
         }
     };
@@ -771,7 +770,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let nav = FatTreeNav::new(&s.topo, 4);
+        let nav = FatTreeNav::try_new(&s.topo, 4).unwrap();
         let (e0, e1, a0, a1) = (
             nav.edges[0][0],
             nav.edges[0][1],
@@ -819,7 +818,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let nav = FatTreeNav::new(&s.topo, 4);
+        let nav = FatTreeNav::try_new(&s.topo, 4).unwrap();
         let e0 = nav.edges[0][0];
         // The three culprits' last hops reach e0 via three distinct ingress
         // ports.

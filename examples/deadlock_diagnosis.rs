@@ -19,7 +19,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let nav = FatTreeNav::new(&sc.topo, 4);
+    let nav = FatTreeNav::try_new(&sc.topo, 4).expect("a K=4 fat-tree");
     let (e0, e1, a0, a1) = (
         nav.edges[0][0],
         nav.edges[0][1],
@@ -27,10 +27,10 @@ fn main() {
         nav.aggs[0][1],
     );
     let ring = [
-        ("e0->a0", nav.egress(&sc.topo, e0, a0)),
-        ("a0->e1", nav.egress(&sc.topo, a0, e1)),
-        ("e1->a1", nav.egress(&sc.topo, e1, a1)),
-        ("a1->e0", nav.egress(&sc.topo, a1, e0)),
+        ("e0->a0", nav.egress(&sc.topo, e0, a0).expect("a ring link")),
+        ("a0->e1", nav.egress(&sc.topo, a0, e1).expect("a ring link")),
+        ("e1->a1", nav.egress(&sc.topo, e1, a1).expect("a ring link")),
+        ("a1->e0", nav.egress(&sc.topo, a1, e0).expect("a ring link")),
     ];
 
     let run = optimal_run_config(1);

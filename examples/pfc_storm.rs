@@ -27,7 +27,7 @@ fn main() {
         let mut sim: Simulator<NullHook> =
             sc.instantiate(SimConfig::default(), Scenario::agent(2.0), NullHook);
         // Override the injector duration.
-        let nav = FatTreeNav::new(sim.topo(), 4);
+        let nav = FatTreeNav::try_new(sim.topo(), 4).expect("a K=4 fat-tree");
         let h_t = nav.hosts[0][0][0];
         sim.set_pfc_injector(
             h_t,

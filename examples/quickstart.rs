@@ -41,7 +41,7 @@ fn main() {
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_millis(2),
         periodic_probe: None,
-        retry: None,
+        retry: false,
     });
 
     // The victim: a long flow crossing both inter-switch links.

@@ -89,11 +89,13 @@ echo "==> serve smoke (self-contained replay, then the same replay into a daemon
 # with no address spawns a daemon of its own: the served verdict must be
 # Correct and match the one-shot path (label/culprits/confidence). Then
 # the same replay into a foreground `serve` daemon on a unix socket must
-# serve a report byte-identical to the self-contained one, and the daemon
-# must exit 0 on SIGTERM and remove its socket — replays inside a hard
-# timeout.
+# serve a report byte-identical to the self-contained one. A second
+# `replay incast` into that daemon must print the one stderr note that the
+# daemon already holds epochs, stay at parity and exit 0 (re-sending the
+# same capture is idempotent). The daemon must exit 0 on SIGTERM and
+# remove its socket — replays inside a hard timeout.
 serve_sock=$(mktemp -u /tmp/hawkeye-serve-XXXXXX.sock)
-serve_ref=$(mktemp); serve_out=$(mktemp)
+serve_ref=$(mktemp); serve_out=$(mktemp); serve_again=$(mktemp); serve_err=$(mktemp)
 timeout 120 ./target/release/hawkeye replay incast --json > "$serve_ref"
 serve_on "$serve_sock"
 serve_pid=$daemon_pid
@@ -112,8 +114,21 @@ assert out["served"] == ref["served"], \
 print("serve smoke ok:", out["verdict"], f"({out['epochs_streamed']} epochs),",
       "daemon report == self-contained report")
 EOF
+again_status=0
+timeout 120 ./target/release/hawkeye replay incast --socket "$serve_sock" \
+  --json > "$serve_again" 2> "$serve_err" || again_status=$?
+[ "$again_status" -eq 0 ] \
+  || { cat "$serve_err"; echo "second replay into the daemon exited $again_status"; exit 1; }
+[ "$(grep -c '^hawkeye: note: the daemon already holds' "$serve_err")" -eq 1 ] \
+  || { cat "$serve_err"; echo "second replay printed no single held-epochs note"; exit 1; }
+python3 - "$serve_again" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["parity"] is True, "a re-sent capture broke parity"
+print("serve smoke ok: the second replay noted the held epochs and stayed at parity")
+EOF
 stop_daemon "$serve_pid" "$serve_sock" "serve-smoke daemon"
-rm -f "$serve_ref" "$serve_out"
+rm -f "$serve_ref" "$serve_out" "$serve_again" "$serve_err"
 
 echo "==> hostile-bytes smoke (thread count, Hello versions, nested JSON body, frame split across the idle poll, session churn)"
 # One connection to a foreground daemon through the release CLI: a Hello
@@ -450,10 +465,12 @@ echo "==> benchmark smoke (every workload at 2 s, one traced pass)"
 # the pipeline that runs BENCHMARK.json.
 benchmark/smoke.sh
 
-echo "==> scripts/ab.sh parses"
-# The paired-run tool itself takes tens of minutes; the gate only checks
-# that it is still a shell script.
+echo "==> scripts/ab.sh and scripts/parity.sh parse"
+# The paired-run and parity tools build a parent commit and take minutes
+# to tens of minutes; the gate only checks that they are still shell
+# scripts.
 bash -n scripts/ab.sh
+bash -n scripts/parity.sh
 
 echo "==> corpus (all 108 cells vs committed golden)"
 # The whole scenario corpus (6 topologies x 6 scenarios x 3 seeds) checked

@@ -38,12 +38,16 @@ fn in_loop_deadlock_full_pipeline() {
     // The reported loop is exactly the pod-0 CBD ring.
     let lp = report.deadlock_loop.clone().expect("loop found");
     assert_eq!(lp.len(), 4);
-    let nav = FatTreeNav::new(&sc.topo, 4);
+    let nav = FatTreeNav::try_new(&sc.topo, 4).unwrap();
     let ring = [
-        nav.egress(&sc.topo, nav.edges[0][0], nav.aggs[0][0]),
-        nav.egress(&sc.topo, nav.aggs[0][0], nav.edges[0][1]),
-        nav.egress(&sc.topo, nav.edges[0][1], nav.aggs[0][1]),
-        nav.egress(&sc.topo, nav.aggs[0][1], nav.edges[0][0]),
+        nav.egress(&sc.topo, nav.edges[0][0], nav.aggs[0][0])
+            .unwrap(),
+        nav.egress(&sc.topo, nav.aggs[0][0], nav.edges[0][1])
+            .unwrap(),
+        nav.egress(&sc.topo, nav.edges[0][1], nav.aggs[0][1])
+            .unwrap(),
+        nav.egress(&sc.topo, nav.aggs[0][1], nav.edges[0][0])
+            .unwrap(),
     ];
     for p in &ring {
         assert!(lp.contains(p), "{p} missing from loop {lp:?}");

@@ -39,7 +39,7 @@ fn agent() -> AgentConfig {
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_millis(2),
         periodic_probe: None,
-        retry: None,
+        retry: false,
     }
 }
 

@@ -31,7 +31,7 @@ fn incast_backpressure_on_leaf_spine() {
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_micros(400),
         periodic_probe: None,
-        retry: None,
+        retry: false,
     });
 
     // Victim: leaf0 host -> leaf1 host (never touches the incast target).

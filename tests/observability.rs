@@ -9,9 +9,7 @@ use hawkeye::eval::{
     optimal_run_config, plan_for_rate, run_method, run_method_obs, Method, RunConfig, ScoreConfig,
 };
 use hawkeye::obs::{emit, kind, ObsConfig};
-use hawkeye::sim::{
-    Detection, FaultPlan, FaultStats, Nanos, ObservedHook, ProbeRetryConfig, RunSummary,
-};
+use hawkeye::sim::{Detection, FaultPlan, FaultStats, Nanos, ObservedHook, RunSummary};
 use hawkeye::telemetry::{EpochConfig, TelemetryConfig, TelemetrySnapshot};
 use hawkeye::workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
@@ -45,17 +43,13 @@ struct Run {
 }
 
 fn run_bare(sc: &Scenario) -> Run {
-    run_bare_faulted(sc, FaultPlan::none(), None).0
+    run_bare_faulted(sc, FaultPlan::none(), false).0
 }
 
 /// [`run_bare`] under a fault plan and an agent re-poll ladder, with the
 /// probe faults injected and the re-polls sent; with `FaultPlan::none()` and
 /// no ladder it is [`run_bare`] exactly.
-fn run_bare_faulted(
-    sc: &Scenario,
-    faults: FaultPlan,
-    retry: Option<ProbeRetryConfig>,
-) -> (Run, FaultStats, u64) {
+fn run_bare_faulted(sc: &Scenario, faults: FaultPlan, retry: bool) -> (Run, FaultStats, u64) {
     let hook = HawkeyeHook::new(&sc.topo, HawkeyeConfig { faults, ..hcfg() });
     let mut agent = Scenario::agent(2.0);
     agent.retry = retry;
@@ -248,7 +242,7 @@ fn same_seed_traces_are_byte_identical() {
     let pinned_faulted: (u64, u64, u64) = (0xa6bf231f26e02591, 0x7c307ea99d8a79d6, 985215);
     let run = RunConfig {
         faults: plan_for_rate(0.2, 7),
-        agent_retry: Some(ProbeRetryConfig::default()),
+        agent_retry: true,
         ..optimal_run_config(1)
     };
     let sc = build(ScenarioKind::MicroBurstIncast);
