@@ -420,22 +420,26 @@ impl<'a> Walker<'a> {
                 Evidence::Contention { flows }
             }
             Some(_) => Evidence::Injection,
-            None => {
-                let flows: Vec<(FlowKey, f64)> = contributors(self.g, p)
-                    .into_iter()
-                    .map(|(f, w)| (self.g.flows[f], w))
-                    .collect();
-                if !flows.is_empty() {
-                    Evidence::Contention { flows }
-                } else if paused > 0.0
-                    || !self.g.contention_at(p).is_empty()
-                    || self.g.port_edges.iter().flatten().any(|&(q, _)| q == p)
-                {
-                    Evidence::Injection
-                } else {
-                    Evidence::Silent
-                }
-            }
+            None => self.contributor_evidence(p, contributors(self.g, p)),
+        }
+    }
+
+    /// [`evidence`](Self::evidence) of port `p` without an onset, from its
+    /// positive [`contributors`], sorted as that function sorts them.
+    fn contributor_evidence(&self, p: usize, contribs: Vec<(usize, f64)>) -> Evidence {
+        let flows: Vec<(FlowKey, f64)> = contribs
+            .into_iter()
+            .map(|(f, w)| (self.g.flows[f], w))
+            .collect();
+        if !flows.is_empty() {
+            Evidence::Contention { flows }
+        } else if self.port_paused(p) > 0
+            || !self.g.contention_at(p).is_empty()
+            || self.g.port_edges.iter().flatten().any(|&(q, _)| q == p)
+        {
+            Evidence::Injection
+        } else {
+            Evidence::Silent
         }
     }
 
@@ -592,16 +596,21 @@ impl<'a> Walker<'a> {
         let mut onsets: Vec<_> = lp.iter().map(|&p| self.onset_contributors(p)).collect();
         let has_onset = |o: &Option<Vec<_>>| o.as_ref().is_some_and(|c| !c.is_empty());
         let mut members: Vec<usize> = (0..lp.len()).filter(|&i| has_onset(&onsets[i])).collect();
+        // With no onset anywhere, each member's contributors are sorted
+        // once: the list that picks the member also names its evidence.
+        let mut contribs: Vec<Vec<(usize, f64)>> = Vec::new();
         if members.is_empty() {
-            members = (0..lp.len())
-                .filter(|&i| !contributors(self.g, lp[i]).is_empty())
-                .collect();
+            contribs = lp.iter().map(|&p| contributors(self.g, p)).collect();
+            members = (0..lp.len()).filter(|&i| !contribs[i].is_empty()).collect();
         }
         if members.is_empty() {
             members = (0..lp.len()).collect();
         }
         for i in members {
-            let ev = self.evidence_from(lp[i], onsets[i].take());
+            let ev = match (onsets[i].take(), contribs.get_mut(i)) {
+                (None, Some(c)) => self.contributor_evidence(lp[i], std::mem::take(c)),
+                (onset, _) => self.evidence_from(lp[i], onset),
+            };
             self.analyze_flow_contention(lp[i], ev);
         }
         None

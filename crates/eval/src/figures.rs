@@ -12,10 +12,10 @@ use crate::runner::{conclude_trial, run_method, simulate, RunConfig, RunOutcome}
 use hawkeye_baselines::{partial_deployment, Method};
 use hawkeye_core::{analyze_victim_window, HawkeyeHook, TracingPolicy};
 use hawkeye_obs::Recorder;
-use hawkeye_sim::{Nanos, NodeId, NullHook, PortId, SimConfig, Simulator, SwitchConfig};
+use hawkeye_sim::{FaultPlan, FlowId, Nanos, NodeId, NullHook, PortId, SwitchConfig};
 use hawkeye_telemetry::{EpochConfig, TelemetryConfig};
 use hawkeye_tofino::{memory_sweep, poll, poll_analytic, poll_time_ms, resource_usage, SwitchDims};
-use hawkeye_workloads::{build_scenario, FatTreeNav, Scenario, ScenarioKind, ScenarioParams};
+use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 use std::fmt::{self, Write};
 
 /// A printable experiment result.
@@ -680,23 +680,24 @@ fn ablations(out: &mut String, cfg: &EvalConfig, jobs: usize) -> fmt::Result {
     )?;
     writeln!(out, "xoff_kb  pause_frames  victim_fct_us")?;
     for xoff_kb in [50u64, 100, 200, 400] {
-        let sc = scenario(ScenarioKind::MicroBurstIncast, 1, 0.0);
-        let mut sim_cfg = SimConfig::default();
-        sim_cfg.switch = SwitchConfig {
+        let mut sc = scenario(ScenarioKind::MicroBurstIncast, 1, 0.0);
+        sc.sim_config.switch = SwitchConfig {
             xoff_bytes: xoff_kb * 1024,
             xon_bytes: (xoff_kb * 1024) * 4 / 5,
-            ..sim_cfg.switch
+            ..sc.sim_config.switch
         };
-        let mut sim: Simulator<NullHook> = sc.instantiate(sim_cfg, Scenario::agent(2.0), NullHook);
+        let agent = Scenario::agent(2.0);
+        let mut sim = sc.instantiate_faulted(1, agent, NullHook, FaultPlan::none());
         sim.run_until(sc.params.duration);
         let pauses = sim.sum_switch_stats(|s| s.pfc_pause_sent);
-        let v = sim.host(sc.truth.victim.src).flow_by_id(
-            sim.flows()
-                .iter()
-                .find(|f| f.key == sc.truth.victim)
-                .expect("the victim is one of the scenario's flows")
-                .id,
-        );
+        let victim = sim
+            .flows()
+            .iter()
+            .position(|f| f.key == sc.truth.victim)
+            .expect("the victim is one of the scenario's flows");
+        let v = sim
+            .host(sc.truth.victim.src)
+            .flow_by_id(FlowId(victim as u32));
         let fct = v
             .and_then(|h| h.fct())
             .map(|f| f.as_micros_f64())
@@ -731,12 +732,7 @@ fn partial(out: &mut String, cfg: &EvalConfig, jobs: usize) -> fmt::Result {
         let collector = &sim.hook.collector;
         let obs = &mut Recorder::disabled();
         let full = conclude_trial(&sim, collector, &sc, &run, Method::Hawkeye, &score, obs);
-        let tor: Vec<NodeId> = FatTreeNav::try_new(sim.topo(), 4)
-            .expect("invariant: the figures' scenarios run on the K=4 fat-tree")
-            .edges
-            .into_iter()
-            .flatten()
-            .collect();
+        let tor: Vec<NodeId> = sc.nav.edges.iter().flatten().copied().collect();
         let partial = full.window.map(|w| {
             let snaps = partial_deployment(&collector.snapshots(), &tor);
             let (report, _, _) =

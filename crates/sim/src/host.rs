@@ -22,6 +22,7 @@ use crate::packet::{
     AckPacket, CnpPacket, DataPacket, Packet, PfcFrame, Probe, CLASS_DATA, DATA_PAYLOAD,
     DATA_PKT_SIZE,
 };
+use crate::sim::FlowSpec;
 use crate::time::Nanos;
 use crate::topology::Topology;
 use std::collections::{HashMap, VecDeque};
@@ -130,22 +131,12 @@ enum FlowState {
 #[derive(Debug)]
 pub struct HostFlow {
     pub id: FlowId,
-    pub key: FlowKey,
-    pub size_bytes: u64,
-    pub start: Nanos,
+    pub spec: FlowSpec,
     total_pkts: u64,
     next_seq: u64,
     acked_pkts: u64,
     state: FlowState,
     dcqcn: Dcqcn,
-    /// Optional application-level pacing cap (bits/s); the effective send
-    /// rate is min(DCQCN rate, cap). Used by scenarios that need sub-line
-    /// steady flows (e.g. cyclic-buffer-dependency setups).
-    max_rate: Option<f64>,
-    /// Congestion-control compliance: a non-compliant flow (buggy or
-    /// adversarial NIC, cf. "RDMA congestion control: it is only for the
-    /// compliant") ignores CNPs entirely.
-    cc_enabled: bool,
     timers_running: bool,
     outstanding: VecDeque<(u64, Nanos)>,
     pub last_rtt: Nanos,
@@ -157,7 +148,7 @@ pub struct HostFlow {
 
 impl HostFlow {
     pub fn fct(&self) -> Option<Nanos> {
-        self.completed_at.map(|c| c.saturating_sub(self.start))
+        self.completed_at.map(|c| c.saturating_sub(self.spec.start))
     }
     pub fn is_done(&self) -> bool {
         self.state == FlowState::Done
@@ -222,50 +213,19 @@ impl HostState {
         }
     }
 
-    /// Register a flow sourced at this host; returns the local index used in
-    /// pacing events. Called during simulation setup.
-    pub fn add_flow(&mut self, id: FlowId, key: FlowKey, size_bytes: u64, start: Nanos) -> u32 {
-        self.add_flow_limited(id, key, size_bytes, start, None)
-    }
-
-    /// [`HostState::add_flow`] with an application-level rate cap (bits/s).
-    pub fn add_flow_limited(
-        &mut self,
-        id: FlowId,
-        key: FlowKey,
-        size_bytes: u64,
-        start: Nanos,
-        max_rate_bps: Option<f64>,
-    ) -> u32 {
-        self.add_flow_full(id, key, size_bytes, start, max_rate_bps, true)
-    }
-
-    /// [`HostState::add_flow`] with a rate cap and a congestion-control
-    /// compliance flag.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_flow_full(
-        &mut self,
-        id: FlowId,
-        key: FlowKey,
-        size_bytes: u64,
-        start: Nanos,
-        max_rate_bps: Option<f64>,
-        cc_enabled: bool,
-    ) -> u32 {
-        let idx = self.flows.len() as u32;
-        let total_pkts = size_bytes.div_ceil(DATA_PAYLOAD as u64).max(1);
+    /// Register flow `id` sourced at this host. Called during simulation
+    /// setup.
+    pub fn add_flow(&mut self, id: FlowId, spec: FlowSpec) {
+        self.by_flow_id.insert(id, self.flows.len() as u32);
+        let total_pkts = spec.size_bytes.div_ceil(DATA_PAYLOAD as u64).max(1);
         self.flows.push(HostFlow {
             id,
-            key,
-            size_bytes,
-            start,
+            spec,
             total_pkts,
             next_seq: 0,
             acked_pkts: 0,
             state: FlowState::Pending,
             dcqcn: Dcqcn::default(),
-            max_rate: max_rate_bps,
-            cc_enabled,
             timers_running: false,
             outstanding: VecDeque::new(),
             last_rtt: Nanos::ZERO,
@@ -273,22 +233,20 @@ impl HostState {
             last_probe_at: Nanos::ZERO,
             retry_anchor: Nanos::ZERO,
         });
-        self.by_flow_id.insert(id, idx);
-        idx
     }
 
     pub fn flows(&self) -> &[HostFlow] {
         &self.flows
     }
 
-    /// Enable/disable the detection agent (before the simulation runs).
-    pub fn set_agent(&mut self, agent: Option<AgentConfig>) {
-        self.agent = agent;
+    /// Enable the detection agent (before the simulation runs).
+    pub fn set_agent(&mut self, agent: AgentConfig) {
+        self.agent = Some(agent);
     }
 
     /// Configure the PFC-injection fault (before the simulation runs).
-    pub fn set_injector(&mut self, inj: Option<PfcInjectorConfig>) {
-        self.pfc_injector = inj;
+    pub fn set_injector(&mut self, inj: PfcInjectorConfig) {
+        self.pfc_injector = Some(inj);
     }
 
     pub fn flow_by_id(&self, id: FlowId) -> Option<&HostFlow> {
@@ -300,7 +258,7 @@ impl HostState {
     pub fn bootstrap(&mut self, q: &mut EventQueue) {
         for (idx, f) in self.flows.iter().enumerate() {
             q.schedule(
-                f.start,
+                f.spec.start,
                 EventKind::FlowStart {
                     node: self.id,
                     flow_idx: idx as u32,
@@ -378,7 +336,7 @@ impl HostState {
                 f.next_seq += 1;
                 let last = f.next_seq == f.total_pkts;
                 let size = if last {
-                    let rem = f.size_bytes - (f.total_pkts - 1) * DATA_PAYLOAD as u64;
+                    let rem = f.spec.size_bytes - (f.total_pkts - 1) * DATA_PAYLOAD as u64;
                     (rem.max(1) as u32) + (DATA_PKT_SIZE - DATA_PAYLOAD)
                 } else {
                     DATA_PKT_SIZE
@@ -387,7 +345,7 @@ impl HostState {
                 f.dcqcn.on_bytes_sent(size as u64);
                 // Schedule the next packet of this flow per its paced rate.
                 if !last {
-                    let rate = match f.max_rate {
+                    let rate = match f.spec.max_rate_bps {
                         Some(cap) => crate::units::Rate(f.dcqcn.rate().0.min(cap)),
                         None => f.dcqcn.rate(),
                     };
@@ -405,7 +363,7 @@ impl HostState {
                 self.stats.data_sent += 1;
                 break Packet::Data(DataPacket {
                     flow: f.id,
-                    key: f.key,
+                    key: f.spec.key,
                     seq,
                     size,
                     ecn_ce: false,
@@ -493,7 +451,7 @@ impl HostState {
             return;
         };
         let f = &mut self.flows[idx as usize];
-        if !f.cc_enabled {
+        if !f.spec.cc_enabled {
             return;
         }
         f.dcqcn.on_cnp();
@@ -608,7 +566,7 @@ impl HostState {
                 if f.state == FlowState::Active && now.saturating_sub(f.last_probe_at) >= period {
                     f.last_probe_at = now;
                     self.stats.probes_sent += 1;
-                    let key = self.flows[idx as usize].key;
+                    let key = self.flows[idx as usize].spec.key;
                     self.ctrl.push_back(Packet::Probe(Probe::new(key)));
                     self.try_tx(now, q, topo);
                 }
@@ -646,12 +604,12 @@ impl HostState {
         f.last_probe_at = now;
         self.detections.push(Detection {
             flow: f.id,
-            key: f.key,
+            key: f.spec.key,
             at: now,
             observed_rtt: rtt,
         });
         self.stats.probes_sent += 1;
-        let key = f.key;
+        let key = f.spec.key;
         if agent.retry {
             self.flows[idx as usize].retry_anchor = now;
             q.schedule(
@@ -695,7 +653,7 @@ impl HostState {
         }
         let f = &mut self.flows[flow_idx as usize];
         f.last_probe_at = now;
-        let key = f.key;
+        let key = f.spec.key;
         let anchor = f.retry_anchor;
         self.stats.probes_sent += 1;
         self.stats.probes_retried += 1;
@@ -749,7 +707,7 @@ mod tests {
         let (topo, mut host, mut q) = setup();
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.add_flow(FlowId(0), key, 10_000, Nanos::ZERO);
+        host.add_flow(FlowId(0), FlowSpec::new(key, 10_000, Nanos::ZERO));
         host.bootstrap(&mut q);
         let mut sent = 0;
         while let Some((t, ev)) = q.pop() {
@@ -775,7 +733,7 @@ mod tests {
         let (topo, mut host, mut q) = setup();
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.add_flow(FlowId(0), key, 100_000, Nanos::ZERO);
+        host.add_flow(FlowId(0), FlowSpec::new(key, 100_000, Nanos::ZERO));
         host.bootstrap(&mut q);
         // Pause the host port before the flow starts.
         host.handle_arrive(
@@ -846,7 +804,7 @@ mod tests {
             periodic_probe: None,
             retry: false,
         });
-        host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
+        host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
         // Simulate an ACK with a 50 µs RTT (threshold is 20 µs).
         host.flows[0].state = FlowState::Active;
         host.flows[0].outstanding.push_back((0, Nanos::ZERO));
@@ -880,7 +838,7 @@ mod tests {
             periodic_probe: None,
             retry: false,
         });
-        host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
+        host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
         host.flows[0].state = FlowState::Active;
         // A packet has been in flight for 500 µs with no ACK (deadlock-like).
         host.flows[0].outstanding.push_back((0, Nanos::ZERO));
@@ -901,7 +859,7 @@ mod tests {
             periodic_probe: Some(Nanos::from_micros(300)),
             retry: false,
         });
-        host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
+        host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
         host.flows[0].state = FlowState::Active;
         // Pingmesh-style: checks at 100us cadence emit probes every >=300us.
         for step in 1..=10u64 {
@@ -970,7 +928,7 @@ mod tests {
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
         host.agent = Some(retry_agent());
-        host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
+        host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
         host.flows[0].state = FlowState::Active;
         host.flows[0].outstanding.push_back((0, Nanos::ZERO));
         // A 50 µs RTT (threshold 20 µs) triggers detection + probe; the
@@ -996,7 +954,7 @@ mod tests {
         let hosts: Vec<_> = topo.hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[1], 1);
         host.agent = Some(retry_agent());
-        host.add_flow(FlowId(0), key, 1_000_000, Nanos::ZERO);
+        host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
         host.flows[0].state = FlowState::Active;
         host.flows[0].outstanding.push_back((0, Nanos::ZERO));
         let ack = AckPacket {

@@ -15,9 +15,9 @@
 use crate::event::TxFiling;
 use crate::hooks::{EnqueueRecord, PfcEvent, ProbeDecision, SwitchHook, SwitchView};
 use crate::host::{AgentConfig, Detection, HostStats, PfcInjectorConfig};
-use crate::ids::{FlowKey, NodeId, PortId};
+use crate::ids::{FlowId, FlowKey, NodeId};
 use crate::packet::Probe;
-use crate::sim::{SimConfig, Simulator};
+use crate::sim::{FlowSpec, SimConfig, Simulator};
 use crate::switch::SwitchStats;
 use crate::time::Nanos;
 use crate::topology::{dumbbell, fat_tree, ring, Topology, EVAL_BANDWIDTH, EVAL_DELAY};
@@ -84,13 +84,6 @@ impl SwitchHook for Recording {
     }
 }
 
-struct FlowSpec {
-    key: FlowKey,
-    bytes: u64,
-    start: Nanos,
-    max_rate_bps: Option<f64>,
-}
-
 struct Workload {
     name: &'static str,
     topo: Topology,
@@ -128,7 +121,7 @@ fn run(w: &Workload, seed: u64, filing: TxFiling) -> (Outcome, u64) {
         retry: true,
     });
     for f in &w.flows {
-        sim.add_flow_limited(f.key, f.bytes, f.start, f.max_rate_bps);
+        sim.add_flow(*f);
     }
     if let Some((host, inj)) = w.injector {
         sim.set_pfc_injector(host, inj);
@@ -137,8 +130,12 @@ fn run(w: &Workload, seed: u64, filing: TxFiling) -> (Outcome, u64) {
     let flows = sim
         .flows()
         .iter()
-        .map(|f| {
-            let hf = sim.host(f.key.src).flow_by_id(f.id).expect("registered");
+        .enumerate()
+        .map(|(id, f)| {
+            let hf = sim
+                .host(f.key.src)
+                .flow_by_id(FlowId(id as u32))
+                .expect("registered");
             (hf.completed_at, hf.last_rtt)
         })
         .collect();
@@ -159,13 +156,14 @@ fn run(w: &Workload, seed: u64, filing: TxFiling) -> (Outcome, u64) {
 fn flow(rng: &mut StdRng, src: NodeId, dst: NodeId, sport: u16, max_kb: u64) -> FlowSpec {
     FlowSpec {
         key: FlowKey::roce(src, dst, sport),
-        bytes: rng.gen_range(2..max_kb) * 1000 + rng.gen_range(0..1000u64),
+        size_bytes: rng.gen_range(2..max_kb) * 1000 + rng.gen_range(0..1000u64),
         start: Nanos(rng.gen_range(0..60_000u64)),
         max_rate_bps: match rng.gen_range(0..3usize) {
             0 => None,
             1 => Some(40e9),
             _ => Some(rng.gen_range(2..20u64) as f64 * 1e9),
         },
+        cc_enabled: true,
     }
 }
 
@@ -180,9 +178,10 @@ fn dumbbell_incast(rng: &mut StdRng) -> Workload {
     for (i, &src) in left.iter().chain(&right[1..2]).enumerate() {
         flows.push(FlowSpec {
             key: FlowKey::roce(src, right[0], 10 + i as u16),
-            bytes: rng.gen_range(300_000..900_000u64),
+            size_bytes: rng.gen_range(300_000..900_000u64),
             start: Nanos(rng.gen_range(0..5_000u64)),
             max_rate_bps: None,
+            cc_enabled: true,
         });
     }
     for i in 0..rng.gen_range(3..8u16) {
@@ -220,9 +219,10 @@ fn fat_tree_injector(rng: &mut StdRng) -> Workload {
             // Line-rate traffic into the storm: it backs up past Xoff.
             flows.push(FlowSpec {
                 key: FlowKey::roce(src, bad, 200 + i),
-                bytes: rng.gen_range(250_000..500_000u64),
+                size_bytes: rng.gen_range(250_000..500_000u64),
                 start: Nanos(rng.gen_range(0..40_000u64)),
                 max_rate_bps: None,
+                cc_enabled: true,
             });
         } else if src != dst {
             flows.push(flow(rng, src, dst, 200 + i, 150));
@@ -251,9 +251,9 @@ fn ring_overrides(rng: &mut StdRng) -> Workload {
     let hosts: Vec<_> = topo.hosts().collect();
     let sws: Vec<_> = topo.switches().collect();
     let next_port = |topo: &Topology, i: usize| {
-        (0..topo.ports(sws[i]).len() as u8)
-            .find(|&p| topo.peer(PortId::new(sws[i], p)).node == sws[(i + 1) % 4])
+        topo.egress(sws[i], sws[(i + 1) % 4])
             .expect("ring neighbour")
+            .port
     };
     let mut flows = Vec::new();
     for i in 0..4usize {
@@ -264,9 +264,10 @@ fn ring_overrides(rng: &mut StdRng) -> Workload {
         for j in 0..2u16 {
             flows.push(FlowSpec {
                 key: FlowKey::roce(hosts[i * 2 + j as usize], dst, 300 + 2 * i as u16 + j),
-                bytes: rng.gen_range(200_000..600_000u64),
+                size_bytes: rng.gen_range(200_000..600_000u64),
                 start: Nanos(rng.gen_range(0..3_000u64)),
                 max_rate_bps: None,
+                cc_enabled: true,
             });
         }
     }

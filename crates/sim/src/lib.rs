@@ -58,12 +58,12 @@ pub use packet::{
     AckPacket, CnpPacket, DataPacket, Packet, PfcFrame, PollingFlags, Probe, CLASS_CONTROL,
     CLASS_DATA, CTRL_PKT_SIZE, DATA_PAYLOAD, DATA_PKT_SIZE,
 };
-pub use sim::{FlowMeta, SimConfig, Simulator};
+pub use sim::{FlowSpec, SimConfig, Simulator};
 pub use summary::{percentile_nearest_rank, RunSummary};
 pub use switch::{SwitchConfig, SwitchState, SwitchStats};
 pub use time::Nanos;
 pub use topology::{
-    chain, clos, dumbbell, fat_tree, leaf_spine, ring, ClosConfig, NodeKind, PortInfo, Topology,
-    EVAL_BANDWIDTH, EVAL_DELAY,
+    chain, clos, dumbbell, fat_tree, leaf_spine, ring, ClosConfig, FatTreeNav, NavError, NodeKind,
+    PortInfo, Topology, EVAL_BANDWIDTH, EVAL_DELAY,
 };
 pub use units::{pause_time_to_quanta, quanta_to_pause_time, Bandwidth, Rate};

@@ -294,15 +294,23 @@ mod tests {
     use super::*;
     use crate::hooks::NullHook;
     use crate::ids::FlowKey;
-    use crate::sim::SimConfig;
+    use crate::sim::{FlowSpec, SimConfig};
     use crate::topology::{dumbbell, EVAL_BANDWIDTH, EVAL_DELAY};
 
     fn run_with<H: SwitchHook>(hook: H) -> Simulator<H> {
         let topo = dumbbell(2, 2, EVAL_BANDWIDTH, EVAL_DELAY);
         let hosts: Vec<_> = topo.hosts().collect();
         let mut sim = Simulator::new(topo, SimConfig::default(), hook);
-        sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 500_000, Nanos::ZERO);
-        sim.add_flow(FlowKey::roce(hosts[1], hosts[3], 2), 500_000, Nanos::ZERO);
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[0], hosts[2], 1),
+            500_000,
+            Nanos::ZERO,
+        ));
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[1], hosts[3], 2),
+            500_000,
+            Nanos::ZERO,
+        ));
         sim.run_until(Nanos::from_millis(4));
         sim
     }

@@ -11,14 +11,32 @@ use crate::switch::{SwitchConfig, SwitchState};
 use crate::time::Nanos;
 use crate::topology::{NodeKind, Topology};
 
-/// Global description of a flow (the simulator's registry; ground truth for
-/// workloads and evaluation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowMeta {
-    pub id: FlowId,
+/// One flow to install into a simulation: the simulator's registry holds
+/// these (ground truth for workloads and evaluation), indexed by [`FlowId`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlowSpec {
     pub key: FlowKey,
     pub size_bytes: u64,
     pub start: Nanos,
+    /// Application-level pacing cap (bits/s): the send rate is min(DCQCN
+    /// rate, cap). Scenarios use it for sub-line steady flows.
+    pub max_rate_bps: Option<f64>,
+    /// Congestion-control compliance: a non-compliant flow (a buggy or
+    /// adversarial NIC) ignores CNPs. Background traffic always complies.
+    pub cc_enabled: bool,
+}
+
+impl FlowSpec {
+    /// An uncapped, congestion-control-compliant flow.
+    pub fn new(key: FlowKey, size_bytes: u64, start: Nanos) -> Self {
+        FlowSpec {
+            key,
+            size_bytes,
+            start,
+            max_rate_bps: None,
+            cc_enabled: true,
+        }
+    }
 }
 
 /// Simulation-wide configuration.
@@ -59,7 +77,7 @@ pub struct Simulator<H: SwitchHook> {
     pub hook: H,
     /// Probes mirrored to switch CPUs (drives telemetry collection).
     pub cpu_log: Vec<CpuNotification>,
-    flows: Vec<FlowMeta>,
+    flows: Vec<FlowSpec>,
     faults: FaultInjector,
     started: bool,
 }
@@ -121,62 +139,28 @@ impl<H: SwitchHook> Simulator<H> {
     }
 
     /// Register a flow; must be called before the simulation starts.
-    pub fn add_flow(&mut self, key: FlowKey, size_bytes: u64, start: Nanos) -> FlowId {
-        self.add_flow_limited(key, size_bytes, start, None)
-    }
-
-    /// Register a flow with an application-level rate cap (bits/s).
-    pub fn add_flow_limited(
-        &mut self,
-        key: FlowKey,
-        size_bytes: u64,
-        start: Nanos,
-        max_rate_bps: Option<f64>,
-    ) -> FlowId {
-        self.add_flow_full(key, size_bytes, start, max_rate_bps, true)
-    }
-
-    /// Register a flow with a rate cap and a congestion-control compliance
-    /// flag (non-compliant flows ignore CNPs).
-    pub fn add_flow_full(
-        &mut self,
-        key: FlowKey,
-        size_bytes: u64,
-        start: Nanos,
-        max_rate_bps: Option<f64>,
-        cc_enabled: bool,
-    ) -> FlowId {
+    pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!(!self.started, "flows must be added before running");
-        assert!(self.topo.is_host(key.src) && self.topo.is_host(key.dst));
+        assert!(self.topo.is_host(spec.key.src) && self.topo.is_host(spec.key.dst));
         let id = FlowId(self.flows.len() as u32);
-        self.flows.push(FlowMeta {
-            id,
-            key,
-            size_bytes,
-            start,
-        });
-        match &mut self.nodes[key.src.index()] {
-            NodeState::Host(h) => {
-                h.add_flow_full(id, key, size_bytes, start, max_rate_bps, cc_enabled);
-            }
+        self.flows.push(spec);
+        match &mut self.nodes[spec.key.src.index()] {
+            NodeState::Host(h) => h.add_flow(id, spec),
             NodeState::Switch(_) => unreachable!("flow source must be a host"),
         }
         id
     }
 
-    pub fn flows(&self) -> &[FlowMeta] {
+    /// Every registered flow; flow `id` is at index `id`.
+    pub fn flows(&self) -> &[FlowSpec] {
         &self.flows
-    }
-
-    pub fn flow(&self, id: FlowId) -> &FlowMeta {
-        &self.flows[id.index()]
     }
 
     /// Enable the detection agent on every host.
     pub fn enable_agents(&mut self, agent: AgentConfig) {
         for n in &mut self.nodes {
             if let NodeState::Host(h) = n {
-                h.set_agent(Some(agent));
+                h.set_agent(agent);
             }
         }
     }
@@ -184,7 +168,7 @@ impl<H: SwitchHook> Simulator<H> {
     /// Configure one host as a PFC injector (buggy NIC / slow receiver).
     pub fn set_pfc_injector(&mut self, host: NodeId, inj: PfcInjectorConfig) {
         match &mut self.nodes[host.index()] {
-            NodeState::Host(h) => h.set_injector(Some(inj)),
+            NodeState::Host(h) => h.set_injector(inj),
             NodeState::Switch(_) => unreachable!(
                 "invariant: injector targets come from GroundTruth.injection_host, \
                  which the scenario builder only assigns host ids ({host} is a switch)"
@@ -361,14 +345,13 @@ impl<H: SwitchHook> Simulator<H> {
             return 1.0;
         }
         let done = self
-            .flows
+            .nodes
             .iter()
-            .filter(|f| {
-                self.host(f.key.src)
-                    .flow_by_id(f.id)
-                    .is_some_and(|hf| hf.is_done())
+            .filter_map(|n| match n {
+                NodeState::Host(h) => Some(h.flows().iter().filter(|f| f.is_done()).count()),
+                NodeState::Switch(_) => None,
             })
-            .count();
+            .sum::<usize>();
         done as f64 / self.flows.len() as f64
     }
 
@@ -401,7 +384,7 @@ mod tests {
         let mut sim = two_host_sim();
         let hosts: Vec<_> = sim.topo().hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[2], 11);
-        let id = sim.add_flow(key, 1_000_000, Nanos::ZERO);
+        let id = sim.add_flow(FlowSpec::new(key, 1_000_000, Nanos::ZERO));
         sim.run_until(Nanos::from_millis(10));
         let hf = sim.host(hosts[0]).flow_by_id(id).unwrap();
         assert!(hf.is_done(), "flow should finish");
@@ -419,8 +402,16 @@ mod tests {
         // flow back. 4 MB each ensures Xoff (100 KB) is crossed.
         let mut sim = two_host_sim();
         let hosts: Vec<_> = sim.topo().hosts().collect();
-        sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 4_000_000, Nanos::ZERO);
-        sim.add_flow(FlowKey::roce(hosts[1], hosts[2], 2), 4_000_000, Nanos::ZERO);
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[0], hosts[2], 1),
+            4_000_000,
+            Nanos::ZERO,
+        ));
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[1], hosts[2], 2),
+            4_000_000,
+            Nanos::ZERO,
+        ));
         sim.run_until(Nanos::from_millis(5));
         let pauses = sim.sum_switch_stats(|s| s.pfc_pause_sent);
         assert!(pauses > 0, "incast must trigger PFC");
@@ -433,18 +424,27 @@ mod tests {
         let run = || {
             let mut sim = two_host_sim();
             let hosts: Vec<_> = sim.topo().hosts().collect();
-            sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 2_000_000, Nanos::ZERO);
-            sim.add_flow(
+            sim.add_flow(FlowSpec::new(
+                FlowKey::roce(hosts[0], hosts[2], 1),
+                2_000_000,
+                Nanos::ZERO,
+            ));
+            sim.add_flow(FlowSpec::new(
                 FlowKey::roce(hosts[1], hosts[2], 2),
                 2_000_000,
                 Nanos(5_000),
-            );
-            sim.add_flow(FlowKey::roce(hosts[3], hosts[1], 3), 500_000, Nanos(2_000));
+            ));
+            sim.add_flow(FlowSpec::new(
+                FlowKey::roce(hosts[3], hosts[1], 3),
+                500_000,
+                Nanos(2_000),
+            ));
             sim.run_until(Nanos::from_millis(5));
             let mut sig = Vec::new();
-            for f in sim.flows().to_vec() {
-                let hf = sim.host(f.key.src).flow_by_id(f.id).unwrap();
-                sig.push((f.id, hf.completed_at));
+            for (i, f) in sim.flows().iter().enumerate() {
+                let id = FlowId(i as u32);
+                let hf = sim.host(f.key.src).flow_by_id(id).unwrap();
+                sig.push((id, hf.completed_at));
             }
             (
                 sig,
@@ -459,8 +459,16 @@ mod tests {
     fn ecn_generates_cnps_and_slows_senders() {
         let mut sim = two_host_sim();
         let hosts: Vec<_> = sim.topo().hosts().collect();
-        sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 8_000_000, Nanos::ZERO);
-        sim.add_flow(FlowKey::roce(hosts[1], hosts[2], 2), 8_000_000, Nanos::ZERO);
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[0], hosts[2], 1),
+            8_000_000,
+            Nanos::ZERO,
+        ));
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[1], hosts[2], 2),
+            8_000_000,
+            Nanos::ZERO,
+        ));
         sim.run_until(Nanos::from_millis(5));
         let cnps: u64 = hosts.iter().map(|&h| sim.host(h).stats.cnps_rcvd).sum();
         assert!(cnps > 0, "sustained 2:1 incast must ECN-mark and CNP");
@@ -483,11 +491,11 @@ mod tests {
         });
         // Heavy incast: the victim flow's packets queue behind PFC.
         for (i, &src) in [hosts[0], hosts[1], hosts[3]].iter().enumerate() {
-            sim.add_flow(
+            sim.add_flow(FlowSpec::new(
                 FlowKey::roce(src, hosts[2], i as u16),
                 4_000_000,
                 Nanos::ZERO,
-            );
+            ));
         }
         sim.run_until(Nanos::from_millis(5));
         assert!(
@@ -510,7 +518,11 @@ mod tests {
             },
         );
         // A flow toward the *other* right host shares swR ingress.
-        let id = sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 2_000_000, Nanos::ZERO);
+        let id = sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[0], hosts[2], 1),
+            2_000_000,
+            Nanos::ZERO,
+        ));
         sim.run_until(Nanos::from_millis(3));
         let hf = sim.host(hosts[0]).flow_by_id(id).unwrap();
         assert!(
@@ -541,12 +553,16 @@ mod tests {
             // One flow delivers; a one-packet flow then starts 1 µs before
             // the horizon, so its frame is on the wire (ends at +84 ns,
             // arrives at +2084 ns) when the run stops.
-            sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 200_000, Nanos::ZERO);
-            sim.add_flow(
+            sim.add_flow(FlowSpec::new(
+                FlowKey::roce(hosts[0], hosts[2], 1),
+                200_000,
+                Nanos::ZERO,
+            ));
+            sim.add_flow(FlowSpec::new(
                 FlowKey::roce(hosts[1], hosts[3], 2),
                 1_000,
                 Nanos::from_micros(100),
-            );
+            ));
             let events = sim.run_until(Nanos::from_micros(101));
             (sim.now(), RunSummary::of(&sim), events)
         };
@@ -561,19 +577,23 @@ mod tests {
         // A drained queue keeps its last event's time.
         let mut sim = two_host_sim();
         let hosts: Vec<_> = sim.topo().hosts().collect();
-        sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 10_000, Nanos::ZERO);
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[0], hosts[2], 1),
+            10_000,
+            Nanos::ZERO,
+        ));
         sim.run_until(Nanos::from_millis(5));
         assert!(sim.now() < Nanos::from_millis(1), "now {}", sim.now());
     }
 
     #[test]
-    fn flow_meta_accessors() {
+    fn flow_registry_accessors() {
         let mut sim = two_host_sim();
         let hosts: Vec<_> = sim.topo().hosts().collect();
         let key = FlowKey::roce(hosts[0], hosts[2], 11);
-        let id = sim.add_flow(key, DATA_PKT_SIZE as u64, Nanos(500));
-        assert_eq!(sim.flow(id).key, key);
+        let spec = FlowSpec::new(key, DATA_PKT_SIZE as u64, Nanos(500));
+        let id = sim.add_flow(spec);
         assert_eq!(sim.flows().len(), 1);
-        assert_eq!(sim.flow(id).start, Nanos(500));
+        assert_eq!(sim.flows()[id.index()], spec);
     }
 }

@@ -10,6 +10,7 @@
 //! never disagree.
 
 use crate::hooks::SwitchHook;
+use crate::ids::FlowId;
 use crate::sim::Simulator;
 use crate::time::Nanos;
 use hawkeye_obs::{MetricKey, MetricsRegistry};
@@ -64,9 +65,9 @@ impl RunSummary {
         crate::observed::record_sim_metrics(sim, reg);
 
         let mut fcts: Vec<Nanos> = Vec::new();
-        for f in sim.flows() {
+        for (id, f) in sim.flows().iter().enumerate() {
             reg.inc(MetricKey::global("flows_total"));
-            if let Some(hf) = sim.host(f.key.src).flow_by_id(f.id) {
+            if let Some(hf) = sim.host(f.key.src).flow_by_id(FlowId(id as u32)) {
                 if let Some(fct) = hf.fct() {
                     reg.inc(MetricKey::global("flows_completed"));
                     reg.observe(MetricKey::global("fct_ns"), fct.as_nanos());
@@ -106,7 +107,7 @@ mod tests {
     use super::*;
     use crate::hooks::NullHook;
     use crate::ids::FlowKey;
-    use crate::sim::SimConfig;
+    use crate::sim::{FlowSpec, SimConfig};
     use crate::topology::{dumbbell, EVAL_BANDWIDTH, EVAL_DELAY};
 
     #[test]
@@ -114,8 +115,16 @@ mod tests {
         let topo = dumbbell(2, 2, EVAL_BANDWIDTH, EVAL_DELAY);
         let hosts: Vec<_> = topo.hosts().collect();
         let mut sim = Simulator::new(topo, SimConfig::default(), NullHook);
-        sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 1_000_000, Nanos::ZERO);
-        sim.add_flow(FlowKey::roce(hosts[1], hosts[3], 2), 500_000, Nanos::ZERO);
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[0], hosts[2], 1),
+            1_000_000,
+            Nanos::ZERO,
+        ));
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[1], hosts[3], 2),
+            500_000,
+            Nanos::ZERO,
+        ));
         sim.run_until(Nanos::from_millis(5));
         let s = RunSummary::of(&sim);
         assert_eq!(s.flows_total, 2);
@@ -137,11 +146,11 @@ mod tests {
         let topo = dumbbell(1, 1, EVAL_BANDWIDTH, EVAL_DELAY);
         let hosts: Vec<_> = topo.hosts().collect();
         let mut sim = Simulator::new(topo, SimConfig::default(), NullHook);
-        sim.add_flow(
+        sim.add_flow(FlowSpec::new(
             FlowKey::roce(hosts[0], hosts[1], 1),
             100_000_000,
             Nanos::ZERO,
-        );
+        ));
         sim.run_until(Nanos::from_micros(50)); // far too short
         let s = RunSummary::of(&sim);
         assert_eq!(s.flows_completed, 0);
@@ -154,7 +163,11 @@ mod tests {
         let topo = dumbbell(2, 2, EVAL_BANDWIDTH, EVAL_DELAY);
         let hosts: Vec<_> = topo.hosts().collect();
         let mut sim = Simulator::new(topo, SimConfig::default(), NullHook);
-        sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 200_000, Nanos::ZERO);
+        sim.add_flow(FlowSpec::new(
+            FlowKey::roce(hosts[0], hosts[2], 1),
+            200_000,
+            Nanos::ZERO,
+        ));
         sim.run_until(Nanos::from_millis(3));
         let mut reg = MetricsRegistry::new();
         let s = RunSummary::of_with(&sim, &mut reg);

@@ -1,11 +1,12 @@
 //! Network topologies: nodes, links, and routing.
 //!
 //! Builders are provided for the paper's evaluation topology (fat-tree K=4,
-//! 20 switches, 100 Gbps links, 2 µs delay), plus the small chain and ring
-//! topologies of Fig. 1 used for case studies, and a dumbbell for unit
-//! tests. Routing is shortest-path with ECMP; scenarios may install
-//! per-(switch, destination) route overrides to emulate the routing
-//! misconfigurations that create cyclic buffer dependencies (§2.1).
+//! 20 switches, 100 Gbps links, 2 µs delay) and its Clos family (`clos`,
+//! `leaf_spine`: each returns the roles it placed, a [`FatTreeNav`]), plus
+//! the chain and ring topologies of Fig. 1 used for case studies, and a
+//! dumbbell for unit tests. Routing is shortest-path with ECMP; scenarios
+//! may install per-(switch, destination) route overrides to emulate the
+//! routing misconfigurations that create cyclic buffer dependencies (§2.1).
 //!
 //! The routing state is **dense**: every node knows its rank among the
 //! nodes of its kind, `(switch, destination host)` indexes one flat array
@@ -20,6 +21,7 @@ use crate::ids::{FlowKey, NodeId, PortId};
 use crate::time::Nanos;
 use crate::units::Bandwidth;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Role of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +40,7 @@ pub struct PortInfo {
 }
 
 /// An immutable network graph plus routing state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     kinds: Vec<NodeKind>,
     names: Vec<String>,
@@ -67,18 +69,7 @@ const NO_OVERRIDE: u16 = u16::MAX;
 impl Topology {
     /// Create an empty topology; use `add_host`/`add_switch`/`connect`.
     pub fn new() -> Self {
-        Topology {
-            kinds: Vec::new(),
-            names: Vec::new(),
-            ports: Vec::new(),
-            rank: Vec::new(),
-            n_hosts: 0,
-            n_switches: 0,
-            routes: Vec::new(),
-            sets: Vec::new(),
-            set_ports: Vec::new(),
-            overrides: Vec::new(),
-        }
+        Self::default()
     }
 
     pub fn add_host(&mut self, name: impl Into<String>) -> NodeId {
@@ -187,6 +178,18 @@ impl Topology {
     /// Whether the given port attaches directly to a host.
     pub fn is_host_facing(&self, p: PortId) -> bool {
         self.is_host(self.peer(p).node)
+    }
+
+    /// The egress port on `from` whose link leads to `to`.
+    pub fn egress(&self, from: NodeId, to: NodeId) -> Result<PortId, NavError> {
+        self.ports[from.index()]
+            .iter()
+            .position(|info| info.peer.node == to)
+            .map(|p| PortId::new(from, p as u8))
+            .ok_or_else(|| NavError::NotAdjacent {
+                from: self.name(from).to_string(),
+                to: self.name(to).to_string(),
+            })
     }
 
     /// Compute shortest-path ECMP routes from every switch to every host.
@@ -340,12 +343,6 @@ impl Topology {
     }
 }
 
-impl Default for Topology {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Default link parameters used across the evaluation (paper §4.1).
 pub const EVAL_BANDWIDTH: Bandwidth = Bandwidth::from_gbps(100);
 pub const EVAL_DELAY: Nanos = Nanos::from_micros(2);
@@ -355,9 +352,10 @@ pub const EVAL_DELAY: Nanos = Nanos::from_micros(2);
 /// A classic fat-tree is the symmetric point of this family
 /// (`ClosConfig::fat_tree(k)`); the extra knobs cover the corpus variants:
 /// asymmetric capacity (slowed agg↔core uplinks on trailing pods) and
-/// link-failure topologies (trailing agg↔core links never built). Node
-/// naming follows the `fat_tree` scheme (`h{i}`, `edge{p}_{e}`,
-/// `agg{p}_{a}`, `core{c}`) so navigation by name works across the family.
+/// link-failure topologies (trailing agg↔core links never built). Every
+/// member names its nodes in the `fat_tree` scheme (`h{i}`, `edge{p}_{e}`,
+/// `agg{p}_{a}`, `core{c}`) for display; [`clos`] returns which node holds
+/// which role as a [`FatTreeNav`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosConfig {
     pub pods: usize,
@@ -396,19 +394,84 @@ impl ClosConfig {
             failed_core_links: 0,
         }
     }
+}
 
-    pub fn host_count(&self) -> usize {
-        self.pods * self.edges_per_pod * self.hosts_per_edge
+/// Why a question about a fabric's roles or links has no answer on it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NavError {
+    /// Two nodes expected to share a link are not adjacent.
+    NotAdjacent { from: String, to: String },
+    /// A role index or dimension the question needs does not exist.
+    RoleOutOfRange {
+        role: &'static str,
+        index: usize,
+        len: usize,
+    },
+}
+
+impl fmt::Display for NavError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NavError::NotAdjacent { from, to } => write!(f, "{from} has no link to {to}"),
+            NavError::RoleOutOfRange { role, index, len } => {
+                write!(f, "role {role}[{index}] out of range (len {len})")
+            }
+        }
     }
 }
 
-/// Build a member of the generalized Clos family described by `cfg`.
+impl std::error::Error for NavError {}
+
+/// The roles a Clos-family builder placed: which node is which host, edge,
+/// aggregation or core switch, as scenario builders need them to script
+/// traffic and install routing misconfigurations.
+///
+/// For three-tier fabrics ([`clos`]) every field is populated. For two-tier [`leaf_spine`] fabrics, leaves are grouped into
+/// logical pods of two edges each, `aggs[pod]` holds the (shared) spines
+/// for every pod, and `cores` is empty.
+#[derive(Debug, Clone)]
+pub struct FatTreeNav {
+    /// `hosts[pod][edge][i]`
+    pub hosts: Vec<Vec<Vec<NodeId>>>,
+    /// `edges[pod][i]`
+    pub edges: Vec<Vec<NodeId>>,
+    /// `aggs[pod][i]` (for leaf-spine: the spines, shared across pods)
+    pub aggs: Vec<Vec<NodeId>>,
+    /// `cores[i]` (agg index `a` connects cores
+    /// `a*cores_per_group .. (a+1)*cores_per_group`); empty for two-tier
+    pub cores: Vec<NodeId>,
+    /// Cores per aggregation index group; 0 for two-tier fabrics.
+    pub cores_per_group: usize,
+}
+
+impl FatTreeNav {
+    /// Whether the fabric has a core tier (three-tier Clos vs leaf-spine).
+    pub fn is_three_tier(&self) -> bool {
+        !self.cores.is_empty()
+    }
+
+    /// Navigation dimensions: (pods, edges_per_pod, aggs_per_pod,
+    /// hosts_per_edge).
+    pub fn dims(&self) -> (usize, usize, usize, usize) {
+        let first_len = |v: &Vec<Vec<NodeId>>| v.first().map_or(0, Vec::len);
+        let hpe = self.hosts.first().map_or(0, first_len);
+        (
+            self.hosts.len(),
+            first_len(&self.edges),
+            first_len(&self.aggs),
+            hpe,
+        )
+    }
+}
+
+/// Build a member of the generalized Clos family described by `cfg`, with
+/// the roles it placed.
 ///
 /// Construction order (hosts, then per-pod edge+agg switches, then cores;
 /// links host↔edge, edge↔agg, agg↔core) matches the historical `fat_tree`
 /// builder exactly, so `clos(&ClosConfig::fat_tree(k, ..))` produces
 /// byte-identical node ids, port numbers, and therefore ECMP hashes.
-pub fn clos(cfg: &ClosConfig) -> Topology {
+pub fn clos(cfg: &ClosConfig) -> (Topology, FatTreeNav) {
     assert!(cfg.pods >= 1 && cfg.edges_per_pod >= 1 && cfg.hosts_per_edge >= 1);
     assert!(cfg.aggs_per_pod >= 1 && cfg.cores_per_group >= 1);
     assert!(cfg.slow_divisor >= 1, "slow_divisor must be >= 1");
@@ -419,45 +482,44 @@ pub fn clos(cfg: &ClosConfig) -> Topology {
     assert!(cfg.slow_pods <= cfg.pods);
     let mut t = Topology::new();
     let (epp, app, hpe) = (cfg.edges_per_pod, cfg.aggs_per_pod, cfg.hosts_per_edge);
+    let cpg = cfg.cores_per_group;
 
-    let mut hosts = Vec::new();
+    let hosts: Vec<Vec<Vec<NodeId>>> = (0..cfg.pods)
+        .map(|pod| {
+            (0..epp)
+                .map(|e| {
+                    (0..hpe)
+                        .map(|h| t.add_host(format!("h{}", (pod * epp + e) * hpe + h)))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let mut edges = Vec::with_capacity(cfg.pods);
+    let mut aggs = Vec::with_capacity(cfg.pods);
     for pod in 0..cfg.pods {
-        for e in 0..epp {
-            for h in 0..hpe {
-                hosts.push(t.add_host(format!("h{}", pod * epp * hpe + e * hpe + h)));
-            }
-        }
+        let pod_edges = (0..epp).map(|e| t.add_switch(format!("edge{pod}_{e}")));
+        edges.push(pod_edges.collect::<Vec<_>>());
+        let pod_aggs = (0..app).map(|a| t.add_switch(format!("agg{pod}_{a}")));
+        aggs.push(pod_aggs.collect::<Vec<_>>());
     }
-    let mut edges = Vec::new();
-    let mut aggs = Vec::new();
-    for pod in 0..cfg.pods {
-        for e in 0..epp {
-            edges.push(t.add_switch(format!("edge{}_{}", pod, e)));
-        }
-        for a in 0..app {
-            aggs.push(t.add_switch(format!("agg{}_{}", pod, a)));
-        }
-    }
-    let mut cores = Vec::new();
-    for c in 0..app * cfg.cores_per_group {
-        cores.push(t.add_switch(format!("core{}", c)));
-    }
+    let cores: Vec<NodeId> = (0..app * cpg)
+        .map(|c| t.add_switch(format!("core{c}")))
+        .collect();
 
     // Host <-> edge links.
-    for pod in 0..cfg.pods {
-        for e in 0..epp {
-            let edge = edges[pod * epp + e];
-            for h in 0..hpe {
-                let host = hosts[pod * epp * hpe + e * hpe + h];
+    for (pod_hosts, pod_edges) in hosts.iter().zip(&edges) {
+        for (edge_hosts, &edge) in pod_hosts.iter().zip(pod_edges) {
+            for &host in edge_hosts {
                 t.connect(host, edge, cfg.bw, cfg.delay);
             }
         }
     }
     // Edge <-> agg links (full bipartite within a pod).
-    for pod in 0..cfg.pods {
-        for e in 0..epp {
-            for a in 0..app {
-                t.connect(edges[pod * epp + e], aggs[pod * app + a], cfg.bw, cfg.delay);
+    for (pod_edges, pod_aggs) in edges.iter().zip(&aggs) {
+        for &edge in pod_edges {
+            for &agg in pod_aggs {
+                t.connect(edge, agg, cfg.bw, cfg.delay);
             }
         }
     }
@@ -465,25 +527,19 @@ pub fn clos(cfg: &ClosConfig) -> Topology {
     // [a*cores_per_group, (a+1)*cores_per_group). The last
     // `failed_core_links` links in enumeration order are not built; the
     // last `slow_pods` pods uplink at reduced bandwidth.
-    let total_core_links = cfg.pods * app * cfg.cores_per_group;
-    let first_failed = total_core_links.saturating_sub(cfg.failed_core_links);
+    let first_failed = (cfg.pods * app * cpg).saturating_sub(cfg.failed_core_links);
     let slow_bw = Bandwidth::from_bps(cfg.bw.bits_per_sec() / cfg.slow_divisor);
     let mut link_idx = 0;
-    for pod in 0..cfg.pods {
+    for (pod, pod_aggs) in aggs.iter().enumerate() {
         let uplink_bw = if pod >= cfg.pods - cfg.slow_pods {
             slow_bw
         } else {
             cfg.bw
         };
-        for a in 0..app {
-            for c in 0..cfg.cores_per_group {
+        for (a, &agg) in pod_aggs.iter().enumerate() {
+            for &core in &cores[a * cpg..(a + 1) * cpg] {
                 if link_idx < first_failed {
-                    t.connect(
-                        aggs[pod * app + a],
-                        cores[a * cfg.cores_per_group + c],
-                        uplink_bw,
-                        cfg.delay,
-                    );
+                    t.connect(agg, core, uplink_bw, cfg.delay);
                 }
                 link_idx += 1;
             }
@@ -491,40 +547,28 @@ pub fn clos(cfg: &ClosConfig) -> Topology {
     }
 
     t.compute_routes();
-    t
+    let nav = FatTreeNav {
+        hosts,
+        edges,
+        aggs,
+        cores,
+        cores_per_group: cpg,
+    };
+    (t, nav)
 }
 
 /// Build the paper's evaluation topology: a fat-tree with parameter `k`
-/// (k=4: 16 hosts, 20 switches — 8 edge, 8 aggregation, 4 core).
+/// (k=4: 16 hosts, 20 switches — 8 edge, 8 aggregation, 4 core). Its
+/// roles come from [`clos`] of [`ClosConfig::fat_tree`].
 pub fn fat_tree(k: usize, bw: Bandwidth, delay: Nanos) -> Topology {
-    clos(&ClosConfig::fat_tree(k, bw, delay))
+    clos(&ClosConfig::fat_tree(k, bw, delay)).0
 }
 
 /// A linear chain of `n` switches, each with `hosts_per_switch` hosts —
 /// the Fig. 1(a)/1(b) style topology for case studies.
 pub fn chain(n: usize, hosts_per_switch: usize, bw: Bandwidth, delay: Nanos) -> Topology {
     assert!(n >= 1);
-    let mut t = Topology::new();
-    let mut hosts = Vec::new();
-    for s in 0..n {
-        for h in 0..hosts_per_switch {
-            hosts.push(t.add_host(format!("h{}_{}", s, h)));
-        }
-    }
-    let mut sws = Vec::new();
-    for s in 0..n {
-        sws.push(t.add_switch(format!("sw{}", s)));
-    }
-    for s in 0..n {
-        for h in 0..hosts_per_switch {
-            t.connect(hosts[s * hosts_per_switch + h], sws[s], bw, delay);
-        }
-    }
-    for s in 0..n - 1 {
-        t.connect(sws[s], sws[s + 1], bw, delay);
-    }
-    t.compute_routes();
-    t
+    switch_line(n, hosts_per_switch, bw, delay, n - 1)
 }
 
 /// A ring of `n` switches with hosts, for cyclic-buffer-dependency
@@ -532,23 +576,23 @@ pub fn chain(n: usize, hosts_per_switch: usize, bw: Bandwidth, delay: Nanos) -> 
 /// scenarios install overrides to push flows around the cycle.
 pub fn ring(n: usize, hosts_per_switch: usize, bw: Bandwidth, delay: Nanos) -> Topology {
     assert!(n >= 3);
+    switch_line(n, hosts_per_switch, bw, delay, n)
+}
+
+/// Switches `sw0..sw{n-1}` with hosts `h{s}_{i}`, switch `s` linked to
+/// switch `(s + 1) % n` for the first `links` values of `s`.
+fn switch_line(n: usize, hps: usize, bw: Bandwidth, delay: Nanos, links: usize) -> Topology {
     let mut t = Topology::new();
-    let mut hosts = Vec::new();
-    for s in 0..n {
-        for h in 0..hosts_per_switch {
-            hosts.push(t.add_host(format!("h{}_{}", s, h)));
+    let hosts: Vec<Vec<NodeId>> = (0..n)
+        .map(|s| (0..hps).map(|h| t.add_host(format!("h{s}_{h}"))).collect())
+        .collect();
+    let sws: Vec<_> = (0..n).map(|s| t.add_switch(format!("sw{s}"))).collect();
+    for (sw_hosts, &sw) in hosts.iter().zip(&sws) {
+        for &host in sw_hosts {
+            t.connect(host, sw, bw, delay);
         }
     }
-    let mut sws = Vec::new();
-    for s in 0..n {
-        sws.push(t.add_switch(format!("sw{}", s)));
-    }
-    for s in 0..n {
-        for h in 0..hosts_per_switch {
-            t.connect(hosts[s * hosts_per_switch + h], sws[s], bw, delay);
-        }
-    }
-    for s in 0..n {
+    for s in 0..links {
         t.connect(sws[s], sws[(s + 1) % n], bw, delay);
     }
     t.compute_routes();
@@ -557,31 +601,34 @@ pub fn ring(n: usize, hosts_per_switch: usize, bw: Bandwidth, delay: Nanos) -> T
 
 /// A two-tier leaf-spine fabric: `leaves` ToR switches with
 /// `hosts_per_leaf` hosts each, fully meshed to `spines` spine switches —
-/// the other common data-center fabric besides the fat-tree.
+/// the other common data-center fabric besides the fat-tree. Its roles
+/// pair consecutive leaves into logical pods (an odd last leaf is in
+/// none), the spines playing the aggregation role in every pod.
 pub fn leaf_spine(
     leaves: usize,
     spines: usize,
     hosts_per_leaf: usize,
     bw: Bandwidth,
     delay: Nanos,
-) -> Topology {
+) -> (Topology, FatTreeNav) {
     assert!(leaves >= 1 && spines >= 1);
     let mut t = Topology::new();
-    let mut hosts = Vec::new();
-    for l in 0..leaves {
-        for h in 0..hosts_per_leaf {
-            hosts.push(t.add_host(format!("h{}", l * hosts_per_leaf + h)));
-        }
-    }
+    let hosts: Vec<Vec<NodeId>> = (0..leaves)
+        .map(|l| {
+            (0..hosts_per_leaf)
+                .map(|h| t.add_host(format!("h{}", l * hosts_per_leaf + h)))
+                .collect()
+        })
+        .collect();
     let leaf_ids: Vec<_> = (0..leaves)
         .map(|l| t.add_switch(format!("leaf{l}")))
         .collect();
     let spine_ids: Vec<_> = (0..spines)
         .map(|s| t.add_switch(format!("spine{s}")))
         .collect();
-    for (l, &leaf) in leaf_ids.iter().enumerate() {
-        for h in 0..hosts_per_leaf {
-            t.connect(hosts[l * hosts_per_leaf + h], leaf, bw, delay);
+    for (leaf_hosts, &leaf) in hosts.iter().zip(&leaf_ids) {
+        for &host in leaf_hosts {
+            t.connect(host, leaf, bw, delay);
         }
     }
     for &leaf in &leaf_ids {
@@ -590,7 +637,14 @@ pub fn leaf_spine(
         }
     }
     t.compute_routes();
-    t
+    let nav = FatTreeNav {
+        hosts: hosts.chunks_exact(2).map(<[_]>::to_vec).collect(),
+        edges: leaf_ids.chunks_exact(2).map(<[_]>::to_vec).collect(),
+        aggs: vec![spine_ids; leaves / 2],
+        cores: Vec::new(),
+        cores_per_group: 0,
+    };
+    (t, nav)
 }
 
 /// Two switches, `left`/`right` hosts on each side; the smallest topology
@@ -644,7 +698,7 @@ mod tests {
     fn clos_failed_core_links_drop_trailing_uplinks() {
         let mut cfg = ClosConfig::fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
         cfg.failed_core_links = 2;
-        let t = clos(&cfg);
+        let (t, _) = clos(&cfg);
         // The last pod's last agg lost both its core uplinks: 2 ports left.
         let agg_last = t
             .switches()
@@ -662,7 +716,7 @@ mod tests {
         let mut cfg = ClosConfig::fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY);
         cfg.slow_pods = 2;
         cfg.slow_divisor = 4;
-        let t = clos(&cfg);
+        let (t, _) = clos(&cfg);
         let agg0 = t.switches().find(|&s| t.name(s) == "agg0_0").unwrap();
         let agg3 = t.switches().find(|&s| t.name(s) == "agg3_0").unwrap();
         // Ports 0..2 on an agg face edges; 2..4 face cores.
@@ -868,24 +922,26 @@ mod tests {
     fn dense_routes_match_hashmap_oracle() {
         let ft = |k| ClosConfig::fat_tree(k, EVAL_BANDWIDTH, EVAL_DELAY);
         let fabrics = [
-            ("ft4", clos(&ft(4))),
-            ("ft8", clos(&ft(8))),
-            ("ft16", clos(&ft(16))),
+            ("ft4", clos(&ft(4)).0),
+            ("ft8", clos(&ft(8)).0),
+            ("ft16", clos(&ft(16)).0),
             (
                 "ft8-degraded",
                 clos(&ClosConfig {
                     failed_core_links: 4,
                     ..ft(8)
-                }),
+                })
+                .0,
             ),
-            ("ls8x2x4", leaf_spine(8, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY)),
+            ("ls8x2x4", leaf_spine(8, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY).0),
             (
                 "asym8",
                 clos(&ClosConfig {
                     slow_pods: 2,
                     slow_divisor: 4,
                     ..ft(8)
-                }),
+                })
+                .0,
             ),
             ("chain", chain(4, 2, EVAL_BANDWIDTH, EVAL_DELAY)),
             ("ring", ring(5, 2, EVAL_BANDWIDTH, EVAL_DELAY)),
@@ -985,7 +1041,7 @@ mod tests {
 
     #[test]
     fn leaf_spine_routes_and_ecmp() {
-        let t = leaf_spine(4, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY);
+        let (t, _) = leaf_spine(4, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY);
         assert_eq!(t.hosts().count(), 16);
         assert_eq!(t.switches().count(), 6);
         let hosts: Vec<_> = t.hosts().collect();
@@ -1010,5 +1066,116 @@ mod tests {
         assert!(t.is_host_facing(PortId::new(sws[0], 0)));
         // Port 1 of swL is the inter-switch link.
         assert!(!t.is_host_facing(PortId::new(sws[0], 1)));
+    }
+
+    /// The roles a builder returns are the fabric it built: every host
+    /// links to its edge, every edge to every agg of its pod, agg `a` to
+    /// cores `a*cpg..(a+1)*cpg` less the failed links (and to no other
+    /// core), every leaf to every spine; and the roles cover every node.
+    #[test]
+    fn role_map_matches_the_fabric() {
+        let ft = |k| ClosConfig::fat_tree(k, EVAL_BANDWIDTH, EVAL_DELAY);
+        let linked = |t: &Topology, a: NodeId, b: NodeId| t.egress(a, b).is_ok();
+        let fabrics = [
+            ft(4),
+            ft(8),
+            ClosConfig {
+                failed_core_links: 4,
+                ..ft(8)
+            },
+            ClosConfig {
+                slow_pods: 2,
+                slow_divisor: 4,
+                ..ft(8)
+            },
+            ClosConfig {
+                hosts_per_edge: 3,
+                ..ft(4)
+            },
+        ];
+        for cfg in fabrics {
+            let (t, nav) = clos(&cfg);
+            let (pods, epp, app, hpe) = nav.dims();
+            assert_eq!(
+                (pods, epp, app, hpe),
+                (
+                    cfg.pods,
+                    cfg.edges_per_pod,
+                    cfg.aggs_per_pod,
+                    cfg.hosts_per_edge
+                )
+            );
+            assert!(nav.is_three_tier());
+            let cpg = nav.cores_per_group;
+            assert_eq!(nav.cores.len(), app * cpg);
+            let hosts: Vec<NodeId> = nav.hosts.iter().flatten().flatten().copied().collect();
+            assert_eq!(hosts, t.hosts().collect::<Vec<_>>());
+            let switches = nav
+                .edges
+                .iter()
+                .chain(&nav.aggs)
+                .flatten()
+                .chain(&nav.cores);
+            assert_eq!(switches.count(), t.switches().count());
+            let first_failed = pods * app * cpg - cfg.failed_core_links;
+            for pod in 0..pods {
+                for (e, &edge) in nav.edges[pod].iter().enumerate() {
+                    for &h in &nav.hosts[pod][e] {
+                        assert_eq!(t.peer(PortId::new(h, 0)).node, edge);
+                    }
+                    for &agg in &nav.aggs[pod] {
+                        assert!(linked(&t, edge, agg), "{} {}", t.name(edge), t.name(agg));
+                    }
+                }
+                for (a, &agg) in nav.aggs[pod].iter().enumerate() {
+                    for (c, &core) in nav.cores.iter().enumerate() {
+                        let link = (pod * app + a) * cpg + c % cpg;
+                        let built = c / cpg == a && link < first_failed;
+                        assert_eq!(
+                            linked(&t, agg, core),
+                            built,
+                            "{} {}",
+                            t.name(agg),
+                            t.name(core)
+                        );
+                    }
+                }
+            }
+        }
+
+        let (t, nav) = leaf_spine(8, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY);
+        assert_eq!(nav.dims(), (4, 2, 2, 4));
+        assert!(!nav.is_three_tier());
+        let hosts: Vec<NodeId> = nav.hosts.iter().flatten().flatten().copied().collect();
+        assert_eq!(hosts, t.hosts().collect::<Vec<_>>());
+        for pod in 0..4 {
+            // Every pod sees the same shared spines.
+            assert_eq!(nav.aggs[pod], nav.aggs[0]);
+            for (e, &leaf) in nav.edges[pod].iter().enumerate() {
+                for &h in &nav.hosts[pod][e] {
+                    assert_eq!(t.peer(PortId::new(h, 0)).node, leaf);
+                }
+                for &spine in &nav.aggs[pod] {
+                    assert!(
+                        linked(&t, leaf, spine),
+                        "{} {}",
+                        t.name(leaf),
+                        t.name(spine)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn egress_reports_non_adjacent() {
+        let (t, nav) = clos(&ClosConfig::fat_tree(4, EVAL_BANDWIDTH, EVAL_DELAY));
+        let (e, a) = (nav.edges[0][0], nav.aggs[0][1]);
+        let p = t.egress(e, a).unwrap();
+        assert_eq!((p.node, t.peer(p).node), (e, a));
+        // edge0_0 and core0 are not directly linked.
+        let err = t.egress(e, nav.cores[0]).unwrap_err();
+        assert!(matches!(err, NavError::NotAdjacent { .. }), "{err}");
+        assert_eq!(err.to_string(), "edge0_0 has no link to core0");
     }
 }

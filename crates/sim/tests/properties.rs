@@ -2,7 +2,8 @@
 //! conservation, completion, and determinism under randomized workloads.
 
 use hawkeye_sim::{
-    dumbbell, fat_tree, FlowKey, Nanos, NullHook, SimConfig, Simulator, EVAL_BANDWIDTH, EVAL_DELAY,
+    dumbbell, fat_tree, FlowKey, FlowSpec, Nanos, NullHook, SimConfig, Simulator, EVAL_BANDWIDTH,
+    EVAL_DELAY,
 };
 use proptest::prelude::*;
 
@@ -44,11 +45,11 @@ fn run_workload(w: &Workload, seed: u64) -> (Simulator<NullHook>, Vec<hawkeye_si
         if dst == src {
             dst = hosts[(d + 1) % hosts.len()];
         }
-        ids.push(sim.add_flow(
+        ids.push(sim.add_flow(FlowSpec::new(
             FlowKey::roce(src, dst, sp.wrapping_add(i as u16)),
             bytes,
             Nanos::from_micros(start),
-        ));
+        )));
     }
     sim.run_until(Nanos::from_millis(40));
     (sim, ids)

@@ -6,8 +6,8 @@
 
 use hawkeye_obs::{kind, MetricsRegistry, ObsConfig, Recorder, TraceEvent};
 use hawkeye_sim::{
-    dumbbell, trace_drop_warnings, FlowKey, Nanos, NullHook, RunSummary, SimConfig, Simulator,
-    SwitchConfig, DATA_PKT_SIZE, EVAL_BANDWIDTH, EVAL_DELAY,
+    dumbbell, trace_drop_warnings, FlowKey, FlowSpec, Nanos, NullHook, RunSummary, SimConfig,
+    Simulator, SwitchConfig, DATA_PKT_SIZE, EVAL_BANDWIDTH, EVAL_DELAY,
 };
 
 /// A lossy (PFC-off) dumbbell with a buffer a few packets deep and a 2:1
@@ -24,8 +24,16 @@ fn lossy_incast() -> Simulator<NullHook> {
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(topo, cfg, NullHook);
-    sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 400_000, Nanos::ZERO);
-    sim.add_flow(FlowKey::roce(hosts[1], hosts[2], 2), 400_000, Nanos::ZERO);
+    sim.add_flow(FlowSpec::new(
+        FlowKey::roce(hosts[0], hosts[2], 1),
+        400_000,
+        Nanos::ZERO,
+    ));
+    sim.add_flow(FlowSpec::new(
+        FlowKey::roce(hosts[1], hosts[2], 2),
+        400_000,
+        Nanos::ZERO,
+    ));
     sim.run_until(Nanos::from_millis(2));
     sim
 }
@@ -67,7 +75,11 @@ fn clean_run_emits_no_drop_warnings() {
     let topo = dumbbell(2, 2, EVAL_BANDWIDTH, EVAL_DELAY);
     let hosts: Vec<_> = topo.hosts().collect();
     let mut sim = Simulator::new(topo, SimConfig::default(), NullHook);
-    sim.add_flow(FlowKey::roce(hosts[0], hosts[2], 1), 200_000, Nanos::ZERO);
+    sim.add_flow(FlowSpec::new(
+        FlowKey::roce(hosts[0], hosts[2], 1),
+        200_000,
+        Nanos::ZERO,
+    ));
     sim.run_until(Nanos::from_millis(3));
 
     let summary = RunSummary::of(&sim);

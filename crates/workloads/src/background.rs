@@ -2,22 +2,9 @@
 //! flows between random host pairs, scaled to a target link load (§4.1).
 
 use crate::flowsize::FlowSizeDist;
-use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
+use hawkeye_sim::{FlowKey, FlowSpec, Nanos, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One flow to install into a simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowSpec {
-    pub key: FlowKey,
-    pub size_bytes: u64,
-    pub start: Nanos,
-    /// Application-level rate cap (bits/s), if any.
-    pub max_rate_bps: Option<f64>,
-    /// Whether the sender reacts to CNPs (background traffic always does;
-    /// some anomaly culprits are deliberately non-compliant).
-    pub cc_enabled: bool,
-}
 
 /// Background traffic parameters.
 #[derive(Debug, Clone, Copy)]
@@ -83,13 +70,12 @@ pub fn generate(topo: &Topology, cfg: &BackgroundConfig, seed: u64) -> Vec<FlowS
         while dst == src {
             dst = hosts[rng.gen_range(0..hosts.len())];
         }
-        out.push(FlowSpec {
-            key: FlowKey::roce(src, dst, sp),
-            size_bytes: dist.sample(&mut rng).min(MAX_FLOW_BYTES),
-            start: Nanos(t as u64),
-            max_rate_bps: None,
-            cc_enabled: true,
-        });
+        let size_bytes = dist.sample(&mut rng).min(MAX_FLOW_BYTES);
+        out.push(FlowSpec::new(
+            FlowKey::roce(src, dst, sp),
+            size_bytes,
+            Nanos(t as u64),
+        ));
         sp = sp.wrapping_add(1).max(SRC_PORT_BASE);
     }
     out

@@ -19,13 +19,12 @@
 //! - **Normal contention**: an incast whose PFC reaches only the culprit
 //!   NICs, so no switch-to-switch spreading exists.
 
-use crate::background::{self, BackgroundConfig, FlowSpec};
-use crate::fattree::{FatTreeNav, NavError};
+use crate::background::{self, BackgroundConfig};
 use crate::topospec::TopologySpec;
 use hawkeye_core::AnomalyType;
 use hawkeye_sim::{
-    AgentConfig, FaultPlan, FlowKey, Nanos, NodeId, PfcInjectorConfig, PortId, SimConfig,
-    Simulator, SwitchHook, Topology,
+    AgentConfig, FatTreeNav, FaultPlan, FlowKey, FlowSpec, Nanos, NavError, NodeId,
+    PfcInjectorConfig, PortId, SimConfig, Simulator, SwitchHook, Topology,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,7 +84,8 @@ impl ScenarioKind {
 /// topologies are rejected and counted, never crash the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioBuildError {
-    /// The topology could not be navigated as a Clos-family fabric.
+    /// The spec's dimensions build no fabric, or a role or link the
+    /// scenario scripts is not in it.
     Nav(NavError),
     /// A role the scenario scripts (pods/edges/hosts/cores) does not exist
     /// at these dimensions.
@@ -165,6 +165,8 @@ impl Default for ScenarioParams {
 pub struct Scenario {
     pub kind: ScenarioKind,
     pub topo: Topology,
+    /// The roles the fabric builder placed in `topo`.
+    pub nav: FatTreeNav,
     pub flows: Vec<FlowSpec>,
     pub injectors: Vec<(NodeId, PfcInjectorConfig)>,
     pub truth: GroundTruth,
@@ -180,25 +182,12 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Instantiate a simulator with a monitoring hook and the reference
-    /// agent config; the caller then calls `run_until(self.params.duration)`.
-    /// Instantiate with the scenario's own `sim_config` but a caller-chosen
-    /// seed.
-    pub fn instantiate_seeded<H: SwitchHook>(
-        &self,
-        seed: u64,
-        agent: AgentConfig,
-        hook: H,
-    ) -> Simulator<H> {
-        let cfg = SimConfig {
-            seed,
-            ..self.sim_config
-        };
-        self.instantiate(cfg, agent, hook)
-    }
-
-    /// [`Scenario::instantiate_seeded`] with a control-plane fault plan.
-    /// `FaultPlan::none()` reproduces `instantiate_seeded` exactly.
+    /// A simulator of this scenario — its topology, flows, injectors and
+    /// `sim_config` — seeded with `seed`, faulted by `faults`, with the
+    /// detection `agent` on every host and `hook` on every switch; the
+    /// caller then calls `run_until(self.params.duration)`. A caller that
+    /// varies the scenario (a switch setting, an injector's duration) edits
+    /// `sim_config` or `injectors` first.
     pub fn instantiate_faulted<H: SwitchHook>(
         &self,
         seed: u64,
@@ -211,19 +200,10 @@ impl Scenario {
             faults,
             ..self.sim_config
         };
-        self.instantiate(cfg, agent, hook)
-    }
-
-    pub fn instantiate<H: SwitchHook>(
-        &self,
-        sim_cfg: SimConfig,
-        agent: AgentConfig,
-        hook: H,
-    ) -> Simulator<H> {
-        let mut sim = Simulator::new(self.topo.clone(), sim_cfg, hook);
+        let mut sim = Simulator::new(self.topo.clone(), cfg, hook);
         sim.enable_agents(agent);
         for f in &self.flows {
-            sim.add_flow_full(f.key, f.size_bytes, f.start, f.max_rate_bps, f.cc_enabled);
+            sim.add_flow(*f);
         }
         for (host, inj) in &self.injectors {
             sim.set_pfc_injector(*host, *inj);
@@ -279,6 +259,50 @@ fn pick(
 ) -> Result<u16, ScenarioBuildError> {
     try_pick_src_port(topo, src, dst, via, base)
         .ok_or(ScenarioBuildError::NoPinnablePort { src, dst })
+}
+
+/// Pin traffic for `dst` entering the fabric at `edge` so it descends
+/// into the destination pod via aggregation index `agg_idx` — the
+/// route-override pattern deadlock scenarios use to steer remote flows
+/// into a cyclic buffer dependency.
+///
+/// Three-tier: overrides `edge → aggs[via_pod][agg_idx]` and
+/// `aggs[via_pod][agg_idx] → cores[agg_idx*cores_per_group + core_slot]`;
+/// the core then descends to the destination pod's agg `agg_idx` by
+/// normal routing. Two-tier: overrides `edge → spine[agg_idx]` directly
+/// (the spine IS the shared aggregation layer, no core hop exists).
+fn pin_ingress_via_agg(
+    topo: &mut Topology,
+    nav: &FatTreeNav,
+    edge: NodeId,
+    dst: NodeId,
+    via_pod: usize,
+    agg_idx: usize,
+    core_slot: usize,
+) -> Result<(), NavError> {
+    let pod_aggs = nav.aggs.get(via_pod).ok_or(NavError::RoleOutOfRange {
+        role: "pod",
+        index: via_pod,
+        len: nav.aggs.len(),
+    })?;
+    let agg = *pod_aggs.get(agg_idx).ok_or(NavError::RoleOutOfRange {
+        role: "agg",
+        index: agg_idx,
+        len: pod_aggs.len(),
+    })?;
+    let p = topo.egress(edge, agg)?.port;
+    topo.add_route_override(edge, dst, p);
+    if nav.is_three_tier() {
+        let core_idx = agg_idx * nav.cores_per_group + core_slot;
+        let core = *nav.cores.get(core_idx).ok_or(NavError::RoleOutOfRange {
+            role: "core",
+            index: core_idx,
+            len: nav.cores.len(),
+        })?;
+        let p = topo.egress(agg, core)?.port;
+        topo.add_route_override(agg, dst, p);
+    }
+    Ok(())
 }
 
 /// Build a scenario of the given kind on the paper's evaluation topology
@@ -353,7 +377,6 @@ fn build_with_nav(
     let h2 = nav.hosts[0][1][0]; // e1's hosts
     let h3 = nav.hosts[0][1][1];
     let at = params.anomaly_at;
-    let at_us = at.as_nanos() / 1000;
 
     // Pick a random remote pod host as the victim's source for variety.
     // Bounds derive from the topology's dimensions; at K=4 they equal the
@@ -374,13 +397,7 @@ fn build_with_nav(
             let b_via_a0 = FlowKey::roce(src_a0, h_t, sp_a0);
             let b_via_a1 = FlowKey::roce(src_a1, h_t, sp_a1);
             for b in [b_local, b_via_a0, b_via_a1] {
-                flows.push(FlowSpec {
-                    key: b,
-                    size_bytes: 2_000_000,
-                    start: at,
-                    max_rate_bps: None,
-                    cc_enabled: true,
-                });
+                flows.push(FlowSpec::new(b, 2_000_000, at));
             }
             // Victim: remote pod -> h_l, pinned through a0 (whose egress to
             // e0 gets paused by the burst backpressure). Moderately paced so
@@ -389,11 +406,8 @@ fn build_with_nav(
             let sp_v = pick(&topo, vic_src, h_l, &[a0], 800)?;
             let victim = FlowKey::roce(vic_src, h_l, sp_v);
             flows.push(FlowSpec {
-                key: victim,
-                size_bytes: 40_000_000,
-                start: Nanos::ZERO,
                 max_rate_bps: Some(30e9),
-                cc_enabled: true,
+                ..FlowSpec::new(victim, 40_000_000, Nanos::ZERO)
             });
             // Light mice into the incast target keep the replayed queue
             // asymmetric (the paper's congested ports always carry some
@@ -401,13 +415,11 @@ fn build_with_nav(
             let m_src = nav.hosts[vic_pod][0][0];
             let sp_m = pick(&topo, m_src, h_t, &[a0], 900)?;
             for i in 0..8u64 {
-                flows.push(FlowSpec {
-                    key: FlowKey::roce(m_src, h_t, sp_m + (i as u16) * 977),
-                    size_bytes: 64_000,
-                    start: at + Nanos::from_micros(15 * i),
-                    max_rate_bps: None,
-                    cc_enabled: true,
-                });
+                flows.push(FlowSpec::new(
+                    FlowKey::roce(m_src, h_t, sp_m + (i as u16) * 977),
+                    64_000,
+                    at + Nanos::from_micros(15 * i),
+                ));
             }
             let vic_path: Vec<NodeId> = topo
                 .flow_path(&victim)
@@ -426,7 +438,7 @@ fn build_with_nav(
                 victim,
                 causal_switches: causal,
                 anomaly_at: at,
-                initial_port: Some(nav.egress(&topo, e0, h_t)?),
+                initial_port: Some(topo.egress(e0, h_t)?),
             }
         }
 
@@ -446,13 +458,7 @@ fn build_with_nav(
             ));
             let sp_v = pick(&topo, vic_src, h_t, &[a0], 800)?;
             let victim = FlowKey::roce(vic_src, h_t, sp_v);
-            flows.push(FlowSpec {
-                key: victim,
-                size_bytes: 40_000_000,
-                start: Nanos::ZERO,
-                max_rate_bps: None,
-                cc_enabled: true,
-            });
+            flows.push(FlowSpec::new(victim, 40_000_000, Nanos::ZERO));
             let mut causal: Vec<NodeId> = topo
                 .flow_path(&victim)
                 .unwrap()
@@ -468,7 +474,7 @@ fn build_with_nav(
                 victim,
                 causal_switches: causal,
                 anomaly_at: at,
-                initial_port: Some(nav.egress(&topo, e0, h_t)?),
+                initial_port: Some(topo.egress(e0, h_t)?),
             }
         }
 
@@ -480,13 +486,13 @@ fn build_with_nav(
             //   dst h2: a1 -> e0, e0 -> a0   (a0 -> e1 -> h2 is normal)
             //   dst h1: a0 -> e1, e1 -> a1   (a1 -> e0 -> h1 is normal)
             let h1 = h_l;
-            let p_a1_e0 = nav.try_port_to(&topo, a1, e0)?;
+            let p_a1_e0 = topo.egress(a1, e0)?.port;
             topo.add_route_override(a1, h2, p_a1_e0);
-            let p_e0_a0 = nav.try_port_to(&topo, e0, a0)?;
+            let p_e0_a0 = topo.egress(e0, a0)?.port;
             topo.add_route_override(e0, h2, p_e0_a0);
-            let p_a0_e1 = nav.try_port_to(&topo, a0, e1)?;
+            let p_a0_e1 = topo.egress(a0, e1)?.port;
             topo.add_route_override(a0, h1, p_a0_e1);
-            let p_e1_a1 = nav.try_port_to(&topo, e1, a1)?;
+            let p_e1_a1 = topo.egress(e1, a1)?.port;
             topo.add_route_override(e1, h1, p_e1_a1);
 
             // Ring flows (rate-capped so the ring is loss-free pre-trigger):
@@ -500,8 +506,8 @@ fn build_with_nav(
             // Pin P through a0 and S through a1 with pod-1 overrides
             // (three-tier: edge→agg→core; two-tier: leaf→spine directly).
             let e_p1 = nav.edges[1][0];
-            nav.pin_ingress_via_agg(&mut topo, e_p1, h1, 1, 0, 0)?;
-            nav.pin_ingress_via_agg(&mut topo, e_p1, h2, 1, 1, 0)?;
+            pin_ingress_via_agg(&mut topo, &nav, e_p1, h1, 1, 0, 0)?;
+            pin_ingress_via_agg(&mut topo, &nav, e_p1, h2, 1, 1, 0)?;
 
             let ring_rate = Some(30e9);
             let q = FlowKey::roce(h_t, h2, 500);
@@ -514,19 +520,11 @@ fn build_with_nav(
             let ring_start = at.saturating_sub(Nanos::from_micros(450));
             for k in [q, p, s] {
                 flows.push(FlowSpec {
-                    key: k,
-                    size_bytes: 60_000_000,
-                    start: ring_start,
                     max_rate_bps: ring_rate,
                     cc_enabled: false,
+                    ..FlowSpec::new(k, 60_000_000, ring_start)
                 });
             }
-            let ring_ports = vec![
-                nav.egress(&topo, e0, a0)?,
-                nav.egress(&topo, a0, e1)?,
-                nav.egress(&topo, e1, a1)?,
-                nav.egress(&topo, a1, e0)?,
-            ];
             // Causally relevant switches (paper Fig. 11 semantics): the
             // victim's path plus the PFC spreading path — here the CBD
             // ring. The culprits' own source paths are upstream of the
@@ -545,24 +543,21 @@ fn build_with_nav(
                     let b2_src = nav.hosts[2][0][0];
                     let e_b1 = nav.edges[1][1];
                     let e_b2 = nav.edges[2][0];
-                    nav.pin_ingress_via_agg(&mut topo, e_b1, h3, 1, 0, 1)?;
-                    nav.pin_ingress_via_agg(&mut topo, e_b2, h3, 2, 0, 0)?;
+                    pin_ingress_via_agg(&mut topo, &nav, e_b1, h3, 1, 0, 1)?;
+                    pin_ingress_via_agg(&mut topo, &nav, e_b2, h3, 2, 0, 0)?;
                     let b1 = FlowKey::roce(b1_src, h3, 600);
                     let b2 = FlowKey::roce(b2_src, h3, 601);
                     for b in [b1, b2] {
                         flows.push(FlowSpec {
-                            key: b,
-                            size_bytes: 6_000_000,
-                            start: at,
-                            max_rate_bps: None,
                             cc_enabled: false,
+                            ..FlowSpec::new(b, 6_000_000, at)
                         });
                     }
                     (
                         AnomalyType::InLoopDeadlock,
                         vec![b1, b2],
                         None,
-                        nav.egress(&topo, a0, e1)?,
+                        topo.egress(a0, e1)?,
                     )
                 }
                 ScenarioKind::OutOfLoopDeadlockInjection => {
@@ -581,7 +576,7 @@ fn build_with_nav(
                     ));
                     let t_src = nav.hosts[1][1][0];
                     let e_t = nav.edges[1][1];
-                    nav.pin_ingress_via_agg(&mut topo, e_t, h3, 1, 0, 1)?;
+                    pin_ingress_via_agg(&mut topo, &nav, e_t, h3, 1, 0, 1)?;
                     let t = FlowKey::roce(t_src, h3, 600);
                     // Starts just after the injection (so every enqueue of T
                     // at the dead egress is a paused one — pure injection,
@@ -591,17 +586,14 @@ fn build_with_nav(
                     // egress; a large feeder would flood h3 with residual
                     // contention if the injector ever releases.
                     flows.push(FlowSpec {
-                        key: t,
-                        size_bytes: 600_000,
-                        start: at + Nanos::from_micros(20),
-                        max_rate_bps: None,
                         cc_enabled: false,
+                        ..FlowSpec::new(t, 600_000, at + Nanos::from_micros(20))
                     });
                     (
                         AnomalyType::OutOfLoopDeadlockInjection,
                         vec![],
                         Some(h3),
-                        nav.egress(&topo, e1, h3)?,
+                        topo.egress(e1, h3)?,
                     )
                 }
                 _ => {
@@ -616,30 +608,28 @@ fn build_with_nav(
                     let via_a1 = FlowKey::roce(r_src, h3, sp_r);
                     for k in [local, via_a1] {
                         flows.push(FlowSpec {
-                            key: k,
-                            size_bytes: 4_000_000,
-                            start: at,
-                            max_rate_bps: None,
                             cc_enabled: false,
+                            ..FlowSpec::new(k, 4_000_000, at)
                         });
                     }
                     let m_src = nav.hosts[1][1][0];
                     let e_t = nav.edges[1][1];
-                    nav.pin_ingress_via_agg(&mut topo, e_t, h3, 1, 0, 1)?;
+                    pin_ingress_via_agg(&mut topo, &nav, e_t, h3, 1, 0, 1)?;
                     for i in 0..30u64 {
                         flows.push(FlowSpec {
-                            key: FlowKey::roce(m_src, h3, 700 + i as u16),
-                            size_bytes: 64_000,
-                            start: at + Nanos::from_micros(10 * i),
-                            max_rate_bps: None,
                             cc_enabled: false,
+                            ..FlowSpec::new(
+                                FlowKey::roce(m_src, h3, 700 + i as u16),
+                                64_000,
+                                at + Nanos::from_micros(10 * i),
+                            )
                         });
                     }
                     (
                         AnomalyType::OutOfLoopDeadlockContention,
                         vec![local, via_a1],
                         None,
-                        nav.egress(&topo, e1, h3)?,
+                        topo.egress(e1, h3)?,
                     )
                 }
             };
@@ -647,8 +637,6 @@ fn build_with_nav(
             // The victim is one of the ring flows: Q stalls inside the CBD.
             causal.sort_unstable();
             causal.dedup();
-            let _ = at_us;
-            let _ = ring_ports;
             GroundTruth {
                 anomaly,
                 culprit_flows: culprits,
@@ -671,24 +659,15 @@ fn build_with_nav(
             let c2 = FlowKey::roce(h2, h_t, sp2);
             let c3 = FlowKey::roce(h3, h_t, sp3);
             for c in [c1, c2, c3] {
-                flows.push(FlowSpec {
-                    key: c,
-                    size_bytes: 3_000_000,
-                    start: at,
-                    max_rate_bps: None,
-                    cc_enabled: true,
-                });
+                flows.push(FlowSpec::new(c, 3_000_000, at));
             }
             // Victim: a modest earlier flow into h_t from pod 1, capped so
             // it is clearly a victim, not a contributor.
             let sp_v = pick(&topo, vic_src, h_t, &[a0], 800)?;
             let victim = FlowKey::roce(vic_src, h_t, sp_v);
             flows.push(FlowSpec {
-                key: victim,
-                size_bytes: 40_000_000,
-                start: Nanos::ZERO,
                 max_rate_bps: Some(20e9),
-                cc_enabled: true,
+                ..FlowSpec::new(victim, 40_000_000, Nanos::ZERO)
             });
             let mut causal: Vec<NodeId> = topo
                 .flow_path(&victim)
@@ -705,7 +684,7 @@ fn build_with_nav(
                 victim,
                 causal_switches: causal,
                 anomaly_at: at,
-                initial_port: Some(nav.egress(&topo, e0, h_t)?),
+                initial_port: Some(topo.egress(e0, h_t)?),
             }
         }
     };
@@ -737,6 +716,7 @@ fn build_with_nav(
     Ok(Scenario {
         kind,
         topo,
+        nav,
         flows,
         injectors,
         truth,
@@ -770,7 +750,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let nav = FatTreeNav::try_new(&s.topo, 4).unwrap();
+        let nav = &s.nav;
         let (e0, e1, a0, a1) = (
             nav.edges[0][0],
             nav.edges[0][1],
@@ -818,7 +798,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let nav = FatTreeNav::try_new(&s.topo, 4).unwrap();
+        let nav = &s.nav;
         let e0 = nav.edges[0][0];
         // The three culprits' last hops reach e0 via three distinct ingress
         // ports.
@@ -910,6 +890,36 @@ mod tests {
         // Both storms inject at the pod-0 incast target h_t = hosts[0][0][0],
         // which is h0 in both trees.
         assert_eq!(s4.truth.injection_host, s8.truth.injection_host);
+    }
+
+    #[test]
+    fn pin_ingress_creates_overrides_on_both_tiers() {
+        // Three-tier: edge and agg overrides.
+        let (mut topo, nav) = TopologySpec::FatTree { k: 4 }.build().unwrap();
+        let dst = nav.hosts[0][0][0];
+        let edge = nav.edges[1][0];
+        pin_ingress_via_agg(&mut topo, &nav, edge, dst, 1, 0, 1).unwrap();
+        let f = FlowKey::roce(nav.hosts[1][0][0], dst, 7);
+        let path = topo.flow_path(&f).unwrap();
+        // Path goes edge1_0 -> agg1_0 -> core1 -> agg0_0 -> edge0_0.
+        assert_eq!(path.len(), 5);
+        assert_eq!(path[1].0, nav.aggs[1][0]);
+        assert_eq!(path[2].0, nav.cores[1]);
+
+        // Two-tier: single leaf -> spine override.
+        let spec = TopologySpec::LeafSpine {
+            leaves: 8,
+            spines: 2,
+            hosts_per_leaf: 4,
+        };
+        let (mut topo, nav) = spec.build().unwrap();
+        let dst = nav.hosts[0][0][0];
+        let edge = nav.edges[1][0];
+        pin_ingress_via_agg(&mut topo, &nav, edge, dst, 1, 1, 0).unwrap();
+        let f = FlowKey::roce(nav.hosts[1][0][0], dst, 7);
+        let path = topo.flow_path(&f).unwrap();
+        assert_eq!(path.len(), 3);
+        assert_eq!(path[1].0, nav.aggs[1][1]);
     }
 
     #[test]

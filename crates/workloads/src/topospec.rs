@@ -8,8 +8,9 @@
 //! matrix, the golden file, and the fuzzer's mutation plans all traffic in
 //! them rather than in concrete `Topology` graphs.
 
-use crate::fattree::{FatTreeNav, NavError};
-use hawkeye_sim::{clos, leaf_spine, ClosConfig, Topology, EVAL_BANDWIDTH, EVAL_DELAY};
+use hawkeye_sim::{
+    clos, leaf_spine, ClosConfig, FatTreeNav, NavError, Topology, EVAL_BANDWIDTH, EVAL_DELAY,
+};
 use std::fmt;
 
 /// One topology the corpus can build scenarios on.
@@ -133,33 +134,18 @@ impl TopologySpec {
         }
     }
 
-    /// Build the concrete topology and its role navigation. Degenerate
-    /// dimensions surface as typed errors, not panics, so fuzzer-mutated
-    /// specs can be rejected gracefully.
+    /// Build the concrete topology and the roles its builder placed.
+    /// Degenerate dimensions surface as typed errors, not panics, so
+    /// fuzzer-mutated specs can be rejected gracefully.
     pub fn build(&self) -> Result<(Topology, FatTreeNav), NavError> {
-        match *self {
-            TopologySpec::FatTree { k } => {
-                let cfg = Self::checked_fat_tree(k, 0, 0, 1)?;
-                let topo = clos(&cfg);
-                let nav = FatTreeNav::try_clos(&topo, &cfg)?;
-                Ok((topo, nav))
-            }
-            TopologySpec::FatTreeDegraded { k, failed } => {
-                let cfg = Self::checked_fat_tree(k, failed, 0, 1)?;
-                let topo = clos(&cfg);
-                let nav = FatTreeNav::try_clos(&topo, &cfg)?;
-                Ok((topo, nav))
-            }
+        let cfg = match *self {
+            TopologySpec::FatTree { k } => Self::checked_fat_tree(k, 0, 0, 1)?,
+            TopologySpec::FatTreeDegraded { k, failed } => Self::checked_fat_tree(k, failed, 0, 1)?,
             TopologySpec::AsymClos {
                 k,
                 slow_pods,
                 slow_divisor,
-            } => {
-                let cfg = Self::checked_fat_tree(k, 0, slow_pods, slow_divisor)?;
-                let topo = clos(&cfg);
-                let nav = FatTreeNav::try_clos(&topo, &cfg)?;
-                Ok((topo, nav))
-            }
+            } => Self::checked_fat_tree(k, 0, slow_pods, slow_divisor)?,
             TopologySpec::LeafSpine {
                 leaves,
                 spines,
@@ -172,11 +158,16 @@ impl TopologySpec {
                         len: spines,
                     });
                 }
-                let topo = leaf_spine(leaves, spines, hosts_per_leaf, EVAL_BANDWIDTH, EVAL_DELAY);
-                let nav = FatTreeNav::try_leaf_spine(&topo, leaves, spines, hosts_per_leaf)?;
-                Ok((topo, nav))
+                return Ok(leaf_spine(
+                    leaves,
+                    spines,
+                    hosts_per_leaf,
+                    EVAL_BANDWIDTH,
+                    EVAL_DELAY,
+                ));
             }
-        }
+        };
+        Ok(clos(&cfg))
     }
 
     fn checked_fat_tree(

@@ -5,11 +5,11 @@
 //!
 //! Run: `cargo run --release --example deadlock_diagnosis`
 
-use hawkeye::core::{analyze_victim_window, AnalyzerConfig, HawkeyeConfig, HawkeyeHook, Window};
+use hawkeye::core::{analyze_victim_window, HawkeyeConfig, HawkeyeHook};
 use hawkeye::eval::optimal_run_config;
 use hawkeye::sim::Nanos;
 use hawkeye::telemetry::TelemetryConfig;
-use hawkeye::workloads::{build_scenario, FatTreeNav, Scenario, ScenarioKind, ScenarioParams};
+use hawkeye::workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
 fn main() {
     let sc = build_scenario(
@@ -19,19 +19,15 @@ fn main() {
             ..Default::default()
         },
     );
-    let nav = FatTreeNav::try_new(&sc.topo, 4).expect("a K=4 fat-tree");
+    let nav = &sc.nav;
     let (e0, e1, a0, a1) = (
         nav.edges[0][0],
         nav.edges[0][1],
         nav.aggs[0][0],
         nav.aggs[0][1],
     );
-    let ring = [
-        ("e0->a0", nav.egress(&sc.topo, e0, a0).expect("a ring link")),
-        ("a0->e1", nav.egress(&sc.topo, a0, e1).expect("a ring link")),
-        ("e1->a1", nav.egress(&sc.topo, e1, a1).expect("a ring link")),
-        ("a1->e0", nav.egress(&sc.topo, a1, e0).expect("a ring link")),
-    ];
+    let ring = [(e0, a0), (a0, e1), (e1, a1), (a1, e0)]
+        .map(|(from, to)| sc.topo.egress(from, to).expect("a ring link"));
 
     let run = optimal_run_config(1);
     let hook = HawkeyeHook::new(
@@ -46,7 +42,7 @@ fn main() {
     );
     let mut agent = Scenario::agent(2.0);
     agent.dedup_interval = Nanos::from_micros(400);
-    let mut sim = sc.instantiate_seeded(1, agent, hook);
+    let mut sim = sc.instantiate_faulted(run.sim_seed, agent, hook, run.faults);
 
     println!("cyclic buffer dependency: e0 -> a0 -> e1 -> a1 -> e0 (route overrides)");
     println!(
@@ -59,7 +55,7 @@ fn main() {
         sim.run_until(t);
         let cells: Vec<String> = ring
             .iter()
-            .map(|(_, p)| {
+            .map(|p| {
                 let sw = sim.switch(p.node);
                 format!(
                     "{}q{:<4}",
@@ -76,25 +72,15 @@ fn main() {
     }
     sim.run_until(sc.params.duration);
 
-    let dets = sim.detections();
-    let vdets: Vec<_> = dets
-        .iter()
-        .filter(|d| d.key == sc.truth.victim && d.at >= sc.truth.anomaly_at)
-        .collect();
-    let (first, last) = (vdets.first().expect("victim stalls"), vdets.last().unwrap());
-    let analyzer = AnalyzerConfig::for_epoch_len(run.epoch.epoch_len());
-    let window = Window {
-        from: first.at.saturating_sub(Nanos(
-            run.epoch.epoch_len().as_nanos() * analyzer.lookback_epochs,
-        )),
-        to: last.at + run.epoch.epoch_len(),
-    };
+    let window = run
+        .victim_window(&sc, &sim.detections())
+        .expect("victim stalls");
     let (report, _, _) = analyze_victim_window(
         &sc.truth.victim,
         window,
         &sim.hook.collector.snapshots(),
         sim.topo(),
-        &analyzer,
+        &run.analyzer(),
     );
     println!("\ndiagnosis: {:?}", report.anomaly);
     if let Some(lp) = &report.deadlock_loop {

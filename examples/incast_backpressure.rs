@@ -5,11 +5,9 @@
 //!
 //! Run: `cargo run --release --example incast_backpressure [--dot]`
 
-use hawkeye::core::{analyze_victim_window, AnalyzerConfig, HawkeyeConfig, HawkeyeHook, Window};
-use hawkeye::eval::optimal_run_config;
-use hawkeye::sim::Nanos;
-use hawkeye::telemetry::TelemetryConfig;
-use hawkeye::workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
+use hawkeye::core::{analyze_victim_window, HawkeyeHook};
+use hawkeye::eval::{optimal_run_config, simulate};
+use hawkeye::workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn main() {
     let want_dot = std::env::args().any(|a| a == "--dot");
@@ -31,20 +29,7 @@ fn main() {
     );
 
     let run = optimal_run_config(1);
-    let hook = HawkeyeHook::new(
-        &sc.topo,
-        HawkeyeConfig {
-            telemetry: TelemetryConfig {
-                epochs: run.epoch,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let mut agent = Scenario::agent(2.0);
-    agent.dedup_interval = Nanos::from_micros(400);
-    let mut sim = sc.instantiate_seeded(1, agent, hook);
-    sim.run_until(sc.params.duration);
+    let sim = simulate(&sc, &run, |cfg| HawkeyeHook::new(&sc.topo, cfg));
 
     let dets = sim.detections();
     let vdets: Vec<_> = dets
@@ -54,19 +39,13 @@ fn main() {
     let (first, last) = (vdets.first().expect("detected"), vdets.last().unwrap());
     println!("victim detections: first {} last {}", first.at, last.at);
 
-    let analyzer = AnalyzerConfig::for_epoch_len(run.epoch.epoch_len());
-    let window = Window {
-        from: first.at.saturating_sub(Nanos(
-            run.epoch.epoch_len().as_nanos() * analyzer.lookback_epochs,
-        )),
-        to: last.at + run.epoch.epoch_len(),
-    };
+    let window = run.victim_window(&sc, &dets).expect("detected");
     let (report, graph, _) = analyze_victim_window(
         &sc.truth.victim,
         window,
         &sim.hook.collector.snapshots(),
         sim.topo(),
-        &analyzer,
+        &run.analyzer(),
     );
 
     println!("\ndiagnosis: {:?}", report.anomaly);

@@ -11,7 +11,7 @@
 
 use hawkeye::core::{analyze_victim_window, AnalyzerConfig, HawkeyeConfig, HawkeyeHook};
 use hawkeye::core::{RootCause, Window};
-use hawkeye::sim::{chain, AgentConfig, FlowKey, Nanos, SimConfig, Simulator};
+use hawkeye::sim::{chain, AgentConfig, FlowKey, FlowSpec, Nanos, SimConfig, Simulator};
 use hawkeye::sim::{EVAL_BANDWIDTH, EVAL_DELAY};
 use hawkeye::telemetry::{EpochConfig, TelemetryConfig};
 
@@ -46,16 +46,16 @@ fn main() {
 
     // The victim: a long flow crossing both inter-switch links.
     let victim = FlowKey::roce(hosts[0], hosts[14], 100);
-    sim.add_flow(victim, 20_000_000, Nanos::ZERO);
+    sim.add_flow(FlowSpec::new(victim, 20_000_000, Nanos::ZERO));
     // Light through-traffic toward the soon-to-be-congested port.
     for i in 0..40u64 {
         let key = FlowKey::roce(hosts[1], hosts[10], 300 + i as u16);
-        sim.add_flow(key, 64_000, Nanos::from_micros(700 + 15 * i));
+        sim.add_flow(FlowSpec::new(key, 64_000, Nanos::from_micros(700 + 15 * i)));
     }
     // The culprits: synchronized bursts into h10 from its own rack.
     for i in 0..3u16 {
         let key = FlowKey::roce(hosts[11 + i as usize], hosts[10], 200 + i);
-        sim.add_flow(key, 2_000_000, Nanos::from_micros(800));
+        sim.add_flow(FlowSpec::new(key, 2_000_000, Nanos::from_micros(800)));
     }
 
     sim.run_until(Nanos::from_millis(3));

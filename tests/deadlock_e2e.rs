@@ -4,7 +4,7 @@
 
 use hawkeye::core::{AnomalyType, RootCause};
 use hawkeye::eval::{optimal_run_config, run_method, Method, ScoreConfig, Verdict};
-use hawkeye::workloads::{build_scenario, FatTreeNav, ScenarioKind, ScenarioParams};
+use hawkeye::workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn run(kind: ScenarioKind) -> (hawkeye::workloads::Scenario, hawkeye::eval::RunOutcome) {
     let sc = build_scenario(
@@ -38,17 +38,14 @@ fn in_loop_deadlock_full_pipeline() {
     // The reported loop is exactly the pod-0 CBD ring.
     let lp = report.deadlock_loop.clone().expect("loop found");
     assert_eq!(lp.len(), 4);
-    let nav = FatTreeNav::try_new(&sc.topo, 4).unwrap();
-    let ring = [
-        nav.egress(&sc.topo, nav.edges[0][0], nav.aggs[0][0])
-            .unwrap(),
-        nav.egress(&sc.topo, nav.aggs[0][0], nav.edges[0][1])
-            .unwrap(),
-        nav.egress(&sc.topo, nav.edges[0][1], nav.aggs[0][1])
-            .unwrap(),
-        nav.egress(&sc.topo, nav.aggs[0][1], nav.edges[0][0])
-            .unwrap(),
-    ];
+    let nav = &sc.nav;
+    let (e0, e1, a0, a1) = (
+        nav.edges[0][0],
+        nav.edges[0][1],
+        nav.aggs[0][0],
+        nav.aggs[0][1],
+    );
+    let ring = [(e0, a0), (a0, e1), (e1, a1), (a1, e0)].map(|(a, b)| sc.topo.egress(a, b).unwrap());
     for p in &ring {
         assert!(lp.contains(p), "{p} missing from loop {lp:?}");
     }

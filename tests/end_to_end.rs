@@ -11,8 +11,8 @@ use hawkeye::core::{
     HawkeyeHook, ProvenanceGraph, RootCause, Window,
 };
 use hawkeye::sim::{
-    chain, AgentConfig, Detection, FlowKey, Nanos, PfcInjectorConfig, SimConfig, Simulator,
-    Topology, EVAL_BANDWIDTH, EVAL_DELAY,
+    chain, AgentConfig, Detection, FlowKey, FlowSpec, Nanos, PfcInjectorConfig, SimConfig,
+    Simulator, Topology, EVAL_BANDWIDTH, EVAL_DELAY,
 };
 use hawkeye::telemetry::{EpochConfig, TelemetryConfig, TelemetrySnapshot};
 
@@ -81,14 +81,18 @@ fn incast_backpressure_diagnosed_end_to_end() {
 
     // Victim: h0 (sw0) -> h14 (sw2).
     let victim = FlowKey::roce(hosts[0], hosts[14], 100);
-    sim.add_flow(victim, 20_000_000, Nanos::ZERO);
+    sim.add_flow(FlowSpec::new(victim, 20_000_000, Nanos::ZERO));
     // Light through-traffic: mice from h1 (sw0) into the incast target.
     // These spread the PFC upstream without dominating the congested queue.
     let mice: Vec<FlowKey> = (0..40)
         .map(|i| FlowKey::roce(hosts[1], hosts[10], 300 + i as u16))
         .collect();
     for (i, m) in mice.iter().enumerate() {
-        sim.add_flow(*m, 64_000, Nanos::from_micros(700 + 15 * i as u64));
+        sim.add_flow(FlowSpec::new(
+            *m,
+            64_000,
+            Nanos::from_micros(700 + 15 * i as u64),
+        ));
     }
     // Synchronized bursts from sw2's own hosts into h10 (the Fig. 1(a)
     // pattern: culprits attach directly to the last switch).
@@ -96,7 +100,7 @@ fn incast_backpressure_diagnosed_end_to_end() {
         .map(|i| FlowKey::roce(hosts[11 + i], hosts[10], 200 + i as u16))
         .collect();
     for b in &bursts {
-        sim.add_flow(*b, 2_000_000, Nanos::from_micros(800));
+        sim.add_flow(FlowSpec::new(*b, 2_000_000, Nanos::from_micros(800)));
     }
 
     sim.run_until(Nanos::from_millis(3));
@@ -181,7 +185,7 @@ fn pfc_storm_diagnosed_end_to_end() {
     );
     // Victim: h0 (sw0) -> h8 (sw2), right into the storm.
     let victim = FlowKey::roce(hosts[0], hosts[8], 100);
-    sim.add_flow(victim, 2_000_000, Nanos::ZERO);
+    sim.add_flow(FlowSpec::new(victim, 2_000_000, Nanos::ZERO));
 
     sim.run_until(Nanos::from_millis(2));
 

@@ -5,13 +5,14 @@ use hawkeye::core::{
     analyze_victim_window, AnalyzerConfig, AnomalyType, HawkeyeConfig, HawkeyeHook, Window,
 };
 use hawkeye::sim::{
-    leaf_spine, AgentConfig, FlowKey, Nanos, SimConfig, Simulator, EVAL_BANDWIDTH, EVAL_DELAY,
+    leaf_spine, AgentConfig, FlowKey, FlowSpec, Nanos, SimConfig, Simulator, EVAL_BANDWIDTH,
+    EVAL_DELAY,
 };
 use hawkeye::telemetry::{EpochConfig, TelemetryConfig};
 
 #[test]
 fn incast_backpressure_on_leaf_spine() {
-    let topo = leaf_spine(4, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY);
+    let (topo, _) = leaf_spine(4, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY);
     let hosts: Vec<_> = topo.hosts().collect();
     let epoch = EpochConfig::for_epoch_len(Nanos::from_micros(100), 2);
     let hook = HawkeyeHook::new(
@@ -36,22 +37,22 @@ fn incast_backpressure_on_leaf_spine() {
 
     // Victim: leaf0 host -> leaf1 host (never touches the incast target).
     let victim = FlowKey::roce(hosts[0], hosts[7], 100);
-    sim.add_flow(victim, 20_000_000, Nanos::ZERO);
+    sim.add_flow(FlowSpec::new(victim, 20_000_000, Nanos::ZERO));
     // Mice through the same spine path into the incast target h4 (leaf1).
     for i in 0..40u64 {
-        sim.add_flow(
+        sim.add_flow(FlowSpec::new(
             FlowKey::roce(hosts[1], hosts[4], 300 + i as u16),
             64_000,
             Nanos::from_micros(700 + 15 * i),
-        );
+        ));
     }
     // Local bursts into h4 from leaf1's other hosts.
     for i in 0..3u16 {
-        sim.add_flow(
+        sim.add_flow(FlowSpec::new(
             FlowKey::roce(hosts[5 + i as usize], hosts[4], 200 + i),
             2_000_000,
             Nanos::from_micros(800),
-        );
+        ));
     }
     sim.run_until(Nanos::from_millis(3));
 

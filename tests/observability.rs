@@ -72,7 +72,7 @@ fn run_bare_faulted(sc: &Scenario, faults: FaultPlan, retry: bool) -> (Run, Faul
 
 fn run_observed(sc: &Scenario, cfg: ObsConfig) -> Run {
     let hook = ObservedHook::new(HawkeyeHook::new(&sc.topo, hcfg()), cfg);
-    let mut sim = sc.instantiate_seeded(1, Scenario::agent(2.0), hook);
+    let mut sim = sc.instantiate_faulted(1, Scenario::agent(2.0), hook, FaultPlan::none());
     sim.run_until(sc.params.duration);
     Run {
         detections: sim.detections(),

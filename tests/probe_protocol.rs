@@ -3,7 +3,7 @@
 //! collection dedup.
 
 use hawkeye::core::{HawkeyeConfig, HawkeyeHook};
-use hawkeye::sim::Nanos;
+use hawkeye::sim::{FaultPlan, Nanos};
 use hawkeye::telemetry::{EpochConfig, TelemetryConfig};
 use hawkeye::workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
@@ -27,7 +27,7 @@ fn run(kind: ScenarioKind) -> hawkeye::sim::Simulator<HawkeyeHook> {
     );
     let mut agent = Scenario::agent(2.0);
     agent.dedup_interval = Nanos::from_micros(400);
-    let mut sim = sc.instantiate_seeded(1, agent, hook);
+    let mut sim = sc.instantiate_faulted(1, agent, hook, FaultPlan::none());
     sim.run_until(sc.params.duration);
     sim
 }

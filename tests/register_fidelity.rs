@@ -6,7 +6,7 @@
 
 use hawkeye::core::{HawkeyeConfig, HawkeyeHook};
 use hawkeye::sim::{
-    EnqueueRecord, Nanos, NodeId, PfcEvent, Probe, ProbeDecision, SwitchHook, SwitchView,
+    EnqueueRecord, FaultPlan, Nanos, NodeId, PfcEvent, Probe, ProbeDecision, SwitchHook, SwitchView,
 };
 use hawkeye::workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
@@ -70,7 +70,7 @@ fn pfc_status_registers_match_ground_truth() {
             checked: 0,
             paused_seen: 0,
         };
-        let mut sim = sc.instantiate_seeded(1, Scenario::agent(2.0), hook);
+        let mut sim = sc.instantiate_faulted(1, Scenario::agent(2.0), hook, FaultPlan::none());
         sim.run_until(sc.params.duration);
         assert!(sim.hook.checked > 10_000, "checked {}", sim.hook.checked);
         assert!(
