@@ -63,11 +63,6 @@ impl Method {
         }
     }
 
-    /// Does this method see PFC (paused counts, port status, meters)?
-    pub fn pfc_visibility(self) -> bool {
-        !matches!(self, Method::SpiderMon | Method::NetSight)
-    }
-
     /// Does this method's collection cover the whole network per trigger?
     pub fn collects_everything(self) -> bool {
         matches!(self, Method::FullPolling | Method::NetSight)
@@ -85,10 +80,6 @@ mod tests {
 
     #[test]
     fn visibility_matrix() {
-        assert!(Method::Hawkeye.pfc_visibility());
-        assert!(Method::PortOnly.pfc_visibility());
-        assert!(!Method::SpiderMon.pfc_visibility());
-        assert!(!Method::NetSight.pfc_visibility());
         assert!(Method::FullPolling.collects_everything());
         assert!(Method::NetSight.collects_everything());
         assert!(!Method::Hawkeye.collects_everything());

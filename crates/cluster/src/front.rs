@@ -1,7 +1,8 @@
 //! `hawkeye front` — the stateless routing front-end of a sharded fleet.
 //!
-//! A front-end speaks the exact same frame protocol as a shard daemon, so
-//! every existing client (the CLI's replay modes, `serve-stats`, the
+//! A front-end is the same frame service as a shard daemon — one
+//! [`FrameService`] and its session loop, with the request handler below —
+//! so every existing client (the CLI's replay modes, `serve-stats`, the
 //! streaming sink) points at it unchanged. It holds no telemetry itself:
 //!
 //! * **Ingest** (`IngestBatch`) is split by switch id through the
@@ -25,12 +26,11 @@
 //! caller rather than laundering it into a generic failure.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 
 use hawkeye_client::proto::{check_evidence, FOREIGN_EVIDENCE_PREFIX, WRONG_SHARD_PREFIX};
-use hawkeye_client::{AnyStream, DiagnoseParams, ProtoError, Request, Response, ServeClient};
+use hawkeye_client::{DiagnoseParams, ProtoError, Request, Response, ServeClient};
 use hawkeye_core::{analyze_victim_window, merge_fragment_sets, AnalyzerConfig, Window};
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
@@ -38,8 +38,8 @@ use hawkeye_obs::names::{
     INGEST_WRONG_SHARD, OP_DIAGNOSE_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS,
     OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
 };
-use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry};
-use hawkeye_serve::listen::{accept_loop, serve_session, FLIGHT_CAPACITY};
+use hawkeye_obs::MetricKey;
+use hawkeye_serve::listen::{Answer, FrameService, ServiceHandle};
 use hawkeye_serve::Endpoint;
 use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::TelemetrySnapshot;
@@ -86,33 +86,14 @@ impl Backend {
     }
 }
 
+/// What every front session sees: the fabric, the map, the backend slots
+/// and the frame service (stop flag, registry, flight ring).
 struct FrontShared {
     topo: Topology,
     map: ShardMap,
     cfg: FrontConfig,
     backends: Vec<Mutex<Backend>>,
-    metrics: Mutex<MetricsRegistry>,
-    flight: Mutex<FlightRecorder>,
-    stop: AtomicBool,
-}
-
-/// A registry pre-seeded with the front-end's well-known counters so
-/// `Stats` reports them all even at zero (same convention as the daemon).
-fn seeded_front_registry() -> MetricsRegistry {
-    let mut m = MetricsRegistry::default();
-    for name in [
-        EPOCHS_INGESTED,
-        INGEST_SHED,
-        SERVE_SESSIONS,
-        INGEST_BATCHES,
-        SLOW_OPS,
-        INGEST_WRONG_SHARD,
-        FRONT_SHED_DOWN,
-    ] {
-        m.add(MetricKey::global(name), 0);
-    }
-    m.set(MetricKey::global(FRONT_BACKENDS_DOWN), 0.0);
-    m
+    service: Arc<FrameService>,
 }
 
 /// Re-emit a backend failure to the front's own caller without losing the
@@ -127,20 +108,6 @@ fn error_response(e: &ProtoError) -> Response {
 }
 
 impl FrontShared {
-    fn inc(&self, name: &'static str) {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .inc(MetricKey::global(name));
-    }
-
-    fn add(&self, name: &'static str, by: u64) {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .add(MetricKey::global(name), by);
-    }
-
     /// Run one operation against backend `i`, connecting lazily. An I/O
     /// failure marks the slot down, drops the connection and lands in the
     /// flight ring; the next call probes for a recovered daemon with a
@@ -165,7 +132,7 @@ impl FrontShared {
         drop(slot);
         if down {
             if let Err(e) = &result {
-                self.flight.lock().expect("flight lock").note(
+                self.service.note(
                     flight_kind::ERROR,
                     "backend_down",
                     format!("shard {i} ({range}): {e}"),
@@ -182,7 +149,8 @@ impl FrontShared {
             .iter()
             .filter(|b| b.lock().expect("backend lock").down)
             .count();
-        self.metrics
+        self.service
+            .metrics
             .lock()
             .expect("metrics lock")
             .set(MetricKey::global(FRONT_BACKENDS_DOWN), down as f64);
@@ -192,7 +160,8 @@ impl FrontShared {
     /// snapshot by owner) and forward each, pipelined under that backend's
     /// own credit window. The ack is optimistic for forwarded snapshots —
     /// acceptance settles inside each backend client as its acks arrive,
-    /// and the keep-latest store dedup makes any replay idempotent. An
+    /// and the keep-latest store dedup makes any replay idempotent — and
+    /// `epochs_ingested` counts their epochs, as each backend's does. An
     /// unreachable owner degrades, never fails: its snapshots are counted
     /// as `shed` and will surface as Degraded confidence.
     fn route_batch(&self, snaps: Vec<TelemetrySnapshot>) -> Response {
@@ -204,7 +173,7 @@ impl FrontShared {
         groups.resize_with(self.backends.len(), Vec::new);
         for snap in snaps {
             let Some(owner) = self.map.owner_of(snap.switch) else {
-                self.inc(INGEST_WRONG_SHARD);
+                self.service.add(INGEST_WRONG_SHARD, 1);
                 return Response::Error(format!(
                     "{WRONG_SHARD_PREFIX} switch {} in batch is not in the shard map (epoch {})",
                     snap.switch.0, self.map.epoch
@@ -213,6 +182,7 @@ impl FrontShared {
             groups[owner].push(snap);
         }
         let mut accepted = 0u32;
+        let mut epochs = 0u64;
         let mut shed = 0u32;
         for (i, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
@@ -220,19 +190,22 @@ impl FrontShared {
             }
             let n = group.len() as u32;
             match self.with_backend(i, |c| c.ingest_batch(&group)) {
-                Ok(_settled) => accepted += n,
+                Ok(_settled) => {
+                    accepted += n;
+                    epochs += group.iter().map(|s| s.epochs.len() as u64).sum::<u64>();
+                }
                 Err(ProtoError::Io(_)) => {
                     shed += n;
-                    self.add(FRONT_SHED_DOWN, u64::from(n));
+                    self.service.add(FRONT_SHED_DOWN, u64::from(n));
                 }
                 Err(e) => return error_response(&e),
             }
         }
-        self.add(EPOCHS_INGESTED, u64::from(accepted));
+        self.service.add(EPOCHS_INGESTED, epochs);
         if shed > 0 {
-            self.add(INGEST_SHED, u64::from(shed));
+            self.service.add(INGEST_SHED, u64::from(shed));
         }
-        self.inc(INGEST_BATCHES);
+        self.service.add(INGEST_BATCHES, 1);
         Response::BatchAck { accepted, shed }
     }
 
@@ -368,13 +341,7 @@ impl FrontShared {
             })
             .collect();
         self.publish_down_gauge();
-        let m = self.metrics.lock().expect("metrics lock");
-        let mut fields: Vec<(String, serde::Value)> = m
-            .counter_names()
-            .into_iter()
-            .map(|name| (name.to_string(), serde::Value::UInt(m.counter_total(name))))
-            .collect();
-        drop(m);
+        let mut fields = self.service.counter_fields();
         fields.push(("front_map_epoch".into(), serde::Value::UInt(self.map.epoch)));
         fields.push((
             "front_shards".into(),
@@ -384,32 +351,18 @@ impl FrontShared {
         Response::Stats(serde::Value::Object(fields))
     }
 
-    fn metrics_response(&self) -> Response {
-        let snap = self.metrics.lock().expect("metrics lock").snapshot();
-        let flight = self.flight.lock().expect("flight lock").to_value();
-        Response::Metrics(serde::Value::Object(vec![
-            ("metrics".into(), hawkeye_obs::emit::metrics_value(&snap)),
-            ("flight".into(), flight),
-        ]))
-    }
-}
-
-/// One client connection. `Shutdown` raises the *front's* stop flag only:
-/// the shard daemons are owned by whoever spawned them and keep serving.
-fn session(shared: Arc<FrontShared>, stream: AnyStream) {
-    serve_session(
-        stream,
-        &shared.stop,
-        &shared.metrics,
-        Some(&shared.flight),
-        Some(shared.map.epoch),
-        |req, _body| match req {
-            Request::IngestBatch(snaps) => (Some(OP_INGEST_BATCH_NS), shared.route_batch(snaps)),
-            Request::Diagnose(p) => (Some(OP_DIAGNOSE_NS), shared.diagnose(&p)),
-            Request::Fragments(window) => (Some(OP_FRAGMENTS_NS), shared.fragments(window)),
-            Request::FlowHistory(key) => (Some(OP_FLOW_HISTORY_NS), shared.flow_history(key)),
-            Request::Stats => (Some(OP_STATS_NS), shared.stats()),
-            Request::Metrics => (Some(OP_METRICS_NS), shared.metrics_response()),
+    /// The front's request handler: everything but `Hello` and `Shutdown`,
+    /// which the service's session loop answers itself. `Shutdown` raises
+    /// the *front's* stop flag only: the shard daemons are owned by
+    /// whoever spawned them and keep serving.
+    fn handle(&self, req: Request) -> Answer {
+        match req {
+            Request::IngestBatch(snaps) => (Some(OP_INGEST_BATCH_NS), self.route_batch(snaps)),
+            Request::Diagnose(p) => (Some(OP_DIAGNOSE_NS), self.diagnose(&p)),
+            Request::Fragments(window) => (Some(OP_FRAGMENTS_NS), self.fragments(window)),
+            Request::FlowHistory(key) => (Some(OP_FLOW_HISTORY_NS), self.flow_history(key)),
+            Request::Stats => (Some(OP_STATS_NS), self.stats()),
+            Request::Metrics => (Some(OP_METRICS_NS), self.service.metrics_response()),
             // The audit trail lives where verdicts are journaled — on the
             // shard daemons. A front-end verdict is assembled from
             // fragments and journaled nowhere (the front is stateless),
@@ -422,44 +375,20 @@ fn session(shared: Arc<FrontShared>, stream: AnyStream) {
                 ),
             ),
             Request::Hello { .. } | Request::Shutdown => {
-                unreachable!("answered by serve_session")
+                unreachable!("answered by the session loop")
             }
-        },
-    );
-}
-
-/// A running front-end; dropping the handle does NOT stop it — call
-/// [`FrontHandle::shutdown`].
-pub struct FrontHandle {
-    shared: Arc<FrontShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    /// Bound TCP address when listening on TCP (for port-0 binds).
-    pub local_addr: Option<std::net::SocketAddr>,
-}
-
-impl FrontHandle {
-    /// Signal stop and join every front thread. Backend daemons keep
-    /// running.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Block until a `Shutdown` request stops the front — the foreground
-    /// `hawkeye front` mode.
-    pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
         }
     }
 }
+
+/// A running front-end: the frame service's handle (backend daemons keep
+/// running after its `shutdown`).
+pub type FrontHandle = ServiceHandle;
 
 /// Start the front-end on `endpoint`, routing by `map` over `topo`.
 /// Returns once the listener is bound; serving continues on background
 /// threads until a `Shutdown` request arrives or
-/// [`FrontHandle::shutdown`] is called. Backend daemons are dialed
+/// [`ServiceHandle::shutdown`] is called. Backend daemons are dialed
 /// lazily, on the first operation that needs each one — a fleet can be
 /// brought up in any order.
 pub fn spawn_front(
@@ -469,7 +398,6 @@ pub fn spawn_front(
     endpoint: Endpoint,
 ) -> io::Result<FrontHandle> {
     let listener = endpoint.bind()?;
-    let local_addr = listener.local_addr();
     let backends = map
         .shards
         .iter()
@@ -482,36 +410,35 @@ pub fn spawn_front(
             })
         })
         .collect();
+    let service = Arc::new(FrameService::new(
+        Some(map.epoch),
+        &[
+            EPOCHS_INGESTED,
+            INGEST_SHED,
+            SERVE_SESSIONS,
+            INGEST_BATCHES,
+            SLOW_OPS,
+            INGEST_WRONG_SHARD,
+            FRONT_SHED_DOWN,
+        ],
+    ));
     let shared = Arc::new(FrontShared {
         topo,
         map,
         cfg,
         backends,
-        metrics: Mutex::new(seeded_front_registry()),
-        flight: Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)),
-        stop: AtomicBool::new(false),
+        service: Arc::clone(&service),
     });
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = thread::Builder::new()
-        .name("hawkeye-front-accept".into())
-        .spawn(move || {
-            accept_loop(
-                &listener,
-                &accept_shared.stop,
-                "hawkeye-front-session",
-                || {},
-                |stream| {
-                    let sh = Arc::clone(&accept_shared);
-                    move || session(sh, stream)
-                },
-            );
-            // Dropping the listener removes a unix socket file.
-            drop(listener);
-        })
-        .expect("spawn front accept loop");
-    Ok(FrontHandle {
-        shared,
-        accept_thread: Some(accept_thread),
-        local_addr,
-    })
+    shared.publish_down_gauge();
+    Ok(service.serve(
+        listener,
+        ["hawkeye-front-accept", "hawkeye-front-session"],
+        || {},
+        move || {
+            let shared = Arc::clone(&shared);
+            move |req, _body: &mut Vec<u8>| shared.handle(req)
+        },
+        || {},
+        (),
+    ))
 }

@@ -237,6 +237,64 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
     }
 }
 
+/// The front's `epochs_ingested` counts what its name says, as a daemon
+/// does: the epochs of the snapshots it forwarded — after a replay through
+/// a front over two shards, the sum of its backends' counts, which is more
+/// than the number of snapshots.
+#[test]
+fn front_counts_epochs_as_its_backends_do() {
+    let sc = incast();
+    let seed = 1;
+    let epoch = 2;
+    let ranges = split_ranges(max_switch_id(&sc) + 1, 2, epoch);
+    let (handles, map) = spawn_fleet(&sc, &ranges, seed, epoch);
+    let front = spawn_front(
+        sc.topo.clone(),
+        map,
+        FrontConfig {
+            analyzer: analyzer(seed),
+        },
+        Endpoint::Tcp("127.0.0.1:0".into()),
+    )
+    .expect("bind front");
+    let client =
+        ServeClient::connect_tcp(&front.local_addr.expect("addr").to_string()).expect("connect");
+    let (out, mut client) = replay_streaming(&sc, &optimal_run_config(seed), client);
+    assert_eq!(out.stream.shed, 0, "healthy fleet shed: {:?}", out.stream);
+
+    let stats = client.stats().expect("front stats");
+    let count = |v: &serde::Value| {
+        v.get("epochs_ingested")
+            .and_then(|n| n.as_u64())
+            .expect("epochs_ingested reported")
+    };
+    let backends = stats
+        .get("backends")
+        .and_then(|b| b.as_array())
+        .expect("per-backend stats");
+    assert_eq!(backends.len(), 2);
+    let held: Vec<u64> = backends.iter().map(count).collect();
+    assert!(
+        held.iter().all(|&n| n > 0),
+        "a shard held nothing: {held:?}"
+    );
+    assert_eq!(
+        count(&stats),
+        held.iter().sum::<u64>(),
+        "front epochs_ingested != its backends' sum: {stats:?}"
+    );
+    assert!(
+        count(&stats) > out.stream.pushed,
+        "epochs counted as snapshots: {stats:?}"
+    );
+
+    client.shutdown().expect("front shutdown");
+    front.wait();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
 /// Kill one of three shard daemons mid-replay: streaming must keep going
 /// (sheds, not errors), and Diagnose must return an explicit Degraded
 /// verdict naming the dead shard's switches — never panic, never fail.

@@ -32,15 +32,6 @@ pub enum AnomalyType {
 }
 
 impl AnomalyType {
-    pub fn is_deadlock(self) -> bool {
-        matches!(
-            self,
-            AnomalyType::InLoopDeadlock
-                | AnomalyType::OutOfLoopDeadlockContention
-                | AnomalyType::OutOfLoopDeadlockInjection
-        )
-    }
-
     /// Whether the verdict names an anomaly at all.
     pub(crate) fn is_anomaly(self) -> bool {
         self != AnomalyType::NoAnomaly
@@ -865,7 +856,6 @@ mod tests {
         let r = diagnose(&g, &topo, &agg, &fkey(1), DiagnosisConfig::default());
         assert_eq!(r.anomaly, AnomalyType::OutOfLoopDeadlockContention);
         assert_eq!(r.root_cause_flows(), vec![fkey(10)]);
-        assert!(r.anomaly.is_deadlock());
 
         let g = graph_out_of_loop_deadlock(&topo, false);
         let r = diagnose(&g, &topo, &agg, &fkey(1), DiagnosisConfig::default());

@@ -60,11 +60,6 @@ impl Tracer {
         self.buf.iter()
     }
 
-    /// Records of one [`kind`] bit, oldest first.
-    pub fn records_of(&self, k: u32) -> impl Iterator<Item = &TraceRecord> + '_ {
-        self.buf.iter().filter(move |r| r.event.kind() & k != 0)
-    }
-
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -144,23 +139,5 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
         assert!(!t.wants(kind::PFC));
-    }
-
-    #[test]
-    fn records_of_filters() {
-        let mut t = Tracer::new(8);
-        t.record(1, resume(0));
-        t.record(
-            2,
-            TraceEvent::Detection {
-                victim_src: 0,
-                victim_dst: 1,
-                victim_sport: 5,
-                rtt_ns: 9,
-            },
-        );
-        assert_eq!(t.records_of(kind::PFC).count(), 1);
-        assert_eq!(t.records_of(kind::DETECTION).count(), 1);
-        assert_eq!(t.records_of(kind::PROBE).count(), 0);
     }
 }

@@ -1,6 +1,8 @@
 //! The listening socket, the accept loop, the process stop signal and the
-//! frame-serving session loop — shared by every frame speaker's accept side
-//! in the workspace (the daemon here, the cluster front-end).
+//! frame service every frame speaker's accept side in the workspace runs
+//! (the daemon here, the cluster front-end): one [`FrameService`] of shared
+//! state, one session loop and one handle, with each side supplying only
+//! its request handler.
 
 use hawkeye_client::proto::{
     decode_request, read_frame, write_response, ProtoError, Request, Response, PROTO_VERSION,
@@ -15,16 +17,16 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Requests slower than this (wall-clock ns) count as `slow_ops` and land
 /// in the flight ring.
-pub const SLOW_OP_NS: u64 = 10_000_000;
+const SLOW_OP_NS: u64 = 10_000_000;
 
 /// Flight-recorder ring capacity (events).
-pub const FLIGHT_CAPACITY: usize = 256;
+const FLIGHT_CAPACITY: usize = 256;
 
 /// Where a daemon listens.
 #[derive(Debug, Clone)]
@@ -135,38 +137,165 @@ impl Read for FrameReader<'_> {
     }
 }
 
+/// What every session of one frame service shares: the stop flag, the
+/// metrics registry and the flight ring — one leaf mutex each, and nothing
+/// is ever acquired while one is held — plus the shard-map epoch a `Hello`
+/// is checked against. A daemon and a front are each one of these plus
+/// their own request handler.
+pub struct FrameService {
+    pub(crate) stop: AtomicBool,
+    pub metrics: Mutex<MetricsRegistry>,
+    pub(crate) flight: Mutex<FlightRecorder>,
+    /// The epoch a `Hello` must announce, if it announces one; `None` (a
+    /// monolithic daemon) checks none.
+    map_epoch: Option<u64>,
+}
+
+/// A request handler's answer: the latency histogram to time the request
+/// under (if any) and the response.
+pub type Answer = (Option<&'static str>, Response);
+
+impl FrameService {
+    /// A service whose registry holds each of `counters` at zero, so
+    /// `Stats` (which reports every registered counter) names them all
+    /// before the first event.
+    pub fn new(map_epoch: Option<u64>, counters: &[&'static str]) -> FrameService {
+        let mut m = MetricsRegistry::default();
+        for &name in counters {
+            m.add(MetricKey::global(name), 0);
+        }
+        FrameService {
+            stop: AtomicBool::new(false),
+            metrics: Mutex::new(m),
+            flight: Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)),
+            map_epoch,
+        }
+    }
+
+    /// Add `by` to the global counter `name`.
+    pub fn add(&self, name: &'static str, by: u64) {
+        self.metrics
+            .lock()
+            .expect("metrics lock")
+            .add(MetricKey::global(name), by);
+    }
+
+    /// One event in the flight ring.
+    pub fn note(&self, kind: &'static str, what: &'static str, detail: String) {
+        self.flight
+            .lock()
+            .expect("flight lock")
+            .note(kind, what, detail);
+    }
+
+    /// The head of every `Stats` response: every registered counter, not a
+    /// hand-maintained list.
+    pub fn counter_fields(&self) -> Vec<(String, serde::Value)> {
+        let m = self.metrics.lock().expect("metrics lock");
+        m.counter_names()
+            .into_iter()
+            .map(|name| (name.to_string(), serde::Value::UInt(m.counter_total(name))))
+            .collect()
+    }
+
+    /// The `Metrics` request: the full metrics snapshot plus the flight
+    /// ring, as one JSON object.
+    pub fn metrics_response(&self) -> Response {
+        let snap = self.metrics.lock().expect("metrics lock").snapshot();
+        let flight = self.flight.lock().expect("flight lock").to_value();
+        Response::Metrics(serde::Value::Object(vec![
+            ("metrics".into(), hawkeye_obs::emit::metrics_value(&snap)),
+            ("flight".into(), flight),
+        ]))
+    }
+
+    /// Run `accept_loop` over `listener` on a thread named `names[0]`,
+    /// its sessions named `names[1]`. Once the loop returns — dropping
+    /// `tick` and `handler` and whatever they own, such as the senders into
+    /// the caller's own threads — `teardown` runs, and the listener is
+    /// dropped last: a unix socket file outlives every thread. The handle
+    /// carries `recovery`, what the caller found at start-up.
+    pub fn serve<R, H>(
+        self: &Arc<Self>,
+        listener: Listener,
+        names: [&'static str; 2],
+        tick: impl FnMut() + Send + 'static,
+        handler: impl FnMut() -> H + Send + 'static,
+        teardown: impl FnOnce() + Send + 'static,
+        recovery: R,
+    ) -> ServiceHandle<R>
+    where
+        H: FnMut(Request, &mut Vec<u8>) -> Answer + Send + 'static,
+    {
+        let local_addr = listener.local_addr();
+        let service = Arc::clone(self);
+        let accept_thread = thread::Builder::new()
+            .name(names[0].into())
+            .spawn(move || {
+                accept_loop(&listener, &service, names[1], tick, handler);
+                teardown();
+                drop(listener);
+            })
+            .expect("spawn accept loop");
+        ServiceHandle {
+            service: Arc::clone(self),
+            accept_thread,
+            local_addr,
+            recovery,
+        }
+    }
+}
+
+/// A running frame service (`DaemonHandle`, `FrontHandle`); dropping the
+/// handle does NOT stop it — call [`ServiceHandle::shutdown`].
+pub struct ServiceHandle<R = ()> {
+    pub(crate) service: Arc<FrameService>,
+    accept_thread: JoinHandle<()>,
+    /// Bound TCP address when listening on TCP (for port-0 binds).
+    pub local_addr: Option<SocketAddr>,
+    /// What start-up recovery found: a durable daemon's report, `None` on
+    /// a durability-off daemon, `()` on a front (it holds no state).
+    pub recovery: R,
+}
+
+impl<R> ServiceHandle<R> {
+    /// Signal stop and join every thread of the service. A front's backend
+    /// daemons keep running.
+    pub fn shutdown(self) {
+        self.service.stop.store(true, Ordering::SeqCst);
+        self.wait();
+    }
+
+    /// Block until a `Shutdown` request stops the service, then join every
+    /// thread — the foreground `hawkeye serve` / `hawkeye front` mode.
+    pub fn wait(self) {
+        let _ = self.accept_thread.join();
+    }
+
+    /// True once a `Shutdown` request (or `shutdown()`) stopped the service.
+    pub fn is_stopped(&self) -> bool {
+        self.service.stop.load(Ordering::SeqCst)
+    }
+}
+
 /// Serve one connection: read request frames until the peer hangs up,
 /// `stop` is raised (polled every 100 ms while idle) or a `Shutdown`
 /// request raises it. `Hello` is answered here — a peer speaking another
 /// protocol version is refused with an error naming both, one announcing
-/// a shard-map epoch other than `map_epoch` with the typed `wrong_shard:`
-/// error (counted in `ingest_wrong_shard`), any other gets an empty
-/// `Ack`, and the session stays open either way — and every other request
-/// goes to `handle` with the frame body it was decoded from (which a
-/// journaling handler may take), returning the latency histogram to time
-/// it under (if any) and the response.
-///
-/// `flight` is the observability gate: with `Some`, ops are timed into
-/// `metrics`, slow ones and request errors land in the ring; with `None`
-/// only the session counter is kept.
-pub fn serve_session(
+/// a shard-map epoch other than the service's with the typed
+/// `wrong_shard:` error (counted in `ingest_wrong_shard`), any other gets
+/// an empty `Ack`, and the session stays open either way — and every other
+/// request goes to `handle` with the frame body it was decoded from (which
+/// a journaling handler may take). Every op `handle` names is timed into
+/// its histogram; slow ones and request errors land in the flight ring.
+fn serve_session(
     mut stream: AnyStream,
-    stop: &AtomicBool,
-    metrics: &Mutex<MetricsRegistry>,
-    flight: Option<&Mutex<FlightRecorder>>,
-    map_epoch: Option<u64>,
-    mut handle: impl FnMut(Request, &mut Vec<u8>) -> (Option<&'static str>, Response),
+    service: &FrameService,
+    mut handle: impl FnMut(Request, &mut Vec<u8>) -> Answer,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    metrics
-        .lock()
-        .expect("metrics lock")
-        .inc(MetricKey::global(SERVE_SESSIONS));
-    let note = |kind: &'static str, what: &'static str, detail: String| {
-        if let Some(f) = flight {
-            f.lock().expect("flight lock").note(kind, what, detail);
-        }
-    };
+    service.add(SERVE_SESSIONS, 1);
+    let stop = &service.stop;
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -187,7 +316,7 @@ pub fn serve_session(
                 return;
             }
         };
-        let t0 = flight.map(|_| Instant::now());
+        let t0 = Instant::now();
         // An Explain miss is an expected query outcome (clients poll for
         // the latest verdict opportunistically); logging it would bury
         // real errors in the ring.
@@ -203,16 +332,13 @@ pub fn serve_session(
                 // accepting its session would mean every ingest it routes
                 // is suspect. Refused only when both sides announce an
                 // epoch and they differ.
-                let resp = match (theirs, map_epoch) {
+                let resp = match (theirs, service.map_epoch) {
                     _ if version != PROTO_VERSION => Response::Error(format!(
                         "protocol version {version} is not this endpoint's version \
                          {PROTO_VERSION}"
                     )),
                     (Some(theirs), Some(ours)) if theirs != ours => {
-                        metrics
-                            .lock()
-                            .expect("metrics lock")
-                            .inc(MetricKey::global(INGEST_WRONG_SHARD));
+                        service.add(INGEST_WRONG_SHARD, 1);
                         Response::Error(format!(
                             "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match \
                              this endpoint's epoch {ours}"
@@ -233,28 +359,28 @@ pub fn serve_session(
             }
             Err(e) => (None, Response::Error(e.to_string())),
         };
-        if let (Some(t0), Some(op)) = (t0, op) {
+        if let Some(op) = op {
             let ns = t0.elapsed().as_nanos() as u64;
             let slow = ns >= SLOW_OP_NS;
-            let mut m = metrics.lock().expect("metrics lock");
+            let mut m = service.metrics.lock().expect("metrics lock");
             m.observe(MetricKey::global(op), ns);
             if slow {
                 m.inc(MetricKey::global(SLOW_OPS));
             }
             drop(m);
             if slow {
-                note(flight_kind::SLOW, op, format!("{ns} ns"));
+                service.note(flight_kind::SLOW, op, format!("{ns} ns"));
             }
         }
         if let (true, Response::Error(msg)) = (log_error, &resp) {
-            note(flight_kind::ERROR, "request_error", msg.clone());
+            service.note(flight_kind::ERROR, "request_error", msg.clone());
         }
         let mut sent = write_response(&mut stream, &resp);
         if let Err(e) = &sent {
             // Refused before a byte went out, so the stream is still at a
             // frame boundary: say why instead of hanging up.
             if e.kind() == io::ErrorKind::InvalidInput {
-                note(flight_kind::ERROR, "request_error", e.to_string());
+                service.note(flight_kind::ERROR, "request_error", e.to_string());
                 sent = write_response(&mut stream, &Response::Error(e.to_string()));
             }
         }
@@ -268,18 +394,18 @@ pub fn serve_session(
 /// request, the handle) or SIGINT/SIGTERM arrives, which raises it. Each
 /// pass joins every session that has ended, so a finished session's stack
 /// does not stay mapped until shutdown; then it runs `tick`, takes one
-/// pending connection and runs the session `session` makes of it on a
-/// thread named `session_name`. The live sessions are joined before this
-/// returns; the caller's own teardown follows.
-pub fn accept_loop<S>(
+/// pending connection and serves it with a fresh `handler()` on a thread
+/// named `session_name`. The live sessions are joined before this returns.
+fn accept_loop<H>(
     listener: &Listener,
-    stop: &AtomicBool,
+    service: &Arc<FrameService>,
     session_name: &str,
     mut tick: impl FnMut(),
-    mut session: impl FnMut(AnyStream) -> S,
+    mut handler: impl FnMut() -> H,
 ) where
-    S: FnOnce() + Send + 'static,
+    H: FnMut(Request, &mut Vec<u8>) -> Answer + Send + 'static,
 {
+    let stop = &service.stop;
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         if SIG_STOP.load(Ordering::SeqCst) {
@@ -291,12 +417,15 @@ pub fn accept_loop<S>(
         }
         tick();
         match listener.accept() {
-            Ok(stream) => sessions.push(
-                thread::Builder::new()
-                    .name(session_name.into())
-                    .spawn(session(stream))
-                    .expect("spawn session"),
-            ),
+            Ok(stream) => {
+                let (service, handle) = (Arc::clone(service), handler());
+                sessions.push(
+                    thread::Builder::new()
+                        .name(session_name.into())
+                        .spawn(move || serve_session(stream, &service, handle))
+                        .expect("spawn session"),
+                );
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(2));
             }
@@ -348,31 +477,23 @@ mod tests {
     /// Run `serve_session` over one end of a socket pair, with `handle`
     /// answering, while `peer` drives the other end; returns the flight ring.
     fn session_rig(
-        handle: impl FnMut(Request, &mut Vec<u8>) -> (Option<&'static str>, Response) + Send,
+        handle: impl FnMut(Request, &mut Vec<u8>) -> Answer + Send,
         peer: impl FnOnce(&mut UnixStream),
     ) -> FlightRecorder {
         let (peer_end, ours) = UnixStream::pair().expect("socket pair");
-        let stop = AtomicBool::new(false);
-        let metrics = Mutex::new(MetricsRegistry::default());
-        let flight = Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY));
+        let service = FrameService::new(None, &[]);
         std::thread::scope(|s| {
-            s.spawn(|| {
-                serve_session(
-                    AnyStream::Unix(ours),
-                    &stop,
-                    &metrics,
-                    Some(&flight),
-                    None,
-                    handle,
-                )
-            });
+            s.spawn(|| serve_session(AnyStream::Unix(ours), &service, handle));
             // Owned in here, so a failing peer's unwinding closes it and
             // the session ends instead of waiting on it forever.
             let mut peer_end = peer_end;
             peer(&mut peer_end);
         });
-        assert!(stop.load(Ordering::SeqCst), "the peer ends with Shutdown");
-        flight.into_inner().unwrap()
+        assert!(
+            service.stop.load(Ordering::SeqCst),
+            "the peer ends with Shutdown"
+        );
+        service.flight.into_inner().unwrap()
     }
 
     fn ask(peer: &mut UnixStream, req: &Request) -> Response {

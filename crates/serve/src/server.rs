@@ -58,19 +58,20 @@
 //! the verdict identical to the one-shot path on the same telemetry (see
 //! `tests/serve_e2e.rs`).
 //!
-//! The [`MetricsRegistry`] and the flight ring are the only shared state:
-//! one leaf mutex each, written by sessions and the core, and nothing is
-//! ever acquired while one is held. Counters (`epochs_ingested`,
-//! `incremental_updates`, `serve_sessions`, …) are reported over `Stats`;
-//! per-op latency histograms, stage timings, health gauges and the flight
-//! ring ride the `Metrics` request, and every `Diagnose` journals an
-//! [`ExplainRecord`] queryable over `Explain`. All of it is gated on
-//! [`ServeConfig::obs`] so the instrumented hot path stays within a few
-//! percent of the bare one (`tests/obs_e2e.rs` pins off == byte-identical).
+//! The daemon is one [`FrameService`] — the skeleton it shares with the
+//! cluster front — plus the request handler below. The service's metrics
+//! registry and flight ring are the only shared state: one leaf mutex
+//! each, written by sessions and the core, and nothing is ever acquired
+//! while one is held. Counters (`epochs_ingested`, `incremental_updates`,
+//! `serve_sessions`, …) are reported over `Stats`; per-op latency
+//! histograms, stage timings, health gauges and the flight ring ride the
+//! `Metrics` request, and every `Diagnose` journals an [`ExplainRecord`]
+//! queryable over `Explain`. This instrumentation has no off switch: it is
+//! part of every measured number (`tests/obs_e2e.rs` pins what it reports).
 
 use crate::audit::AuditTrail;
 use crate::compactor::{Compactor, PendingFold};
-use crate::listen::{accept_loop, serve_session, Endpoint, FLIGHT_CAPACITY};
+use crate::listen::{Answer, Endpoint, FrameService, ServiceHandle};
 use crate::recovery::{recover_and_open, RecoveryReport};
 use crate::store::{StoreConfig, SwitchRestore, TelemetryStore};
 use crate::wal::{
@@ -81,10 +82,10 @@ use crate::wal::{
 use hawkeye_client::proto::{
     check_evidence, DiagnoseParams, Request, Response, WRONG_SHARD_PREFIX,
 };
-use hawkeye_client::{AnyStream, ExplainRecord, FlowObservation, ShardRange};
+use hawkeye_client::{ExplainRecord, FlowObservation, ShardRange};
 use hawkeye_core::{
-    analyze_victim_window_obs, AnalyzerConfig, AnomalyType, Confidence, DiagnosisReport,
-    IncrementalProvenance, ReplayConfig, RootCause, Window,
+    analyze_victim_window_obs, AnalyzerConfig, AnomalyType, DiagnosisReport, IncrementalProvenance,
+    ReplayConfig, RootCause, Window,
 };
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
@@ -94,14 +95,14 @@ use hawkeye_obs::names::{
     STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES, WAL_RECORDS_APPENDED,
     WAL_SEGMENTS_RETIRED,
 };
-use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, ObsConfig, Recorder, Stage};
+use hawkeye_obs::{MetricKey, MetricsRegistry, ObsConfig, Recorder, Stage};
 use hawkeye_sim::{FlowKey, Nanos, Topology};
 use hawkeye_telemetry::{encode_batch, TelemetrySnapshot};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 pub use hawkeye_obs::names::{
@@ -118,10 +119,6 @@ pub struct ServeConfig {
     /// most the batch size in snapshots each); a full queue blocks the
     /// session (backpressure).
     pub queue_depth: usize,
-    /// Master switch for serve-plane observability: per-op latency
-    /// histograms, stage timings, health gauges, the flight ring and the
-    /// verdict audit trail. Off = the bare hot path.
-    pub obs: bool,
     /// Artificial per-snapshot delay (wall ns) in the store thread — the
     /// "deliberately slow store" knob for backpressure tests (and the
     /// CLI's `--slow-shard-us`); 0 in production.
@@ -143,7 +140,6 @@ impl Default for ServeConfig {
             replay: ReplayConfig::default(),
             analyzer: AnalyzerConfig::for_epoch_len(Nanos::from_micros(100)),
             queue_depth: 256,
-            obs: true,
             ingest_delay_ns: 0,
             shard_range: None,
         }
@@ -225,10 +221,10 @@ enum CoreMsg {
 /// +14 % peak RSS on `serve-ingest`.
 const CORE_QUEUE_DEPTH: usize = 128;
 
-/// What every thread of one daemon can see: the configuration, the stop
-/// and checkpoint flags, two queue-occupancy statistics, and the two
-/// leaf-locked observability sinks. No telemetry, graph or log state
-/// lives here — that is owned by the store thread and the core.
+/// What every thread of one daemon can see: the configuration, the frame
+/// service (stop flag, registry, flight ring), the checkpoint flag and two
+/// queue-occupancy statistics. No telemetry, graph or log state lives
+/// here — that is owned by the store thread and the core.
 struct Plane {
     topo: Topology,
     cfg: ServeConfig,
@@ -236,9 +232,7 @@ struct Plane {
     /// the journaling call sites so a durability-off daemon's behaviour
     /// (and byte output) is identical to pre-WAL builds.
     durable: bool,
-    metrics: Mutex<MetricsRegistry>,
-    flight: Mutex<FlightRecorder>,
-    stop: AtomicBool,
+    service: Arc<FrameService>,
     /// Raised by the core when enough segments have completed to warrant
     /// a checkpoint; the accept loop polls it and starts the round.
     ckpt_wanted: AtomicBool,
@@ -253,13 +247,34 @@ struct Plane {
 
 impl Plane {
     fn new(topo: Topology, cfg: ServeConfig, durable: bool) -> Plane {
+        let service = FrameService::new(
+            cfg.shard_range.map(|r| r.epoch),
+            &[
+                EPOCHS_INGESTED,
+                INCREMENTAL_UPDATES,
+                SERVE_SESSIONS,
+                ENGINE_EPOCHS_RETIRED,
+                SLOW_OPS,
+                INGEST_BATCHES,
+            ],
+        );
+        // WAL counters exist only on a durable daemon, so a durability-off
+        // Stats response stays byte-identical to pre-WAL builds.
+        if durable {
+            for name in [
+                WAL_RECORDS_APPENDED,
+                WAL_BYTES,
+                WAL_SEGMENTS_RETIRED,
+                RECOVERY_TRUNCATED,
+            ] {
+                service.add(name, 0);
+            }
+        }
         Plane {
             topo,
             cfg,
             durable,
-            metrics: Mutex::new(seeded_registry(durable)),
-            flight: Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)),
-            stop: AtomicBool::new(false),
+            service: Arc::new(service),
             ckpt_wanted: AtomicBool::new(false),
             queue_depth: AtomicU64::new(0),
             core_depth: AtomicU64::new(0),
@@ -270,58 +285,8 @@ impl Plane {
     /// serving — durability is degraded, not availability — and the fault
     /// lands in the flight ring where operators look first.
     fn wal_fault(&self, what: &'static str, e: &io::Error) {
-        if self.cfg.obs {
-            self.flight
-                .lock()
-                .expect("flight lock")
-                .note(flight_kind::ERROR, what, e.to_string());
-        }
+        self.service.note(flight_kind::ERROR, what, e.to_string());
     }
-
-    /// The `Metrics` request: the full metrics snapshot plus the flight
-    /// ring, as one JSON object.
-    fn metrics_response(&self) -> Response {
-        let snap = self.metrics.lock().expect("metrics lock").snapshot();
-        let flight = self.flight.lock().expect("flight lock").to_value();
-        Response::Metrics(serde::Value::Object(vec![
-            ("metrics".into(), hawkeye_obs::emit::metrics_value(&snap)),
-            ("flight".into(), flight),
-        ]))
-    }
-}
-
-/// A registry pre-seeded with every well-known serve counter at zero, so
-/// `Stats` (which iterates registered names) reports them all even before
-/// the first event.
-fn seeded_registry(durable: bool) -> MetricsRegistry {
-    let mut m = MetricsRegistry::default();
-    for name in [
-        EPOCHS_INGESTED,
-        INCREMENTAL_UPDATES,
-        SERVE_SESSIONS,
-        ENGINE_EPOCHS_RETIRED,
-        SLOW_OPS,
-        INGEST_BATCHES,
-    ] {
-        m.add(MetricKey::global(name), 0);
-    }
-    // WAL counters exist only on a durable daemon, so a durability-off
-    // Stats response stays byte-identical to pre-WAL builds.
-    if durable {
-        for name in [
-            WAL_RECORDS_APPENDED,
-            WAL_BYTES,
-            WAL_SEGMENTS_RETIRED,
-            RECOVERY_TRUNCATED,
-        ] {
-            m.add(MetricKey::global(name), 0);
-        }
-    }
-    m
-}
-
-fn elapsed_ns(t: Option<Instant>) -> u64 {
-    t.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 fn uint(name: &str, v: u64) -> (String, serde::Value) {
@@ -381,7 +346,6 @@ impl Core {
     }
 
     fn applied(&mut self, a: Applied) {
-        let obs = self.plane.cfg.obs;
         let queued = self
             .plane
             .core_depth
@@ -389,16 +353,16 @@ impl Core {
             .saturating_sub(1);
         let mut epochs = 0;
         let mut changed = 0;
-        let t = obs.then(Instant::now);
+        let t = Instant::now();
         for snap in a.snaps {
             epochs += snap.epochs.len() as u64;
             changed += u64::from(self.engine.apply_owned(snap));
         }
-        let apply_ns = elapsed_ns(t);
+        let apply_ns = t.elapsed().as_nanos() as u64;
         let fold_ns = a.evict_ns + self.comp.absorb(a.staged);
         let horizon = a.horizon.unwrap_or(Nanos::ZERO);
         self.horizon = horizon;
-        let t = obs.then(Instant::now);
+        let t = Instant::now();
         // Retire engine state the store no longer backs with raw epochs —
         // what keeps a long-running daemon's wait-for graph bounded.
         let retired = if horizon > self.last_retired {
@@ -407,21 +371,18 @@ impl Core {
         } else {
             0
         };
-        let retire_ns = elapsed_ns(t);
+        let retire_ns = t.elapsed().as_nanos() as u64;
         if let Some(frame) = a.journal {
             self.journal(REC_BATCH, &frame);
         }
 
-        let mut m = self.plane.metrics.lock().expect("metrics lock");
+        let mut m = self.plane.service.metrics.lock().expect("metrics lock");
         m.add(MetricKey::global(EPOCHS_INGESTED), epochs);
         if changed > 0 {
             m.add(MetricKey::global(INCREMENTAL_UPDATES), changed);
         }
         if retired > 0 {
             m.add(MetricKey::global(ENGINE_EPOCHS_RETIRED), retired);
-        }
-        if !obs {
-            return;
         }
         // Stage split: where does the ingest path spend its wall-clock —
         // ring admission, eviction + fold, engine apply, or retirement
@@ -512,10 +473,8 @@ impl Core {
         if let Err(e) = w.sync() {
             self.plane.wal_fault("wal_sync", &e);
         }
-        if self.plane.cfg.obs {
-            let mut m = self.plane.metrics.lock().expect("metrics lock");
-            add_wal_counters(&self.wal, &mut self.wal_published, &mut m);
-        }
+        let mut m = self.plane.service.metrics.lock().expect("metrics lock");
+        add_wal_counters(&self.wal, &mut self.wal_published, &mut m);
     }
 
     /// Deposit a verdict's provenance in the audit trail: the session
@@ -727,17 +686,7 @@ impl Routes {
     fn stats(&self, plane: &Plane) -> Result<Response, Gone> {
         let store_fields = self.ask_store(StoreMsg::Stats)?;
         let core_fields = self.ask_core(CoreMsg::Stats)?;
-        let m = plane.metrics.lock().expect("metrics lock");
-        // Every registered counter, not a hand-maintained list: a counter
-        // added anywhere in the daemon shows up here without this function
-        // knowing about it (the well-known ones are pre-seeded at spawn so
-        // they appear even at zero).
-        let mut fields: Vec<(String, serde::Value)> = m
-            .counter_names()
-            .into_iter()
-            .map(|name| uint(name, m.counter_total(name)))
-            .collect();
-        drop(m);
+        let mut fields = plane.service.counter_fields();
         fields.extend(store_fields);
         fields.extend(core_fields);
         Ok(Response::Stats(serde::Value::Object(fields)))
@@ -754,7 +703,7 @@ impl Routes {
         // Stage timing rides the analyzer's own recorder hooks; capacity 0
         // keeps the tracer empty (we only want the wall-clock profile).
         let mut rec = Recorder::new(ObsConfig {
-            enabled: plane.cfg.obs,
+            enabled: true,
             capacity: 0,
             mask: 0,
         });
@@ -767,12 +716,10 @@ impl Routes {
             &mut rec,
         );
         report.note_missing(&p.missing);
-        if plane.cfg.obs {
-            // Sent after the store answered, so the core journals it
-            // behind every `Applied` this verdict's evidence produced.
-            let record = explain_record(p, &snapshots, &report, &rec);
-            let _ = self.core.send(CoreMsg::Verdict(Box::new(record)));
-        }
+        // Sent after the store answered, so the core journals it behind
+        // every `Applied` this verdict's evidence produced.
+        let record = explain_record(p, &snapshots, &report, &rec);
+        let _ = self.core.send(CoreMsg::Verdict(Box::new(record)));
         Ok(Response::Diagnosis(report))
     }
 }
@@ -810,7 +757,7 @@ fn explain_record(
         window_to_ns: p.window.to.0,
         anomaly: format!("{:?}", report.anomaly),
         signature_row: signature_row(report.anomaly).to_string(),
-        confidence: confidence_label(&report.confidence).to_string(),
+        confidence: report.confidence.label().to_string(),
         root_causes,
         contributing_switches,
         contributing_epochs,
@@ -841,30 +788,29 @@ fn signature_row(a: AnomalyType) -> &'static str {
     }
 }
 
-fn confidence_label(c: &Confidence) -> &'static str {
-    match c {
-        Confidence::Complete => "complete",
-        Confidence::Degraded { .. } => "degraded",
-        Confidence::Inconclusive { .. } => "inconclusive",
-    }
-}
-
-/// Route one request frame: gate it and queue it whole on the store
-/// thread. A full queue *blocks* until the store drains — the session
-/// slows down, the client's credit window empties, and the store's pace
-/// propagates all the way back to the producer with zero loss. A
-/// *disconnected* store thread is a request error.
+/// Route an `IngestBatch` frame: gate it and queue it whole on the store
+/// thread; one `BatchAck` settles the whole frame (the client's window
+/// gets the frame's snapshots back). A full queue *blocks* until the store
+/// drains — the session slows down, the client's credit window empties,
+/// and the store's pace propagates all the way back to the producer with
+/// zero loss. A dead store thread or an out-of-range switch fails the
+/// frame with an error.
 ///
-/// `journal` is the frame's evidence-log record on a durable daemon: the
-/// received frame body, never a re-encode. It rides the frame, so it is
-/// appended once, and only if the frame was queued. Returns the refusal;
-/// `None` = the frame is queued.
-fn route_frame(
+/// `wire` is the frame's evidence-log record on a durable daemon: the
+/// received frame body, never a re-encode — the codec is deterministic, so
+/// the frame bytes ARE the canonical form (checked in debug builds). It
+/// rides the frame, so it is appended once, and only if the frame was
+/// queued.
+fn route_batch(
     plane: &Plane,
     routes: &Routes,
     snaps: Vec<TelemetrySnapshot>,
-    journal: Option<JournalRecord>,
-) -> Option<Response> {
+    wire: Option<JournalRecord>,
+) -> Response {
+    debug_assert!(
+        wire.as_ref().is_none_or(|w| *w == encode_batch(&snaps)),
+        "journaled wire bytes diverge from the canonical batch encoding"
+    );
     // Shard-ownership gate, ahead of everything and over the whole frame:
     // an out-of-range switch is a routing fault (stale or mis-cut shard
     // map at the sender), answered with the typed `wrong_shard:` error
@@ -872,21 +818,15 @@ fn route_frame(
     // nor journals any part of a frame it refused.
     if let Some(range) = plane.cfg.shard_range {
         if let Some(stray) = snaps.iter().find(|s| !range.contains(s.switch)) {
+            let detail = format!("switch {} outside owned range {range}", stray.switch.0);
+            plane.service.add(INGEST_WRONG_SHARD, 1);
             plane
-                .metrics
+                .service
+                .flight
                 .lock()
-                .expect("metrics lock")
-                .inc(MetricKey::global(INGEST_WRONG_SHARD));
-            if plane.cfg.obs {
-                plane.flight.lock().expect("flight lock").warn(
-                    "ingest_wrong_shard",
-                    format!("switch {} outside owned range {range}", stray.switch.0),
-                );
-            }
-            return Some(Response::Error(format!(
-                "{WRONG_SHARD_PREFIX} switch {} outside owned range {range}",
-                stray.switch.0
-            )));
+                .expect("flight lock")
+                .warn("ingest_wrong_shard", detail.clone());
+            return Response::Error(format!("{WRONG_SHARD_PREFIX} {detail}"));
         }
     }
     // Fabric gate, also before anything is queued or journaled: a snapshot
@@ -894,128 +834,64 @@ fn route_frame(
     // index past the topology in the engine and in every Diagnose over
     // its window.
     if let Err(refusal) = check_evidence(&snaps, &plane.topo) {
-        return Some(Response::Error(refusal));
+        return Response::Error(refusal);
     }
     let n = snaps.len() as u64;
     plane.queue_depth.fetch_add(n, Ordering::Relaxed);
-    if routes.store.send(StoreMsg::Ingest(snaps, journal)).is_err() {
+    if routes.store.send(StoreMsg::Ingest(snaps, wire)).is_err() {
         plane.queue_depth.fetch_sub(n, Ordering::Relaxed);
-        return Some(Gone("store thread").into());
+        return Gone("store thread").into();
     }
-    None
-}
-
-/// Route an `IngestBatch` frame; one `BatchAck` settles the whole frame
-/// (the client's window gets the frame's snapshots back), and the whole frame journals as one record. The
-/// codec is deterministic, so the frame bytes ARE the canonical form a
-/// durable daemon journals (checked in debug builds). A dead store thread
-/// or an out-of-range switch fails the frame with an error.
-fn route_batch(
-    plane: &Plane,
-    routes: &Routes,
-    snaps: Vec<TelemetrySnapshot>,
-    wire: Option<Vec<u8>>,
-) -> Response {
-    let n = snaps.len() as u32;
-    debug_assert!(
-        wire.as_ref().is_none_or(|w| *w == encode_batch(&snaps)),
-        "journaled wire bytes diverge from the canonical batch encoding"
-    );
-    if let Some(refusal) = route_frame(plane, routes, snaps, wire) {
-        return refusal;
-    }
-    if plane.cfg.obs {
-        plane
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .inc(MetricKey::global(INGEST_BATCHES));
-    }
+    plane.service.add(INGEST_BATCHES, 1);
     Response::BatchAck {
-        accepted: n,
+        accepted: n as u32,
         shed: 0,
     }
 }
 
-fn session(plane: Arc<Plane>, routes: Routes, stream: AnyStream) {
-    serve_session(
-        stream,
-        &plane.stop,
-        &plane.metrics,
-        plane.cfg.obs.then_some(&plane.flight),
-        plane.cfg.shard_range.map(|r| r.epoch),
-        |req, body| {
-            let (op, resp) = match req {
-                Request::IngestBatch(snaps) => {
-                    // A durable daemon journals the frame body verbatim;
-                    // decoding is done with it.
-                    let wire = plane.durable.then(|| std::mem::take(body));
-                    (
-                        OP_INGEST_BATCH_NS,
-                        Ok(route_batch(&plane, &routes, snaps, wire)),
-                    )
-                }
-                // The cross-shard gather primitive: the canonical per-switch
-                // snapshots of the window — the same store state a local
-                // Diagnose of it would analyze — covering everything
-                // acknowledged before this.
-                Request::Fragments(window) => (
-                    OP_FRAGMENTS_NS,
-                    routes.gather_snapshots(window).map(Response::Fragments),
-                ),
-                Request::Diagnose(p) => (OP_DIAGNOSE_NS, routes.diagnose(&plane, &p)),
-                Request::FlowHistory(key) => (OP_FLOW_HISTORY_NS, routes.flow_history(key)),
-                Request::Stats => (OP_STATS_NS, routes.stats(&plane)),
-                Request::Metrics => (OP_METRICS_NS, Ok(plane.metrics_response())),
-                Request::Explain(seq) => (
-                    OP_EXPLAIN_NS,
-                    routes.ask_core(|reply| CoreMsg::Explain(seq, reply)),
-                ),
-                Request::Hello { .. } | Request::Shutdown => {
-                    unreachable!("answered by serve_session")
-                }
-            };
-            (Some(op), resp.unwrap_or_else(Response::from))
-        },
-    );
-}
-
-/// A running daemon; dropping the handle does NOT stop it — call
-/// [`DaemonHandle::shutdown`].
-pub struct DaemonHandle {
-    plane: Arc<Plane>,
-    accept_thread: Option<JoinHandle<()>>,
-    /// Bound TCP address when listening on TCP (for port-0 binds).
-    pub local_addr: Option<std::net::SocketAddr>,
-    /// What startup recovery found in the durable directory; `None` on a
-    /// durability-off daemon.
-    pub recovery: Option<RecoveryReport>,
-}
-
-impl DaemonHandle {
-    /// Signal stop and join every daemon thread.
-    pub fn shutdown(self) {
-        self.plane.stop.store(true, Ordering::SeqCst);
-        self.wait();
-    }
-
-    /// Block until a `Shutdown` request stops the daemon, then join every
-    /// thread — the foreground `hawkeye serve` mode.
-    pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+/// The daemon's request handler: everything but `Hello` and `Shutdown`,
+/// which the service's session loop answers itself.
+fn handle(plane: &Plane, routes: &Routes, req: Request, body: &mut Vec<u8>) -> Answer {
+    let (op, resp) = match req {
+        Request::IngestBatch(snaps) => {
+            // A durable daemon journals the frame body verbatim; decoding
+            // is done with it.
+            let wire = plane.durable.then(|| std::mem::take(body));
+            (
+                OP_INGEST_BATCH_NS,
+                Ok(route_batch(plane, routes, snaps, wire)),
+            )
         }
-    }
-
-    /// True once a `Shutdown` request (or `shutdown()`) stopped the daemon.
-    pub fn is_stopped(&self) -> bool {
-        self.plane.stop.load(Ordering::SeqCst)
-    }
+        // The cross-shard gather primitive: the canonical per-switch
+        // snapshots of the window — the same store state a local Diagnose
+        // of it would analyze — covering everything acknowledged before
+        // this.
+        Request::Fragments(window) => (
+            OP_FRAGMENTS_NS,
+            routes.gather_snapshots(window).map(Response::Fragments),
+        ),
+        Request::Diagnose(p) => (OP_DIAGNOSE_NS, routes.diagnose(plane, &p)),
+        Request::FlowHistory(key) => (OP_FLOW_HISTORY_NS, routes.flow_history(key)),
+        Request::Stats => (OP_STATS_NS, routes.stats(plane)),
+        Request::Metrics => (OP_METRICS_NS, Ok(plane.service.metrics_response())),
+        Request::Explain(seq) => (
+            OP_EXPLAIN_NS,
+            routes.ask_core(|reply| CoreMsg::Explain(seq, reply)),
+        ),
+        Request::Hello { .. } | Request::Shutdown => {
+            unreachable!("answered by the session loop")
+        }
+    };
+    (Some(op), resp.unwrap_or_else(Response::from))
 }
+
+/// A running daemon: the frame service's handle, carrying what start-up
+/// recovery found (`None` on a durability-off daemon).
+pub type DaemonHandle = ServiceHandle<Option<RecoveryReport>>;
 
 /// Start the daemon on `endpoint`. Returns once the listener is bound and
 /// accepting; serving continues on background threads until a `Shutdown`
-/// request arrives or [`DaemonHandle::shutdown`] is called.
+/// request arrives or [`ServiceHandle::shutdown`] is called.
 pub fn spawn(topo: Topology, cfg: ServeConfig, endpoint: Endpoint) -> io::Result<DaemonHandle> {
     spawn_durable(topo, cfg, endpoint, None)
 }
@@ -1073,15 +949,10 @@ pub fn spawn_durable(
     }
     let plane = Arc::new(Plane::new(topo, cfg, wal.is_some()));
     if let Some(rep) = &recovery {
-        plane
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .add(MetricKey::global(RECOVERY_TRUNCATED), rep.truncated_records);
+        plane.service.add(RECOVERY_TRUNCATED, rep.truncated_records);
     }
 
     let listener = endpoint.bind()?;
-    let local_addr = listener.local_addr();
 
     let (core_tx, core_rx) = sync_channel(CORE_QUEUE_DEPTH);
     let core = Core {
@@ -1114,41 +985,39 @@ pub fn spawn_durable(
         core: core_tx,
     };
 
-    let handle_plane = Arc::clone(&plane);
-    let accept_thread = thread::Builder::new()
-        .name("hawkeye-accept".into())
-        .spawn(move || {
-            // A checkpoint round starts from this thread because it is
-            // upstream of the store thread: the store forwards its ring
-            // images to the core, which writes the checkpoint.
-            let tick = || {
-                if plane.ckpt_wanted.swap(false, Ordering::SeqCst) {
-                    let _ = routes.store.send(StoreMsg::Export);
-                }
-            };
-            accept_loop(&listener, &plane.stop, "hawkeye-session", tick, |stream| {
-                let plane = Arc::clone(&plane);
-                let routes = routes.clone();
-                move || session(plane, routes, stream)
-            });
-            // Dropping the last senders ends the store thread's loop, and
-            // — once it is joined and its core sender with it — the
-            // core's: FIFO order means each drains everything sent to it
-            // first, and the core syncs the WAL on the way out.
-            drop(routes);
+    // A checkpoint round starts from the accept thread because it is
+    // upstream of the store thread: the store forwards its ring images to
+    // the core, which writes the checkpoint.
+    let tick = {
+        let plane = Arc::clone(&plane);
+        let store = routes.store.clone();
+        move || {
+            if plane.ckpt_wanted.swap(false, Ordering::SeqCst) {
+                let _ = store.send(StoreMsg::Export);
+            }
+        }
+    };
+    let service = Arc::clone(&plane.service);
+    Ok(service.serve(
+        listener,
+        ["hawkeye-accept", "hawkeye-session"],
+        tick,
+        move || {
+            let plane = Arc::clone(&plane);
+            let routes = routes.clone();
+            move |req, body: &mut Vec<u8>| handle(&plane, &routes, req, body)
+        },
+        // By now the service has dropped every sender the sessions and the
+        // tick held, which ends the store thread's loop and — once it is
+        // joined and its core sender with it — the core's: FIFO order means
+        // each drains everything sent to it first, and the core syncs the
+        // WAL on the way out.
+        move || {
             let _ = store_join.join();
             let _ = core_join.join();
-            // Dropped last: a unix socket file outlives every thread.
-            drop(listener);
-        })
-        .expect("spawn accept loop");
-
-    Ok(DaemonHandle {
-        plane: handle_plane,
-        accept_thread: Some(accept_thread),
-        local_addr,
+        },
         recovery,
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -1229,6 +1098,7 @@ mod tests {
 
     fn wrong_shard_count(plane: &Plane) -> u64 {
         plane
+            .service
             .metrics
             .lock()
             .unwrap()
@@ -1443,7 +1313,7 @@ mod tests {
         for msg in applied {
             core.handle(msg);
         }
-        let m = plane.metrics.lock().unwrap();
+        let m = plane.service.metrics.lock().unwrap();
         assert_eq!(m.counter_total(EPOCHS_INGESTED), 6);
         assert_eq!(m.counter_total(INCREMENTAL_UPDATES), 6);
         assert_eq!(core.engine.stats().snapshots_applied, 6);
@@ -1523,16 +1393,11 @@ mod tests {
             Endpoint::Tcp("127.0.0.1:0".into()),
         )
         .expect("bind daemon");
-        handle
-            .plane
-            .metrics
-            .lock()
-            .unwrap()
-            .add(MetricKey::global("custom_counter"), 7);
+        handle.service.add("custom_counter", 7);
         let addr = handle.local_addr.expect("tcp address").to_string();
         let mut client = ServeClient::connect_tcp(&addr).expect("connect");
         let v = client.stats().expect("stats");
-        for name in handle.plane.metrics.lock().unwrap().counter_names() {
+        for name in handle.service.metrics.lock().unwrap().counter_names() {
             assert!(
                 v.get(name).is_some(),
                 "registered counter {name} missing from Stats"

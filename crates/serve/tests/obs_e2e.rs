@@ -103,42 +103,3 @@ fn metrics_and_explain_round_trip_after_replay() {
     client.shutdown().expect("shutdown");
     handle.wait();
 }
-
-/// With observability disabled the daemon still serves (bare hot path):
-/// Metrics answers with empty histograms and Explain reports no verdicts.
-#[test]
-fn disabled_obs_serves_without_journaling() {
-    let sc = incast();
-    let cfg = optimal_run_config(1);
-    let handle = spawn(
-        sc.topo.clone(),
-        ServeConfig {
-            obs: false,
-            ..ServeConfig::default()
-        },
-        Endpoint::Tcp("127.0.0.1:0".into()),
-    )
-    .expect("bind daemon");
-    let addr = handle.local_addr.expect("tcp daemon has an address");
-    let client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
-
-    let (outcome, mut client) = hawkeye_serve::replay_streaming(&sc, &cfg, client);
-    let w = outcome.window.expect("victim was detected");
-    client
-        .diagnose(sc.truth.victim, w.from, w.to, outcome.missing.clone())
-        .expect("served diagnosis");
-
-    let (snap, flight) = client.metrics().expect("metrics op still answers");
-    assert!(
-        snap.histogram(names::OP_DIAGNOSE_NS).is_none(),
-        "disabled obs must not record op latency"
-    );
-    assert_eq!(snap.counter_total(names::STAGE_ENGINE_APPLY_NS), 0);
-    // Ingest accounting is part of the service contract, not optional obs.
-    assert!(snap.counter_total(names::EPOCHS_INGESTED) > 0);
-    assert_eq!(flight.as_array().map(|a| a.len()), Some(0));
-    assert!(client.explain(None).is_err(), "no verdict journaled");
-
-    client.shutdown().expect("shutdown");
-    handle.wait();
-}

@@ -66,4 +66,4 @@ pub use topology::{
     chain, clos, dumbbell, fat_tree, leaf_spine, ring, ClosConfig, FatTreeNav, NavError, NodeKind,
     PortInfo, Topology, EVAL_BANDWIDTH, EVAL_DELAY,
 };
-pub use units::{pause_time_to_quanta, quanta_to_pause_time, Bandwidth, Rate};
+pub use units::{quanta_to_pause_time, Bandwidth, Rate};

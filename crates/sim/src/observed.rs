@@ -44,11 +44,6 @@ impl<H: SwitchHook> ObservedHook<H> {
     pub fn inner(&self) -> &H {
         &self.inner
     }
-
-    /// Unwrap into the inner hook and the recorder.
-    pub fn into_parts(self) -> (H, Recorder) {
-        (self.inner, self.obs)
-    }
 }
 
 impl<H: SwitchHook> SwitchHook for ObservedHook<H> {

@@ -407,6 +407,13 @@ pub enum NavError {
         index: usize,
         len: usize,
     },
+    /// A fabric dimension its builder cannot place: the dimension, its
+    /// value and the bound it broke.
+    Dimension {
+        dim: &'static str,
+        value: u64,
+        bound: String,
+    },
 }
 
 impl fmt::Display for NavError {
@@ -416,6 +423,7 @@ impl fmt::Display for NavError {
             NavError::RoleOutOfRange { role, index, len } => {
                 write!(f, "role {role}[{index}] out of range (len {len})")
             }
+            NavError::Dimension { dim, value, bound } => write!(f, "{dim} = {value} {bound}"),
         }
     }
 }

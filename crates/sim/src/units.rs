@@ -55,12 +55,6 @@ pub fn quanta_to_pause_time(quanta: u16, speed: Bandwidth) -> Nanos {
     Nanos(ns as u64)
 }
 
-/// Inverse of [`quanta_to_pause_time`], saturating at the 16-bit maximum.
-pub fn pause_time_to_quanta(dur: Nanos, speed: Bandwidth) -> u16 {
-    let bits = dur.as_nanos() as u128 * speed.bits_per_sec as u128 / 1_000_000_000;
-    (bits / 512).min(u16::MAX as u128) as u16
-}
-
 /// A sending rate used by host congestion control, in bits per second.
 ///
 /// Kept separate from [`Bandwidth`] because rates are adjusted in floating
@@ -69,10 +63,6 @@ pub fn pause_time_to_quanta(dur: Nanos, speed: Bandwidth) -> u16 {
 pub struct Rate(pub f64);
 
 impl Rate {
-    pub fn from_bandwidth(bw: Bandwidth) -> Self {
-        Rate(bw.bits_per_sec() as f64)
-    }
-
     pub fn gbps(self) -> f64 {
         self.0 / 1e9
     }
@@ -123,8 +113,6 @@ mod tests {
         // 65535 quanta at 100 Gbps: 65535*512 bits / 100 bits-per-ns.
         let t = quanta_to_pause_time(u16::MAX, bw);
         assert_eq!(t, Nanos(335_540));
-        let q = pause_time_to_quanta(t, bw);
-        assert!(q >= u16::MAX - 1);
     }
 
     #[test]
@@ -135,7 +123,7 @@ mod tests {
 
     #[test]
     fn rate_pacing() {
-        let r = Rate::from_bandwidth(Bandwidth::from_gbps(100));
+        let r = Rate(100e9);
         assert_eq!(r.pacing_delay(1000), Nanos(80));
         let half = Rate(50e9);
         assert_eq!(half.pacing_delay(1000), Nanos(160));

@@ -237,13 +237,6 @@ impl CausalityMeter {
         self.bytes[in_port as usize * self.nports + out_port as usize]
     }
 
-    /// Total bytes that entered via `in_port` (the denominator of the
-    /// port-level edge weight in Algorithm 1).
-    pub fn ingress_total(&self, in_port: u8) -> u64 {
-        let base = in_port as usize * self.nports;
-        self.bytes[base..base + self.nports].iter().sum()
-    }
-
     /// Egress ports that carried traffic from `in_port`.
     pub fn causal_out_ports(&self, in_port: u8) -> impl Iterator<Item = (u8, u64)> + '_ {
         let base = in_port as usize * self.nports;
@@ -458,13 +451,12 @@ mod tests {
         m.add(1, 2, 100);
         m.add(0, 3, 700);
         assert_eq!(m.get(1, 3), 1500);
-        assert_eq!(m.ingress_total(1), 1600);
         let causal: Vec<_> = m.causal_out_ports(1).collect();
         assert_eq!(causal, vec![(2, 100), (3, 1500)]);
         // Fig. 3's point: an egress with no traffic from this ingress is
         // not causal, even if it is PFC-congested.
         assert!(m.causal_out_ports(1).all(|(p, _)| p != 0));
         m.reset();
-        assert_eq!(m.ingress_total(1), 0);
+        assert_eq!(m.causal_out_ports(1).count(), 0);
     }
 }

@@ -151,12 +151,18 @@ impl TopologySpec {
                 spines,
                 hosts_per_leaf,
             } => {
-                if leaves == 0 || spines == 0 || hosts_per_leaf == 0 || !leaves.is_multiple_of(2) {
-                    return Err(NavError::RoleOutOfRange {
-                        role: "leaf-spine-dims",
-                        index: leaves,
-                        len: spines,
-                    });
+                if leaves < 2 || !leaves.is_multiple_of(2) {
+                    return Err(dimension("leaves", leaves, "must be even and at least 2"));
+                }
+                if spines == 0 {
+                    return Err(dimension("spines", spines, "must be at least 1"));
+                }
+                if hosts_per_leaf == 0 {
+                    return Err(dimension(
+                        "hosts_per_leaf",
+                        hosts_per_leaf,
+                        "must be at least 1",
+                    ));
                 }
                 return Ok(leaf_spine(
                     leaves,
@@ -177,20 +183,30 @@ impl TopologySpec {
         slow_divisor: u64,
     ) -> Result<ClosConfig, NavError> {
         if k < 2 || !k.is_multiple_of(2) {
-            return Err(NavError::RoleOutOfRange {
-                role: "fat-tree-k",
-                index: k,
-                len: k,
-            });
+            return Err(dimension("k", k, "must be even and at least 2"));
         }
         let total_core_links = k * (k / 2) * (k / 2);
+        if failed >= total_core_links {
+            return Err(dimension(
+                "failed",
+                failed,
+                format!("must be below the {total_core_links} core links of k = {k}"),
+            ));
+        }
+        if slow_pods > k {
+            return Err(dimension(
+                "slow_pods",
+                slow_pods,
+                format!("exceeds the {k} pods of k = {k}"),
+            ));
+        }
         // A divisor past the base rate would build zero-bandwidth uplinks.
-        let divisor_ok = (1..=EVAL_BANDWIDTH.bits_per_sec()).contains(&slow_divisor);
-        if failed >= total_core_links || slow_pods > k || !divisor_ok {
-            return Err(NavError::RoleOutOfRange {
-                role: "fat-tree-variant",
-                index: failed.max(slow_pods),
-                len: total_core_links,
+        let max_divisor = EVAL_BANDWIDTH.bits_per_sec();
+        if !(1..=max_divisor).contains(&slow_divisor) {
+            return Err(NavError::Dimension {
+                dim: "slow_divisor",
+                value: slow_divisor,
+                bound: format!("must be in 1..={max_divisor}, the base rate in bit/s"),
             });
         }
         let mut cfg = ClosConfig::fat_tree(k, EVAL_BANDWIDTH, EVAL_DELAY);
@@ -198,6 +214,15 @@ impl TopologySpec {
         cfg.slow_pods = slow_pods;
         cfg.slow_divisor = slow_divisor;
         Ok(cfg)
+    }
+}
+
+/// The refusal for dimension `dim` at `value`, which broke `bound`.
+fn dimension(dim: &'static str, value: usize, bound: impl Into<String>) -> NavError {
+    NavError::Dimension {
+        dim,
+        value: value as u64,
+        bound: bound.into(),
     }
 }
 
@@ -259,6 +284,66 @@ mod tests {
         }
         .build()
         .is_ok());
+    }
+
+    /// Each refusal names the dimension that failed, its value and the
+    /// bound it broke.
+    #[test]
+    fn each_refusal_names_its_dimension_value_and_bound() {
+        let leaf_spine = |leaves, spines, hosts_per_leaf| TopologySpec::LeafSpine {
+            leaves,
+            spines,
+            hosts_per_leaf,
+        };
+        let asym = |slow_pods, slow_divisor| TopologySpec::AsymClos {
+            k: 8,
+            slow_pods,
+            slow_divisor,
+        };
+        let cases = [
+            (
+                TopologySpec::FatTree { k: 3 },
+                "k = 3 must be even and at least 2".to_string(),
+            ),
+            (
+                TopologySpec::FatTree { k: 0 },
+                "k = 0 must be even and at least 2".into(),
+            ),
+            (
+                TopologySpec::FatTreeDegraded { k: 4, failed: 16 },
+                "failed = 16 must be below the 16 core links of k = 4".into(),
+            ),
+            (
+                asym(9, 2),
+                "slow_pods = 9 exceeds the 8 pods of k = 8".into(),
+            ),
+            (
+                asym(2, 0),
+                format!(
+                    "slow_divisor = 0 must be in 1..={}, the base rate in bit/s",
+                    EVAL_BANDWIDTH.bits_per_sec()
+                ),
+            ),
+            (
+                leaf_spine(3, 2, 2),
+                "leaves = 3 must be even and at least 2".into(),
+            ),
+            (
+                leaf_spine(0, 2, 2),
+                "leaves = 0 must be even and at least 2".into(),
+            ),
+            (leaf_spine(4, 0, 2), "spines = 0 must be at least 1".into()),
+            (
+                leaf_spine(4, 2, 0),
+                "hosts_per_leaf = 0 must be at least 1".into(),
+            ),
+        ];
+        for (spec, want) in cases {
+            match spec.build() {
+                Err(e) => assert_eq!(e.to_string(), want, "{spec}"),
+                Ok(_) => panic!("{spec} built"),
+            }
+        }
     }
 
     #[test]

@@ -432,6 +432,11 @@ assert fleet["served"] == ref["served"], \
     "verdict through 3-shard fleet differs from monolithic daemon"
 held = [b["store_switches"] for b in fleet["daemon"]["backends"]]
 assert all(n > 0 for n in held), f"a shard holds no switch: {held}"
+# The front counts epochs under epochs_ingested, as each backend does.
+front_epochs = fleet["daemon"]["epochs_ingested"]
+backend_epochs = sum(b["epochs_ingested"] for b in fleet["daemon"]["backends"])
+assert front_epochs == backend_epochs, \
+    f"front epochs_ingested {front_epochs}, its backends' sum {backend_epochs}"
 print("fleet smoke ok:", fleet["verdict"] + ",",
       fleet["epochs_streamed"], "epochs routed over shards holding", held,
       "switches, verdict byte-identical")
