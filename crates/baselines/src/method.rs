@@ -39,7 +39,7 @@ impl Method {
         Method::FlowOnly,
     ];
 
-    /// The four methods of the Fig. 8 accuracy comparison.
+    /// The five methods of the Fig. 8 accuracy comparison (and Figs. 9 and 11).
     pub const FIG8: [Method; 5] = [
         Method::Hawkeye,
         Method::FullPolling,

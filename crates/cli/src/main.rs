@@ -33,7 +33,8 @@ use hawkeye_baselines::Method;
 use hawkeye_core::{BufferDependencyGraph, RootCause};
 use hawkeye_eval::{
     chaos_sweep, default_jobs, fig12_case, figure, optimal_run_config, par_map, run_method,
-    run_method_obs, simulate, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES, FIGURE_IDS,
+    run_method_obs, run_methods, simulate, ChaosConfig, EvalConfig, ScoreConfig, FIG12_CASES,
+    FIGURE_IDS,
 };
 use hawkeye_obs::{kind as evkind, ObsConfig};
 use hawkeye_serve::Endpoint;
@@ -124,7 +125,7 @@ fn parse_kind(s: &str) -> Option<ScenarioKind> {
 const COMMANDS: [&str; 15] = [
     "scenario <kind> --load F --seed N --json",
     "matrix --load F --seed N --jobs N",
-    "methods <kind> --load F --seed N --jobs N",
+    "methods <kind> --load F --seed N",
     "cbd <kind> --load F --seed N",
     "dot <kind>",
     "summary <kind> --load F --seed N --json",
@@ -152,9 +153,8 @@ struct Opts {
     seed: u64,
     json: bool,
     format: TraceFormat,
-    /// Worker threads for sweep-style subcommands (`matrix`, `methods`,
-    /// `chaos`). Precedence: `--jobs` flag, then `HAWKEYE_JOBS`, then
-    /// `available_parallelism`.
+    /// Worker threads for the sweeps (`matrix`, `chaos`, `corpus`,
+    /// `figure`): `--jobs`, else `HAWKEYE_JOBS`, else `available_parallelism`.
     jobs: usize,
     /// Fault rates for `chaos` (fractions).
     rates: Vec<f64>,
@@ -483,10 +483,8 @@ fn cmd_methods(kind: ScenarioKind, o: &Opts) {
         "switches",
         "proc_B"
     );
-    let outs = par_map(o.jobs, &Method::ALL, |&m| {
-        let sc = build(kind, o);
-        run_method(&sc, &optimal_run_config(o.seed), m, &ScoreConfig::default())
-    });
+    let (sc, run) = (build(kind, o), optimal_run_config(o.seed));
+    let outs = run_methods(&sc, &run, &Method::ALL, &ScoreConfig::default());
     for (m, out) in Method::ALL.into_iter().zip(outs) {
         outln!(
             "{:<13} {:<17} {:<10} {:<10} {}",
@@ -559,7 +557,6 @@ fn cmd_figure(id: Option<&str>, o: &Opts) {
     let cfg = EvalConfig {
         trials: o.trials.unwrap_or(EvalConfig::default().trials),
         load: o.load,
-        ..EvalConfig::default()
     };
     for id in ids {
         let Some(text) = figure(id, &cfg, o.jobs) else {

@@ -76,6 +76,12 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         &["front", "--map", "m", "--socket", "s", "--load", "0.2"],
         "hawkeye: --load does not apply to front",
     );
+    // `methods` runs its seven methods on three simulations, one after
+    // the other: there is nothing to spread over threads.
+    refused(
+        &["methods", "incast", "--jobs", "2"],
+        "hawkeye: --jobs does not apply to methods",
+    );
 }
 
 /// `serve` is only the daemon and `replay` only drives one: neither takes

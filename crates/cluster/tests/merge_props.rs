@@ -15,7 +15,7 @@ use hawkeye_client::VecSink;
 use hawkeye_core::{
     assemble_from_fragments, build_graph, AggTelemetry, ProvenanceGraph, ReplayConfig, Window,
 };
-use hawkeye_eval::optimal_run_config;
+use hawkeye_eval::RunConfig;
 use hawkeye_serve::{replay_streaming, StoreConfig, TelemetryStore};
 use hawkeye_telemetry::TelemetrySnapshot;
 use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
@@ -31,7 +31,7 @@ fn cases() -> &'static Vec<(Scenario, Vec<TelemetrySnapshot>)> {
             .iter()
             .map(|&kind| {
                 let sc = build_scenario(kind, ScenarioParams::default());
-                let (_, sink) = replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+                let (_, sink) = replay_streaming(&sc, &RunConfig::default(), VecSink::default());
                 assert!(!sink.snaps.is_empty(), "{kind:?} streamed no telemetry");
                 (sc, sink.snaps)
             })

@@ -5,17 +5,16 @@
 //! scalar fault rate (see [`plan_for_rate`]) with the host agent's re-poll
 //! ladder enabled, then records whether the pipeline still detected,
 //! diagnosed correctly, and how the verdict's [`Confidence`] degraded. The
-//! whole grid fans across the parallel trial runner and aggregates in input
-//! order, so a sweep is bit-for-bit reproducible from `(rates, seeds)`.
+//! whole grid is one trial list on the figures' sweep and aggregates in
+//! input order, so a sweep is bit-for-bit reproducible from `(rates, seeds)`.
 //!
 //! [`Confidence`]: hawkeye_core::Confidence
 
-use crate::metrics::{ScoreConfig, Verdict};
-use crate::parallel::par_map;
-use crate::runner::{run_method, RunConfig, RunOutcome};
+use crate::metrics::Verdict;
+use crate::runner::{sweep, RunConfig, RunOutcome, Trial};
 use hawkeye_baselines::Method;
 use hawkeye_sim::{CpuPathFault, FaultPlan, Nanos};
-use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
+use hawkeye_workloads::ScenarioKind;
 use serde::{Serialize, Value};
 
 /// Derive a full [`FaultPlan`] from one scalar fault rate in `[0, 1]`.
@@ -210,53 +209,33 @@ impl Serialize for ChaosReport {
     }
 }
 
-/// One grid cell, flattened for the parallel runner.
-#[derive(Debug, Clone, Copy)]
-struct ChaosSpec {
-    kind: ScenarioKind,
-    rate: f64,
-    seed: u64,
-    load: f64,
-}
-
-fn run_chaos_trial(t: &ChaosSpec) -> RunOutcome {
-    let sc = build_scenario(
-        t.kind,
-        ScenarioParams {
-            seed: t.seed,
-            load: t.load,
-            ..Default::default()
-        },
-    );
-    let faults = plan_for_rate(t.rate, t.seed);
-    let run = RunConfig {
-        sim_seed: t.seed,
-        faults,
-        // The re-poll ladder is part of the resilience story under faults;
-        // at rate zero it stays off so that row IS the fault-free baseline.
-        agent_retry: !faults.is_none(),
-        ..RunConfig::default()
-    };
-    run_method(&sc, &run, Method::Hawkeye, &ScoreConfig::default())
-}
-
 /// Run the full rate × scenario × trial grid across `jobs` workers and
 /// aggregate per rate, in input order (bit-reproducible for any `jobs`).
 pub fn chaos_sweep(cfg: &ChaosConfig, jobs: usize) -> ChaosReport {
-    let mut specs = Vec::new();
+    let mut trials = Vec::new();
     for &rate in &cfg.rates {
         for kind in ScenarioKind::ALL {
-            for t in 0..cfg.trials {
-                specs.push(ChaosSpec {
+            for seed in cfg.base_seed..cfg.base_seed + cfg.trials as u64 {
+                let faults = plan_for_rate(rate, seed);
+                let run = RunConfig {
+                    sim_seed: seed,
+                    faults,
+                    // The re-poll ladder is part of the resilience story
+                    // under faults; at rate zero it stays off so that row
+                    // IS the fault-free baseline.
+                    agent_retry: !faults.is_none(),
+                    ..RunConfig::default()
+                };
+                trials.push(Trial {
                     kind,
-                    rate,
-                    seed: cfg.base_seed + t as u64,
+                    seed,
                     load: cfg.load,
+                    run,
                 });
             }
         }
     }
-    let outcomes = par_map(jobs, &specs, run_chaos_trial);
+    let outcomes = sweep(jobs, &trials, &[Method::Hawkeye]);
     let per_rate = ScenarioKind::ALL.len() * cfg.trials;
     let cells = cfg
         .rates
@@ -267,7 +246,7 @@ pub fn chaos_sweep(cfg: &ChaosConfig, jobs: usize) -> ChaosReport {
                 rate,
                 ..ChaosCell::default()
             };
-            for out in chunk {
+            for out in chunk.iter().flatten() {
                 cell.absorb(out);
             }
             cell

@@ -107,7 +107,6 @@ pub struct CorpusConfig {
     pub topos: Vec<TopologySpec>,
     pub kinds: Vec<ScenarioKind>,
     pub seeds: Vec<u64>,
-    pub score: ScoreConfig,
 }
 
 impl Default for CorpusConfig {
@@ -116,7 +115,6 @@ impl Default for CorpusConfig {
             topos: TopologySpec::corpus(),
             kinds: ScenarioKind::ALL.to_vec(),
             seeds: vec![1, 2, 3],
-            score: ScoreConfig::default(),
         }
     }
 }
@@ -224,8 +222,8 @@ pub fn run_corpus(cfg: &CorpusConfig, jobs: usize) -> Vec<CorpusCell> {
             }
         }
     }
-    let score = cfg.score;
-    let mut cells = par_map(jobs, &specs, move |(topo, kind, seed)| {
+    let score = ScoreConfig::default();
+    let mut cells = par_map(jobs, &specs, |(topo, kind, seed)| {
         run_cell(topo, *kind, *seed, &score)
     });
     cells.sort_by(|a, b| a.key.cmp(&b.key));
@@ -477,7 +475,6 @@ mod tests {
             topos: vec![TopologySpec::EVAL],
             kinds: vec![ScenarioKind::PfcStorm],
             seeds: vec![1],
-            score: ScoreConfig::default(),
         };
         let a = run_corpus(&cfg, 1);
         let b = run_corpus(&cfg, 2);

@@ -154,7 +154,6 @@ pub struct FuzzConfig {
     /// Stop banking after this many distinct minimized repros (further
     /// disagreements are still counted, just not shrunk).
     pub max_bank: usize,
-    pub score: ScoreConfig,
 }
 
 impl Default for FuzzConfig {
@@ -165,7 +164,6 @@ impl Default for FuzzConfig {
             base: TopologySpec::FatTree { k: 8 },
             shrink_budget: 40,
             max_bank: 3,
-            score: ScoreConfig::default(),
         }
     }
 }
@@ -424,6 +422,7 @@ fn shrink(
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC0111E);
     let base = base_params(&cfg.base);
+    let score = ScoreConfig::default();
     let mut reg = MetricsRegistry::new();
     let mut report = FuzzReport {
         runs: 0,
@@ -440,7 +439,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     for _case in 0..cfg.budget {
         let p = mutate(&base, &mut rng);
         let cell = format!("{}/{}", p.spec.slug(), p.kind.name());
-        match run_point(&p, &cfg.score) {
+        match run_point(&p, &score) {
             Err(_) => {
                 report.rejected += 1;
                 reg.inc(MetricKey::global(names::FUZZ_TOPOLOGIES_REJECTED));
@@ -460,13 +459,13 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                     continue;
                 }
                 let (min_p, min_outcome, spent) =
-                    shrink(&p, &outcome, &base, cfg.shrink_budget, &cfg.score);
+                    shrink(&p, &outcome, &base, cfg.shrink_budget, &score);
                 report.shrink_runs += spent;
                 reg.add(MetricKey::global(names::FUZZ_SHRINK_RUNS), spent);
                 // Re-verify the minimized repro end to end before banking.
                 report.shrink_runs += 1;
                 reg.add(MetricKey::global(names::FUZZ_SHRINK_RUNS), 1);
-                match run_point(&min_p, &cfg.score) {
+                match run_point(&min_p, &score) {
                     Ok((v, false)) if v == min_outcome => {
                         let key = (
                             min_p.spec.slug(),
@@ -609,7 +608,6 @@ mod tests {
             base: TopologySpec::FatTree { k: 4 },
             shrink_budget: 4,
             max_bank: 1,
-            score: ScoreConfig::default(),
         };
         let a = run_fuzz(&cfg);
         let b = run_fuzz(&cfg);

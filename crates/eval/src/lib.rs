@@ -2,9 +2,11 @@
 //!
 //! Evaluation harness: precision/recall scoring against scenario ground
 //! truth, one per-trial runner for Hawkeye and the baselines alike
-//! ([`run_method`]: every offline trial is set up by [`simulate`] and
-//! becomes a verdict in [`conclude_trial`]), and the paper's figures
-//! behind one entry point, [`figure`] (`hawkeye figure <id>` prints them).
+//! ([`run_methods`]: every offline trial is set up by [`simulate`], once
+//! per deployment its methods need, and each method becomes a verdict in
+//! [`conclude_trial`] over that one run), and the paper's figures behind
+//! one entry point, [`figure`] (`hawkeye figure <id>` prints them). Every
+//! sweep, the figures' and [`chaos_sweep`]'s, is one trial list.
 
 pub mod chaos;
 pub mod corpus;
@@ -30,5 +32,6 @@ pub use hawkeye_baselines::Method;
 pub use metrics::{judge, PrecisionRecall, ScoreConfig, Verdict};
 pub use parallel::{default_jobs, par_map};
 pub use runner::{
-    conclude_trial, run_method, run_method_obs, simulate, victim_window, RunConfig, RunOutcome,
+    conclude_trial, run_method, run_method_obs, run_methods, simulate, victim_window, RunConfig,
+    RunOutcome,
 };

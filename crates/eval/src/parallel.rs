@@ -1,8 +1,8 @@
 //! Work-stealing parallel trial runner for the figure sweeps.
 //!
 //! The figure grids are embarrassingly parallel: every `(scenario, seed,
-//! method)` trial builds its own simulator and shares nothing with its
-//! neighbors. [`par_map`] fans a flat trial list across `jobs` worker
+//! load, run config)` trial builds its own simulators and shares nothing
+//! with its neighbors. [`par_map`] fans a flat trial list across `jobs` worker
 //! threads that *pull* work from a shared atomic cursor (idle workers steal
 //! the next un-started index, so an unlucky worker stuck on a slow trial
 //! never serializes the rest), and reassembles results **in input order** —

@@ -2,6 +2,12 @@
 //! everything the figures need: the victim diagnosis, collection/overhead
 //! statistics, and causal-switch coverage.
 //!
+//! A method is a view of its deployment's run: [`run_methods`] simulates
+//! each deployment (polling policy, full polling or not) its methods need
+//! once and concludes every method over it, and every evaluation sweep is
+//! a list of crate-private `Trial`s (kind, seed, load, [`RunConfig`]) run
+//! through it.
+//!
 //! Every offline trial becomes a verdict through [`conclude_trial`]; the
 //! runners here, the figures and `hawkeye-serve`'s replay all call it.
 //! Its evidence rule is the daemon's: the analyzer reads every collected
@@ -17,6 +23,7 @@
 //! outcome fields were computed from.
 
 use crate::metrics::{judge, ScoreConfig, Verdict};
+use crate::parallel::par_map;
 use hawkeye_baselines::{
     filter_victim_path, netsight_bandwidth, netsight_processing, polling_bandwidth,
     spidermon_bandwidth, spidermon_processing, strip_flows, strip_pfc, strip_ports, Method,
@@ -31,9 +38,11 @@ use hawkeye_sim::{
     ObservedHook, Simulator, SwitchHook,
 };
 use hawkeye_telemetry::{EpochConfig, TelemetryConfig, TelemetrySnapshot};
-use hawkeye_workloads::Scenario;
+use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
 
-/// Per-run knobs (the paper's Fig. 7 sweep axes plus seeds).
+/// Per-run knobs (the paper's Fig. 7 sweep axes plus seeds). The default
+/// is the optimal operating point of the cross-method comparisons,
+/// simulated at seed 1.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     pub epoch: EpochConfig,
@@ -176,6 +185,37 @@ pub fn victim_window(
         })
 }
 
+/// The deployment `method` runs on: the switches' polling policy and
+/// whether every switch is collected on each trigger. A method is a view
+/// of its deployment's run, so methods that share a deployment share its
+/// simulation: Hawkeye and port-only, full polling and NetSight, and
+/// victim-only, SpiderMon and flow-only.
+fn deployment(method: Method) -> (TracingPolicy, bool) {
+    let policy = if method.victim_path_only() || method == Method::FlowOnly {
+        TracingPolicy::VictimOnly
+    } else {
+        TracingPolicy::Hawkeye
+    };
+    (policy, method.collects_everything())
+}
+
+/// [`simulate`] `scenario` on `method`'s deployment, its Hawkeye hook
+/// handed to `wrap`.
+fn simulate_deployment<H: SwitchHook>(
+    scenario: &Scenario,
+    cfg: &RunConfig,
+    method: Method,
+    wrap: impl FnOnce(HawkeyeHook) -> H,
+) -> Simulator<H> {
+    let (policy, full_polling) = deployment(method);
+    simulate(scenario, &RunConfig { policy, ..*cfg }, |h| {
+        wrap(HawkeyeHook::new(
+            &scenario.topo,
+            HawkeyeConfig { full_polling, ..h },
+        ))
+    })
+}
+
 /// Run `scenario` under `method` and judge the result.
 pub fn run_method(
     scenario: &Scenario,
@@ -183,7 +223,40 @@ pub fn run_method(
     method: Method,
     score: &ScoreConfig,
 ) -> RunOutcome {
-    run_method_obs(scenario, cfg, method, score, ObsConfig::off()).0
+    run_methods(scenario, cfg, &[method], score)
+        .pop()
+        .expect("one outcome per method")
+}
+
+/// Run `scenario` under each of `methods` and judge each result, in
+/// `methods` order. Each deployment the methods need is simulated once,
+/// and every method on it is concluded over that one run with a recorder
+/// of its own, so each outcome equals its own [`run_method`].
+pub fn run_methods(
+    scenario: &Scenario,
+    cfg: &RunConfig,
+    methods: &[Method],
+    score: &ScoreConfig,
+) -> Vec<RunOutcome> {
+    let mut outs: Vec<Option<RunOutcome>> = methods.iter().map(|_| None).collect();
+    for (i, &first) in methods.iter().enumerate() {
+        if outs[i].is_some() {
+            continue;
+        }
+        let sim = simulate_deployment(scenario, cfg, first, |h| h);
+        let collector = &sim.hook.collector;
+        for (out, &m) in outs.iter_mut().zip(methods).skip(i) {
+            if deployment(m) == deployment(first) {
+                let obs = &mut Recorder::disabled();
+                *out = Some(conclude_trial(
+                    &sim, collector, scenario, cfg, m, score, obs,
+                ));
+            }
+        }
+    }
+    outs.into_iter()
+        .map(|o| o.expect("every method's deployment ran"))
+        .collect()
 }
 
 /// [`run_method`] with observability: the simulation runs under an
@@ -198,20 +271,44 @@ pub fn run_method_obs(
     score: &ScoreConfig,
     ocfg: ObsConfig,
 ) -> (RunOutcome, Recorder) {
-    let policy = if method.victim_path_only() || method == Method::FlowOnly {
-        TracingPolicy::VictimOnly
-    } else {
-        TracingPolicy::Hawkeye
-    };
-    let mut sim = simulate(scenario, &RunConfig { policy, ..*cfg }, |h| {
-        let full_polling = method.collects_everything();
-        let hook = HawkeyeHook::new(&scenario.topo, HawkeyeConfig { full_polling, ..h });
-        ObservedHook::new(hook, ocfg)
-    });
+    let mut sim = simulate_deployment(scenario, cfg, method, |h| ObservedHook::new(h, ocfg));
     let mut obs = std::mem::take(&mut sim.hook.obs);
     let collector = &sim.hook.inner().collector;
     let out = conclude_trial(&sim, collector, scenario, cfg, method, score, &mut obs);
     (out, obs)
+}
+
+/// One evaluation trial: `kind` on the evaluation fabric at scenario seed
+/// `seed` and background `load`, run at `run`. Every sweep — the figures
+/// and the chaos sweep — is a list of these.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Trial {
+    pub kind: ScenarioKind,
+    pub seed: u64,
+    pub load: f64,
+    pub run: RunConfig,
+}
+
+/// `kind` on the evaluation fabric at `seed` and background `load`.
+pub(crate) fn scenario(kind: ScenarioKind, seed: u64, load: f64) -> Scenario {
+    build_scenario(
+        kind,
+        ScenarioParams {
+            seed,
+            load,
+            ..Default::default()
+        },
+    )
+}
+
+/// [`run_methods`] over every trial, the trials spread across `jobs`
+/// threads: one outcome list per trial, in input order and in `methods`
+/// order, so the result does not depend on `jobs`.
+pub(crate) fn sweep(jobs: usize, trials: &[Trial], methods: &[Method]) -> Vec<Vec<RunOutcome>> {
+    par_map(jobs, trials, |t| {
+        let sc = scenario(t.kind, t.seed, t.load);
+        run_methods(&sc, &t.run, methods, &ScoreConfig::default())
+    })
 }
 
 /// Turn the finished trial `sim` of `scenario`, whose telemetry reached

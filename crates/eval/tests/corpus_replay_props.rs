@@ -4,7 +4,7 @@
 //! fanned across. The golden file is only meaningful if this holds —
 //! otherwise a pin would encode the scheduler, not the pipeline.
 
-use hawkeye_eval::{golden_to_json, run_corpus, CorpusConfig, ScoreConfig};
+use hawkeye_eval::{golden_to_json, run_corpus, CorpusConfig};
 use hawkeye_workloads::{ScenarioKind, TopologySpec};
 use proptest::prelude::*;
 
@@ -27,7 +27,6 @@ proptest! {
             topos: vec![topos[topo_idx]],
             kinds: vec![ScenarioKind::ALL[kind_idx]],
             seeds: vec![seed, seed + 1],
-            score: ScoreConfig::default(),
         };
         let reference = golden_to_json(&run_corpus(&cfg, 1));
         for jobs in [2usize, 4] {

@@ -133,7 +133,7 @@ pub fn replay_streaming_batched<S: EpochSink>(
 mod tests {
     use super::replay_streaming_batched;
     use hawkeye_client::VecSink;
-    use hawkeye_eval::optimal_run_config;
+    use hawkeye_eval::RunConfig;
     use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
     /// The frame size is transport only: a capture in frames of one and in
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn frame_size_does_not_change_the_capture() {
         let sc = build_scenario(ScenarioKind::MicroBurstIncast, ScenarioParams::default());
-        let cfg = optimal_run_config(1);
+        let cfg = RunConfig::default();
         let (by_1, sink_1) = replay_streaming_batched(&sc, &cfg, VecSink::default(), 1);
         let (by_7, sink_7) = replay_streaming_batched(&sc, &cfg, VecSink::default(), 7);
         assert!(sink_1.snaps.len() % 7 != 0, "no partial trailing frame");

@@ -4,7 +4,7 @@
 //! a durability-off daemon fed the identical stream.
 
 use hawkeye_client::{FlowObservation, ProtoError, ServeClient, ShardRange, VecSink};
-use hawkeye_eval::{optimal_run_config, Verdict};
+use hawkeye_eval::{RunConfig, Verdict};
 use hawkeye_serve::{
     replay_streaming, spawn, spawn_durable, DaemonHandle, Endpoint, FsyncPolicy, ReplayOutcome,
     ServeConfig, StoreConfig, WalConfig,
@@ -38,7 +38,7 @@ fn stream_into(
     sock: &Path,
 ) -> (ReplayOutcome, Vec<FlowObservation>) {
     let client = ServeClient::connect_unix(sock).expect("connect");
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let (outcome, mut client) = replay_streaming(sc, &cfg, client);
     assert_eq!(outcome.stream.errors, 0, "stream: {:?}", outcome.stream);
     client.stats().expect("stats barrier");
@@ -198,7 +198,7 @@ fn recovered_state_matches_durability_off() {
 #[test]
 fn batches_recover_to_the_unbatched_state() {
     let sc = incast();
-    let (_, sink) = replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+    let (_, sink) = replay_streaming(&sc, &RunConfig::default(), VecSink::default());
     let frames: Vec<&[_]> = sink.snaps.chunks(8).collect();
 
     let sock_ref = tmp("span-off.sock");
@@ -277,7 +277,7 @@ fn batches_recover_to_the_unbatched_state() {
 #[test]
 fn refused_frame_is_neither_stored_nor_journaled() {
     let sc = incast();
-    let (_, sink) = replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+    let (_, sink) = replay_streaming(&sc, &RunConfig::default(), VecSink::default());
     // Own exactly the switches below the largest reporting id.
     let stray_switch = sink.snaps.iter().map(|s| s.switch).max().expect("stream");
     let cfg = ServeConfig {

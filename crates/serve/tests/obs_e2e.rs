@@ -5,7 +5,7 @@
 //! answer after the fact" acceptance path.
 
 use hawkeye_client::ServeClient;
-use hawkeye_eval::{optimal_run_config, Verdict};
+use hawkeye_eval::{RunConfig, Verdict};
 use hawkeye_obs::names;
 use hawkeye_serve::{spawn, Endpoint, ServeConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
@@ -17,7 +17,7 @@ fn incast() -> hawkeye_workloads::Scenario {
 #[test]
 fn metrics_and_explain_round_trip_after_replay() {
     let sc = incast();
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let handle = spawn(
         sc.topo.clone(),
         ServeConfig::default(),

@@ -6,7 +6,7 @@
 use hawkeye_client::proto::{decode_response, read_frame, write_frame, CREDIT_WINDOW};
 use hawkeye_client::{EpochSink, ProtoError, Response, ServeClient, SinkAck, VecSink};
 use hawkeye_eval::corpus::cell_params;
-use hawkeye_eval::{optimal_run_config, run_method, Method, ScoreConfig, Verdict};
+use hawkeye_eval::{optimal_run_config, run_method, Method, RunConfig, ScoreConfig, Verdict};
 use hawkeye_serve::{spawn, Endpoint, ServeConfig, StoreConfig};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::wire::encode_batch;
@@ -29,7 +29,7 @@ fn run_method_report_is_the_replay_reference() {
     let spec = TopologySpec::EVAL;
     let sc = build_scenario_on(&spec, ScenarioKind::MicroBurstIncast, cell_params(&spec, 1))
         .expect("ft4 scripts every scenario");
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let out = run_method(&sc, &cfg, Method::Hawkeye, &ScoreConfig::default());
     let (replay, _) = hawkeye_serve::replay_streaming(&sc, &cfg, VecSink::default());
     assert!(out.report.is_some(), "the cell must be diagnosed");
@@ -71,7 +71,7 @@ fn same_seed_captures_are_byte_identical() {
     let actual = pinned.map(|(k, ..)| {
         let sc = build_scenario_on(&spec, k, cell_params(&spec, 1)).expect("ft8 scripts it");
         let (_, sink) =
-            hawkeye_serve::replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+            hawkeye_serve::replay_streaming(&sc, &RunConfig::default(), VecSink::default());
         (k, fnv1a(&encode_batch(&sink.snaps)), sink.snaps.len())
     });
     let rows: String = actual
@@ -88,7 +88,7 @@ fn same_seed_captures_are_byte_identical() {
 #[test]
 fn served_diagnosis_matches_oneshot_over_tcp() {
     let sc = incast();
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let handle = spawn(
         sc.topo.clone(),
         ServeConfig::default(),
@@ -154,7 +154,7 @@ fn served_diagnosis_matches_oneshot_over_tcp() {
 #[test]
 fn deep_rings_serve_the_window_only() {
     let sc = incast();
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let handle = spawn(
         sc.topo.clone(),
         ServeConfig::default(),
@@ -352,7 +352,7 @@ impl EpochSink for WindowChecked {
 #[test]
 fn slow_consumer_backpressure_sheds_nothing() {
     let sc = incast();
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let handle = spawn(
         sc.topo.clone(),
         ServeConfig {
@@ -471,7 +471,7 @@ fn stats_waits_for_every_acknowledged_snapshot() {
 #[test]
 fn frame_size_does_not_change_what_the_daemon_holds() {
     let sc = incast();
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let (outcome, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, VecSink::default());
     let w = outcome.window.expect("victim was detected");
     const HELD: [&str; 5] = [
@@ -531,7 +531,7 @@ fn frame_size_does_not_change_what_the_daemon_holds() {
 #[test]
 fn hostile_counts_do_not_kill_the_daemon() {
     let sc = incast();
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let handle = spawn(
         sc.topo.clone(),
         ServeConfig::default(),
@@ -649,7 +649,7 @@ fn hostile_counts_do_not_kill_the_daemon() {
 #[test]
 fn foreign_switch_or_port_is_refused_whole() {
     let sc = incast();
-    let cfg = optimal_run_config(1);
+    let cfg = RunConfig::default();
     let handle = spawn(
         sc.topo.clone(),
         ServeConfig::default(),

@@ -14,7 +14,7 @@
 
 use hawkeye_client::VecSink;
 use hawkeye_core::{analyze_victim_window, AnalyzerConfig, Window};
-use hawkeye_eval::optimal_run_config;
+use hawkeye_eval::RunConfig;
 use hawkeye_serve::{replay_streaming, StoreConfig, TelemetryStore};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{
@@ -131,7 +131,7 @@ fn replays() -> &'static Vec<(Scenario, Vec<TelemetrySnapshot>)> {
             .iter()
             .map(|&kind| {
                 let sc = build_scenario(kind, ScenarioParams::default());
-                let (_, sink) = replay_streaming(&sc, &optimal_run_config(1), VecSink::default());
+                let (_, sink) = replay_streaming(&sc, &RunConfig::default(), VecSink::default());
                 assert!(!sink.snaps.is_empty(), "{kind:?} streamed no telemetry");
                 (sc, sink.snaps)
             })
@@ -433,7 +433,7 @@ proptest! {
         let windowed = store.snapshots_in(w);
         prop_assert_eq!(&windowed, &full_read_retained(&store, w));
 
-        let cfg = AnalyzerConfig::for_epoch_len(optimal_run_config(1).epoch.epoch_len());
+        let cfg = AnalyzerConfig::for_epoch_len(RunConfig::default().epoch.epoch_len());
         let report = |evidence: &[TelemetrySnapshot]| {
             let (r, _, _) = analyze_victim_window(&sc.truth.victim, w, evidence, &sc.topo, &cfg);
             serde_json::to_string(&r).expect("report serializes")

@@ -11,9 +11,10 @@
 # once. Each command below then runs on both, and its stdout plus exit
 # status are compared: one line per command, `identical` or `DIFF` followed
 # by the first lines of the diff. The commands: `hawkeye scenario` for the
-# six kinds, as text and --json; `summary` x6 --json; `cbd` x6; `dot` for
-# the four Fig. 12 cases; `matrix`; `methods incast`; `corpus --json`;
-# `fuzz --budget 4 --json`; `figure all`; the examples `quickstart`,
+# six kinds, as text and --json; `summary` x6 --json; `cbd` x6; `methods`
+# x6; `dot` for the four Fig. 12 cases; `matrix`; `chaos --rates 0.0,0.2
+# --trials 1 --json` (its --out file in the work directory); `corpus
+# --json`; `fuzz --budget 4 --json`; `figure all`; the examples `quickstart`,
 # `incast_backpressure` (plain and --dot), `pfc_storm`, `deadlock_diagnosis`
 # and `scenario_matrix`; and the served path, `replay <kind> --history
 # --json` for the six kinds, each on a daemon of its own. A served row is
@@ -62,13 +63,13 @@ kinds="incast storm inloop oolc oolinj contention"
 commands=()
 for k in $kinds; do
   commands+=("hawkeye scenario $k" "hawkeye scenario $k --json" "hawkeye summary $k --json"
-    "hawkeye cbd $k")
+    "hawkeye cbd $k" "hawkeye methods $k")
 done
 for k in incast storm inloop oolinj; do
   commands+=("hawkeye dot $k")
 done
-commands+=("hawkeye matrix" "hawkeye methods incast" "hawkeye corpus --json"
-  "hawkeye fuzz --budget 4 --json" "hawkeye figure all")
+commands+=("hawkeye matrix" "hawkeye chaos --rates 0.0,0.2 --trials 1 --json --out $work/chaos.json"
+  "hawkeye corpus --json" "hawkeye fuzz --budget 4 --json" "hawkeye figure all")
 for e in $examples; do
   commands+=("$e")
 done
