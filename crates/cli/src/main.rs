@@ -1088,8 +1088,8 @@ fn replay_doc(
         doc.push(("served".to_string(), served.to_value()));
     }
     let s = &outcome.stream;
-    doc.push(("epochs_streamed".to_string(), Value::UInt(s.pushed)));
-    doc.push(("epochs_shed".to_string(), Value::UInt(s.shed)));
+    doc.push(("snapshots_streamed".to_string(), Value::UInt(s.pushed)));
+    doc.push(("snapshots_shed".to_string(), Value::UInt(s.shed)));
     if let Some(stats) = &rb.stats {
         doc.push(("daemon".to_string(), stats.clone()));
     }

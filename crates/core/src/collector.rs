@@ -9,12 +9,13 @@
 //! Uploads are best-effort in deployment, so the collector is the
 //! resilience boundary of the pipeline: it applies the upload-path faults
 //! of an active [`FaultPlan`] (loss, delay, stale/truncated snapshots,
-//! corrupted causality-meter entries, dead switch CPUs), enforces a
-//! per-switch upload deadline, reconciles out-of-order/stale snapshots,
-//! and records an explicit [`MissingTelemetry`] marker for every gap
-//! instead of staying silent.
+//! corrupted causality-meter entries, dead switch CPUs), reconciles
+//! out-of-order/stale snapshots, and records an explicit
+//! [`MissingTelemetry`] marker for every gap instead of staying silent.
 
-use hawkeye_sim::{FaultPlan, FaultRng, FlowKey, Nanos, NodeId, STREAM_UPLOAD};
+use hawkeye_sim::{
+    Fault, FaultPlan, FaultRng, FlowKey, Nanos, NodeId, STREAM_UPLOAD, UPLOAD_DELAY_MAX,
+};
 use hawkeye_telemetry::{SwitchTelemetry, TelemetrySnapshot};
 use std::collections::HashMap;
 
@@ -26,19 +27,16 @@ use std::collections::HashMap;
 const DEDUP_INTERVAL: Nanos = Nanos::from_micros(100);
 /// Usable payload per report packet (MTU batching, §4.5).
 const REPORT_PAYLOAD: usize = 1500;
-/// Per-switch upload deadline: a snapshot delivered more than this after
-/// it was taken is discarded as late (its window has been re-collected by
-/// then; acting on it would mix timelines).
-const UPLOAD_DEADLINE: Nanos = Nanos::from_micros(500);
 
 /// Why a switch's telemetry never reached the analyzer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissingReason {
     /// The upload was lost on its way to the controller.
     UploadDropped,
-    /// The upload arrived past the per-switch deadline.
+    /// The upload arrived older than what the switch had already
+    /// delivered.
     UploadLate,
-    /// The switch's CPU path was dead (kill/flap fault).
+    /// The switch's CPU path was dead (a flapping CPU).
     CpuDown,
 }
 
@@ -59,8 +57,6 @@ pub struct MissingTelemetry {
 pub struct CollectorFaultStats {
     pub uploads_dropped: u64,
     pub uploads_delayed: u64,
-    /// Delayed uploads that missed the per-switch deadline.
-    pub uploads_late_dropped: u64,
     /// Snapshots delivered with their newest epoch missing (stale read).
     pub snapshots_stale: u64,
     pub snapshots_truncated: u64,
@@ -148,7 +144,7 @@ impl Collector {
         }
         // A dead CPU never sees the mirror: no register read, no dedup
         // update (the next probe may find it alive again).
-        if self.faults.cpu_fault.is_some() && self.faults.cpu_down(switch, now) {
+        if self.faults.cpu_down(now) {
             self.fault_stats.cpu_down_drops += 1;
             self.note_missing(switch, now, victim, MissingReason::CpuDown);
             return false;
@@ -158,41 +154,34 @@ impl Collector {
         let mut delivered_at = now;
         // Upload-path faults (the registers WERE read, so dedup stands).
         if self.faults.upload_faults_active() {
-            if self.frng.chance(self.faults.upload_drop) {
+            let plan = self.faults;
+            if self.frng.chance(plan.probability(Fault::UploadDrop)) {
                 self.fault_stats.uploads_dropped += 1;
                 self.note_missing(switch, now, victim, MissingReason::UploadDropped);
                 return false;
             }
-            if self.frng.chance(self.faults.upload_delay) {
-                let d = self.frng.delay(self.faults.upload_delay_max);
+            if self.frng.chance(plan.probability(Fault::UploadDelay)) {
                 self.fault_stats.uploads_delayed += 1;
-                if d > UPLOAD_DEADLINE {
-                    self.fault_stats.uploads_late_dropped += 1;
-                    self.note_missing(switch, now, victim, MissingReason::UploadLate);
-                    return false;
-                }
-                delivered_at = now + d;
+                delivered_at = now + self.frng.delay(UPLOAD_DELAY_MAX);
             }
-            if self.frng.chance(self.faults.snapshot_stale) && snapshot.make_stale() {
+            if self.frng.chance(plan.probability(Fault::SnapshotStale)) && snapshot.make_stale() {
                 self.fault_stats.snapshots_stale += 1;
             }
-            if self.frng.chance(self.faults.snapshot_truncate) && snapshot.truncate_flows() > 0 {
+            if self.frng.chance(plan.probability(Fault::SnapshotTruncate))
+                && snapshot.truncate_flows() > 0
+            {
                 self.fault_stats.snapshots_truncated += 1;
             }
-            if self.faults.meter_corrupt > 0.0 {
-                // A corrupted meter cell fails its checksum and is
-                // discarded row-wise by the controller.
-                for e in &mut snapshot.epochs {
-                    let mut kept = Vec::with_capacity(e.meter.len());
-                    for m in e.meter.drain(..) {
-                        if self.frng.chance(self.faults.meter_corrupt) {
-                            self.fault_stats.meter_entries_corrupted += 1;
-                        } else {
-                            kept.push(m);
-                        }
-                    }
-                    e.meter = kept;
-                }
+            // A corrupted meter cell fails its checksum and is discarded
+            // row-wise by the controller.
+            let corrupt = plan.probability(Fault::MeterCorrupt);
+            let (frng, stats) = (&mut self.frng, &mut self.fault_stats);
+            for e in &mut snapshot.epochs {
+                e.meter.retain(|_| {
+                    let hit = frng.chance(corrupt);
+                    stats.meter_entries_corrupted += u64::from(hit);
+                    !hit
+                });
             }
         }
         // Resilience machinery (always on; a no-op on a fault-free run):
@@ -308,7 +297,7 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hawkeye_sim::{CpuPathFault, EnqueueRecord, FlowId};
+    use hawkeye_sim::{EnqueueRecord, FlowId};
     use hawkeye_telemetry::TelemetryConfig;
 
     fn victim() -> FlowKey {
@@ -366,137 +355,134 @@ mod tests {
         assert_eq!(c.fault_stats.snapshots_stale_dropped, 0);
     }
 
+    /// Switches offered in one faulted collector, one offer each, so no
+    /// dedup interval or freshness check couples two draws.
+    const SWITCHES: u32 = 64;
+
+    /// Every fault test runs the one mix at this seed and rate: 30 % stays
+    /// below the CPU flap, so each offer reaches the upload path.
+    const PLAN: FaultPlan = FaultPlan { seed: 7, rate: 0.3 };
+
+    /// `SWITCHES` offers under `PLAN` at `SNAP_AT`, plus the fault-free
+    /// snapshot each switch would have delivered.
+    fn faulted_offers() -> (Collector, TelemetrySnapshot) {
+        let mut c = Collector::new(PLAN);
+        for sw in 0..SWITCHES {
+            let sw = NodeId(sw);
+            c.offer(sw, SNAP_AT, victim(), &tele(sw));
+        }
+        let full = tele(NodeId(0)).snapshot(SNAP_AT);
+        assert!(full.epochs.len() >= 2, "fixture must span two epochs");
+        (c, full)
+    }
+
     #[test]
     fn upload_drop_records_missing_marker() {
-        let sw = NodeId(1);
-        let t = tele(sw);
-        let plan = FaultPlan {
-            seed: 7,
-            upload_drop: 1.0,
-            ..FaultPlan::none()
-        };
-        let mut c = Collector::new(plan);
-        assert!(!c.offer(sw, SNAP_AT, victim(), &t));
-        assert!(c.events.is_empty());
-        assert_eq!(c.fault_stats.uploads_dropped, 1);
-        assert_eq!(c.missing.len(), 1);
-        assert_eq!(c.missing[0].reason, MissingReason::UploadDropped);
-        assert_eq!(c.missing_switches(Nanos::ZERO, Nanos(u64::MAX)), vec![sw]);
+        let (c, _) = faulted_offers();
+        let dropped: Vec<NodeId> = c
+            .missing
+            .iter()
+            .filter(|m| m.reason == MissingReason::UploadDropped)
+            .map(|m| m.switch)
+            .collect();
+        assert!(c.fault_stats.uploads_dropped > 0);
+        assert_eq!(dropped.len() as u64, c.fault_stats.uploads_dropped);
+        // Every offer is delivered or accounted for as missing.
+        assert_eq!(c.events.len() + c.missing.len(), SWITCHES as usize);
+        assert_eq!(c.missing_switches(Nanos::ZERO, Nanos(u64::MAX)), dropped);
+        assert!(c.events.iter().all(|e| !dropped.contains(&e.switch)));
     }
 
     #[test]
-    fn delay_beyond_deadline_drops_as_late() {
-        let sw = NodeId(1);
-        let t = tele(sw);
-        // Seed 7 draws a delay past the 500 µs deadline from the 10 ms
-        // range.
-        let plan = FaultPlan {
-            seed: 7,
-            upload_delay: 1.0,
-            upload_delay_max: Nanos::from_millis(10),
-            ..FaultPlan::none()
-        };
-        let mut c = Collector::new(plan);
-        assert!(!c.offer(sw, SNAP_AT, victim(), &t));
-        assert_eq!(c.fault_stats.uploads_delayed, 1);
-        assert_eq!(c.fault_stats.uploads_late_dropped, 1);
-        assert_eq!(c.missing[0].reason, MissingReason::UploadLate);
-    }
-
-    #[test]
-    fn delay_within_deadline_shifts_delivery_time() {
-        let sw = NodeId(1);
-        let t = tele(sw);
-        let plan = FaultPlan {
-            seed: 7,
-            upload_delay: 1.0,
-            upload_delay_max: Nanos(100),
-            ..FaultPlan::none()
-        };
-        let mut c = Collector::new(plan);
-        assert!(c.offer(sw, SNAP_AT, victim(), &t));
-        assert_eq!(c.fault_stats.uploads_delayed, 1);
-        assert_eq!(c.fault_stats.uploads_late_dropped, 0);
-        let ev = &c.events[0];
-        assert!(ev.at > SNAP_AT && ev.at <= SNAP_AT + Nanos(100));
-        assert_eq!(ev.snapshot.taken_at, SNAP_AT);
+    fn delay_within_bound_shifts_delivery_time() {
+        let (c, _) = faulted_offers();
+        assert!(c.fault_stats.uploads_delayed > 0);
+        let delayed = c.events.iter().filter(|e| e.at != SNAP_AT).count();
+        assert_eq!(delayed as u64, c.fault_stats.uploads_delayed);
+        for e in &c.events {
+            assert_eq!(e.snapshot.taken_at, SNAP_AT);
+            assert!(e.at >= SNAP_AT && e.at <= SNAP_AT + UPLOAD_DELAY_MAX);
+        }
     }
 
     #[test]
     fn stale_and_truncated_snapshots_are_degraded_not_lost() {
-        let sw = NodeId(1);
-        let t = tele(sw);
-        let full = t.snapshot(SNAP_AT);
-        assert!(full.epochs.len() >= 2, "fixture must span two epochs");
-        let full_flows: usize = full.epochs.iter().map(|e| e.flows.len()).sum();
-
-        let plan = FaultPlan {
-            seed: 7,
-            snapshot_stale: 1.0,
-            snapshot_truncate: 1.0,
-            ..FaultPlan::none()
-        };
-        let mut c = Collector::new(plan);
-        assert!(c.offer(sw, SNAP_AT, victim(), &t));
-        assert_eq!(c.fault_stats.snapshots_stale, 1);
-        assert_eq!(c.fault_stats.snapshots_truncated, 1);
-        let got = &c.events[0].snapshot;
-        assert_eq!(got.epochs.len(), full.epochs.len() - 1);
-        let got_flows: usize = got.epochs.iter().map(|e| e.flows.len()).sum();
-        assert!(got_flows < full_flows);
-        // Degraded delivery is still a delivery: no missing marker.
-        assert!(c.missing.is_empty());
+        let (c, full) = faulted_offers();
+        let rows = full.epochs[0].flows.len();
+        assert!(rows >= 2 && full.epochs.iter().all(|e| e.flows.len() == rows));
+        let stale = c
+            .events
+            .iter()
+            .filter(|e| e.snapshot.epochs.len() == full.epochs.len() - 1)
+            .count();
+        let truncated = c
+            .events
+            .iter()
+            .filter(|e| {
+                e.snapshot
+                    .epochs
+                    .iter()
+                    .all(|ep| ep.flows.len() == rows / 2)
+            })
+            .count();
+        assert!(c.fault_stats.snapshots_stale > 0 && c.fault_stats.snapshots_truncated > 0);
+        assert_eq!(stale as u64, c.fault_stats.snapshots_stale);
+        assert_eq!(truncated as u64, c.fault_stats.snapshots_truncated);
+        // Degraded delivery is still a delivery: only drops are missing.
+        assert!(c
+            .missing
+            .iter()
+            .all(|m| m.reason == MissingReason::UploadDropped));
     }
 
     #[test]
     fn meter_corruption_discards_entries() {
-        let sw = NodeId(1);
-        let t = tele(sw);
-        let full: usize = t
-            .snapshot(SNAP_AT)
-            .epochs
+        let (c, full) = faulted_offers();
+        let meter_of = |id: u8| {
+            full.epochs
+                .iter()
+                .find(|e| e.id == id)
+                .map_or(0, |e| e.meter.len())
+        };
+        assert!(
+            full.epochs.iter().all(|e| !e.meter.is_empty()),
+            "fixture must have meter volume"
+        );
+        // What each delivered epoch carried before corruption, less what
+        // arrived, is exactly what was discarded.
+        let read: usize = c
+            .events
             .iter()
+            .flat_map(|e| &e.snapshot.epochs)
+            .map(|e| meter_of(e.id))
+            .sum();
+        let kept: usize = c
+            .events
+            .iter()
+            .flat_map(|e| &e.snapshot.epochs)
             .map(|e| e.meter.len())
             .sum();
-        assert!(full > 0, "fixture must have meter volume");
-        let plan = FaultPlan {
-            seed: 7,
-            meter_corrupt: 1.0,
-            ..FaultPlan::none()
-        };
-        let mut c = Collector::new(plan);
-        assert!(c.offer(sw, SNAP_AT, victim(), &t));
-        assert_eq!(c.fault_stats.meter_entries_corrupted, full as u64);
-        assert!(c.events[0]
-            .snapshot
-            .epochs
-            .iter()
-            .all(|e| e.meter.is_empty()));
+        assert!(c.fault_stats.meter_entries_corrupted > 0);
+        assert_eq!((read - kept) as u64, c.fault_stats.meter_entries_corrupted);
     }
 
     #[test]
-    fn cpu_down_window_blocks_then_recovers() {
+    fn cpu_flap_blocks_then_recovers() {
+        // At 50 % every CPU flaps with a 200 µs period, dead first: dead
+        // just before 1.5 ms, alive from it.
         let sw = NodeId(1);
         let t = tele(sw);
-        let plan = FaultPlan {
-            seed: 7,
-            cpu_fault: Some(CpuPathFault {
-                switch: Some(sw),
-                down_from: Nanos::ZERO,
-                down_to: SNAP_AT + Nanos(1),
-                flap_period: None,
-            }),
-            ..FaultPlan::none()
-        };
+        let plan = FaultPlan { seed: 7, rate: 0.5 };
         let mut c = Collector::new(plan);
-        assert!(!c.offer(sw, SNAP_AT, victim(), &t));
+        let alive = Nanos(1_500_000);
+        assert!(!c.offer(sw, alive - Nanos(10), victim(), &t));
         assert_eq!(c.fault_stats.cpu_down_drops, 1);
         assert_eq!(c.missing[0].reason, MissingReason::CpuDown);
-        // A dead CPU must not arm the dedup timer: the next offer after the
-        // window (still inside what would be the dedup interval) collects.
-        let after = SNAP_AT + Nanos(10);
-        assert!(c.offer(sw, after, victim(), &t));
+        // A dead CPU must not arm the dedup timer: the next offer, inside
+        // what would be the dedup interval, collects.
+        assert!(c.offer(sw, alive, victim(), &t));
         assert_eq!(c.events.len(), 1);
+        assert_eq!(c.fault_stats.cpu_down_drops, 1);
     }
 
     #[test]

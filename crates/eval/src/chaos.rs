@@ -1,55 +1,22 @@
 //! Chaos sweep: diagnosis accuracy and verdict confidence as functions of
 //! control-plane fault rate.
 //!
-//! Each grid cell runs one scenario under a [`FaultPlan`] derived from a
-//! scalar fault rate (see [`plan_for_rate`]) with the host agent's re-poll
-//! ladder enabled, then records whether the pipeline still detected,
-//! diagnosed correctly, and how the verdict's [`Confidence`] degraded. The
-//! whole grid is one trial list on the figures' sweep and aggregates in
-//! input order, so a sweep is bit-for-bit reproducible from `(rates, seeds)`.
+//! Each grid cell runs one scenario under the [`FaultPlan`] of one scalar
+//! fault rate (its fault mix is defined in `hawkeye_sim::faults`) with the
+//! host agent's re-poll ladder enabled, then records whether the pipeline
+//! still detected, diagnosed correctly, and how the verdict's
+//! [`Confidence`] degraded. The whole grid is one trial list on the
+//! figures' sweep and aggregates in input order, so a sweep is bit-for-bit
+//! reproducible from `(rates, seeds)`.
 //!
 //! [`Confidence`]: hawkeye_core::Confidence
 
 use crate::metrics::Verdict;
 use crate::runner::{sweep, RunConfig, RunOutcome, Trial};
 use hawkeye_baselines::Method;
-use hawkeye_sim::{CpuPathFault, FaultPlan, Nanos};
+use hawkeye_sim::FaultPlan;
 use hawkeye_workloads::ScenarioKind;
 use serde::{Serialize, Value};
-
-/// Derive a full [`FaultPlan`] from one scalar fault rate in `[0, 1]`.
-///
-/// The rate is the per-hop probe-drop probability; the other fault classes
-/// scale with it (delays and upload losses at half the rate, duplication /
-/// truncation / meter corruption at a quarter) so one knob drives a
-/// realistically mixed failure cocktail. From 40% up, switch CPUs also flap
-/// with a 200 µs period — the harshest regime short of killing telemetry
-/// outright. Rate zero returns [`FaultPlan::none()`], the bit-identical
-/// fault-free pipeline.
-pub fn plan_for_rate(rate: f64, seed: u64) -> FaultPlan {
-    if rate <= 0.0 {
-        return FaultPlan::none();
-    }
-    FaultPlan {
-        seed,
-        probe_drop: rate,
-        probe_delay: rate / 2.0,
-        probe_delay_max: Nanos::from_micros(20),
-        probe_duplicate: rate / 4.0,
-        upload_drop: rate / 2.0,
-        upload_delay: rate / 2.0,
-        upload_delay_max: Nanos::from_micros(200),
-        snapshot_stale: rate / 2.0,
-        snapshot_truncate: rate / 4.0,
-        meter_corrupt: rate / 4.0,
-        cpu_fault: (rate >= 0.4).then_some(CpuPathFault {
-            switch: None,
-            down_from: Nanos::ZERO,
-            down_to: Nanos(u64::MAX),
-            flap_period: Some(Nanos::from_micros(200)),
-        }),
-    }
-}
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -216,7 +183,7 @@ pub fn chaos_sweep(cfg: &ChaosConfig, jobs: usize) -> ChaosReport {
     for &rate in &cfg.rates {
         for kind in ScenarioKind::ALL {
             for seed in cfg.base_seed..cfg.base_seed + cfg.trials as u64 {
-                let faults = plan_for_rate(rate, seed);
+                let faults = FaultPlan { seed, rate };
                 let run = RunConfig {
                     sim_seed: seed,
                     faults,
@@ -258,14 +225,6 @@ pub fn chaos_sweep(cfg: &ChaosConfig, jobs: usize) -> ChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_rate_plan_is_none() {
-        assert!(plan_for_rate(0.0, 9).is_none());
-        assert!(!plan_for_rate(0.2, 9).is_none());
-        assert!(plan_for_rate(0.2, 9).cpu_fault.is_none());
-        assert!(plan_for_rate(0.5, 9).cpu_fault.is_some());
-    }
 
     #[test]
     fn tiny_sweep_aggregates_and_serializes() {

@@ -12,10 +12,10 @@ use crate::runner::{conclude_trial, scenario, simulate, sweep, RunConfig, RunOut
 use hawkeye_baselines::{partial_deployment, Method};
 use hawkeye_core::{analyze_victim_window, HawkeyeHook};
 use hawkeye_obs::Recorder;
-use hawkeye_sim::{FaultPlan, Nanos, NodeId, NullHook, PortId, SwitchConfig};
+use hawkeye_sim::{Nanos, NodeId, NullHook, PortId, SwitchConfig};
 use hawkeye_telemetry::{EpochConfig, TelemetryConfig};
 use hawkeye_tofino::{memory_sweep, poll, poll_analytic, poll_time_ms, resource_usage, SwitchDims};
-use hawkeye_workloads::{Scenario, ScenarioKind};
+use hawkeye_workloads::ScenarioKind;
 use std::fmt::{self, Write};
 
 /// A printable experiment result.
@@ -603,9 +603,7 @@ fn ablations(out: &mut String) -> fmt::Result {
             xon_bytes: (xoff_kb * 1024) * 4 / 5,
             ..sc.sim_config.switch
         };
-        let agent = Scenario::agent(2.0);
-        let mut sim = sc.instantiate_faulted(1, agent, NullHook, FaultPlan::none());
-        sim.run_until(sc.params.duration);
+        let sim = simulate(&sc, &RunConfig::default(), |_| NullHook);
         let pauses = sim.sum_switch_stats(|s| s.pfc_pause_sent);
         // The victim's last post-anomaly detection, as a diagnosis reads
         // it. (Its completion time is past the scenario's end.)

@@ -1,8 +1,10 @@
 //! Collie-style deterministic disagreement fuzzer (ROADMAP "search-based
 //! scenario fuzzer").
 //!
-//! From a seed plan, the fuzzer mutates workload, topology, and fault
-//! parameters around a base operating point, runs each mutated scenario
+//! From a seed plan, the fuzzer mutates workload, topology, timing and
+//! detection parameters around a base operating point (every run is
+//! fault-free; control-plane faults are the chaos sweep's axis), runs each
+//! mutated scenario
 //! through the full Hawkeye pipeline, and hunts for runs where the
 //! pipeline's verdict *disagrees* with the scenario's ground truth
 //! (anything other than `correct`). Each disagreement is shrunk by

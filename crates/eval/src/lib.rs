@@ -16,7 +16,7 @@ pub mod metrics;
 pub mod parallel;
 pub mod runner;
 
-pub use chaos::{chaos_sweep, plan_for_rate, ChaosCell, ChaosConfig, ChaosReport};
+pub use chaos::{chaos_sweep, ChaosCell, ChaosConfig, ChaosReport};
 pub use corpus::{
     diff_cells, golden_from_json, golden_to_json, run_cell, run_corpus, CellDiff, CellKey,
     CellVerdict, CorpusCell, CorpusConfig,

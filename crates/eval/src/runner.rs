@@ -403,7 +403,7 @@ pub fn conclude_trial<H: SwitchHook>(
         );
         m.add(
             MetricKey::global("snapshots_stale_dropped"),
-            cs.snapshots_stale_dropped + cs.uploads_late_dropped,
+            cs.snapshots_stale_dropped,
         );
     }
     if report.as_ref().is_some_and(|r| !r.confidence.is_complete()) {

@@ -5,7 +5,7 @@
 //! - `FaultPlan::none()` is bit-for-bit the pipeline without fault
 //!   injection, seed field and all.
 
-use hawkeye_eval::{par_map, plan_for_rate, run_method, Method, RunConfig, ScoreConfig};
+use hawkeye_eval::{par_map, run_method, Method, RunConfig, ScoreConfig};
 use hawkeye_sim::{FaultPlan, Nanos};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 use proptest::prelude::*;
@@ -31,7 +31,10 @@ fn run(spec: &Spec) -> String {
             anomaly_at: Nanos::from_micros(500),
         },
     );
-    let faults = plan_for_rate(f64::from(spec.rate_pct) / 100.0, spec.seed);
+    let faults = FaultPlan {
+        seed: spec.seed,
+        rate: f64::from(spec.rate_pct) / 100.0,
+    };
     let cfg = RunConfig {
         sim_seed: spec.seed,
         faults,
@@ -120,7 +123,10 @@ fn same_plan_same_failures_twice() {
     );
     let cfg = RunConfig {
         sim_seed: 3,
-        faults: plan_for_rate(0.3, 11),
+        faults: FaultPlan {
+            seed: 11,
+            rate: 0.3,
+        },
         agent_retry: true,
         ..RunConfig::default()
     };

@@ -4,11 +4,13 @@
 //! Hawkeye's control plane is best-effort end to end: polling packets ride
 //! the data plane through congested (even PFC-paused) ports, and telemetry
 //! reaches the collector via switch-CPU uploads that can be dropped,
-//! delayed, truncated or stale. A [`FaultPlan`] describes which of those
-//! failures to inject and at what rates; every decision is drawn from a
-//! dedicated [`FaultRng`] stream seeded from `(plan.seed, stream id)`, so a
-//! given `(seed, plan)` pair replays the exact same failure sequence — each
-//! observed failure is a reproducible test case.
+//! delayed, truncated or stale. A [`FaultPlan`] is one fault rate and a
+//! seed; this module is the one definition of the fault mix that rate
+//! drives ([`FaultPlan::probability`], the delay bounds and the CPU flap
+//! rule below). Every decision is drawn from a dedicated [`FaultRng`]
+//! stream seeded from `(plan.seed, stream id)`, so a given plan replays
+//! the exact same failure sequence — each observed failure is a
+//! reproducible test case.
 //!
 //! Two layers consume the plan:
 //!
@@ -16,142 +18,117 @@
 //!   of polling packets, per switch hop) while dispatching `Arrive` events;
 //! - the collector (in `hawkeye-core`) applies the *upload-path* faults
 //!   (upload loss and delay, stale or truncated snapshots, corrupted
-//!   causality-meter entries) plus the switch-CPU kill/flap window.
+//!   causality-meter entries);
+//!
+//! and both drop what reaches a switch CPU while it flaps.
 //!
 //! [`FaultPlan::none()`] — the default — takes **zero** behavior-affecting
 //! branches: the injector is consulted only when the plan is active, so a
 //! fault-free run is bit-for-bit identical to a build without this module.
 
-use crate::ids::NodeId;
 use crate::time::Nanos;
 
-/// A switch-CPU path outage: within `[down_from, down_to)` the CPU neither
-/// sees mirrored probes nor uploads telemetry. With `flap_period` set the
-/// outage flaps instead: alternating dead/alive half-periods (dead first),
-/// modelling a wedged-then-restarted telemetry agent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuPathFault {
-    /// Switch whose CPU path fails; `None` hits every switch.
-    pub switch: Option<NodeId>,
-    pub down_from: Nanos,
-    pub down_to: Nanos,
-    /// Flap with this period inside the window; `None` = hard down.
-    pub flap_period: Option<Nanos>,
+/// Upper bound of a delayed polling packet's extra hold.
+const PROBE_DELAY_MAX: Nanos = Nanos::from_micros(20);
+/// Upper bound of a duplicate probe's trailing jitter: a sixteenth of the
+/// probe delay bound, at least 64 ns, so the copy lands in the same epoch.
+const PROBE_DUPLICATE_JITTER: Nanos = {
+    let j = PROBE_DELAY_MAX.0 / 16;
+    Nanos(if j > 64 { j } else { 64 })
+};
+/// Upper bound of a delayed upload's extra transit.
+pub const UPLOAD_DELAY_MAX: Nanos = Nanos::from_micros(200);
+/// From this rate up, every switch CPU flaps — the harshest regime short of
+/// killing telemetry outright.
+const CPU_FLAP_RATE: f64 = 0.4;
+/// A flapping CPU is dead for the first half of each period and alive for
+/// the second, modelling a wedged-then-restarted telemetry agent.
+const CPU_FLAP_PERIOD: Nanos = Nanos::from_micros(200);
+
+/// One class of injected fault. All probabilities are per event: per probe
+/// hop, per upload, per meter entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// A polling packet is lost on arrival at a switch (congestion loss on
+    /// the probe's own path).
+    ProbeDrop,
+    /// A polling packet is held for `1..=PROBE_DELAY_MAX` before
+    /// re-arriving — this also *reorders* probes relative to each other
+    /// and to data.
+    ProbeDelay,
+    /// A polling packet arrival is duplicated; the copy re-arrives within
+    /// `PROBE_DUPLICATE_JITTER`.
+    ProbeDuplicate,
+    /// A switch-CPU telemetry upload is lost entirely.
+    UploadDrop,
+    /// An upload is delayed by `1..=UPLOAD_DELAY_MAX`.
+    UploadDelay,
+    /// A delivered snapshot is stale: its newest epoch is missing (the CPU
+    /// read raced the telemetry ring).
+    SnapshotStale,
+    /// A delivered snapshot is truncated (flow rows cut, as if the upload
+    /// was cut short mid-transfer).
+    SnapshotTruncate,
+    /// A causality-meter record in a delivered snapshot is corrupted.
+    MeterCorrupt,
 }
 
-impl CpuPathFault {
-    /// Is `sw`'s CPU path dead at `now` under this fault?
-    pub fn is_down(&self, sw: NodeId, now: Nanos) -> bool {
-        if self.switch.is_some_and(|s| s != sw) {
-            return false;
-        }
-        if now < self.down_from || now >= self.down_to {
-            return false;
-        }
-        match self.flap_period {
-            None => true,
-            Some(p) if p.0 == 0 => true,
-            Some(p) => {
-                // Dead for the first half-period of each cycle, alive for
-                // the second — purely a function of (now, plan): replayable.
-                let phase = (now.0 - self.down_from.0) % p.0;
-                phase < p.0 / 2
-            }
-        }
-    }
-}
-
-/// Fault rates and windows for one run. All probabilities are per-event
-/// (per probe hop, per upload, per meter entry) in `[0, 1]`.
+/// The control-plane faults of one run: one scalar rate in `[0, 1]` drives
+/// a mixed failure cocktail, drawn from streams seeded by `seed`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault decision streams. Independent from
     /// `SimConfig::seed` so the same traffic can be replayed under
     /// different fault draws (and vice versa).
     pub seed: u64,
-    /// Per-hop probability that a polling packet is dropped on arrival at
-    /// a switch (congestion loss on the probe's own path).
-    pub probe_drop: f64,
-    /// Per-hop probability that a polling packet is held for a uniform
-    /// `1..=probe_delay_max` ns before re-arriving — this also *reorders*
-    /// probes relative to each other and to data.
-    pub probe_delay: f64,
-    pub probe_delay_max: Nanos,
-    /// Per-hop probability that a polling packet arrival is duplicated
-    /// (the copy re-arrives after a short jitter).
-    pub probe_duplicate: f64,
-    /// Probability a switch-CPU telemetry upload is lost entirely.
-    pub upload_drop: f64,
-    /// Probability an upload is delayed by a uniform
-    /// `1..=upload_delay_max` ns; uploads arriving past the collector's
-    /// per-switch deadline are discarded as late.
-    pub upload_delay: f64,
-    pub upload_delay_max: Nanos,
-    /// Probability a delivered snapshot is stale: its newest epoch is
-    /// missing (the CPU read raced the telemetry ring).
-    pub snapshot_stale: f64,
-    /// Probability a delivered snapshot is truncated (flow rows cut, as if
-    /// the upload was cut short mid-transfer).
-    pub snapshot_truncate: f64,
-    /// Per-entry probability that a causality-meter record in a delivered
-    /// snapshot is corrupted (zeroed volume).
-    pub meter_corrupt: f64,
-    /// Optional switch-CPU kill/flap window.
-    pub cpu_fault: Option<CpuPathFault>,
+    /// The per-hop probe-drop probability; every other fault class scales
+    /// with it. Zero (or less) is the fault-free plan.
+    pub rate: f64,
 }
 
 impl FaultPlan {
-    /// The fault-free plan: every rate zero, no CPU fault. Runs under this
-    /// plan are bit-for-bit identical to runs without fault injection.
+    /// The fault-free plan. Runs under it are bit-for-bit identical to runs
+    /// without fault injection.
     pub const fn none() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            probe_drop: 0.0,
-            probe_delay: 0.0,
-            probe_delay_max: Nanos(0),
-            probe_duplicate: 0.0,
-            upload_drop: 0.0,
-            upload_delay: 0.0,
-            upload_delay_max: Nanos(0),
-            snapshot_stale: 0.0,
-            snapshot_truncate: 0.0,
-            meter_corrupt: 0.0,
-            cpu_fault: None,
-        }
+        FaultPlan { seed: 0, rate: 0.0 }
     }
 
     /// True if no fault can ever fire under this plan.
     pub fn is_none(&self) -> bool {
-        self.probe_drop <= 0.0
-            && self.probe_delay <= 0.0
-            && self.probe_duplicate <= 0.0
-            && self.upload_drop <= 0.0
-            && self.upload_delay <= 0.0
-            && self.snapshot_stale <= 0.0
-            && self.snapshot_truncate <= 0.0
-            && self.meter_corrupt <= 0.0
-            && self.cpu_fault.is_none()
+        self.rate <= 0.0
     }
 
     /// True if any probe-path fault can fire (the simulator's fast-path
     /// gate: when false, dispatch never consults the injector).
     pub fn probe_faults_active(&self) -> bool {
-        self.probe_drop > 0.0 || self.probe_delay > 0.0 || self.probe_duplicate > 0.0
+        self.rate > 0.0
     }
 
     /// True if any upload-path fault can fire (the collector's gate).
     pub fn upload_faults_active(&self) -> bool {
-        self.upload_drop > 0.0
-            || self.upload_delay > 0.0
-            || self.snapshot_stale > 0.0
-            || self.snapshot_truncate > 0.0
-            || self.meter_corrupt > 0.0
-            || self.cpu_fault.is_some()
+        self.rate > 0.0
     }
 
-    /// Is `sw`'s CPU path dead at `now`?
-    pub fn cpu_down(&self, sw: NodeId, now: Nanos) -> bool {
-        self.cpu_fault.is_some_and(|f| f.is_down(sw, now))
+    /// The fault mix: probe drop at the rate; probe delay, upload drop and
+    /// delay and stale snapshots at half of it; duplication, truncation and
+    /// meter corruption at a quarter.
+    pub fn probability(&self, fault: Fault) -> f64 {
+        match fault {
+            Fault::ProbeDrop => self.rate,
+            Fault::ProbeDelay | Fault::UploadDrop | Fault::UploadDelay | Fault::SnapshotStale => {
+                self.rate / 2.0
+            }
+            Fault::ProbeDuplicate | Fault::SnapshotTruncate | Fault::MeterCorrupt => {
+                self.rate / 4.0
+            }
+        }
+    }
+
+    /// Is every switch's CPU path dead at `now`? From `CPU_FLAP_RATE` (40 %)
+    /// up, CPUs flap with `CPU_FLAP_PERIOD` (200 µs), dead first — purely
+    /// a function of `(now, rate)`: replayable.
+    pub fn cpu_down(&self, now: Nanos) -> bool {
+        self.rate >= CPU_FLAP_RATE && now.0 % CPU_FLAP_PERIOD.0 < CPU_FLAP_PERIOD.0 / 2
     }
 }
 
@@ -232,8 +209,8 @@ impl FaultRng {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Bernoulli draw. `p <= 0` consumes no randomness so a knob set to
-    /// zero never perturbs the other knobs' streams.
+    /// Bernoulli draw. `p <= 0` consumes no randomness, so the fault-free
+    /// plan never perturbs a stream.
     pub fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.next_f64() < p
     }
@@ -287,23 +264,23 @@ impl FaultInjector {
     }
 
     /// Decide the fate of one polling packet arriving at a switch. Order of
-    /// draws is fixed (drop, then delay, then duplicate) so each knob has a
-    /// stable stream position.
+    /// draws is fixed (drop, then delay, then duplicate) so each fault class
+    /// has a stable stream position.
     pub fn probe_arrival(&mut self) -> ProbeFate {
-        if self.rng.chance(self.plan.probe_drop) {
+        if self.rng.chance(self.plan.probability(Fault::ProbeDrop)) {
             self.stats.probes_dropped += 1;
             return ProbeFate::Drop;
         }
-        if self.rng.chance(self.plan.probe_delay) {
+        if self.rng.chance(self.plan.probability(Fault::ProbeDelay)) {
             self.stats.probes_delayed += 1;
-            return ProbeFate::Delay(self.rng.delay(self.plan.probe_delay_max));
+            return ProbeFate::Delay(self.rng.delay(PROBE_DELAY_MAX));
         }
-        if self.rng.chance(self.plan.probe_duplicate) {
+        if self
+            .rng
+            .chance(self.plan.probability(Fault::ProbeDuplicate))
+        {
             self.stats.probes_duplicated += 1;
-            // Duplicates trail closely: jitter within a sixteenth of the
-            // delay bound (min 64 ns) keeps them in the same epoch.
-            let max = Nanos((self.plan.probe_delay_max.0 / 16).max(64));
-            return ProbeFate::Duplicate(self.rng.delay(max));
+            return ProbeFate::Duplicate(self.rng.delay(PROBE_DUPLICATE_JITTER));
         }
         ProbeFate::Deliver
     }
@@ -319,8 +296,52 @@ mod tests {
         assert!(p.is_none());
         assert!(!p.probe_faults_active());
         assert!(!p.upload_faults_active());
-        assert!(!p.cpu_down(NodeId(0), Nanos(123)));
+        assert!(!p.cpu_down(Nanos(123)));
         assert_eq!(FaultPlan::default(), p);
+        assert!(FaultPlan { seed: 9, rate: 0.0 }.is_none());
+    }
+
+    /// The fault mix, pinned per class at both sides of the flap boundary:
+    /// probe drop at the rate, delays, upload loss and stale reads at half,
+    /// duplication, truncation and meter corruption at a quarter.
+    #[test]
+    fn fault_mix_table() {
+        for rate in [0.0, 0.1, 0.39, 0.4, 0.5] {
+            let plan = FaultPlan { seed: 9, rate };
+            let table = [
+                (Fault::ProbeDrop, rate),
+                (Fault::ProbeDelay, rate / 2.0),
+                (Fault::ProbeDuplicate, rate / 4.0),
+                (Fault::UploadDrop, rate / 2.0),
+                (Fault::UploadDelay, rate / 2.0),
+                (Fault::SnapshotStale, rate / 2.0),
+                (Fault::SnapshotTruncate, rate / 4.0),
+                (Fault::MeterCorrupt, rate / 4.0),
+            ];
+            for (fault, p) in table {
+                assert_eq!(plan.probability(fault), p, "{fault:?} at rate {rate}");
+            }
+            assert_eq!(plan.is_none(), rate == 0.0);
+            // Flapping starts at 40%: dead for the first 100 µs of every
+            // 200 µs period, alive for the second.
+            let flaps = rate >= 0.4;
+            for (ns, dead) in [
+                (0, true),
+                (99_999, true),
+                (100_000, false),
+                (199_999, false),
+                (200_000, true),
+            ] {
+                assert_eq!(
+                    plan.cpu_down(Nanos(ns)),
+                    flaps && dead,
+                    "rate {rate} at {ns} ns"
+                );
+            }
+        }
+        assert_eq!(PROBE_DELAY_MAX, Nanos(20_000));
+        assert_eq!(PROBE_DUPLICATE_JITTER, Nanos(1250));
+        assert_eq!(UPLOAD_DELAY_MAX, Nanos(200_000));
     }
 
     #[test]
@@ -349,11 +370,7 @@ mod tests {
     fn injector_replays_identically() {
         let plan = FaultPlan {
             seed: 42,
-            probe_drop: 0.3,
-            probe_delay: 0.3,
-            probe_delay_max: Nanos(1000),
-            probe_duplicate: 0.2,
-            ..FaultPlan::none()
+            rate: 0.5,
         };
         let run = || {
             let mut inj = FaultInjector::new(plan);
@@ -363,32 +380,12 @@ mod tests {
         assert_eq!(run(), run());
         let (fates, stats) = run();
         assert!(fates.contains(&ProbeFate::Drop));
-        assert!(fates.iter().any(|f| matches!(f, ProbeFate::Delay(_))));
+        assert!(fates
+            .iter()
+            .any(|f| matches!(f, ProbeFate::Delay(d) if *d <= PROBE_DELAY_MAX)));
+        assert!(fates
+            .iter()
+            .any(|f| matches!(f, ProbeFate::Duplicate(d) if *d <= PROBE_DUPLICATE_JITTER)));
         assert!(stats.probes_dropped > 0 && stats.total_injected() > 0);
-    }
-
-    #[test]
-    fn cpu_fault_windows_and_flap() {
-        let hard = CpuPathFault {
-            switch: Some(NodeId(4)),
-            down_from: Nanos(100),
-            down_to: Nanos(200),
-            flap_period: None,
-        };
-        assert!(!hard.is_down(NodeId(4), Nanos(99)));
-        assert!(hard.is_down(NodeId(4), Nanos(100)));
-        assert!(hard.is_down(NodeId(4), Nanos(199)));
-        assert!(!hard.is_down(NodeId(4), Nanos(200)));
-        assert!(!hard.is_down(NodeId(5), Nanos(150)), "scoped to one switch");
-
-        let flap = CpuPathFault {
-            switch: None,
-            down_from: Nanos(0),
-            down_to: Nanos(1000),
-            flap_period: Some(Nanos(100)),
-        };
-        assert!(flap.is_down(NodeId(0), Nanos(10)), "first half dead");
-        assert!(!flap.is_down(NodeId(0), Nanos(60)), "second half alive");
-        assert!(flap.is_down(NodeId(9), Nanos(110)), "applies to any switch");
     }
 }

@@ -66,11 +66,6 @@ pub struct AgentConfig {
     /// Minimum spacing between polling packets for the same flow (§3.4:
     /// duplicate-detection suppression).
     pub dedup_interval: Nanos,
-    /// Pingmesh-style periodic diagnosis (§5 "when integrated with
-    /// pingmesh-like probes, HAWKEYE can carry out periodic diagnosis"):
-    /// when set, every agent check also emits a polling packet for each
-    /// active flow at this interval, regardless of its RTT.
-    pub periodic_probe: Option<Nanos>,
     /// Probe timeout + bounded exponential-backoff re-poll: polling packets
     /// ride the (lossy, congested) data plane, so a detection whose probe
     /// is lost would otherwise never be diagnosed. `false` disables
@@ -546,8 +541,6 @@ impl HostState {
 
     /// Periodic stalled-flow scan: a deadlocked flow stops producing ACKs,
     /// so the agent must infer RTT from the oldest unacknowledged packet.
-    /// With `periodic_probe` set, also runs the pingmesh-style periodic
-    /// polling for every active flow.
     pub fn handle_agent_check(&mut self, now: Nanos, q: &mut EventQueue, topo: &Topology) {
         let Some(agent) = self.agent else {
             return;
@@ -560,16 +553,6 @@ impl HostState {
             if let Some(&(_, sent_at)) = f.outstanding.front() {
                 let implied = now.saturating_sub(sent_at);
                 self.maybe_detect(idx, implied, now, q, topo);
-            }
-            if let Some(period) = agent.periodic_probe {
-                let f = &mut self.flows[idx as usize];
-                if f.state == FlowState::Active && now.saturating_sub(f.last_probe_at) >= period {
-                    f.last_probe_at = now;
-                    self.stats.probes_sent += 1;
-                    let key = self.flows[idx as usize].spec.key;
-                    self.ctrl.push_back(Packet::Probe(Probe::new(key)));
-                    self.try_tx(now, q, topo);
-                }
             }
         }
         let any_active = self.flows.iter().any(|f| f.state != FlowState::Done);
@@ -801,7 +784,6 @@ mod tests {
             base_rtt: Nanos::from_micros(10),
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(1),
-            periodic_probe: None,
             retry: false,
         });
         host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
@@ -835,7 +817,6 @@ mod tests {
             base_rtt: Nanos::from_micros(10),
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(1),
-            periodic_probe: None,
             retry: false,
         });
         host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
@@ -844,33 +825,6 @@ mod tests {
         host.flows[0].outstanding.push_back((0, Nanos::ZERO));
         host.handle_agent_check(Nanos::from_micros(500), &mut q, &topo);
         assert_eq!(host.detections.len(), 1);
-    }
-
-    #[test]
-    fn periodic_probes_fire_without_rtt_anomaly() {
-        let (topo, mut host, mut q) = setup();
-        let hosts: Vec<_> = topo.hosts().collect();
-        let key = FlowKey::roce(hosts[0], hosts[1], 1);
-        host.agent = Some(AgentConfig {
-            rtt_threshold_factor: 100.0, // never trips on RTT
-            base_rtt: Nanos::from_micros(10),
-            check_interval: Nanos::from_micros(100),
-            dedup_interval: Nanos::from_millis(10),
-            periodic_probe: Some(Nanos::from_micros(300)),
-            retry: false,
-        });
-        host.add_flow(FlowId(0), FlowSpec::new(key, 1_000_000, Nanos::ZERO));
-        host.flows[0].state = FlowState::Active;
-        // Pingmesh-style: checks at 100us cadence emit probes every >=300us.
-        for step in 1..=10u64 {
-            host.handle_agent_check(Nanos::from_micros(step * 100), &mut q, &topo);
-        }
-        assert!(
-            (3..=4).contains(&host.stats.probes_sent),
-            "probes {}",
-            host.stats.probes_sent
-        );
-        assert!(host.detections.is_empty(), "no RTT detections");
     }
 
     #[test]
@@ -905,7 +859,6 @@ mod tests {
             base_rtt: Nanos::from_micros(10),
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(10),
-            periodic_probe: None,
             retry: true,
         }
     }

@@ -117,7 +117,6 @@ fn run(w: &Workload, seed: u64, filing: TxFiling) -> (Outcome, u64) {
         base_rtt: Nanos::from_micros(20),
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_micros(400),
-        periodic_probe: None,
         retry: true,
     });
     for f in &w.flows {

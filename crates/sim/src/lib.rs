@@ -45,8 +45,8 @@ pub mod units;
 
 pub use event::{EventKind, EventQueue, PacketRef};
 pub use faults::{
-    CpuPathFault, FaultInjector, FaultPlan, FaultRng, FaultStats, ProbeFate, STREAM_PROBE,
-    STREAM_UPLOAD,
+    Fault, FaultInjector, FaultPlan, FaultRng, FaultStats, ProbeFate, STREAM_PROBE, STREAM_UPLOAD,
+    UPLOAD_DELAY_MAX,
 };
 pub use hooks::{
     CpuNotification, EnqueueRecord, NullHook, PfcEvent, ProbeDecision, SwitchHook, SwitchView,

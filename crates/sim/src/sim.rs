@@ -263,8 +263,7 @@ impl<H: SwitchHook> Simulator<H> {
                         // A dead switch CPU loses any probe mirrored to it
                         // this arrival (the data-plane forwarding of the
                         // probe is unaffected).
-                        let cpu_dead = self.faults.plan.cpu_fault.is_some()
-                            && self.faults.plan.cpu_down(node, now);
+                        let cpu_dead = self.faults.plan.cpu_down(now);
                         let log_mark = self.cpu_log.len();
                         sw.handle_arrive(
                             port,
@@ -486,7 +485,6 @@ mod tests {
             base_rtt: Nanos::from_micros(15),
             check_interval: Nanos::from_micros(100),
             dedup_interval: Nanos::from_millis(1),
-            periodic_probe: None,
             retry: false,
         });
         // Heavy incast: the victim flow's packets queue behind PFC.

@@ -220,7 +220,6 @@ impl Scenario {
             base_rtt: Nanos::from_micros(20),
             check_interval: Nanos::from_micros(50),
             dedup_interval: Nanos::from_millis(2),
-            periodic_probe: None,
             retry: false,
         }
     }

@@ -40,7 +40,6 @@ fn main() {
         base_rtt: Nanos::from_micros(15),
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_millis(2),
-        periodic_probe: None,
         retry: false,
     });
 

@@ -107,11 +107,11 @@ ref, out = (json.load(open(p)) for p in sys.argv[1:3])
 for doc in (ref, out):
     assert doc["verdict"] == "Correct", f"served verdict {doc['verdict']!r}"
     assert doc["parity"] is True, "served diagnosis diverged from one-shot"
-    assert doc["epochs_streamed"] > 0, "no epochs streamed to the daemon"
-    assert doc["epochs_shed"] == 0, "fault-free replay shed epochs"
+    assert doc["snapshots_streamed"] > 0, "no snapshots streamed to the daemon"
+    assert doc["snapshots_shed"] == 0, "fault-free replay shed snapshots"
 assert out["served"] == ref["served"], \
     "a serve daemon's report differs from the self-contained replay's"
-print("serve smoke ok:", out["verdict"], f"({out['epochs_streamed']} epochs),",
+print("serve smoke ok:", out["verdict"], f"({out['snapshots_streamed']} snapshots),",
       "daemon report == self-contained report")
 EOF
 again_status=0
@@ -244,7 +244,7 @@ assert hists["op_ingest_batch_ns"]["count"] == counters["ingest_batches"], \
     "one ingest latency sample per ingest frame"
 # `epochs_ingested` counts epochs (a snapshot holds several); the count
 # of streamed *snapshots* the daemon took is the store's.
-assert doc["daemon"]["store_snapshots_appended"] == doc["epochs_streamed"], \
+assert doc["daemon"]["store_snapshots_appended"] == doc["snapshots_streamed"], \
     "a streamed snapshot never reached the store"
 assert doc["diagnose_p99_ns"] > 0, "Diagnose p99 missing or zero"
 assert hists["op_diagnose_ns"]["count"] >= 1, "diagnose latency never recorded"
@@ -313,10 +313,10 @@ doc = json.load(open(sys.argv[1]))
 counters = {c["key"]: c["value"] for c in doc["metrics"]["counters"]}
 assert doc["verdict"] == "Correct", f"verdict {doc['verdict']!r} under backpressure"
 assert doc["parity"] is True, "backpressure changed the served diagnosis"
-assert doc["epochs_streamed"] > 0, "no epochs streamed to the daemon"
-assert doc["epochs_shed"] == 0, "backpressure shed epochs"
+assert doc["snapshots_streamed"] > 0, "no snapshots streamed to the daemon"
+assert doc["snapshots_shed"] == 0, "backpressure shed snapshots"
 assert counters["ingest_batches"] > 0, "batch frames never taken"
-print("backpressure smoke ok:", doc["epochs_streamed"], "epochs,",
+print("backpressure smoke ok:", doc["snapshots_streamed"], "snapshots,",
       counters["ingest_batches"], "batch frames, 0 shed")
 EOF
 stop_daemon "$bp_pid" "$bp_sock" "backpressure daemon"
@@ -340,8 +340,8 @@ timeout 120 ./target/release/hawkeye replay incast --socket "$cr_sock" \
 python3 - "$s1_out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["epochs_streamed"] > 0, "nothing streamed before the crash"
-assert doc["epochs_shed"] == 0, "fault-free replay shed epochs"
+assert doc["snapshots_streamed"] > 0, "nothing streamed before the crash"
+assert doc["snapshots_shed"] == 0, "fault-free replay shed snapshots"
 EOF
 # The operator's text view of the live daemon must show the ingest it
 # just took: every op_* histogram is printed, not a fixed list of them.
@@ -426,8 +426,8 @@ import json, sys
 ref, fleet = (json.load(open(p)) for p in sys.argv[1:3])
 assert fleet["verdict"] == "Correct", f"fleet verdict {fleet['verdict']!r}"
 assert fleet["parity"] is True, "fleet diagnosis diverged from one-shot"
-assert fleet["epochs_streamed"] > 0, "nothing streamed through the front"
-assert fleet["epochs_shed"] == 0, "healthy fleet shed epochs"
+assert fleet["snapshots_streamed"] > 0, "nothing streamed through the front"
+assert fleet["snapshots_shed"] == 0, "healthy fleet shed snapshots"
 assert fleet["served"] == ref["served"], \
     "verdict through 3-shard fleet differs from monolithic daemon"
 held = [b["store_switches"] for b in fleet["daemon"]["backends"]]
@@ -438,7 +438,7 @@ backend_epochs = sum(b["epochs_ingested"] for b in fleet["daemon"]["backends"])
 assert front_epochs == backend_epochs, \
     f"front epochs_ingested {front_epochs}, its backends' sum {backend_epochs}"
 print("fleet smoke ok:", fleet["verdict"] + ",",
-      fleet["epochs_streamed"], "epochs routed over shards holding", held,
+      fleet["snapshots_streamed"], "snapshots routed over shards holding", held,
       "switches, verdict byte-identical")
 EOF
 { kill -9 "${fleet_pids[0]}"; wait "${fleet_pids[0]}" || true; } 2>/dev/null
@@ -452,11 +452,11 @@ first, dead = (json.load(open(p)) for p in sys.argv[1:3])
 owned = first["daemon"]["backends"][0]["store_snapshots_appended"]
 assert owned > 0, "shard 0 took nothing in the first stream"
 assert dead["daemon"]["backends"][0] is None, "killed shard still reports stats"
-assert dead["epochs_shed"] == owned, f"shed {dead['epochs_shed']}, shard 0 owned {owned}"
+assert dead["snapshots_shed"] == owned, f"shed {dead['snapshots_shed']}, shard 0 owned {owned}"
 assert dead["daemon"]["front_shed_down"] == owned, \
     f"front_shed_down {dead['daemon']['front_shed_down']}, shard 0 owned {owned}"
-print("dead-shard smoke ok:", dead["epochs_shed"], "snapshots shed,",
-      dead["epochs_streamed"], "streamed with shard 0 down")
+print("dead-shard smoke ok:", dead["snapshots_shed"], "snapshots shed,",
+      dead["snapshots_streamed"], "streamed with shard 0 down")
 EOF
 stop_daemon "$front_pid" "$fleet_dir/front.sock" "front"
 for i in 1 2; do

@@ -12,8 +12,9 @@
 # status are compared: one line per command, `identical` or `DIFF` followed
 # by the first lines of the diff. The commands: `hawkeye scenario` for the
 # six kinds, as text and --json; `summary` x6 --json; `cbd` x6; `methods`
-# x6; `dot` for the four Fig. 12 cases; `matrix`; `chaos --rates 0.0,0.2
-# --trials 1 --json` (its --out file in the work directory); `corpus
+# x6; `dot` for the four Fig. 12 cases; `matrix`; `chaos --rates
+# 0.0,0.2,0.5 --trials 1 --json` (fault-free, faulted, and faulted with
+# flapping switch CPUs; its --out file in the work directory); `corpus
 # --json`; `fuzz --budget 4 --json`; `figure all`; the examples `quickstart`,
 # `incast_backpressure` (plain and --dot), `pfc_storm`, `deadlock_diagnosis`
 # and `scenario_matrix`; and the served path, `replay <kind> --history
@@ -68,7 +69,7 @@ done
 for k in incast storm inloop oolinj; do
   commands+=("hawkeye dot $k")
 done
-commands+=("hawkeye matrix" "hawkeye chaos --rates 0.0,0.2 --trials 1 --json --out $work/chaos.json"
+commands+=("hawkeye matrix" "hawkeye chaos --rates 0.0,0.2,0.5 --trials 1 --json --out $work/chaos.json"
   "hawkeye corpus --json" "hawkeye fuzz --budget 4 --json" "hawkeye figure all")
 for e in $examples; do
   commands+=("$e")

@@ -38,7 +38,6 @@ fn agent() -> AgentConfig {
         base_rtt: Nanos::from_micros(15),
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_millis(2),
-        periodic_probe: None,
         retry: false,
     }
 }

@@ -31,7 +31,6 @@ fn incast_backpressure_on_leaf_spine() {
         base_rtt: Nanos::from_micros(15),
         check_interval: Nanos::from_micros(50),
         dedup_interval: Nanos::from_micros(400),
-        periodic_probe: None,
         retry: false,
     });
 

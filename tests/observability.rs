@@ -6,7 +6,7 @@
 
 use hawkeye::core::{analyze_victim_window, AnalyzerConfig, HawkeyeConfig, HawkeyeHook, Window};
 use hawkeye::eval::{
-    optimal_run_config, plan_for_rate, run_method, run_method_obs, Method, RunConfig, ScoreConfig,
+    optimal_run_config, run_method, run_method_obs, Method, RunConfig, ScoreConfig,
 };
 use hawkeye::obs::{emit, kind, ObsConfig};
 use hawkeye::sim::{Detection, FaultPlan, FaultStats, Nanos, ObservedHook, RunSummary};
@@ -241,7 +241,7 @@ fn same_seed_traces_are_byte_identical() {
     // (JSONL digest, RunSummary digest, events processed) of the faulted row.
     let pinned_faulted: (u64, u64, u64) = (0xa6bf231f26e02591, 0x7c307ea99d8a79d6, 985215);
     let run = RunConfig {
-        faults: plan_for_rate(0.2, 7),
+        faults: FaultPlan { seed: 7, rate: 0.2 },
         agent_retry: true,
         ..optimal_run_config(1)
     };
