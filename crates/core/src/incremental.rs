@@ -14,22 +14,29 @@
 //! replays every affected port on refresh: its fragments are the eager
 //! path, which `assemble_graph` takes as given.
 //!
-//! [`IncrementalProvenance`] therefore keeps, per switch, the deduplicated
-//! epoch ring (keep-latest by `taken_at`, mirroring
-//! [`AggTelemetry::build`]'s reconciliation exactly) and incrementally
-//! maintained global aggregates, plus a cache of per-port edge fragments.
-//! On refresh only the fragments of *dirty* switches — those that received
-//! new epochs, aged some out, or sit downstream of one that did — are
-//! recomputed; everything else is reused. Graph assembly then replays the
-//! deterministic construction order of the batch builder, so the result is
-//! **positionally identical** to `build_graph` over the same evidence: the
-//! `rebuild == incremental` equivalence property is testable with plain
-//! `==` on the adjacency lists.
+//! The engine has two halves:
+//!
+//! - [`IncrementalGraph`] — incrementally maintained global aggregates, the
+//!   aggregate keys each switch contributes, the *dirty* set, and a cache
+//!   of per-port edge fragments. It owns no epochs: on refresh it reads
+//!   each dirty switch's epochs from an [`EpochRing`] it borrows, and only
+//!   the fragments of dirty switches — those whose ring changed, or that
+//!   sit downstream of one that did — are recomputed; everything else is
+//!   reused. Graph assembly then replays the deterministic construction
+//!   order of the batch builder, so the result is **positionally
+//!   identical** to `build_graph` over the same evidence: the
+//!   `rebuild == incremental` equivalence property is testable with plain
+//!   `==` on the adjacency lists.
+//! - [`IncrementalProvenance`] — that graph over a ring of its own: per
+//!   switch, the deduplicated epochs (keep-latest by `taken_at`, mirroring
+//!   [`AggTelemetry::build`]'s reconciliation exactly) under a ring budget
+//!   and a retention horizon ([`IncrementalProvenance::retire_before`]).
+//!   The serve daemon does not use it: its graph reads the store's raw
+//!   ring, which already is such a ring.
 //!
 //! Node lifecycle follows the evidence: a port/flow node appears when a
-//! snapshot first carries it and is retired when the epochs mentioning it
-//! age past the retention horizon ([`IncrementalProvenance::retire_before`])
-//! or fall off the per-switch ring budget.
+//! ring first carries it and is retired when the epochs mentioning it
+//! leave the ring.
 
 use crate::aggregate::{sort_epoch_flows, AggTelemetry, Window};
 use crate::provenance::{
@@ -40,7 +47,9 @@ use hawkeye_telemetry::{EpochSnapshot, EvictedFlow, TelemetrySnapshot};
 use std::collections::{BTreeSet, HashMap};
 
 /// Counters describing how much work the engine did — and, more to the
-/// point, how much it avoided.
+/// point, how much it avoided. The epoch counters are kept by
+/// [`IncrementalProvenance`]'s own ring; an [`IncrementalGraph`] over a
+/// borrowed ring counts snapshots and refresh work only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrStats {
     pub snapshots_applied: u64,
@@ -61,188 +70,97 @@ pub struct IncrStats {
     pub frags_reused: u64,
 }
 
-/// Per-switch slice of the engine's state: the deduplicated epoch ring and
-/// the aggregate keys this switch currently contributes, so its entire
-/// contribution can be subtracted in O(own size) when it changes.
-#[derive(Debug, Default)]
-struct SwitchState {
-    /// (ring slot, epoch id) -> (taken_at, epoch); keep-latest by
-    /// `taken_at` with later arrivals winning ties — the exact dedup rule
-    /// of [`AggTelemetry::build`].
-    epochs: HashMap<(usize, u8), (Nanos, EpochSnapshot)>,
-    /// Eviction order: `(start, slot, id)` of exactly the epochs in
-    /// `epochs`, maintained on insert, on a superseding re-collection that
-    /// moves `start`, and on every removal — so the ring budget pops the
-    /// oldest instead of scanning the map. An exact ordered set rather
-    /// than the store's lazily-invalidated heap: horizon retirement
-    /// removes epochs from the middle of the order and, in the daemon,
-    /// fires far more often than the budget does, so a heap that is only
-    /// cleaned when popped would grow without bound.
-    evict_order: BTreeSet<(Nanos, usize, u8)>,
-    /// The cumulative eviction list from the switch's latest snapshot.
-    evicted_taken: Nanos,
-    evicted: Vec<EvictedFlow>,
-    k_ports: Vec<PortId>,
-    k_flows: Vec<(FlowKey, PortId)>,
-    k_meters: Vec<(NodeId, u8, u8)>,
-    k_pes: Vec<PortId>,
+/// The per-switch epoch rings an [`IncrementalGraph`] reads on refresh.
+pub trait EpochRing {
+    /// `sw`'s live epochs in `(start, slot, id)` order — the order
+    /// [`AggTelemetry::build`] adds them in. Empty for a switch the ring
+    /// does not hold.
+    fn epochs_of(&self, sw: NodeId) -> impl Iterator<Item = &EpochSnapshot>;
+    /// `sw`'s eviction list, from its latest-taken snapshot.
+    fn evicted_of(&self, sw: NodeId) -> &[EvictedFlow];
 }
 
-/// See module docs.
+/// The aggregate keys one switch currently contributes, so its entire
+/// contribution can be subtracted in O(own size) when its ring changes.
+#[derive(Debug, Default)]
+struct SwitchKeys {
+    ports: Vec<PortId>,
+    flows: Vec<(FlowKey, PortId)>,
+    meters: Vec<(NodeId, u8, u8)>,
+    port_epochs: Vec<PortId>,
+}
+
+/// The wait-for graph half of the engine: see module docs. Whoever owns
+/// the ring tells it, snapshot by snapshot, which switches' rings changed
+/// ([`note`](Self::note)), and hands the ring to
+/// [`refresh`](Self::refresh).
 #[derive(Debug)]
-pub struct IncrementalProvenance {
+pub struct IncrementalGraph {
     replay: ReplayConfig,
-    /// Maximum epochs retained per switch (the paper's ring depth, enforced
-    /// analyzer-side); oldest-starting epochs fall off first.
-    ring_budget: usize,
-    /// Epochs ending at or before this never enter (or stay in) the state.
-    horizon: Nanos,
-    switches: HashMap<NodeId, SwitchState>,
+    keys: HashMap<NodeId, SwitchKeys>,
     agg: AggTelemetry,
     dirty: BTreeSet<NodeId>,
     frag_port: HashMap<PortId, Vec<(PortId, f64)>>,
     frag_cont: HashMap<PortId, Vec<(FlowKey, f64)>>,
     graph: ProvenanceGraph,
     graph_valid: bool,
-    /// Epoch length changed (mixed telemetry configs): every contention
-    /// fragment depends on it, so everything goes dirty.
-    len_changed: bool,
     stats: IncrStats,
 }
 
-impl IncrementalProvenance {
-    pub fn new(replay: ReplayConfig, ring_budget: usize) -> Self {
-        IncrementalProvenance {
+impl IncrementalGraph {
+    pub fn new(replay: ReplayConfig) -> Self {
+        IncrementalGraph {
             replay,
-            ring_budget: ring_budget.max(1),
-            horizon: Nanos::ZERO,
-            switches: HashMap::new(),
+            keys: HashMap::new(),
             agg: AggTelemetry::default(),
             dirty: BTreeSet::new(),
             frag_port: HashMap::new(),
             frag_cont: HashMap::new(),
             graph: ProvenanceGraph::default(),
             graph_valid: false,
-            len_changed: false,
             stats: IncrStats::default(),
         }
     }
 
-    /// [`apply_owned`](Self::apply_owned) for a caller that keeps its
-    /// snapshot.
-    pub fn apply(&mut self, snap: &TelemetrySnapshot) -> bool {
-        self.apply_owned(snap.clone())
-    }
-
-    /// Ingest one snapshot: dedup its epochs into the switch's ring
-    /// (keep-latest), adopt its eviction list if newer, enforce the ring
-    /// budget. Epochs and the eviction list are moved into the ring, never
-    /// cloned. Returns whether any evidence actually changed.
-    pub fn apply_owned(&mut self, snap: TelemetrySnapshot) -> bool {
+    /// One snapshot of `sw` reached the ring. `changed` says whether it
+    /// changed `sw`'s ring: an admitted epoch, a superseding version that
+    /// differs, an eviction, or a new eviction list. Only then is the
+    /// switch dirty.
+    pub fn note(&mut self, sw: NodeId, changed: bool) {
         self.stats.snapshots_applied += 1;
-        self.agg.collected.insert(snap.switch);
-        let st = self.switches.entry(snap.switch).or_default();
-        let mut changed = false;
-        for ep in snap.epochs {
-            if ep.end() <= self.horizon {
-                self.stats.epochs_skipped += 1;
-                continue;
-            }
-            if self.agg.epoch_len != Nanos::ZERO && ep.len != self.agg.epoch_len {
-                self.len_changed = true;
-            }
-            let key = (ep.slot, ep.id);
-            match st.epochs.get_mut(&key) {
-                Some(cur) if snap.taken_at < cur.0 => {} // stale re-delivery
-                Some(cur) => {
-                    self.stats.epochs_superseded += 1;
-                    if cur.1 != ep {
-                        changed = true;
-                    }
-                    if cur.1.start != ep.start {
-                        // Ring-key reuse: the epoch moves in the order.
-                        st.evict_order.remove(&(cur.1.start, key.0, key.1));
-                        st.evict_order.insert((ep.start, key.0, key.1));
-                    }
-                    *cur = (snap.taken_at, ep);
-                }
-                None => {
-                    st.evict_order.insert((ep.start, key.0, key.1));
-                    st.epochs.insert(key, (snap.taken_at, ep));
-                    self.stats.epochs_applied += 1;
-                    changed = true;
-                }
-            }
-        }
-        // Ring budget: oldest-starting epochs age out first.
-        while st.epochs.len() > self.ring_budget {
-            let (_, slot, id) = st
-                .evict_order
-                .pop_first()
-                .expect("every ring epoch has an eviction-order entry");
-            st.epochs.remove(&(slot, id));
-            self.stats.epochs_retired += 1;
-            changed = true;
-        }
-        if snap.taken_at >= st.evicted_taken {
-            st.evicted_taken = snap.taken_at;
-            if st.evicted != snap.evicted {
-                st.evicted = snap.evicted;
-                changed = true;
-            }
-        }
+        self.agg.collected.insert(sw);
         if changed {
-            self.dirty.insert(snap.switch);
-            self.graph_valid = false;
+            self.mark_dirty(sw);
         }
-        changed
     }
 
-    /// Age out every epoch ending at or before `horizon`; port and flow
-    /// nodes whose evidence is gone disappear from the next graph. The
-    /// horizon only moves forward.
-    pub fn retire_before(&mut self, horizon: Nanos) -> u64 {
-        if horizon <= self.horizon {
-            return 0;
-        }
-        self.horizon = horizon;
-        let mut retired = 0;
-        for (&sw, st) in &mut self.switches {
-            let before = st.epochs.len();
-            let order = &mut st.evict_order;
-            st.epochs.retain(|&(slot, id), (_, ep)| {
-                let keep = ep.end() > horizon;
-                if !keep {
-                    order.remove(&(ep.start, slot, id));
-                }
-                keep
-            });
-            let gone = (before - st.epochs.len()) as u64;
-            if gone > 0 {
-                retired += gone;
-                self.dirty.insert(sw);
-                self.graph_valid = false;
-            }
-        }
-        self.stats.epochs_retired += retired;
-        retired
+    fn mark_dirty(&mut self, sw: NodeId) {
+        self.dirty.insert(sw);
+        self.graph_valid = false;
     }
 
-    /// Re-aggregate dirty switches, recompute the affected per-port edge
-    /// fragments, and reassemble the graph. No-op when nothing changed.
-    pub fn refresh(&mut self, topo: &Topology) {
+    /// Re-aggregate dirty switches from `ring`, recompute the affected
+    /// per-port edge fragments, and reassemble the graph. No-op when
+    /// nothing changed.
+    pub fn refresh(&mut self, topo: &Topology, ring: &impl EpochRing) {
         if self.graph_valid && self.dirty.is_empty() {
             return;
         }
-        if self.len_changed {
-            // Every contention fragment normalizes by the epoch length.
-            let all: Vec<NodeId> = self.switches.keys().copied().collect();
-            self.dirty.extend(all);
-            self.len_changed = false;
+        // Every contention fragment normalizes by the epoch length: a
+        // dirty switch holding an epoch of another length moves it, so
+        // everything goes dirty.
+        let len = self.agg.epoch_len;
+        if len != Nanos::ZERO
+            && self
+                .dirty
+                .iter()
+                .any(|&sw| ring.epochs_of(sw).any(|ep| ep.len != len))
+        {
+            self.dirty.extend(self.agg.collected.iter().copied());
         }
         let dirty: Vec<NodeId> = self.dirty.iter().copied().collect();
         for &sw in &dirty {
-            self.reaggregate_switch(sw);
+            self.reaggregate_switch(sw, ring);
         }
         // Fragments of removed ports die with them.
         let live = &self.agg.ports;
@@ -277,29 +195,25 @@ impl IncrementalProvenance {
     /// [`AggTelemetry::add_epoch`] / [`AggTelemetry::add_evicted`] — the
     /// arithmetic [`AggTelemetry::build`] runs — recording the keys the
     /// switch now contributes.
-    fn reaggregate_switch(&mut self, sw: NodeId) {
-        let Some(st) = self.switches.get_mut(&sw) else {
-            return;
-        };
-        for p in std::mem::take(&mut st.k_ports) {
+    fn reaggregate_switch(&mut self, sw: NodeId, ring: &impl EpochRing) {
+        let keys = self.keys.entry(sw).or_default();
+        for p in std::mem::take(&mut keys.ports) {
             self.agg.ports.remove(&p);
         }
-        for k in std::mem::take(&mut st.k_flows) {
+        for k in std::mem::take(&mut keys.flows) {
             self.agg.flows.remove(&k);
         }
-        for k in std::mem::take(&mut st.k_meters) {
+        for k in std::mem::take(&mut keys.meters) {
             self.agg.meters.remove(&k);
         }
-        for p in std::mem::take(&mut st.k_pes) {
+        for p in std::mem::take(&mut keys.port_epochs) {
             self.agg.port_epochs.remove(&p);
         }
-        let mut eps: Vec<&(Nanos, EpochSnapshot)> = st.epochs.values().collect();
-        eps.sort_unstable_by_key(|(_, ep)| (ep.start, ep.slot, ep.id));
         let mut k_ports: BTreeSet<PortId> = BTreeSet::new();
         let mut k_flows: BTreeSet<(FlowKey, PortId)> = BTreeSet::new();
         let mut k_meters: BTreeSet<(NodeId, u8, u8)> = BTreeSet::new();
         let mut k_pes: BTreeSet<PortId> = BTreeSet::new();
-        for (_, ep) in eps {
+        for ep in ring.epochs_of(sw) {
             self.agg.add_epoch(sw, ep);
             for (key, rec) in &ep.flows {
                 let port = PortId::new(sw, rec.out_port);
@@ -315,8 +229,9 @@ impl IncrementalProvenance {
                 k_meters.insert((sw, *ip, *op));
             }
         }
-        self.agg.add_evicted(sw, &st.evicted);
-        for ev in &st.evicted {
+        let evicted = ring.evicted_of(sw);
+        self.agg.add_evicted(sw, evicted);
+        for ev in evicted {
             k_flows.insert((ev.key, PortId::new(sw, ev.record.out_port)));
         }
         for p in &k_pes {
@@ -324,37 +239,17 @@ impl IncrementalProvenance {
                 sort_epoch_flows(epochs);
             }
         }
-        st.k_ports = k_ports.into_iter().collect();
-        st.k_flows = k_flows.into_iter().collect();
-        st.k_meters = k_meters.into_iter().collect();
-        st.k_pes = k_pes.into_iter().collect();
-    }
-
-    /// The current graph, refreshing first if needed.
-    pub fn graph(&mut self, topo: &Topology) -> &ProvenanceGraph {
-        self.refresh(topo);
-        &self.graph
-    }
-
-    /// The incrementally maintained aggregate (refresh first for a current
-    /// view).
-    pub fn agg(&self) -> &AggTelemetry {
-        &self.agg
-    }
-
-    /// Switches that have delivered at least one snapshot.
-    pub fn collected(&self) -> &BTreeSet<NodeId> {
-        &self.agg.collected
-    }
-
-    /// Total epochs currently held across all switch rings.
-    pub fn epochs_held(&self) -> usize {
-        self.switches.values().map(|s| s.epochs.len()).sum()
+        *keys = SwitchKeys {
+            ports: k_ports.into_iter().collect(),
+            flows: k_flows.into_iter().collect(),
+            meters: k_meters.into_iter().collect(),
+            port_epochs: k_pes.into_iter().collect(),
+        };
     }
 
     /// Cached per-port fragments currently held (pause + contention
-    /// caches). Bounded by the live port set, which retirement shrinks —
-    /// the serve daemon's bounded-memory assertion watches this.
+    /// caches). Bounded by the live port set, which leaving the ring
+    /// shrinks — the serve daemon's bounded-memory assertion watches this.
     pub fn fragments_held(&self) -> usize {
         self.frag_port.len() + self.frag_cont.len()
     }
@@ -364,22 +259,210 @@ impl IncrementalProvenance {
         self.graph.ports.len() + self.graph.flows.len()
     }
 
+    pub fn stats(&self) -> &IncrStats {
+        &self.stats
+    }
+
+    /// Switches whose fragments are pending recomputation: dirtied since
+    /// the last [`refresh`](Self::refresh). The serve daemon's audit trail
+    /// records this set at diagnose time — it is exactly the telemetry
+    /// that changed since the graph was last rebuilt.
+    pub fn dirty_switches(&self) -> Vec<NodeId> {
+        self.dirty.iter().copied().collect()
+    }
+}
+
+/// One switch's ring in [`IncrementalProvenance`].
+#[derive(Debug, Default)]
+struct SwitchRing {
+    /// (ring slot, epoch id) -> (taken_at, epoch); keep-latest by
+    /// `taken_at` with later arrivals winning ties — the exact dedup rule
+    /// of [`AggTelemetry::build`].
+    epochs: HashMap<(usize, u8), (Nanos, EpochSnapshot)>,
+    /// `(start, slot, id)` of exactly the epochs in `epochs`, maintained on
+    /// insert, on a superseding re-collection that moves `start`, and on
+    /// every removal: the eviction order (the ring budget pops the oldest
+    /// instead of scanning the map) and the order the graph reads. An
+    /// exact ordered set rather than a lazily-invalidated heap: horizon
+    /// retirement removes epochs from the middle of the order, so a heap
+    /// that is only cleaned when popped would grow without bound.
+    order: BTreeSet<(Nanos, usize, u8)>,
+    /// The cumulative eviction list from the switch's latest snapshot.
+    evicted_taken: Nanos,
+    evicted: Vec<EvictedFlow>,
+}
+
+/// [`IncrementalProvenance`]'s own rings.
+#[derive(Debug, Default)]
+struct Rings(HashMap<NodeId, SwitchRing>);
+
+impl EpochRing for Rings {
+    fn epochs_of(&self, sw: NodeId) -> impl Iterator<Item = &EpochSnapshot> {
+        self.0.get(&sw).into_iter().flat_map(|r| {
+            r.order
+                .iter()
+                .map(move |&(_, slot, id)| &r.epochs[&(slot, id)].1)
+        })
+    }
+
+    fn evicted_of(&self, sw: NodeId) -> &[EvictedFlow] {
+        self.0.get(&sw).map_or(&[], |r| &r.evicted)
+    }
+}
+
+/// See module docs.
+#[derive(Debug)]
+pub struct IncrementalProvenance {
+    /// Maximum epochs retained per switch (the paper's ring depth, enforced
+    /// analyzer-side); oldest-starting epochs fall off first.
+    ring_budget: usize,
+    /// Epochs ending at or before this never enter (or stay in) the state.
+    horizon: Nanos,
+    rings: Rings,
+    graph: IncrementalGraph,
+}
+
+impl IncrementalProvenance {
+    pub fn new(replay: ReplayConfig, ring_budget: usize) -> Self {
+        IncrementalProvenance {
+            ring_budget: ring_budget.max(1),
+            horizon: Nanos::ZERO,
+            rings: Rings::default(),
+            graph: IncrementalGraph::new(replay),
+        }
+    }
+
+    /// [`apply_owned`](Self::apply_owned) for a caller that keeps its
+    /// snapshot.
+    pub fn apply(&mut self, snap: &TelemetrySnapshot) -> bool {
+        self.apply_owned(snap.clone())
+    }
+
+    /// Ingest one snapshot: dedup its epochs into the switch's ring
+    /// (keep-latest), adopt its eviction list if newer, enforce the ring
+    /// budget. Epochs and the eviction list are moved into the ring, never
+    /// cloned. Returns whether any evidence actually changed.
+    pub fn apply_owned(&mut self, snap: TelemetrySnapshot) -> bool {
+        let stats = &mut self.graph.stats;
+        let st = self.rings.0.entry(snap.switch).or_default();
+        let mut changed = false;
+        for ep in snap.epochs {
+            if ep.end() <= self.horizon {
+                stats.epochs_skipped += 1;
+                continue;
+            }
+            let key = (ep.slot, ep.id);
+            match st.epochs.get_mut(&key) {
+                Some(cur) if snap.taken_at < cur.0 => {} // stale re-delivery
+                Some(cur) => {
+                    stats.epochs_superseded += 1;
+                    if cur.1 != ep {
+                        changed = true;
+                    }
+                    if cur.1.start != ep.start {
+                        // Ring-key reuse: the epoch moves in the order.
+                        st.order.remove(&(cur.1.start, key.0, key.1));
+                        st.order.insert((ep.start, key.0, key.1));
+                    }
+                    *cur = (snap.taken_at, ep);
+                }
+                None => {
+                    st.order.insert((ep.start, key.0, key.1));
+                    st.epochs.insert(key, (snap.taken_at, ep));
+                    stats.epochs_applied += 1;
+                    changed = true;
+                }
+            }
+        }
+        // Ring budget: oldest-starting epochs age out first.
+        while st.epochs.len() > self.ring_budget {
+            let (_, slot, id) = st
+                .order
+                .pop_first()
+                .expect("every ring epoch has an order entry");
+            st.epochs.remove(&(slot, id));
+            stats.epochs_retired += 1;
+            changed = true;
+        }
+        if snap.taken_at >= st.evicted_taken {
+            st.evicted_taken = snap.taken_at;
+            if st.evicted != snap.evicted {
+                st.evicted = snap.evicted;
+                changed = true;
+            }
+        }
+        self.graph.note(snap.switch, changed);
+        changed
+    }
+
+    /// Age out every epoch ending at or before `horizon`; port and flow
+    /// nodes whose evidence is gone disappear from the next graph. The
+    /// horizon only moves forward.
+    pub fn retire_before(&mut self, horizon: Nanos) -> u64 {
+        if horizon <= self.horizon {
+            return 0;
+        }
+        self.horizon = horizon;
+        let mut retired = 0;
+        for (&sw, st) in &mut self.rings.0 {
+            let before = st.epochs.len();
+            let order = &mut st.order;
+            st.epochs.retain(|&(slot, id), (_, ep)| {
+                let keep = ep.end() > horizon;
+                if !keep {
+                    order.remove(&(ep.start, slot, id));
+                }
+                keep
+            });
+            let gone = (before - st.epochs.len()) as u64;
+            if gone > 0 {
+                retired += gone;
+                self.graph.mark_dirty(sw);
+            }
+        }
+        self.graph.stats.epochs_retired += retired;
+        retired
+    }
+
+    /// Re-aggregate dirty switches, recompute the affected per-port edge
+    /// fragments, and reassemble the graph. No-op when nothing changed.
+    pub fn refresh(&mut self, topo: &Topology) {
+        self.graph.refresh(topo, &self.rings);
+    }
+
+    /// The current graph, refreshing first if needed.
+    pub fn graph(&mut self, topo: &Topology) -> &ProvenanceGraph {
+        self.refresh(topo);
+        &self.graph.graph
+    }
+
+    /// Total epochs currently held across all switch rings.
+    pub fn epochs_held(&self) -> usize {
+        self.rings.0.values().map(|s| s.epochs.len()).sum()
+    }
+
+    /// See [`IncrementalGraph::fragments_held`].
+    pub fn fragments_held(&self) -> usize {
+        self.graph.fragments_held()
+    }
+
+    /// See [`IncrementalGraph::node_count`].
+    pub fn node_count(&self) -> usize {
+        self.graph.node_count()
+    }
+
     /// The retention horizon (epochs ending at or before it are gone).
     pub fn horizon(&self) -> Nanos {
         self.horizon
     }
 
     pub fn stats(&self) -> &IncrStats {
-        &self.stats
+        self.graph.stats()
     }
 
-    /// Switches whose fragments are pending recomputation: dirtied by
-    /// apply/retire since the last [`refresh`](Self::refresh). The serve
-    /// daemon's audit trail records this set at diagnose time — it is
-    /// exactly the telemetry that changed since the graph was last
-    /// rebuilt.
+    /// See [`IncrementalGraph::dirty_switches`].
     pub fn dirty_switches(&self) -> Vec<NodeId> {
-        self.dirty.iter().copied().collect()
+        self.graph.dirty_switches()
     }
 
     /// The batch-equivalent window of the current state: everything after
@@ -525,10 +608,10 @@ mod tests {
         let mut eng = IncrementalProvenance::new(ReplayConfig::default(), 64);
         assert!(eng.apply(&s));
         eng.refresh(&topo);
-        let before = eng.stats;
+        let before = *eng.stats();
         assert!(!eng.apply(&s), "byte-identical redelivery is a no-op");
         eng.refresh(&topo);
-        assert_eq!(eng.stats.frags_recomputed, before.frags_recomputed);
+        assert_eq!(eng.stats().frags_recomputed, before.frags_recomputed);
         assert_matches_batch(&mut eng, &[s.clone(), s], &topo);
     }
 
@@ -818,7 +901,8 @@ mod eviction_props {
     }
 
     fn held(eng: &IncrementalProvenance) -> BTreeSet<(NodeId, usize, u8, Nanos)> {
-        eng.switches
+        eng.rings
+            .0
             .iter()
             .flat_map(|(&sw, st)| {
                 // The index is exactly the ring, re-keyed.
@@ -827,7 +911,7 @@ mod eviction_props {
                     .iter()
                     .map(|(k, v)| (v.1.start, k.0, k.1))
                     .collect();
-                assert_eq!(st.evict_order, ring, "index drifted from the ring");
+                assert_eq!(st.order, ring, "index drifted from the ring");
                 ring.into_iter()
                     .map(move |(start, slot, id)| (sw, slot, id, start))
             })
@@ -914,9 +998,9 @@ mod eviction_props {
                 }
                 prop_assert_eq!(&held(&owned), &oracle.held());
                 prop_assert_eq!(held(&borrowed), oracle.held());
-                prop_assert_eq!(owned.stats, oracle.stats);
-                prop_assert_eq!(borrowed.stats, oracle.stats);
-                prop_assert_eq!(&owned.dirty, &borrowed.dirty);
+                prop_assert_eq!(owned.stats(), &oracle.stats);
+                prop_assert_eq!(borrowed.stats(), &oracle.stats);
+                prop_assert_eq!(owned.dirty_switches(), borrowed.dirty_switches());
             }
         }
     }

@@ -43,7 +43,8 @@ pub use diagnosis::{diagnose, AnomalyType, DiagnosisConfig, DiagnosisReport, Roo
 pub use error::{Confidence, DiagnosisError};
 pub use hook::{HawkeyeConfig, HawkeyeHook, HookStats, TracingPolicy};
 pub use incremental::{
-    assemble_from_fragments, merge_fragment_sets, IncrStats, IncrementalProvenance,
+    assemble_from_fragments, merge_fragment_sets, EpochRing, IncrStats, IncrementalGraph,
+    IncrementalProvenance,
 };
 pub use provenance::{
     build_graph, contribution, port_causality_edges, port_contention, victim_extents,

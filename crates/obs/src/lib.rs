@@ -46,11 +46,13 @@ pub mod names {
     /// Snapshots a front-end acknowledged as not taken (`BatchAck.shed`).
     /// Daemons backpressure and never shed.
     pub const INGEST_SHED: &str = "ingest_shed";
-    /// Snapshots that actually changed the incremental provenance state.
+    /// Snapshots that changed their switch's epoch ring, so the wait-for
+    /// graph over it must recompute that switch.
     pub const INCREMENTAL_UPDATES: &str = "incremental_updates";
     /// Client sessions accepted by the serve daemon.
     pub const SERVE_SESSIONS: &str = "serve_sessions";
-    /// Epochs the incremental engine retired behind the retention horizon.
+    /// Epochs that left the ring the serve daemon's wait-for graph reads
+    /// (the store's raw ring evicted them).
     pub const ENGINE_EPOCHS_RETIRED: &str = "engine_epochs_retired";
 
     // --- serve-plane request latency histograms (wall-clock ns) ---------
@@ -95,9 +97,15 @@ pub mod names {
     pub const STAGE_APPEND_NS: &str = "stage_append_ns";
     /// Wall time folding evicted raw epochs into compacted buckets.
     pub const STAGE_FOLD_NS: &str = "stage_fold_ns";
-    /// Wall time applying snapshots to the incremental engine.
+    /// Wall time marking the switches whose ring a frame changed dirty in
+    /// the serve daemon's wait-for graph (the store thread's share of the
+    /// graph on the ingest path; deciding *whether* a ring changed is part
+    /// of ring admission, `STAGE_APPEND_NS`).
     pub const STAGE_ENGINE_APPLY_NS: &str = "stage_engine_apply_ns";
-    /// Wall time retiring engine state behind the retention horizon.
+    /// Wall time retiring a standalone incremental engine's state behind
+    /// a retention horizon. The serve daemon has no such stage — its graph
+    /// reads the store's ring — and never writes it; the benchmark's
+    /// per-layer table still reads it.
     pub const STAGE_RETIRE_NS: &str = "stage_retire_ns";
 
     // --- scenario-corpus fuzzer (Collie-style disagreement search) ------

@@ -8,10 +8,10 @@
 //!   retention and watermark tracking; the daemon's source of truth.
 //! - [`server`] — the multi-threaded daemon: per-connection sessions, a
 //!   bounded ingest queue that backpressures, one store thread that owns
-//!   the daemon's one store, and one core thread that owns the
-//!   [`IncrementalProvenance`](hawkeye_core::IncrementalProvenance)
-//!   engine (maintained on the ingest path), the folded tier, the
-//!   evidence log and the audit trail. With a
+//!   the daemon's one store and the
+//!   [`IncrementalGraph`](hawkeye_core::IncrementalGraph) over its raw
+//!   ring, and one core thread that owns the folded tier, the evidence log
+//!   and the audit trail. With a
 //!   [`ShardRange`](hawkeye_client::ShardRange) the daemon serves one
 //!   shard of a fleet and enforces switch ownership on ingest.
 //! - [`listen`] — the listening socket, the process stop signal and the

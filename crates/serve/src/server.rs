@@ -5,15 +5,15 @@
 //!  accept loop ─Export──────────────┐
 //!                                   ▼
 //!  session ─Ingest / Snapshots(w)/▶ store thread ─Applied / Export─▶ core
-//!     │     FlowHistory / Stats    owns TelemetryStore              owns engine,
-//!     │                                                             folded tier,
-//!     └────Verdict / Explain / FlowHistory / Stats────────────────▶ WAL, audit
+//!     │     FlowHistory / Stats    owns TelemetryStore              owns folded
+//!     │                            and its wait-for graph           tier, WAL,
+//!     └────Verdict / Explain / FlowHistory / Stats────────────────▶ audit
 //! ```
 //!
-//! `Ingest` and `Applied` each carry one `IngestBatch` frame's snapshots
-//! in frame order: one message into the store thread and one out of it
-//! per frame, whatever the frame size (a single snapshot is a frame of
-//! one).
+//! `Ingest` carries one `IngestBatch` frame's snapshots in frame order,
+//! and `Applied` what appending them left for the core: one message into
+//! the store thread and one out of it per frame, whatever the frame size
+//! (a single snapshot is a frame of one).
 //!
 //! - One **accept loop** (the daemon thread) polls the listener, spawns
 //!   one **session thread** per connection, and — when the core raises
@@ -25,20 +25,21 @@
 //!   (`CREDIT_WINDOW` un-acknowledged snapshots) fills, and the producer
 //!   slows to the store's pace with zero loss.
 //! - The **store thread** owns the daemon's one [`TelemetryStore`]
-//!   outright. It appends a frame in order and forwards one `Applied`
-//!   (the frame, the ring evictions the appends staged, the journal
-//!   record that rode in with it, the store's horizon and watermark) to
-//!   the core. Reads of the raw ring — `Diagnose`, `Fragments`,
-//!   `FlowHistory`, `Stats` — are request messages on the same queue,
-//!   answered from the owned store; `Diagnose` and `Fragments` carry
-//!   their window, so the store clones only the epochs the window
-//!   overlaps, never its whole ring.
-//! - The single **core thread** owns the [`IncrementalProvenance`] engine,
-//!   the folded tier ([`Compactor`]), the evidence log ([`Wal`]) and the
-//!   [`AuditTrail`]. Per frame it applies every snapshot to the engine,
-//!   absorbs the folds, retires the engine behind the store's retention
-//!   horizon (so store and engine age out telemetry in lockstep, see
-//!   `tests/retention.rs`) and appends the journal record — each once.
+//!   outright, and the [`IncrementalGraph`] over its raw ring: the daemon
+//!   holds each epoch once. It moves a frame's epochs into the ring in
+//!   order, marks every switch whose ring changed dirty in the graph, and
+//!   forwards one `Applied` (the frame's epoch count, the ring evictions
+//!   the appends staged, the journal record that rode in with it, the
+//!   store's horizon and watermark) to the core. Reads of the raw ring —
+//!   `Diagnose`, `Fragments`, `FlowHistory`, `Stats` — are request
+//!   messages on the same queue, answered from the owned store; `Diagnose`
+//!   and `Fragments` carry their window, so the store clones only the
+//!   epochs the window overlaps, never its whole ring. `Stats` refreshes
+//!   the graph first, and a gather reports the graph's pending state for
+//!   the verdict's audit record.
+//! - The single **core thread** owns the folded tier ([`Compactor`]), the
+//!   evidence log ([`Wal`]) and the [`AuditTrail`]. Per frame it absorbs
+//!   the folds and appends the journal record — each once.
 //!
 //! A daemon never splits its switches: splitting them across processes
 //! is the fleet's job (`hawkeye serve --shard LO..HI` behind a front).
@@ -52,11 +53,11 @@
 //! every queue is FIFO the request *is* the barrier: the store thread
 //! answers a query only after every frame queued before it, and the core
 //! answers only after every `Applied` those appends forwarded. `Diagnose`
-//! therefore waits for the store's appends but not for the engine applies
-//! behind them — which is why the store thread is not the core — it reads
-//! its window of the raw ring only, and the store's canonical form makes
-//! the verdict identical to the one-shot path on the same telemetry (see
-//! `tests/serve_e2e.rs`).
+//! therefore waits for the store's appends but not for the folds and
+//! journal writes behind them — which is why the store thread is not the
+//! core — it reads its window of the raw ring only, and the store's
+//! canonical form makes the verdict identical to the one-shot path on the
+//! same telemetry (see `tests/serve_e2e.rs`).
 //!
 //! The daemon is one [`FrameService`] — the skeleton it shares with the
 //! cluster front — plus the request handler below. The service's metrics
@@ -84,7 +85,7 @@ use hawkeye_client::proto::{
 };
 use hawkeye_client::{ExplainRecord, FlowObservation, ShardRange};
 use hawkeye_core::{
-    analyze_victim_window_obs, AnalyzerConfig, AnomalyType, DiagnosisReport, IncrementalProvenance,
+    analyze_victim_window_obs, AnalyzerConfig, AnomalyType, DiagnosisReport, IncrementalGraph,
     ReplayConfig, RootCause, Window,
 };
 use hawkeye_obs::flight as flight_kind;
@@ -92,11 +93,10 @@ use hawkeye_obs::names::{
     COMPACTOR_QUEUE_DEPTH, INGEST_BATCHES, INGEST_WRONG_SHARD, OP_DIAGNOSE_NS, OP_EXPLAIN_NS,
     OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS, OP_METRICS_NS, OP_STATS_NS,
     RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH, SLOW_OPS, STAGE_APPEND_NS,
-    STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES, WAL_RECORDS_APPENDED,
-    WAL_SEGMENTS_RETIRED,
+    STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, WAL_BYTES, WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED,
 };
 use hawkeye_obs::{MetricKey, MetricsRegistry, ObsConfig, Recorder, Stage};
-use hawkeye_sim::{FlowKey, Nanos, Topology};
+use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::{encode_batch, TelemetrySnapshot};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -153,6 +153,17 @@ const AUDIT_CAPACITY: usize = 64;
 /// the received frame body — never a re-encode.
 type JournalRecord = Vec<u8>;
 
+/// `Stats` fields, in response order.
+type Fields = Vec<(String, serde::Value)>;
+
+/// The wait-for graph's pending state at a gather: what a verdict's audit
+/// record reports about it.
+struct Pending {
+    dirty_switches: Vec<u32>,
+    frags_reused: u64,
+    frags_recomputed: u64,
+}
+
 /// Messages to the store thread, the owner of the daemon's store.
 enum StoreMsg {
     /// One frame's snapshots, in frame order, plus (on a `--durable`
@@ -161,32 +172,38 @@ enum StoreMsg {
     /// durable ingest wakes exactly the threads durability-off ingest does.
     Ingest(Vec<TelemetrySnapshot>, Option<JournalRecord>),
     /// The canonical per-switch snapshots, restricted to the epochs
-    /// overlapping the window (`Diagnose`, `Fragments`).
-    Snapshots(Window, SyncSender<Vec<TelemetrySnapshot>>),
+    /// overlapping the window (`Diagnose`, `Fragments`), and the graph's
+    /// pending state.
+    Snapshots(Window, SyncSender<(Vec<TelemetrySnapshot>, Pending)>),
     /// Raw-ring rows for one flow (unsorted; the session merges).
     FlowHistory(FlowKey, SyncSender<Vec<FlowObservation>>),
-    /// The store's `Stats` fields, in response order.
-    Stats(SyncSender<Vec<(String, serde::Value)>>),
+    /// The ring's and, after a refresh, the graph's `Stats` fields.
+    Stats(SyncSender<(Fields, Fields)>),
     /// Checkpoint round: forward every switch's ring image to the core.
     Export,
 }
 
-/// What the store thread hands the core for one appended frame.
+/// What the store thread hands the core for one appended frame: counts,
+/// folds and the journal record, never the snapshots (their epochs are in
+/// the ring).
 struct Applied {
-    snaps: Vec<TelemetrySnapshot>,
-    /// Ring evictions the appends staged for the folded tier.
+    /// Epochs the frame carried (`epochs_ingested`).
+    epochs: u64,
+    /// Snapshots that changed their switch's ring (`incremental_updates`).
+    changed: u64,
+    /// Ring evictions the appends staged for the folded tier, one per
+    /// evicted epoch (`engine_epochs_retired`).
     staged: Vec<PendingFold>,
     journal: Option<JournalRecord>,
     /// The store's retention horizon and freshest-data watermark after
-    /// the frame's last append; `None` = no reporting switch yet. Read
-    /// once per frame, which can delay an engine retirement by a frame and
-    /// never cause an early one.
+    /// the frame's last append; `None` = no reporting switch yet.
     horizon: Option<Nanos>,
     watermark: Option<Nanos>,
-    /// The store's own wall-clock over the frame: ring admission and the
-    /// eviction loop.
+    /// The store thread's own wall-clock over the frame: ring admission,
+    /// the eviction loop, and the graph's dirty marks.
     append_ns: u64,
     evict_ns: u64,
+    mark_ns: u64,
     /// Ingest-queue occupancy (snapshots) behind this frame at dequeue.
     queue_depth: u64,
 }
@@ -200,25 +217,24 @@ enum CoreMsg {
     /// the buckets the core pairs with each image hold exactly the epochs
     /// that image has evicted — no more, no fewer.
     Export(Vec<SwitchRestore>),
-    /// A verdict to journal: the core fills in its engine's view and the
-    /// trail assigns the seq.
+    /// A verdict to journal: the trail assigns the seq.
     Verdict(Box<ExplainRecord>),
     Explain(Option<u64>, SyncSender<Response>),
     /// Compacted-tier rows for one flow (unsorted; the session merges).
     FlowHistory(FlowKey, SyncSender<Vec<FlowObservation>>),
     /// The core's `Stats` fields, in response order. Syncs the WAL first:
-    /// once `Stats` returns, every accepted epoch is applied *and*
+    /// once `Stats` returns, every accepted epoch is folded *and*
     /// journaled.
-    Stats(SyncSender<Vec<(String, serde::Value)>>),
+    Stats(SyncSender<Fields>),
 }
 
 /// Depth of the core thread's channel, in messages (an `Applied` is one
 /// frame). Bounded on purpose: if the core falls this far behind, the
 /// store thread blocks on the send and the slowdown propagates up the
 /// ingest path (and, under the credit window, back to the client) instead
-/// of growing an unbounded queue. 128 frames park at most 4096 snapshots
-/// at 32-snapshot frames; left at 1024 messages, a core stall showed as
-/// +14 % peak RSS on `serve-ingest`.
+/// of growing an unbounded queue. A parked `Applied` holds the frame's
+/// evicted epochs and, on a durable daemon, its journal record — never
+/// its snapshots.
 const CORE_QUEUE_DEPTH: usize = 128;
 
 /// What every thread of one daemon can see: the configuration, the frame
@@ -293,20 +309,16 @@ fn uint(name: &str, v: u64) -> (String, serde::Value) {
     (name.into(), serde::Value::UInt(v))
 }
 
-/// The core thread's state: single owner of the engine, the folded tier,
-/// the evidence log and the audit trail.
+/// The core thread's state: single owner of the folded tier, the evidence
+/// log and the audit trail.
 struct Core {
     plane: Arc<Plane>,
-    engine: IncrementalProvenance,
     comp: Compactor,
     wal: Option<Wal>,
     audit: AuditTrail,
     /// The store's retention horizon as last reported in an `Applied`;
-    /// [`Nanos::ZERO`] (retire nothing) until a switch has reported.
+    /// [`Nanos::ZERO`] until every reporting switch has evicted.
     horizon: Nanos,
-    /// Horizon last pushed into the engine — most frames don't move it,
-    /// and comparing here skips the engine call entirely.
-    last_retired: Nanos,
     /// `Wal::stats` as of the last publish to the registry.
     wal_published: WalStats,
     /// The open checkpoint round's boundary: the WAL seq when it opened.
@@ -351,46 +363,30 @@ impl Core {
             .core_depth
             .fetch_sub(1, Ordering::Relaxed)
             .saturating_sub(1);
-        let mut epochs = 0;
-        let mut changed = 0;
-        let t = Instant::now();
-        for snap in a.snaps {
-            epochs += snap.epochs.len() as u64;
-            changed += u64::from(self.engine.apply_owned(snap));
-        }
-        let apply_ns = t.elapsed().as_nanos() as u64;
+        // An evicted epoch left the ring the graph reads: that is the
+        // graph's retirement, one staged fold each.
+        let retired = a.staged.len() as u64;
         let fold_ns = a.evict_ns + self.comp.absorb(a.staged);
         let horizon = a.horizon.unwrap_or(Nanos::ZERO);
         self.horizon = horizon;
-        let t = Instant::now();
-        // Retire engine state the store no longer backs with raw epochs —
-        // what keeps a long-running daemon's wait-for graph bounded.
-        let retired = if horizon > self.last_retired {
-            self.last_retired = horizon;
-            self.engine.retire_before(horizon)
-        } else {
-            0
-        };
-        let retire_ns = t.elapsed().as_nanos() as u64;
         if let Some(frame) = a.journal {
             self.journal(REC_BATCH, &frame);
         }
 
         let mut m = self.plane.service.metrics.lock().expect("metrics lock");
-        m.add(MetricKey::global(EPOCHS_INGESTED), epochs);
-        if changed > 0 {
-            m.add(MetricKey::global(INCREMENTAL_UPDATES), changed);
+        m.add(MetricKey::global(EPOCHS_INGESTED), a.epochs);
+        if a.changed > 0 {
+            m.add(MetricKey::global(INCREMENTAL_UPDATES), a.changed);
         }
         if retired > 0 {
             m.add(MetricKey::global(ENGINE_EPOCHS_RETIRED), retired);
         }
         // Stage split: where does the ingest path spend its wall-clock —
-        // ring admission, eviction + fold, engine apply, or retirement
+        // ring admission, eviction + fold, or the graph's dirty marks
         // (sums over the frame).
         m.add(MetricKey::global(STAGE_APPEND_NS), a.append_ns);
         m.add(MetricKey::global(STAGE_FOLD_NS), fold_ns);
-        m.add(MetricKey::global(STAGE_ENGINE_APPLY_NS), apply_ns);
-        m.add(MetricKey::global(STAGE_RETIRE_NS), retire_ns);
+        m.add(MetricKey::global(STAGE_ENGINE_APPLY_NS), a.mark_ns);
         // The raw-history span the daemon holds (sim-time ns).
         let retention = a.watermark.map_or(0, |w| w.0.saturating_sub(horizon.0));
         m.set(MetricKey::global(SHARD_QUEUE_DEPTH), a.queue_depth as f64);
@@ -478,15 +474,11 @@ impl Core {
     }
 
     /// Deposit a verdict's provenance in the audit trail: the session
-    /// filled in which evidence was consulted, which signature row matched
-    /// and where the wall-clock went; the engine's pending state is added
-    /// here. A durable daemon journals the record under the seq the trail
+    /// filled in which evidence was consulted, the graph's pending state
+    /// at the gather, which signature row matched and where the wall-clock
+    /// went. A durable daemon journals the record under the seq the trail
     /// is about to assign, so recovery rebuilds the ring *and* its counter.
     fn verdict(&mut self, mut rec: ExplainRecord) {
-        let st = self.engine.stats();
-        rec.frags_reused = st.frags_reused;
-        rec.frags_recomputed = st.frags_recomputed;
-        rec.dirty_switches = self.engine.dirty_switches().iter().map(|n| n.0).collect();
         rec.seq = self.audit.total();
         if self.wal.is_some() {
             if let Ok(js) = serde_json::to_string(&rec) {
@@ -515,27 +507,12 @@ impl Core {
         }
     }
 
-    fn stats(&mut self) -> Vec<(String, serde::Value)> {
+    fn stats(&mut self) -> Fields {
         self.sync_wal();
-        // Refresh so node/fragment counts reflect retirement, not the
-        // last diagnosis — Stats is the bounded-memory observability
-        // surface.
-        self.engine.refresh(&self.plane.topo);
-        let st = self.engine.stats();
         vec![
             uint("store_epochs_compacted_held", self.comp.epochs_held()),
             uint("store_compacted_buckets", self.comp.buckets_held() as u64),
             uint("store_retention_horizon", self.horizon.0),
-            uint("engine_snapshots_applied", st.snapshots_applied),
-            uint("engine_frags_recomputed", st.frags_recomputed),
-            uint("engine_frags_reused", st.frags_reused),
-            uint("engine_epochs_held", self.engine.epochs_held() as u64),
-            // Horizon-driven + ring-budget retirement combined; the
-            // `engine_epochs_retired` counter is horizon-driven only.
-            uint("engine_epochs_retired_total", st.epochs_retired),
-            uint("engine_horizon", self.engine.horizon().0),
-            uint("engine_fragments", self.engine.fragments_held() as u64),
-            uint("engine_nodes", self.engine.node_count() as u64),
         ]
     }
 }
@@ -563,9 +540,12 @@ fn add_wal_counters(wal: &Option<Wal>, published: &mut WalStats, m: &mut Metrics
 fn store_thread(
     plane: Arc<Plane>,
     mut store: TelemetryStore,
+    mut graph: IncrementalGraph,
     rx: Receiver<StoreMsg>,
     core: SyncSender<CoreMsg>,
 ) {
+    // Per frame: each snapshot's switch and whether it changed the ring.
+    let mut notes: Vec<(NodeId, bool)> = Vec::new();
     // A send to the core fails only when the core thread is gone; with
     // nothing downstream left to feed, the store thread exits and sessions
     // see "store thread gone".
@@ -577,24 +557,33 @@ fn store_thread(
                     .queue_depth
                     .fetch_sub(n, Ordering::Relaxed)
                     .saturating_sub(n);
+                let epochs = snaps.iter().map(|s| s.epochs.len() as u64).sum();
                 let before = *store.stats();
-                for snap in &snaps {
+                notes.clear();
+                for snap in snaps {
                     if plane.cfg.ingest_delay_ns > 0 {
                         // The deliberately-slow-store knob: backpressure
                         // tests throttle the consumer here.
                         thread::sleep(Duration::from_nanos(plane.cfg.ingest_delay_ns));
                     }
-                    store.append(snap);
+                    notes.push((snap.switch, store.append_owned(snap)));
                 }
+                let t = Instant::now();
+                for &(sw, changed) in &notes {
+                    graph.note(sw, changed);
+                }
+                let mark_ns = t.elapsed().as_nanos() as u64;
                 let after = store.stats();
                 let applied = Applied {
+                    epochs,
+                    changed: notes.iter().filter(|&&(_, c)| c).count() as u64,
                     append_ns: after.append_ns - before.append_ns,
                     evict_ns: after.fold_ns - before.fold_ns,
+                    mark_ns,
                     staged: store.take_pending_folds(),
                     horizon: store.retention_horizon(),
                     watermark: store.min_watermark(),
                     queue_depth,
-                    snaps,
                     journal,
                 };
                 // A full core channel blocks here, which is the intended
@@ -605,17 +594,46 @@ fn store_thread(
                 }
             }
             StoreMsg::Snapshots(window, reply) => {
-                let _ = reply.send(store.snapshots_in(window));
+                let st = graph.stats();
+                let pending = Pending {
+                    dirty_switches: graph.dirty_switches().iter().map(|n| n.0).collect(),
+                    frags_reused: st.frags_reused,
+                    frags_recomputed: st.frags_recomputed,
+                };
+                let _ = reply.send((store.snapshots_in(window), pending));
             }
             StoreMsg::FlowHistory(key, reply) => {
                 let _ = reply.send(store.flow_history(&key));
             }
             StoreMsg::Stats(reply) => {
-                let _ = reply.send(vec![
-                    uint("store_snapshots_appended", store.stats().snapshots_appended),
+                // Refresh so node/fragment counts reflect what left the
+                // ring, not the last diagnosis — Stats is the
+                // bounded-memory observability surface.
+                graph.refresh(&plane.topo, &store);
+                let st = *store.stats();
+                let gst = graph.stats();
+                let ring = vec![
+                    uint("store_snapshots_appended", st.snapshots_appended),
                     uint("store_epochs_held", store.epochs_held() as u64),
                     uint("store_switches", store.switches().len() as u64),
-                ]);
+                ];
+                // The graph reads the store's ring, so its epochs and
+                // retirements are the ring's, and its horizon the
+                // store's retention horizon.
+                let engine = vec![
+                    uint("engine_snapshots_applied", gst.snapshots_applied),
+                    uint("engine_frags_recomputed", gst.frags_recomputed),
+                    uint("engine_frags_reused", gst.frags_reused),
+                    uint("engine_epochs_held", store.epochs_held() as u64),
+                    uint("engine_epochs_retired_total", st.epochs_evicted),
+                    uint(
+                        "engine_horizon",
+                        store.retention_horizon().unwrap_or(Nanos::ZERO).0,
+                    ),
+                    uint("engine_fragments", graph.fragments_held() as u64),
+                    uint("engine_nodes", graph.node_count() as u64),
+                ];
+                let _ = reply.send((ring, engine));
             }
             StoreMsg::Export => {
                 if core.send(CoreMsg::Export(store.export())).is_err() {
@@ -665,8 +683,9 @@ impl Routes {
         ask(&self.core, "core thread", request)
     }
 
-    /// The store's canonical snapshots of `window`, in switch-id order.
-    fn gather_snapshots(&self, window: Window) -> Result<Vec<TelemetrySnapshot>, Gone> {
+    /// The store's canonical snapshots of `window`, in switch-id order,
+    /// and the graph's pending state at that instant.
+    fn gather_snapshots(&self, window: Window) -> Result<(Vec<TelemetrySnapshot>, Pending), Gone> {
         self.ask_store(|reply| StoreMsg::Snapshots(window, reply))
     }
 
@@ -684,11 +703,12 @@ impl Routes {
     /// ingest queued before it, the core after every `Applied` it
     /// forwarded (and a WAL sync), and only then are the counters read.
     fn stats(&self, plane: &Plane) -> Result<Response, Gone> {
-        let store_fields = self.ask_store(StoreMsg::Stats)?;
+        let (ring, engine) = self.ask_store(StoreMsg::Stats)?;
         let core_fields = self.ask_core(CoreMsg::Stats)?;
         let mut fields = plane.service.counter_fields();
-        fields.extend(store_fields);
+        fields.extend(ring);
         fields.extend(core_fields);
+        fields.extend(engine);
         Ok(Response::Stats(serde::Value::Object(fields)))
     }
 
@@ -696,7 +716,7 @@ impl Routes {
         if let Err(refusal) = p.check_victim(&plane.topo) {
             return Ok(Response::Error(refusal));
         }
-        let snapshots = self.gather_snapshots(p.window)?;
+        let (snapshots, pending) = self.gather_snapshots(p.window)?;
         if snapshots.is_empty() {
             return Ok(Response::Error("no telemetry ingested".into()));
         }
@@ -718,18 +738,19 @@ impl Routes {
         report.note_missing(&p.missing);
         // Sent after the store answered, so the core journals it behind
         // every `Applied` this verdict's evidence produced.
-        let record = explain_record(p, &snapshots, &report, &rec);
+        let record = explain_record(p, &snapshots, pending, &report, &rec);
         let _ = self.core.send(CoreMsg::Verdict(Box::new(record)));
         Ok(Response::Diagnosis(report))
     }
 }
 
-/// The session's half of a verdict's audit record: which evidence was
-/// consulted, which signature row matched and where the wall-clock went.
-/// The core adds its engine's pending state and the seq.
+/// A verdict's audit record but its seq, which the core assigns: which
+/// evidence was consulted, the graph's pending state at the gather, which
+/// signature row matched and where the wall-clock went.
 fn explain_record(
     p: &DiagnoseParams,
     snapshots: &[TelemetrySnapshot],
+    pending: Pending,
     report: &DiagnosisReport,
     rec: &Recorder,
 ) -> ExplainRecord {
@@ -761,9 +782,9 @@ fn explain_record(
         root_causes,
         contributing_switches,
         contributing_epochs,
-        dirty_switches: Vec::new(),
-        frags_reused: 0,
-        frags_recomputed: 0,
+        dirty_switches: pending.dirty_switches,
+        frags_reused: pending.frags_reused,
+        frags_recomputed: pending.frags_recomputed,
         stage_collect_ns: rec.profile.wall_total_ns(Stage::TelemetryCollection),
         stage_graph_ns: rec.profile.wall_total_ns(Stage::GraphBuild),
         stage_match_ns: rec.profile.wall_total_ns(Stage::SignatureMatch),
@@ -868,7 +889,9 @@ fn handle(plane: &Plane, routes: &Routes, req: Request, body: &mut Vec<u8>) -> A
         // this.
         Request::Fragments(window) => (
             OP_FRAGMENTS_NS,
-            routes.gather_snapshots(window).map(Response::Fragments),
+            routes
+                .gather_snapshots(window)
+                .map(|(snapshots, _)| Response::Fragments(snapshots)),
         ),
         Request::Diagnose(p) => (OP_DIAGNOSE_NS, routes.diagnose(plane, &p)),
         Request::FlowHistory(key) => (OP_FLOW_HISTORY_NS, routes.flow_history(key)),
@@ -928,25 +951,14 @@ pub fn spawn_durable(
         None => (None, None),
     };
 
-    // The engine's own ring budget is a per-switch safety backstop at
-    // 2x the store's; primary retention is the store-driven horizon
-    // (`retire_before` after each ingest), so give it the headroom to
-    // actually be the thing that fires.
-    let mut engine =
-        IncrementalProvenance::new(cfg.replay, cfg.store.epoch_budget.saturating_mul(2));
-    let horizon = store.retention_horizon().unwrap_or(Nanos::ZERO);
-    let mut last_retired = Nanos::ZERO;
-    if recovery.is_some() {
-        // Rebuild the wait-for graph from the recovered canonical rings —
-        // the engine is derived state, so it is never checkpointed — and
-        // retire it behind the recovered horizon, exactly as the ingest
-        // path would have.
-        for snap in store.snapshots() {
-            engine.apply_owned(snap);
-        }
-        engine.retire_before(horizon);
-        last_retired = horizon;
+    // The wait-for graph is derived state, never checkpointed: every
+    // recovered switch's ring arrives as one snapshot that changed it, and
+    // the first refresh builds the graph from the recovered rings.
+    let mut graph = IncrementalGraph::new(cfg.replay);
+    for sw in store.switches() {
+        graph.note(sw, true);
     }
+    let horizon = store.retention_horizon().unwrap_or(Nanos::ZERO);
     let plane = Arc::new(Plane::new(topo, cfg, wal.is_some()));
     if let Some(rep) = &recovery {
         plane.service.add(RECOVERY_TRUNCATED, rep.truncated_records);
@@ -957,12 +969,10 @@ pub fn spawn_durable(
     let (core_tx, core_rx) = sync_channel(CORE_QUEUE_DEPTH);
     let core = Core {
         plane: Arc::clone(&plane),
-        engine,
         comp,
         wal,
         audit,
         horizon,
-        last_retired,
         wal_published: WalStats::default(),
         round: None,
     };
@@ -977,7 +987,7 @@ pub fn spawn_durable(
         let core_tx = core_tx.clone();
         thread::Builder::new()
             .name("hawkeye-store".into())
-            .spawn(move || store_thread(plane, store, store_rx, core_tx))
+            .spawn(move || store_thread(plane, store, graph, store_rx, core_tx))
             .expect("spawn store thread")
     };
     let routes = Routes {
@@ -1263,9 +1273,11 @@ mod tests {
         );
     }
 
-    /// A frame crosses the plane as one `Ingest` and one `Applied`: frame
-    /// order kept, the journal record riding both, and the core's counters
-    /// still in snapshots and epochs.
+    /// A frame crosses the plane as one `Ingest` and one `Applied`: the
+    /// journal record rides both, the core receives the frame's counts
+    /// (never its snapshots), and its counters are still in snapshots and
+    /// epochs — while the epochs themselves stay in the store's ring,
+    /// which the graph reads.
     #[test]
     fn frame_travels_as_one_ingest_and_one_applied() {
         let r = rig(8, None);
@@ -1293,12 +1305,16 @@ mod tests {
             store_rx,
             core_rx,
         } = r;
+        let (stats_tx, stats_rx) = sync_channel(1);
+        sender.send(StoreMsg::Stats(stats_tx)).expect("store queue");
         drop(sender);
-        let store = TelemetryStore::new(StoreConfig {
-            deferred_fold: true,
-            ..plane.cfg.store
-        });
-        store_thread(Arc::clone(&plane), store, store_rx.unwrap(), tx);
+        store_thread(
+            Arc::clone(&plane),
+            daemon_store(&plane),
+            IncrementalGraph::new(plane.cfg.replay),
+            store_rx.unwrap(),
+            tx,
+        );
         assert_eq!(queued_snapshots(&plane), 0);
 
         let mut core = thread_less_core();
@@ -1308,7 +1324,7 @@ mod tests {
         let CoreMsg::Applied(a) = &applied[0] else {
             panic!("the store thread forwarded only Applied");
         };
-        assert_eq!(a.snaps, frame, "frame order lost");
+        assert_eq!((a.epochs, a.changed), (6, 6), "the frame's counts");
         assert_eq!(a.journal, Some(wire), "one record per frame");
         for msg in applied {
             core.handle(msg);
@@ -1316,8 +1332,24 @@ mod tests {
         let m = plane.service.metrics.lock().unwrap();
         assert_eq!(m.counter_total(EPOCHS_INGESTED), 6);
         assert_eq!(m.counter_total(INCREMENTAL_UPDATES), 6);
-        assert_eq!(core.engine.stats().snapshots_applied, 6);
-        assert_eq!(core.engine.epochs_held(), 6);
+        let (ring, engine) = stats_rx.recv().expect("the store answered Stats");
+        let field = |fields: &Fields, k: &str| {
+            fields
+                .iter()
+                .find(|(n, _)| n == k)
+                .and_then(|(_, v)| v.as_u64())
+        };
+        assert_eq!(field(&ring, "store_epochs_held"), Some(6));
+        assert_eq!(field(&engine, "engine_snapshots_applied"), Some(6));
+        assert_eq!(field(&engine, "engine_epochs_held"), Some(6));
+    }
+
+    /// The daemon's store: deferred fold, as `spawn_durable` sets it.
+    fn daemon_store(plane: &Plane) -> TelemetryStore {
+        TelemetryStore::new(StoreConfig {
+            deferred_fold: true,
+            ..plane.cfg.store
+        })
     }
 
     fn thread_less_core() -> Core {
@@ -1328,22 +1360,44 @@ mod tests {
                 cfg,
                 false,
             )),
-            engine: IncrementalProvenance::new(cfg.replay, 2 * cfg.store.epoch_budget),
             comp: Compactor::new(cfg.store),
             wal: None,
             audit: AuditTrail::new(AUDIT_CAPACITY),
             horizon: Nanos::ZERO,
-            last_retired: Nanos::ZERO,
             wal_published: WalStats::default(),
             round: None,
         }
     }
 
     /// Explain on an empty audit trail is an error, not a panic; a verdict
-    /// message is journaled under the next seq with the engine's view
-    /// filled in, and served both as latest and by seq.
+    /// is journaled under the next seq carrying the graph's pending state
+    /// as the store thread reported it at the gather — the switch whose
+    /// ring the evidence changed — and served both as latest and by seq.
     #[test]
     fn explain_empty_then_by_seq() {
+        let r = rig(4, None);
+        let mut evidence = snap(3);
+        evidence.epochs.push(epoch(0));
+        route_batch(&r.plane, &r.routes, vec![evidence], None);
+        let Rig {
+            plane,
+            routes,
+            store_rx,
+            core_rx: _core_rx,
+        } = r;
+        let store = {
+            let (plane, rx, core) = (Arc::clone(&plane), store_rx.unwrap(), routes.core.clone());
+            let graph = IncrementalGraph::new(plane.cfg.replay);
+            thread::spawn(move || {
+                store_thread(Arc::clone(&plane), daemon_store(&plane), graph, rx, core)
+            })
+        };
+        let (_, pending) = routes
+            .gather_snapshots(Window::default())
+            .unwrap_or_else(|_| panic!("store thread gone"));
+        drop(routes);
+        store.join().expect("store thread");
+
         let mut core = thread_less_core();
         let explain = |core: &mut Core, seq| {
             let (tx, rx) = sync_channel(1);
@@ -1363,19 +1417,16 @@ mod tests {
             root_causes: vec![],
             contributing_switches: vec![],
             contributing_epochs: 0,
-            dirty_switches: vec![],
-            frags_reused: 0,
-            frags_recomputed: 0,
+            dirty_switches: pending.dirty_switches,
+            frags_reused: pending.frags_reused,
+            frags_recomputed: pending.frags_recomputed,
             stage_collect_ns: 0,
             stage_graph_ns: 0,
             stage_match_ns: 0,
         };
-        let mut evidence = snap(3);
-        evidence.epochs.push(epoch(0));
-        assert!(core.engine.apply(&evidence), "an epoch is new evidence");
+        assert_eq!(rec.dirty_switches, vec![3], "an epoch is new evidence");
         core.handle(CoreMsg::Verdict(Box::new(rec.clone())));
         rec.seq = 0;
-        rec.dirty_switches = vec![3];
         assert_eq!(explain(&mut core, None), Response::Explain(rec.clone()));
         assert_eq!(explain(&mut core, Some(0)), Response::Explain(rec));
         assert!(matches!(explain(&mut core, Some(1)), Response::Error(_)));

@@ -24,10 +24,10 @@
 //! window, not to the ring.
 //!
 //! Ring eviction is what moves the per-switch **retention horizon**
-//! ([`TelemetryStore::retention_horizon`]): everything ending at or before
-//! it has left the raw ring, and the serve daemon propagates it to
-//! [`IncrementalProvenance::retire_before`](hawkeye_core::IncrementalProvenance)
-//! so store and engine retention stay synchronized.
+//! ([`TelemetryStore::retention_horizon`]): the largest end among the
+//! epochs evicted. The raw ring is also the serve daemon's one copy of
+//! each epoch: its wait-for graph reads it through [`EpochRing`], and
+//! [`TelemetryStore::append_owned`] reports which appends changed it.
 //!
 //! Because the canonical form is a pure function of the *set* of accepted
 //! (snapshot, epoch) observations and their `taken_at` stamps — not of
@@ -43,7 +43,7 @@
 
 use crate::compactor::{Compactor, PendingFold};
 use hawkeye_core::hash::BoundedKeys;
-use hawkeye_core::Window;
+use hawkeye_core::{EpochRing, Window};
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
 use hawkeye_telemetry::{CompactedEpoch, EpochSnapshot, EvictedFlow, TelemetrySnapshot};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -111,8 +111,7 @@ pub struct StoreStats {
     pub append_ns: u64,
     /// Wall nanoseconds spent in the eviction/fold loop (ring budget
     /// enforcement plus compaction).
-    /// `append_ns + fold_ns` is the store's share of ingest; the engine's
-    /// apply/retire share is timed by the daemon's core thread.
+    /// `append_ns + fold_ns` is the store's share of ingest.
     pub fold_ns: u64,
 }
 
@@ -265,37 +264,58 @@ impl TelemetryStore {
         }
     }
 
-    /// Ingest one snapshot. Idempotent for duplicates, order-independent
-    /// for re-deliveries (see module docs).
+    /// [`append_owned`](Self::append_owned) for a caller that keeps its
+    /// snapshot and reads no graph over the ring.
     pub fn append(&mut self, snap: &TelemetrySnapshot) {
+        self.append_owned(snap.clone());
+    }
+
+    /// Ingest one snapshot, moving its epochs and eviction list into the
+    /// ring. Idempotent for duplicates, order-independent for re-deliveries
+    /// (see module docs). Returns whether the switch's ring changed — an
+    /// admitted epoch, a superseding version that differs, an eviction, or
+    /// a new eviction list — which is when an
+    /// [`IncrementalGraph`](hawkeye_core::IncrementalGraph) over this
+    /// ring must mark the switch dirty.
+    pub fn append_owned(&mut self, snap: TelemetrySnapshot) -> bool {
         let t0 = std::time::Instant::now();
+        let TelemetrySnapshot {
+            switch,
+            taken_at,
+            nports,
+            max_flows,
+            epochs,
+            evicted,
+        } = snap;
         self.stats.snapshots_appended += 1;
-        let log = self
-            .switches
-            .entry(snap.switch)
-            .or_insert_with(|| SwitchLog {
-                epochs: HashMap::default(),
-                index: StartIndex::default(),
-                max_len: Nanos::ZERO,
-                taken_at: snap.taken_at,
-                nports: snap.nports,
-                max_flows: snap.max_flows,
-                evicted: snap.evicted.clone(),
-                watermark: Nanos::ZERO,
-                folded: HashMap::default(),
-                fold_horizon: Nanos::ZERO,
-            });
+        let log = self.switches.entry(switch).or_insert_with(|| SwitchLog {
+            epochs: HashMap::default(),
+            index: StartIndex::default(),
+            max_len: Nanos::ZERO,
+            taken_at,
+            nports,
+            max_flows,
+            evicted: Vec::new(),
+            watermark: Nanos::ZERO,
+            folded: HashMap::default(),
+            fold_horizon: Nanos::ZERO,
+        });
+        let mut changed = false;
         // Snapshot-level fields follow the latest-taken snapshot (later
         // arrival wins ties), like AggTelemetry's eviction-list rule.
-        if snap.taken_at >= log.taken_at {
-            log.taken_at = snap.taken_at;
-            log.nports = snap.nports;
-            log.max_flows = snap.max_flows;
-            log.evicted = snap.evicted.clone();
+        if taken_at >= log.taken_at {
+            log.taken_at = taken_at;
+            log.nports = nports;
+            log.max_flows = max_flows;
+            if log.evicted != evicted {
+                log.evicted = evicted;
+                changed = true;
+            }
         }
-        for ep in &snap.epochs {
-            match log.epochs.get_mut(&(ep.slot, ep.id)) {
-                Some(cur) if snap.taken_at < cur.0 => {
+        for ep in epochs {
+            let key = (ep.slot, ep.id);
+            match log.epochs.get_mut(&key) {
+                Some(cur) if taken_at < cur.0 => {
                     self.stats.epochs_stale_rejected += 1;
                 }
                 Some(cur) => {
@@ -305,12 +325,13 @@ impl TelemetryStore {
                         log.index.remove((cur.1.start, ep.slot, ep.id));
                         log.index.insert((ep.start, ep.slot, ep.id));
                     }
-                    *cur = (snap.taken_at, ep.clone());
                     log.max_len = log.max_len.max(ep.len);
                     log.watermark = log.watermark.max(ep.end());
+                    changed |= cur.1 != ep;
+                    *cur = (taken_at, ep);
                 }
                 None => {
-                    if let Some(&(folded_taken, folded_start)) = log.folded.get(&(ep.slot, ep.id)) {
+                    if let Some(&(folded_taken, folded_start)) = log.folded.get(&key) {
                         // Same epoch (same start) already folded: a
                         // re-delivery is rejected; a *superseding*
                         // re-collection is dropped too (the bucket froze
@@ -318,7 +339,7 @@ impl TelemetryStore {
                         // start means the switch reused the ring key for
                         // a new epoch: admit it.
                         if ep.start == folded_start {
-                            if snap.taken_at <= folded_taken {
+                            if taken_at <= folded_taken {
                                 self.stats.epochs_stale_rejected += 1;
                             } else {
                                 self.stats.epochs_superseded_after_fold += 1;
@@ -326,12 +347,12 @@ impl TelemetryStore {
                             continue;
                         }
                     }
-                    log.epochs
-                        .insert((ep.slot, ep.id), (snap.taken_at, ep.clone()));
                     log.index.insert((ep.start, ep.slot, ep.id));
                     self.stats.epochs_appended += 1;
                     log.max_len = log.max_len.max(ep.len);
                     log.watermark = log.watermark.max(ep.end());
+                    log.epochs.insert(key, (taken_at, ep));
+                    changed = true;
                 }
             }
         }
@@ -347,6 +368,7 @@ impl TelemetryStore {
                 .epochs
                 .remove(&oldest)
                 .expect("the index holds exactly the live ring's keys");
+            changed = true;
             self.stats.epochs_evicted += 1;
             log.fold_horizon = log.fold_horizon.max(ep.end());
             log.folded.insert(oldest, (taken, ep.start));
@@ -354,12 +376,9 @@ impl TelemetryStore {
                 // Stage the epoch (a move, not a clone) for the external
                 // compactor; admission bookkeeping above already happened,
                 // so correctness never waits on the fold.
-                self.pending.push(PendingFold {
-                    switch: snap.switch,
-                    epoch: ep,
-                });
+                self.pending.push(PendingFold { switch, epoch: ep });
             } else {
-                self.compactor.fold(snap.switch, &ep);
+                self.compactor.fold(switch, &ep);
             }
         }
         let cst = *self.compactor.stats();
@@ -368,6 +387,7 @@ impl TelemetryStore {
         self.stats.compact_epochs_dropped = cst.epochs_dropped;
         self.stats.append_ns += (t1 - t0).as_nanos() as u64;
         self.stats.fold_ns += t1.elapsed().as_nanos() as u64;
+        changed
     }
 
     /// Drain the epochs staged for an external compactor. Always empty in
@@ -450,7 +470,8 @@ impl TelemetryStore {
 
     /// The fleet retention horizon: every raw epoch ending at or before
     /// this instant has left every switch's ring (it is compacted or
-    /// gone), so downstream consumers — the incremental engine — can
+    /// gone), so a standalone
+    /// [`IncrementalProvenance`](hawkeye_core::IncrementalProvenance) can
     /// retire state behind it. `None` before any ingest;
     /// [`Nanos::ZERO`] while some switch has yet to evict.
     pub fn retention_horizon(&self) -> Option<Nanos> {
@@ -560,6 +581,23 @@ impl TelemetryStore {
 impl Default for TelemetryStore {
     fn default() -> Self {
         TelemetryStore::new(StoreConfig::default())
+    }
+}
+
+/// The raw ring as the daemon's wait-for graph reads it: each switch's
+/// live epochs in index order, and its latest eviction list.
+impl EpochRing for TelemetryStore {
+    fn epochs_of(&self, sw: NodeId) -> impl Iterator<Item = &EpochSnapshot> {
+        self.switches.get(&sw).into_iter().flat_map(|log| {
+            log.index
+                .0
+                .iter()
+                .map(move |&(_, slot, id)| &log.epochs[&(slot, id)].1)
+        })
+    }
+
+    fn evicted_of(&self, sw: NodeId) -> &[EvictedFlow] {
+        self.switches.get(&sw).map_or(&[], |log| &log.evicted)
     }
 }
 

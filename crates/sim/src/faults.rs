@@ -138,34 +138,23 @@ impl Default for FaultPlan {
     }
 }
 
-/// Counters for every fault actually injected (as opposed to the plan's
-/// *rates*). Folded into the metrics registry by the eval runner.
+/// Counters for the faults the simulator itself injects (as opposed to
+/// the plan's *rates*): probe faults and dead-CPU upload suppression.
+/// Upload faults are the collector's to count, in its
+/// `CollectorFaultStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     pub probes_dropped: u64,
     pub probes_delayed: u64,
     pub probes_duplicated: u64,
-    pub uploads_dropped: u64,
-    pub uploads_delayed: u64,
-    pub snapshots_stale: u64,
-    pub snapshots_truncated: u64,
-    pub meters_corrupted: u64,
     /// Uploads suppressed because the switch's CPU path was dead.
     pub cpu_down_drops: u64,
 }
 
 impl FaultStats {
-    /// Total individual faults injected, across every category.
+    /// Total individual faults the simulator injected.
     pub fn total_injected(&self) -> u64 {
-        self.probes_dropped
-            + self.probes_delayed
-            + self.probes_duplicated
-            + self.uploads_dropped
-            + self.uploads_delayed
-            + self.snapshots_stale
-            + self.snapshots_truncated
-            + self.meters_corrupted
-            + self.cpu_down_drops
+        self.probes_dropped + self.probes_delayed + self.probes_duplicated + self.cpu_down_drops
     }
 }
 

@@ -266,9 +266,11 @@ rm -f "$metrics_out"
 echo "==> retention smoke (tiny ring budget, compaction + engine retirement)"
 # Long-running-serve retention through the release CLI: a daemon whose
 # ring budget is far below the replay's epoch count must evict from the
-# store, compact snapshots and retire engine epochs at the horizon —
-# while the served verdict stays Correct and at parity (diagnosis reads
-# the raw ring only) and the victim's history spans both fidelity tiers.
+# store and compact snapshots, and its wait-for graph, which reads the
+# store's ring, must hold exactly the ring's epochs and retire what it
+# evicts — while the served verdict stays Correct and at parity
+# (diagnosis reads the raw ring only) and the victim's history spans
+# both fidelity tiers.
 retention_sock=$(mktemp -u /tmp/hawkeye-retention-XXXXXX.sock)
 retention_out=$(mktemp)
 serve_on "$retention_sock" --epoch-budget 2
@@ -285,6 +287,8 @@ assert d["store_epochs_held"] <= 2 * d["store_switches"], \
     f"raw rings over budget: {d['store_epochs_held']} > 2x{d['store_switches']}"
 assert d["store_epochs_compacted_held"] > 0, "eviction never compacted an epoch"
 assert d["engine_epochs_retired_total"] > 0, "engine retirement never fired"
+assert d["engine_epochs_held"] == d["store_epochs_held"], \
+    f"graph holds {d['engine_epochs_held']} epochs, the ring {d['store_epochs_held']}"
 hist = doc["history"]
 assert {r["fidelity"] for r in hist} == {"raw", "compacted"}, \
     f"history missing a fidelity tier: {sorted({r['fidelity'] for r in hist})}"
